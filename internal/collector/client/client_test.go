@@ -1,12 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -498,5 +502,89 @@ func TestRenewLoopDaemonRestartOutlastsTTL(t *testing.T) {
 		if _, ok := j.Lookup(want.Experiment, runstore.AssignmentHash(want.Assignment), want.Replicate); !ok {
 			t.Errorf("spool lost record row %d", want.Row)
 		}
+	}
+}
+
+// TestRemoteStoreAppendBatch pins the batch side of the remote store:
+// whatever the batch size, the spool's bytes are those of per-record
+// appends, the server sees the same FlushEvery-sized ingests, and a lost
+// lease fails the batch before anything is spooled or sent.
+func TestRemoteStoreAppendBatch(t *testing.T) {
+	const every = 4
+	var mu sync.Mutex
+	posts := map[string][]int{} // lease → records per ingest, in order
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		lease := r.URL.Query().Get("lease")
+		posts[lease] = append(posts[lease], bytes.Count(body, []byte("\n")))
+		mu.Unlock()
+	}))
+	defer srv.Close()
+	recs := make([]runstore.Record, 11)
+	for i := range recs {
+		recs[i] = runstore.Record{Experiment: "e", Row: i, Replicate: 0,
+			Assignment: map[string]string{"f": strconv.Itoa(i)}, Responses: map[string]float64{"ms": float64(i)}}
+	}
+	open := func(lease string) (*remoteStore, string) {
+		spool := filepath.Join(t.TempDir(), "spool.jsonl")
+		store, err := newRemoteStore(context.Background(), New(srv.URL, nil), lease, spool, nil, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, spool
+	}
+
+	batched, batchedSpool := open("batched")
+	for _, batch := range [][]runstore.Record{recs[:7], recs[7:]} {
+		if err := batched.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := batched.Streamed(); got != 8 {
+		t.Errorf("streamed %d record(s) before Close, want the two full ingests (8)", got)
+	}
+	single, singleSpool := open("single")
+	for _, rec := range recs {
+		if err := single.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, store := range []*remoteStore{batched, single} {
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := func(lease string) []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return posts[lease]
+	}
+	want := []int{every, every, 3}
+	for _, lease := range []string{"batched", "single"} {
+		if got := sent(lease); !slices.Equal(got, want) {
+			t.Errorf("%s store's ingests carried %v record(s), want %v", lease, got, want)
+		}
+	}
+	a, err := os.ReadFile(batchedSpool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(singleSpool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("batched spool differs from per-record spool:\n%s\nvs\n%s", a, b)
+	}
+
+	lost, lostSpool := open("lost")
+	defer lost.Close()
+	lost.markLost(ErrLeaseLost)
+	if err := lost.AppendBatch(recs); !errors.Is(err, ErrLeaseLost) {
+		t.Errorf("AppendBatch on a lost lease = %v, want ErrLeaseLost", err)
+	}
+	if data, _ := os.ReadFile(lostSpool); len(data) != 0 || len(sent("lost")) != 0 {
+		t.Errorf("lost lease still spooled %d byte(s) and sent %d ingest(s)", len(data), len(sent("lost")))
 	}
 }

@@ -14,9 +14,10 @@ import (
 // executes against — the remote-store adapter. Three layers answer the
 // Store contract:
 //
-//   - durability: every Append lands in a local spool journal (fsynced)
-//     before anything crosses the network, so a crashed or disconnected
-//     worker always leaves a valid, ordinary runstore journal behind;
+//   - durability: every append lands in a local spool journal (one fsync
+//     per Append or AppendBatch) before anything crosses the network, so
+//     a crashed or disconnected worker always leaves a valid, ordinary
+//     runstore journal behind;
 //   - collection: appends are tee'd into batches of FlushEvery records
 //     and streamed to the collector's ingest endpoint; an acknowledged
 //     batch is durable on the server too (at-least-once — a retried
@@ -44,7 +45,10 @@ type remoteStore struct {
 	lost     atomic.Pointer[error]
 }
 
-var _ runstore.Store = (*remoteStore)(nil)
+var (
+	_ runstore.Store         = (*remoteStore)(nil)
+	_ runstore.BatchAppender = (*remoteStore)(nil)
+)
 
 // newRemoteStore assembles the adapter around an acquired lease.
 func newRemoteStore(ctx context.Context, c *Client, lease, localPath string, warm map[string]runstore.Record, every int) (*remoteStore, error) {
@@ -108,51 +112,58 @@ func (r *remoteStore) Scan() iter.Seq2[runstore.Record, error] {
 	return r.local.Scan()
 }
 
-// Append implements runstore.Store: spool locally (durable before
-// return), then stream in batches. A full batch flushes inline; an
-// ingest refusal (lease lost, conflict) surfaces as the append error,
-// which is how the scheduler learns to stop.
+// Append implements runstore.Store as a batch of one.
 func (r *remoteStore) Append(rec runstore.Record) error {
+	return r.AppendBatch([]runstore.Record{rec})
+}
+
+// AppendBatch implements runstore.BatchAppender — the path the
+// scheduler's persist stage takes: the whole batch is spooled locally
+// with one fsync (durable before return), then streamed in ingests of
+// FlushEvery records, so the server sees the same requests whatever the
+// batch size was. An ingest refusal (lease lost, conflict) surfaces as
+// the append error, which is how the scheduler learns to stop.
+func (r *remoteStore) AppendBatch(recs []runstore.Record) error {
 	if err := r.lostErr(); err != nil {
 		return fmt.Errorf("collector client: lease %s: %w", r.lease, err)
 	}
-	rec, err := runstore.NormalizeAppend(rec)
+	normalized, err := runstore.NormalizeBatch(recs)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.local.Append(rec); err != nil {
+	if err := r.local.AppendBatch(normalized); err != nil {
 		return err
 	}
-	r.c.met.spooled.Inc()
-	r.buf = append(r.buf, rec)
-	if len(r.buf) >= r.every {
-		return r.flushLocked()
-	}
-	return nil
+	r.c.met.spooled.Add(int64(len(normalized)))
+	r.buf = append(r.buf, normalized...)
+	return r.streamLocked(r.every)
 }
 
 // Flush streams whatever the batch buffer holds.
 func (r *remoteStore) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.flushLocked()
+	return r.streamLocked(1)
 }
 
-// flushLocked sends the buffered batch. On success the buffer clears;
-// on a terminal refusal the loss is recorded so every later Append
-// fails fast.
-func (r *remoteStore) flushLocked() error {
+// streamLocked sends the buffer's head in ingests of at most FlushEvery
+// records for as long as it holds atLeast of them. On a terminal refusal
+// the loss is recorded so every later append fails fast.
+func (r *remoteStore) streamLocked(atLeast int) error {
+	for len(r.buf) >= atLeast {
+		batch := r.buf[:min(len(r.buf), r.every)]
+		if err := r.c.Ingest(r.ctx, r.lease, batch); err != nil {
+			r.markLost(err)
+			return fmt.Errorf("collector client: streaming %d record(s): %w", len(batch), err)
+		}
+		r.streamed.Add(int64(len(batch)))
+		r.buf = r.buf[len(batch):]
+	}
 	if len(r.buf) == 0 {
-		return nil
+		r.buf = nil // let the streamed records go
 	}
-	if err := r.c.Ingest(r.ctx, r.lease, r.buf); err != nil {
-		r.markLost(err)
-		return fmt.Errorf("collector client: streaming %d record(s): %w", len(r.buf), err)
-	}
-	r.streamed.Add(int64(len(r.buf)))
-	r.buf = nil
 	return nil
 }
 

@@ -180,16 +180,32 @@ const collectorCrashExit = 42
 // TestWorkerCrashLeaseHandoff: re-invoked with COLLECTOR_CRASH_URL set,
 // it works the experiment with per-record streaming and dies without
 // unwinding — no release, no renewal, no flush — in the middle of the
-// fifth unit.
+// fifth unit. The scheduler starts a unit as soon as the last one is
+// queued for its committer, so the dying unit first waits for the state
+// the parent asserts: the daemon holding the first four records.
 func TestCollectorCrashChild(t *testing.T) {
 	url := os.Getenv(collectorCrashEnv)
 	if url == "" {
 		t.Skip("child-process body for TestWorkerCrashLeaseHandoff")
 	}
+	status := client.New(url, nil)
+	streamed := func() (n int64) {
+		st, err := status.Status(context.Background())
+		if err != nil {
+			return 0
+		}
+		for _, e := range st.Experiments {
+			n += e.Records
+		}
+		return n
+	}
 	count := 0
 	run := func(a design.Assignment, rep int) (map[string]float64, error) {
 		count++ // Workers: 1, so a single goroutine runs every unit
 		if count == 5 {
+			for deadline := time.Now().Add(10 * time.Second); streamed() < 4 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			os.Exit(collectorCrashExit)
 		}
 		return e2eRunner(a, rep)

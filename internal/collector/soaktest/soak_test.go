@@ -164,7 +164,10 @@ func collectedJournal(t *testing.T, srvDir string, shards int) []byte {
 // set, it streams every record immediately (FlushEvery 1) and dies
 // without unwinding — no flush, no release, no lease renewal — in the
 // middle of its third unit, leaving a live lease and a partial stream
-// for the TTL sweep and a surviving worker to clean up.
+// for the TTL sweep and a surviving worker to clean up. The scheduler
+// starts a unit as soon as the last one is queued for its committer, so
+// the dying unit first waits until the daemon holds the two records this
+// child streamed (on top of what earlier children left).
 func TestSoakChild(t *testing.T) {
 	url := os.Getenv(soakChildEnv)
 	if url == "" {
@@ -174,10 +177,25 @@ func TestSoakChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	status := client.New(url, nil)
+	streamed := func() (n int64) {
+		st, err := status.Status(context.Background())
+		if err != nil {
+			return 0
+		}
+		for _, e := range st.Experiments {
+			n += e.Records
+		}
+		return n
+	}
+	before := streamed()
 	count := 0
 	run := func(a design.Assignment, rep int) (map[string]float64, error) {
 		count++ // Workers: 1, so a single goroutine runs every unit
 		if count == 3 {
+			for deadline := time.Now().Add(10 * time.Second); streamed() < before+2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			os.Exit(soakChildExit)
 		}
 		return soakRunner(a, rep)

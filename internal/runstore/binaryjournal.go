@@ -16,17 +16,19 @@ import (
 // length-prefixed checksummed frames (see binary.go / docs/FORMAT.md)
 // instead of JSON lines. Append and Lookup are safe for concurrent use.
 type BinaryJournal struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
+	mu sync.Mutex
+	appendLog
 	recs     map[string]Record
 	order    []string // keys in file order, for deterministic Scan order
 	appended int      // records ever indexed, including superseded ones
 	torn     bool     // a torn trailing frame was truncated on open
 }
 
-// The binary journal is a full Store backend.
-var _ Store = (*BinaryJournal)(nil)
+// The binary journal is a full Store backend, batch side included.
+var (
+	_ Store         = (*BinaryJournal)(nil)
+	_ BatchAppender = (*BinaryJournal)(nil)
+)
 
 // OpenBinary opens (creating if absent) the binary journal at path,
 // loading every complete record. A torn trailing frame — a crash
@@ -38,7 +40,7 @@ func OpenBinary(path string) (*BinaryJournal, error) {
 			return nil, fmt.Errorf("runstore: %w", err)
 		}
 	}
-	j := &BinaryJournal{path: path, recs: make(map[string]Record)}
+	j := &BinaryJournal{appendLog: appendLog{path: path}, recs: make(map[string]Record)}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("runstore: %w", err)
@@ -177,7 +179,8 @@ func (j *BinaryJournal) Scan() iter.Seq2[Record, error] {
 // Append validates, persists, and indexes one record. The frame is
 // encoded into a pooled buffer and written with a single Write call
 // followed by Sync, so a crash leaves at most one torn frame — exactly
-// what OpenBinary recovers from.
+// what OpenBinary recovers from. Failures poison the journal exactly as
+// they do Journal's.
 func (j *BinaryJournal) Append(rec Record) error {
 	rec, err := NormalizeAppend(rec)
 	if err != nil {
@@ -187,19 +190,39 @@ func (j *BinaryJournal) Append(rec Record) error {
 	defer putBinBuf(bufp)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("runstore: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(*bufp); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
+	if err := j.commit(*bufp, 1); err != nil {
+		return err
 	}
 	j.index(rec)
-	metAppends.Inc()
-	metAppendBytes.Add(int64(len(*bufp)))
-	metFsyncs.Inc()
+	return nil
+}
+
+// AppendBatch implements BatchAppender under Journal.AppendBatch's
+// rules: the whole batch is validated before any byte is written, its
+// frames go out in one Write followed by one Sync, and a failure indexes
+// nothing. The bytes equal those of the same records appended one by
+// one.
+func (j *BinaryJournal) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	normalized, err := NormalizeBatch(recs)
+	if err != nil {
+		return err
+	}
+	bufp := binBufPool.Get().(*[]byte)
+	defer putBinBuf(bufp)
+	for _, rec := range normalized {
+		*bufp = appendRecordFrame(*bufp, rec)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.commit(*bufp, len(normalized)); err != nil {
+		return err
+	}
+	for _, rec := range normalized {
+		j.index(rec)
+	}
 	return nil
 }
 
@@ -208,12 +231,7 @@ func (j *BinaryJournal) Append(rec Record) error {
 func (j *BinaryJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.close()
 }
 
 // binaryReader is the binary journal's SourceReader.

@@ -8,9 +8,10 @@
 // journals for disjoint workers) and archivestore (a single-file
 // block-indexed archive for million-run warm starts).
 //
-// The journal is the durability substrate of the scheduler: every
-// completed unit of work is appended before the run proceeds, so a
-// crashed or interrupted run resumes from disk instead of re-executing —
+// The journal is the durability substrate of the scheduler: a unit of
+// work counts as completed only once the append covering it has
+// returned, so a crashed or interrupted run resumes from disk instead of
+// re-executing —
 // the paper's repeatability chapter applied to the experiment harness
 // itself. One JSON object per line; a record identifies the experiment
 // by name, the design row by a stable hash of its factor-level
@@ -19,10 +20,11 @@
 // schema, shard-file naming, merge/compact semantics, and the archive
 // layout — is docs/FORMAT.md.
 //
-// Concurrency contract: Journal's Append, Lookup, ReplicateCount,
-// Scan, Len, and Close are safe for concurrent use (one mutex guards
-// file and index); Scan snapshots the key set when iteration starts, so
-// concurrent appends neither block nor corrupt it. Package-level
+// Concurrency contract: Journal's Append, AppendBatch, Lookup,
+// ReplicateCount, Scan, Len, and Close are safe for concurrent use (one
+// mutex guards file and index); Scan snapshots the key set when
+// iteration starts, so concurrent appends neither block nor corrupt it.
+// Package-level
 // functions that rewrite files (Compact, Merge) are single-writer:
 // callers must not run them concurrently with writers of the same
 // files. Read-only entry points (OpenSource, ScanFile, LoadRecords,
@@ -38,8 +40,16 @@
 //
 // Durability contract: Append returns only after the record's bytes are
 // written and fsynced, so a crash immediately after a successful Append
-// loses nothing. A crash mid-append leaves at most one torn trailing
-// line, which Open truncates; complete records are never rewritten in
-// place — Compact and Merge write aside atomically (temp file, fsync,
-// rename) and replace.
+// loses nothing. AppendBatch — the optional BatchAppender side of the
+// Store contract, implemented by both journals — gives a whole batch the
+// same guarantee for one Write and one Sync: every record is validated
+// before any byte is written, and the bytes are those of the same
+// records appended one by one. A crash mid-append leaves a prefix of the
+// batch's records and at most one torn trailing line, which Open
+// truncates. The journals are fail-stop: after a failed Write or Sync
+// every later Append and AppendBatch returns that first error until the
+// file is reopened, because appending past a short write would turn its
+// torn tail into a corrupt interior line. Complete records are never
+// rewritten in place — Compact and Merge write aside atomically (temp
+// file, fsync, rename) and replace.
 package runstore

@@ -69,9 +69,8 @@ func AssignmentHash(a map[string]string) string {
 // Journal is an append-only JSONL run store with an in-memory index.
 // Append and Lookup are safe for concurrent use.
 type Journal struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
+	mu sync.Mutex
+	appendLog
 	recs     map[string]Record
 	order    []string // keys in file order, for deterministic Scan order
 	appended int      // records ever indexed, including superseded ones
@@ -88,7 +87,7 @@ func Open(path string) (*Journal, error) {
 			return nil, fmt.Errorf("runstore: %w", err)
 		}
 	}
-	j := &Journal{path: path, recs: make(map[string]Record)}
+	j := &Journal{appendLog: appendLog{path: path}, recs: make(map[string]Record)}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("runstore: %w", err)
@@ -263,9 +262,26 @@ func NormalizeAppend(rec Record) (Record, error) {
 	return rec, nil
 }
 
+// NormalizeBatch is NormalizeAppend over a whole batch, into a fresh
+// slice: the first invalid record fails all of it, which is how every
+// AppendBatch validates before it writes a byte.
+func NormalizeBatch(recs []Record) ([]Record, error) {
+	out := make([]Record, len(recs))
+	for i, rec := range recs {
+		rec, err := NormalizeAppend(rec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rec
+	}
+	return out, nil
+}
+
 // Append validates, persists, and indexes one record. The JSON line is
 // written with a single Write call followed by Sync, so a crash leaves at
-// most one torn line — exactly what Open recovers from.
+// most one torn line — exactly what Open recovers from. A failed Write or
+// Sync poisons the journal (see appendLog): every later Append or
+// AppendBatch returns that first error until the file is reopened.
 func (j *Journal) Append(rec Record) error {
 	rec, err := NormalizeAppend(rec)
 	if err != nil {
@@ -278,79 +294,56 @@ func (j *Journal) Append(rec Record) error {
 	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("runstore: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
+	if err := j.commit(line, 1); err != nil {
+		return err
 	}
 	j.index(rec)
-	metAppends.Inc()
-	metAppendBytes.Add(int64(len(line)))
-	metFsyncs.Inc()
 	return nil
 }
 
-// AppendBatch validates, persists, and indexes a batch of records with a
-// single Write call followed by a single Sync — the group-commit
-// primitive: N records cost one fsync instead of N. Validation runs over
-// the whole batch before any byte is written, so a rejected batch leaves
-// nothing behind; a crash mid-write leaves at most one torn line, exactly
-// as Append does, and Open recovers the intact prefix. An empty batch is
-// a no-op.
+// AppendBatch implements BatchAppender: it validates, persists, and
+// indexes a batch of records with a single Write call followed by a
+// single Sync — the group-commit primitive: N records cost one fsync
+// instead of N. Validation runs over the whole batch before any byte is
+// written, so a rejected batch leaves nothing behind; a crash mid-write
+// leaves a prefix of the batch's lines and at most one torn line, exactly
+// as Append does, and Open recovers the intact prefix. A failed Write or
+// Sync indexes nothing from the batch and poisons the journal. An empty
+// batch is a no-op.
 func (j *Journal) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	normalized, err := NormalizeBatch(recs)
+	if err != nil {
+		return err
+	}
 	var buf bytes.Buffer
-	normalized := make([]Record, len(recs))
-	for i, rec := range recs {
-		rec, err := NormalizeAppend(rec)
-		if err != nil {
-			return err
-		}
+	for _, rec := range normalized {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("runstore: %w", err)
 		}
 		buf.Write(line)
 		buf.WriteByte('\n')
-		normalized[i] = rec
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("runstore: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
+	if err := j.commit(buf.Bytes(), len(normalized)); err != nil {
+		return err
 	}
 	for _, rec := range normalized {
 		j.index(rec)
 	}
-	metAppends.Add(int64(len(normalized)))
-	metAppendBytes.Add(int64(buf.Len()))
-	metFsyncs.Inc()
 	return nil
 }
 
-// Close closes the journal file. Lookup and Records keep working on the
+// Close closes the journal file. Lookup and Scan keep working on the
 // in-memory index; Append fails.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.close()
 }
 
 // LoadRecords reads every complete record from an existing journal (or

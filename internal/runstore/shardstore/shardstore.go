@@ -24,7 +24,10 @@ type Store struct {
 	files      []*runstore.Journal
 }
 
-var _ runstore.Store = (*Store)(nil)
+var (
+	_ runstore.Store         = (*Store)(nil)
+	_ runstore.BatchAppender = (*Store)(nil)
+)
 
 // Open opens (creating as needed) all shards of the experiment's store
 // under dir. Use it for single-process runs that want sharded files —
@@ -150,21 +153,20 @@ func (s *Store) Append(rec runstore.Record) error {
 	return j.Append(rec)
 }
 
-// AppendBatch appends a batch of records, grouped by destination shard,
-// with one fsync per shard journal touched (runstore.Journal.AppendBatch)
-// instead of one per record — the group-commit append path. Like Append,
-// a record routed to an unowned shard fails the whole batch before any
-// byte of it is written; records for owned shards earlier in the batch
-// may already be durable (the same clean-prefix rule a failed streamed
-// ingest leaves behind).
+// AppendBatch implements runstore.BatchAppender: the batch is grouped by
+// destination shard and lands with one fsync per shard journal touched
+// (runstore.Journal.AppendBatch) instead of one per record — the
+// group-commit append path. The whole batch is checked first: an invalid
+// record, or one routed to an unowned shard, fails it before any byte is
+// written. Each record's shard file holds it in batch order. An I/O
+// failure on one shard leaves the groups already written durable (the
+// same clean-prefix rule a failed streamed ingest leaves behind).
 func (s *Store) AppendBatch(recs []runstore.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	groups := make(map[int][]runstore.Record)
+	groups := make([][]runstore.Record, s.shards)
 	for _, rec := range recs {
-		if rec.Hash == "" {
-			rec.Hash = runstore.AssignmentHash(rec.Assignment)
+		rec, err := runstore.NormalizeAppend(rec)
+		if err != nil {
+			return err
 		}
 		idx := runstore.ShardIndex(rec.Hash, s.shards)
 		if s.files[idx] == nil {
@@ -174,6 +176,9 @@ func (s *Store) AppendBatch(recs []runstore.Record) error {
 		groups[idx] = append(groups[idx], rec)
 	}
 	for idx, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
 		if err := s.files[idx].AppendBatch(group); err != nil {
 			return err
 		}

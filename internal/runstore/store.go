@@ -14,12 +14,19 @@ import (
 // backends (a remote-worker collector feed) plug in behind the same five
 // methods without touching the scheduler.
 //
+// The scheduler treats a unit as complete only when the Append — or the
+// AppendBatch, for a store that is also a BatchAppender — covering it
+// has returned nil, and hands units over in the order workers finished
+// them; after a crash a store therefore holds a prefix, in completion
+// order, of the finished units (internal/sched's persist contract).
+//
 // Contract notes for implementors:
 //   - Lookup and ReplicateCount must serve the last-wins view of every
 //     record Append has durably persisted, plus whatever the store loaded
 //     on open.
-//   - Append must be durable before it returns: a crash immediately after
-//     a successful Append must not lose the record.
+//   - Append (and AppendBatch, where the store is a BatchAppender) must be
+//     durable before it returns: a crash immediately after a successful
+//     call must not lose a record of it.
 //   - Scan must be deterministic for a given store state, must never
 //     materialize the full record set (hand records to the consumer one
 //     at a time), and must tolerate a concurrent Append: the iteration
@@ -48,8 +55,31 @@ type Store interface {
 	Close() error
 }
 
-// The JSONL journal is the reference Store backend.
-var _ Store = (*Journal)(nil)
+// BatchAppender is the optional batch side of the Store contract — the
+// group-commit primitive. A store that has one cheap way to make many
+// records durable at once (one Write and one Sync for the journals)
+// implements it, and the scheduler's persist stage (internal/sched) then
+// commits finished units in batches instead of one by one; a store
+// without it is appended to record by record, exactly as before. The
+// journal, the binary journal, the shard store and the collector
+// worker's remote store implement it.
+//
+// AppendBatch validates every record before it writes a byte, so a batch
+// holding one invalid record leaves nothing behind; it is durable before
+// it returns, like Append; its bytes are those of the same records
+// appended one by one, in slice order; and on error nothing from the
+// batch is served by Lookup or Scan. After a crash mid-batch the file
+// holds a prefix of the batch plus at most one torn record. An empty
+// batch is a no-op.
+type BatchAppender interface {
+	AppendBatch([]Record) error
+}
+
+// The JSONL journal is the reference Store backend, batch side included.
+var (
+	_ Store         = (*Journal)(nil)
+	_ BatchAppender = (*Journal)(nil)
+)
 
 // ShardIndex maps an assignment hash to one of n shards. Every layer of
 // the sharded workflow — the scheduler's row partition, the shardstore's

@@ -2,8 +2,9 @@
 // runstore.Store contract. Every backend — the JSONL journal, the
 // sharded directory store, the block-indexed archive — runs the same
 // assertions through Run, so the scheduler's assumptions (last-wins
-// views, contiguous replicate counting, durable appends, crash-recovery
-// equivalence, concurrency safety) are enforced uniformly instead of
+// views, contiguous replicate counting, durable appends, batch appends
+// that equal sequential ones, crash-recovery equivalence, concurrency
+// safety) are enforced uniformly instead of
 // drifting per backend. A new backend earns its place behind
 // sched.Options.Store by passing this suite, nothing less.
 //
@@ -17,8 +18,11 @@
 package storetest
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -429,6 +433,147 @@ func Run(t *testing.T, b Backend) {
 		}
 	})
 
+	t.Run("BatchAppender", func(t *testing.T) {
+		// The optional batch side of the contract (runstore.BatchAppender).
+		// The scheduler commits through it whenever a store offers it, so
+		// it is held to Append's rules, batch-wide.
+		open := func(t *testing.T, dir string) (runstore.Store, runstore.BatchAppender) {
+			s := b.Open(t, dir)
+			ba, ok := s.(runstore.BatchAppender)
+			if !ok {
+				s.Close()
+				t.Skip("backend has no batch path")
+			}
+			return s, ba
+		}
+		var batch []runstore.Record
+		for row := 0; row < 6; row++ {
+			for rep := 0; rep < 2; rep++ {
+				batch = append(batch, mkRecord("e", row, rep, float64(row*10+rep)))
+			}
+		}
+
+		t.Run("BytesEqualSequentialAppends", func(t *testing.T) {
+			batched, single := t.TempDir(), t.TempDir()
+			s, ba := open(t, batched)
+			if err := ba.AppendBatch(batch[:5]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ba.AppendBatch(nil); err != nil {
+				t.Fatalf("empty batch: %v", err)
+			}
+			if err := ba.AppendBatch(batch[5:]); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			one := b.Open(t, single)
+			for _, r := range batch {
+				if err := one.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			one.Close()
+			got, want := dirBytes(t, batched), dirBytes(t, single)
+			if len(got) != len(want) {
+				t.Fatalf("batched store has %d file(s), sequential %d", len(got), len(want))
+			}
+			for name, data := range want {
+				if !bytes.Equal(got[name], data) {
+					t.Fatalf("%s: batched bytes differ from the same records appended one by one:\n%q\nvs\n%q", name, got[name], data)
+				}
+			}
+		})
+
+		t.Run("InvalidRecordWritesNothing", func(t *testing.T) {
+			dir := t.TempDir()
+			s, ba := open(t, dir)
+			defer s.Close()
+			bad := append([]runstore.Record{}, batch...)
+			bad[len(bad)-1].Responses = map[string]float64{"t": math.Inf(1)}
+			before := dirBytes(t, dir)
+			if err := ba.AppendBatch(bad); err == nil {
+				t.Fatal("batch holding a non-finite response succeeded")
+			}
+			if len(records(t, s)) != 0 {
+				t.Fatal("rejected batch left records in the view")
+			}
+			after := dirBytes(t, dir)
+			for name, data := range after {
+				if !bytes.Equal(before[name], data) {
+					t.Fatalf("rejected batch wrote to %s", name)
+				}
+			}
+			if err := ba.AppendBatch(batch); err != nil {
+				t.Fatalf("valid batch after a rejected one: %v", err)
+			}
+		})
+
+		t.Run("VisibleAndDurableOnReturn", func(t *testing.T) {
+			dir := t.TempDir()
+			s, ba := open(t, dir)
+			defer s.Close()
+			if err := ba.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			assertHolds(t, s, batch, "after AppendBatch")
+			if got := len(records(t, s)); got != len(batch) {
+				t.Fatalf("Scan holds %d, want %d", got, len(batch))
+			}
+			// No Close in between: what a second process opening the files
+			// would find the moment AppendBatch returned.
+			fresh := b.Open(t, dir)
+			defer fresh.Close()
+			assertHolds(t, fresh, batch, "fresh open")
+		})
+
+		t.Run("ConcurrentAppendBatchAppendScan", func(t *testing.T) {
+			s, ba := open(t, t.TempDir())
+			defer s.Close()
+			const writers, rounds, size = 3, 4, 5
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(2)
+				go func(w int) {
+					defer wg.Done()
+					for round := 0; round < rounds; round++ {
+						group := make([]runstore.Record, size)
+						for i := range group {
+							group[i] = mkRecord("e", w, round*size+i, float64(i))
+						}
+						if err := ba.AppendBatch(group); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+				go func(w int) {
+					defer wg.Done()
+					for rep := 0; rep < rounds*size; rep++ {
+						if err := s.Append(mkRecord("e", writers+w, rep, float64(rep))); err != nil {
+							t.Error(err)
+							return
+						}
+						for _, err := range s.Scan() {
+							if err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if got := len(records(t, s)); got != 2*writers*rounds*size {
+				t.Fatalf("Scan holds %d, want %d", got, 2*writers*rounds*size)
+			}
+			for w := 0; w < 2*writers; w++ {
+				if n := s.ReplicateCount("e", hashOf(mkRecord("e", w, 0, 0))); n != rounds*size {
+					t.Fatalf("cell %d: ReplicateCount = %d, want %d", w, n, rounds*size)
+				}
+			}
+		})
+	})
+
 	t.Run("ScanErrorPropagation", func(t *testing.T) {
 		// The error slot of the sequence is part of the contract: a
 		// healthy store yields none, and Collect surfaces the first one.
@@ -469,6 +614,24 @@ func assertHolds(t *testing.T, s runstore.Store, want []runstore.Record, stage s
 			t.Fatalf("%s: ReplicateCount = %d, want %d", stage, n, perCell[cell])
 		}
 	}
+}
+
+// dirBytes reads every file under dir: name → contents.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
 }
 
 func keysOf(recs []runstore.Record) []string {

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/design"
@@ -68,4 +70,22 @@ func BenchmarkSchedUninstrumented(b *testing.B) {
 	s := New(Options{Workers: 4})
 	s.met = nil
 	benchExecute(b, s)
+}
+
+// BenchmarkSchedJournal is the path the pair above cannot see: the same
+// 256 units persisted, two workers into a fresh journal per iteration
+// (Options.JournalDir, so opening and closing the file is in the number,
+// as it is for a user). The journal has a batch side, so this measures
+// the committer: a handful of fsyncs per Execute instead of 256.
+func BenchmarkSchedJournal(b *testing.B) {
+	e := benchExperiment(b)
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(Options{Workers: 2, JournalDir: filepath.Join(root, strconv.Itoa(i)), Metrics: obs.NewRegistry()})
+		if _, err := s.Execute(context.Background(), e); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/design"
+	"repro/internal/obs"
 	"repro/internal/runstore"
 )
 
@@ -33,7 +34,8 @@ func TestCancellationDrainsAndLeavesWarmStartableJournal(t *testing.T) {
 		return wideRunner(a, rep)
 	}
 
-	s := New(Options{Workers: 2, JournalDir: dir})
+	reg := obs.NewRegistry()
+	s := New(Options{Workers: 2, JournalDir: dir, Metrics: reg})
 	_, err := s.Execute(ctx, newWideExperiment(t, cells, reps, counting))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -55,6 +57,11 @@ func TestCancellationDrainsAndLeavesWarmStartableJournal(t *testing.T) {
 	j.Close()
 	if journaled == 0 || journaled >= cells*reps {
 		t.Fatalf("journal holds %d units, want some but not all %d", journaled, cells*reps)
+	}
+	// Everything the workers queued before the drain was landed, and
+	// nothing was counted that was not: complete means appended.
+	if executed := reg.Counter("sched_units_executed_total", "").Value(); executed != int64(journaled) {
+		t.Errorf("%d unit(s) counted executed, journal holds %d", executed, journaled)
 	}
 
 	// Warm start: the resumed run replays exactly the journaled units,

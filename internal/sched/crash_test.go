@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/design"
 	"repro/internal/harness"
@@ -27,7 +29,9 @@ const crashChildExit = 42
 // set, it runs a journaled single-worker experiment and dies without
 // unwinding — no journal Close, no deferred cleanup — in the middle of
 // the fifth unit, first smearing a half-written record onto the journal
-// exactly as a process killed mid-append would.
+// exactly as a process killed mid-append would. A worker starts its next
+// unit as soon as the last one is queued for the committer, so the dying
+// unit first waits for the state the parent asserts: units 1–4 durable.
 func TestCrashChild(t *testing.T) {
 	dir := os.Getenv(crashChildEnv)
 	if dir == "" {
@@ -38,6 +42,11 @@ func TestCrashChild(t *testing.T) {
 		count++ // Workers: 1, so a single goroutine runs every unit
 		if count == 5 {
 			path := filepath.Join(dir, runstore.SanitizeName("sched 2^2")+".jsonl")
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if data, _ := os.ReadFile(path); bytes.Count(data, []byte("\n")) >= 4 {
+					break
+				}
+			}
 			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 			if err == nil {
 				f.WriteString(`{"experiment":"sched 2^2","row":9,"repl`)
@@ -51,6 +60,15 @@ func TestCrashChild(t *testing.T) {
 	t.Fatal("child should have died mid-run")
 }
 
+// newChild re-executes this test binary to run one child-body test with
+// the given environment additions.
+func newChild(t *testing.T, test string, env ...string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), env...)
+	return cmd
+}
+
 // TestChildProcessCrashResume is the crash-injection test: it re-executes
 // this test binary as a separate process, kills it (via the scripted
 // abrupt exit above) mid-run with a torn journal line on disk, then
@@ -58,8 +76,7 @@ func TestCrashChild(t *testing.T) {
 // completed units and re-executes only the missing eight — none twice.
 func TestChildProcessCrashResume(t *testing.T) {
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashChild$")
-	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
+	cmd := newChild(t, "TestCrashChild", crashChildEnv+"="+dir)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("child exited cleanly, want a crash; output:\n%s", out)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/runstore"
@@ -61,14 +60,6 @@ type cellState struct {
 	completed int                  // replicates observed (incl. replayed)
 	replayed  int                  // journal restores among completed
 	done      bool                 // controller stopped the cell
-}
-
-// outcome is one completed live unit coming back from a worker.
-type outcome struct {
-	u       unit
-	resp    map[string]float64
-	retried int
-	err     error
 }
 
 // declaredResponses filters a response map down to the experiment's
@@ -188,10 +179,11 @@ func (s *Scheduler) executeDynamic(ctx context.Context, e *harness.Experiment, j
 // the fixed pool there is no up-front work list: a single dispatcher
 // goroutine (this one) owns the queue, the cell states, and every
 // controller call at a batch boundary, so no lock is needed on any of
-// them; workers only execute units and journal them. A done context
-// stops work generation at the next dispatch boundary: the queue is
-// dropped, in-flight units drain (journaled as they complete), and the
-// context error is returned — the journal stays valid and
+// them; workers only execute units and hand them to the persist stage,
+// which sends each one back here once its append has returned. A done
+// context stops work generation at the next dispatch boundary: the queue
+// is dropped, in-flight units drain (journaled as they complete), and
+// the context error is returned — the journal stays valid and
 // warm-startable, holding exactly the completed units.
 func (s *Scheduler) runDynamicPool(ctx context.Context, e *harness.Experiment, journal runstore.Store, ctrl Controller, cells []*cellState, queue []unit, stats *Stats) error {
 	if len(queue) == 0 {
@@ -205,27 +197,22 @@ func (s *Scheduler) runDynamicPool(ctx context.Context, e *harness.Experiment, j
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// Every dispatched unit comes back on done exactly once — from its
+	// worker if the runner failed, from the persist stage otherwise — so
+	// when the loop below has counted them all back no worker can still
+	// be persisting and the stage may close.
 	jobs := make(chan unit)
 	done := make(chan outcome)
+	persist := s.newPersistStage(e.Name, journal, func(o outcome) { done <- o })
+	defer persist.close()
 	for w := 0; w < workers; w++ {
 		go func() {
 			for u := range jobs {
-				start := time.Now()
-				resp, retried, err := s.runWithRetry(ctx, e, u)
-				if m := s.met; m != nil {
-					m.unitSeconds.Observe(time.Since(start).Seconds())
+				if o := s.runUnit(ctx, e, u); o.err != nil {
+					done <- o
+				} else {
+					persist.persist(o)
 				}
-				if err == nil && journal != nil {
-					err = journal.Append(runstore.Record{
-						Experiment: e.Name,
-						Row:        u.row,
-						Replicate:  u.rep,
-						Hash:       u.hash,
-						Assignment: u.a,
-						Responses:  resp,
-					})
-				}
-				done <- outcome{u: u, resp: resp, retried: retried, err: err}
 			}
 		}()
 	}
@@ -263,9 +250,6 @@ func (s *Scheduler) runDynamicPool(ctx context.Context, e *harness.Experiment, j
 		case out := <-done:
 			inflight--
 			stats.Retried += out.retried
-			if m := s.met; m != nil && out.retried > 0 {
-				m.retried.Add(int64(out.retried))
-			}
 			if out.err != nil {
 				if ctx.Err() != nil {
 					// An attempt abandoned by cancellation is not a unit

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/design"
+	"repro/internal/obs"
 	"repro/internal/runstore"
 )
 
@@ -130,4 +132,71 @@ func TestAdaptiveTimeoutDoesNotLeak(t *testing.T) {
 	}
 	close(release)
 	waitGoroutines(t, base)
+}
+
+// thirdBatchFails is a journal whose third AppendBatch fails.
+type thirdBatchFails struct {
+	*runstore.Journal
+	calls atomic.Int64
+}
+
+var errDiskGone = errors.New("disk gone")
+
+func (s *thirdBatchFails) AppendBatch(recs []runstore.Record) error {
+	if s.calls.Add(1) >= 3 {
+		return errDiskGone
+	}
+	return s.Journal.AppendBatch(recs)
+}
+
+// TestAppendBatchFailureFailsTheRun: the first AppendBatch error is the
+// run's error; units of the failed batch and units queued behind it are
+// dropped unjournaled and uncounted; nothing leaks. Up to the failure
+// the runner holds each unit back until every earlier one has been
+// through AppendBatch, so batches are exactly one unit and the third
+// unit is the one that fails — on both pools.
+func TestAppendBatchFailureFailsTheRun(t *testing.T) {
+	for _, pool := range []string{"fixed", "dynamic"} {
+		t.Run(pool, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			j, err := runstore.OpenDir(t.TempDir(), "sched wide")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			store := &thirdBatchFails{Journal: j}
+			var started atomic.Int64
+			paced := func(a design.Assignment, rep int) (map[string]float64, error) {
+				for n := started.Add(1); store.calls.Load() < min(n-1, 3); {
+					time.Sleep(50 * time.Microsecond)
+				}
+				return wideRunner(a, rep)
+			}
+			reg := obs.NewRegistry()
+			opts := Options{Workers: 1, Store: store, Metrics: reg}
+			if pool == "dynamic" {
+				ctrl, err := adaptive.New(adaptive.Options{Min: 2, Max: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Controller = ctrl
+			}
+			s := New(opts)
+			_, err = s.Execute(context.Background(), newWideExperiment(t, 8, 2, paced))
+			if !errors.Is(err, errDiskGone) {
+				t.Fatalf("Execute = %v, want the AppendBatch failure", err)
+			}
+			waitGoroutines(t, base)
+			if st := s.LastStats(); st != (Stats{}) {
+				t.Errorf("failed run published stats %+v, want none", st)
+			}
+			if got := store.calls.Load(); got != 3 {
+				t.Errorf("AppendBatch called %d time(s), want 3: units queued behind the failure must be dropped", got)
+			}
+			executed := reg.Counter("sched_units_executed_total", "").Value()
+			if j.Len() != 2 || executed != 2 {
+				t.Errorf("store holds %d record(s) and %d unit(s) counted executed, want 2 and 2", j.Len(), executed)
+			}
+		})
+	}
 }

@@ -17,6 +17,11 @@ type schedMetrics struct {
 	adaptStop   *obs.Counter
 	queueDepth  *obs.Gauge
 	unitSeconds *obs.Histogram
+	// One commit is one append call the persist stage made: an
+	// AppendBatch, or an Append on a store without a batch side.
+	// executed ÷ commits is records per commit.
+	commits       *obs.Counter
+	commitSeconds *obs.Histogram
 }
 
 // newSchedMetrics registers the scheduler series in r.
@@ -40,5 +45,9 @@ func newSchedMetrics(r *obs.Registry) *schedMetrics {
 			"Work units queued but not yet dispatched to a worker."),
 		unitSeconds: r.Histogram("sched_unit_seconds",
 			"Per-unit wall-clock latency including retries.", nil),
+		commits: r.Counter("sched_commits_total",
+			"Append calls made by the persist stage: one per batch, or per unit on a store without a batch path."),
+		commitSeconds: r.Histogram("sched_commit_seconds",
+			"From a commit's first unit leaving its runner to the append covering it returning.", nil),
 	}
 }

@@ -45,8 +45,12 @@ type Options struct {
 	// Store, when set, persists every completed unit and warm-starts
 	// from units already present. Any runstore.Store backend works: the
 	// single-file JSONL journal, the sharded directory store
-	// (internal/runstore/shardstore), or a future database backend. The
-	// caller keeps ownership (and must Close it).
+	// (internal/runstore/shardstore), or a future database backend. A
+	// store that is also a runstore.BatchAppender is committed to in
+	// batches, in completion order, by one goroutine per Execute; any
+	// other store is appended to by the workers, record by record (see
+	// the package's persist contract). The caller keeps ownership (and
+	// must Close it).
 	Store runstore.Store
 	// JournalDir, when Store is nil, makes the scheduler open (and
 	// close) a per-experiment store under JournalDir for each Execute
@@ -165,11 +169,12 @@ type unit struct {
 // of completion order.
 //
 // Cancellation: once ctx is done the scheduler stops feeding work,
-// lets in-flight units finish (journaling each as it completes — a
+// lets in-flight units finish, lands every finished unit in the store (a
 // canceled run's journal is always valid and warm-startable), waits for
-// every worker to exit, and returns the context error. Units already
-// dispatched are never torn mid-append; units never dispatched are
-// simply absent from the journal, exactly what a resume re-executes.
+// every worker and the committer to exit, and returns the context error.
+// Units already dispatched are never torn mid-append; units never
+// dispatched are simply absent from the journal, exactly what a resume
+// re-executes.
 func (s *Scheduler) Execute(ctx context.Context, e *harness.Experiment) (*harness.ResultSet, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -278,11 +283,12 @@ func (s *Scheduler) Execute(ctx context.Context, e *harness.Experiment) (*harnes
 	return rs, nil
 }
 
-// runPool drives the pending units through the worker pool. Each worker
-// writes into a distinct (row, rep) slot of results, so no lock is
-// needed on the result matrix; stats counters are mutex-guarded. A done
-// context stops the feed; workers drain their in-flight unit (journaled
-// as usual) and exit, and the context error is returned.
+// runPool drives the pending units through the worker pool and the
+// persist stage. Every unit owns a distinct (row, rep) slot of results,
+// filled once its append has returned, so no lock is needed on the
+// result matrix; stats counters are mutex-guarded. A done context stops
+// the feed; workers finish their in-flight unit and exit, the persist
+// stage lands everything they queued, and the context error is returned.
 func (s *Scheduler) runPool(ctx context.Context, e *harness.Experiment, store runstore.Store, pending []unit, results [][]map[string]float64, stats *Stats) error {
 	if len(pending) == 0 {
 		return nil
@@ -306,6 +312,19 @@ func (s *Scheduler) runPool(ctx context.Context, e *harness.Experiment, store ru
 		})
 	}
 	var statsMu sync.Mutex
+	persist := s.newPersistStage(e.Name, store, func(o outcome) {
+		if o.err != nil {
+			fail(o.err)
+			return
+		}
+		results[o.u.row][o.u.rep] = o.resp
+		if m := s.met; m != nil {
+			m.executed.Inc()
+		}
+		statsMu.Lock()
+		stats.Executed++
+		statsMu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -319,45 +338,18 @@ func (s *Scheduler) runPool(ctx context.Context, e *harness.Experiment, store ru
 					return
 				default:
 				}
-				start := time.Now()
-				resp, retried, err := s.runWithRetry(ctx, e, u)
-				if m := s.met; m != nil {
-					m.unitSeconds.Observe(time.Since(start).Seconds())
-					if retried > 0 {
-						m.retried.Add(int64(retried))
-					}
-				}
+				o := s.runUnit(ctx, e, u)
 				statsMu.Lock()
-				stats.Retried += retried
+				stats.Retried += o.retried
 				statsMu.Unlock()
-				if err != nil {
+				if o.err != nil {
 					if ctx.Err() != nil {
 						return // cancellation, not a unit failure
 					}
-					fail(err)
+					fail(o.err)
 					return
 				}
-				if store != nil {
-					err := store.Append(runstore.Record{
-						Experiment: e.Name,
-						Row:        u.row,
-						Replicate:  u.rep,
-						Hash:       u.hash,
-						Assignment: u.a,
-						Responses:  resp,
-					})
-					if err != nil {
-						fail(err)
-						return
-					}
-				}
-				results[u.row][u.rep] = resp
-				if m := s.met; m != nil {
-					m.executed.Inc()
-				}
-				statsMu.Lock()
-				stats.Executed++
-				statsMu.Unlock()
+				persist.persist(o)
 			}
 		}()
 	}
@@ -386,6 +378,7 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
+	persist.close()
 	if firstErr != nil {
 		return firstErr
 	}
@@ -393,6 +386,27 @@ feed:
 		return fmt.Errorf("sched: %s interrupted: %w (journal holds every completed unit; re-run to resume)", e.Name, err)
 	}
 	return nil
+}
+
+// runUnit is a worker's whole job for one unit: run it with the retry
+// budget and time it. What comes back goes to the persist stage if err
+// is nil.
+func (s *Scheduler) runUnit(ctx context.Context, e *harness.Experiment, u unit) outcome {
+	o := outcome{u: u}
+	m := s.met
+	var start time.Time
+	if m != nil {
+		start = time.Now()
+	}
+	o.resp, o.retried, o.err = s.runWithRetry(ctx, e, u)
+	if m != nil {
+		o.finished = time.Now()
+		m.unitSeconds.Observe(o.finished.Sub(start).Seconds())
+		if o.retried > 0 {
+			m.retried.Add(int64(o.retried))
+		}
+	}
+	return o
 }
 
 // runWithRetry executes one unit with the configured retry budget,
