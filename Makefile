@@ -75,31 +75,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzBinaryDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 
-# Collector perf snapshot: ingest throughput at increasing worker
-# concurrency plus merge-after-collect wall time, recorded in
-# BENCH_collector.json. Regenerate after collector-path changes and
-# commit the diff alongside them.
-.PHONY: bench-collector
-bench-collector:
-	$(GO) run ./tools/benchcollector -out BENCH_collector.json
-
-# Codec perf snapshot: JSON vs binary record encoding through encode,
-# decode, scan, and merge at 10^5 records, recorded in BENCH_codec.json
-# with per-path binary/JSON throughput ratios. Regenerate after codec
-# changes and commit the diff alongside them.
-.PHONY: bench-codec
-bench-codec:
-	$(GO) run ./tools/benchcodec -out BENCH_codec.json
-
-# Warehouse perf snapshot: cold index build vs incremental refresh vs
-# query latency over 20 runs x 100k records total, plus the speedup of
-# an indexed query over a raw store rescan (the acceptance bar is 10x),
-# recorded in BENCH_warehouse.json. Regenerate after warehouse changes
-# and commit the diff alongside them.
-.PHONY: bench-warehouse
-bench-warehouse:
-	$(GO) run ./tools/benchwarehouse -out BENCH_warehouse.json
-
 .PHONY: cover
 cover:
 	$(GO) test -cover ./...

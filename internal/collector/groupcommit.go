@@ -61,26 +61,24 @@ func (c *committer) run() {
 	for first := range c.ch {
 		batch := []commitReq{first}
 		size := first.bytes
-		if c.window > 0 {
-			timer.Reset(c.window)
-		gather:
-			for size < c.maxBytes {
-				select {
-				case req, ok := <-c.ch:
-					if !ok {
-						break gather // Close: land what we hold, then exit via range
-					}
-					batch = append(batch, req)
-					size += req.bytes
-				case <-timer.C:
-					break gather
+		timer.Reset(c.window)
+	gather:
+		for size < c.maxBytes {
+			select {
+			case req, ok := <-c.ch:
+				if !ok {
+					break gather // Close: land what we hold, then exit via range
 				}
+				batch = append(batch, req)
+				size += req.bytes
+			case <-timer.C:
+				break gather
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
 			}
 		}
 		c.land(batch)

@@ -24,10 +24,10 @@ import (
 //	      store closed). The batch is well-formed and the store is
 //	      last-wins, so the client retries idempotently
 //
-// Records are validated and appended one at a time, in stream order, so
-// a failed batch leaves a clean prefix durably stored; delivery is
-// at-least-once and the stores are last-wins, so a retried batch
-// converges instead of duplicating.
+// Records are validated in stream order and the valid prefix is
+// committed as one unit, so a failed batch leaves a clean prefix durably
+// stored; delivery is at-least-once and the stores are last-wins, so a
+// retried batch converges instead of duplicating.
 //
 // The body framing is negotiated by Content-Type: runstore.WireBinaryType
 // selects the binary frame decoder, anything else — including no header
@@ -79,18 +79,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.inflight += reserve
-	groupCommit := s.cfg.CommitWindow > 0
-	if groupCommit {
-		if e.committers[l.shard] == nil {
-			e.committers[l.shard] = newCommitter(e.store, s.cfg.CommitWindow, s.cfg.CommitMaxBytes, s.met)
-		}
-		// Entering the submitter group under the lock pairs with Close,
-		// which flips closed first and then waits the group out — so a
-		// commit channel is never closed mid-send.
-		e.submits.Add(1)
-		defer e.submits.Done()
+	if e.committers[l.shard] == nil {
+		e.committers[l.shard] = newCommitter(e.store, s.cfg.CommitWindow, s.cfg.CommitMaxBytes, s.met)
 	}
-	store, shard, shards := e.store, l.shard, len(e.shards)
+	// Entering the submitter group under the lock pairs with Close,
+	// which flips closed first and then waits the group out — so a
+	// commit channel is never closed mid-send.
+	e.submits.Add(1)
+	defer e.submits.Done()
+	shard, shards := l.shard, len(e.shards)
 	s.mu.Unlock()
 	s.met.inflightBytes.Add(reserve)
 	// The reserve must be released exactly once on every exit path —
@@ -112,18 +109,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Decode outside the control-state lock. With group commit the batch
-	// is validated and gathered first, then submitted to the shard's
-	// committer as one unit; without it (CommitWindow < 0) each record is
-	// appended — and fsynced — as it decodes, the pre-group-commit
-	// baseline behavior.
+	// Decode outside the control-state lock: the batch is validated and
+	// gathered first, then submitted to the shard's committer as one unit.
 	decode := runstore.DecodeWire
 	if wireMediaType(r.Header.Get("Content-Type")) == runstore.WireBinaryType {
 		decode = runstore.DecodeWireBinary
 	}
 	body := &countingReader{r: r.Body}
 	var batch []runstore.Record
-	n, err := decode(body, func(rec runstore.Record) error {
+	_, err := decode(body, func(rec runstore.Record) error {
 		if rec.Experiment != e.name {
 			return &ingestConflict{fmt.Sprintf("collector: record %s belongs to experiment %q, lease %s owns %q",
 				rec.Key(), rec.Experiment, id, e.name)}
@@ -132,27 +126,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return &ingestConflict{fmt.Sprintf("collector: record %s routes to shard %d, lease %s owns shard %d of %d",
 				rec.Key(), got, id, shard, shards)}
 		}
-		if groupCommit {
-			batch = append(batch, rec)
-			return nil
-		}
-		if aerr := store.Append(rec); aerr != nil {
-			return &storeFailure{aerr}
-		}
+		batch = append(batch, rec)
 		return nil
 	})
-	if groupCommit {
-		// Commit the decoded records even when the stream failed partway:
-		// the valid prefix lands durably, preserving the contract that a
-		// failed batch leaves a clean prefix for the retry to converge on.
-		if cerr := e.commit(shard, batch, body.n); cerr != nil {
-			if err == nil {
-				err = &storeFailure{cerr}
-			}
-			n = 0
-		} else {
-			n = len(batch)
+	// Commit the decoded records even when the stream failed partway:
+	// the valid prefix lands durably, preserving the contract that a
+	// failed batch leaves a clean prefix for the retry to converge on.
+	n := len(batch)
+	if cerr := e.commit(shard, batch, body.n); cerr != nil {
+		if err == nil {
+			err = &storeFailure{cerr}
 		}
+		n = 0
 	}
 	s.mu.Lock()
 	e.records += int64(n)
@@ -214,7 +199,7 @@ type ingestConflict struct{ msg string }
 
 func (c *ingestConflict) Error() string { return c.msg }
 
-// storeFailure marks an append or group-commit that failed server-side —
+// storeFailure marks a group commit that failed server-side —
 // the batch was well-formed but could not be made durable — and so maps
 // to a retryable 503 rather than the terminal 400 a malformed stream
 // earns.

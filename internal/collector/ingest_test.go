@@ -20,72 +20,63 @@ import (
 
 // TestIngestStoreFailureAnswers503 closes the experiment's store out
 // from under a live lease — the in-process stand-in for a full disk —
-// and asserts the ingest answers 503 with a Retry-After hint, in both
-// the group-commit and the per-record-fsync append paths.
+// and asserts the ingest answers 503 with a Retry-After hint. It also
+// pins that a negative CommitWindow is invalid config.
 func TestIngestStoreFailureAnswers503(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		window int // CommitWindow sign: 0 group commit (default), -1 per-record
-	}{
-		{"group-commit", 0},
-		{"per-record", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Shards: 1, Metrics: obs.NewRegistry()}
-			if tc.window < 0 {
-				cfg.CommitWindow = -1
-			}
-			srv, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs := httptest.NewServer(srv)
-			defer hs.Close()
-			defer srv.Close()
-
-			resp, err := http.Post(hs.URL+PathAcquire, "application/json",
-				strings.NewReader(`{"worker":"w1","experiment":"e"}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var grant AcquireResponse
-			if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-
-			srv.mu.Lock()
-			srv.exps["e"].store.Close()
-			srv.mu.Unlock()
-
-			rec := runstore.Record{
-				Experiment: "e", Row: 0, Replicate: 0,
-				Assignment: map[string]string{"x": "a"},
-				Responses:  map[string]float64{"ms": 1},
-			}
-			var body bytes.Buffer
-			if err := runstore.EncodeWire(&body, rec); err != nil {
-				t.Fatal(err)
-			}
-			resp, err = http.Post(fmt.Sprintf("%s%s?lease=%s", hs.URL, PathIngest, grant.Lease),
-				runstore.WireJSONType, &body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("ingest onto a failed store = %d, want 503", resp.StatusCode)
-			}
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("503 carries no Retry-After hint")
-			}
-			var e ErrorResponse
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(e.Error, "storing batch") {
-				t.Errorf("error %q does not name the storage failure", e.Error)
-			}
-		})
+	if _, err := New(Config{Dir: t.TempDir(), CommitWindow: -1}); err == nil {
+		t.Error("New accepted a negative CommitWindow")
 	}
+	t.Run("group-commit", func(t *testing.T) {
+		srv, err := New(Config{Dir: t.TempDir(), Shards: 1, Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv)
+		defer hs.Close()
+		defer srv.Close()
+
+		resp, err := http.Post(hs.URL+PathAcquire, "application/json",
+			strings.NewReader(`{"worker":"w1","experiment":"e"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var grant AcquireResponse
+		if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+
+		srv.mu.Lock()
+		srv.exps["e"].store.Close()
+		srv.mu.Unlock()
+
+		rec := runstore.Record{
+			Experiment: "e", Row: 0, Replicate: 0,
+			Assignment: map[string]string{"x": "a"},
+			Responses:  map[string]float64{"ms": 1},
+		}
+		var body bytes.Buffer
+		if err := runstore.EncodeWire(&body, rec); err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.Post(fmt.Sprintf("%s%s?lease=%s", hs.URL, PathIngest, grant.Lease),
+			runstore.WireJSONType, &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("ingest onto a failed store = %d, want 503", resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Error("503 carries no Retry-After hint")
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(e.Error, "storing batch") {
+			t.Errorf("error %q does not name the storage failure", e.Error)
+		}
+	})
 }

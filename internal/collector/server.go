@@ -46,9 +46,7 @@ type Config struct {
 	Token string
 	// CommitWindow bounds how long the group-commit engine gathers
 	// concurrent ingest batches before one fsync lands them all. 0
-	// defaults to 2ms; negative disables group commit entirely and every
-	// record is appended (and fsynced) individually — the pre-group-commit
-	// behavior, kept as the benchmark baseline.
+	// defaults to 2ms; a negative window is rejected.
 	CommitWindow time.Duration
 	// CommitMaxBytes closes a gather window early once this many wire
 	// bytes are queued, bounding commit latency and memory under burst.
@@ -89,6 +87,9 @@ func (c *Config) fill() error {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
+	}
+	if c.CommitWindow < 0 {
+		return fmt.Errorf("collector: Config.CommitWindow %v is negative (0 means the 2ms default)", c.CommitWindow)
 	}
 	if c.CommitWindow == 0 {
 		c.CommitWindow = 2 * time.Millisecond

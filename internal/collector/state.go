@@ -1,17 +1,14 @@
 package collector
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/framelog"
 )
 
 // StateFile is the daemon's control-state journal, kept next to the
@@ -20,9 +17,10 @@ import (
 // stopped instead of orphaning its fleet.
 const StateFile = "collector.state.jsonl"
 
-// stateEvent is one line of the control-state journal. The framing is
-// the runstore journal's: one JSON object per line, a single Write+Sync
-// per append, torn trailing line truncated on open. Event types:
+// stateEvent is one line of the control-state journal: a line-framed
+// framelog file (one JSON object per line, a single Write+Sync per
+// append, torn trailing line truncated on open, fail-stop after a failed
+// append). Event types:
 //
 //	epoch   — a daemon started; Epoch is its (monotonic) incarnation
 //	worker  — a worker registered
@@ -47,9 +45,8 @@ type stateEvent struct {
 // worker per TTL — so the per-append fsync that makes them durable never
 // contends with the ingest hot path.
 type stateLog struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
+	mu  sync.Mutex
+	log *framelog.Log
 }
 
 // openStateLog opens (creating if absent) the control-state journal and
@@ -59,90 +56,36 @@ type stateLog struct {
 // because silently dropping a lease grant would hand one shard to two
 // workers.
 func openStateLog(path string) (*stateLog, []stateEvent, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("collector: state: %w", err)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("collector: state: %w", err)
-	}
 	var events []stateEvent
-	keep := 0
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		end := keep + len(line) + 1 // the line plus its newline
-		if end > len(data) {
-			break // unterminated final line: torn, truncate below
-		}
+	log, err := framelog.Open(path, framelog.Lines, func(line []byte, off, _ int64) error {
 		var ev stateEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
-			if end == len(data) {
-				break // torn tail that happens to end in newline-less junk
-			}
-			return nil, nil, fmt.Errorf("collector: state: %s: corrupt line at byte %d: %w", path, keep, err)
+			return framelog.Corrupt(fmt.Errorf("corrupt line at byte %d: %w", off, err))
 		}
 		events = append(events, ev)
-		keep = end
-	}
-	if err := sc.Err(); err != nil {
-		// A scanner failure (e.g. a line past the buffer cap) stops the
-		// loop exactly like a torn tail would; without this check every
-		// event after it would be silently dropped — and a dropped lease
-		// grant hands one shard to two workers.
-		return nil, nil, fmt.Errorf("collector: state: %s: corrupt journal at byte %d: %w", path, keep, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("collector: state: %w", err)
 	}
-	if keep < len(data) {
-		if err := f.Truncate(int64(keep)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("collector: state: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("collector: state: %w", err)
-	}
-	return &stateLog{path: path, f: f}, events, nil
+	return &stateLog{log: log}, events, nil
 }
 
-// append persists one event: single Write, then Sync, so a crash leaves
-// at most one torn line for the next open to truncate.
+// append persists one event, durably before it returns.
 func (s *stateLog) append(ev stateEvent) error {
 	line, err := json.Marshal(ev)
 	if err != nil {
 		return fmt.Errorf("collector: state: %w", err)
 	}
-	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("collector: state journal %s is closed", s.path)
-	}
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("collector: state: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("collector: state: %w", err)
-	}
-	return nil
+	return s.log.Commit(framelog.Lines.Seal(line, 0))
 }
 
 func (s *stateLog) close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
+	return s.log.Close()
 }
 
 // leaseID builds a lease id carrying the granting daemon's epoch —

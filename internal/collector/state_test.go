@@ -20,13 +20,13 @@ func TestLeaseIDRoundTrip(t *testing.T) {
 		{leaseID(1, 1), 1},
 		{leaseID(7, 200), 7},
 		{"lease-12-3", 12},
-		{"lease-3", 0},      // no sequence part
-		{"lease-abc-3", 0},  // non-numeric epoch
-		{"lease-0-3", 0},    // epochs start at 1
-		{"lease--1-3", 0},   // negative
-		{"run-1-3", 0},      // wrong prefix
-		{"", 0},             // empty
-		{"lease-1-2-3", 1},  // extra dashes stay in the sequence part
+		{"lease-3", 0},     // no sequence part
+		{"lease-abc-3", 0}, // non-numeric epoch
+		{"lease-0-3", 0},   // epochs start at 1
+		{"lease--1-3", 0},  // negative
+		{"run-1-3", 0},     // wrong prefix
+		{"", 0},            // empty
+		{"lease-1-2-3", 1}, // extra dashes stay in the sequence part
 	}
 	for _, tc := range cases {
 		if got := leaseEpoch(tc.id); got != tc.want {
@@ -127,22 +127,29 @@ func TestStateLogCorruptMiddleLineRejected(t *testing.T) {
 func TestStateLogScannerFailureRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, StateFile)
-	// A line past the scanner's 1 MiB buffer cap stops the scan loop the
-	// same way a torn tail would — but valid events follow it, so
-	// treating it as a tail would silently drop them (and a dropped
-	// lease grant hands one shard to two workers). It must be an error.
-	huge := `{"type":"worker","worker":"` + strings.Repeat("x", (1<<20)+1024) + `"}`
-	body := `{"type":"epoch","epoch":1}` + "\n" + huge + "\n" +
+	// The frame log has no line-length cap: a line past 1 MiB is a line,
+	// and the events after it replay (silently dropping a lease grant
+	// would hand one shard to two workers).
+	huge := strings.Repeat("x", (1<<20)+1024)
+	body := `{"type":"epoch","epoch":1}` + "\n" +
+		`{"type":"worker","worker":"` + huge + `"}` + "\n" +
 		`{"type":"worker","worker":"w1"}` + "\n"
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := openStateLog(path)
-	if err == nil {
-		t.Fatal("scanner failure mid-file accepted; events after it would be silently dropped")
+	log, events, err := openStateLog(path)
+	if err != nil {
+		t.Fatalf("open with a line past 1 MiB: %v", err)
 	}
-	if !strings.Contains(err.Error(), "corrupt journal") {
-		t.Fatalf("error %q does not name the corrupt journal", err)
+	defer log.close()
+	want := []stateEvent{{Type: "epoch", Epoch: 1}, {Type: "worker", Worker: huge}, {Type: "worker", Worker: "w1"}}
+	if len(events) != len(want) {
+		t.Fatalf("replayed %d event(s), want %d", len(events), len(want))
+	}
+	for i, ev := range events {
+		if ev != want[i] {
+			t.Errorf("event %d = %.80v, want %.80v", i, ev, want[i])
+		}
 	}
 }
 

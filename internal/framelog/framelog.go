@@ -1,0 +1,331 @@
+// Package framelog is the one append-only file under every journal in
+// this repository: the JSONL and binary run journals (internal/runstore),
+// the collector's control-state log, and the warehouse index. It owns
+// the whole life of such a file — create, scan, recover from a crash,
+// append durably, fail-stop — so each of those stores keeps only its
+// payload codec.
+//
+// A file is an optional magic header followed by records in one of two
+// framings (docs/FORMAT.md, "Frame log"):
+//
+//	Lines             payload '\n'
+//	Frames(magic, …)  magic | ( u32 len | u32 CRC-32C(payload) | payload )*
+//
+// (integers little-endian). There is one recovery rule. A crash can
+// only cut the last Commit short, so damage a cut explains is a torn
+// tail and is dropped: a short or checksum-failed trailing frame, an
+// undecodable final line with no terminator, a file holding a strict
+// prefix of its magic (a crashed creation, which restarts the file).
+// Damage a cut cannot explain is corruption and is an error: an
+// undecodable terminated line or checksum-valid frame, a frame header
+// claiming an impossible length, a foreign magic. Dropping complete
+// records silently would turn resume into silent re-execution.
+//
+// A Log is not safe for concurrent use; its owner serializes Commit and
+// Close (every owner already holds a mutex over its in-memory index).
+package framelog
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
+)
+
+// FrameHeaderSize is the size of a checksummed frame's header: the
+// payload length and the payload's CRC-32C, four bytes each.
+const FrameHeaderSize = 4 + 4
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Framing says how a log file delimits its records. There are two:
+// Lines, and the checksummed frames Frames builds.
+type Framing struct {
+	frames     bool   // checksummed frames; false is line framing
+	what       string // names the file kind in errors
+	magic      string
+	maxPayload uint32
+}
+
+// Lines frames each record as one '\n'-terminated line. Whitespace-only
+// lines are skipped on scan; a payload must not contain a newline.
+var Lines = Framing{}
+
+// Frames frames each record as a length-prefixed CRC-32C-checksummed
+// frame, in a file that starts with magic. what names the file kind in
+// errors ("binary journal"); maxPayload bounds a frame so a corrupt
+// length field cannot drive a giant allocation during a scan.
+func Frames(what, magic string, maxPayload uint32) Framing {
+	return Framing{frames: true, what: what, magic: magic, maxPayload: maxPayload}
+}
+
+// Magic returns the header every file in this framing starts with; ""
+// for Lines.
+func (fr Framing) Magic() string { return fr.magic }
+
+// Reserve appends the room one record's header needs to dst. Encode the
+// payload after it, then Seal.
+func (fr Framing) Reserve(dst []byte) []byte {
+	if !fr.frames {
+		return dst
+	}
+	return append(dst, make([]byte, FrameHeaderSize)...)
+}
+
+// Seal completes the record begun at dst[start:] by Reserve, whose
+// payload is everything encoded since: it patches the frame header in
+// place, or terminates the line. One buffer, no payload copy.
+func (fr Framing) Seal(dst []byte, start int) []byte {
+	if !fr.frames {
+		return append(dst, '\n')
+	}
+	payload := dst[start+FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// Payload returns the payload inside one whole record as a scan
+// reported it (off, n), or nil when n bytes cannot hold one.
+func (fr Framing) Payload(record []byte) []byte {
+	if !fr.frames {
+		return record
+	}
+	if len(record) < FrameHeaderSize {
+		return nil
+	}
+	return record[FrameHeaderSize:]
+}
+
+// corrupt marks an error as "this payload does not decode".
+type corrupt struct{ error }
+
+// Corrupt marks err as a payload its consumer could not decode. A scan
+// callback returns it so the scan can apply the recovery rule: the
+// unterminated final line of a file is then a torn tail, anything else
+// is corruption and fails the scan with err itself. Errors not marked
+// this way stop the scan and are returned as they are.
+func Corrupt(err error) error { return corrupt{err} }
+
+// A Visit receives one record's payload during a scan, with the
+// absolute offset and length of the whole record (frame header
+// included; line terminator excluded). The payload buffer is reused:
+// copy what must outlive the call.
+type Visit func(payload []byte, off, n int64) error
+
+// Scan reads records from r, which is positioned past any magic at
+// absolute file offset base, calling fn for each, and returns the offset
+// up to which the input is intact and whether a torn tail follows it.
+// It is the whole recovery rule for a record stream; a wire stream in
+// either framing is scanned with it too.
+func (fr Framing) Scan(r io.Reader, base int64, fn Visit) (keep int64, torn bool, err error) {
+	return fr.scan(bufio.NewReaderSize(r, 64<<10), base, fn)
+}
+
+// ScanFile is Scan over a whole file image: it checks the magic first.
+// An empty file is a fresh log; a strict prefix of the magic is a
+// crashed creation (keep 0, torn).
+func (fr Framing) ScanFile(r io.Reader, fn Visit) (keep int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	head := make([]byte, len(fr.magic))
+	n, rerr := io.ReadFull(br, head)
+	if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
+		return 0, false, rerr
+	}
+	if string(head[:n]) != fr.magic[:n] {
+		return 0, false, fmt.Errorf("not a %s (bad magic)", fr.what)
+	}
+	if n < len(fr.magic) {
+		return 0, n > 0, nil
+	}
+	return fr.scan(br, int64(n), fn)
+}
+
+func (fr Framing) scan(br *bufio.Reader, base int64, fn Visit) (keep int64, torn bool, err error) {
+	if !fr.frames {
+		return scanLines(br, base, fn)
+	}
+	return fr.scanFrames(br, base, fn)
+}
+
+func scanLines(br *bufio.Reader, off int64, fn Visit) (keep int64, torn bool, err error) {
+	for {
+		line, rerr := br.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			// A real read failure must surface, never pass for a torn
+			// tail: a rewriting consumer would drop the unread remainder.
+			return 0, false, rerr
+		}
+		terminated := rerr == nil
+		raw := line
+		if terminated {
+			raw = line[:len(line)-1]
+		}
+		if len(bytes.TrimSpace(raw)) > 0 {
+			if ferr := fn(raw, off, int64(len(raw))); ferr != nil {
+				var c corrupt
+				if !errors.As(ferr, &c) {
+					return 0, false, ferr
+				}
+				if !terminated {
+					return off, true, nil
+				}
+				return 0, false, c.error
+			}
+		}
+		off += int64(len(line))
+		if !terminated {
+			return off, false, nil // EOF; a last line without its terminator is kept
+		}
+	}
+}
+
+// Length-prefixed framing cannot resynchronize past damage, so the first
+// invalid frame ends the readable region.
+func (fr Framing) scanFrames(br *bufio.Reader, off int64, fn Visit) (keep int64, torn bool, err error) {
+	var hdr [FrameHeaderSize]byte
+	var payload []byte
+	for {
+		if _, rerr := io.ReadFull(br, hdr[:]); rerr != nil {
+			switch rerr {
+			case io.EOF:
+				return off, false, nil // clean EOF at a frame boundary
+			case io.ErrUnexpectedEOF:
+				return off, true, nil // torn mid-header
+			}
+			return 0, false, rerr
+		}
+		n := binary.LittleEndian.Uint32(hdr[0:4])
+		if n > fr.maxPayload {
+			// A cut leaves a prefix of a valid frame, so a complete header
+			// is a written header: an absurd length is damage.
+			return 0, false, fmt.Errorf("corrupt %s frame at byte %d: impossible payload length %d (max %d)", fr.what, off, n, fr.maxPayload)
+		}
+		if uint32(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, rerr := io.ReadFull(br, payload); rerr != nil {
+			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+				return off, true, nil // torn mid-payload
+			}
+			return 0, false, rerr
+		}
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			return off, true, nil
+		}
+		frameLen := int64(FrameHeaderSize) + int64(n)
+		if ferr := fn(payload, off, frameLen); ferr != nil {
+			// The checksum vouches for the bytes, so a payload that does
+			// not decode was written that way: never a torn tail.
+			var c corrupt
+			if errors.As(ferr, &c) {
+				ferr = c.error
+			}
+			return 0, false, ferr
+		}
+		off += frameLen
+	}
+}
+
+// Log is an open log file positioned for appending.
+type Log struct {
+	path   string
+	f      *os.File // nil once closed
+	torn   bool
+	failed error // the first Write or Sync failure; sticky
+}
+
+// Open opens the log at path, creating it (and its directory) if
+// absent, and replays every intact record through replay. A torn tail
+// is truncated away, a decodable but unterminated final line is
+// terminated, and a new or restarted file gets its magic written and
+// synced — the file is left ending on a record boundary, and every
+// Commit lands at its end (O_APPEND). Errors name the path; a
+// corruption error also names the byte offset.
+func Open(path string, fr Framing, replay Visit) (*Log, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	l := &Log{path: path, f: f}
+	if err := l.restore(fr, replay); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+func (l *Log) restore(fr Framing, replay Visit) error {
+	keep, torn, err := fr.ScanFile(l.f, replay)
+	if err != nil {
+		return fmt.Errorf("%s: %w", l.path, err)
+	}
+	l.torn = torn
+	if torn {
+		if err := l.f.Truncate(keep); err != nil {
+			return fmt.Errorf("truncating torn tail: %w", err)
+		}
+	}
+	switch {
+	case fr.frames && keep == 0:
+		if _, err = l.f.WriteString(fr.magic); err == nil {
+			err = l.f.Sync()
+		}
+	case !fr.frames && keep > 0:
+		// A last line that decoded but was never terminated (a journal
+		// edited by hand): terminate it so the next record starts a line.
+		var last [1]byte
+		if _, err = l.f.ReadAt(last[:], keep-1); err == nil && last[0] != '\n' {
+			_, err = l.f.WriteString("\n")
+		}
+	}
+	return err
+}
+
+// Path returns the log's file path.
+func (l *Log) Path() string { return l.path }
+
+// Torn reports whether Open dropped a torn tail.
+func (l *Log) Torn() bool { return l.torn }
+
+// Commit appends data — whole sealed records — with one Write and one
+// Sync, and returns once they are durable. The first failure of either
+// is sticky: every later Commit returns that same error until the file
+// is reopened. A short write leaves a torn tail Open knows how to drop,
+// but only while it is the tail; a later successful append would bury it
+// as a corrupt interior record, which Open rightly refuses.
+func (l *Log) Commit(data []byte) error {
+	switch {
+	case l.f == nil:
+		return fmt.Errorf("framelog: %s is closed", l.path)
+	case l.failed != nil:
+		return l.failed
+	}
+	_, err := l.f.Write(data)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		l.failed = fmt.Errorf("framelog: %s failed and must be reopened: %w", l.path, err)
+	}
+	return l.failed
+}
+
+// Close closes the file; a second Close is a no-op.
+func (l *Log) Close() error {
+	if l.f == nil {
+		return nil
+	}
+	err := l.f.Close()
+	l.f = nil
+	return err
+}

@@ -1,11 +1,8 @@
 package runstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -15,26 +12,20 @@ import (
 // JSONL journal: the same record, the same key semantics, the same
 // last-wins view, encoded without a JSON marshal or parse anywhere on
 // the path. It exists because encoding/json dominates append, open,
-// merge, and collector ingest at scale (BENCH_codec.json keeps the
-// claim measured). The normative specification lives in docs/FORMAT.md;
-// change either in lockstep with the other and with the version byte
-// baked into BinaryMagic.
+// merge, and collector ingest at scale (BENCHMARK.json's
+// runstore.{en,de}code_*_ns_per_record layers keep the claim measured).
+// The normative specification lives in docs/FORMAT.md; change either in
+// lockstep with the other and with the version byte baked into
+// BinaryMagic.
 //
-// Layout of a binary journal file:
+// A binary journal file is framelog's checksummed framing over this
+// payload encoding:
 //
-//	"PEVBIN1\n" | frame*
+//	"PEVBIN1\n" | ( payload-length u32 | crc32c(payload) u32 | payload )*
 //
-// where every frame is
-//
-//	payload-length u32 | crc32c(payload) u32 | payload
-//
-// (all integers little-endian, checksums CRC-32C). Each append is one
-// write of the full frame followed by fsync, mirroring the JSONL
-// journal's durability story, so a crash leaves at most one torn
-// trailing frame. Because frames are length-prefixed, the scan cannot
-// resynchronize past damage: the first invalid frame ends the readable
-// region, exactly as in the block-indexed archive, and open truncates
-// there (reported via Torn).
+// This file holds only the payload encoder and decoder; the frame
+// walk, the torn-tail rule and the append path are framelog's, bound to
+// this payload by binaryCodec (codec.go).
 const (
 	// BinaryMagic is the 8-byte header every binary journal starts with.
 	// The digit is the format version: an incompatible change to the
@@ -44,9 +35,6 @@ const (
 	// BinaryExt is the binary journal's file extension. A Merge or
 	// Compact destination carrying it is written in the binary format.
 	BinaryExt = ".binj"
-
-	binHeaderSize      = len(BinaryMagic)
-	binFrameHeaderSize = 4 + 4 // payload length, payload CRC
 
 	// maxBinaryPayload bounds a frame payload so a corrupt length field
 	// cannot drive a multi-gigabyte allocation during recovery scans.
@@ -58,19 +46,6 @@ const (
 	binMapNil     = 0
 	binMapPresent = 1
 )
-
-// binCastagnoli is the CRC-32C table every binary frame checksum uses.
-var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// binBufPool recycles encode scratch buffers on the append/encode hot
-// path — Append, EncodeWireBinary, and the bulk writer all borrow from
-// it so steady-state encoding allocates nothing per record.
-var binBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4<<10)
-		return &b
-	},
-}
 
 // binSortPool recycles the key-sorting scratch slices the encoder uses
 // to emit maps deterministically.
@@ -268,105 +243,4 @@ func decodeBinaryRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("runstore: corrupt binary record payload: %d trailing byte(s)", len(d.b))
 	}
 	return rec, nil
-}
-
-// appendRecordFrame appends rec's complete frame — header plus payload —
-// to dst and returns the extended buffer. The header is reserved up
-// front and patched after the payload is encoded in place: one buffer,
-// no payload copy.
-func appendRecordFrame(dst []byte, rec Record) []byte {
-	base := len(dst)
-	dst = append(dst, make([]byte, binFrameHeaderSize)...)
-	dst = appendBinaryRecord(dst, rec)
-	payload := dst[base+binFrameHeaderSize:]
-	binary.LittleEndian.PutUint32(dst[base:base+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[base+4:base+8], crc32.Checksum(payload, binCastagnoli))
-	return dst
-}
-
-// encodeBinaryFrame encodes rec as one complete frame into a buffer
-// borrowed from the pool. The caller must return the buffer with
-// putBinBuf once the bytes are written out.
-func encodeBinaryFrame(rec Record) *[]byte {
-	bufp := binBufPool.Get().(*[]byte)
-	*bufp = appendRecordFrame((*bufp)[:0], rec)
-	return bufp
-}
-
-// putBinBuf returns an encode buffer to the pool. Oversized buffers
-// (one huge record) are dropped rather than pinned in the pool.
-func putBinBuf(bufp *[]byte) {
-	if cap(*bufp) > 1<<20 {
-		return
-	}
-	*bufp = (*bufp)[:0]
-	binBufPool.Put(bufp)
-}
-
-// scanBinary is the one implementation of the binary journal's frame
-// walk and torn-tail rule, shared by OpenBinary and the streaming
-// reader (and through it Inspect, Merge, and Compact) the same way
-// scanJournal is shared on the JSONL side. It reads frames from r
-// (positioned just past the magic; base is that absolute file offset),
-// fully decoding each record and calling fn with the record and its
-// frame extent, and returns the absolute offset up to which the input
-// is intact.
-//
-// Unlike the JSONL journal, whose newline framing can resynchronize,
-// length-prefixed framing cannot: the first invalid frame — short
-// header, short payload, checksum mismatch — ends the readable region
-// (torn=true, everything before it kept), the archive's recovery rule.
-// Two invalid shapes a torn single-write append cannot produce are
-// errors, never a torn tail: a complete header claiming an impossible
-// payload length, and a checksum-valid payload that does not decode.
-func scanBinary(r io.Reader, base int64, fn func(rec Record, ext Extent) error) (keep int64, torn bool, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	off := base
-	var hdr [binFrameHeaderSize]byte
-	var payload []byte
-	for {
-		if _, rerr := io.ReadFull(br, hdr[:]); rerr != nil {
-			if rerr == io.EOF {
-				return off, false, nil // clean EOF at a frame boundary
-			}
-			if rerr == io.ErrUnexpectedEOF {
-				return off, true, nil // torn mid-header
-			}
-			return 0, false, fmt.Errorf("runstore: %w", rerr)
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n > maxBinaryPayload {
-			// A torn append leaves a prefix of a valid frame, so a complete
-			// header is a written header; an absurd length is damage that
-			// must surface, not truncate.
-			return 0, false, fmt.Errorf("corrupt binary journal: frame at byte %d claims %d-byte payload (max %d)", off, n, maxBinaryPayload)
-		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, rerr := io.ReadFull(br, payload); rerr != nil {
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				return off, true, nil // torn mid-payload
-			}
-			return 0, false, fmt.Errorf("runstore: %w", rerr)
-		}
-		if crc32.Checksum(payload, binCastagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return off, true, nil
-		}
-		rec, derr := decodeBinaryRecord(payload)
-		if derr != nil {
-			// The checksum vouches for the bytes, so a payload that does
-			// not decode was written corrupt — an error, never a torn tail.
-			return 0, false, fmt.Errorf("corrupt binary record at byte %d: %v", off, derr)
-		}
-		if rec.Hash == "" {
-			rec.Hash = AssignmentHash(rec.Assignment)
-		}
-		frameLen := int64(binFrameHeaderSize) + int64(len(payload))
-		if ferr := fn(rec, Extent{Off: off, Len: frameLen}); ferr != nil {
-			return 0, false, ferr
-		}
-		off += frameLen
-	}
 }

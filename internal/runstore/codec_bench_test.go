@@ -31,6 +31,13 @@ func benchCodecRecords(tb testing.TB, n int) []Record {
 	return recs
 }
 
+// appendRecordFrame appends rec's binary frame to dst (the binary
+// payload encoder cannot fail).
+func appendRecordFrame(dst []byte, rec Record) []byte {
+	dst, _ = binaryCodec.appendFrame(dst, rec)
+	return dst
+}
+
 // writeBulkBinary is writeBulkJournal's binary twin: n records framed
 // straight to a .binj file without per-record fsyncs.
 func writeBulkBinary(tb testing.TB, path, experiment string, rows, reps int, pad string) {
@@ -54,7 +61,9 @@ func writeBulkBinary(tb testing.TB, path, experiment string, rows, reps int, pad
 
 // The Encode pair is the pure codec half of the append path: one
 // iteration encodes 10^5 records to a wire stream. The binary frames
-// must beat json.Marshal by the margin BENCH_codec.json records.
+// must beat json.Marshal; BENCHMARK.json's
+// runstore.{en,de}code_*_ns_per_record layers (bench/README.md) record
+// the margin.
 
 func BenchmarkEncodeJSON(b *testing.B) {
 	recs := benchCodecRecords(b, 100_000)
@@ -199,7 +208,7 @@ func BenchmarkMergeBinary(b *testing.B) { benchMerge(b, BinaryExt, writeBulkBina
 
 // TestBulkBinaryMatchesAppend pins the writeBulkBinary helper to the
 // real append path: the bytes it fabricates must be exactly what
-// BinaryJournal.Append produces, or every binary benchmark above would
+// a binary Journal's Append produces, or every binary benchmark above would
 // measure a fiction.
 func TestBulkBinaryMatchesAppend(t *testing.T) {
 	dir := t.TempDir()
@@ -235,7 +244,7 @@ func TestBulkBinaryMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, bb) {
-		t.Fatal("writeBulkBinary bytes differ from BinaryJournal.Append bytes")
+		t.Fatal("writeBulkBinary bytes differ from a binary Journal's Append bytes")
 	}
 }
 

@@ -1,9 +1,6 @@
 package runstore
 
-import (
-	"bufio"
-	"iter"
-)
+import "iter"
 
 // CompactStats reports what one compaction did.
 type CompactStats struct {
@@ -54,38 +51,23 @@ func Compact(src, dst string) (CompactStats, error) {
 		dst = src
 	}
 	formatWrite := formatForDst(dst)
-	if formatWrite == nil && dst == src && srcFormat != nil {
+	if formatWrite == &journalFormat && dst == src {
 		// A renamed archive compacted in place stays an archive: the
 		// sniffed source format wins over the (absent) extension.
 		formatWrite = srcFormat
 	}
-	if formatWrite != nil {
-		seq := func(yield func(Record, error) bool) {
-			for _, k := range order {
-				rec, err := r.Read(idx[k].Ext)
-				if !yield(rec, err) {
-					return
-				}
-				if err != nil {
-					return
-				}
-			}
-		}
-		if err := formatWrite.Write(dst, iter.Seq2[Record, error](seq), src); err != nil {
-			return cs, err
-		}
-		metCompactRecords.Add(int64(cs.Kept))
-		return cs, nil
-	}
-	err = atomicWrite(dst, src, func(w *bufio.Writer) error {
+	seq := func(yield func(Record, error) bool) {
 		for _, k := range order {
-			if err := writeEntry(w, r, idx[k]); err != nil {
-				return err
+			rec, err := r.Read(idx[k].Ext)
+			if !yield(rec, err) {
+				return
+			}
+			if err != nil {
+				return
 			}
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := formatWrite.Write(dst, iter.Seq2[Record, error](seq), src); err != nil {
 		return cs, err
 	}
 	metCompactRecords.Add(int64(cs.Kept))

@@ -1,7 +1,8 @@
 // Package runstore persists experiment execution: the Store interface
 // the scheduler (internal/sched) executes against, its reference
-// implementation — an append-only JSONL run journal keyed by
-// (experiment, assignment-hash, replicate) — plus a baseline store, a
+// implementation — Journal, an append-only run journal keyed by
+// (experiment, assignment-hash, replicate), in a JSONL or a binary
+// encoding — plus a baseline store, a
 // CI-shift regression gate, journal compaction, canonical-order merging,
 // and format-aware inspection. Sibling packages provide the scale-out
 // backends behind the same interface: shardstore (a sharded directory of
@@ -13,8 +14,11 @@
 // returned, so a crashed or interrupted run resumes from disk instead of
 // re-executing —
 // the paper's repeatability chapter applied to the experiment harness
-// itself. One JSON object per line; a record identifies the experiment
-// by name, the design row by a stable hash of its factor-level
+// itself. The file is an internal/framelog log — which owns open, scan,
+// torn-tail recovery and the durable, fail-stop append — and a Journal
+// adds only its codec (JSON object per line, or checksummed binary
+// frame) and the in-memory last-wins index. A record identifies the
+// experiment by name, the design row by a stable hash of its factor-level
 // assignment (so journals survive design-row reordering), and the
 // replicate index. The normative file-format specification — record
 // schema, shard-file naming, merge/compact semantics, and the archive
@@ -36,20 +40,20 @@
 // one at a time — peak memory holds a lightweight index entry per key,
 // never the record set. Collect materializes a sequence for the few
 // sites that truly need a slice. The normative iteration-order and
-// error-in-sequence semantics are docs/FORMAT.md §6.
+// error-in-sequence semantics are docs/FORMAT.md §9.
 //
 // Durability contract: Append returns only after the record's bytes are
 // written and fsynced, so a crash immediately after a successful Append
 // loses nothing. AppendBatch — the optional BatchAppender side of the
-// Store contract, implemented by both journals — gives a whole batch the
+// Store contract — gives a whole batch the
 // same guarantee for one Write and one Sync: every record is validated
 // before any byte is written, and the bytes are those of the same
 // records appended one by one. A crash mid-append leaves a prefix of the
-// batch's records and at most one torn trailing line, which Open
-// truncates. The journals are fail-stop: after a failed Write or Sync
-// every later Append and AppendBatch returns that first error until the
-// file is reopened, because appending past a short write would turn its
-// torn tail into a corrupt interior line. Complete records are never
+// batch's records and at most one torn trailing record, which Open
+// truncates. A journal is fail-stop: after a failed Write or Sync every
+// later Append and AppendBatch returns that first error until the file
+// is reopened, because appending past a short write would turn its torn
+// tail into a corrupt interior record. Complete records are never
 // rewritten in place — Compact and Merge write aside atomically (temp
 // file, fsync, rename) and replace.
 package runstore

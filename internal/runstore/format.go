@@ -14,8 +14,9 @@ import (
 // reads and writes it. A backend registers its Format from an init
 // function; any program that imports the backend package can then merge
 // into, diff against, or inspect files of that format with no extra
-// plumbing. The JSONL journal itself is not a Format: it is the default
-// every path falls back to.
+// plumbing. The two journal encodings are Formats too (codec.go): the
+// binary one is registered like any other, the JSONL one — which has no
+// magic to sniff — is the default every dispatch falls back to.
 type Format struct {
 	// Name identifies the format in messages ("archive").
 	Name string
@@ -54,34 +55,35 @@ func RegisterFormat(f Format) {
 }
 
 // formatOf sniffs the file at path and returns its registered format, or
-// nil for the default JSONL journal. A missing or unreadable file is nil
-// too: the caller's journal path produces the right error.
+// the default JSONL journal. A missing or unreadable file is the journal
+// too: its reader produces the right error.
 func formatOf(path string) *Format {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil
+		return &journalFormat
 	}
 	defer f.Close()
 	head := make([]byte, 8)
 	n, err := io.ReadFull(f, head)
 	if err != nil && err != io.ErrUnexpectedEOF {
-		return nil
+		return &journalFormat
 	}
 	for i := range formats {
 		if formats[i].Sniff(head[:n]) {
 			return &formats[i]
 		}
 	}
-	return nil
+	return &journalFormat
 }
 
 // formatForDst matches a destination path by extension: the file may not
-// exist yet, so content sniffing cannot apply.
+// exist yet, so content sniffing cannot apply. Any other extension means
+// the JSONL journal.
 func formatForDst(path string) *Format {
 	for i := range formats {
 		if strings.HasSuffix(path, formats[i].Ext) {
 			return &formats[i]
 		}
 	}
-	return nil
+	return &journalFormat
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/framelog"
 )
 
 // FuzzJournalParse feeds arbitrary byte streams — valid journals,
@@ -99,13 +101,13 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(append(append([]byte{}, valid...), valid...))
 	f.Add(append(append([]byte{}, valid...), valid[:len(valid)-3]...)) // torn tail
-	f.Add(valid[:binFrameHeaderSize])                                  // header, no payload
+	f.Add(valid[:framelog.FrameHeaderSize])                            // header, no payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})                  // absurd length claim
 	f.Add([]byte{3, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3})         // bad checksum
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: the payload decoder is total.
-		if len(data) > binFrameHeaderSize {
-			decodeBinaryRecord(data[binFrameHeaderSize:])
+		if len(data) > framelog.FrameHeaderSize {
+			decodeBinaryRecord(data[framelog.FrameHeaderSize:])
 		}
 		decodeBinaryRecord(data)
 

@@ -1,19 +1,17 @@
 package runstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"iter"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/framelog"
 )
 
 // Record is one journaled execution unit: the responses measured for one
@@ -66,87 +64,60 @@ func AssignmentHash(a map[string]string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Journal is an append-only JSONL run store with an in-memory index.
-// Append and Lookup are safe for concurrent use.
+// Journal is an append-only run store with an in-memory last-wins
+// index: one framelog file whose records are encoded by a codec — JSON
+// lines (Open) or checksummed binary frames (OpenBinary). Append and
+// Lookup are safe for concurrent use.
 type Journal struct {
-	mu sync.Mutex
-	appendLog
-	recs     map[string]Record
-	order    []string // keys in file order, for deterministic Scan order
-	appended int      // records ever indexed, including superseded ones
-	torn     bool     // a torn trailing line was truncated on open
+	mu    sync.Mutex
+	log   *framelog.Log
+	codec *codec
+	recs  map[string]Record
+	order []string // keys in file order, for deterministic Scan order
 }
 
-// Open opens (creating if absent) the journal at path, loading every
-// complete record. A torn trailing line — a crash mid-append — is
+// Open opens (creating if absent) the JSONL journal at path, loading
+// every complete record. A torn trailing line — a crash mid-append — is
 // truncated; a corrupt line anywhere else is an error, because silently
-// skipping complete records would turn resume into silent re-execution.
-func Open(path string) (*Journal, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-	}
-	j := &Journal{appendLog: appendLog{path: path}, recs: make(map[string]Record)}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	keep, err := j.parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+// skipping complete records would turn resume into silent re-execution
+// (the recovery rule is framelog's, shared by every log in the repo).
+func Open(path string) (*Journal, error) { return open(path, jsonCodec) }
+
+// OpenBinary is Open for the binary encoding (docs/FORMAT.md §4): the
+// same store over length-prefixed checksummed frames. A file that is
+// not a binary journal is an error.
+func OpenBinary(path string) (*Journal, error) { return open(path, binaryCodec) }
+
+func open(path string, c *codec) (*Journal, error) {
+	j := &Journal{codec: c, recs: make(map[string]Record)}
+	log, err := framelog.Open(path, c.framing, c.visit(func(rec Record, _ Extent) error {
+		j.index(rec)
+		return nil
+	}))
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	if keep < len(data) {
-		if err := f.Truncate(int64(keep)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	// A parseable but unterminated final line (e.g. a journal edited by
-	// hand): terminate it so the next append starts on a fresh line.
-	if keep > 0 && !j.torn && data[keep-1] != '\n' {
-		if _, err := f.WriteString("\n"); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-	}
-	j.f = f
+	j.log = log
 	return j, nil
 }
 
-// parse loads every complete record from data into the index and
-// returns the byte offset up to which the file is intact (everything
-// past it is a torn trailing line to truncate). The line framing and
-// torn-tail rule live in scanJournal, shared with the streaming reader
-// behind Inspect, LoadRecords, Merge, and Compact — one rule, one
-// implementation.
-func (j *Journal) parse(data []byte) (keep int, err error) {
-	k, torn, err := scanJournal(bytes.NewReader(data), func(rec Record, _ Extent) error {
-		j.index(rec)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	j.torn = torn
-	return int(k), nil
+// OpenDir opens the JSONL journal for one experiment under dir, creating
+// the directory as needed. The file is <dir>/<sanitized-experiment>.jsonl.
+func OpenDir(dir, experiment string) (*Journal, error) {
+	return openDir(dir, experiment, jsonCodec)
 }
 
-// OpenDir opens the journal for one experiment under dir, creating the
-// directory as needed. The file is <dir>/<sanitized-experiment>.jsonl.
-func OpenDir(dir, experiment string) (*Journal, error) {
+// OpenBinaryDir is OpenDir for the binary encoding; the file is
+// <dir>/<sanitized-experiment>.binj.
+func OpenBinaryDir(dir, experiment string) (*Journal, error) {
+	return openDir(dir, experiment, binaryCodec)
+}
+
+func openDir(dir, experiment string, c *codec) (*Journal, error) {
 	if experiment == "" {
 		return nil, fmt.Errorf("runstore: experiment name required")
 	}
-	return Open(filepath.Join(dir, SanitizeName(experiment)+".jsonl"))
+	return open(filepath.Join(dir, SanitizeName(experiment)+c.ext), c)
 }
 
 // SanitizeName maps an experiment name to a filesystem-safe file stem.
@@ -172,14 +143,13 @@ func (j *Journal) index(rec Record) {
 		j.order = append(j.order, k)
 	}
 	j.recs[k] = rec // last record wins, like a log-structured store
-	j.appended++
 }
 
 // Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.log.Path() }
 
-// Torn reports whether a torn trailing line was truncated when opening.
-func (j *Journal) Torn() bool { return j.torn }
+// Torn reports whether a torn trailing record was truncated when opening.
+func (j *Journal) Torn() bool { return j.log.Torn() }
 
 // Len returns the number of distinct journaled units.
 func (j *Journal) Len() int {
@@ -277,28 +247,24 @@ func NormalizeBatch(recs []Record) ([]Record, error) {
 	return out, nil
 }
 
-// Append validates, persists, and indexes one record. The JSON line is
+// Append validates, persists, and indexes one record. Its encoding is
 // written with a single Write call followed by Sync, so a crash leaves at
-// most one torn line — exactly what Open recovers from. A failed Write or
-// Sync poisons the journal (see appendLog): every later Append or
-// AppendBatch returns that first error until the file is reopened.
+// most one torn record — exactly what Open recovers from. A failed Write
+// or Sync poisons the journal (framelog.Log.Commit): every later Append
+// or AppendBatch returns that first error until the file is reopened.
 func (j *Journal) Append(rec Record) error {
 	rec, err := NormalizeAppend(rec)
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.commit(line, 1); err != nil {
+	bufp := frameBufPool.Get().(*[]byte)
+	defer putFrameBuf(bufp)
+	if *bufp, err = j.codec.appendFrame(*bufp, rec); err != nil {
 		return err
 	}
-	j.index(rec)
-	return nil
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.commit(*bufp, rec)
 }
 
 // AppendBatch implements BatchAppender: it validates, persists, and
@@ -306,10 +272,11 @@ func (j *Journal) Append(rec Record) error {
 // single Sync — the group-commit primitive: N records cost one fsync
 // instead of N. Validation runs over the whole batch before any byte is
 // written, so a rejected batch leaves nothing behind; a crash mid-write
-// leaves a prefix of the batch's lines and at most one torn line, exactly
-// as Append does, and Open recovers the intact prefix. A failed Write or
-// Sync indexes nothing from the batch and poisons the journal. An empty
-// batch is a no-op.
+// leaves a prefix of the batch's records and at most one torn one,
+// exactly as Append does, and Open recovers the intact prefix. A failed
+// Write or Sync indexes nothing from the batch and poisons the journal.
+// The bytes equal those of the same records appended one by one. An
+// empty batch is a no-op.
 func (j *Journal) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -318,21 +285,29 @@ func (j *Journal) AppendBatch(recs []Record) error {
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
+	bufp := frameBufPool.Get().(*[]byte)
+	defer putFrameBuf(bufp)
 	for _, rec := range normalized {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("runstore: %w", err)
+		if *bufp, err = j.codec.appendFrame(*bufp, rec); err != nil {
+			return err
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.commit(buf.Bytes(), len(normalized)); err != nil {
+	return j.commit(*bufp, normalized...)
+}
+
+// commit makes data, the encoding of recs, durable and only then counts
+// and indexes them, so nothing from a failed commit is ever served.
+// Callers hold j.mu.
+func (j *Journal) commit(data []byte, recs ...Record) error {
+	if err := j.log.Commit(data); err != nil {
 		return err
 	}
-	for _, rec := range normalized {
+	metAppends.Add(int64(len(recs)))
+	metAppendBytes.Add(int64(len(data)))
+	metFsyncs.Inc()
+	for _, rec := range recs {
 		j.index(rec)
 	}
 	return nil
@@ -343,7 +318,7 @@ func (j *Journal) AppendBatch(recs []Record) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.close()
+	return j.log.Close()
 }
 
 // LoadRecords reads every complete record from an existing journal (or

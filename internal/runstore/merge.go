@@ -2,7 +2,6 @@ package runstore
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"iter"
 	"os"
@@ -82,14 +81,7 @@ func MergeChecked(srcs []string, dst string, failOnConflict bool) (MergeStats, e
 	if failOnConflict && len(ms.Conflicts) > 0 {
 		return ms, fmt.Errorf("runstore: %d conflicting record(s) across sources; %s not written", len(ms.Conflicts), dst)
 	}
-	if f := formatForDst(dst); f != nil {
-		if err := f.Write(dst, plan.records(), srcs[0]); err != nil {
-			return ms, err
-		}
-		metMergeRecords.Add(int64(ms.Kept))
-		return ms, nil
-	}
-	if err := plan.writeJournal(dst, srcs[0]); err != nil {
+	if err := formatForDst(dst).Write(dst, plan.records(), srcs[0]); err != nil {
 		return ms, err
 	}
 	metMergeRecords.Add(int64(ms.Kept))
@@ -397,48 +389,6 @@ func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
 			}
 		}
 	}
-}
-
-// writeJournal streams the plan's winners into a JSONL journal at dst,
-// decoding (via records(), so large merges decode on the worker pool)
-// and re-marshaling one record at a time — every output line is the
-// canonical encoding regardless of how the source frame was written,
-// which is what makes "merging a single source canonicalizes it" hold
-// even for hand-edited journals.
-func (p *mergePlan) writeJournal(dst, modeFrom string) error {
-	return atomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
-		for rec, err := range p.records() {
-			if err != nil {
-				return err
-			}
-			line, merr := json.Marshal(rec)
-			if merr != nil {
-				return fmt.Errorf("runstore: %w", merr)
-			}
-			w.Write(line)
-			if werr := w.WriteByte('\n'); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	})
-}
-
-// writeEntry writes one record's JSONL line from its source frame,
-// always via decode + canonical json.Marshal — never a verbatim byte
-// copy, so non-canonical source encodings (hand-edited lines, archive
-// payloads) normalize on the way through.
-func writeEntry(w *bufio.Writer, r SourceReader, e SourceEntry) error {
-	rec, err := r.Read(e.Ext)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	w.Write(line)
-	return w.WriteByte('\n')
 }
 
 // atomicWrite replaces dst with whatever emit writes: temp file in the

@@ -75,7 +75,7 @@ type BatchAppender interface {
 	AppendBatch([]Record) error
 }
 
-// The JSONL journal is the reference Store backend, batch side included.
+// The journal is the reference Store backend, batch side included.
 var (
 	_ Store         = (*Journal)(nil)
 	_ BatchAppender = (*Journal)(nil)
@@ -104,27 +104,14 @@ type Info struct {
 	Detail   string // backend-specific shape, e.g. archive block/index stats
 }
 
-// Inspect reads a journal (or registered-format archive) file read-only
-// and reports its shape — the status probe behind `perfeval inspect` and
-// `perfeval shard-plan`. A torn or truncated tail is detected and
-// reported via Info.Torn, never silently repaired or silently counted
-// past; a corrupt interior journal line is an error. The journal path
-// goes through the same streaming scan (and so the same framing and
-// torn-tail rule) that Open and every other reader use; registered
-// formats report richer Detail through their own Inspect hook.
+// Inspect reads a store file read-only, in whatever registered format
+// it sniffs as, and reports its shape — the status probe behind
+// `perfeval inspect` and `perfeval shard-plan`. A torn or truncated tail
+// is detected and reported via Info.Torn, never silently repaired or
+// silently counted past; a corrupt interior record is an error. Journal
+// files go through the same streaming scan (and so the same framing and
+// torn-tail rule) that Open and every other reader use; the archive
+// reports richer Detail through its own Inspect hook.
 func Inspect(path string) (Info, error) {
-	if f := formatOf(path); f != nil {
-		return f.Inspect(path)
-	}
-	r, err := openJournalReader(path)
-	if err != nil {
-		return Info{}, err
-	}
-	defer r.Close()
-	for _, err := range r.Entries() {
-		if err != nil {
-			return Info{}, err
-		}
-	}
-	return r.Info(), nil
+	return formatOf(path).Inspect(path)
 }

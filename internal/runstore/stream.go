@@ -1,15 +1,9 @@
 package runstore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"hash/fnv"
-	"io"
 	"iter"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -45,8 +39,8 @@ func (e SourceEntry) Key() string { return Key(e.Experiment, e.Hash, e.Replicate
 // that Merge, Compact, LoadRecords, and Inspect consume. Entries makes
 // one forward pass in file order, decoding each record transiently;
 // Read decodes a single record by the extent Entries yielded for it.
-// Implementations exist for the JSONL journal (here) and for every
-// registered Format (Format.OpenReader); OpenSource dispatches.
+// Every Format brings one (Format.OpenReader) — both journal encodings
+// share fileSource — and OpenSource dispatches.
 type SourceReader interface {
 	// Entries iterates every record in file order — superseded records
 	// included — as lightweight entries. A torn trailing frame ends the
@@ -67,14 +61,11 @@ type SourceReader interface {
 }
 
 // OpenSource opens the store file at path for streaming read-only
-// access, dispatching registered formats by content sniffing and
-// falling back to the JSONL journal. The file is never created,
+// access, dispatching on format by content sniffing (the JSONL journal,
+// having no magic, is the fallback). The file is never created,
 // repaired, or truncated.
 func OpenSource(path string) (SourceReader, error) {
-	if f := formatOf(path); f != nil {
-		return f.OpenReader(path)
-	}
-	return openJournalReader(path)
+	return formatOf(path).OpenReader(path)
 }
 
 // Fingerprint hashes a record's measurement — its assignment and
@@ -155,128 +146,6 @@ func Seq(recs []Record) iter.Seq2[Record, error] {
 		}
 	}
 }
-
-// scanJournal is the one implementation of the journal's line framing
-// and torn-tail rule, shared by Journal.Open, the streaming reader, and
-// through them Inspect, LoadRecords, Merge, and Compact. It reads r
-// line by line, fully decoding each record and calling fn with the
-// decoded record and the line's extent.
-// It returns the byte offset up to which the input is intact: a final
-// unterminated line that does not decode is a torn crash tail
-// (torn=true, everything before it kept); a corrupt terminated line
-// anywhere is an error, because silently skipping complete records
-// would turn resume into silent re-execution.
-func scanJournal(r io.Reader, fn func(rec Record, ext Extent) error) (keep int64, torn bool, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	var off int64
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			// A real read failure (failing disk, vanished NFS mount) must
-			// surface as an error, never masquerade as a torn crash tail —
-			// a rewriting consumer would otherwise silently drop the
-			// unread remainder of the file.
-			return 0, false, fmt.Errorf("runstore: %w", rerr)
-		}
-		if len(line) == 0 {
-			return off, false, nil // clean EOF at a line boundary
-		}
-		terminated := rerr == nil
-		raw := line
-		if terminated {
-			raw = line[:len(line)-1]
-		}
-		next := off + int64(len(line))
-		if trimmed := bytes.TrimSpace(raw); len(trimmed) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-				if !terminated { // torn final append from a crash
-					return off, true, nil
-				}
-				return 0, false, fmt.Errorf("corrupt journal line at byte %d: %v", off, uerr)
-			}
-			if ferr := fn(rec, Extent{Off: off, Len: int64(len(raw))}); ferr != nil {
-				return 0, false, ferr
-			}
-		}
-		if rerr == io.EOF {
-			return next, false, nil
-		}
-		off = next
-	}
-}
-
-// journalReader is the JSONL SourceReader.
-type journalReader struct {
-	path string
-	f    *os.File
-	info Info
-}
-
-func openJournalReader(path string) (*journalReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	return &journalReader{path: path, f: f}, nil
-}
-
-// Entries implements SourceReader, scanning the journal from the start.
-// It may be consumed more than once; each call re-reads the file.
-func (r *journalReader) Entries() iter.Seq2[SourceEntry, error] {
-	return func(yield func(SourceEntry, error) bool) {
-		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-			yield(SourceEntry{}, fmt.Errorf("runstore: %w", err))
-			return
-		}
-		records, distinct := 0, make(map[string]struct{})
-		stop := fmt.Errorf("runstore: iteration stopped") // sentinel, never escapes
-		_, torn, err := scanJournal(r.f, func(rec Record, ext Extent) error {
-			// Canonicalize before indexing: a hand-written record with no
-			// hash must key (and dedupe) as the hash Append would derive.
-			if rec.Hash == "" {
-				rec.Hash = AssignmentHash(rec.Assignment)
-			}
-			records++
-			e := entryOf(rec, ext)
-			distinct[e.Key()] = struct{}{}
-			if !yield(e, nil) {
-				return stop
-			}
-			return nil
-		})
-		if err == stop {
-			return
-		}
-		if err != nil {
-			yield(SourceEntry{}, fmt.Errorf("runstore: %s: %w", r.path, err))
-			return
-		}
-		r.info = Info{Records: records, Distinct: len(distinct), Torn: torn}
-	}
-}
-
-// Read implements SourceReader with one positioned read of the line.
-func (r *journalReader) Read(ext Extent) (Record, error) {
-	raw := make([]byte, ext.Len)
-	if _, err := r.f.ReadAt(raw, ext.Off); err != nil {
-		return Record{}, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
-	}
-	var rec Record
-	if err := json.Unmarshal(bytes.TrimSpace(raw), &rec); err != nil {
-		return Record{}, fmt.Errorf("runstore: %s: record at byte %d: %w", r.path, ext.Off, err)
-	}
-	if rec.Hash == "" {
-		rec.Hash = AssignmentHash(rec.Assignment)
-	}
-	return rec, nil
-}
-
-// Info implements SourceReader; complete after Entries is consumed.
-func (r *journalReader) Info() Info { return r.info }
-
-// Close implements SourceReader.
-func (r *journalReader) Close() error { return r.f.Close() }
 
 // ScanFile streams the distinct last-wins records of a store file —
 // journal or registered-format archive — in the file's deterministic

@@ -1,21 +1,17 @@
 package runstore
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "io"
 
 // The collector's ingest and snapshot streams carry records in exactly
 // the journal's line framing — one JSON object per '\n'-terminated line —
 // so the wire format and the at-rest format are one format, with one
-// framing rule and one torn-tail rule (scanJournal). What differs is the
+// framing rule and one torn-tail rule (framelog's). What differs is the
 // meaning of an unterminated trailing record: on disk it is a crash tail
 // to truncate and resume past; on the wire it is a truncated upload the
 // receiver must reject, because "resume" for a network stream is the
 // sender retrying, not the receiver guessing.
 //
-// The binary encoding mirrors the same design: a binary wire stream is
+// The binary encoding follows the same design: a binary wire stream is
 // the binary journal's frame sequence without the leading magic (the
 // Content-Type identifies the framing; a magic would be redundant and
 // would break stream concatenation). Negotiation is by media type —
@@ -36,24 +32,10 @@ const (
 
 // EncodeWire writes one record to w in the journal/wire line framing:
 // the record's canonical JSON marshaling followed by '\n', the exact
-// bytes Journal.Append would persist. The record is validated and
-// canonicalized (NormalizeAppend) first so a wire stream can never carry
-// a record a store would refuse to append.
-func EncodeWire(w io.Writer, rec Record) error {
-	rec, err := NormalizeAppend(rec)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := w.Write(line); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
-}
+// bytes a JSONL Journal's Append would persist. The record is validated
+// and canonicalized (NormalizeAppend) first so a wire stream can never
+// carry a record a store would refuse to append.
+func EncodeWire(w io.Writer, rec Record) error { return jsonCodec.encodeWire(w, rec) }
 
 // DecodeWire reads a wire stream of line-framed records from r, calling
 // fn with each decoded, canonicalized record in stream order, and
@@ -63,69 +45,18 @@ func EncodeWire(w io.Writer, rec Record) error {
 // sender was cut off mid-record, and accepting the valid prefix would
 // let a partial upload masquerade as a complete one.
 func DecodeWire(r io.Reader, fn func(Record) error) (int, error) {
-	n := 0
-	_, torn, err := scanJournal(r, func(rec Record, _ Extent) error {
-		rec, err := NormalizeAppend(rec)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		return n, err
-	}
-	if torn {
-		return n, fmt.Errorf("runstore: wire stream truncated mid-record after %d record(s)", n)
-	}
-	return n, nil
+	return jsonCodec.decodeWire(r, fn)
 }
 
-// EncodeWireBinary writes one record to w in the binary wire framing:
-// one length-prefixed checksummed frame, the exact bytes
-// BinaryJournal.Append would persist. Like EncodeWire it validates and
-// canonicalizes first, and it encodes through the pooled buffer, so the
-// binary ingest hot path allocates nothing per record.
-func EncodeWireBinary(w io.Writer, rec Record) error {
-	rec, err := NormalizeAppend(rec)
-	if err != nil {
-		return err
-	}
-	bufp := encodeBinaryFrame(rec)
-	defer putBinBuf(bufp)
-	if _, err := w.Write(*bufp); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
-}
+// EncodeWireBinary is EncodeWire for the binary framing: one
+// length-prefixed checksummed frame, the exact bytes a binary Journal's
+// Append would persist, encoded through the pooled buffer so the binary
+// ingest hot path allocates nothing per record.
+func EncodeWireBinary(w io.Writer, rec Record) error { return binaryCodec.encodeWire(w, rec) }
 
-// DecodeWireBinary is DecodeWire for the binary framing: it reads a
-// stream of binary frames from r, calling fn with each decoded,
-// canonicalized record in stream order, and returns how many records fn
-// accepted. As on the JSON wire, a torn trailing frame is an error —
-// the sender was cut off mid-record — and so is any frame a journal
-// open would refuse.
+// DecodeWireBinary is DecodeWire for the binary framing. As on the JSON
+// wire, a torn trailing frame is an error — the sender was cut off
+// mid-record — and so is any frame a journal open would refuse.
 func DecodeWireBinary(r io.Reader, fn func(Record) error) (int, error) {
-	n := 0
-	_, torn, err := scanBinary(r, 0, func(rec Record, _ Extent) error {
-		rec, err := NormalizeAppend(rec)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		return n, err
-	}
-	if torn {
-		return n, fmt.Errorf("runstore: wire stream truncated mid-record after %d record(s)", n)
-	}
-	return n, nil
+	return binaryCodec.decodeWire(r, fn)
 }

@@ -13,8 +13,8 @@
 //     changed one is re-ingested whole (its run summary is replaced,
 //     last-wins). Sources that vanish stay in the index: the warehouse
 //     is the history, the store files are only its substrate.
-//   - The cell-history index (Engine, the default checksummed file
-//     engine) persists one summary per run: per (experiment, cell,
+//   - The cell-history index (one checksummed internal/framelog file,
+//     warehouse.idx) persists one summary per run: per (experiment, cell,
 //     response) aggregates — replicate count, mean, unbiased sample
 //     variance — from which confidence intervals are rebuilt at query
 //     time via internal/stats. Queries are O(index) and never touch
@@ -27,20 +27,20 @@
 //     The same core backs repro.Query, `perfeval query`, and the
 //     collector daemon's GET /v1/query, so they cannot drift.
 //
-// Durability contract: the index file is append-only in the binary
-// journal's framing discipline (magic header, length-prefixed CRC-32C
-// frames, one fsync per Put); a crash leaves at most one torn trailing
-// frame, truncated on the next open. Because length-prefixed framing
-// cannot resynchronize, a frame that fails its checksum ends the
-// readable region exactly like a torn tail — the entries it hid are
-// re-ingested by the next Refresh, so the index self-heals instead of
-// serving a silently shortened history as complete. Two shapes a torn
-// single-write append cannot produce are errors: a complete header
-// claiming an impossible payload length, and a checksum-valid payload
-// that does not decode. A foreign magic header is always an error. The
-// index expects one writer at a time; concurrent writers stay
-// consistent (appends are O_APPEND atomic, entries are last-wins by
-// run path) but may duplicate frames.
+// Durability contract: the index file is a frame log in the
+// checksummed framing (docs/FORMAT.md §2, §5) — magic header,
+// length-prefixed CRC-32C frames, one fsync per Put, fail-stop after a
+// failed Put — so a crash leaves at most one torn trailing frame,
+// truncated on the next open. Because length-prefixed framing cannot
+// resynchronize, a frame that fails its checksum ends the readable
+// region exactly like a torn tail — the entries it hid are re-ingested
+// by the next Refresh, so the index self-heals instead of serving a
+// silently shortened history as complete. Damage a torn single-write
+// append cannot produce is an error: a complete header claiming an
+// impossible payload length, a checksum-valid payload that does not
+// decode, a foreign magic header. The index expects one writer at a
+// time; concurrent writers stay consistent (appends are O_APPEND
+// atomic, entries are last-wins by run path) but may duplicate frames.
 //
 // Concurrency contract: a Warehouse is safe for concurrent use —
 // Refresh, Prune, and Query serialize on an internal mutex, so a
@@ -51,9 +51,4 @@
 // source files are never touched — by replacing each expired entry
 // with a tombstone that remembers the source's size and modification
 // time, so a later Refresh does not silently resurrect it.
-//
-// The Engine seam exists so an indexed SQL engine (e.g. a sqlite
-// backend) can replace the file engine without touching the catalog or
-// the query core; the default engine is dependency-free on purpose —
-// building this repository must never need the network.
 package warehouse

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/framelog"
 )
 
 // FuzzWarehouseIndex feeds arbitrary byte streams — valid indexes, torn
@@ -12,10 +14,10 @@ import (
 // decoder, the same discipline FuzzJournalParse and FuzzBinaryDecode
 // pin for the record stores. The properties under test:
 //
-//  1. The decoder is total: readFrames and OpenFileEngine decode or
+//  1. The decoder is total: readFrames and openIndex decode or
 //     error, whatever the bytes are — never a panic, never an
 //     unbounded allocation from a corrupt length field.
-//  2. When OpenFileEngine accepts the file, the index stays writable
+//  2. When openIndex accepts the file, the index stays writable
 //     and every run it served survives a Put + reopen round trip — the
 //     durability claim Refresh's incremental skip depends on.
 func FuzzWarehouseIndex(f *testing.F) {
@@ -32,9 +34,9 @@ func FuzzWarehouseIndex(f *testing.F) {
 	f.Add([]byte(IndexMagic))
 	f.Add(append([]byte(IndexMagic), valid...))
 	f.Add(append(append([]byte(IndexMagic), valid...), tomb...))
-	f.Add(append(append([]byte(IndexMagic), valid...), valid[:len(valid)-3]...)) // torn tail
-	f.Add(append([]byte(IndexMagic), valid[:idxFrameHeaderSize-2]...))           // short header
-	f.Add(append([]byte(IndexMagic), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))        // absurd length claim
+	f.Add(append(append([]byte(IndexMagic), valid...), valid[:len(valid)-3]...))   // torn tail
+	f.Add(append([]byte(IndexMagic), valid[:framelog.FrameHeaderSize-2]...))       // short header
+	f.Add(append([]byte(IndexMagic), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))          // absurd length claim
 	f.Add(append([]byte(IndexMagic), 3, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3)) // bad checksum
 	f.Add([]byte("NOTANIDX"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,7 +48,7 @@ func FuzzWarehouseIndex(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e, err := OpenFileEngine(path)
+		e, err := openIndex(path)
 		if err != nil {
 			return // rejected (foreign magic, corrupt frame); rejecting is fine, panicking is not
 		}
@@ -59,7 +61,7 @@ func FuzzWarehouseIndex(f *testing.F) {
 			t.Fatalf("close failed: %v", err)
 		}
 
-		e2, err := OpenFileEngine(path)
+		e2, err := openIndex(path)
 		if err != nil {
 			t.Fatalf("index unreadable after put: %v", err)
 		}

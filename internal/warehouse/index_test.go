@@ -2,12 +2,13 @@ package warehouse
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/framelog"
 )
 
 // encodeFrame builds one index frame, failing the test on an encoding
@@ -44,7 +45,7 @@ func sampleRun(path string, mod int64) Run {
 
 func TestFileEngineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
-	e, err := OpenFileEngine(path)
+	e, err := openIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestFileEngineRoundTrip(t *testing.T) {
 		t.Fatalf("Put after Close = %v, want closed error", err)
 	}
 
-	e2, err := OpenFileEngine(path)
+	e2, err := openIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +80,14 @@ func TestFileEngineRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened runs = %+v, want %+v", got, want)
 	}
-	if e2.(*fileEngine).Torn() {
+	if e2.Torn() {
 		t.Fatal("clean file reported torn")
 	}
 }
 
 func TestFileEngineTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
-	e, err := OpenFileEngine(path)
+	e, err := openIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +103,21 @@ func TestFileEngineTornTail(t *testing.T) {
 	}
 	whole := encodeFrame(t, sampleRun("b.jsonl", 20))
 	cases := map[string][]byte{
-		"short header":      whole[:idxFrameHeaderSize-2],
+		"short header":      whole[:framelog.FrameHeaderSize-2],
 		"short payload":     whole[:len(whole)-3],
-		"checksum mismatch": append(append([]byte{}, whole[:4]...), append([]byte{0xde, 0xad, 0xbe, 0xef}, whole[idxFrameHeaderSize:]...)...),
+		"checksum mismatch": append(append([]byte{}, whole[:4]...), append([]byte{0xde, 0xad, 0xbe, 0xef}, whole[framelog.FrameHeaderSize:]...)...),
 	}
 	for name, tail := range cases {
 		t.Run(name, func(t *testing.T) {
 			if err := os.WriteFile(path, append(append([]byte{}, intact...), tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			e, err := OpenFileEngine(path)
+			e, err := openIndex(path)
 			if err != nil {
 				t.Fatalf("open with torn tail: %v", err)
 			}
 			defer e.Close()
-			if !e.(*fileEngine).Torn() {
+			if !e.Torn() {
 				t.Fatal("torn tail not reported")
 			}
 			runs := e.Runs()
@@ -141,12 +142,9 @@ func TestFileEngineTornTail(t *testing.T) {
 func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 	dir := t.TempDir()
 	garbage := []byte("this is not a run document")
-	badPayload := make([]byte, idxFrameHeaderSize+len(garbage))
-	binary.LittleEndian.PutUint32(badPayload[0:4], uint32(len(garbage)))
-	binary.LittleEndian.PutUint32(badPayload[4:8], crc32.Checksum(garbage, idxCastagnoli))
-	copy(badPayload[idxFrameHeaderSize:], garbage)
+	badPayload := indexFraming.Seal(append(indexFraming.Reserve(nil), garbage...), 0)
 
-	impossible := make([]byte, idxFrameHeaderSize)
+	impossible := make([]byte, framelog.FrameHeaderSize)
 	binary.LittleEndian.PutUint32(impossible[0:4], maxIndexFrame+1)
 
 	noPath := encodeFrame(t, Run{Size: 1})
@@ -156,7 +154,8 @@ func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 		want string
 	}{
 		"bad magic":          {[]byte("NOTANIDX"), "not a warehouse index"},
-		"short magic":        {[]byte("PEV"), "not a warehouse index"},
+		"short magic":        {[]byte("NOT"), "not a warehouse index"},
+		"prefix of magic":    {[]byte(IndexMagic[:3]), ""}, // a crashed creation, not a foreign file
 		"impossible length":  {append([]byte(IndexMagic), impossible...), "impossible payload length"},
 		"undecodable JSON":   {append([]byte(IndexMagic), badPayload...), "corrupt index frame"},
 		"run without a path": {append([]byte(IndexMagic), noPath...), "without a path"},
@@ -167,8 +166,28 @@ func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenFileEngine(path); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("OpenFileEngine = %v, want error containing %q", err, tc.want)
+			if tc.want == "" {
+				if n, _, torn, err := InspectIndex(path); err != nil || n != 0 || !torn {
+					t.Fatalf("InspectIndex = (%d, torn=%v, %v), want (0, true, nil)", n, torn, err)
+				}
+				e, err := openIndex(path)
+				if err != nil {
+					t.Fatalf("open of a crashed creation: %v", err)
+				}
+				defer e.Close()
+				if !e.Torn() || len(e.Runs()) != 0 {
+					t.Fatalf("Torn=%v runs=%d, want a torn index restarted empty", e.Torn(), len(e.Runs()))
+				}
+				if err := e.Put(sampleRun("a.jsonl", 10)); err != nil {
+					t.Fatal(err)
+				}
+				if n, _, torn, err := InspectIndex(path); err != nil || n != 1 || torn {
+					t.Fatalf("after restart InspectIndex = (%d, torn=%v, %v), want (1, false, nil)", n, torn, err)
+				}
+				return
+			}
+			if _, err := openIndex(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("openIndex = %v, want error containing %q", err, tc.want)
 			}
 			if _, _, _, err := InspectIndex(path); err == nil {
 				t.Fatal("InspectIndex accepted a corrupt index")
@@ -179,7 +198,7 @@ func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 
 func TestInspectIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
-	e, err := OpenFileEngine(path)
+	e, err := openIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,10 @@ import (
 )
 
 // Options configure a Warehouse beyond its root directory. The zero
-// value is the deployed default: index file <root>/warehouse.idx on the
-// dependency-free file engine, instruments in the process-wide
-// registry, wall-clock ingest times.
+// value is the deployed default: instruments in the process-wide
+// registry, wall-clock ingest times. The index always lives at
+// <root>/warehouse.idx.
 type Options struct {
-	// IndexPath overrides where the index file lives; empty means
-	// <root>/warehouse.idx. Ignored when Engine is set.
-	IndexPath string
-	// Engine overrides the storage engine behind the index; nil means
-	// the checksummed file engine at IndexPath. The Warehouse owns the
-	// engine and closes it.
-	Engine Engine
 	// Metrics is the registry the warehouse instruments register in;
 	// nil means the process-wide obs.Default().
 	Metrics *obs.Registry
@@ -41,14 +34,14 @@ type Options struct {
 type Warehouse struct {
 	mu    sync.Mutex // serializes Refresh, Prune, and Query
 	root  string
-	eng   Engine
+	idx   *index
 	met   *metrics
 	clock func() time.Time
 }
 
 // Open opens the warehouse over root (which must exist), loading the
-// index through the configured engine. Open never reads a record: a
-// warehouse over a million-record directory opens in O(index).
+// index file. Open never reads a record: a warehouse over a
+// million-record directory opens in O(index).
 func Open(root string, opts Options) (*Warehouse, error) {
 	st, err := os.Stat(root)
 	if err != nil {
@@ -57,15 +50,9 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	if !st.IsDir() {
 		return nil, fmt.Errorf("warehouse: root %s is not a directory", root)
 	}
-	eng := opts.Engine
-	if eng == nil {
-		path := opts.IndexPath
-		if path == "" {
-			path = filepath.Join(root, IndexFile)
-		}
-		if eng, err = OpenFileEngine(path); err != nil {
-			return nil, err
-		}
+	idx, err := openIndex(filepath.Join(root, IndexFile))
+	if err != nil {
+		return nil, err
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -75,15 +62,15 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Warehouse{root: root, eng: eng, met: newMetrics(reg), clock: clock}, nil
+	return &Warehouse{root: root, idx: idx, met: newMetrics(reg), clock: clock}, nil
 }
 
 // Root returns the directory the warehouse catalogs.
 func (w *Warehouse) Root() string { return w.root }
 
-// Close releases the engine. Queries keep serving the in-memory view;
-// Refresh and Prune fail afterwards.
-func (w *Warehouse) Close() error { return w.eng.Close() }
+// Close releases the index file. Queries keep serving the in-memory
+// view; Refresh and Prune fail afterwards.
+func (w *Warehouse) Close() error { return w.idx.Close() }
 
 // RefreshStats reports what one Refresh did.
 type RefreshStats struct {
@@ -116,7 +103,7 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 	}
 	rs.Candidates = len(candidates)
 	indexed := make(map[string]Run)
-	for _, r := range w.eng.Runs() {
+	for _, r := range w.idx.Runs() {
 		indexed[r.Path] = r
 	}
 	for _, rel := range candidates {
@@ -136,7 +123,7 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 		if known && prev.Fingerprint == run.Fingerprint && !prev.Pruned {
 			run.IngestTimeNS = prev.IngestTimeNS // touched, not changed
 		}
-		if err := w.eng.Put(run); err != nil {
+		if err := w.idx.Put(run); err != nil {
 			return rs, err
 		}
 		rs.Ingested++
@@ -276,7 +263,7 @@ func (w *Warehouse) Runs() []Run {
 
 func (w *Warehouse) liveRuns() []Run {
 	var out []Run
-	for _, r := range w.eng.Runs() {
+	for _, r := range w.idx.Runs() {
 		if !r.Pruned {
 			out = append(out, r)
 		}
@@ -343,7 +330,7 @@ func (w *Warehouse) Prune(pol Retention) (PruneStats, error) {
 			Records:      r.Records,
 			Pruned:       true,
 		}
-		if err := w.eng.Put(tomb); err != nil {
+		if err := w.idx.Put(tomb); err != nil {
 			return ps, err
 		}
 		ps.Pruned++

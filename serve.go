@@ -48,9 +48,8 @@ type ServeConfig struct {
 	Token string
 	// CommitWindow bounds how long the group-commit engine gathers
 	// concurrent ingest batches before landing them with one fsync.
-	// 0 means the 2ms default; negative disables group commit and
-	// fsyncs every batch individually. It is the -Dcollector.commitwindow
-	// knob.
+	// It must be ≥ 0: 0 means the 2ms default, a negative window is
+	// rejected. It is the -Dcollector.commitwindow knob.
 	CommitWindow time.Duration
 	// Ready, when non-nil, is called exactly once with the bound listen
 	// address, after the listener is open and before serving begins.

@@ -38,7 +38,7 @@ const ArchiveExt = archivestore.Ext
 
 // ArchiveExtZ is the compressed-archive destination extension: the same
 // block-indexed layout with every record block DEFLATE-compressed
-// (docs/FORMAT.md §6). The file carries the same magic, so readers need
+// (docs/FORMAT.md §8). The file carries the same magic, so readers need
 // no hint — the extension only selects the encoding at write time.
 const ArchiveExtZ = archivestore.ExtZ
 

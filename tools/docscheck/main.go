@@ -30,6 +30,7 @@ import (
 // are skipped.
 var checkedPackages = []string{
 	".", // the public repro package at the repository root
+	"internal/framelog",
 	"internal/runstore",
 	"internal/runstore/shardstore",
 	"internal/runstore/archivestore",
