@@ -52,11 +52,6 @@ func serveCmd(ctx context.Context, w io.Writer, props *config.Properties) error 
 		}
 		cfg.MaxInflight = int64(n)
 	}
-	if props.GetOr("collector.commitwindow", "") != "" {
-		if cfg.CommitWindow, err = props.GetDuration("collector.commitwindow"); err != nil {
-			return err
-		}
-	}
 	return repro.Serve(ctx, cfg)
 }
 
@@ -126,14 +121,6 @@ func buildWorkConfig(props *config.Properties) (repro.WorkConfig, error) {
 		return cfg, fmt.Errorf("work needs -Dcollector.url=URL (the collector's base URL, e.g. http://host:8080)")
 	}
 	var err error
-	if props.GetOr("worker.flush", "") != "" {
-		if cfg.FlushEvery, err = props.GetInt("worker.flush"); err != nil {
-			return cfg, err
-		}
-		if cfg.FlushEvery < 1 {
-			return cfg, fmt.Errorf("worker.flush = %d, need >= 1 (records per ingest batch)", cfg.FlushEvery)
-		}
-	}
 	if props.GetOr("worker.binary", "") != "" {
 		if cfg.BinaryWire, err = props.GetBool("worker.binary"); err != nil {
 			return cfg, err

@@ -142,7 +142,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{[]string{"serve"}, "collector.dir"},
 		{[]string{"work", "t4"}, "collector.url"},
 		{[]string{"-Dcollector.dir=x", "-Dcollector.shards=0", "serve"}, "need >= 1"},
-		{[]string{"-Dcollector.url=http://h", "-Dworker.flush=0", "work", "t4"}, "worker.flush"},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

@@ -77,9 +77,11 @@
 // -Dcollector.dir, a restarted daemon resumes them, and workers ride
 // out the restart on transport retries. -Dcollector.token arms shared
 // bearer-token auth on every data-plane endpoint (workers pass the same
-// value as -Dworker.token), and -Dcollector.commitwindow tunes the
-// group-commit engine that coalesces concurrent ingest batches into
-// one fsync. The wire protocol is documented in docs/COLLECTOR.md.
+// value as -Dworker.token). Ingest is group-committed with nothing to
+// tune: a worker sends each batch of finished units as one request, and
+// the daemon lands whatever requests queued during its previous fsync
+// with the next one. The wire protocol is documented in
+// docs/COLLECTOR.md.
 //
 // Observability: the daemon and worker log structured events through
 // log/slog at the level -Dcollector.log selects (debug, info — the
@@ -201,13 +203,13 @@ func runCtxW(ctx context.Context, w io.Writer, args []string) error {
 
 	case "serve":
 		if len(rest) != 1 {
-			return fmt.Errorf("usage: perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=:8080] [-Dcollector.shards=N] [-Dcollector.ttl=30s] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=PATH] [-Dcollector.token=SECRET] [-Dcollector.commitwindow=2ms]")
+			return fmt.Errorf("usage: perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=:8080] [-Dcollector.shards=N] [-Dcollector.ttl=30s] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=PATH] [-Dcollector.token=SECRET]")
 		}
 		return serveCmd(ctx, w, props)
 
 	case "work":
 		if len(rest) < 2 {
-			return fmt.Errorf("usage: perfeval work <id>|all -Dcollector.url=URL [-Dsched.workers=N] [-Dworker.name=NAME] [-Dworker.spool=DIR] [-Dworker.flush=N] [-Dworker.token=SECRET]")
+			return fmt.Errorf("usage: perfeval work <id>|all -Dcollector.url=URL [-Dsched.workers=N] [-Dworker.name=NAME] [-Dworker.spool=DIR] [-Dworker.token=SECRET]")
 		}
 		return workCmd(ctx, w, props, rest[1:])
 

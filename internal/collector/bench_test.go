@@ -11,25 +11,22 @@ import (
 	"repro/internal/runstore"
 )
 
-// benchIngest streams 10^4 pre-built records through the real HTTP
-// ingest path in 256-record batches under one lease — the collector
-// half of the codec claim. The JSON/binary pair isolates the wire
-// framing: everything else (loopback TCP, admission, shard append,
-// fsync cadence) is identical.
-func benchIngest(b *testing.B, binary bool) {
-	const total, batch = 10_000, 256
+// benchSetup starts a one-shard daemon behind httptest, acquires a
+// lease, and pre-builds total normalized records to ingest under it.
+func benchSetup(b *testing.B, binary bool, total int) (*client.Client, string, []runstore.Record) {
 	srv, err := collector.New(collector.Config{Dir: b.TempDir(), Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	defer srv.Close()
+	b.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
 
 	c := client.New(hs.URL, nil)
 	c.SetBinary(binary)
-	ctx := context.Background()
-	grant, err := c.Acquire(ctx, "bench", "bench ingest")
+	grant, err := c.Acquire(context.Background(), "bench", "bench ingest")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,13 +44,24 @@ func benchIngest(b *testing.B, binary bool) {
 		}
 		recs = append(recs, rec)
 	}
+	return c, grant.Lease, recs
+}
 
+// benchIngest streams 10^4 pre-built records through the real HTTP
+// ingest path in 256-record batches under one lease — the collector
+// half of the codec claim. The JSON/binary pair isolates the wire
+// framing: everything else (loopback TCP, admission, shard append,
+// fsync cadence) is identical.
+func benchIngest(b *testing.B, binary bool) {
+	const total, batch = 10_000, 256
+	c, lease, recs := benchSetup(b, binary, total)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for off := 0; off < total; off += batch {
 			end := min(off+batch, total)
-			if err := c.Ingest(ctx, grant.Lease, recs[off:end]); err != nil {
+			if err := c.Ingest(ctx, lease, recs[off:end]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,3 +71,20 @@ func benchIngest(b *testing.B, binary bool) {
 
 func BenchmarkIngestJSON(b *testing.B)   { benchIngest(b, false) }
 func BenchmarkIngestBinary(b *testing.B) { benchIngest(b, true) }
+
+// BenchmarkIngestLone is the latency of one lone ingest: sequential
+// one-record requests, each waiting for the last one's 200, which is
+// what a shard's single lease holder sends. One op is a loopback round
+// trip plus one group commit with nobody to share it.
+func BenchmarkIngestLone(b *testing.B) {
+	const total = 1_000
+	c, lease, recs := benchSetup(b, false, total)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % total
+		if err := c.Ingest(ctx, lease, recs[k:k+1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -174,9 +174,14 @@ func (c *Client) Ingest(ctx context.Context, lease string, recs []runstore.Recor
 		encode, ctype = runstore.EncodeWireBinary, runstore.WireBinaryType
 	}
 	var body bytes.Buffer
-	for _, rec := range recs {
+	for i, rec := range recs {
 		if err := encode(&body, rec); err != nil {
 			return err
+		}
+		if i == 0 {
+			// One experiment's records are of a size: the first one says
+			// how much room the rest need.
+			body.Grow(body.Len() * (len(recs) - 1))
 		}
 	}
 	payload := body.Bytes()

@@ -453,7 +453,7 @@ func TestRenewLoopDaemonRestartOutlastsTTL(t *testing.T) {
 	}))
 	defer srv.Close()
 	spool := t.TempDir() + "/spool.jsonl"
-	store, err := newRemoteStore(context.Background(), New(srv.URL, nil), "L", spool, nil, 2)
+	store, err := newRemoteStore(context.Background(), New(srv.URL, nil), "L", spool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestRenewLoopDaemonRestartOutlastsTTL(t *testing.T) {
 	}
 
 	// runShard's lost callback wiring: the store learns the cause, then
-	// closes without a final flush (nobody to stream to).
+	// closes.
 	store.markLost(lostErr)
 	if err := store.Close(); err != nil {
 		t.Fatalf("closing lost store: %v", err)
@@ -506,11 +506,11 @@ func TestRenewLoopDaemonRestartOutlastsTTL(t *testing.T) {
 }
 
 // TestRemoteStoreAppendBatch pins the batch side of the remote store:
-// whatever the batch size, the spool's bytes are those of per-record
-// appends, the server sees the same FlushEvery-sized ingests, and a lost
-// lease fails the batch before anything is spooled or sent.
+// every AppendBatch is one ingest carrying exactly its records and is
+// acknowledged by the time it returns, the spool's bytes are those of
+// per-record appends, and a lost lease fails the batch before anything
+// is spooled or sent.
 func TestRemoteStoreAppendBatch(t *testing.T) {
-	const every = 4
 	var mu sync.Mutex
 	posts := map[string][]int{} // lease → records per ingest, in order
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -521,6 +521,11 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 		mu.Unlock()
 	}))
 	defer srv.Close()
+	sent := func(lease string) []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(posts[lease])
+	}
 	recs := make([]runstore.Record, 11)
 	for i := range recs {
 		recs[i] = runstore.Record{Experiment: "e", Row: i, Replicate: 0,
@@ -528,7 +533,7 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 	}
 	open := func(lease string) (*remoteStore, string) {
 		spool := filepath.Join(t.TempDir(), "spool.jsonl")
-		store, err := newRemoteStore(context.Background(), New(srv.URL, nil), lease, spool, nil, every)
+		store, err := newRemoteStore(context.Background(), New(srv.URL, nil), lease, spool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,13 +541,20 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 	}
 
 	batched, batchedSpool := open("batched")
-	for _, batch := range [][]runstore.Record{recs[:7], recs[7:]} {
+	var want []int
+	streamed := 0
+	for _, batch := range [][]runstore.Record{recs[:7], recs[7:8], recs[8:]} {
 		if err := batched.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := batched.Streamed(); got != 8 {
-		t.Errorf("streamed %d record(s) before Close, want the two full ingests (8)", got)
+		want = append(want, len(batch))
+		streamed += len(batch)
+		if got := sent("batched"); !slices.Equal(got, want) {
+			t.Fatalf("after AppendBatch(%d) the ingests carried %v record(s), want %v", len(batch), got, want)
+		}
+		if got := batched.Streamed(); got != int64(streamed) {
+			t.Fatalf("after AppendBatch(%d) Streamed() = %d, want %d (acknowledged on return)", len(batch), got, streamed)
+		}
 	}
 	single, singleSpool := open("single")
 	for _, rec := range recs {
@@ -555,16 +567,11 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sent := func(lease string) []int {
-		mu.Lock()
-		defer mu.Unlock()
-		return posts[lease]
+	if got := sent("batched"); !slices.Equal(got, want) {
+		t.Errorf("Close sent more: ingests carried %v record(s), want %v", got, want)
 	}
-	want := []int{every, every, 3}
-	for _, lease := range []string{"batched", "single"} {
-		if got := sent(lease); !slices.Equal(got, want) {
-			t.Errorf("%s store's ingests carried %v record(s), want %v", lease, got, want)
-		}
+	if got := sent("single"); len(got) != len(recs) || slices.Max(got) != 1 {
+		t.Errorf("per-record appends were sent as %v, want %d ingests of 1", got, len(recs))
 	}
 	a, err := os.ReadFile(batchedSpool)
 	if err != nil {

@@ -14,11 +14,12 @@
 //   - remoteStore is the runstore.Store (and BatchAppender) the
 //     scheduler journals into: a local spool journal (durability — each
 //     batch of finished units the scheduler's committer hands over is
-//     fsynced on this machine, once, before any of it is sent or counts
-//     as complete) tee'd into FlushEvery-sized NDJSON ingest streams to
-//     the collector (collection), with the shard's server-side
-//     warm-start snapshot behind Lookup so units a previous owner
-//     already collected replay instead of re-executing.
+//     fsynced on this machine, once, before any of it is sent) followed
+//     by one NDJSON ingest of that same batch to the collector
+//     (collection — the batch counts as complete only once the daemon
+//     acknowledged it), with the shard's server-side warm-start snapshot
+//     behind Lookup so units a previous owner already collected replay
+//     instead of re-executing.
 //   - A renewal goroutine keeps the lease alive at a third of its TTL.
 //
 // Failure contract: on a server-reported conflict (409 — a record that

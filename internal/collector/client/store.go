@@ -18,10 +18,11 @@ import (
 //     per Append or AppendBatch) before anything crosses the network, so
 //     a crashed or disconnected worker always leaves a valid, ordinary
 //     runstore journal behind;
-//   - collection: appends are tee'd into batches of FlushEvery records
-//     and streamed to the collector's ingest endpoint; an acknowledged
-//     batch is durable on the server too (at-least-once — a retried
-//     batch converges, the stores are last-wins);
+//   - collection: each spooled batch is then streamed to the
+//     collector's ingest endpoint as one request, and the append returns
+//     only once the server acknowledged it — durable there too
+//     (at-least-once — a retried batch converges, the stores are
+//     last-wins);
 //   - warm start: Lookup serves the lease's server-side snapshot
 //     (records previous owners collected) before the local journal, so
 //     the scheduler replays them through the exact journal warm-start
@@ -35,11 +36,11 @@ type remoteStore struct {
 	ctx   context.Context // the shard run's context, bounds every ingest
 	lease string
 
-	mu    sync.Mutex
 	local *runstore.Journal
-	warm  map[string]runstore.Record
-	buf   []runstore.Record
-	every int
+	warm  map[string]runstore.Record // read-only once the store is built
+	// mu makes spool-then-stream one step, so the server receives
+	// batches in the order the spool holds them.
+	mu sync.Mutex
 
 	streamed atomic.Int64 // records acknowledged by the server
 	lost     atomic.Pointer[error]
@@ -51,7 +52,7 @@ var (
 )
 
 // newRemoteStore assembles the adapter around an acquired lease.
-func newRemoteStore(ctx context.Context, c *Client, lease, localPath string, warm map[string]runstore.Record, every int) (*remoteStore, error) {
+func newRemoteStore(ctx context.Context, c *Client, lease, localPath string, warm map[string]runstore.Record) (*remoteStore, error) {
 	local, err := runstore.Open(localPath)
 	if err != nil {
 		return nil, err
@@ -59,10 +60,7 @@ func newRemoteStore(ctx context.Context, c *Client, lease, localPath string, war
 	if warm == nil {
 		warm = map[string]runstore.Record{}
 	}
-	if every < 1 {
-		every = 32
-	}
-	return &remoteStore{c: c, ctx: ctx, lease: lease, local: local, warm: warm, every: every}, nil
+	return &remoteStore{c: c, ctx: ctx, lease: lease, local: local, warm: warm}, nil
 }
 
 // markLost records why the lease is gone; subsequent Appends fail fast.
@@ -82,10 +80,7 @@ func (r *remoteStore) lostErr() error {
 // first — replaying another worker's collected unit must win over
 // re-executing it — then this worker's own spool.
 func (r *remoteStore) Lookup(experiment, hash string, replicate int) (runstore.Record, bool) {
-	r.mu.Lock()
-	rec, ok := r.warm[runstore.Key(experiment, hash, replicate)]
-	r.mu.Unlock()
-	if ok {
+	if rec, ok := r.warm[runstore.Key(experiment, hash, replicate)]; ok {
 		return rec, true
 	}
 	return r.local.Lookup(experiment, hash, replicate)
@@ -119,10 +114,11 @@ func (r *remoteStore) Append(rec runstore.Record) error {
 
 // AppendBatch implements runstore.BatchAppender — the path the
 // scheduler's persist stage takes: the whole batch is spooled locally
-// with one fsync (durable before return), then streamed in ingests of
-// FlushEvery records, so the server sees the same requests whatever the
-// batch size was. An ingest refusal (lease lost, conflict) surfaces as
-// the append error, which is how the scheduler learns to stop.
+// with one fsync, then sent as one ingest. A nil return means spooled
+// and acknowledged by the collector; nothing is held back for a later
+// call. An ingest refusal (lease lost, conflict) is recorded, so every
+// later append fails fast, and surfaces as the append error, which is
+// how the scheduler learns to stop.
 func (r *remoteStore) AppendBatch(recs []runstore.Record) error {
 	if err := r.lostErr(); err != nil {
 		return fmt.Errorf("collector client: lease %s: %w", r.lease, err)
@@ -137,33 +133,11 @@ func (r *remoteStore) AppendBatch(recs []runstore.Record) error {
 		return err
 	}
 	r.c.met.spooled.Add(int64(len(normalized)))
-	r.buf = append(r.buf, normalized...)
-	return r.streamLocked(r.every)
-}
-
-// Flush streams whatever the batch buffer holds.
-func (r *remoteStore) Flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.streamLocked(1)
-}
-
-// streamLocked sends the buffer's head in ingests of at most FlushEvery
-// records for as long as it holds atLeast of them. On a terminal refusal
-// the loss is recorded so every later append fails fast.
-func (r *remoteStore) streamLocked(atLeast int) error {
-	for len(r.buf) >= atLeast {
-		batch := r.buf[:min(len(r.buf), r.every)]
-		if err := r.c.Ingest(r.ctx, r.lease, batch); err != nil {
-			r.markLost(err)
-			return fmt.Errorf("collector client: streaming %d record(s): %w", len(batch), err)
-		}
-		r.streamed.Add(int64(len(batch)))
-		r.buf = r.buf[len(batch):]
+	if err := r.c.Ingest(r.ctx, r.lease, normalized); err != nil {
+		r.markLost(err)
+		return fmt.Errorf("collector client: streaming %d record(s): %w", len(normalized), err)
 	}
-	if len(r.buf) == 0 {
-		r.buf = nil // let the streamed records go
-	}
+	r.streamed.Add(int64(len(normalized)))
 	return nil
 }
 
@@ -173,18 +147,8 @@ func (r *remoteStore) Streamed() int64 { return r.streamed.Load() }
 // LocalPath returns the spool journal's file path.
 func (r *remoteStore) LocalPath() string { return r.local.Path() }
 
-// Close implements runstore.Store: a final flush (unless the lease is
-// already lost — there is nobody to stream to), then the spool closes.
-// The spool file stays behind either way; it is the worker's durable
+// Close implements runstore.Store: it closes the spool. Every append
+// that returned nil has already been streamed, so there is nothing to
+// flush; the spool file stays behind — it is the worker's durable
 // account of what it ran.
-func (r *remoteStore) Close() error {
-	var flushErr error
-	if r.lostErr() == nil {
-		flushErr = r.Flush()
-	}
-	closeErr := r.local.Close()
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
-}
+func (r *remoteStore) Close() error { return r.local.Close() }

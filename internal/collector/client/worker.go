@@ -33,10 +33,6 @@ type Options struct {
 	// SpoolDir is where the local spool journals (one per experiment
 	// shard) are written; empty means a fresh temporary directory.
 	SpoolDir string
-	// FlushEvery is the ingest batch size in records; < 1 means 32.
-	// 1 streams every append immediately — the crash-handoff tests'
-	// setting, and the latency-over-throughput end of the knob.
-	FlushEvery int
 	// AcquireWait is how long to wait between acquire attempts while
 	// every incomplete shard is leased by someone else; 0 means 1s.
 	AcquireWait time.Duration
@@ -225,7 +221,7 @@ func (w *Worker) runShard(ctx context.Context, e *harness.Experiment, spool stri
 		return nil, err
 	}
 	store, err := newRemoteStore(ctx, w.c,
-		grant.Lease, shardstore.Path(spool, e.Name, grant.Shard, grant.Shards), warm, w.opts.FlushEvery)
+		grant.Lease, shardstore.Path(spool, e.Name, grant.Shard, grant.Shards), warm)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +268,7 @@ func (w *Worker) runShard(ctx context.Context, e *harness.Experiment, spool stri
 	rs, runErr := s.Execute(shardCtx, e)
 	stopRenew()
 	renewWG.Wait()
-	closeErr := store.Close() // final flush + spool close
+	closeErr := store.Close()
 
 	st := s.LastStats()
 	w.mu.Lock()

@@ -23,7 +23,10 @@
 //	         new owner replays them instead of re-executing.
 //	ingest:  the worker streams completed records as NDJSON. Appends are
 //	         validated against the lease (right experiment, right shard)
-//	         and routed through the sharded store; per-experiment
+//	         and group-committed into the sharded store — a shard's
+//	         committer (internal/groupcommit.Loop) lands the first queued
+//	         batch plus whatever queued during its previous fsync, with
+//	         no timer and nothing to tune; per-experiment
 //	         in-flight bytes are bounded, and requests past the bound
 //	         get 429 + Retry-After (the backpressure contract).
 //	renew:   leases are renewed at a fraction of the TTL. A lease that

@@ -118,7 +118,6 @@ func TestFleetMergeByteIdentity(t *testing.T) {
 			Worker:      fmt.Sprintf("fleet-%d", i),
 			Workers:     2,
 			SpoolDir:    t.TempDir(),
-			FlushEvery:  2,
 			AcquireWait: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -211,7 +210,7 @@ func TestCollectorCrashChild(t *testing.T) {
 		return e2eRunner(a, rep)
 	}
 	w, err := client.NewWorker(client.Options{
-		URL: url, Worker: "doomed", Workers: 1, FlushEvery: 1,
+		URL: url, Worker: "doomed", Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +260,6 @@ func TestWorkerCrashLeaseHandoff(t *testing.T) {
 		Worker:      "survivor",
 		Workers:     1,
 		SpoolDir:    t.TempDir(),
-		FlushEvery:  1,
 		AcquireWait: 25 * time.Millisecond,
 	})
 	if err != nil {

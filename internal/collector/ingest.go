@@ -80,7 +80,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	e.inflight += reserve
 	if e.committers[l.shard] == nil {
-		e.committers[l.shard] = newCommitter(e.store, s.cfg.CommitWindow, s.cfg.CommitMaxBytes, s.met)
+		e.committers[l.shard] = newCommitter(e.store, s.met)
 	}
 	// Entering the submitter group under the lock pairs with Close,
 	// which flips closed first and then waits the group out — so a
@@ -133,7 +133,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// the valid prefix lands durably, preserving the contract that a
 	// failed batch leaves a clean prefix for the retry to converge on.
 	n := len(batch)
-	if cerr := e.commit(shard, batch, body.n); cerr != nil {
+	if cerr := e.commit(shard, batch); cerr != nil {
 		if err == nil {
 			err = &storeFailure{cerr}
 		}

@@ -44,7 +44,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		leaseExpired: r.Counter("collector_lease_expired_total",
 			"Leases reclaimed by TTL expiry — dead-worker shard handoffs."),
 		groupCommits: r.Counter("collector_group_commits_total",
-			"Gather windows committed by the group-commit engine (one fsync each per shard journal touched)."),
+			"Group commits landed by the group-commit engine (one fsync each per shard journal touched)."),
 		fsyncCoalesced: r.Counter("collector_fsync_coalesced_total",
 			"Fsyncs avoided by group commit: ingest batches that shared another batch's fsync."),
 		stateErrors: r.Counter("collector_state_errors_total",

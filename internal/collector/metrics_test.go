@@ -40,11 +40,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	// scheduler (sched_*), the spool journal (runstore_*), the client
 	// ingest path (worker_*), and the daemon itself (collector_*).
 	w, err := client.NewWorker(client.Options{
-		URL:        hs.URL,
-		Worker:     "obs-worker",
-		Workers:    2,
-		SpoolDir:   t.TempDir(),
-		FlushEvery: 2,
+		URL:      hs.URL,
+		Worker:   "obs-worker",
+		Workers:  2,
+		SpoolDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

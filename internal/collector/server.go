@@ -44,14 +44,6 @@ type Config struct {
 	// metrics scrapes carry no write authority and expose no record
 	// data. Empty disables auth (the loopback default).
 	Token string
-	// CommitWindow bounds how long the group-commit engine gathers
-	// concurrent ingest batches before one fsync lands them all. 0
-	// defaults to 2ms; a negative window is rejected.
-	CommitWindow time.Duration
-	// CommitMaxBytes closes a gather window early once this many wire
-	// bytes are queued, bounding commit latency and memory under burst.
-	// 0 defaults to 1 MiB.
-	CommitMaxBytes int64
 	// Baseline, when set, names a baseline store file (journal or
 	// archive): the gate status endpoint compares collected records
 	// against it.
@@ -87,15 +79,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.CommitWindow < 0 {
-		return fmt.Errorf("collector: Config.CommitWindow %v is negative (0 means the 2ms default)", c.CommitWindow)
-	}
-	if c.CommitWindow == 0 {
-		c.CommitWindow = 2 * time.Millisecond
-	}
-	if c.CommitMaxBytes <= 0 {
-		c.CommitMaxBytes = 1 << 20
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now

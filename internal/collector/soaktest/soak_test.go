@@ -161,10 +161,11 @@ func collectedJournal(t *testing.T, srvDir string, shards int) []byte {
 }
 
 // TestSoakChild is the doomed worker: re-invoked with SOAK_CHILD_URL
-// set, it streams every record immediately (FlushEvery 1) and dies
-// without unwinding — no flush, no release, no lease renewal — in the
-// middle of its third unit, leaving a live lease and a partial stream
-// for the TTL sweep and a surviving worker to clean up. The scheduler
+// set, it streams every finished unit as soon as the one before is
+// acknowledged and dies without unwinding — no release, no lease
+// renewal — in the middle of its third unit, leaving a live lease and a
+// partial stream for the TTL sweep and a surviving worker to clean up.
+// The scheduler
 // starts a unit as soon as the last one is queued for its committer, so
 // the dying unit first waits until the daemon holds the two records this
 // child streamed (on top of what earlier children left).
@@ -201,10 +202,10 @@ func TestSoakChild(t *testing.T) {
 		return soakRunner(a, rep)
 	}
 	w, err := client.NewWorker(client.Options{
-		URL:     url,
-		Worker:  os.Getenv(soakChildName),
-		Token:   soakToken,
-		Workers: 1, FlushEvery: 1,
+		URL:         url,
+		Worker:      os.Getenv(soakChildName),
+		Token:       soakToken,
+		Workers:     1,
 		AcquireWait: 25 * time.Millisecond,
 	})
 	if err != nil {
@@ -226,14 +227,13 @@ func TestSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	srvDir := t.TempDir()
 	d, err := NewDaemon(collector.Config{
-		Dir:          srvDir,
-		Shards:       shards,
-		LeaseTTL:     p.ttl,
-		MaxInflight:  256, // a few records deep: concurrent workers storm into 429s
-		RetryAfter:   100 * time.Millisecond,
-		CommitWindow: 2 * time.Millisecond,
-		Token:        soakToken,
-		Metrics:      reg,
+		Dir:         srvDir,
+		Shards:      shards,
+		LeaseTTL:    p.ttl,
+		MaxInflight: 256, // a few records deep: concurrent workers storm into 429s
+		RetryAfter:  100 * time.Millisecond,
+		Token:       soakToken,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,9 +290,10 @@ func TestSoak(t *testing.T) {
 		torn = TornConnections(chaosCtx, d.Addr(), 20*time.Millisecond)
 	}()
 
-	// The fleet: every worker streams per-record (FlushEvery 1) and its
-	// runner is paced by unitDelay, so collection stays in flight across
-	// every restart cycle and the dark windows land mid-ingest.
+	// The fleet: every worker's runner is paced by unitDelay — slower than
+	// a round trip, so records stream nearly one by one — and collection
+	// stays in flight across every restart cycle, with the dark windows
+	// landing mid-ingest.
 	pacedRun := func(a design.Assignment, rep int) (map[string]float64, error) {
 		time.Sleep(p.unitDelay)
 		return soakRunner(a, rep)
@@ -307,7 +308,6 @@ func TestSoak(t *testing.T) {
 			Token:       soakToken,
 			Workers:     2,
 			SpoolDir:    t.TempDir(),
-			FlushEvery:  1,
 			AcquireWait: 150 * time.Millisecond,
 			Metrics:     fleetReg,
 		})

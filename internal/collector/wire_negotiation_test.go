@@ -175,7 +175,6 @@ func TestFleetMergeByteIdentityBinaryWire(t *testing.T) {
 			Worker:      fmt.Sprintf("binfleet-%d", i),
 			Workers:     2,
 			SpoolDir:    t.TempDir(),
-			FlushEvery:  2,
 			AcquireWait: 10 * time.Millisecond,
 			BinaryWire:  true,
 		})

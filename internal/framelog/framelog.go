@@ -244,10 +244,10 @@ type Log struct {
 // Open opens the log at path, creating it (and its directory) if
 // absent, and replays every intact record through replay. A torn tail
 // is truncated away, a decodable but unterminated final line is
-// terminated, and a new or restarted file gets its magic written and
-// synced — the file is left ending on a record boundary, and every
-// Commit lands at its end (O_APPEND). Errors name the path; a
-// corruption error also names the byte offset.
+// terminated, and a new or restarted file gets its directory entry
+// synced, then its magic written and synced — the file is left ending
+// on a record boundary, and every Commit lands at its end (O_APPEND).
+// Errors name the path; a corruption error also names the byte offset.
 func Open(path string, fr Framing, replay Visit) (*Log, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
@@ -275,6 +275,15 @@ func (l *Log) restore(fr Framing, replay Visit) error {
 			return fmt.Errorf("truncating torn tail: %w", err)
 		}
 	}
+	if keep == 0 {
+		// A file that holds nothing yet may be one this Open created (or
+		// one a crash left before getting this far): a Commit is durable
+		// only if the file's name is. Before the magic, so a crash in
+		// between leaves a file that reopens through here again.
+		if err := SyncDir(filepath.Dir(l.path)); err != nil {
+			return err
+		}
+	}
 	switch {
 	case fr.frames && keep == 0:
 		if _, err = l.f.WriteString(fr.magic); err == nil {
@@ -287,6 +296,29 @@ func (l *Log) restore(fr Framing, replay Visit) error {
 		if _, err = l.f.ReadAt(last[:], keep-1); err == nil && last[0] != '\n' {
 			_, err = l.f.WriteString("\n")
 		}
+	}
+	return err
+}
+
+// dirSynced is a test hook: when set, SyncDir reports every directory it
+// has synced.
+var dirSynced func(dir string)
+
+// SyncDir makes dir's entries durable: a file created in it, or renamed
+// into it, survives power loss only after this returns. Open calls it
+// for a log it creates; code that replaces a file by rename calls it
+// after the rename. It is never on an append path.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && dirSynced != nil {
+		dirSynced(dir)
 	}
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/framelog"
 	"repro/internal/runstore"
 )
 
@@ -42,8 +43,8 @@ func init() {
 
 // Write atomically replaces dst with a finalized archive holding the
 // records of recs in sequence order: temp file in the target directory,
-// one fsync, rename — the bulk build path behind `perfeval archive` and
-// archive-destination merges. The sequence is consumed incrementally
+// one fsync, rename, directory fsync — the bulk build path behind
+// `perfeval archive` and archive-destination merges. The sequence is consumed incrementally
 // (one record encoded at a time, never a materialized slice), and
 // unlike Archive.Append it buffers and syncs once, so converting a
 // 10^5-record journal costs one write pass, not 10^5 fsyncs. A yielded
@@ -163,6 +164,9 @@ func writeWith(dst string, recs iter.Seq2[runstore.Record, error], modeFrom stri
 		return fmt.Errorf("archivestore: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
+		return fmt.Errorf("archivestore: %w", err)
+	}
+	if err := framelog.SyncDir(filepath.Dir(dst)); err != nil {
 		return fmt.Errorf("archivestore: %w", err)
 	}
 	return nil

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"repro/internal/framelog"
 )
 
 // Conflict is one key whose stored measurements disagree across merge
@@ -392,7 +394,8 @@ func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
 }
 
 // atomicWrite replaces dst with whatever emit writes: temp file in the
-// target directory, single fsync, rename. The file mode is copied from
+// target directory, single fsync, rename, then a directory fsync so the
+// rename itself survives power loss. The file mode is copied from
 // modeFrom when it exists (so rewriting a journal in place never
 // silently changes its permissions), 0644 otherwise. Merge and Compact
 // share this path.
@@ -432,6 +435,9 @@ func atomicWrite(dst, modeFrom string, emit func(w *bufio.Writer) error) error {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
+		return fmt.Errorf("runstore: %w", err)
+	}
+	if err := framelog.SyncDir(filepath.Dir(dst)); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil

@@ -38,12 +38,13 @@
 //     the shard store, the collector worker's remote store) gets group
 //     commit. Workers hand each finished unit to one committer goroutine
 //     per Execute over a bounded FIFO (256 units, a constant) and start
-//     their next unit without waiting; the committer takes the first
-//     queued unit, drains whatever else is already queued, and lands it
-//     all with one AppendBatch. There is no timer: the commit in
-//     progress is what paces the next batch, so a runner slower than an
-//     fsync still commits every unit alone and immediately, and a faster
-//     one pays one fsync per batch instead of one per record.
+//     their next unit without waiting; the committer
+//     (internal/groupcommit.Loop) takes the first queued unit, drains
+//     whatever else is already queued, and lands it all with one
+//     AppendBatch. There is no timer: the commit in progress is what
+//     paces the next batch, so a runner slower than an fsync still
+//     commits every unit alone and immediately, and a faster one pays
+//     one fsync per batch instead of one per record.
 //   - Any other store — a third-party five-method wrapper — is appended
 //     to from the worker, one record at a time.
 //
@@ -70,9 +71,9 @@
 //
 // The Store seam is what makes the scheduler distribution-agnostic: the
 // collector worker (internal/collector/client) hands Options.Store a
-// remote-store adapter that spools locally (one fsync per batch) and
-// streams appends to a collector daemon, and the scheduler neither knows
-// nor cares — the
-// same warm-start Lookup replays units other machines already ran, and
-// the same Shards/Shard partition bounds what this process executes.
+// remote-store adapter that spools each batch locally (one fsync) and
+// sends it to a collector daemon (one request), and the scheduler
+// neither knows nor cares — the same warm-start Lookup replays units
+// other machines already ran, and the same Shards/Shard partition bounds
+// what this process executes.
 package sched

@@ -3,6 +3,7 @@ package sched
 import (
 	"time"
 
+	"repro/internal/groupcommit"
 	"repro/internal/runstore"
 )
 
@@ -33,14 +34,14 @@ type outcome struct {
 // How the append happens is chosen from the store itself. A store with a
 // batch side (runstore.BatchAppender) gets one committer goroutine per
 // Execute: workers queue finished units on a bounded FIFO and move on to
-// their next unit, and the committer takes the first queued unit, drains
-// whatever else is already queued without waiting, and lands it all with
-// one AppendBatch. The pacing is the sync itself — there is no timer — so
-// a runner slower than an fsync still commits every unit alone and at
-// once, and a faster one gets batches as large as one fsync lasts. Any
-// other store is appended to from the worker, record by record: a
-// committer with no batch to offer would only serialise encoding behind
-// the fsync.
+// their next unit, and the committer (groupcommit.Loop) takes the first
+// queued unit, drains whatever else is already queued without waiting,
+// and lands it all with one AppendBatch. The pacing is the sync itself —
+// there is no timer — so a runner slower than an fsync still commits
+// every unit alone and at once, and a faster one gets batches as large
+// as one fsync lasts. Any other store is appended to from the worker,
+// record by record: a committer with no batch to offer would only
+// serialise encoding behind the fsync.
 type persistStage struct {
 	experiment string
 	store      runstore.Store         // nil: nothing to persist
@@ -88,42 +89,28 @@ func (p *persistStage) close() {
 	}
 }
 
-// commitLoop is the committer. The queue preserves completion order and
-// one goroutine drains it, so the store receives units in exactly the
-// order workers finished them. The first AppendBatch error fails the
+// commitLoop is the committer: groupcommit.Loop over the queue, which
+// preserves completion order, so the store receives units in exactly
+// the order workers finished them. The first AppendBatch error fails the
 // run: its units and every unit queued after them complete with that
 // error, unjournaled.
 func (p *persistStage) commitLoop() {
 	defer close(p.exited)
 	var failed error
-	var batch []outcome
-	for first := range p.queue {
-		batch = append(batch[:0], first)
-	drain:
-		for len(batch) < commitQueue {
-			select {
-			case o, ok := <-p.queue:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, o)
-			default:
-				break drain
-			}
-		}
+	groupcommit.Loop(p.queue, commitQueue, func(batch []outcome) {
 		if failed == nil {
 			recs := make([]runstore.Record, len(batch))
 			for i, o := range batch {
 				recs[i] = p.record(o)
 			}
 			failed = p.batch.AppendBatch(recs)
-			p.committed(first.finished)
+			p.committed(batch[0].finished)
 		}
 		for _, o := range batch {
 			o.err = failed
 			p.complete(o)
 		}
-	}
+	})
 }
 
 func (p *persistStage) record(o outcome) runstore.Record {

@@ -46,11 +46,6 @@ type ServeConfig struct {
 	// the same value through WorkConfig.Token. It is the
 	// -Dcollector.token knob.
 	Token string
-	// CommitWindow bounds how long the group-commit engine gathers
-	// concurrent ingest batches before landing them with one fsync.
-	// It must be ≥ 0: 0 means the 2ms default, a negative window is
-	// rejected. It is the -Dcollector.commitwindow knob.
-	CommitWindow time.Duration
 	// Ready, when non-nil, is called exactly once with the bound listen
 	// address, after the listener is open and before serving begins.
 	Ready func(addr string)
@@ -94,14 +89,13 @@ func Serve(ctx context.Context, cfg ServeConfig) error {
 		return err
 	}
 	srv, err := collector.New(collector.Config{
-		Dir:          cfg.Dir,
-		Shards:       cfg.Shards,
-		LeaseTTL:     cfg.LeaseTTL,
-		MaxInflight:  cfg.MaxInflight,
-		Baseline:     cfg.Baseline,
-		Token:        cfg.Token,
-		CommitWindow: cfg.CommitWindow,
-		Logger:       logger,
+		Dir:         cfg.Dir,
+		Shards:      cfg.Shards,
+		LeaseTTL:    cfg.LeaseTTL,
+		MaxInflight: cfg.MaxInflight,
+		Baseline:    cfg.Baseline,
+		Token:       cfg.Token,
+		Logger:      logger,
 	})
 	if err != nil {
 		return err
@@ -152,9 +146,6 @@ type WorkConfig struct {
 	// journal even after a crash); empty means a fresh temporary
 	// directory.
 	SpoolDir string
-	// FlushEvery is the ingest batch size in records; < 1 means 32, and
-	// 1 streams every completed unit immediately.
-	FlushEvery int
 	// BinaryWire streams ingest uploads (and asks for warm-start
 	// snapshots) in the binary wire framing instead of the NDJSON
 	// default. The framing is negotiated per request by media type, so
@@ -225,7 +216,6 @@ func Work(ctx context.Context, id string, cfg WorkConfig) (*WorkOutcome, error) 
 		Retries:    cfg.Retries,
 		Timeout:    cfg.Timeout,
 		SpoolDir:   cfg.SpoolDir,
-		FlushEvery: cfg.FlushEvery,
 		BinaryWire: cfg.BinaryWire,
 		Token:      cfg.Token,
 		Logger:     logger,

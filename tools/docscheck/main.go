@@ -31,6 +31,7 @@ import (
 var checkedPackages = []string{
 	".", // the public repro package at the repository root
 	"internal/framelog",
+	"internal/groupcommit",
 	"internal/runstore",
 	"internal/runstore/shardstore",
 	"internal/runstore/archivestore",
