@@ -31,11 +31,11 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	var last *Result
 	for i := 0; i < b.N; i++ {
-		r, err := RunExperiment(context.Background(), id)
+		out, err := Run(context.Background(), id, RunConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = r
+		last = out.Result
 	}
 	if _, done := printOnce.LoadOrStore(id, true); !done && last != nil {
 		fmt.Fprintf(os.Stdout, "\n=== %s (slides %s): %s ===\n%s\n", last.ID, last.Slides, last.Title, last.Text)

@@ -46,8 +46,8 @@ func TestExecuteRejectsNonFiniteResponses(t *testing.T) {
 	}
 }
 
-// countingExecutor wraps Sequential and counts Execute calls, to prove the
-// default-executor indirection routes through the installed executor.
+// countingExecutor wraps Sequential and counts Execute calls, to prove
+// the package-level Execute routes through the context's executor.
 type countingExecutor struct {
 	calls int
 }
@@ -57,26 +57,26 @@ func (c *countingExecutor) Execute(ctx context.Context, e *Experiment) (*ResultS
 	return Sequential{}.Execute(ctx, e)
 }
 
-func TestSetDefaultExecutor(t *testing.T) {
+func TestWithExecutor(t *testing.T) {
 	ce := &countingExecutor{}
-	prev := SetDefaultExecutor(ce)
-	defer SetDefaultExecutor(prev)
-	if DefaultExecutor() != Executor(ce) {
-		t.Fatal("DefaultExecutor should return the installed executor")
+	ctx := WithExecutor(context.Background(), ce)
+	if ExecutorFrom(ctx) != Executor(ce) {
+		t.Fatal("ExecutorFrom should return the context's executor")
 	}
-	rs, err := Execute(context.Background(), paperExperiment(t, 2))
+	rs, err := Execute(ctx, paperExperiment(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ce.calls != 1 {
-		t.Errorf("installed executor called %d times, want 1", ce.calls)
+		t.Errorf("context's executor called %d times, want 1", ce.calls)
 	}
 	if len(rs.Rows) != 4 {
 		t.Errorf("rows = %d, want 4", len(rs.Rows))
 	}
-	// nil resets to Sequential.
-	SetDefaultExecutor(nil)
-	if _, ok := DefaultExecutor().(Sequential); !ok {
-		t.Errorf("SetDefaultExecutor(nil) should reset to Sequential, got %T", DefaultExecutor())
+	// Without one — or with a nil one — the executor is Sequential.
+	for _, ctx := range []context.Context{context.Background(), WithExecutor(context.Background(), nil)} {
+		if _, ok := ExecutorFrom(ctx).(Sequential); !ok {
+			t.Errorf("ExecutorFrom without an executor = %T, want Sequential", ExecutorFrom(ctx))
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,8 +13,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/runstore"
 )
-
-var _ harness.BudgetReporter = (*Scheduler)(nil)
 
 // mixedVariance builds a 2-cell experiment where one cell is nearly
 // noise-free and the other is deterministic but noisy: the adaptive
@@ -251,45 +248,5 @@ func TestAdaptivePrioritySchedulesFlaggedFirst(t *testing.T) {
 	}
 	if order[0] != "hi" || order[1] != "hi" {
 		t.Errorf("first scheduled units = %v, want the flagged hi cell first", order[:4])
-	}
-}
-
-// TestAdaptiveRetriesAndErrors: the dynamic path inherits the fixed
-// path's retry and abort behavior.
-func TestAdaptiveRetriesAndErrors(t *testing.T) {
-	newCtrl := func() *adaptive.Controller {
-		ctrl, err := adaptive.New(adaptive.Options{Min: 2, Max: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctrl
-	}
-	var failedOnce atomic.Bool
-	flaky := func(a design.Assignment, rep int) (map[string]float64, error) {
-		if a["noise"] == "hi" && rep == 0 && !failedOnce.Swap(true) {
-			return nil, os.ErrDeadlineExceeded
-		}
-		return mixedVarianceRunner(a, rep)
-	}
-	e := mixedVariance(t, 4)
-	e.Run = flaky
-	s := New(Options{Workers: 2, Retries: 1, Controller: newCtrl()})
-	if _, err := s.Execute(context.Background(), e); err != nil {
-		t.Fatalf("one retry should absorb the single failure: %v", err)
-	}
-	if st := s.LastStats(); st.Retried != 1 {
-		t.Errorf("Retried = %d, want 1", st.Retried)
-	}
-
-	always := func(design.Assignment, int) (map[string]float64, error) {
-		return nil, os.ErrDeadlineExceeded
-	}
-	e2 := mixedVariance(t, 4)
-	e2.Run = always
-	s2 := New(Options{Workers: 2, Retries: 1, Controller: newCtrl()})
-	if _, err := s2.Execute(context.Background(), e2); err == nil {
-		t.Error("permanent failure should abort the adaptive run")
-	} else if !strings.Contains(err.Error(), "attempts") {
-		t.Errorf("error should mention attempts: %v", err)
 	}
 }

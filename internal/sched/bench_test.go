@@ -19,7 +19,7 @@ import (
 // atomic ops per unit (~160ns on a stock VM, dominated by time.Now);
 // anything shorter than this runner measures channel handoff, not
 // scheduling.
-func benchExperiment(b *testing.B) *harness.Experiment {
+func benchExperiment(b testing.TB) *harness.Experiment {
 	b.Helper()
 	d, err := design.TwoLevelFull([]design.Factor{
 		design.MustFactor("memory", "4MB", "16MB"),
@@ -55,11 +55,30 @@ func benchExecute(b *testing.B, s *Scheduler) {
 	}
 }
 
-// BenchmarkSchedInstrumented measures the fixed-pool path with the
+// BenchmarkSchedInstrumented measures a fixed-budget run with the
 // instruments live (a private registry, so benchmark runs do not pollute
 // the process-wide series).
 func BenchmarkSchedInstrumented(b *testing.B) {
 	benchExecute(b, New(Options{Workers: 4, Metrics: obs.NewRegistry()}))
+}
+
+// TestFixedBudgetAllocsPerUnit holds a fixed-budget run to allocating
+// what its runner allocates — the response map, 2.2 allocations per unit
+// with the per-Execute set-up spread over 256 units — so policy a fixed
+// budget does not have cannot start costing per unit: filtering each
+// unit's responses for a Controller.Observe that is not there measured
+// 4.4, and +60 % ns/op on BenchmarkSchedInstrumented.
+func TestFixedBudgetAllocsPerUnit(t *testing.T) {
+	e := benchExperiment(t)
+	s := New(Options{Workers: 4, Metrics: obs.NewRegistry()})
+	perRun := testing.AllocsPerRun(10, func() {
+		if _, err := s.Execute(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perUnit := perRun / float64(e.Design.NumRuns()*e.Design.Replicates); perUnit > 3 {
+		t.Errorf("a fixed-budget run allocates %.1f times per unit, want the runner's own ~2.2", perUnit)
+	}
 }
 
 // BenchmarkSchedUninstrumented is the baseline: the same scheduler with

@@ -13,18 +13,53 @@ import (
 	"repro/internal/runstore"
 )
 
+// pools names the two ways to ask the one pool for a fixed number of
+// replicates per cell: no Controller, and an adaptive one pinned at
+// min = max = that number. Every contract test of the pool runs as both.
+var pools = []string{"fixed", "dynamic"}
+
+// withBudget returns opts for the named pool: unchanged for "fixed", with
+// a fresh adaptive controller pinned at min = max = reps for "dynamic".
+func withBudget(t *testing.T, pool string, reps int, opts Options) Options {
+	t.Helper()
+	if pool == "dynamic" {
+		ctrl, err := adaptive.New(adaptive.Options{Min: reps, Max: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Controller = ctrl
+	}
+	return opts
+}
+
 // TestCancellationDrainsAndLeavesWarmStartableJournal is the regression
 // test for the context-cancellation contract: canceling mid-run (between
-// unit completions) must drain the worker pool without leaking a single
-// goroutine, leave the journal valid — no torn tail, every completed
-// unit present, nothing else — and a warm-started re-run must replay
-// exactly the journaled units and produce the same artifact a cold run
-// produces.
+// unit completions) must stop work generation, drain the worker pool
+// without leaking a single goroutine, return an error that is
+// context.Canceled — also when the caller canceled with a cause of its
+// own — leave the journal valid — no torn tail, every completed unit
+// present, nothing else — and a warm-started re-run must replay exactly
+// the journaled units, extend rather than re-execute them, and produce
+// the same artifact a cold run produces.
 func TestCancellationDrainsAndLeavesWarmStartableJournal(t *testing.T) {
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) {
+			t.Run("cancel", func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				testCancellationDrains(ctx, t, pool, cancel)
+			})
+			t.Run("cancel with cause", func(t *testing.T) {
+				ctx, cancel := context.WithCancelCause(context.Background())
+				testCancellationDrains(ctx, t, pool, func() { cancel(errors.New("operator said stop")) })
+			})
+		})
+	}
+}
+
+func testCancellationDrains(ctx context.Context, t *testing.T, pool string, cancel func()) {
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
 	const cells, reps = 16, 2
-	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed atomic.Int64
 	counting := func(a design.Assignment, rep int) (map[string]float64, error) {
@@ -35,7 +70,7 @@ func TestCancellationDrainsAndLeavesWarmStartableJournal(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 2, JournalDir: dir, Metrics: reg})
+	s := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir, Metrics: reg}))
 	_, err := s.Execute(ctx, newWideExperiment(t, cells, reps, counting))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -64,9 +99,10 @@ func TestCancellationDrainsAndLeavesWarmStartableJournal(t *testing.T) {
 		t.Errorf("%d unit(s) counted executed, journal holds %d", executed, journaled)
 	}
 
-	// Warm start: the resumed run replays exactly the journaled units,
-	// executes the rest, and matches a cold run byte for byte.
-	s2 := New(Options{Workers: 2, JournalDir: dir})
+	// Warm start: the resumed run — against a fresh controller, if any —
+	// replays exactly the journaled units, executes the rest, and matches
+	// a cold run byte for byte.
+	s2 := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir}))
 	rs, err := s2.Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -113,63 +149,5 @@ func TestCancellationBeforeStartRunsNothing(t *testing.T) {
 	defer j.Close()
 	if j.Len() != 0 {
 		t.Errorf("journal holds %d units from a run that never started", j.Len())
-	}
-}
-
-// TestAdaptiveCancellationDrainsAndResumes exercises the dynamic
-// (controller-driven) pool: cancellation at a batch boundary must stop
-// work generation, drain in-flight units into the journal, leak no
-// goroutine, and leave a warm-startable journal an adaptive resume
-// extends rather than re-executes.
-func TestAdaptiveCancellationDrainsAndResumes(t *testing.T) {
-	base := runtime.NumGoroutine()
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var completed atomic.Int64
-	counting := func(a design.Assignment, rep int) (map[string]float64, error) {
-		if completed.Add(1) == 5 {
-			cancel()
-		}
-		return mixedVarianceRunner(a, rep)
-	}
-	ctrl, err := adaptive.New(adaptive.Options{Min: 3, Max: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mixedVariance(t, 12)
-	e.Run = counting
-	s := New(Options{Workers: 2, Controller: ctrl, JournalDir: dir})
-	if _, err := s.Execute(ctx, e); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	waitGoroutines(t, base)
-
-	j, err := runstore.OpenDir(dir, "mixed-variance")
-	if err != nil {
-		t.Fatalf("journal invalid after adaptive cancellation: %v", err)
-	}
-	if j.Torn() {
-		t.Error("canceled adaptive run left a torn journal tail")
-	}
-	journaled := j.Len()
-	j.Close()
-	if journaled == 0 {
-		t.Fatal("no units journaled before cancellation")
-	}
-
-	// Adaptive resume: replays the journaled prefix against a fresh
-	// controller and completes the run cleanly.
-	ctrl2, err := adaptive.New(adaptive.Options{Min: 3, Max: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := mixedVariance(t, 12)
-	s2 := New(Options{Workers: 2, Controller: ctrl2, JournalDir: dir})
-	if _, err := s2.Execute(context.Background(), e2); err != nil {
-		t.Fatal(err)
-	}
-	if st := s2.LastStats(); st.Replayed == 0 {
-		t.Errorf("adaptive resume replayed nothing, stats %+v", st)
 	}
 }

@@ -1,18 +1,52 @@
-// Package sched is the concurrent experiment executor: a worker pool
-// that runs design rows x replicates with bounded parallelism, per-unit
-// retry and timeout, deterministic result ordering, and warm-start from
-// a runstore store — units already persisted are replayed from disk
-// instead of re-executed.
+// Package sched is the concurrent experiment executor: one worker pool
+// that grows every design cell batch by batch until its replication
+// budget says enough, with bounded parallelism, per-unit retry and
+// timeout, deterministic result ordering, and warm-start from a runstore
+// store — units already persisted are replayed from disk instead of
+// re-executed.
 //
-// With Options.Controller set the fixed budget gives way to dynamic
-// work generation: the controller (internal/adaptive) grows each cell
-// batch by batch until its sequential-analysis stopping rule is met,
-// so replication is spent where variance demands it.
+// How much is enough is policy, not mechanism. Options.Controller
+// (internal/adaptive) is asked at every batch boundary and stops a cell
+// when its sequential-analysis rule is met, so replication is spent where
+// variance demands it. Without one the budget is the degenerate policy:
+// every cell gets Design.Replicates, asked for in one batch, no cell has
+// priority, and nothing is observed. Either way it is the same pool, and
+// these rules hold for every run:
+//
+//  1. Replay. A unit the budget asks for is satisfied from the store when
+//     the store holds a record of it that passes harness.CheckResponses
+//     for the experiment as declared today; otherwise it runs. That is
+//     decided unit by unit, so a resume over a store with a hole
+//     (replicates 0 and 2 stored, 1 missing) runs exactly the missing
+//     unit, and a row holds what the budget asked for, not everything the
+//     store has.
+//  2. Shards. A cell owned by another shard (Options.Shards) is replayed
+//     the same way, its unstored units are counted in Stats.Skipped and
+//     never scheduled, and its row is the contiguous prefix the store
+//     held. Shards with a Controller is rejected.
+//  3. Stats.Units is Executed + Replayed.
+//  4. CellStats and the sched_adaptive_{continue,stop}_total counters
+//     belong to the Controller: without one CellStats is nil and the
+//     counters do not move.
+//  5. Workers. Options.Workers goroutines, GOMAXPROCS when it is < 1,
+//     whatever the size of the design; none are started when everything
+//     replayed.
+//  6. Cancellation and failure. Once the context is done, or a unit has
+//     failed for good or an append has failed, nothing more is dispatched,
+//     units no worker has started are taken back, and units in flight
+//     finish and are stored. Execute then returns the failure, or an
+//     error wrapping ctx.Err() — errors.Is(err, context.Canceled) holds
+//     whether or not the caller cancelled with a cause. The store is left
+//     valid and warm-startable: resume by running again over it.
+//  7. Join. Execute returns when every dispatched unit has come back and
+//     been landed — appended if it succeeded, result slot filled, counted —
+//     and the committer has exited. Workers are told to exit at that point
+//     and hold nothing; an attempt abandoned by Options.Timeout or by
+//     cancellation is never joined (see Options.Timeout).
 //
 // The scheduler implements harness.Executor, so it plugs into the
-// package-level harness.Execute — scoped to one run via
-// harness.WithExecutor (how the public repro package binds it), or
-// process-wide via harness.SetDefaultExecutor. It is an
+// package-level harness.Execute, scoped to one run via
+// harness.WithExecutor (how the public repro package binds it). It is an
 // opt-in: the sequential executor remains the default because concurrent
 // execution on one machine perturbs time measurements — use the
 // scheduler for simulation-backed or I/O-bound experiments, for
@@ -21,9 +55,9 @@
 //
 // Concurrency contract: a Scheduler is safe for use from multiple
 // goroutines; each Execute call runs its own worker pool and its own
-// persist stage, and every unit owns a distinct result slot. A timed-out
-// unit's goroutine is abandoned, never joined — see Options.Timeout for
-// the full abandonment contract.
+// persist stage, and the goroutine that called Execute is the pool's
+// dispatcher — the only one that touches the queue, the cells, the
+// Controller and the result slots.
 //
 // Persist contract: the scheduler owns no durability itself; it
 // delegates to whatever runstore.Store it runs against (Options.Store,
@@ -31,8 +65,7 @@
 // journal by default, a shard of a sharded store under sharded
 // execution, or any backend via Options.OpenStore), and Append and
 // AppendBatch are durable before they return. A finished unit goes
-// through one persist stage, the same for the fixed and the adaptive
-// pool:
+// through one persist stage:
 //
 //   - A store with a batch side (runstore.BatchAppender: both journals,
 //     the shard store, the collector worker's remote store) gets group
@@ -61,13 +94,6 @@
 // and re-execute on resume. The first append error fails the run; units
 // of the failed batch and units queued behind it are dropped
 // unjournaled.
-//
-// Cancellation contract: Execute takes a context; once it is done the
-// scheduler stops feeding work, lets in-flight units finish, waits for
-// every worker to exit and for the committer to land everything they
-// queued, and returns the context error. The store is always left valid
-// and warm-startable — an interrupted run resumes by re-running with the
-// same store.
 //
 // The Store seam is what makes the scheduler distribution-agnostic: the
 // collector worker (internal/collector/client) hands Options.Store a

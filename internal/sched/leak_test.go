@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/design"
 	"repro/internal/obs"
 	"repro/internal/runstore"
@@ -34,10 +33,18 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestTimeoutAbandonmentDoesNotLeakOrCorrupt is the regression test for
 // the Options.Timeout abandonment contract: a timed-out attempt's
-// goroutine must not deadlock the pool, must drain once the runner
-// unblocks, and its late result must never surface in Stats, the
-// journal, or the ResultSet.
+// goroutine must not deadlock the pool — whose dispatcher must keep
+// draining in-flight outcomes after the first error — must drain once
+// the runner unblocks, and its late result must never surface in Stats,
+// the journal, or the ResultSet.
 func TestTimeoutAbandonmentDoesNotLeakOrCorrupt(t *testing.T) {
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) { testTimeoutAbandonment(t, pool) })
+	}
+}
+
+func testTimeoutAbandonment(t *testing.T, pool string) {
+	const reps = 2
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
 	release := make(chan struct{})
@@ -51,8 +58,8 @@ func TestTimeoutAbandonmentDoesNotLeakOrCorrupt(t *testing.T) {
 		return deterministicRunner(a, rep)
 	}
 
-	s := New(Options{Workers: 4, Timeout: 25 * time.Millisecond, JournalDir: dir})
-	_, err := s.Execute(context.Background(), newExperiment(t, 2, blocking))
+	s := New(withBudget(t, pool, reps, Options{Workers: 4, Timeout: 25 * time.Millisecond, JournalDir: dir}))
+	_, err := s.Execute(context.Background(), newExperiment(t, reps, blocking))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("want timeout error, got %v", err)
 	}
@@ -90,8 +97,8 @@ func TestTimeoutAbandonmentDoesNotLeakOrCorrupt(t *testing.T) {
 	// A healthy warm-started re-run over the same journal must replay
 	// exactly the journaled fast units, execute the rest, and publish
 	// consistent stats — the abandoned attempts corrupted nothing.
-	s2 := New(Options{Workers: 4, Timeout: time.Second, JournalDir: dir})
-	rs, err := s2.Execute(context.Background(), newExperiment(t, 2, nil))
+	s2 := New(withBudget(t, pool, reps, Options{Workers: 4, Timeout: time.Second, JournalDir: dir}))
+	rs, err := s2.Execute(context.Background(), newExperiment(t, reps, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,39 +106,13 @@ func TestTimeoutAbandonmentDoesNotLeakOrCorrupt(t *testing.T) {
 	if st.Replayed != journaled || st.Executed != st.Units-journaled {
 		t.Errorf("resume stats = %+v, want %d replayed of %d", st, journaled, st.Units)
 	}
-	cold, err := New(Options{Workers: 1}).Execute(context.Background(), newExperiment(t, 2, nil))
+	cold, err := New(Options{Workers: 1}).Execute(context.Background(), newExperiment(t, reps, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.CSV() != cold.CSV() {
 		t.Errorf("resumed ResultSet differs from cold run:\n%s\nvs\n%s", rs.CSV(), cold.CSV())
 	}
-}
-
-// TestAdaptiveTimeoutDoesNotLeak exercises the same contract on the
-// dynamic (controller-driven) pool, whose dispatcher must keep draining
-// in-flight outcomes after the first error.
-func TestAdaptiveTimeoutDoesNotLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	release := make(chan struct{})
-	blocking := func(a design.Assignment, rep int) (map[string]float64, error) {
-		if a["noise"] == "hi" {
-			<-release
-		}
-		return mixedVarianceRunner(a, rep)
-	}
-	ctrl, err := adaptive.New(adaptive.Options{Min: 2, Max: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mixedVariance(t, 8)
-	e.Run = blocking
-	s := New(Options{Workers: 4, Timeout: 25 * time.Millisecond, Controller: ctrl})
-	if _, err := s.Execute(context.Background(), e); err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("want timeout error, got %v", err)
-	}
-	close(release)
-	waitGoroutines(t, base)
 }
 
 // thirdBatchFails is a journal whose third AppendBatch fails.
@@ -154,9 +135,9 @@ func (s *thirdBatchFails) AppendBatch(recs []runstore.Record) error {
 // dropped unjournaled and uncounted; nothing leaks. Up to the failure
 // the runner holds each unit back until every earlier one has been
 // through AppendBatch, so batches are exactly one unit and the third
-// unit is the one that fails — on both pools.
+// unit is the one that fails — with and without a Controller.
 func TestAppendBatchFailureFailsTheRun(t *testing.T) {
-	for _, pool := range []string{"fixed", "dynamic"} {
+	for _, pool := range pools {
 		t.Run(pool, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			j, err := runstore.OpenDir(t.TempDir(), "sched wide")
@@ -173,15 +154,7 @@ func TestAppendBatchFailureFailsTheRun(t *testing.T) {
 				return wideRunner(a, rep)
 			}
 			reg := obs.NewRegistry()
-			opts := Options{Workers: 1, Store: store, Metrics: reg}
-			if pool == "dynamic" {
-				ctrl, err := adaptive.New(adaptive.Options{Min: 2, Max: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.Controller = ctrl
-			}
-			s := New(opts)
+			s := New(withBudget(t, pool, 2, Options{Workers: 1, Store: store, Metrics: reg}))
 			_, err = s.Execute(context.Background(), newWideExperiment(t, 8, 2, paced))
 			if !errors.Is(err, errDiskGone) {
 				t.Fatalf("Execute = %v, want the AppendBatch failure", err)

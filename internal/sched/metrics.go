@@ -42,7 +42,7 @@ func newSchedMetrics(r *obs.Registry) *schedMetrics {
 		adaptStop: r.Counter("sched_adaptive_stop_total",
 			"Controller decisions that stopped a cell."),
 		queueDepth: r.Gauge("sched_queue_depth",
-			"Work units queued but not yet dispatched to a worker."),
+			"Work units queued but not yet picked up by a worker."),
 		unitSeconds: r.Histogram("sched_unit_seconds",
 			"Per-unit wall-clock latency including retries.", nil),
 		commits: r.Counter("sched_commits_total",

@@ -25,8 +25,8 @@ type outcome struct {
 	finished time.Time // when the runner returned; zero when uninstrumented
 }
 
-// persistStage is the one place a finished unit becomes a stored record,
-// shared by the fixed and the dynamic pool. A unit is complete — its
+// persistStage is the one place a finished unit becomes a stored record.
+// A unit is complete — its
 // result visible, counted in Stats, observed by the controller — only
 // once the append covering it has returned; the stage calls complete
 // exactly once per persisted unit, with err set when that append failed.

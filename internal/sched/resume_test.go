@@ -123,3 +123,104 @@ func TestCrashResume(t *testing.T) {
 		t.Errorf("pass 3 stats = %+v, want pure replay", st)
 	}
 }
+
+// TestResumeOverHoleRunsExactlyTheMissingUnit: replay is decided unit by
+// unit, so over a store with a hole — replicates 0 and 2 of a cell
+// stored, 1 missing, as a crashed multi-worker run can leave it — a
+// resume runs exactly the missing replicate, whatever the budget.
+func TestResumeOverHoleRunsExactlyTheMissingUnit(t *testing.T) {
+	const cells, reps = 4, 3
+	coldDir := t.TempDir()
+	cold, err := New(Options{Workers: 1, JournalDir: coldDir}).Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := runstore.OpenDir(coldDir, "sched wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := runstore.Collect(full.Scan())
+	full.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) {
+			dir := t.TempDir()
+			holed, err := runstore.OpenDir(dir, "sched wide")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if rec.Row == 1 && rec.Replicate == 1 {
+					continue
+				}
+				if err := holed.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			holed.Close()
+
+			var mu sync.Mutex
+			var ran []string
+			counting := func(a design.Assignment, rep int) (map[string]float64, error) {
+				mu.Lock()
+				ran = append(ran, fmt.Sprintf("%s/%d", a["f"], rep))
+				mu.Unlock()
+				return wideRunner(a, rep)
+			}
+			s := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir}))
+			rs, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, counting))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ran) != 1 || ran[0] != "L01/1" {
+				t.Errorf("resume ran %v, want exactly the missing unit L01/1", ran)
+			}
+			if st := s.LastStats(); st.Executed != 1 || st.Replayed != cells*reps-1 || st.Units != cells*reps {
+				t.Errorf("resume stats = %+v, want 1 executed + %d replayed", st, cells*reps-1)
+			}
+			if rs.CSV() != cold.CSV() {
+				t.Errorf("resumed ResultSet differs from cold run:\n%s\nvs\n%s", rs.CSV(), cold.CSV())
+			}
+		})
+	}
+}
+
+// TestStoreBeyondBudgetIsNotReplayed: a row holds what the budget asked
+// for, not everything the store has — over a store written at 3
+// replicates, a run at 2 carries exactly 2 per row and is the artifact a
+// cold run at 2 produces.
+func TestStoreBeyondBudgetIsNotReplayed(t *testing.T) {
+	const cells, stored, reps = 4, 3, 2
+	dir := t.TempDir()
+	if _, err := New(Options{Workers: 2, JournalDir: dir}).Execute(context.Background(), newWideExperiment(t, cells, stored, nil)); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := harness.Sequential{}.Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) {
+			s := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir}))
+			rs, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, func(design.Assignment, int) (map[string]float64, error) {
+				return nil, errors.New("nothing should execute: the store holds more than the budget")
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rs.Rows {
+				if len(row.Reps) != reps {
+					t.Errorf("row %s carries %d replicate(s), want the budget's %d", row.Assignment, len(row.Reps), reps)
+				}
+			}
+			if st := s.LastStats(); st.Executed != 0 || st.Replayed != cells*reps || st.Units != cells*reps {
+				t.Errorf("stats = %+v, want %d replayed and nothing else", st, cells*reps)
+			}
+			if rs.CSV() != cold.CSV() || rs.Report() != cold.Report() {
+				t.Errorf("ResultSet differs from a cold run at %d replicates:\n%s\nvs\n%s", reps, rs.CSV(), cold.CSV())
+			}
+		})
+	}
+}

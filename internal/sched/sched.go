@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,14 +37,18 @@ type Options struct {
 	// side-effect free on cancellation; a runner that blocks forever
 	// leaks its goroutine until process exit.
 	Timeout time.Duration
-	// Controller, when set, switches the scheduler from the fixed
-	// rows x Replicates budget to controller-driven adaptive
-	// replication: work units are generated dynamically, one batch per
-	// cell at a time, until the controller's stopping rule is satisfied.
-	// See the Controller interface; internal/adaptive implements it.
+	// Controller, when set, decides cell by cell how much replication is
+	// enough: the pool asks it for each cell's next batch until its
+	// stopping rule is satisfied, shows it every landed replicate, and
+	// schedules the cells it flags first. Nil is the fixed budget — every
+	// cell gets Design.Replicates, asked for in one batch — run by the
+	// same pool under the same rules (see the package comment). See the
+	// Controller interface; internal/adaptive implements it.
 	Controller Controller
-	// Store, when set, persists every completed unit and warm-starts
-	// from units already present. Any runstore.Store backend works: the
+	// Store, when set, persists every completed unit and satisfies from
+	// records already present every unit the budget asks for — a unit
+	// runs only when the store holds no valid record of it, wherever in
+	// the cell the gap is. Any runstore.Store backend works: the
 	// single-file JSONL journal, the sharded directory store
 	// (internal/runstore/shardstore), or a future database backend. A
 	// store that is also a runstore.BatchAppender is committed to in
@@ -87,9 +92,7 @@ type Options struct {
 
 // Stats counts what one Execute call did.
 type Stats struct {
-	// Units is the number of completed units. With a fixed budget it is
-	// rows x replicates; under an adaptive Controller the work list is
-	// not enumerable up front, so Units is Executed + Replayed.
+	// Units is the number of completed units: Executed + Replayed.
 	Units    int
 	Executed int // units run live
 	Replayed int // units restored from the journal without execution
@@ -99,6 +102,48 @@ type Stats struct {
 	// rows x Design.Replicates. Equal to Units on fixed-budget runs; the
 	// budget report compares Units against it on adaptive ones.
 	FixedBudget int
+}
+
+// Controller decides, per design cell, how much replication is enough —
+// the sequential-analysis hook. The scheduler owns the mechanics (workers,
+// retries, replay, persistence, result assembly); the controller owns the
+// policy (stopping rule, budget envelope, priorities). Without one the
+// policy is the fixed budget: every cell gets Design.Replicates, asked
+// for in one batch. internal/adaptive provides the CI-targeted
+// implementation.
+//
+// Cells are identified by the opaque key runstore.CellKey(experiment,
+// hash), so one controller can serve several experiments without state
+// bleeding across them.
+//
+// Determinism contract: the scheduler only calls Target at batch
+// boundaries — when every replicate it has asked of the cell has been
+// observed — and replicates of one cell always form the contiguous
+// prefix 0..n-1. A controller whose decisions depend only on the
+// observed values of the cell under decision therefore yields the same
+// replicate count per cell regardless of worker count, completion order,
+// or how many of the replicates were replayed from a store. Every call
+// of one Execute comes from one goroutine, but implementations must be
+// safe for concurrent use: a controller may be shared by schedulers
+// running in parallel.
+type Controller interface {
+	// Observe ingests one completed replicate of a cell — live or
+	// replayed from the store — restricted to the experiment's declared
+	// responses.
+	Observe(cell string, replicate int, responses map[string]float64)
+	// Target returns the total number of replicates the cell should
+	// reach, given that observed have completed. A value <= observed
+	// stops the cell; a larger value asks for the difference as the next
+	// batch. The first call (observed is 0) must return at least 1 —
+	// every cell needs one measurement to say anything at all.
+	Target(cell string, observed int) int
+	// Priority reports whether the cell should be scheduled ahead of
+	// non-priority cells (e.g. a cell the regression gate flagged).
+	Priority(cell string) bool
+	// Explain renders a short human-readable account of the cell's
+	// state — achieved precision, applied target, stop reason — for
+	// budget reports.
+	Explain(cell string) string
 }
 
 // Scheduler executes experiments concurrently. It is safe for use from
@@ -133,10 +178,9 @@ func (s *Scheduler) LastStats() Stats {
 	return s.last
 }
 
-// CellStats implements harness.BudgetReporter: per-cell replicate spend
-// of the most recent Execute. It is nil unless that run was driven by an
-// adaptive Controller — a fixed-budget run spends uniformly, so there is
-// no per-cell budget story to tell.
+// CellStats is the per-cell replicate spend of the most recent Execute.
+// It is nil unless that run was driven by a Controller — a fixed-budget
+// run spends uniformly, so there is no per-cell budget story to tell.
 func (s *Scheduler) CellStats() []harness.CellStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -162,19 +206,42 @@ type unit struct {
 	hash     string
 }
 
+// cellState tracks one design cell through an execution.
+type cellState struct {
+	unit                           // row, a, hash of the cell (rep field unused)
+	key       string               // the Controller's name for the cell; empty without one
+	owned     bool                 // false: another shard's cell, replayed but never scheduled
+	reps      []map[string]float64 // indexed by replicate, grown batch by batch
+	scheduled int                  // replicates the budget has asked for
+	completed int                  // of those, landed: replayed, or run and appended
+	replayed  int                  // store restores among completed
+}
+
+// execution is the state of one Execute call. Only the goroutine that
+// called Execute touches it — it is the pool's dispatcher, and every
+// budget decision, replay and result slot goes through it — so none of
+// it is locked.
+type execution struct {
+	s     *Scheduler
+	e     *harness.Experiment
+	store runstore.Store // nil: nothing to replay, nothing to persist
+	// ctrl is Options.Controller. Nil is the fixed budget — the
+	// degenerate policy "Design.Replicates, asked once, no priority,
+	// nothing to observe" — and is checked for rather than stood in for by
+	// a do-nothing Controller, so a fixed run pays nothing per unit for
+	// policy it does not have.
+	ctrl  Controller
+	cells []cellState
+	stats Stats
+}
+
 // Execute implements harness.Executor: it validates the experiment,
-// replays journaled units, schedules the rest onto the worker pool, and
-// assembles the ResultSet in design order — byte-identical to what the
-// sequential executor produces for the same runner outputs, regardless
-// of completion order.
-//
-// Cancellation: once ctx is done the scheduler stops feeding work,
-// lets in-flight units finish, lands every finished unit in the store (a
-// canceled run's journal is always valid and warm-startable), waits for
-// every worker and the committer to exit, and returns the context error.
-// Units already dispatched are never torn mid-append; units never
-// dispatched are simply absent from the journal, exactly what a resume
-// re-executes.
+// replays stored units, runs the rest on the worker pool, and assembles
+// the ResultSet in design order — byte-identical to what the sequential
+// executor produces for the same runner outputs, regardless of
+// completion order. The package comment states the rules (replay, shards,
+// stats, cancellation, join) every run follows, with or without a
+// Controller.
 func (s *Scheduler) Execute(ctx context.Context, e *harness.Experiment) (*harness.ResultSet, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -209,181 +276,272 @@ func (s *Scheduler) Execute(ctx context.Context, e *harness.Experiment) (*harnes
 		defer store.Close()
 	}
 
-	if s.opts.Controller != nil {
-		return s.executeDynamic(ctx, e, store, s.opts.Controller)
-	}
-
 	rows := e.Design.NumRuns()
-	reps := e.Design.Replicates
-	results := make([][]map[string]float64, rows)
-	assignments := make([]design.Assignment, rows)
-	owned := make([]bool, rows)
-	var pending []unit
-	var stats Stats
-	stats.FixedBudget = rows * reps
-	for r := 0; r < rows; r++ {
+	x := &execution{s: s, e: e, store: store, ctrl: s.opts.Controller, cells: make([]cellState, rows)}
+	x.stats.FixedBudget = rows * e.Design.Replicates
+	var queue []unit
+	for r := range x.cells {
 		a, err := e.Design.Assignment(r)
 		if err != nil {
 			return nil, err
 		}
-		assignments[r] = a
-		hash := runstore.AssignmentHash(a)
-		owned[r] = !sharded || runstore.ShardIndex(hash, s.opts.Shards) == s.opts.Shard
-		results[r] = make([]map[string]float64, reps)
-		for rep := 0; rep < reps; rep++ {
-			if store != nil {
-				if rec, ok := store.Lookup(e.Name, hash, rep); ok {
-					// Replay only if the journaled record satisfies the
-					// experiment's current response contract; otherwise
-					// fall through and re-execute (e.g. a new response
-					// was added since the journal was written).
-					if harness.CheckResponses(e, rec.Responses) == nil {
-						results[r][rep] = rec.Responses
-						stats.Replayed++
-						continue
-					}
-				}
-			}
-			if !owned[r] {
-				stats.Skipped++
-				continue
-			}
-			pending = append(pending, unit{row: r, rep: rep, a: a, hash: hash})
+		c := &x.cells[r]
+		c.unit = unit{row: r, a: a, hash: runstore.AssignmentHash(a)}
+		c.owned = !sharded || runstore.ShardIndex(c.hash, s.opts.Shards) == s.opts.Shard
+		if x.ctrl != nil {
+			c.key = runstore.CellKey(e.Name, c.hash)
 		}
+		queue = x.grow(c, queue)
 	}
-	stats.Units = rows*reps - stats.Skipped
-	if m := s.met; m != nil {
-		m.replayed.Add(int64(stats.Replayed))
-		m.skipped.Add(int64(stats.Skipped))
+	if x.ctrl != nil {
+		// Priority cells ahead of the rest, both groups in row order — asked
+		// once every cell has had its first Target call, which is where a
+		// controller notices that a warm-started cell already shifted
+		// against its baseline and flags it.
+		rank := make([]int, rows)
+		for r := range x.cells {
+			if !x.ctrl.Priority(x.cells[r].key) {
+				rank[r] = 1
+			}
+		}
+		slices.SortStableFunc(queue, func(a, b unit) int { return rank[a.row] - rank[b.row] })
 	}
-
-	if err := s.runPool(ctx, e, store, pending, results, &stats); err != nil {
+	if err := x.dispatch(ctx, queue); err != nil {
 		return nil, err
 	}
 
-	rs := &harness.ResultSet{Experiment: e}
-	for r := 0; r < rows; r++ {
-		rowReps := results[r]
-		if !owned[r] {
-			// An unowned row carries only what the store already held:
-			// its contiguous replicate prefix. Trim the unexecuted tail
-			// so the ResultSet never holds nil replicates.
-			n := 0
-			for n < len(rowReps) && rowReps[n] != nil {
-				n++
-			}
-			rowReps = rowReps[:n]
+	rs := &harness.ResultSet{Experiment: e, Rows: make([]harness.ResultRow, 0, rows)}
+	var cellStats []harness.CellStats
+	for r := range x.cells {
+		c := &x.cells[r]
+		// A row is the contiguous prefix the cell holds: all of it for a
+		// cell this process ran, what the store had for another shard's.
+		n := 0
+		for n < len(c.reps) && c.reps[n] != nil {
+			n++
 		}
-		rs.Rows = append(rs.Rows, harness.ResultRow{Assignment: assignments[r], Reps: rowReps})
+		rs.Rows = append(rs.Rows, harness.ResultRow{Assignment: c.a, Reps: c.reps[:n]})
+		if x.ctrl != nil {
+			cellStats = append(cellStats, harness.CellStats{
+				Row:        c.row,
+				Assignment: c.a,
+				Executed:   c.completed - c.replayed,
+				Replayed:   c.replayed,
+				Note:       x.ctrl.Explain(c.key),
+			})
+		}
 	}
+	x.stats.Units = x.stats.Executed + x.stats.Replayed
 	s.mu.Lock()
-	s.last = stats
-	s.lastCells = nil
+	s.last = x.stats
+	s.lastCells = cellStats
 	s.mu.Unlock()
 	return rs, nil
 }
 
-// runPool drives the pending units through the worker pool and the
-// persist stage. Every unit owns a distinct (row, rep) slot of results,
-// filled once its append has returned, so no lock is needed on the
-// result matrix; stats counters are mutex-guarded. A done context stops
-// the feed; workers finish their in-flight unit and exit, the persist
-// stage lands everything they queued, and the context error is returned.
-func (s *Scheduler) runPool(ctx context.Context, e *harness.Experiment, store runstore.Store, pending []unit, results [][]map[string]float64, stats *Stats) error {
-	if len(pending) == 0 {
+// grow asks the budget how far the cell should go and appends to queue
+// the units of its next batch that have to run — none when the cell is
+// finished. A replicate the store holds a valid record for is landed
+// here instead of scheduled, so one call may pass several batch
+// boundaries; a replicate of another shard's cell is counted skipped.
+func (x *execution) grow(c *cellState, queue []unit) []unit {
+	m := x.s.met
+	for {
+		target := x.e.Design.Replicates
+		if x.ctrl != nil {
+			// At least 1: a cell with no measurement can claim nothing.
+			target = max(1, x.ctrl.Target(c.key, c.completed))
+			if m != nil {
+				if target > c.completed {
+					m.adaptGrow.Inc()
+				} else {
+					m.adaptStop.Inc()
+				}
+			}
+		}
+		if target <= c.completed {
+			return queue
+		}
+		c.reps = slices.Grow(c.reps, target-c.scheduled)
+		for rep := c.scheduled; rep < target; rep++ {
+			resp := x.stored(c, rep)
+			c.reps = append(c.reps, resp)
+			switch {
+			case resp != nil:
+				x.stats.Replayed++
+				c.replayed++
+				x.landed(c, rep, resp)
+				if m != nil {
+					m.replayed.Inc()
+				}
+			case c.owned:
+				queue = append(queue, unit{row: c.row, rep: rep, a: c.a, hash: c.hash})
+			default:
+				x.stats.Skipped++
+				if m != nil {
+					m.skipped.Inc()
+				}
+			}
+		}
+		c.scheduled = target
+		if c.completed < c.scheduled {
+			return queue
+		}
+	}
+}
+
+// stored returns the responses the store holds for one replicate, or nil
+// when it holds none that satisfy the experiment's current response
+// contract — a record written before a response was added re-executes.
+func (x *execution) stored(c *cellState, rep int) map[string]float64 {
+	if x.store == nil {
 		return nil
 	}
-	workers := s.opts.Workers
+	rec, ok := x.store.Lookup(x.e.Name, c.hash, rep)
+	if !ok || harness.CheckResponses(x.e, rec.Responses) != nil {
+		return nil
+	}
+	return rec.Responses
+}
+
+// landed counts one replicate of the cell complete — replayed, or run
+// and appended — and shows it to the controller, restricted to the
+// declared responses so no decision can hinge on a debug output a runner
+// happens to emit.
+func (x *execution) landed(c *cellState, rep int, resp map[string]float64) {
+	c.completed++
+	if x.ctrl == nil {
+		return
+	}
+	declared := make(map[string]float64, len(x.e.Responses))
+	for _, name := range x.e.Responses {
+		declared[name] = resp[name]
+	}
+	x.ctrl.Observe(c.key, rep, declared)
+}
+
+// dispatch drives the queue through the worker pool and the persist
+// stage. This goroutine is the dispatcher: it owns the queue, the cells
+// and every budget call; workers only run units and hand them to the
+// persist stage, and the stage sends each one back here once its append
+// has returned. A done context or a failed unit stops the run at the
+// next dispatch boundary: the queue is dropped, units no worker has
+// started are taken back, units in flight drain (stored as they
+// complete), and the error is returned — the store stays valid and
+// warm-startable, holding exactly the completed units.
+func (x *execution) dispatch(ctx context.Context, queue []unit) error {
+	if len(queue) == 0 {
+		return nil
+	}
+	// Not clamped to the queue: it grows as the budget extends cells, and
+	// surplus workers only idle on the channel.
+	workers := x.s.opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
 
-	jobs := make(chan unit)
-	quit := make(chan struct{})
-	var once sync.Once
-	var firstErr error
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			close(quit)
-		})
-	}
-	var statsMu sync.Mutex
-	persist := s.newPersistStage(e.Name, store, func(o outcome) {
-		if o.err != nil {
-			fail(o.err)
-			return
-		}
-		results[o.u.row][o.u.rep] = o.resp
-		if m := s.met; m != nil {
-			m.executed.Inc()
-		}
-		statsMu.Lock()
-		stats.Executed++
-		statsMu.Unlock()
-	})
-	var wg sync.WaitGroup
+	// Both channels are buffered so that a worker hands back one unit and
+	// takes the next without waiting for the dispatcher to get a processor
+	// — unbuffered, microsecond units ran on one core, +49 % on
+	// BenchmarkSchedUninstrumented. jobs holds two units per worker
+	// because the dispatcher queues behind the workers themselves (one
+	// per worker still measured +26 %, more than two nothing further).
+	//
+	// Every dispatched unit comes back on done exactly once — from its
+	// worker if the runner failed, from the persist stage otherwise — so
+	// when the loop below has counted them all back no worker can still
+	// be persisting and the stage may close.
+	jobs := make(chan unit, 2*workers)
+	done := make(chan outcome, workers)
+	persist := x.s.newPersistStage(x.e.Name, x.store, func(o outcome) { done <- o })
+	defer persist.close()
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			for u := range jobs {
-				select {
-				case <-quit:
-					return
-				case <-ctx.Done():
-					return
-				default:
+				if o := x.s.runUnit(ctx, x.e, u); o.err != nil {
+					done <- o
+				} else {
+					persist.persist(o)
 				}
-				o := s.runUnit(ctx, e, u)
-				statsMu.Lock()
-				stats.Retried += o.retried
-				statsMu.Unlock()
-				if o.err != nil {
-					if ctx.Err() != nil {
-						return // cancellation, not a unit failure
-					}
-					fail(o.err)
-					return
-				}
-				persist.persist(o)
 			}
 		}()
 	}
-	if m := s.met; m != nil {
-		m.queueDepth.Add(int64(len(pending)))
+	defer close(jobs)
+
+	m := x.s.met
+	if m != nil {
+		defer m.queueDepth.Set(0)
 	}
-	fed := 0
-feed:
-	for _, u := range pending {
-		select {
-		case jobs <- u:
-			fed++
-			if m := s.met; m != nil {
-				m.queueDepth.Add(-1)
+	var failed error
+	inflight := 0 // dispatched and not yet back
+	ctxDone := ctx.Done()
+	for {
+		if failed != nil || ctx.Err() != nil {
+			// Halt: generate no more work, take back what no worker has
+			// started, and drain the rest — with ctxDone disarmed, so the
+			// drain blocks on completions instead of spinning on a closed
+			// channel.
+			queue, ctxDone = nil, nil
+			for recalled := true; recalled; {
+				select {
+				case <-jobs:
+					inflight--
+				default:
+					recalled = false
+				}
 			}
-		case <-quit:
-			break feed
-		case <-ctx.Done():
-			break feed
+		}
+		if inflight == 0 && len(queue) == 0 {
+			break
+		}
+		if m != nil {
+			m.queueDepth.Set(int64(len(queue) + len(jobs)))
+		}
+		var feed chan unit
+		var next unit
+		if len(queue) > 0 {
+			feed, next = jobs, queue[0]
+		}
+		select {
+		case <-ctxDone:
+		case feed <- next:
+			queue = queue[1:]
+			inflight++
+		case out := <-done:
+			inflight--
+			x.stats.Retried += out.retried
+			if out.err != nil {
+				// An attempt abandoned by cancellation is not a unit
+				// failure; the interruption is what gets reported.
+				if failed == nil && ctx.Err() == nil {
+					failed = out.err
+				}
+				continue
+			}
+			c := &x.cells[out.u.row]
+			c.reps[out.u.rep] = out.resp
+			x.stats.Executed++
+			if m != nil {
+				m.executed.Inc()
+			}
+			x.landed(c, out.u.rep, out.resp)
+			if c.completed < c.scheduled {
+				continue
+			}
+			// Batch boundary: every replicate asked of the cell has
+			// landed — ask the budget for the next batch.
+			if grown := x.grow(c, nil); x.ctrl != nil && x.ctrl.Priority(c.key) {
+				queue = append(grown, queue...)
+			} else {
+				queue = append(queue, grown...)
+			}
 		}
 	}
-	if m := s.met; m != nil {
-		// An aborted feed leaves undispatched units; zero them out so the
-		// gauge never reports a queue that no longer exists.
-		m.queueDepth.Add(-int64(len(pending) - fed))
-	}
-	close(jobs)
-	wg.Wait()
-	persist.close()
-	if firstErr != nil {
-		return firstErr
+	if failed != nil {
+		return failed
 	}
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sched: %s interrupted: %w (journal holds every completed unit; re-run to resume)", e.Name, err)
+		return fmt.Errorf("sched: %s interrupted: %w (journal holds every completed unit; re-run to resume)", x.e.Name, err)
 	}
 	return nil
 }

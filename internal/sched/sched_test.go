@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,7 +99,16 @@ func TestSchedulerBoundsParallelism(t *testing.T) {
 	}
 }
 
+// TestSchedulerRetries: a retry budget absorbs transient failures — one
+// per unit, or a single one — and counts them; an exhausted budget
+// aborts the run with the last error.
 func TestSchedulerRetries(t *testing.T) {
+	for _, pool := range pools {
+		t.Run(pool, func(t *testing.T) { testSchedulerRetries(t, pool) })
+	}
+}
+
+func testSchedulerRetries(t *testing.T, pool string) {
 	var mu sync.Mutex
 	failed := map[string]bool{}
 	flaky := func(a design.Assignment, rep int) (map[string]float64, error) {
@@ -112,7 +122,7 @@ func TestSchedulerRetries(t *testing.T) {
 		}
 		return deterministicRunner(a, rep)
 	}
-	s := New(Options{Workers: 2, Retries: 1})
+	s := New(withBudget(t, pool, 2, Options{Workers: 2, Retries: 1}))
 	rs, err := s.Execute(context.Background(), newExperiment(t, 2, flaky))
 	if err != nil {
 		t.Fatalf("retries should absorb one failure per unit: %v", err)
@@ -124,11 +134,27 @@ func TestSchedulerRetries(t *testing.T) {
 		t.Errorf("Retried = %d, want 8 (one per unit)", st.Retried)
 	}
 
+	// A single failure costs a single retry.
+	var failedOnce atomic.Bool
+	once := func(a design.Assignment, rep int) (map[string]float64, error) {
+		if a["memory"] == "16MB" && rep == 0 && !failedOnce.Swap(true) {
+			return nil, os.ErrDeadlineExceeded
+		}
+		return deterministicRunner(a, rep)
+	}
+	s = New(withBudget(t, pool, 2, Options{Workers: 2, Retries: 1}))
+	if _, err := s.Execute(context.Background(), newExperiment(t, 2, once)); err != nil {
+		t.Fatalf("one retry should absorb the single failure: %v", err)
+	}
+	if st := s.LastStats(); st.Retried != 1 {
+		t.Errorf("Retried = %d, want 1", st.Retried)
+	}
+
 	// Exhausted retries surface the last error.
 	always := func(design.Assignment, int) (map[string]float64, error) {
 		return nil, errors.New("permanent failure")
 	}
-	if _, err := New(Options{Workers: 2, Retries: 2}).Execute(context.Background(), newExperiment(t, 1, always)); err == nil {
+	if _, err := New(withBudget(t, pool, 1, Options{Workers: 2, Retries: 2})).Execute(context.Background(), newExperiment(t, 1, always)); err == nil {
 		t.Error("permanent failure should abort the run")
 	} else if !strings.Contains(err.Error(), "attempts") {
 		t.Errorf("error should mention attempts: %v", err)

@@ -15,30 +15,30 @@ func TestPublicAPI(t *testing.T) {
 	if len(exps) != 17 {
 		t.Fatalf("experiments = %d", len(exps))
 	}
-	r, err := RunExperiment(context.Background(), "t4")
+	out, err := Run(context.Background(), "t4", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.Text, "40") {
+	if !strings.Contains(out.Result.Text, "40") {
 		t.Error("t4 text missing mean")
 	}
-	if _, err := RunExperiment(context.Background(), "zzz"); err == nil {
+	if _, err := Run(context.Background(), "zzz", RunConfig{}); err == nil {
 		t.Error("unknown id should error")
 	}
 }
 
-func TestRunAllExperimentsMatchesRegistry(t *testing.T) {
-	results, err := RunAllExperiments(context.Background())
+func TestRunAllMatchesRegistry(t *testing.T) {
+	outs, err := RunAll(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := paperexp.Registry()
-	if len(results) != len(reg) {
-		t.Fatalf("results = %d, registry = %d", len(results), len(reg))
+	if len(outs) != len(reg) {
+		t.Fatalf("results = %d, registry = %d", len(outs), len(reg))
 	}
-	for i, r := range results {
-		if r.ID != reg[i].ID {
-			t.Errorf("result %d id = %s, want %s", i, r.ID, reg[i].ID)
+	for i, o := range outs {
+		if o.Result.ID != reg[i].ID {
+			t.Errorf("result %d id = %s, want %s", i, o.Result.ID, reg[i].ID)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestRunConfigScheduledJournaledRun(t *testing.T) {
 	if st.Info().Torn {
 		t.Error("fresh journal reports torn")
 	}
-	recs, err := st.Records()
+	recs, err := Collect(st.Scan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := a.Records()
+	ar, err := Collect(a.Scan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := j.Records()
+	jr, err := Collect(j.Scan())
 	if err != nil {
 		t.Fatal(err)
 	}
