@@ -70,15 +70,18 @@ docs-check:
 	$(GO) run ./tools/docscheck
 
 # Short native-fuzz smoke over the store parsers: arbitrary byte
-# streams must never panic Open, and complete records must round-trip.
-# `go test -fuzz` takes one target per invocation, so the JSONL and
-# binary fuzzers run back to back. CI runs this on every push; crank
-# FUZZTIME locally for a deeper soak.
+# streams must never panic Open, complete records must round-trip, and
+# the hand-written JSON record codec must agree with encoding/json on
+# every input (FuzzJSONCodec — the differential that lets it stand in
+# for json.Marshal/Unmarshal on the record path). `go test -fuzz` takes
+# one target per invocation, so the fuzzers run back to back. CI runs
+# this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -fuzz=FuzzJournalParse -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzBinaryDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
+	$(GO) test -fuzz=FuzzJSONCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 
 .PHONY: cover

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -154,8 +153,8 @@ func parseKeyFields(b []byte) (exp, hash string, rep int, rest []byte, err error
 }
 
 // encodeRecordPayload builds a record block payload: key fields followed
-// by the record's JSON encoding (the same encoding a journal line uses,
-// so the two formats round-trip losslessly). Key fields carry u16 length
+// by the record's canonical JSON document (runstore.AppendJSON, the
+// payload of a journal line, so the two formats round-trip losslessly). Key fields carry u16 length
 // prefixes, so over-long names are rejected here rather than silently
 // wrapped into a corrupt encoding.
 func encodeRecordPayload(rec runstore.Record) ([]byte, error) {
@@ -165,12 +164,11 @@ func encodeRecordPayload(rec runstore.Record) ([]byte, error) {
 	if len(rec.Hash) > math.MaxUint16 {
 		return nil, fmt.Errorf("archivestore: assignment hash is %d bytes, max %d", len(rec.Hash), math.MaxUint16)
 	}
-	doc, err := json.Marshal(rec)
+	payload, err := runstore.AppendJSON(appendKeyFields(nil, rec.Experiment, rec.Hash, rec.Replicate), rec)
 	if err != nil {
 		return nil, fmt.Errorf("archivestore: %w", err)
 	}
-	payload := appendKeyFields(nil, rec.Experiment, rec.Hash, rec.Replicate)
-	return append(payload, doc...), nil
+	return payload, nil
 }
 
 // decodeRecordPayload parses a record block payload back into a Record.
@@ -179,8 +177,8 @@ func decodeRecordPayload(payload []byte) (runstore.Record, error) {
 	if err != nil {
 		return runstore.Record{}, err
 	}
-	var rec runstore.Record
-	if err := json.Unmarshal(doc, &rec); err != nil {
+	rec, err := runstore.DecodeJSON(doc)
+	if err != nil {
 		return runstore.Record{}, fmt.Errorf("archivestore: corrupt record payload: %w", err)
 	}
 	return rec, nil
@@ -239,7 +237,7 @@ func encodeRecordPayloadZ(rec runstore.Record) ([]byte, error) {
 	if len(rec.Hash) > math.MaxUint16 {
 		return nil, fmt.Errorf("archivestore: assignment hash is %d bytes, max %d", len(rec.Hash), math.MaxUint16)
 	}
-	doc, err := json.Marshal(rec)
+	doc, err := runstore.AppendJSON(nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("archivestore: %w", err)
 	}
@@ -293,8 +291,8 @@ func decodeRecordPayloadZ(payload []byte) (runstore.Record, error) {
 	if err != nil {
 		return runstore.Record{}, fmt.Errorf("archivestore: corrupt compressed record payload: %w", err)
 	}
-	var rec runstore.Record
-	if err := json.Unmarshal(doc, &rec); err != nil {
+	rec, err := runstore.DecodeJSON(doc)
+	if err != nil {
 		return runstore.Record{}, fmt.Errorf("archivestore: corrupt record payload: %w", err)
 	}
 	return rec, nil

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 )
 
 // The binary record encoding is the hardware-speed counterpart of the
@@ -47,15 +45,6 @@ const (
 	binMapPresent = 1
 )
 
-// binSortPool recycles the key-sorting scratch slices the encoder uses
-// to emit maps deterministically.
-var binSortPool = sync.Pool{
-	New: func() any {
-		s := make([]string, 0, 16)
-		return &s
-	},
-}
-
 // appendBinaryRecord appends rec's binary payload encoding to dst and
 // returns the extended buffer. Map keys are emitted in sorted order, so
 // the encoding is deterministic: two equal records encode to equal
@@ -66,23 +55,15 @@ func appendBinaryRecord(dst []byte, rec Record) []byte {
 	dst = binary.AppendVarint(dst, int64(rec.Replicate))
 	dst = binary.AppendVarint(dst, int64(rec.Row))
 
-	keys := binSortPool.Get().(*[]string)
-	defer func() {
-		*keys = (*keys)[:0]
-		binSortPool.Put(keys)
-	}()
+	var stack [8]string // key-sorting scratch: an ordinary record's maps fit
 
 	if rec.Assignment == nil {
 		dst = append(dst, binMapNil)
 	} else {
 		dst = append(dst, binMapPresent)
-		*keys = (*keys)[:0]
-		for k := range rec.Assignment {
-			*keys = append(*keys, k)
-		}
-		sort.Strings(*keys)
-		dst = binary.AppendUvarint(dst, uint64(len(*keys)))
-		for _, k := range *keys {
+		keys := sortedKeys(stack[:0], rec.Assignment)
+		dst = binary.AppendUvarint(dst, uint64(len(keys)))
+		for _, k := range keys {
 			dst = appendBinaryString(dst, k)
 			dst = appendBinaryString(dst, rec.Assignment[k])
 		}
@@ -92,14 +73,10 @@ func appendBinaryRecord(dst []byte, rec Record) []byte {
 		dst = append(dst, binMapNil)
 	} else {
 		dst = append(dst, binMapPresent)
-		*keys = (*keys)[:0]
-		for k := range rec.Responses {
-			*keys = append(*keys, k)
-		}
-		sort.Strings(*keys)
-		dst = binary.AppendUvarint(dst, uint64(len(*keys)))
+		keys := sortedKeys(stack[:0], rec.Responses)
+		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		var bits [8]byte
-		for _, k := range *keys {
+		for _, k := range keys {
 			dst = appendBinaryString(dst, k)
 			binary.LittleEndian.PutUint64(bits[:], math.Float64bits(rec.Responses[k]))
 			dst = append(dst, bits[:]...)

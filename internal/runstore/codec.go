@@ -3,7 +3,6 @@ package runstore
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
@@ -36,21 +35,12 @@ type codec struct {
 }
 
 var jsonCodec = &codec{
-	name:    "journal",
-	ext:     ".jsonl",
-	what:    "journal line",
-	framing: framelog.Lines,
-	appendRecord: func(dst []byte, rec Record) ([]byte, error) {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return dst, fmt.Errorf("runstore: %w", err)
-		}
-		return append(dst, line...), nil
-	},
-	decode: func(payload []byte) (rec Record, err error) {
-		err = json.Unmarshal(payload, &rec)
-		return rec, err
-	},
+	name:         "journal",
+	ext:          ".jsonl",
+	what:         "journal line",
+	framing:      framelog.Lines,
+	appendRecord: AppendJSON,
+	decode:       DecodeJSON,
 }
 
 var binaryCodec = &codec{

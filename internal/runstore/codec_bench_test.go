@@ -133,6 +133,16 @@ func BenchmarkScanJSON(b *testing.B) {
 	benchScan(b, path, func(p string) (scanCloser, error) { return Open(p) })
 }
 
+// BenchmarkScanJSONEscaped is BenchmarkScanJSON over a journal whose
+// every line needs the fallback decoder — a non-ASCII experiment name
+// and an escaped pad value — so it shows what leaving the canonical
+// form costs: encoding/json's price, as before the hand-written codec.
+func BenchmarkScanJSONEscaped(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "scan.jsonl")
+	writeBulkJournal(b, path, "bench-scan-µs", 50_000, 2, strings.Repeat("<>", 32))
+	benchScan(b, path, func(p string) (scanCloser, error) { return Open(p) })
+}
+
 func BenchmarkScanBinary(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "scan.binj")
 	writeBulkBinary(b, path, "bench-scan", 50_000, 2, strings.Repeat("x", 64))

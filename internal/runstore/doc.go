@@ -17,7 +17,10 @@
 // itself. The file is an internal/framelog log — which owns open, scan,
 // torn-tail recovery and the durable, fail-stop append — and a Journal
 // adds only its codec (JSON object per line, or checksummed binary
-// frame) and the in-memory last-wins index. A record identifies the
+// frame) and the in-memory last-wins index. Both record codecs live
+// here: json.go writes and parses a record's canonical JSON document
+// (AppendJSON, DecodeJSON — also the archive's block payload and the
+// NDJSON wire), binary.go the binary payload. A record identifies the
 // experiment by name, the design row by a stable hash of its factor-level
 // assignment (so journals survive design-row reordering), and the
 // replicate index. The normative file-format specification — record

@@ -1,6 +1,8 @@
 package runstore
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -158,5 +160,44 @@ func FuzzBinaryDecode(f *testing.F) {
 		if _, ok := j2.Lookup(extra.Experiment, AssignmentHash(extra.Assignment), 0); !ok {
 			t.Fatal("appended record lost after reopen")
 		}
+	})
+}
+
+// FuzzJSONCodec holds the hand-written JSON record codec to its
+// specification, encoding/json, on arbitrary input:
+//
+//  1. DecodeJSON and json.Unmarshal (into a zero Record) both fail, with
+//     one message, or return deeply equal records — nil and empty maps
+//     told apart.
+//  2. For every record that decodes, AppendJSON's bytes are
+//     json.Marshal's.
+//  3. The same holds for a record cut from the raw input itself —
+//     invalid UTF-8, control characters and non-finite responses
+//     included, which no decoded record can carry.
+func FuzzJSONCodec(f *testing.F) {
+	valid := `{"experiment":"e","row":0,"replicate":0,"hash":"00000000000000aa","assignment":{"f":"x"},"responses":{"ms":1.5}}`
+	f.Add([]byte(valid))
+	f.Add([]byte(`{"experiment":"e","row":12,"replicate":3,"hash":"h","assignment":null,"responses":{}}`))
+	f.Add([]byte(`{"experiment":"a\u003cb","row":-1,"replicate":0,"hash":"","assignment":{"k":"v","k":"w"},"responses":{"a":-0,"b":1e21,"c":1e-7,"d":5e-324}}`))
+	f.Add([]byte(`{"experiment":"é","row":9007199254740993,"replicate":0,"hash":"h","assignment":{"\u2028":"\n"},"responses":{"v":1.7976931348623157e+308}}`))
+	f.Add([]byte(`{"replicate":2,"experiment":"e","unknown":[1,{"x":null}]}`))
+	f.Add([]byte(valid + " "))
+	f.Add([]byte(valid + "}"))
+	f.Add([]byte(valid[:len(valid)-9] + `1e999}}`))
+	f.Add([]byte("{\"experiment\":\"\xff\x00<>&\"}"))
+	f.Add([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 'n', 'a', 'n'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if rec, ok := checkDecodeAgainstStdlib(t, data); ok {
+			checkEncodeAgainstStdlib(t, rec)
+		}
+		var bits [8]byte
+		copy(bits[:], data)
+		half := string(data[:len(data)/2])
+		rest := string(data[len(data)/2:])
+		checkEncodeAgainstStdlib(t, Record{
+			Experiment: rest, Row: len(data), Replicate: -len(half), Hash: half,
+			Assignment: map[string]string{half: rest, rest: half},
+			Responses:  map[string]float64{half: math.Float64frombits(binary.BigEndian.Uint64(bits[:])), rest: 1},
+		})
 	})
 }

@@ -2,11 +2,10 @@ package runstore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"iter"
 	"math"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,19 +48,51 @@ func CellKey(experiment, hash string) string {
 // with the same assignment hash identically regardless of row order, so
 // journals stay valid when a design is extended or reordered.
 func AssignmentHash(a map[string]string) string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
+	h := fnvAssignment(fnvOffset64, a)
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
 	}
-	sort.Strings(keys)
-	h := fnv.New64a()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-		h.Write([]byte(a[k]))
-		h.Write([]byte{0})
+	return string(hex[:])
+}
+
+// FNV-1a, 64 bit, written out: AssignmentHash and Fingerprint run once
+// per record in every index pass and every append, and hash/fnv's
+// Hash64 costs an allocation and a []byte conversion per Write.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// fnvString folds s and a terminating zero byte into h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h * fnvPrime64 // (h ^ 0) * prime
+}
+
+// sortedKeys appends m's keys to buf and sorts them in byte order — the
+// order every deterministic walk of a record's maps uses (both codecs,
+// both hashes). Callers pass a small array on their stack, so a record
+// of ordinary width sorts without touching the heap.
+func sortedKeys[V any](buf []string, m map[string]V) []string {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// fnvAssignment folds an assignment into h as its sorted key\0value\0
+// pairs — the byte sequence AssignmentHash and Fingerprint share.
+func fnvAssignment(h uint64, a map[string]string) uint64 {
+	var stack [8]string
+	for _, k := range sortedKeys(stack[:0], a) {
+		h = fnvString(fnvString(h, k), a[k])
+	}
+	return h
 }
 
 // Journal is an append-only run store with an in-memory last-wins

@@ -156,6 +156,56 @@ func BenchmarkCompactStreaming(b *testing.B) {
 	}
 }
 
+// BenchmarkCollect is the end-to-end benchmark's fleet-collect operation
+// at that workload's size and record shape (bench/: one factor, two
+// responses): Merge two 1 500-record shard journals into the canonical
+// journal, then Compact it in place. Every record is decoded four times
+// and encoded twice on the way, so this is where the JSON record codec
+// shows as wall time and allocations.
+func BenchmarkCollect(b *testing.B) {
+	dir := b.TempDir()
+	var shards [2]bytes.Buffer
+	for cell := 0; cell < 1500; cell++ {
+		a := map[string]string{"cell": fmt.Sprintf("c%05d", cell)}
+		hash := AssignmentHash(a)
+		for rep := 0; rep < 2; rep++ {
+			line, err := json.Marshal(Record{
+				Experiment: "journey", Row: cell, Replicate: rep, Hash: hash,
+				Assignment: a,
+				Responses:  map[string]float64{"ms": 5 + float64(cell*2+rep)/1000, "io": float64(100 + cell%900)},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			shards[cell%2].Write(line)
+			shards[cell%2].WriteByte('\n')
+		}
+	}
+	srcs := []string{filepath.Join(dir, "s0.jsonl"), filepath.Join(dir, "s1.jsonl")}
+	for i, src := range srcs {
+		if err := os.WriteFile(src, shards[i].Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := filepath.Join(dir, "canonical.jsonl")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms, err := Merge(srcs, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs, err := Compact(dst, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ms.Kept != 3000 || cs.Kept != 3000 || cs.Dropped != 0 {
+			b.Fatalf("merge kept %d, compact kept %d and dropped %d; want 3000, 3000, 0", ms.Kept, cs.Kept, cs.Dropped)
+		}
+	}
+	b.ReportMetric(3000, "records/op")
+}
+
 // TestMergeStreamingPeakMemory is the deterministic form of the
 // benchmark assertion, sized so it runs in the ordinary test suite:
 // merging records whose payloads sum to ~24MB must peak far below the

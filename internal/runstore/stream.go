@@ -1,10 +1,8 @@
 package runstore
 
 import (
-	"hash/fnv"
 	"iter"
 	"math"
-	"sort"
 )
 
 // Extent locates one record's encoded bytes inside a store file, in the
@@ -30,10 +28,19 @@ type SourceEntry struct {
 	// detectable without re-reading either record.
 	Fp  uint64
 	Ext Extent
+	// key is the lookup key, built once when a journal reader makes the
+	// entry: every index pass asks for it at least twice. Entries built
+	// elsewhere (the archive's) leave it empty and Key derives it.
+	key string
 }
 
 // Key returns the entry's runstore lookup key.
-func (e SourceEntry) Key() string { return Key(e.Experiment, e.Hash, e.Replicate) }
+func (e SourceEntry) Key() string {
+	if e.key != "" {
+		return e.key
+	}
+	return Key(e.Experiment, e.Hash, e.Replicate)
+}
 
 // SourceReader is the streaming, random-access view of one store file
 // that Merge, Compact, LoadRecords, and Inspect consume. Entries makes
@@ -73,39 +80,21 @@ func OpenSource(path string) (SourceReader, error) {
 // a re-numbered design never reads as a conflicting measurement. Two
 // records with equal assignments and responses fingerprint identically.
 func Fingerprint(rec Record) uint64 {
-	h := fnv.New64a()
-	keys := make([]string, 0, len(rec.Assignment))
-	for k := range rec.Assignment {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-		h.Write([]byte(rec.Assignment[k]))
-		h.Write([]byte{0})
-	}
-	h.Write([]byte{1})
-	keys = keys[:0]
-	for k := range rec.Responses {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf [8]byte
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
+	h := fnvAssignment(fnvOffset64, rec.Assignment)
+	h = (h ^ 1) * fnvPrime64
+	var stack [8]string
+	for _, k := range sortedKeys(stack[:0], rec.Responses) {
+		h = fnvString(h, k)
 		v := rec.Responses[k]
 		if v == 0 {
 			v = 0 // fold -0 into +0: they compare equal as measurements
 		}
 		bits := math.Float64bits(v)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
+			h = (h ^ uint64(byte(bits>>(8*i)))) * fnvPrime64
 		}
-		h.Write(buf[:])
 	}
-	return h.Sum64()
+	return h
 }
 
 // entryOf builds the index entry for one decoded record.
@@ -117,6 +106,7 @@ func entryOf(rec Record, ext Extent) SourceEntry {
 		Row:        rec.Row,
 		Fp:         Fingerprint(rec),
 		Ext:        ext,
+		key:        rec.Key(),
 	}
 }
 
