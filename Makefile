@@ -73,7 +73,10 @@ docs-check:
 # streams must never panic Open, complete records must round-trip, and
 # the hand-written JSON record codec must agree with encoding/json on
 # every input (FuzzJSONCodec — the differential that lets it stand in
-# for json.Marshal/Unmarshal on the record path). `go test -fuzz` takes
+# for json.Marshal/Unmarshal on the record path), and each codec's entry
+# scan must agree with decoding on every payload, its canonical verdict
+# true exactly when re-encoding reproduces the bytes (FuzzEntryScan —
+# what lets Merge and Compact copy a frame). `go test -fuzz` takes
 # one target per invocation, so the fuzzers run back to back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
@@ -82,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJournalParse -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzBinaryDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzJSONCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
+	$(GO) test -fuzz=FuzzEntryScan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 
 .PHONY: cover

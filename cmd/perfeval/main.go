@@ -267,6 +267,10 @@ func runCtxW(ctx context.Context, w io.Writer, args []string) error {
 		if out == "" {
 			out = rest[1]
 		}
+		if cs.Unchanged {
+			fmt.Fprintf(w, "%s is already compact: %d record(s), nothing superseded; not rewritten\n", out, cs.Kept)
+			return nil
+		}
 		fmt.Fprintf(w, "compacted %s: kept %d record(s), dropped %d superseded", out, cs.Kept, cs.Dropped)
 		if cs.Torn {
 			fmt.Fprint(w, ", torn tail removed")
@@ -610,8 +614,9 @@ func shardPlan(w io.Writer, props *config.Properties, id string) error {
 	}
 	fmt.Fprintf(w, "\n# 2. merge each experiment's shard files into one canonical journal:\n")
 	fmt.Fprintf(w, "perfeval merge %s/merged/<experiment>.jsonl %s/<experiment>.shard-*-of-%03d.jsonl\n", dir, dir, shards)
-	fmt.Fprintf(w, "\n# 3. compact is then a byte-identical no-op (merge already wrote the\n")
-	fmt.Fprintf(w, "#    canonical last-wins form), so archives stay stable:\n")
+	fmt.Fprintf(w, "\n# 3. compact then has nothing to rewrite (merge already wrote the\n")
+	fmt.Fprintf(w, "#    canonical last-wins form) and leaves the file untouched, so\n")
+	fmt.Fprintf(w, "#    archives stay stable:\n")
 	fmt.Fprintf(w, "perfeval compact %s/merged/<experiment>.jsonl\n", dir)
 	fmt.Fprintf(w, "\n# 4. replay the merged journal for the full artifact, or gate it:\n")
 	fmt.Fprintf(w, "perfeval run %s -Djournal.dir=%s/merged\n", id, dir)

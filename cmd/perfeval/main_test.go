@@ -146,6 +146,48 @@ func TestCompactCommand(t *testing.T) {
 		t.Errorf("compacted records = %+v, want the last-appended value", recs)
 	}
 
+	// Compacting again finds nothing to drop and leaves the file — its
+	// inode and its mtime, which the warehouse catalog orders runs by —
+	// exactly as it is, and says so.
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := runW(&out, []string{"compact", path}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "already compact: 1 record(s)") || !strings.Contains(out.String(), "not rewritten") {
+		t.Errorf("second compact output = %q", out.String())
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("second compact rewrote the journal: mtime %v -> %v", before.ModTime(), after.ModTime())
+	}
+
+	// A journal that gains a superseded record is rewritten again.
+	j, err = runstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(runstore.Record{Experiment: "e", Replicate: 0, Assignment: a, Responses: map[string]float64{"ms": 4}}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	out.Reset()
+	if err := runW(&out, []string{"compact", path}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "kept 1 record(s), dropped 1") {
+		t.Errorf("third compact output = %q", out.String())
+	}
+	if rewritten, err := os.Stat(path); err != nil || os.SameFile(before, rewritten) {
+		t.Errorf("a journal with a superseded record was not rewritten (%v)", err)
+	}
+
 	// Compact-aside via -Dcompact.out leaves the source alone.
 	aside := filepath.Join(dir, "aside.jsonl")
 	if err := runW(&out, []string{"-Dcompact.out=" + aside, "compact", path}); err != nil {

@@ -90,6 +90,16 @@ func (fr Framing) Seal(dst []byte, start int) []byte {
 	return dst
 }
 
+// Terminator returns what follows a record's extent (off, n) on disk: a
+// line's newline, nothing after a checksummed frame. A record copied by
+// its extent is whole once this is written after it.
+func (fr Framing) Terminator() string {
+	if !fr.frames {
+		return "\n"
+	}
+	return ""
+}
+
 // Payload returns the payload inside one whole record as a scan
 // reported it (off, n), or nil when n bytes cannot hold one.
 func (fr Framing) Payload(record []byte) []byte {

@@ -32,6 +32,10 @@ type codec struct {
 	// decode parses one payload exactly as stored: a missing hash is
 	// left for the caller to derive.
 	decode func(payload []byte) (Record, error)
+	// scanEntry, when the codec has one, is the fast half of entry: the
+	// index entry of a payload it recognises as canonical, built without
+	// decoding a record. ok false says nothing about the payload.
+	scanEntry func(payload []byte) (e SourceEntry, ok bool)
 }
 
 var jsonCodec = &codec{
@@ -41,6 +45,7 @@ var jsonCodec = &codec{
 	framing:      framelog.Lines,
 	appendRecord: AppendJSON,
 	decode:       DecodeJSON,
+	scanEntry:    scanJSONEntry,
 }
 
 var binaryCodec = &codec{
@@ -87,6 +92,34 @@ func (c *codec) appendFrame(dst []byte, rec Record) ([]byte, error) {
 	return c.framing.Seal(out, start), nil
 }
 
+// entry is the entry scan every index pass runs on: the index entry of
+// one stored payload (extent left for the caller) and, in it, the
+// canonical verdict — true only when encoding the decoded record again
+// reproduces the payload byte for byte, which is what lets a rewrite copy
+// the frame. A payload the codec's own scan recognises costs no record;
+// any other is decoded as Read would (a missing hash derived) and judged
+// by re-encoding it into scratch and comparing.
+func (c *codec) entry(payload []byte, scratch *[]byte) (SourceEntry, error) {
+	if c.scanEntry != nil {
+		if e, ok := c.scanEntry(payload); ok {
+			return e, nil
+		}
+	}
+	rec, err := c.decode(payload)
+	if err != nil {
+		return SourceEntry{}, err
+	}
+	if rec.Hash == "" {
+		rec.Hash = AssignmentHash(rec.Assignment)
+	}
+	e := entryOf(rec)
+	if again, err := c.appendRecord((*scratch)[:0], rec); err == nil {
+		*scratch = again
+		e.canonical = bytes.Equal(again, payload)
+	}
+	return e, nil
+}
+
 // visit adapts fn to a framelog scan: each payload is decoded and handed
 // over with its extent; one that does not decode is marked corrupt, for
 // framelog's recovery rule to judge.
@@ -123,12 +156,27 @@ var journalFormat = jsonCodec.format()
 // (dispatched by extension) — the same seam the archive uses.
 func init() { RegisterFormat(binaryCodec.format()) }
 
+// readAhead is how much of a source one positioned read of a rewrite's
+// write pass fetches: winners are read in (nearly) file order, so one
+// read serves a few hundred records, and a source costs this much memory
+// however large it is.
+const readAhead = 64 << 10
+
 // fileSource is the SourceReader of a journal file in either encoding.
 type fileSource struct {
 	path string
 	f    *os.File
 	c    *codec
 	info Info
+	// canonical: the last complete Entries pass found every frame
+	// canonical, no torn tail, and the frames tiling the file exactly —
+	// no blank line, no unterminated last line. Rewriting such a file's
+	// records in file order reproduces it.
+	canonical bool
+	// ahead is the write pass's read-ahead window, the file's bytes from
+	// aheadOff on (raw).
+	ahead    []byte
+	aheadOff int64
 }
 
 func (c *codec) openReader(path string) (SourceReader, error) {
@@ -139,30 +187,35 @@ func (c *codec) openReader(path string) (SourceReader, error) {
 	return &fileSource{path: path, f: f, c: c}, nil
 }
 
-// Entries implements SourceReader, scanning the file from the start.
-// It may be consumed more than once; each call re-reads the file.
+// Entries implements SourceReader, scanning the file from the start
+// with the codec's entry scan. It may be consumed more than once; each
+// call re-reads the file.
 func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
 	return func(yield func(SourceEntry, error) bool) {
 		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
 			yield(SourceEntry{}, fmt.Errorf("runstore: %w", err))
 			return
 		}
-		records, distinct := 0, make(map[string]struct{})
+		scratch := frameBufPool.Get().(*[]byte)
+		defer putFrameBuf(scratch)
+		records, canonical := 0, true
+		tiled := int64(len(r.c.framing.Magic()))
+		terminator := int64(len(r.c.framing.Terminator()))
 		stop := fmt.Errorf("runstore: iteration stopped") // sentinel, never escapes
-		_, torn, err := r.c.framing.ScanFile(r.f, r.c.visit(func(rec Record, ext Extent) error {
-			// Canonicalize before indexing: a hand-written record with no
-			// hash must key (and dedupe) as the hash Append would derive.
-			if rec.Hash == "" {
-				rec.Hash = AssignmentHash(rec.Assignment)
+		_, torn, err := r.c.framing.ScanFile(r.f, func(payload []byte, off, n int64) error {
+			e, err := r.c.entry(payload, scratch)
+			if err != nil {
+				return framelog.Corrupt(fmt.Errorf("corrupt %s at byte %d: %v", r.c.what, off, err))
 			}
+			e.Ext = Extent{Off: off, Len: n}
 			records++
-			e := entryOf(rec, ext)
-			distinct[e.Key()] = struct{}{}
+			canonical = canonical && e.canonical
+			tiled += n + terminator
 			if !yield(e, nil) {
 				return stop
 			}
 			return nil
-		}))
+		})
 		if err == stop {
 			return
 		}
@@ -170,18 +223,42 @@ func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
 			yield(SourceEntry{}, fmt.Errorf("runstore: %s: %w", r.path, err))
 			return
 		}
-		r.info = Info{Records: records, Distinct: len(distinct), Torn: torn, Detail: r.c.detail}
+		r.info = Info{Records: records, Torn: torn, Detail: r.c.detail}
+		st, err := r.f.Stat()
+		r.canonical = canonical && !torn && err == nil && tiled == st.Size()
 	}
 }
 
-// Read implements SourceReader with one positioned read of the record.
-// It is safe for concurrent use (the merge write pass decodes records
-// from several goroutines).
-func (r *fileSource) Read(ext Extent) (Record, error) {
-	raw := make([]byte, ext.Len)
-	if _, err := r.f.ReadAt(raw, ext.Off); err != nil {
-		return Record{}, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
+// raw returns the stored bytes of the record at ext. With ahead set they
+// come through the read-ahead window — for the one goroutine of a serial
+// write pass, and valid until its next call; otherwise from a positioned
+// read of their own, safe for concurrent use.
+func (r *fileSource) raw(ext Extent, ahead bool) ([]byte, error) {
+	if !ahead {
+		raw := make([]byte, ext.Len)
+		if _, err := r.f.ReadAt(raw, ext.Off); err != nil {
+			return nil, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
+		}
+		return raw, nil
 	}
+	if lo := ext.Off - r.aheadOff; lo >= 0 && lo+ext.Len <= int64(len(r.ahead)) {
+		return r.ahead[lo : lo+ext.Len], nil
+	}
+	size := max(ext.Len, readAhead)
+	if int64(cap(r.ahead)) < size {
+		r.ahead = make([]byte, size)
+	}
+	n, err := r.f.ReadAt(r.ahead[:size], ext.Off)
+	r.ahead, r.aheadOff = r.ahead[:n], ext.Off
+	if int64(n) < ext.Len { // err says why: io.EOF at least
+		return nil, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
+	}
+	return r.ahead[:ext.Len], nil
+}
+
+// decodeRaw decodes the record whose stored bytes at ext are raw,
+// deriving a missing hash.
+func (r *fileSource) decodeRaw(raw []byte, ext Extent) (Record, error) {
 	payload := r.c.framing.Payload(raw)
 	if payload == nil {
 		return Record{}, fmt.Errorf("runstore: %s: bad extent at byte %d", r.path, ext.Off)
@@ -196,7 +273,19 @@ func (r *fileSource) Read(ext Extent) (Record, error) {
 	return rec, nil
 }
 
+// Read implements SourceReader with one positioned read of the record.
+// It is safe for concurrent use (the merge write pass decodes records
+// from several goroutines).
+func (r *fileSource) Read(ext Extent) (Record, error) {
+	raw, err := r.raw(ext, false)
+	if err != nil {
+		return Record{}, err
+	}
+	return r.decodeRaw(raw, ext)
+}
+
 // Info implements SourceReader; complete after Entries is consumed.
+// Distinct is left to whoever indexes the entries (inspect does).
 func (r *fileSource) Info() Info { return r.info }
 
 // Close implements SourceReader.
@@ -210,43 +299,81 @@ func (c *codec) inspect(path string) (Info, error) {
 		return Info{}, err
 	}
 	defer r.Close()
-	for _, err := range r.Entries() {
+	distinct := make(map[string]struct{})
+	for e, err := range r.Entries() {
 		if err != nil {
 			return Info{}, err
 		}
+		distinct[e.Key()] = struct{}{}
 	}
-	return r.Info(), nil
+	info := r.Info()
+	info.Distinct = len(distinct)
+	return info, nil
 }
 
-// writeFile atomically replaces dst with the record sequence in this
-// encoding — the bulk writer behind Merge and Compact. Every record is
-// decoded by its source and re-encoded here, never copied verbatim, so
-// non-canonical source encodings (hand-edited lines, archive payloads)
-// normalize on the way through; one pooled buffer serves the whole
-// sequence. The bytes are those Append would have written.
-func (c *codec) writeFile(dst string, recs iter.Seq2[Record, error], modeFrom string) error {
+// frame is one record on its way into a rewritten journal: the decoded
+// record, or — when raw is set — its extent's bytes exactly as a source
+// in the destination's own codec stores them, already canonical.
+type frame struct {
+	rec Record
+	raw []byte
+}
+
+// writeFrames atomically replaces dst with the frame sequence in this
+// encoding — the bulk writer behind Merge and Compact — and reports how
+// many frames it copied. A raw frame is copied as it is; a record is
+// encoded here through one pooled buffer, which is how non-canonical
+// source encodings (hand-edited lines, archive payloads, the other
+// codec) normalize on the way through. A frame is only ever raw when
+// encoding its record would produce those same bytes (codec.entry), so
+// either way the file is the one Append would have written.
+func (c *codec) writeFrames(dst string, frames iter.Seq2[frame, error], modeFrom string) (copied int, err error) {
 	bufp := frameBufPool.Get().(*[]byte)
 	defer putFrameBuf(bufp)
-	return atomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
+	terminator := c.framing.Terminator()
+	err = atomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
 		if _, err := w.WriteString(c.framing.Magic()); err != nil {
 			return fmt.Errorf("runstore: %w", err)
 		}
-		for rec, err := range recs {
+		for f, err := range frames {
 			if err != nil {
 				return err
 			}
-			if rec.Hash == "" {
-				rec.Hash = AssignmentHash(rec.Assignment)
+			out, end := f.raw, terminator
+			if out != nil {
+				copied++
+			} else {
+				if f.rec.Hash == "" {
+					f.rec.Hash = AssignmentHash(f.rec.Assignment)
+				}
+				if *bufp, err = c.appendFrame((*bufp)[:0], f.rec); err != nil {
+					return err
+				}
+				out, end = *bufp, ""
 			}
-			if *bufp, err = c.appendFrame((*bufp)[:0], rec); err != nil {
-				return err
+			if _, err := w.Write(out); err != nil {
+				return fmt.Errorf("runstore: %w", err)
 			}
-			if _, err := w.Write(*bufp); err != nil {
+			if _, err := w.WriteString(end); err != nil {
 				return fmt.Errorf("runstore: %w", err)
 			}
 		}
 		return nil
 	})
+	return copied, err
+}
+
+// writeFile is the journals' Format.Write: writeFrames for a caller that
+// holds records, not a plan — every frame is encoded.
+func (c *codec) writeFile(dst string, recs iter.Seq2[Record, error], modeFrom string) error {
+	_, err := c.writeFrames(dst, func(yield func(frame, error) bool) {
+		for rec, err := range recs {
+			if !yield(frame{rec: rec}, err) {
+				return
+			}
+		}
+	}, modeFrom)
+	return err
 }
 
 // encodeWire writes one record to w in the codec's framing: the exact

@@ -1,12 +1,13 @@
 package runstore
 
-import "iter"
-
 // CompactStats reports what one compaction did.
 type CompactStats struct {
-	Kept    int // distinct records written out
+	Kept    int // distinct records the compacted journal holds
 	Dropped int // superseded (re-appended same-key) records removed
 	Torn    bool
+	// Unchanged: an in-place compaction found the file already compact
+	// and did not rewrite it.
+	Unchanged bool
 }
 
 // Compact rewrites the journal at src keeping only the last-appended
@@ -17,15 +18,21 @@ type CompactStats struct {
 // Open would.
 //
 // Compact streams: the index pass keeps one lightweight entry per key,
-// and the rewrite copies (or decodes) one record at a time, so peak
-// memory never holds the record set — run it on journals of any size.
+// and the rewrite copies (or, where the stored frame is not what the
+// destination's codec would write, decodes and re-encodes) one record at
+// a time, so peak memory never holds the record set — run it on journals
+// of any size.
 //
 // The rewrite is atomic: records go to a temporary file in the target
 // directory which is fsynced and renamed into place. dst == "" compacts
 // in place; otherwise src is left untouched and the compacted journal is
-// written to dst. Compaction is idempotent — compacting a compacted
-// journal is a byte-identical no-op. Compact preserves append order;
-// use Merge to rewrite a journal in canonical cross-writer order.
+// written to dst. Compaction is idempotent, and in place the second one
+// costs a read: when the index pass finds nothing superseded, no torn
+// tail, every frame canonical and the frames tiling the file exactly,
+// the rewrite would reproduce the file, so it is skipped — the file, its
+// inode and its mtime stay as they are (CompactStats.Unchanged). Compact
+// preserves append order; use Merge to rewrite a journal in canonical
+// cross-writer order.
 //
 // Like Merge, Compact dispatches on format: a registered-format archive
 // source is loaded through its own reader (never misparsed as JSONL),
@@ -34,11 +41,12 @@ type CompactStats struct {
 func Compact(src, dst string) (CompactStats, error) {
 	var cs CompactStats
 	srcFormat := formatOf(src)
-	r, err := OpenSource(src)
+	r, err := srcFormat.OpenReader(src)
 	if err != nil {
 		return cs, err
 	}
-	defer r.Close()
+	plan := &mergePlan{sources: []*mergeSource{newMergeSource(r)}}
+	defer plan.Close()
 	idx, order, records, err := indexEntries(r)
 	if err != nil {
 		return cs, err
@@ -56,18 +64,17 @@ func Compact(src, dst string) (CompactStats, error) {
 		// sniffed source format wins over the (absent) extension.
 		formatWrite = srcFormat
 	}
-	seq := func(yield func(Record, error) bool) {
-		for _, k := range order {
-			rec, err := r.Read(idx[k].Ext)
-			if !yield(rec, err) {
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
+	s := plan.sources[0]
+	if dst == src && cs.Dropped == 0 && s.fs != nil && s.fs.canonical && s.fs.c == codecOf(formatWrite) {
+		cs.Unchanged = true
+		metCompactSkipped.Inc()
+		return cs, nil
 	}
-	if err := formatWrite.Write(dst, iter.Seq2[Record, error](seq), src); err != nil {
+	s.winners = make([]SourceEntry, len(order))
+	for i, k := range order {
+		s.winners[i] = idx[k]
+	}
+	if err := plan.write(dst, formatWrite, src); err != nil {
 		return cs, err
 	}
 	metCompactRecords.Add(int64(cs.Kept))

@@ -45,6 +45,15 @@
 // sites that truly need a slice. The normative iteration-order and
 // error-in-sequence semantics are docs/FORMAT.md §9.
 //
+// Rewrite contract: what Merge and Compact write is the canonical
+// encoding of every record they keep. Their index passes run on each
+// codec's entry scan (codec.entry), which reads a stored payload's
+// entry — and whether the payload is already canonical — without
+// building the record; the write pass copies canonical frames between
+// files of one encoding and decodes and re-encodes everything else, to
+// the same bytes. An in-place Compact that would reproduce its file
+// leaves it untouched (docs/FORMAT.md §1 and §7).
+//
 // Durability contract: Append returns only after the record's bytes are
 // written and fsynced, so a crash immediately after a successful Append
 // loses nothing. AppendBatch — the optional BatchAppender side of the
@@ -58,5 +67,5 @@
 // is reopened, because appending past a short write would turn its torn
 // tail into a corrupt interior record. Complete records are never
 // rewritten in place — Compact and Merge write aside atomically (temp
-// file, fsync, rename) and replace.
+// file, fsync, rename) and replace, or write nothing.
 package runstore

@@ -87,3 +87,14 @@ func formatForDst(path string) *Format {
 	}
 	return &journalFormat
 }
+
+// codecOf returns the journal encoding that writes files of format f,
+// or nil when f is not one of the two journals.
+func codecOf(f *Format) *codec {
+	for _, c := range []*codec{jsonCodec, binaryCodec} {
+		if f.Name == c.name {
+			return c
+		}
+	}
+	return nil
+}

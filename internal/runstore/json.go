@@ -1,10 +1,12 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // The JSON record codec is the payload half of the JSONL journal, the
@@ -66,12 +68,38 @@ func appendJSONMap[V any](dst []byte, m map[string]V, appendValue func([]byte, V
 	return append(dst, '}'), nil
 }
 
+// What a byte means inside a JSON string: plain bytes stand for
+// themselves and are what a canonical string is made of; the three
+// json.Marshal escapes for HTML's sake stand for themselves too, but
+// only to a reader; the quote ends the string; anything else (control
+// characters, the backslash, non-ASCII) is encoding/json's business.
+const (
+	jsonPlainByte = iota
+	jsonHTMLByte
+	jsonQuoteByte
+	jsonOtherByte
+)
+
+// jsonClass classifies every byte once, so the string loops of both the
+// encoder and the cursor cost one load per byte.
+var jsonClass = func() (class [256]byte) {
+	for c := range class {
+		switch {
+		case c == '"':
+			class[c] = jsonQuoteByte
+		case c == '<' || c == '>' || c == '&':
+			class[c] = jsonHTMLByte
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			class[c] = jsonOtherByte
+		}
+	}
+	return class
+}()
+
 // jsonPlain reports whether c stands for itself inside a canonical JSON
 // string: printable ASCII except the quote, the backslash and the three
 // characters json.Marshal escapes for HTML's sake.
-func jsonPlain(c byte) bool {
-	return c >= 0x20 && c < 0x80 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
+func jsonPlain(c byte) bool { return jsonClass[c] == jsonPlainByte }
 
 // appendJSONString appends s as a JSON string. A plain string is copied
 // between quotes; the escaping of anything else is json.Marshal's own.
@@ -161,6 +189,70 @@ func decodeCanonicalJSON(doc []byte) (rec Record, ok bool) {
 	return rec, !c.bad && len(c.b) == 0
 }
 
+// scanJSONEntry is the JSON codec's entry scan: one pass over doc that
+// builds no record. ok is true only when doc is byte for byte what
+// AppendJSON writes for the record it decodes to — the canonical form of
+// docs/FORMAT.md §1: the six fields in order, no whitespace, every string
+// plain (jsonPlain), no -0 integer, a non-empty hash, map keys strictly
+// ascending, every number the shortest one appendJSONFloat would write —
+// and e is then that record's index entry (entryOf, extent aside), its
+// three strings cut from one allocation. Sorted keys are also what lets
+// the fingerprint be folded in document order. Anything else, valid or
+// not, is the caller's to decode.
+func scanJSONEntry(doc []byte) (e SourceEntry, ok bool) {
+	c := jsonCursor{b: doc}
+	c.lit(`{"experiment":`)
+	experiment := c.quoted(true)
+	c.lit(`,"row":`)
+	e.Row = c.canonInt()
+	c.lit(`,"replicate":`)
+	replicate := c.b
+	e.Replicate = c.canonInt()
+	replicate = replicate[:len(replicate)-len(c.b)]
+	c.lit(`,"hash":`)
+	hash := c.quoted(true)
+	c.lit(`,"assignment":`)
+	h := fnvOffset64
+	if c.object() {
+		for k := []byte(nil); c.member(); {
+			k = c.nextKey(k)
+			h = fnvString(fnvString(h, k), c.quoted(true))
+		}
+	}
+	c.lit(`,"responses":`)
+	h = (h ^ 1) * fnvPrime64
+	if c.object() {
+		var shortest [32]byte
+		for k := []byte(nil); c.member(); {
+			k = c.nextKey(k)
+			literal := c.b
+			v := c.num()
+			literal = literal[:len(literal)-len(c.b)]
+			if want, err := appendJSONFloat(shortest[:0], v); err != nil || !bytes.Equal(want, literal) {
+				c.bad = true
+			}
+			h = fnvResponse(h, k, v)
+		}
+	}
+	c.lit(`}`)
+	if c.bad || len(c.b) != 0 || len(hash) == 0 {
+		return SourceEntry{}, false
+	}
+	var key strings.Builder
+	key.Grow(len(experiment) + 1 + len(hash) + 1 + len(replicate))
+	key.Write(experiment)
+	key.WriteByte('/')
+	key.Write(hash)
+	key.WriteByte('/')
+	key.Write(replicate) // a canonical integer literal is strconv.Itoa's
+	e.key = key.String()
+	e.Experiment = e.key[:len(experiment)]
+	e.Hash = e.key[len(experiment)+1:][:len(hash)]
+	e.Fp = h
+	e.canonical = true
+	return e, true
+}
+
 // jsonCursor walks one document front to back. The first thing that is
 // not canonical sets bad, after which every step is a no-op.
 type jsonCursor struct {
@@ -183,28 +275,45 @@ func (c *jsonCursor) lit(s string) {
 	c.b = c.b[len(s):]
 }
 
-// str consumes a quoted string of plain characters. The raw forms of
-// '<', '>' and '&' are not canonical but mean themselves, as they do to
-// json.Unmarshal.
-func (c *jsonCursor) str() string {
+// quoted consumes a quoted string without escapes and returns what is
+// between the quotes, still in the document. The raw forms of '<', '>'
+// and '&' mean themselves, as they do to json.Unmarshal, but are not
+// what AppendJSON writes: canonical refuses them.
+func (c *jsonCursor) quoted(canonical bool) []byte {
 	if !c.peek('"') {
 		c.bad = true
-		return ""
+		return nil
 	}
 	for i := 1; i < len(c.b); i++ {
-		switch ch := c.b[i]; {
-		case ch == '"':
-			s := string(c.b[1:i])
+		switch class := jsonClass[c.b[i]]; {
+		case class == jsonPlainByte, class == jsonHTMLByte && !canonical:
+		case class == jsonQuoteByte:
+			s := c.b[1:i]
 			c.b = c.b[i+1:]
 			return s
-		case ch < 0x20 || ch >= 0x80 || ch == '\\':
+		default:
 			c.bad = true
-			return ""
+			return nil
 		}
 	}
 	c.bad = true
-	return ""
+	return nil
 }
+
+// nextKey consumes a canonical member key and its colon. Keys strictly
+// ascend: one that does not sort after prev, the key before it in the
+// object (nil for the first — quoted's result never is), is refused.
+func (c *jsonCursor) nextKey(prev []byte) []byte {
+	k := c.quoted(true)
+	c.lit(":")
+	if prev != nil && bytes.Compare(prev, k) >= 0 {
+		c.bad = true
+	}
+	return k
+}
+
+// str consumes a quoted string of characters that stand for themselves.
+func (c *jsonCursor) str() string { return string(c.quoted(false)) }
 
 // digits returns how many bytes from b[from] on are decimal digits.
 func (c *jsonCursor) digits(from int) int {
@@ -244,6 +353,17 @@ func (c *jsonCursor) int() int {
 		return 0
 	}
 	c.b = c.b[i:]
+	return v
+}
+
+// canonInt is int for the entry scan: -0 is an integer json.Unmarshal
+// takes and AppendJSON never writes.
+func (c *jsonCursor) canonInt() int {
+	negative := c.peek('-')
+	v := c.int()
+	if negative && v == 0 {
+		c.bad = true
+	}
 	return v
 }
 

@@ -2,12 +2,14 @@ package runstore
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"iter"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/framelog"
@@ -49,14 +51,19 @@ type MergeStats struct {
 // Merge streams: an index pass reduces each source to lightweight
 // entries (key, canonical position, measurement fingerprint, extent),
 // then the destination is written by k-way ordered iteration over the
-// per-source winner lists, decoding one record at a time.
+// per-source winner lists, one record at a time. A winner whose stored
+// frame is already what the destination's codec would write for it —
+// the ordinary case, a journal merged into a journal of the same
+// encoding — is copied from its source; any other (a hand-edited line,
+// an archive payload, the other encoding) is decoded and re-encoded. The
+// bytes written are the same either way.
 // Peak memory is the entry index, never the record set — merging two
 // 10^5-record files does not buffer 2x10^5 assignment/response maps.
 //
 // The write is atomic (temp file, fsync, rename) and the whole operation
-// is idempotent: merging a merged journal is a byte-identical no-op, and
-// Compact on a merged journal keeps every byte (a merge output already
-// holds exactly one record per key in a stable order).
+// is idempotent: merging a merged journal reproduces it byte for byte,
+// and Compact on a merged journal finds nothing to rewrite (a merge
+// output already holds exactly one canonical record per key).
 //
 // Sources and destination may also be registered-format archives
 // (internal/runstore/archivestore): sources are dispatched by content
@@ -83,7 +90,7 @@ func MergeChecked(srcs []string, dst string, failOnConflict bool) (MergeStats, e
 	if failOnConflict && len(ms.Conflicts) > 0 {
 		return ms, fmt.Errorf("runstore: %d conflicting record(s) across sources; %s not written", len(ms.Conflicts), dst)
 	}
-	if err := formatForDst(dst).Write(dst, plan.records(), srcs[0]); err != nil {
+	if err := plan.write(dst, formatForDst(dst), srcs[0]); err != nil {
 		return ms, err
 	}
 	metMergeRecords.Add(int64(ms.Kept))
@@ -135,16 +142,59 @@ func MergeScan(srcs []string) iter.Seq2[Record, error] {
 // mergeSource is one open merge input: its reader plus the canonically
 // sorted entries of the records it contributes to the output.
 type mergeSource struct {
-	path    string
 	r       SourceReader
+	fs      *fileSource // r when it is a journal file: the source frames can be copied from
 	winners []SourceEntry
 }
 
-// mergePlan is a prepared merge: every source indexed, global last-wins
-// resolved, per-source winner lists in canonical order. The readers stay
-// open so the write pass can fetch records by extent.
+// newMergeSource wraps an open reader.
+func newMergeSource(r SourceReader) *mergeSource {
+	fs, _ := r.(*fileSource)
+	return &mergeSource{r: r, fs: fs}
+}
+
+// copies reports whether winner e reaches a file written by codec c
+// (nil: some other format) as a copy of its stored frame.
+func (s *mergeSource) copies(e SourceEntry, c *codec) bool {
+	return e.canonical && s.fs != nil && s.fs.c == c
+}
+
+// fetch reads winner e for a file written by codec c: its stored frame
+// if that is copied, the decoded record otherwise. ahead is fileSource.raw's.
+func (s *mergeSource) fetch(e SourceEntry, c *codec, ahead bool) (frame, error) {
+	if s.fs == nil {
+		rec, err := s.r.Read(e.Ext)
+		return frame{rec: rec}, err
+	}
+	raw, err := s.fs.raw(e.Ext, ahead)
+	if err != nil || s.copies(e, c) {
+		return frame{raw: raw}, err
+	}
+	rec, err := s.fs.decodeRaw(raw, e.Ext)
+	return frame{rec: rec}, err
+}
+
+// mergePlan is a prepared rewrite: every source indexed, last-wins
+// resolved, per-source winner lists in output order (Merge: canonical;
+// Compact: its one source's first-appended order). The readers stay open
+// so the write pass can fetch records by extent.
 type mergePlan struct {
 	sources []*mergeSource
+}
+
+// write replaces dst, a file of format f, with the plan's winners: frame
+// by frame when f is a journal encoding, through the format's own Write
+// otherwise.
+func (p *mergePlan) write(dst string, f *Format, modeFrom string) error {
+	c := codecOf(f)
+	if c == nil {
+		return f.Write(dst, p.records(), modeFrom)
+	}
+	copied, err := c.writeFrames(dst, p.frames(c), modeFrom)
+	if err == nil {
+		metRewriteCopied.Add(int64(copied))
+	}
+	return err
 }
 
 // Close closes every source reader.
@@ -185,7 +235,7 @@ func planMerge(srcs []string) (*mergePlan, MergeStats, error) {
 			plan.Close()
 			return nil, ms, err
 		}
-		plan.sources = append(plan.sources, &mergeSource{path: src, r: r})
+		plan.sources = append(plan.sources, newMergeSource(r))
 		for e, eerr := range r.Entries() {
 			if eerr != nil {
 				plan.Close()
@@ -213,31 +263,29 @@ func planMerge(srcs []string) (*mergePlan, MergeStats, error) {
 		s.winners = append(s.winners, w.e)
 	}
 	for _, s := range plan.sources {
-		sort.Slice(s.winners, func(i, j int) bool {
-			return canonicalLess(s.winners[i], s.winners[j])
-		})
+		slices.SortFunc(s.winners, canonicalCompare)
 	}
 	ms.Kept = len(global)
 	ms.Superseded = total - len(global)
 	return plan, ms, nil
 }
 
-// canonicalLess orders entries by (experiment, design row, replicate,
+// canonicalCompare orders entries by (experiment, design row, replicate,
 // hash) — the order a single sequential run appends in, so merged
 // multi-writer journals and single-writer journals compare byte-for-byte
 // after canonicalization. After last-wins resolution no two winners
 // share all four fields, so the order is total.
-func canonicalLess(a, b SourceEntry) bool {
-	if a.Experiment != b.Experiment {
-		return a.Experiment < b.Experiment
+func canonicalCompare(a, b SourceEntry) int {
+	if c := strings.Compare(a.Experiment, b.Experiment); c != 0 {
+		return c
 	}
-	if a.Row != b.Row {
-		return a.Row < b.Row
+	if c := cmp.Compare(a.Row, b.Row); c != 0 {
+		return c
 	}
-	if a.Replicate != b.Replicate {
-		return a.Replicate < b.Replicate
+	if c := cmp.Compare(a.Replicate, b.Replicate); c != 0 {
+		return c
 	}
-	return a.Hash < b.Hash
+	return strings.Compare(a.Hash, b.Hash)
 }
 
 // each iterates the plan's winners in canonical output order by k-way
@@ -253,7 +301,7 @@ func (p *mergePlan) each(fn func(s *mergeSource, e SourceEntry) error) error {
 			if cursors[i] >= len(s.winners) {
 				continue
 			}
-			if best < 0 || canonicalLess(s.winners[cursors[i]], p.sources[best].winners[cursors[best]]) {
+			if best < 0 || canonicalCompare(s.winners[cursors[i]], p.sources[best].winners[cursors[best]]) < 0 {
 				best = i
 			}
 		}
@@ -268,83 +316,101 @@ func (p *mergePlan) each(fn func(s *mergeSource, e SourceEntry) error) error {
 	}
 }
 
-// parallelMergeThreshold is the winner count below which records()
-// stays serial: a handful of records never amortizes the pool setup,
-// and small merges dominate the test suite. A var, not a const, so
-// tests can force the parallel path on small inputs.
+// parallelMergeThreshold is the count of winners to decode below which
+// frames() stays serial: a handful of records never amortizes the pool
+// setup, and small merges dominate the test suite. A var, not a const,
+// so tests can force the parallel path on small inputs.
 var parallelMergeThreshold = 4096
 
-// records adapts the k-way iteration to the record sequence shape
-// Format.Write consumes. The cursor merge itself is inherently serial
-// (it is what defines the canonical output order), but record decode —
-// a positioned read plus a JSON or binary parse — is not, so large
-// merges run decodes on an ordered worker pool and the consumer drains
-// results in submission order. Output order, and therefore output
-// bytes, are identical to the serial path.
-func (p *mergePlan) records() iter.Seq2[Record, error] {
+// frames is the plan's output for a file written by codec c (nil: some
+// other format, every frame a record): the k-way iteration, each winner
+// fetched as the frame to write. The cursor merge itself is inherently
+// serial (it is what defines the output order), and so is copying —
+// winners come through each source's read-ahead window. But a record
+// decode — a positioned read plus a JSON or binary parse — is not, so a
+// rewrite with many winners to decode runs the fetches on an ordered
+// worker pool and the consumer drains results in submission order.
+// Output order, and therefore output bytes, are identical on both paths.
+func (p *mergePlan) frames(c *codec) iter.Seq2[frame, error] {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8 // decode parallelism saturates well before the I/O does
 	}
-	total := 0
+	decodes := 0
 	for _, s := range p.sources {
-		total += len(s.winners)
+		for _, e := range s.winners {
+			if !s.copies(e, c) {
+				decodes++
+			}
+		}
 	}
-	if workers < 2 || total < parallelMergeThreshold {
-		return p.recordsSerial()
+	if workers < 2 || decodes < parallelMergeThreshold {
+		return p.framesSerial(c)
 	}
-	return p.recordsParallel(workers)
+	return p.framesParallel(c, workers)
 }
 
-// recordsSerial decodes one record per step on the caller's goroutine.
-func (p *mergePlan) recordsSerial() iter.Seq2[Record, error] {
+// records is the plan's output as decoded records — what a format other
+// than the journals' is written from, and what MergeScan serves.
+func (p *mergePlan) records() iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
+		for f, err := range p.frames(nil) {
+			if !yield(f.rec, err) {
+				return
+			}
+		}
+	}
+}
+
+// framesSerial fetches one winner per step on the caller's goroutine.
+func (p *mergePlan) framesSerial(c *codec) iter.Seq2[frame, error] {
+	return func(yield func(frame, error) bool) {
 		stop := fmt.Errorf("stop") // sentinel, never escapes
 		err := p.each(func(s *mergeSource, e SourceEntry) error {
-			rec, rerr := s.r.Read(e.Ext)
-			if rerr != nil {
-				return rerr
+			f, ferr := s.fetch(e, c, true)
+			if ferr != nil {
+				return ferr
 			}
-			if !yield(rec, nil) {
+			if !yield(f, nil) {
 				return stop
 			}
 			return nil
 		})
 		if err != nil && err != stop {
-			yield(Record{}, err)
+			yield(frame{}, err)
 		}
 	}
 }
 
-// decodeJob is one record decode in flight on the merge worker pool.
+// fetchJob is one winner's fetch in flight on the merge worker pool.
 // out is buffered, so a worker never blocks delivering its result and
 // the pool drains cleanly however the consumer exits.
-type decodeJob struct {
-	r   SourceReader
-	ext Extent
-	out chan decodeResult
+type fetchJob struct {
+	s   *mergeSource
+	e   SourceEntry
+	out chan fetchResult
 }
 
-type decodeResult struct {
-	rec Record
+type fetchResult struct {
+	f   frame
 	err error
 }
 
-// recordsParallel is records() over a decode pool: a feeder walks the
-// k-way cursor merge in canonical order, handing each winner to the
+// framesParallel is frames() over a fetch pool: a feeder walks the
+// k-way cursor merge in output order, handing each winner to the
 // workers and — through a second channel carrying the same jobs in
 // submission order — to the consumer, which blocks on each job's own
-// result slot. Decodes overlap; delivery order does not change.
+// result slot. Fetches overlap; delivery order does not change.
 //
-// Early exit (the consumer stops yielding, or a decode fails) closes
+// Early exit (the consumer stops yielding, or a fetch fails) closes
 // done; the feeder sees it at its next send, closes the job channels,
 // and the deferred Wait holds the iterator until every worker has
 // retired — no goroutine outlives the range loop, which is what keeps
 // plan.Close safe to run right after it.
-func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		jobs := make(chan *decodeJob, workers)
-		order := make(chan *decodeJob, 2*workers)
+func (p *mergePlan) framesParallel(c *codec, workers int) iter.Seq2[frame, error] {
+	return func(yield func(frame, error) bool) {
+		jobs := make(chan *fetchJob, workers)
+		order := make(chan *fetchJob, 2*workers)
 		done := make(chan struct{})
 		var wg sync.WaitGroup
 		defer wg.Wait()
@@ -354,8 +420,8 @@ func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
 			go func() {
 				defer wg.Done()
 				for j := range jobs {
-					rec, err := j.r.Read(j.ext)
-					j.out <- decodeResult{rec: rec, err: err}
+					f, err := j.s.fetch(j.e, c, false)
+					j.out <- fetchResult{f: f, err: err}
 				}
 			}()
 		}
@@ -366,7 +432,7 @@ func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
 			defer close(jobs)
 			defer close(order)
 			p.each(func(s *mergeSource, e SourceEntry) error {
-				j := &decodeJob{r: s.r, ext: e.Ext, out: make(chan decodeResult, 1)}
+				j := &fetchJob{s: s, e: e, out: make(chan fetchResult, 1)}
 				select {
 				case order <- j:
 				case <-done:
@@ -383,10 +449,10 @@ func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
 		for j := range order {
 			res := <-j.out
 			if res.err != nil {
-				yield(Record{}, res.err)
+				yield(frame{}, res.err)
 				return
 			}
-			if !yield(res.rec, nil) {
+			if !yield(res.f, nil) {
 				return
 			}
 		}

@@ -159,12 +159,25 @@ func BenchmarkCompactStreaming(b *testing.B) {
 // BenchmarkCollect is the end-to-end benchmark's fleet-collect operation
 // at that workload's size and record shape (bench/: one factor, two
 // responses): Merge two 1 500-record shard journals into the canonical
-// journal, then Compact it in place. Every record is decoded four times
-// and encoded twice on the way, so this is where the JSON record codec
-// shows as wall time and allocations.
-func BenchmarkCollect(b *testing.B) {
+// journal, then Compact it in place. Every line is canonical, so the
+// index passes run on the entry scan, Merge copies every winner's frame,
+// and Compact finds nothing to rewrite.
+func BenchmarkCollect(b *testing.B) { benchCollect(b, 0) }
+
+// BenchmarkCollectHandEdited is BenchmarkCollect with every tenth source
+// line hand-edited (a space no encoder writes): those lines take the
+// fallback — decoded and re-encoded in both passes of Merge — while
+// their neighbours are still copied. It prices the fallback beside the
+// fast path; the merged journal is canonical either way, so Compact
+// still finds nothing to rewrite.
+func BenchmarkCollectHandEdited(b *testing.B) { benchCollect(b, 10) }
+
+// benchCollect runs the collect operation; editEvery > 0 makes every
+// editEvery-th source line non-canonical.
+func benchCollect(b *testing.B, editEvery int) {
 	dir := b.TempDir()
 	var shards [2]bytes.Buffer
+	lines := 0
 	for cell := 0; cell < 1500; cell++ {
 		a := map[string]string{"cell": fmt.Sprintf("c%05d", cell)}
 		hash := AssignmentHash(a)
@@ -176,6 +189,9 @@ func BenchmarkCollect(b *testing.B) {
 			})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if lines++; editEvery > 0 && lines%editEvery == 0 {
+				line = bytes.Replace(line, []byte(`,"responses":`), []byte(`, "responses":`), 1)
 			}
 			shards[cell%2].Write(line)
 			shards[cell%2].WriteByte('\n')
@@ -199,8 +215,8 @@ func BenchmarkCollect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ms.Kept != 3000 || cs.Kept != 3000 || cs.Dropped != 0 {
-			b.Fatalf("merge kept %d, compact kept %d and dropped %d; want 3000, 3000, 0", ms.Kept, cs.Kept, cs.Dropped)
+		if ms.Kept != 3000 || cs.Kept != 3000 || cs.Dropped != 0 || !cs.Unchanged {
+			b.Fatalf("merge kept %d, compact = %+v; want 3000 kept, none dropped, unchanged", ms.Kept, cs)
 		}
 	}
 	b.ReportMetric(3000, "records/op")

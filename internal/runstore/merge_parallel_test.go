@@ -27,6 +27,18 @@ func TestParallelMergeByteIdentity(t *testing.T) {
 	s1 := filepath.Join(dir, "s1.jsonl")
 	writeBulkJournal(t, s0, "par-a", 300, 2, "x")
 	writeBulkJournal(t, s1, "par-b", 300, 2, "x")
+	// One line the write pass must decode and re-encode among the ones it
+	// copies, so the pool delivers both kinds of frame.
+	edited, err := os.OpenFile(s1, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := edited.WriteString(`{"experiment": "par-b", "row": 7, "replicate": 9, "hash": "edited", "assignment": {"b": "2", "a": "1"}, "responses": {"ms": 1.0}}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := edited.Close(); err != nil {
+		t.Fatal(err)
+	}
 	serial := filepath.Join(dir, "serial.jsonl")
 	parallel := filepath.Join(dir, "parallel.jsonl")
 	withMergeThreshold(t, 1<<30, func() {

@@ -5,7 +5,7 @@ import "repro/internal/obs"
 // The journal layer has no configuration seam — Open takes only a path —
 // so its instruments live in the process-wide default registry. All
 // backends funnel persistence through Journal (the shard store wraps one
-// journal per shard, the remote spool is a journal), so these six series
+// journal per shard, the remote spool is a journal), so these series
 // cover every byte the store layer writes or re-reads.
 var (
 	metAppends = obs.Default().Counter("runstore_appends_total",
@@ -20,4 +20,8 @@ var (
 		"Distinct records written by journal merges.")
 	metCompactRecords = obs.Default().Counter("runstore_compact_records_total",
 		"Distinct records written by journal compactions.")
+	metCompactSkipped = obs.Default().Counter("runstore_compact_skipped_total",
+		"In-place compactions that found the journal already compact and wrote nothing.")
+	metRewriteCopied = obs.Default().Counter("runstore_rewrite_copied_records_total",
+		"Winner frames merges and compactions copied from a canonical source without decoding.")
 )

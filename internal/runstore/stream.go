@@ -15,9 +15,8 @@ type Extent struct {
 
 // SourceEntry is the lightweight per-record metadata a streaming index
 // pass yields: enough to key, order canonically, and compare
-// measurements without retaining the decoded record. The decoded record
-// itself (its assignment and response maps) is transient — that is the
-// point of the streaming contract.
+// measurements without retaining the record — which a journal reader
+// does not even decode when its stored form is canonical (codec.entry).
 type SourceEntry struct {
 	Experiment string
 	Hash       string
@@ -32,6 +31,11 @@ type SourceEntry struct {
 	// entry: every index pass asks for it at least twice. Entries built
 	// elsewhere (the archive's) leave it empty and Key derives it.
 	key string
+	// canonical says the stored payload is byte for byte what its codec
+	// writes for the record it decodes to, so a rewrite into the same
+	// codec may copy the frame instead of re-making it. Only a journal
+	// reader sets it.
+	canonical bool
 }
 
 // Key returns the entry's runstore lookup key.
@@ -84,28 +88,33 @@ func Fingerprint(rec Record) uint64 {
 	h = (h ^ 1) * fnvPrime64
 	var stack [8]string
 	for _, k := range sortedKeys(stack[:0], rec.Responses) {
-		h = fnvString(h, k)
-		v := rec.Responses[k]
-		if v == 0 {
-			v = 0 // fold -0 into +0: they compare equal as measurements
-		}
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(bits>>(8*i)))) * fnvPrime64
-		}
+		h = fnvResponse(h, k, rec.Responses[k])
+	}
+	return h
+}
+
+// fnvResponse folds one response into h; Fingerprint and the JSON entry
+// scan fold the same responses in the same (key) order.
+func fnvResponse[S string | []byte](h uint64, name S, v float64) uint64 {
+	h = fnvString(h, name)
+	if v == 0 {
+		v = 0 // fold -0 into +0: they compare equal as measurements
+	}
+	bits := math.Float64bits(v)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(bits>>(8*i)))) * fnvPrime64
 	}
 	return h
 }
 
 // entryOf builds the index entry for one decoded record.
-func entryOf(rec Record, ext Extent) SourceEntry {
+func entryOf(rec Record) SourceEntry {
 	return SourceEntry{
 		Experiment: rec.Experiment,
 		Hash:       rec.Hash,
 		Replicate:  rec.Replicate,
 		Row:        rec.Row,
 		Fp:         Fingerprint(rec),
-		Ext:        ext,
 		key:        rec.Key(),
 	}
 }

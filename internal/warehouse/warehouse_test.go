@@ -197,6 +197,55 @@ func TestRefreshKeepsIngestTimeWhenContentUnchanged(t *testing.T) {
 	}
 }
 
+// TestCompactOfCompactRunIsInvisible: compacting a run that has nothing
+// to drop does not rewrite it, so the catalog's stat-skip still holds
+// and the run keeps its place in the history — runs are ordered by
+// modification time, and a rewrite used to move the oldest run to the
+// end of every history, trends and regressions answer.
+func TestCompactOfCompactRunIsInvisible(t *testing.T) {
+	root := t.TempDir()
+	cell := map[string]string{"f": "x"}
+	names := []string{"oldest.jsonl", "middle.binj", "newest.jsonl"}
+	for i, name := range names {
+		write := writeJournal
+		if filepath.Ext(name) == runstore.BinaryExt {
+			write = writeBinary
+		}
+		write(t, filepath.Join(root, name), []runstore.Record{
+			mkRec("e", cell, 0, map[string]float64{"ms": float64(i)}),
+			mkRec("e", cell, 1, map[string]float64{"ms": float64(i) + 0.5}),
+		}, baseTime.Add(time.Duration(i)*time.Second))
+	}
+	w := openTest(t, root)
+	if rs, err := w.Refresh(); err != nil || rs.Ingested != 3 {
+		t.Fatalf("first refresh = %+v, %v", rs, err)
+	}
+	before := w.Runs()
+
+	for _, name := range names[:2] {
+		cs, err := runstore.Compact(filepath.Join(root, name), "")
+		if err != nil || !cs.Unchanged || cs.Kept != 2 {
+			t.Fatalf("Compact(%s) = %+v, %v; want unchanged", name, cs, err)
+		}
+	}
+	rs, err := w.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Unchanged != 3 || rs.Ingested != 0 {
+		t.Fatalf("refresh after a no-op compact = %+v, want 3 unchanged and none ingested", rs)
+	}
+	after := w.Runs()
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("runs changed across a no-op compact:\n%+v\n%+v", before, after)
+	}
+	for i, r := range after {
+		if r.Path != names[i] {
+			t.Fatalf("run %d is %s, want %s", i, r.Path, names[i])
+		}
+	}
+}
+
 func TestVanishedSourcesStayQueryable(t *testing.T) {
 	root := t.TempDir()
 	cell := map[string]string{"f": "x"}

@@ -156,7 +156,8 @@ func Merge(dst string, srcs ...string) (MergeStats, error) {
 // Compact rewrites the store file at src keeping only the last record
 // of every key, preserving first-appended order; dst == "" compacts in
 // place, otherwise src is untouched. Like Merge it streams and is
-// idempotent.
+// idempotent; in place, a journal with nothing to drop is not rewritten
+// at all (CompactStats.Unchanged).
 func Compact(src, dst string) (CompactStats, error) {
 	return runstore.Compact(src, dst)
 }
