@@ -76,7 +76,9 @@ docs-check:
 # for json.Marshal/Unmarshal on the record path), and each codec's entry
 # scan must agree with decoding on every payload, its canonical verdict
 # true exactly when re-encoding reproduces the bytes (FuzzEntryScan —
-# what lets Merge and Compact copy a frame). `go test -fuzz` takes
+# what lets Merge and Compact copy a frame), and the hand-written run
+# document codec of the warehouse index must agree with encoding/json on
+# every input (FuzzIndexCodec). `go test -fuzz` takes
 # one target per invocation, so the fuzzers run back to back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJSONCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzEntryScan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
+	$(GO) test -fuzz=FuzzIndexCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 
 .PHONY: cover
 cover:

@@ -176,3 +176,34 @@ func TestDiagnose(t *testing.T) {
 		t.Errorf("expected MistakeTooManyExperiments, got %v", ms)
 	}
 }
+
+// TestAssignmentString pins the canonical rendering: queries select cells
+// by it and the warehouse sorts by it.
+func TestAssignmentString(t *testing.T) {
+	many := Assignment{}
+	want := ""
+	for i := 0; i < 12; i++ { // more keys than String sorts without allocating
+		many[string(rune('l'-i))] = strings.Repeat("v", i)
+	}
+	for i := 0; i < 12; i++ {
+		want += string(rune('a'+i)) + "=" + strings.Repeat("v", 11-i) + " "
+	}
+	for _, tc := range []struct {
+		a    Assignment
+		want string
+	}{
+		{nil, ""},
+		{Assignment{}, ""},
+		{Assignment{"f": "x"}, "f=x"},
+		{Assignment{"": ""}, "="},
+		{Assignment{"g": "1", "f": "a b", "h": ""}, "f=a b g=1 h="},
+		{many, strings.TrimSuffix(want, " ")},
+	} {
+		if got := tc.a.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.a, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Assignment{"g": "1", "f": "a"}.String() }); n > 2 {
+		t.Errorf("String allocates %v times for a two-factor assignment, want the result only", n)
+	}
+}

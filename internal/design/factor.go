@@ -74,9 +74,12 @@ type Assignment map[string]string
 // String renders the assignment deterministically in factor declaration
 // order when used through Design.AssignmentString; standalone it sorts keys.
 func (a Assignment) String() string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
+	var few [8]string // a design with more factors than this pays one allocation more
+	keys := few[:0]
+	size := 0
+	for k, v := range a {
 		keys = append(keys, k)
+		size += len(k) + len("=") + len(v) + len(" ")
 	}
 	// insertion sort (tiny maps)
 	for i := 1; i < len(keys); i++ {
@@ -84,9 +87,15 @@ func (a Assignment) String() string {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	parts := make([]string, len(keys))
+	var b strings.Builder
+	b.Grow(size)
 	for i, k := range keys {
-		parts[i] = k + "=" + a[k]
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(a[k])
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }

@@ -7,16 +7,18 @@ import (
 	"io"
 	"iter"
 	"os"
+	"slices"
 
 	"repro/internal/runstore"
 )
 
 // reader is the streaming runstore.SourceReader over one archive file:
-// Entries walks the block sequence front to back with buffered reads,
-// decoding each record transiently; Read fetches a single block by
-// extent. It backs runstore.OpenSource, LoadRecords, ScanFile, Merge,
-// Compact, and Inspect for archive files — the same walk, torn-tail
-// rule, and finalization check everywhere.
+// Records and Entries are one walk of the block sequence front to back
+// with buffered reads, every block parsed (and, compressed, inflated)
+// once; Read fetches a single block by extent. It backs
+// runstore.OpenSource, LoadRecords, ScanFile, Merge, Compact, Inspect and
+// the warehouse ingest for archive files — the same walk, torn-tail rule,
+// and finalization check everywhere.
 type reader struct {
 	path string
 	f    *os.File
@@ -45,108 +47,124 @@ func OpenReader(path string) (runstore.SourceReader, error) {
 	return &reader{path: path, f: f, size: st.Size()}, nil
 }
 
-// Entries implements runstore.SourceReader: every record block in file
-// order, superseded blocks included. A torn or unfinalized tail ends
-// the walk without error and is reported via Info; unknown block types
-// with valid checksums are skipped (forward compatibility, per the
-// docs/FORMAT.md versioning policy).
-func (r *reader) Entries() iter.Seq2[runstore.SourceEntry, error] {
-	return func(yield func(runstore.SourceEntry, error) bool) {
-		br := bufio.NewReaderSize(io.NewSectionReader(r.f, int64(headerSize), r.size-int64(headerSize)), 256<<10)
-		off := int64(headerSize)
-		records, zrecords, pages := 0, 0, 0
-		finalized := false
-		distinct := make(map[string]struct{})
-		var hdr [blockHeaderSize]byte
-	walk:
-		for {
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				break // EOF or torn mid-header: the tail is measured below
-			}
-			typ, payload, ok := readBlockBody(br, hdr, r.size-off-int64(blockHeaderSize))
-			if !ok {
-				break
-			}
-			blockLen := int64(blockHeaderSize) + int64(len(payload))
-			switch typ {
-			case blockFooter:
-				// A finalized archive ends footer, trailer, EOF — anything
-				// else past the footer is a torn finalize.
-				end := off + blockLen
-				if r.size == end+int64(trailerSize) {
-					t := make([]byte, trailerSize)
-					if _, err := r.f.ReadAt(t, end); err == nil {
-						if footOff, ok := decodeTrailer(t); ok && footOff == off {
-							finalized = true
-						}
+// walk is the one forward pass over the block sequence, behind both
+// Records and Entries: every record block in file order, superseded
+// blocks included, decoded once and handed to fn with its extent until fn
+// reports false. A torn or unfinalized tail ends the walk without error
+// and is reported via Info; unknown block types with valid checksums are
+// skipped (forward compatibility, per the docs/FORMAT.md versioning
+// policy); a record block that does not decode is the walk's error.
+func (r *reader) walk(fn func(runstore.Record, runstore.Extent) bool) error {
+	br := bufio.NewReaderSize(io.NewSectionReader(r.f, int64(headerSize), r.size-int64(headerSize)), 256<<10)
+	off := int64(headerSize)
+	records, zrecords, pages := 0, 0, 0
+	finalized := false
+	distinct := make(map[string]struct{})
+	var frame []byte // one block buffer for the whole walk: decoding copies out what it keeps
+scan:
+	for {
+		typ, payload, ok := readBlock(br, &frame, r.size-off)
+		if !ok {
+			break // EOF or a torn block: the tail is measured below
+		}
+		blockLen := int64(blockHeaderSize) + int64(len(payload))
+		switch typ {
+		case blockFooter:
+			// A finalized archive ends footer, trailer, EOF — anything
+			// else past the footer is a torn finalize.
+			end := off + blockLen
+			if r.size == end+int64(trailerSize) {
+				t := make([]byte, trailerSize)
+				if _, err := r.f.ReadAt(t, end); err == nil {
+					if footOff, ok := decodeTrailer(t); ok && footOff == off {
+						finalized = true
 					}
 				}
-				break walk
-			case blockRecord, blockRecordZ:
-				rec, err := decodeRecordBlock(typ, payload)
-				if err != nil {
-					yield(runstore.SourceEntry{}, fmt.Errorf("archivestore: %s: %w", r.path, err))
-					return
-				}
-				records++
-				if typ == blockRecordZ {
-					zrecords++
-				}
-				e := runstore.SourceEntry{
-					Experiment: rec.Experiment,
-					Hash:       rec.Hash,
-					Replicate:  rec.Replicate,
-					Row:        rec.Row,
-					Fp:         runstore.Fingerprint(rec),
-					Ext:        runstore.Extent{Off: off, Len: blockLen},
-				}
-				distinct[e.Key()] = struct{}{}
-				if !yield(e, nil) {
-					return
-				}
-			case blockIndex:
-				pages++
 			}
-			off += blockLen
+			break scan
+		case blockRecord, blockRecordZ:
+			rec, err := decodeRecordBlock(typ, payload)
+			if err != nil {
+				return fmt.Errorf("archivestore: %s: %w", r.path, err)
+			}
+			records++
+			if typ == blockRecordZ {
+				zrecords++
+			}
+			distinct[rec.Key()] = struct{}{}
+			if !fn(rec, runstore.Extent{Off: off, Len: blockLen}) {
+				return nil
+			}
+		case blockIndex:
+			pages++
 		}
-		var dropped int64
-		if !finalized {
-			dropped = r.size - off
-		}
-		r.info = runstore.Info{
-			Records:  records,
-			Distinct: len(distinct),
-			Torn:     dropped > 0 || (!finalized && records > 0),
-			Detail:   describe(records, zrecords, pages, finalized, dropped),
+		off += blockLen
+	}
+	var dropped int64
+	if !finalized {
+		dropped = r.size - off
+	}
+	r.info = runstore.Info{
+		Records:  records,
+		Distinct: len(distinct),
+		Torn:     dropped > 0 || (!finalized && records > 0),
+		Detail:   describe(records, zrecords, pages, finalized, dropped),
+	}
+	return nil
+}
+
+// Records implements runstore.SourceReader: the walk's records as they
+// are stored (the archive writer never stores one without its hash).
+func (r *reader) Records() iter.Seq2[runstore.Record, error] {
+	return func(yield func(runstore.Record, error) bool) {
+		if err := r.walk(func(rec runstore.Record, _ runstore.Extent) bool { return yield(rec, nil) }); err != nil {
+			yield(runstore.Record{}, err)
 		}
 	}
 }
 
-// readBlockBody finishes reading one block whose header bytes are in
-// hdr: it validates the length against both the payload bound and the
+// Entries implements runstore.SourceReader: the same walk, each record
+// reduced to its index entry.
+func (r *reader) Entries() iter.Seq2[runstore.SourceEntry, error] {
+	return func(yield func(runstore.SourceEntry, error) bool) {
+		err := r.walk(func(rec runstore.Record, ext runstore.Extent) bool {
+			return yield(runstore.SourceEntry{
+				Experiment: rec.Experiment,
+				Hash:       rec.Hash,
+				Replicate:  rec.Replicate,
+				Row:        rec.Row,
+				Fp:         runstore.Fingerprint(rec),
+				Ext:        ext,
+			}, nil)
+		})
+		if err != nil {
+			yield(runstore.SourceEntry{}, err)
+		}
+	}
+}
+
+// readBlock reads the next block of a streamed walk into *buf, which it
+// grows as needed and every call reuses; payload is valid until the next
+// one. It validates the length against both the payload bound and the
 // bytes remaining in the file (so a corrupt length field cannot drive a
-// huge allocation), reads the payload, and checks the checksum —
-// parseBlock's torn-block rule for streamed input.
-func readBlockBody(br *bufio.Reader, hdr [blockHeaderSize]byte, remaining int64) (typ byte, payload []byte, ok bool) {
-	frame := make([]byte, blockHeaderSize)
-	copy(frame, hdr[:])
-	typ = hdr[0]
-	if typ == 0 { // a zeroed region is damage, not a block
+// huge allocation) and checks the checksum — parseBlock's torn-block rule
+// for streamed input.
+func readBlock(br *bufio.Reader, buf *[]byte, remaining int64) (typ byte, payload []byte, ok bool) {
+	b := slices.Grow((*buf)[:0], blockHeaderSize)[:blockHeaderSize]
+	*buf = b
+	if _, err := io.ReadFull(br, b); err != nil {
 		return 0, nil, false
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[1:5]))
-	if n > maxPayload || n > remaining {
+	n := int64(binary.LittleEndian.Uint32(b[1:5]))
+	if b[0] == 0 || n > maxPayload || n > remaining-int64(blockHeaderSize) {
+		return 0, nil, false // a zeroed region is damage, not a block
+	}
+	b = slices.Grow(b, int(n))[:blockHeaderSize+int(n)]
+	*buf = b
+	if _, err := io.ReadFull(br, b[blockHeaderSize:]); err != nil {
 		return 0, nil, false
 	}
-	frame = append(frame, make([]byte, n)...)
-	if _, err := io.ReadFull(br, frame[blockHeaderSize:]); err != nil {
-		return 0, nil, false
-	}
-	t, payload, ok := parseBlock(frame, 0)
-	if !ok {
-		return 0, nil, false
-	}
-	return t, payload, true
+	return parseBlock(b, 0)
 }
 
 // Read implements runstore.SourceReader with one positioned read of the

@@ -187,31 +187,32 @@ func (c *codec) openReader(path string) (SourceReader, error) {
 	return &fileSource{path: path, f: f, c: c}, nil
 }
 
-// Entries implements SourceReader, scanning the file from the start
-// with the codec's entry scan. It may be consumed more than once; each
-// call re-reads the file.
-func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
-	return func(yield func(SourceEntry, error) bool) {
+// scanSource is the one forward pass over a journal file, behind both
+// Entries and Records: from the start, through framelog's buffered scan,
+// each payload turned into one item of the sequence — with its extent
+// and, where the caller knows it, the canonical verdict of its frame. It
+// may be consumed more than once; each pass re-reads the file and leaves
+// the reader's Info behind.
+func scanSource[T any](r *fileSource, item func(payload []byte, ext Extent) (T, bool, error)) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		var zero T
 		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-			yield(SourceEntry{}, fmt.Errorf("runstore: %w", err))
+			yield(zero, fmt.Errorf("runstore: %w", err))
 			return
 		}
-		scratch := frameBufPool.Get().(*[]byte)
-		defer putFrameBuf(scratch)
 		records, canonical := 0, true
 		tiled := int64(len(r.c.framing.Magic()))
 		terminator := int64(len(r.c.framing.Terminator()))
 		stop := fmt.Errorf("runstore: iteration stopped") // sentinel, never escapes
 		_, torn, err := r.c.framing.ScanFile(r.f, func(payload []byte, off, n int64) error {
-			e, err := r.c.entry(payload, scratch)
+			it, canon, err := item(payload, Extent{Off: off, Len: n})
 			if err != nil {
 				return framelog.Corrupt(fmt.Errorf("corrupt %s at byte %d: %v", r.c.what, off, err))
 			}
-			e.Ext = Extent{Off: off, Len: n}
 			records++
-			canonical = canonical && e.canonical
+			canonical = canonical && canon
 			tiled += n + terminator
-			if !yield(e, nil) {
+			if !yield(it, nil) {
 				return stop
 			}
 			return nil
@@ -220,13 +221,39 @@ func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
 			return
 		}
 		if err != nil {
-			yield(SourceEntry{}, fmt.Errorf("runstore: %s: %w", r.path, err))
+			yield(zero, fmt.Errorf("runstore: %s: %w", r.path, err))
 			return
 		}
 		r.info = Info{Records: records, Torn: torn, Detail: r.c.detail}
 		st, err := r.f.Stat()
 		r.canonical = canonical && !torn && err == nil && tiled == st.Size()
 	}
+}
+
+// Entries implements SourceReader with the codec's entry scan.
+func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
+	return func(yield func(SourceEntry, error) bool) {
+		scratch := frameBufPool.Get().(*[]byte)
+		defer putFrameBuf(scratch)
+		scanSource(r, func(payload []byte, ext Extent) (SourceEntry, bool, error) {
+			e, err := r.c.entry(payload, scratch)
+			e.Ext = ext
+			return e, e.canonical, err
+		})(yield)
+	}
+}
+
+// Records implements SourceReader: each frame decoded once, a missing
+// hash derived as Read derives it. No frame is judged canonical, so a
+// Records pass never licenses Compact to leave the file alone.
+func (r *fileSource) Records() iter.Seq2[Record, error] {
+	return scanSource(r, func(payload []byte, _ Extent) (Record, bool, error) {
+		rec, err := r.c.decode(payload)
+		if err == nil && rec.Hash == "" {
+			rec.Hash = AssignmentHash(rec.Assignment)
+		}
+		return rec, false, err
+	})
 }
 
 // raw returns the stored bytes of the record at ext. With ahead set they

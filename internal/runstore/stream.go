@@ -47,17 +47,26 @@ func (e SourceEntry) Key() string {
 }
 
 // SourceReader is the streaming, random-access view of one store file
-// that Merge, Compact, LoadRecords, and Inspect consume. Entries makes
-// one forward pass in file order, decoding each record transiently;
-// Read decodes a single record by the extent Entries yielded for it.
-// Every Format brings one (Format.OpenReader) — both journal encodings
-// share fileSource — and OpenSource dispatches.
+// that Merge, Compact, LoadRecords, Inspect and the warehouse consume.
+// Entries and Records are two projections of one forward pass in file
+// order through buffered sequential reads — the index entry of each
+// frame, or the frame decoded — and Read decodes a single record by the
+// extent Entries yielded for it. A consumer that wants every record reads
+// Records and resolves last-wins itself, decoding each frame once; one
+// that wants few of many (a rewrite that copies canonical frames) indexes
+// with Entries and fetches by extent. Every Format brings one
+// (Format.OpenReader) — both journal encodings share fileSource — and
+// OpenSource dispatches.
 type SourceReader interface {
 	// Entries iterates every record in file order — superseded records
 	// included — as lightweight entries. A torn trailing frame ends the
 	// iteration without error (Info reports it); a corrupt interior
 	// frame yields the error and stops.
 	Entries() iter.Seq2[SourceEntry, error]
+	// Records iterates every record in file order — superseded records
+	// included — decoded exactly once each, as Read would decode it. Torn
+	// tails and corrupt frames are Entries'.
+	Records() iter.Seq2[Record, error]
 	// Read decodes the record at ext, which must have been yielded by
 	// Entries on this reader. Read must be safe for concurrent use —
 	// every implementation serves it with a stateless positioned read
@@ -149,11 +158,13 @@ func Seq(recs []Record) iter.Seq2[Record, error] {
 // ScanFile streams the distinct last-wins records of a store file —
 // journal or registered-format archive — in the file's deterministic
 // first-appended order, without materializing the record set: an index
-// pass sizes the winners, then records decode one at a time. The file
-// is opened read-only and never repaired; a torn trailing frame is
-// dropped exactly as Open would drop it. Errors (unreadable file,
-// corrupt interior frame) surface in the sequence; iteration stops at
-// the first one.
+// pass sizes the winners, then records decode one at a time — a journal's
+// through the rewrite's read-ahead window, so the read pass costs one
+// positioned read per 64 KiB, not per record. The file is opened
+// read-only and never repaired; a torn trailing frame is dropped exactly
+// as Open would drop it. Errors (unreadable file, corrupt interior frame)
+// surface in the sequence; iteration stops at the first one. It is the
+// reference the warehouse's single-pass ingest is held to.
 func ScanFile(path string) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		r, err := OpenSource(path)
@@ -167,13 +178,14 @@ func ScanFile(path string) iter.Seq2[Record, error] {
 			yield(Record{}, err)
 			return
 		}
+		src := newMergeSource(r)
 		for _, k := range order {
-			rec, err := r.Read(idx[k].Ext)
+			f, err := src.fetch(idx[k], nil, true)
 			if err != nil {
 				yield(Record{}, err)
 				return
 			}
-			if !yield(rec, nil) {
+			if !yield(f.rec, nil) {
 				return
 			}
 		}

@@ -1,0 +1,204 @@
+package warehouse
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/runstore"
+	// Without the archive format registered, a Merge to .arch or .archz
+	// silently writes a JSONL journal and the fixture holds the wrong
+	// formats.
+	_ "repro/internal/runstore/archivestore"
+)
+
+// The benchmarks run over the shape of bench/'s warehouse-query workload:
+// 25 runs of 100 cells × 10 replicates × 2 responses, rotating through
+// the four at-rest formats, the newest run drifted upward on every tenth
+// cell so the regression listing has something to list.
+const (
+	benchRuns  = 25
+	benchCells = 100
+	benchReps  = 10
+)
+
+var benchFormats = []string{".jsonl", ".binj", ".arch", ".archz"}
+
+// benchFixture writes the runs into a fresh directory and returns it.
+func benchFixture(b *testing.B) string {
+	b.Helper()
+	dir := b.TempDir()
+	for run := 0; run < benchRuns; run++ {
+		raw := filepath.Join(dir, ".raw.jsonl")
+		f, err := os.Create(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := bufio.NewWriter(f)
+		for cell := 0; cell < benchCells; cell++ {
+			for rep := 0; rep < benchReps; rep++ {
+				ms := 5 + float64(cell) + 0.01*float64((run*31+cell*17+rep*7)%40)
+				if run == benchRuns-1 && cell%10 == 0 {
+					ms *= 1.2
+				}
+				rec, err := runstore.NormalizeAppend(runstore.Record{
+					Experiment: "journey",
+					Row:        cell,
+					Replicate:  rep,
+					Assignment: map[string]string{"cell": fmt.Sprintf("c%05d", cell)},
+					Responses:  map[string]float64{"ms": ms, "io": float64(100 + (run+cell+rep)%900)},
+				})
+				if err == nil {
+					err = runstore.EncodeWire(w, rec)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("run-%03d%s", run, benchFormats[run%len(benchFormats)]))
+		if _, err := runstore.Merge([]string{raw}, path); err != nil {
+			b.Fatal(err)
+		}
+		if info, err := runstore.Inspect(path); err != nil || info.Records != benchCells*benchReps {
+			b.Fatalf("fixture %s: %+v, %v", path, info, err)
+		}
+		mod := baseTime.Add(time.Duration(run) * time.Hour)
+		if err := os.Chtimes(path, mod, mod); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Remove(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// benchOpen opens the warehouse over dir the way a process does.
+func benchOpen(b *testing.B, dir string) *Warehouse {
+	b.Helper()
+	w, err := Open(dir, Options{Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
+// benchRefreshed returns an open warehouse whose index holds every run.
+func benchRefreshed(b *testing.B) *Warehouse {
+	b.Helper()
+	w := benchOpen(b, benchFixture(b))
+	b.Cleanup(func() { w.Close() })
+	if rs, err := w.Refresh(); err != nil || rs.Ingested != benchRuns || rs.Records != benchRuns*benchCells*benchReps {
+		b.Fatalf("Refresh = %+v, %v", rs, err)
+	}
+	return w
+}
+
+var benchHistory = Request{Kind: KindHistory, Experiment: "journey", Response: "ms", Cell: "cell=c00042"}
+
+// BenchmarkWarehouseColdRefresh ingests all 25 sources into an empty
+// index: the decode-once, sources-in-parallel path.
+func BenchmarkWarehouseColdRefresh(b *testing.B) {
+	dir := benchFixture(b)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.Remove(filepath.Join(dir, IndexFile)); err != nil && !os.IsNotExist(err) {
+			b.Fatal(err)
+		}
+		w := benchOpen(b, dir)
+		b.StartTimer()
+		rs, err := w.Refresh()
+		b.StopTimer()
+		if err != nil || rs.Ingested != benchRuns {
+			b.Fatalf("Refresh = %+v, %v", rs, err)
+		}
+		w.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkWarehouseReopen replays the index file of 25 runs: what every
+// `perfeval query` and repro.Query pays before it can answer.
+func BenchmarkWarehouseReopen(b *testing.B) {
+	dir := benchRefreshed(b).Root()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchOpen(b, dir).Close()
+	}
+}
+
+// BenchmarkWarehouseQueryHistory asks for one cell's history by its
+// assignment string, an earlier query having rendered the runs' strings.
+func BenchmarkWarehouseQueryHistory(b *testing.B) {
+	w := benchRefreshed(b)
+	if res, err := w.Query(benchHistory); err != nil || len(res.History) != benchRuns {
+		b.Fatalf("history = %+v, %v", res, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Query(benchHistory); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarehouseQueryHistoryFirst is the same question asked as the
+// first one after every run changed: what a one-query process, or a daemon
+// whose every shard changes between two queries, pays for its answer.
+func BenchmarkWarehouseQueryHistoryFirst(b *testing.B) {
+	w := benchRefreshed(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(w.assignments)
+		if _, err := w.Query(benchHistory); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarehouseQueryRegressions lists every regressed cell.
+func BenchmarkWarehouseQueryRegressions(b *testing.B) {
+	w := benchRefreshed(b)
+	if res, err := w.Query(Request{Kind: KindRegressions}); err != nil || len(res.Regressions) == 0 {
+		b.Fatalf("regressions = %+v, %v", res, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Query(Request{Kind: KindRegressions}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarehouseQueryOneShot is the CLI's shape: open, refresh (every
+// source skipped on a stat), one history query, close.
+func BenchmarkWarehouseQueryOneShot(b *testing.B) {
+	dir := benchRefreshed(b).Root()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := benchOpen(b, dir)
+		if rs, err := w.Refresh(); err != nil || rs.Unchanged != benchRuns {
+			b.Fatalf("Refresh = %+v, %v", rs, err)
+		}
+		if res, err := w.Query(benchHistory); err != nil || len(res.History) != benchRuns {
+			b.Fatalf("history = %+v, %v", res, err)
+		}
+		w.Close()
+	}
+}

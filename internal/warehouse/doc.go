@@ -11,19 +11,26 @@
 //     each file as one *run*. Refresh is incremental: a source whose
 //     size and modification time are unchanged is never re-read, and a
 //     changed one is re-ingested whole (its run summary is replaced,
-//     last-wins). Sources that vanish stay in the index: the warehouse
-//     is the history, the store files are only its substrate.
+//     last-wins) in one forward pass that decodes every frame once;
+//     changed sources are read in parallel and indexed in catalog
+//     order. Sources that vanish stay in the index: the warehouse is
+//     the history, the store files are only its substrate.
 //   - The cell-history index (one checksummed internal/framelog file,
 //     warehouse.idx) persists one summary per run: per (experiment, cell,
 //     response) aggregates — replicate count, mean, unbiased sample
 //     variance — from which confidence intervals are rebuilt at query
-//     time via internal/stats. Queries are O(index) and never touch
-//     the source record blocks; deleting every source file after a
-//     Refresh changes no answer.
+//     time via internal/stats. Queries never touch the source record
+//     blocks; deleting every source file after a Refresh changes no
+//     answer. A run's JSON document is written and parsed by codec.go,
+//     which knows its one shape; encoding/json is its specification
+//     and its fallback.
 //   - The query core (Request, Result, Warehouse.Query) answers run
 //     listings, per-cell history, per-experiment trend lines, and
 //     regression listings reusing the CI-shift rule of the runstore
 //     regression gate (disjoint intervals, higher mean = regressed).
+//     A query is one pass over the live runs' cells: it compares
+//     strings the index already holds and evaluates the t-quantile once
+//     per distinct replicate count.
 //     The same core backs repro.Query, `perfeval query`, and the
 //     collector daemon's GET /v1/query, so they cannot drift.
 //
@@ -45,7 +52,8 @@
 // Concurrency contract: a Warehouse is safe for concurrent use —
 // Refresh, Prune, and Query serialize on an internal mutex, so a
 // long-lived embedder (the collector daemon) can serve queries while
-// the catalog refreshes.
+// the catalog refreshes. The goroutines a Refresh reads its sources on
+// are its own: it returns once they have.
 //
 // Retention (Warehouse.Prune) drops expired runs from the index only —
 // source files are never touched — by replacing each expired entry

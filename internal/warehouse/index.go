@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -84,7 +83,7 @@ const (
 
 // indexFraming is the index file's framing: framelog's checksummed
 // frames — the binary record journal's — each holding one Run's JSON
-// document.
+// document (codec.go).
 var indexFraming = framelog.Frames("warehouse index", IndexMagic, maxIndexFrame)
 
 // index is the warehouse's durable run index: an append-only framelog
@@ -117,8 +116,8 @@ func openIndex(path string) (*index, error) {
 // into runs, last frame per path winning.
 func collectRuns(runs map[string]Run) framelog.Visit {
 	return func(payload []byte, off, _ int64) error {
-		var r Run
-		if err := json.Unmarshal(payload, &r); err != nil {
+		r, err := decodeRun(payload)
+		if err != nil {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: %v", off, err))
 		}
 		if r.Path == "" {
@@ -149,12 +148,12 @@ func (x *index) Runs() []Run {
 
 // encodeIndexFrame frames one Run as its on-disk index bytes.
 func encodeIndexFrame(r Run) ([]byte, error) {
-	payload, err := json.Marshal(r)
+	// Sized so an ordinary run's document is appended without regrowing.
+	frame := indexFraming.Reserve(make([]byte, 0, 256+192*len(r.Cells)))
+	frame, err := appendRun(frame, r)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
-	frame := indexFraming.Reserve(make([]byte, 0, framelog.FrameHeaderSize+len(payload)))
-	frame = append(frame, payload...)
 	return indexFraming.Seal(frame, 0), nil
 }
 

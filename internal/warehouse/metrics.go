@@ -7,6 +7,7 @@ import "repro/internal/obs"
 type metrics struct {
 	ingestRecords *obs.Counter   // warehouse_ingest_records_total
 	ingestRuns    *obs.Counter   // warehouse_ingest_runs_total
+	ingestSeconds *obs.Histogram // warehouse_ingest_seconds
 	queries       *obs.Counter   // warehouse_queries_total
 	querySeconds  *obs.Histogram // warehouse_query_seconds
 }
@@ -18,6 +19,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Records aggregated into the warehouse index by catalog ingest."),
 		ingestRuns: reg.Counter("warehouse_ingest_runs_total",
 			"Source stores (runs) ingested or re-ingested into the warehouse index."),
+		ingestSeconds: reg.Histogram("warehouse_ingest_seconds",
+			"Time to read one source store end to end and aggregate it, in seconds; one observation per ingested source.", obs.DefBuckets),
 		queries: reg.Counter("warehouse_queries_total",
 			"Warehouse queries answered, across every surface (library, CLI, collector)."),
 		querySeconds: reg.Histogram("warehouse_query_seconds",

@@ -1,8 +1,10 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -152,33 +154,9 @@ type Result struct {
 	Regressions []RegressionEntry `json:"regressions,omitempty"`
 }
 
-// cellInterval rebuilds a cell's comparison interval from its stored
-// aggregates, mirroring the regression gate's rules term for term: a
-// Student-t interval when N >= 2 (the exact stats.MeanCI arithmetic,
-// with the standard error recovered from the stored variance), a
-// relative tolerance band for single-replicate cells.
-func cellInterval(c Cell, confidence, tolerance float64) stats.Interval {
-	if c.N >= 2 {
-		se := math.Sqrt(c.Variance) / math.Sqrt(float64(c.N))
-		alpha := 1 - confidence
-		t := stats.TQuantile(1-alpha/2, float64(c.N-1))
-		return stats.Interval{Mean: c.Mean, Lo: c.Mean - t*se, Hi: c.Mean + t*se, Confidence: confidence, N: c.N}
-	}
-	half := tolerance * math.Abs(c.Mean)
-	if half == 0 {
-		half = tolerance
-	}
-	return stats.Interval{Mean: c.Mean, Lo: c.Mean - half, Hi: c.Mean + half, Confidence: confidence, N: c.N}
-}
-
-// matchCell reports whether sel (an assignment hash or a canonical
-// assignment string) selects c.
-func matchCell(c Cell, sel string) bool {
-	return sel == c.Hash || sel == assignmentString(c.Assignment)
-}
-
 // Query answers one Request from the index alone — no record block is
-// ever read. Runs are ordered oldest first by source modification time.
+// ever read — in one pass over the live runs' cells. Runs are ordered
+// oldest first by source modification time.
 func (w *Warehouse) Query(req Request) (*Result, error) {
 	start := time.Now()
 	w.mu.Lock()
@@ -192,15 +170,71 @@ func (w *Warehouse) Query(req Request) (*Result, error) {
 	case KindRuns:
 		res.Runs = queryRuns(live, req)
 	case KindHistory:
-		res.History = queryHistory(live, req)
+		res.History = w.queryHistory(live, req)
 	case KindTrends:
 		res.Trends = queryTrends(live, req)
 	case KindRegressions:
-		res.Regressions = queryRegressions(live, req)
+		res.Regressions = w.queryRegressions(live, req)
 	}
 	w.met.queries.Inc()
 	w.met.querySeconds.Observe(time.Since(start).Seconds())
 	return res, nil
+}
+
+// assignmentsOf returns, cell for cell, the canonical "k=v k=v"
+// assignment strings of r's cells — the second thing, after its hash, a
+// Request.Cell may name a cell by. A run's strings are rendered by the
+// first query that matches a selector against it and kept until put
+// replaces the run: that query renders what every query used to, and no
+// later one renders it again.
+func (w *Warehouse) assignmentsOf(r *Run) []string {
+	s, ok := w.assignments[r.Path]
+	if !ok {
+		s = make([]string, len(r.Cells))
+		for i, c := range r.Cells {
+			s[i] = assignmentString(c.Assignment)
+		}
+		w.assignments[r.Path] = s
+	}
+	return s
+}
+
+// intervals rebuilds cells' comparison intervals for one query,
+// mirroring the regression gate's rules term for term: a Student-t
+// interval when N >= 2 (the exact stats.MeanCI arithmetic, with the
+// standard error recovered from the stored variance), a relative
+// tolerance band for single-replicate cells. The t-quantile depends only
+// on (confidence, N), and a query's cells share a handful of N, so each
+// is computed — by the same stats.TQuantile call, to the same bits — once
+// per query instead of once per cell.
+type intervals struct {
+	confidence, tolerance float64
+	t                     []tQuantile
+}
+
+// tQuantile is stats.TQuantile(1-alpha/2, n-1) for one replicate count.
+type tQuantile struct {
+	n int
+	t float64
+}
+
+func (iv *intervals) of(c *Cell) stats.Interval {
+	if c.N >= 2 {
+		i := slices.IndexFunc(iv.t, func(q tQuantile) bool { return q.n == c.N })
+		if i < 0 {
+			i = len(iv.t)
+			alpha := 1 - iv.confidence
+			iv.t = append(iv.t, tQuantile{c.N, stats.TQuantile(1-alpha/2, float64(c.N-1))})
+		}
+		t := iv.t[i].t
+		se := math.Sqrt(c.Variance) / math.Sqrt(float64(c.N))
+		return stats.Interval{Mean: c.Mean, Lo: c.Mean - t*se, Hi: c.Mean + t*se, Confidence: iv.confidence, N: c.N}
+	}
+	half := iv.tolerance * math.Abs(c.Mean)
+	if half == 0 {
+		half = iv.tolerance
+	}
+	return stats.Interval{Mean: c.Mean, Lo: c.Mean - half, Hi: c.Mean + half, Confidence: iv.confidence, N: c.N}
 }
 
 func queryRuns(live []Run, req Request) []RunInfo {
@@ -235,20 +269,25 @@ func queryRuns(live []Run, req Request) []RunInfo {
 	return tail(out, req.Limit)
 }
 
-func queryHistory(live []Run, req Request) []HistoryPoint {
+func (w *Warehouse) queryHistory(live []Run, req Request) []HistoryPoint {
 	var out []HistoryPoint
-	for _, r := range live {
-		for _, c := range r.Cells {
+	iv := intervals{confidence: req.Confidence, tolerance: req.Tolerance}
+	for ri := range live {
+		r := &live[ri]
+		assignments := w.assignmentsOf(r)
+		for i := range r.Cells {
+			c := &r.Cells[i]
+			// The selector first: it is the filter that rejects most cells.
+			if req.Cell != assignments[i] && req.Cell != c.Hash {
+				continue
+			}
 			if req.Experiment != "" && c.Experiment != req.Experiment {
 				continue
 			}
 			if req.Response != "" && c.Response != req.Response {
 				continue
 			}
-			if !matchCell(c, req.Cell) {
-				continue
-			}
-			iv := cellInterval(c, req.Confidence, req.Tolerance)
+			ci := iv.of(c)
 			out = append(out, HistoryPoint{
 				Run:          r.Path,
 				ModTimeNS:    r.ModTimeNS,
@@ -260,9 +299,9 @@ func queryHistory(live []Run, req Request) []HistoryPoint {
 				N:            c.N,
 				Mean:         c.Mean,
 				Variance:     c.Variance,
-				Lo:           iv.Lo,
-				Hi:           iv.Hi,
-				Confidence:   iv.Confidence,
+				Lo:           ci.Lo,
+				Hi:           ci.Hi,
+				Confidence:   ci.Confidence,
 			})
 		}
 	}
@@ -325,63 +364,72 @@ func queryTrends(live []Run, req Request) []TrendLine {
 	return out
 }
 
-func queryRegressions(live []Run, req Request) []RegressionEntry {
-	type cellRef struct {
-		run  string
-		cell Cell
+func (w *Warehouse) queryRegressions(live []Run, req Request) []RegressionEntry {
+	type point struct {
+		run  *Run
+		cell *Cell
 	}
 	type cellKey struct{ experiment, hash, response string }
-	series := make(map[cellKey][]cellRef)
-	var order []cellKey
-	for _, r := range live {
-		for _, c := range r.Cells {
+	// One cell's two newest selected points.
+	type series struct {
+		cellKey
+		base, cur point
+	}
+	at := make(map[cellKey]int)
+	var all []series
+	for ri := range live {
+		r := &live[ri]
+		var assignments []string
+		if req.Cell != "" {
+			assignments = w.assignmentsOf(r)
+		}
+		for ci := range r.Cells {
+			c := &r.Cells[ci]
+			if req.Cell != "" && req.Cell != assignments[ci] && req.Cell != c.Hash {
+				continue
+			}
 			if req.Experiment != "" && c.Experiment != req.Experiment {
 				continue
 			}
 			if req.Response != "" && c.Response != req.Response {
 				continue
 			}
-			if req.Cell != "" && !matchCell(c, req.Cell) {
-				continue
-			}
 			k := cellKey{c.Experiment, c.Hash, c.Response}
-			if series[k] == nil {
-				order = append(order, k)
+			i, ok := at[k]
+			if !ok {
+				i = len(all)
+				at[k] = i
+				all = append(all, series{cellKey: k})
 			}
-			series[k] = append(series[k], cellRef{run: r.Path, cell: c})
+			s := &all[i]
+			s.base, s.cur = s.cur, point{r, c}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.experiment != b.experiment {
-			return a.experiment < b.experiment
-		}
-		if a.hash != b.hash {
-			return a.hash < b.hash
-		}
-		return a.response < b.response
+	slices.SortFunc(all, func(a, b series) int {
+		return cmp.Or(
+			strings.Compare(a.experiment, b.experiment),
+			strings.Compare(a.hash, b.hash),
+			strings.Compare(a.response, b.response))
 	})
 	var out []RegressionEntry
-	for _, k := range order {
-		refs := series[k]
-		if len(refs) < 2 {
+	iv := intervals{confidence: req.Confidence, tolerance: req.Tolerance}
+	for _, s := range all {
+		if s.base.cell == nil {
 			continue
 		}
-		base, cur := refs[len(refs)-2], refs[len(refs)-1]
-		bi := cellInterval(base.cell, req.Confidence, req.Tolerance)
-		ci := cellInterval(cur.cell, req.Confidence, req.Tolerance)
+		bi, ci := iv.of(s.base.cell), iv.of(s.cur.cell)
 		// The gate's CI-shift rule: overlapping intervals are unchanged,
 		// disjoint with a higher current mean is a regression.
 		if bi.Overlaps(ci) || ci.Mean <= bi.Mean {
 			continue
 		}
 		e := RegressionEntry{
-			Experiment: k.experiment,
-			Hash:       k.hash,
-			Assignment: cur.cell.Assignment,
-			Response:   k.response,
-			BaseRun:    base.run,
-			CurRun:     cur.run,
+			Experiment: s.experiment,
+			Hash:       s.hash,
+			Assignment: s.cur.cell.Assignment,
+			Response:   s.response,
+			BaseRun:    s.base.run.Path,
+			CurRun:     s.cur.run.Path,
 			Base:       bi,
 			Cur:        ci,
 		}

@@ -1,12 +1,16 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/design"
@@ -30,18 +34,24 @@ type Options struct {
 // Warehouse is a queryable result history over a directory of run
 // stores. Open one with Open, keep it refreshed with Refresh, ask it
 // questions with Query, bound it with Prune, and Close it when done.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Open replays the index file
+// and nothing more; Refresh reads each changed source once; a Query is
+// one pass over the live runs' cells.
 type Warehouse struct {
 	mu    sync.Mutex // serializes Refresh, Prune, and Query
 	root  string
 	idx   *index
 	met   *metrics
 	clock func() time.Time
+	// assignments holds, per run path, what assignmentsOf rendered for the
+	// run the index holds under that path.
+	assignments map[string][]string
 }
 
 // Open opens the warehouse over root (which must exist), loading the
-// index file. Open never reads a record: a warehouse over a
-// million-record directory opens in O(index).
+// index file. Open never reads a record and builds no query structure:
+// a warehouse over a million-record directory opens in the time it
+// takes to replay its index file, one pass over its bytes.
 func Open(root string, opts Options) (*Warehouse, error) {
 	st, err := os.Stat(root)
 	if err != nil {
@@ -62,7 +72,7 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Warehouse{root: root, idx: idx, met: newMetrics(reg), clock: clock}, nil
+	return &Warehouse{root: root, idx: idx, met: newMetrics(reg), clock: clock, assignments: make(map[string][]string)}, nil
 }
 
 // Root returns the directory the warehouse catalogs.
@@ -93,6 +103,13 @@ type RefreshStats struct {
 // whose content fingerprint is unchanged (the file was touched, not
 // rewritten) keeps the run's original ingest time. A pruned run's
 // tombstone suppresses re-ingest until its source actually changes.
+//
+// Changed sources are read on GOMAXPROCS goroutines, but everything a
+// caller can observe happens in catalog order on the calling goroutine:
+// the clock is read and the run Put as each source's turn comes, the
+// first candidate that fails ends the refresh with every candidate before
+// it indexed and none after, and Refresh returns only once no ingest is
+// still running.
 func (w *Warehouse) Refresh() (RefreshStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -106,24 +123,70 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 	for _, r := range w.idx.Runs() {
 		indexed[r.Path] = r
 	}
+
+	// One turn per candidate, in catalog order: nil for a source skipped
+	// on its stat, the ingest to wait for otherwise. A stat that fails
+	// ends the list; its error is returned when its turn comes.
+	type turn struct {
+		rel  string
+		st   os.FileInfo
+		run  Run
+		err  error
+		done chan struct{}
+	}
+	var turns []*turn
+	var statErr error
+	reads := make(chan *turn, len(candidates)) // every send lands before the first receive
 	for _, rel := range candidates {
 		st, err := os.Stat(filepath.Join(w.root, filepath.FromSlash(rel)))
 		if err != nil {
-			return rs, fmt.Errorf("warehouse: %s: %w", rel, err)
+			statErr = fmt.Errorf("warehouse: %s: %w", rel, err)
+			break
 		}
-		prev, known := indexed[rel]
-		if known && prev.Size == st.Size() && prev.ModTimeNS == st.ModTime().UnixNano() {
+		if prev, known := indexed[rel]; known && prev.Size == st.Size() && prev.ModTimeNS == st.ModTime().UnixNano() {
+			turns = append(turns, nil)
+			continue
+		}
+		t := &turn{rel: rel, st: st, done: make(chan struct{})}
+		turns = append(turns, t)
+		reads <- t
+	}
+	close(reads)
+
+	var stop atomic.Bool // set when Refresh is through: start no further read
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer stop.Store(true)
+	for range min(runtime.GOMAXPROCS(0), len(reads)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range reads {
+				if stop.Load() {
+					return
+				}
+				start := time.Now()
+				t.run, t.err = ingest(w.root, t.rel, t.st)
+				w.met.ingestSeconds.Observe(time.Since(start).Seconds())
+				close(t.done)
+			}
+		}()
+	}
+	for _, t := range turns {
+		if t == nil {
 			rs.Unchanged++
 			continue
 		}
-		run, err := w.ingest(rel, st)
-		if err != nil {
-			return rs, err
+		<-t.done
+		if t.err != nil {
+			return rs, t.err
 		}
-		if known && prev.Fingerprint == run.Fingerprint && !prev.Pruned {
+		run := t.run
+		run.IngestTimeNS = w.clock().UnixNano()
+		if prev, known := indexed[t.rel]; known && prev.Fingerprint == run.Fingerprint && !prev.Pruned {
 			run.IngestTimeNS = prev.IngestTimeNS // touched, not changed
 		}
-		if err := w.idx.Put(run); err != nil {
+		if err := w.put(run); err != nil {
 			return rs, err
 		}
 		rs.Ingested++
@@ -131,66 +194,130 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 		w.met.ingestRuns.Inc()
 		w.met.ingestRecords.Add(int64(run.Records))
 	}
-	return rs, nil
+	return rs, statErr
 }
 
-// ingest reads one source end to end and builds its run summary: the
-// per-cell aggregates (replicate count, mean, unbiased variance over
-// the distinct last-wins records) and the order-independent content
-// fingerprint. It is the only place the warehouse reads record data.
-func (w *Warehouse) ingest(rel string, st os.FileInfo) (Run, error) {
-	abs := filepath.Join(w.root, filepath.FromSlash(rel))
-	type acc struct {
-		experiment string
-		hash       string
-		assignment map[string]string
-		values     map[string][]float64 // response -> replicate values, scan order
+// put is idx.Put for a warehouse: a run that is replaced takes the
+// assignment strings rendered for it along.
+func (w *Warehouse) put(r Run) error {
+	delete(w.assignments, r.Path)
+	return w.idx.Put(r)
+}
+
+// ingest reads one source end to end and builds its run summary, ingest
+// time aside: the per-cell aggregates (replicate count, mean, unbiased
+// variance over the distinct last-wins records) and the order-independent
+// content fingerprint. It is the only place the warehouse reads record
+// data, and it reads it once: one forward pass over the reader's Records,
+// every frame decoded exactly once, last-wins resolved here.
+//
+// The result is, bit for bit, what aggregating runstore.ScanFile's
+// sequence gives — the distinct records in first-appended order — which
+// a differential test holds it to. Overwriting by key is idempotent, so
+// that order falls out of one rule: a key's first frame claims the next
+// slot, and a superseding frame replaces, in that slot, what the frame
+// before it left (its fingerprint, its values, and — when the slot is its
+// cell's first — the cell's assignment). What is kept per record is its
+// key, its fingerprint and its values, never the decoded maps.
+func ingest(root, rel string, st os.FileInfo) (Run, error) {
+	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
+	if err != nil {
+		return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
 	}
-	cells := make(map[string]*acc) // CellKey -> acc
-	var order []string
-	var records int
-	var fp uint64
-	for rec, err := range runstore.ScanFile(abs) {
+	defer r.Close()
+
+	type value struct {
+		response string
+		v        float64
+	}
+	type slot struct { // one distinct record, in first-appended order
+		cell   int    // index into cells
+		fp     uint64 // recordFingerprint of the frame that holds the slot
+		values []value
+	}
+	type cell struct { // one design cell, in first-appearance order
+		experiment, hash string
+		assignment       map[string]string
+		first            int // the slot whose record names the assignment
+	}
+	var (
+		slots  []slot
+		cells  []cell
+		slotAt = make(map[string]int) // record key -> slot
+		cellAt = make(map[string]int) // cell key (the record key's prefix) -> cell
+		key    []byte
+	)
+	for rec, err := range r.Records() {
 		if err != nil {
 			return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
 		}
-		records++
-		fp ^= recordFingerprint(rec)
-		ck := runstore.CellKey(rec.Experiment, rec.Hash)
-		c := cells[ck]
-		if c == nil {
-			c = &acc{
-				experiment: rec.Experiment,
-				hash:       rec.Hash,
-				assignment: rec.Assignment,
-				values:     make(map[string][]float64),
+		// runstore.Key, and in its first bytes runstore.CellKey, built in
+		// a reused buffer: a map lookup by string(key) does not allocate.
+		key = append(append(append(key[:0], rec.Experiment...), '/'), rec.Hash...)
+		cellKey := len(key)
+		key = strconv.AppendInt(append(key, '/'), int64(rec.Replicate), 10)
+		i, seen := slotAt[string(key)]
+		if !seen {
+			ci, ok := cellAt[string(key[:cellKey])]
+			if !ok {
+				ci = len(cells)
+				cells = append(cells, cell{first: len(slots)})
+				cellAt[string(key[:cellKey])] = ci
 			}
-			cells[ck] = c
-			order = append(order, ck)
+			i = len(slots)
+			slots = append(slots, slot{cell: ci})
+			slotAt[string(key)] = i
 		}
+		s := &slots[i]
+		s.fp = recordFingerprint(rec)
+		if c := &cells[s.cell]; c.first == i {
+			c.experiment, c.hash, c.assignment = rec.Experiment, rec.Hash, rec.Assignment
+		}
+		if need := len(rec.Responses); need > cap(s.values) {
+			s.values = make([]value, 0, need)
+		}
+		s.values = s.values[:0]
 		for resp, v := range rec.Responses {
-			c.values[resp] = append(c.values[resp], v)
+			s.values = append(s.values, value{resp, v})
 		}
 	}
+
 	run := Run{
-		Path:         rel,
-		Size:         st.Size(),
-		ModTimeNS:    st.ModTime().UnixNano(),
-		IngestTimeNS: w.clock().UnixNano(),
-		Fingerprint:  fp,
-		Format:       formatName(rel),
-		Records:      records,
+		Path:      rel,
+		Size:      st.Size(),
+		ModTimeNS: st.ModTime().UnixNano(),
+		Format:    formatName(rel),
+		Records:   len(slots),
 	}
-	for _, ck := range order {
-		c := cells[ck]
-		resps := make([]string, 0, len(c.values))
-		for resp := range c.values {
+	// Per cell, each response's values in slot order: the order ScanFile
+	// yields the cell's records in, so the sums below add in its order.
+	perCell := make([]map[string][]float64, len(cells))
+	for _, s := range slots {
+		run.Fingerprint ^= s.fp
+		vals := perCell[s.cell]
+		if vals == nil {
+			vals = make(map[string][]float64)
+			perCell[s.cell] = vals
+		}
+		for _, rv := range s.values {
+			vals[rv.response] = append(vals[rv.response], rv.v)
+		}
+	}
+	type sortable struct {
+		Cell
+		assignment string // the canonical "k=v k=v" form, rendered once per design cell
+	}
+	var sorted []sortable
+	for ci, c := range cells {
+		resps := make([]string, 0, len(perCell[ci]))
+		for resp := range perCell[ci] {
 			resps = append(resps, resp)
 		}
-		sort.Strings(resps)
+		slices.Sort(resps)
+		assignment := assignmentString(c.assignment)
 		for _, resp := range resps {
-			vals := c.values[resp]
-			cell := Cell{
+			vals := perCell[ci][resp]
+			out := Cell{
 				Experiment: c.experiment,
 				Hash:       c.hash,
 				Assignment: c.assignment,
@@ -199,38 +326,55 @@ func (w *Warehouse) ingest(rel string, st os.FileInfo) (Run, error) {
 				Mean:       stats.Mean(vals),
 			}
 			if len(vals) >= 2 {
-				cell.Variance = stats.Variance(vals)
+				out.Variance = stats.Variance(vals)
 			}
-			run.Cells = append(run.Cells, cell)
+			sorted = append(sorted, sortable{out, assignment})
 		}
 	}
-	sort.Slice(run.Cells, func(i, j int) bool {
-		a, b := run.Cells[i], run.Cells[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if as, bs := assignmentString(a.Assignment), assignmentString(b.Assignment); as != bs {
-			return as < bs
-		}
-		return a.Response < b.Response
+	slices.SortFunc(sorted, func(a, b sortable) int {
+		return cmp.Or(
+			strings.Compare(a.Experiment, b.Experiment),
+			strings.Compare(a.assignment, b.assignment),
+			strings.Compare(a.Response, b.Response))
 	})
+	if len(sorted) > 0 {
+		run.Cells = make([]Cell, len(sorted))
+		for i := range sorted {
+			run.Cells[i] = sorted[i].Cell
+		}
+	}
 	return run, nil
 }
 
 // recordFingerprint folds one record's identity and measurement into
 // the run fingerprint: runstore.Fingerprint (assignment + responses)
-// mixed with the record key, combined order-independently by the
-// caller's XOR so equal record sets fingerprint identically across
-// formats and orders.
+// mixed with the record key — FNV-1a over the bytes of rec.Key(), folded
+// field by field so the key itself is never built — combined
+// order-independently by the caller's XOR so equal record sets
+// fingerprint identically across formats and orders. The value is
+// persisted and compared on re-ingest: changing it would re-date every
+// indexed run.
 func recordFingerprint(rec runstore.Record) uint64 {
-	const prime64 = 1099511628211
+	var digits [20]byte               // the longest int64, sign included
 	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, b := range []byte(rec.Key()) {
-		h = (h ^ uint64(b)) * prime64
-	}
+	h = fnv1a(h, rec.Experiment)
+	h = fnv1a(h, "/")
+	h = fnv1a(h, rec.Hash)
+	h = fnv1a(h, "/")
+	h = fnv1a(h, strconv.AppendInt(digits[:0], int64(rec.Replicate), 10))
 	m := runstore.Fingerprint(rec)
 	for i := 0; i < 8; i++ {
-		h = (h ^ (m >> (8 * i) & 0xff)) * prime64
+		h = (h ^ (m >> (8 * i) & 0xff)) * fnvPrime64
+	}
+	return h
+}
+
+const fnvPrime64 = 1099511628211
+
+// fnv1a folds the bytes of s into h.
+func fnv1a[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
 }
@@ -262,13 +406,7 @@ func (w *Warehouse) Runs() []Run {
 }
 
 func (w *Warehouse) liveRuns() []Run {
-	var out []Run
-	for _, r := range w.idx.Runs() {
-		if !r.Pruned {
-			out = append(out, r)
-		}
-	}
-	return out
+	return slices.DeleteFunc(w.idx.Runs(), func(r Run) bool { return r.Pruned })
 }
 
 // Retention is the warehouse's pruning policy. Both knobs bound the
@@ -330,7 +468,7 @@ func (w *Warehouse) Prune(pol Retention) (PruneStats, error) {
 			Records:      r.Records,
 			Pruned:       true,
 		}
-		if err := w.idx.Put(tomb); err != nil {
+		if err := w.put(tomb); err != nil {
 			return ps, err
 		}
 		ps.Pruned++
