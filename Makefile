@@ -73,7 +73,9 @@ docs-check:
 # streams must never panic Open, complete records must round-trip, and
 # the hand-written JSON record codec must agree with encoding/json on
 # every input (FuzzJSONCodec — the differential that lets it stand in
-# for json.Marshal/Unmarshal on the record path), and each codec's entry
+# for json.Marshal/Unmarshal on the record path — and, with
+# FuzzBinaryDecode, holds each codec's field pass to its decoder, the
+# binary walk to the decoder it replaced), and each codec's entry
 # scan must agree with decoding on every payload, its canonical verdict
 # true exactly when re-encoding reproduces the bytes (FuzzEntryScan —
 # what lets Merge and Compact copy a frame), and the hand-written run

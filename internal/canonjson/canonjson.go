@@ -193,11 +193,12 @@ func (c *Cursor) Quoted(canonical bool) []byte {
 	return nil
 }
 
-// NextKey consumes a canonical member key and its colon. Keys strictly
-// ascend: one that does not sort after prev, the key before it in the
-// object (nil for the first — Quoted's result never is), is refused.
-func (c *Cursor) NextKey(prev []byte) []byte {
-	k := c.Quoted(true)
+// NextKey consumes a member key, quoted as Quoted(canonical) takes it,
+// and its colon. Keys strictly ascend: one that does not sort after prev,
+// the key before it in the object (nil for the first — Quoted's result
+// never is), is refused.
+func (c *Cursor) NextKey(prev []byte, canonical bool) []byte {
+	k := c.Quoted(canonical)
 	c.Lit(":")
 	if prev != nil && bytes.Compare(prev, k) >= 0 {
 		c.bad = true

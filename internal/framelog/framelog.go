@@ -164,8 +164,21 @@ func (fr Framing) scan(br *bufio.Reader, base int64, fn Visit) (keep int64, torn
 }
 
 func scanLines(br *bufio.Reader, off int64, fn Visit) (keep int64, torn bool, err error) {
+	var long []byte // gathers a line longer than the reader's buffer
 	for {
-		line, rerr := br.ReadBytes('\n')
+		// The line is handed over where the reader holds it, valid until
+		// the next read — Visit's payload rule — and copied only when the
+		// reader's buffer cannot hold all of it.
+		line, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = long[:0]
+			for rerr == bufio.ErrBufferFull {
+				long = append(long, line...)
+				line, rerr = br.ReadSlice('\n')
+			}
+			long = append(long, line...)
+			line = long
+		}
 		if rerr != nil && rerr != io.EOF {
 			// A real read failure must surface, never pass for a torn
 			// tail: a rewriting consumer would drop the unread remainder.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/runstore"
@@ -121,19 +122,19 @@ func appendKeyFields(dst []byte, exp, hash string, rep int) []byte {
 	return append(dst, n[:4]...)
 }
 
-// parseKeyFields decodes what appendKeyFields wrote and returns the rest
-// of the buffer.
-func parseKeyFields(b []byte) (exp, hash string, rep int, rest []byte, err error) {
-	readStr := func() (string, error) {
+// cutKeyFields decodes what appendKeyFields wrote, the strings still in
+// the buffer, and returns the rest of it.
+func cutKeyFields(b []byte) (exp, hash []byte, rep int, rest []byte, err error) {
+	readStr := func() ([]byte, error) {
 		if len(b) < 2 {
-			return "", fmt.Errorf("archivestore: truncated key field")
+			return nil, fmt.Errorf("archivestore: truncated key field")
 		}
 		n := int(binary.LittleEndian.Uint16(b[:2]))
 		b = b[2:]
 		if len(b) < n {
-			return "", fmt.Errorf("archivestore: truncated key field")
+			return nil, fmt.Errorf("archivestore: truncated key field")
 		}
-		s := string(b[:n])
+		s := b[:n]
 		b = b[n:]
 		return s, nil
 	}
@@ -150,6 +151,12 @@ func parseKeyFields(b []byte) (exp, hash string, rep int, rest []byte, err error
 	rep = int(binary.LittleEndian.Uint32(b[:4]))
 	rest = b[4:]
 	return
+}
+
+// parseKeyFields is cutKeyFields with the strings copied out.
+func parseKeyFields(b []byte) (exp, hash string, rep int, rest []byte, err error) {
+	e, h, rep, rest, err := cutKeyFields(b)
+	return string(e), string(h), rep, rest, err
 }
 
 // encodeRecordPayload builds a record block payload: key fields followed
@@ -171,19 +178,6 @@ func encodeRecordPayload(rec runstore.Record) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeRecordPayload parses a record block payload back into a Record.
-func decodeRecordPayload(payload []byte) (runstore.Record, error) {
-	_, _, _, doc, err := parseKeyFields(payload)
-	if err != nil {
-		return runstore.Record{}, err
-	}
-	rec, err := runstore.DecodeJSON(doc)
-	if err != nil {
-		return runstore.Record{}, fmt.Errorf("archivestore: corrupt record payload: %w", err)
-	}
-	return rec, nil
-}
-
 // recordPayloadKey parses only the key fields of a record block payload —
 // what recovery scans and Inspect need, JSON parse avoided. The key
 // fields lead the payload uncompressed in both record block types, so
@@ -201,10 +195,15 @@ func isRecordBlock(typ byte) bool { return typ == blockRecord || typ == blockRec
 // decodeRecordBlock decodes a record block payload according to its
 // block type.
 func decodeRecordBlock(typ byte, payload []byte) (runstore.Record, error) {
-	if typ == blockRecordZ {
-		return decodeRecordPayloadZ(payload)
+	doc, err := recordDoc(typ, payload, new([]byte))
+	if err != nil {
+		return runstore.Record{}, err
 	}
-	return decodeRecordPayload(payload)
+	rec, err := runstore.DecodeJSON(doc)
+	if err != nil {
+		return runstore.Record{}, fmt.Errorf("archivestore: corrupt record payload: %w", err)
+	}
+	return rec, nil
 }
 
 // flateWriters pools flate writers for the compressed-block encode
@@ -258,23 +257,26 @@ func encodeRecordPayloadZ(rec runstore.Record) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeRecordPayloadZ parses a compressed record block payload back
-// into a Record.
-func decodeRecordPayloadZ(payload []byte) (runstore.Record, error) {
-	_, _, _, rest, err := parseKeyFields(payload)
-	if err != nil {
-		return runstore.Record{}, err
+// recordDoc returns the record's JSON document inside a record block
+// payload of type typ: what follows the key fields — a compressed one
+// inflated into *buf, which is grown as needed and which the next call
+// may be handed again, so the document is valid until then.
+func recordDoc(typ byte, payload []byte, buf *[]byte) ([]byte, error) {
+	_, _, _, rest, err := cutKeyFields(payload)
+	if err != nil || typ != blockRecordZ {
+		return rest, err
 	}
 	if len(rest) < 4 {
-		return runstore.Record{}, fmt.Errorf("archivestore: truncated compressed record payload")
+		return nil, fmt.Errorf("archivestore: truncated compressed record payload")
 	}
 	rawLen := binary.LittleEndian.Uint32(rest[:4])
 	if rawLen > maxPayload {
-		return runstore.Record{}, fmt.Errorf("archivestore: compressed record claims %d raw bytes, max %d", rawLen, maxPayload)
+		return nil, fmt.Errorf("archivestore: compressed record claims %d raw bytes, max %d", rawLen, maxPayload)
 	}
 	zr := flateReaders.Get().(io.ReadCloser)
 	err = zr.(flate.Resetter).Reset(bytes.NewReader(rest[4:]), nil)
-	doc := make([]byte, rawLen)
+	doc := slices.Grow((*buf)[:0], int(rawLen))[:rawLen]
+	*buf = doc
 	if err == nil {
 		_, err = io.ReadFull(zr, doc)
 	}
@@ -289,13 +291,9 @@ func decodeRecordPayloadZ(payload []byte) (runstore.Record, error) {
 	}
 	flateReaders.Put(zr)
 	if err != nil {
-		return runstore.Record{}, fmt.Errorf("archivestore: corrupt compressed record payload: %w", err)
+		return nil, fmt.Errorf("archivestore: corrupt compressed record payload: %w", err)
 	}
-	rec, err := runstore.DecodeJSON(doc)
-	if err != nil {
-		return runstore.Record{}, fmt.Errorf("archivestore: corrupt record payload: %w", err)
-	}
-	return rec, nil
+	return doc, nil
 }
 
 // encodeIndexPayload builds an index page payload from pending entries.

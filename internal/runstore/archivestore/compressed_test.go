@@ -20,7 +20,7 @@ func TestCompressedPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeRecordPayloadZ(payload)
+	got, err := decodeRecordBlock(blockRecordZ, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCompressedPayloadRoundTrip(t *testing.T) {
 	}
 	// Every strict prefix must fail to decode, never panic or succeed.
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeRecordPayloadZ(payload[:cut]); err == nil {
+		if _, err := decodeRecordBlock(blockRecordZ, payload[:cut]); err == nil {
 			t.Fatalf("decode of %d-byte prefix (of %d) succeeded", cut, len(payload))
 		}
 	}

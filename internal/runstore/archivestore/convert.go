@@ -204,7 +204,9 @@ func Load(path string) ([]runstore.Record, runstore.Info, error) {
 		}
 		out = append(out, rec)
 	}
-	return out, r.Info(), nil
+	info := r.Info()
+	info.Distinct = len(order)
+	return out, info, nil
 }
 
 // Inspect reports an archive file's shape — block and index page counts,
@@ -217,10 +219,5 @@ func Inspect(path string) (runstore.Info, error) {
 		return runstore.Info{}, err
 	}
 	defer r.Close()
-	for _, err := range r.Entries() {
-		if err != nil {
-			return runstore.Info{}, err
-		}
-	}
-	return r.Info(), nil
+	return runstore.InspectSource(r)
 }

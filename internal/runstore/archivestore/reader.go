@@ -13,12 +13,13 @@ import (
 )
 
 // reader is the streaming runstore.SourceReader over one archive file:
-// Records and Entries are one walk of the block sequence front to back
-// with buffered reads, every block parsed (and, compressed, inflated)
-// once; Read fetches a single block by extent. It backs
-// runstore.OpenSource, LoadRecords, ScanFile, Merge, Compact, Inspect and
-// the warehouse ingest for archive files — the same walk, torn-tail rule,
-// and finalization check everywhere.
+// Fields and Entries are one walk of the block sequence front to back
+// with buffered reads, every block's document (a compressed one inflated
+// first) walked once by the JSON codec's field pass and no record built;
+// Read fetches a single block by extent. It backs runstore.OpenSource,
+// LoadRecords, ScanFile, Merge, Compact, Inspect and the warehouse ingest
+// for archive files — the same walk, torn-tail rule, and finalization
+// check everywhere.
 type reader struct {
 	path string
 	f    *os.File
@@ -48,19 +49,24 @@ func OpenReader(path string) (runstore.SourceReader, error) {
 }
 
 // walk is the one forward pass over the block sequence, behind both
-// Records and Entries: every record block in file order, superseded
-// blocks included, decoded once and handed to fn with its extent until fn
-// reports false. A torn or unfinalized tail ends the walk without error
+// Fields and Entries: every record block in file order, superseded blocks
+// included, its document's fields handed to fn with the block's extent
+// until fn reports false. The view is the walk's own and every block
+// refills it, through one block buffer and one inflate buffer: it is valid
+// until fn returns. A torn or unfinalized tail ends the walk without error
 // and is reported via Info; unknown block types with valid checksums are
 // skipped (forward compatibility, per the docs/FORMAT.md versioning
 // policy); a record block that does not decode is the walk's error.
-func (r *reader) walk(fn func(runstore.Record, runstore.Extent) bool) error {
+func (r *reader) walk(fn func(*runstore.Fields, runstore.Extent) bool) error {
 	br := bufio.NewReaderSize(io.NewSectionReader(r.f, int64(headerSize), r.size-int64(headerSize)), 256<<10)
 	off := int64(headerSize)
 	records, zrecords, pages := 0, 0, 0
 	finalized := false
-	distinct := make(map[string]struct{})
-	var frame []byte // one block buffer for the whole walk: decoding copies out what it keeps
+	var (
+		frame    []byte // one block buffer for the whole walk
+		inflated []byte // and one for the document of a compressed block
+		fields   runstore.Fields
+	)
 scan:
 	for {
 		typ, payload, ok := readBlock(br, &frame, r.size-off)
@@ -83,7 +89,12 @@ scan:
 			}
 			break scan
 		case blockRecord, blockRecordZ:
-			rec, err := decodeRecordBlock(typ, payload)
+			doc, err := recordDoc(typ, payload, &inflated)
+			if err == nil {
+				if err = runstore.DecodeJSONFields(doc, &fields); err != nil {
+					err = fmt.Errorf("archivestore: corrupt record payload: %w", err)
+				}
+			}
 			if err != nil {
 				return fmt.Errorf("archivestore: %s: %w", r.path, err)
 			}
@@ -91,8 +102,7 @@ scan:
 			if typ == blockRecordZ {
 				zrecords++
 			}
-			distinct[rec.Key()] = struct{}{}
-			if !fn(rec, runstore.Extent{Off: off, Len: blockLen}) {
+			if !fn(&fields, runstore.Extent{Off: off, Len: blockLen}) {
 				return nil
 			}
 		case blockIndex:
@@ -105,37 +115,30 @@ scan:
 		dropped = r.size - off
 	}
 	r.info = runstore.Info{
-		Records:  records,
-		Distinct: len(distinct),
-		Torn:     dropped > 0 || (!finalized && records > 0),
-		Detail:   describe(records, zrecords, pages, finalized, dropped),
+		Records: records,
+		Torn:    dropped > 0 || (!finalized && records > 0),
+		Detail:  describe(records, zrecords, pages, finalized, dropped),
 	}
 	return nil
 }
 
-// Records implements runstore.SourceReader: the walk's records as they
-// are stored (the archive writer never stores one without its hash).
-func (r *reader) Records() iter.Seq2[runstore.Record, error] {
-	return func(yield func(runstore.Record, error) bool) {
-		if err := r.walk(func(rec runstore.Record, _ runstore.Extent) bool { return yield(rec, nil) }); err != nil {
-			yield(runstore.Record{}, err)
+// Fields implements runstore.SourceReader: the walk's view of each block.
+func (r *reader) Fields() iter.Seq2[*runstore.Fields, error] {
+	return func(yield func(*runstore.Fields, error) bool) {
+		if err := r.walk(func(f *runstore.Fields, _ runstore.Extent) bool { return yield(f, nil) }); err != nil {
+			yield(nil, err)
 		}
 	}
 }
 
-// Entries implements runstore.SourceReader: the same walk, each record
+// Entries implements runstore.SourceReader: the same walk, each view
 // reduced to its index entry.
 func (r *reader) Entries() iter.Seq2[runstore.SourceEntry, error] {
 	return func(yield func(runstore.SourceEntry, error) bool) {
-		err := r.walk(func(rec runstore.Record, ext runstore.Extent) bool {
-			return yield(runstore.SourceEntry{
-				Experiment: rec.Experiment,
-				Hash:       rec.Hash,
-				Replicate:  rec.Replicate,
-				Row:        rec.Row,
-				Fp:         runstore.Fingerprint(rec),
-				Ext:        ext,
-			}, nil)
+		err := r.walk(func(f *runstore.Fields, ext runstore.Extent) bool {
+			e := f.Entry()
+			e.Ext = ext
+			return yield(e, nil)
 		})
 		if err != nil {
 			yield(runstore.SourceEntry{}, err)
@@ -182,7 +185,8 @@ func (r *reader) Read(ext runstore.Extent) (runstore.Record, error) {
 }
 
 // Info implements runstore.SourceReader; complete once Entries has been
-// consumed.
+// consumed. Distinct is left to whoever indexes the entries (Inspect
+// does).
 func (r *reader) Info() runstore.Info { return r.info }
 
 // Close implements runstore.SourceReader.

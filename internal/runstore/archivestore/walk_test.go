@@ -10,13 +10,27 @@ import (
 	"repro/internal/runstore"
 )
 
+// fieldsPass consumes r's field pass, copying the record out of the view
+// at every step.
+func fieldsPass(t *testing.T, r runstore.SourceReader) (recs []runstore.Record, fps []uint64) {
+	t.Helper()
+	for f, err := range r.Fields() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, fps = append(recs, f.Record()), append(fps, f.Fingerprint())
+	}
+	return recs, fps
+}
+
 // TestRecordsIsEntriesPlusRead: one block walk behind both projections,
-// through one block buffer. Over an archive whose blocks grow, shrink and
-// grow again — plain and compressed, superseded keys, an unknown block
-// type in between, a torn tail — Records yields, block for block, what
-// Entries followed by Read yields, so nothing a decoded record keeps is
-// left in the buffer the next block overwrites; and both leave the same
-// Info behind.
+// through one block buffer, one inflate buffer and one view. Over an
+// archive whose blocks grow, shrink and grow again — plain and compressed,
+// superseded keys, an unknown block type in between, a torn tail — the
+// field pass yields, block for block, the fields of what Entries followed
+// by Read yields, so nothing a step hands out is read from a buffer the
+// next block has overwritten; and both leave the same Info behind, its
+// Distinct for Inspect to count.
 func TestRecordsIsEntriesPlusRead(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "run.arch")
@@ -52,6 +66,7 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 	}
 	defer r.Close()
 	var viaRead []runstore.Record
+	var entryFps []uint64
 	for e, err := range r.Entries() {
 		if err != nil {
 			t.Fatal(err)
@@ -63,23 +78,23 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 		if e.Key() != rec.Key() || e.Fp != runstore.Fingerprint(rec) || e.Row != rec.Row {
 			t.Fatalf("entry %+v does not describe the record at its extent, %+v", e, rec)
 		}
-		viaRead = append(viaRead, rec)
+		viaRead, entryFps = append(viaRead, rec), append(entryFps, e.Fp)
 	}
 	wantInfo := r.Info()
-	got, err := runstore.Collect(r.Records())
-	if err != nil {
-		t.Fatal(err)
+	got, fps := fieldsPass(t, r)
+	if !reflect.DeepEqual(got, frames) || !reflect.DeepEqual(viaRead, frames) || !reflect.DeepEqual(fps, entryFps) {
+		t.Errorf("Fields yields\n %+v\nEntries+Read\n %+v\nwritten\n %+v", got, viaRead, frames)
 	}
-	if !reflect.DeepEqual(got, frames) || !reflect.DeepEqual(viaRead, frames) {
-		t.Errorf("Records yields\n %+v\nEntries+Read\n %+v\nwritten\n %+v", got, viaRead, frames)
+	if info := r.Info(); info != wantInfo || !info.Torn || info.Records != len(frames) || info.Distinct != 0 {
+		t.Errorf("Info after Fields = %+v, after Entries %+v; want %d torn record blocks, distinct uncounted", info, wantInfo, len(frames))
 	}
-	if info := r.Info(); info != wantInfo || !info.Torn || info.Records != len(frames) || info.Distinct != 5 {
-		t.Errorf("Info after Records = %+v, after Entries %+v; want %d torn record blocks, 5 distinct", info, wantInfo, len(frames))
+	if info, err := Inspect(path); err != nil || info.Records != len(frames) || info.Distinct != 5 || info.Detail != wantInfo.Detail {
+		t.Errorf("Inspect = %+v, %v; want %d record blocks, 5 distinct, the walk's detail", info, err, len(frames))
 	}
-	for range r.Records() {
+	for range r.Fields() {
 		break // stopping early is not an error and leaves the reader usable
 	}
-	if again, err := runstore.Collect(r.Records()); err != nil || !reflect.DeepEqual(again, frames) {
-		t.Errorf("a Records pass after an abandoned one: %v", err)
+	if again, _ := fieldsPass(t, r); !reflect.DeepEqual(again, frames) {
+		t.Errorf("a Fields pass after an abandoned one differs")
 	}
 }

@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -94,24 +95,39 @@ func appendBinaryString(dst []byte, s string) []byte {
 type binDecoder struct {
 	b   []byte
 	err error
+	// overlong: some varint so far was not written in the fewest bytes, as
+	// binary.Append(U)varint writes it.
+	overlong bool
 }
 
-func (d *binDecoder) fail(what string) {
+// fail records that the field named what, or the named part of it, is cut
+// short. The name is put together only here: on the way to a field that
+// is whole it costs nothing.
+func (d *binDecoder) fail(what, part string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("runstore: corrupt binary record payload: truncated %s", what)
+		d.err = fmt.Errorf("runstore: corrupt binary record payload: truncated %s%s", what, part)
 	}
 }
 
-func (d *binDecoder) uvarint(what string) uint64 {
+// took consumes the n bytes a varint read reported, or fails.
+func (d *binDecoder) took(n int, what, part string) bool {
+	if n <= 0 {
+		d.fail(what, part)
+		return false
+	}
+	d.overlong = d.overlong || (n > 1 && d.b[n-1] == 0)
+	d.b = d.b[n:]
+	return true
+}
+
+func (d *binDecoder) uvarint(what, part string) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail(what)
+	if !d.took(n, what, part) {
 		return 0
 	}
-	d.b = d.b[n:]
 	return v
 }
 
@@ -120,24 +136,23 @@ func (d *binDecoder) varint(what string) int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail(what)
+	if !d.took(n, what, "") {
 		return 0
 	}
-	d.b = d.b[n:]
 	return v
 }
 
-func (d *binDecoder) str(what string) string {
-	n := d.uvarint(what + " length")
+// str returns a length-prefixed string, still in the payload.
+func (d *binDecoder) str(what string) []byte {
+	n := d.uvarint(what, " length")
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)) {
-		d.fail(what)
-		return ""
+		d.fail(what, "")
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n:n]
 	d.b = d.b[n:]
 	return s
 }
@@ -147,7 +162,7 @@ func (d *binDecoder) byte(what string) byte {
 		return 0
 	}
 	if len(d.b) < 1 {
-		d.fail(what)
+		d.fail(what, "")
 		return 0
 	}
 	c := d.b[0]
@@ -155,69 +170,97 @@ func (d *binDecoder) byte(what string) byte {
 	return c
 }
 
-// decodeBinaryRecord parses one binary record payload. It accepts
-// exactly what appendBinaryRecord emits; trailing bytes, truncated
-// fields, or impossible counts are errors, never partial records.
-func decodeBinaryRecord(b []byte) (Record, error) {
-	d := &binDecoder{b: b}
-	var rec Record
-	rec.Experiment = d.str("experiment")
-	rec.Hash = d.str("hash")
-	rec.Replicate = int(d.varint("replicate"))
-	rec.Row = int(d.varint("row"))
+// count reads a present map's member count. Every member costs at least
+// two bytes; a count beyond the remaining payload is corruption, not a
+// big record.
+func (d *binDecoder) count(what string) uint64 {
+	n := d.uvarint(what, " count")
+	if d.err == nil && n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("runstore: corrupt binary record payload: %s count %d exceeds payload", what, n)
+	}
+	return n
+}
 
+// walkBinary is the binary codec's one walk of the record grammar: it
+// fills f from the payload b, building no map and no string, and accepts
+// exactly what appendBinaryRecord can have written — trailing bytes,
+// truncated fields and impossible counts are errors, never partial
+// records. Members are left in payload order. canonical says b is byte
+// for byte what appendBinaryRecord writes for the record f then holds:
+// varints in the fewest bytes, keys strictly ascending in both maps (so f
+// is in the shape Fields promises), no NaN (whose bits a float64 need not
+// keep) — and, because nothing is appended without one, a hash.
+func walkBinary(b []byte, f *Fields) (canonical bool, err error) {
+	d := &binDecoder{b: b}
+	f.Experiment = d.str("experiment")
+	f.Hash = d.str("hash")
+	replicate, row := d.varint("replicate"), d.varint("row")
+	f.Replicate, f.Row = int(replicate), int(row)
+	canonical = len(f.Hash) > 0 && int64(f.Replicate) == replicate && int64(f.Row) == row
+	// A key ascends if it sorts after the one before it (nil before the
+	// first: a string that was read never is).
+	ascends := func(prev, k []byte) bool { return prev == nil || bytes.Compare(prev, k) < 0 }
+
+	f.assignment.start(false)
+	f.responses.start(false)
 	switch marker := d.byte("assignment marker"); marker {
 	case binMapNil:
 	case binMapPresent:
-		n := d.uvarint("assignment count")
-		if d.err == nil && n > uint64(len(d.b)) {
-			// Every entry costs at least two bytes; a count beyond the
-			// remaining payload is corruption, not a big record.
-			return Record{}, fmt.Errorf("runstore: corrupt binary record payload: assignment count %d exceeds payload", n)
-		}
-		m := make(map[string]string, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		n := d.count("assignment")
+		f.assignment.start(true)
+		for i, prev := uint64(0), []byte(nil); i < n && d.err == nil; i++ {
 			k := d.str("assignment key")
-			m[k] = d.str("assignment value")
+			canonical = canonical && ascends(prev, k)
+			f.assignment.add(Pair{k, d.str("assignment value")})
+			prev = k
 		}
-		rec.Assignment = m
 	default:
 		if d.err == nil {
-			return Record{}, fmt.Errorf("runstore: corrupt binary record payload: bad assignment marker %d", marker)
+			return false, fmt.Errorf("runstore: corrupt binary record payload: bad assignment marker %d", marker)
 		}
 	}
 
 	switch marker := d.byte("responses marker"); marker {
 	case binMapNil:
 	case binMapPresent:
-		n := d.uvarint("responses count")
-		if d.err == nil && n > uint64(len(d.b)) {
-			return Record{}, fmt.Errorf("runstore: corrupt binary record payload: responses count %d exceeds payload", n)
-		}
-		m := make(map[string]float64, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		n := d.count("responses")
+		f.responses.start(true)
+		for i, prev := uint64(0), []byte(nil); i < n && d.err == nil; i++ {
 			k := d.str("response name")
-			if d.err == nil && len(d.b) < 8 {
-				d.fail("response value")
+			if d.err != nil {
 				break
 			}
-			if d.err == nil {
-				m[k] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[:8]))
-				d.b = d.b[8:]
+			if len(d.b) < 8 {
+				d.fail("response value", "")
+				break
 			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[:8]))
+			d.b = d.b[8:]
+			canonical = canonical && ascends(prev, k) && !math.IsNaN(v)
+			f.responses.add(Response{k, v})
+			prev = k
 		}
-		rec.Responses = m
 	default:
 		if d.err == nil {
-			return Record{}, fmt.Errorf("runstore: corrupt binary record payload: bad responses marker %d", marker)
+			return false, fmt.Errorf("runstore: corrupt binary record payload: bad responses marker %d", marker)
 		}
 	}
 
 	if d.err != nil {
-		return Record{}, d.err
+		return false, d.err
 	}
 	if len(d.b) != 0 {
-		return Record{}, fmt.Errorf("runstore: corrupt binary record payload: %d trailing byte(s)", len(d.b))
+		return false, fmt.Errorf("runstore: corrupt binary record payload: %d trailing byte(s)", len(d.b))
 	}
-	return rec, nil
+	return canonical && !d.overlong, nil
+}
+
+// decodeBinaryRecord parses one binary record payload exactly as stored:
+// walkBinary's record, a repeated key keeping its last value.
+func decodeBinaryRecord(b []byte) (Record, error) {
+	var f Fields // on this stack
+	if _, err := walkBinary(b, &f); err != nil {
+		return Record{}, err
+	}
+	return f.Record(), nil
 }

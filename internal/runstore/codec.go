@@ -32,10 +32,13 @@ type codec struct {
 	// decode parses one payload exactly as stored: a missing hash is
 	// left for the caller to derive.
 	decode func(payload []byte) (Record, error)
-	// scanEntry, when the codec has one, is the fast half of entry: the
-	// index entry of a payload it recognises as canonical, built without
-	// decoding a record. ok false says nothing about the payload.
-	scanEntry func(payload []byte) (e SourceEntry, ok bool)
+	// walk is the codec's one walk of the record grammar: it fills f from
+	// a payload it recognises — with canonical set, only from one that is
+	// byte for byte what appendRecord writes for the record it holds —
+	// building no record. False says nothing about the payload; decode
+	// does. entry, fields and (in its own codec file) decode are its
+	// projections.
+	walk func(payload []byte, f *Fields, canonical bool) bool
 }
 
 var jsonCodec = &codec{
@@ -45,7 +48,7 @@ var jsonCodec = &codec{
 	framing:      framelog.Lines,
 	appendRecord: AppendJSON,
 	decode:       DecodeJSON,
-	scanEntry:    scanJSONEntry,
+	walk:         walkJSON,
 }
 
 var binaryCodec = &codec{
@@ -58,6 +61,12 @@ var binaryCodec = &codec{
 		return appendBinaryRecord(dst, rec), nil
 	},
 	decode: decodeBinaryRecord,
+	// A record has one binary spelling, so there is no recognised payload
+	// that is not canonical.
+	walk: func(payload []byte, f *Fields, _ bool) bool {
+		canonical, err := walkBinary(payload, f)
+		return canonical && err == nil
+	},
 }
 
 // frameBufPool recycles encode scratch buffers on the append/encode hot
@@ -96,28 +105,50 @@ func (c *codec) appendFrame(dst []byte, rec Record) ([]byte, error) {
 // one stored payload (extent left for the caller) and, in it, the
 // canonical verdict — true only when encoding the decoded record again
 // reproduces the payload byte for byte, which is what lets a rewrite copy
-// the frame. A payload the codec's own scan recognises costs no record;
-// any other is decoded as Read would (a missing hash derived) and judged
-// by re-encoding it into scratch and comparing.
-func (c *codec) entry(payload []byte, scratch *[]byte) (SourceEntry, error) {
-	if c.scanEntry != nil {
-		if e, ok := c.scanEntry(payload); ok {
-			return e, nil
-		}
+// the frame. A payload the codec's walk recognises as canonical costs no
+// record; any other is decoded as Read would (a missing hash derived) and
+// judged by re-encoding it and comparing. f is the pass's scratch.
+func (c *codec) entry(payload []byte, f *Fields) (SourceEntry, error) {
+	if c.walk(payload, f, true) {
+		e := f.Entry()
+		e.canonical = true
+		return e, nil
 	}
-	rec, err := c.decode(payload)
+	rec, err := c.read(payload)
 	if err != nil {
 		return SourceEntry{}, err
 	}
-	if rec.Hash == "" {
-		rec.Hash = AssignmentHash(rec.Assignment)
-	}
 	e := entryOf(rec)
-	if again, err := c.appendRecord((*scratch)[:0], rec); err == nil {
-		*scratch = again
+	if again, err := c.appendRecord(f.buf[:0], rec); err == nil {
+		f.buf = again
 		e.canonical = bytes.Equal(again, payload)
 	}
 	return e, nil
+}
+
+// fields is the field pass over one stored payload: f filled with the
+// record Read would return for it (a missing hash derived). A payload the
+// codec's walk recognises costs no record; any other is decoded and
+// flattened.
+func (c *codec) fields(payload []byte, f *Fields) error {
+	if c.walk(payload, f, false) {
+		return nil
+	}
+	rec, err := c.read(payload)
+	if err != nil {
+		return err
+	}
+	f.flatten(rec)
+	return nil
+}
+
+// read decodes one payload as Read returns it: a missing hash derived.
+func (c *codec) read(payload []byte) (Record, error) {
+	rec, err := c.decode(payload)
+	if err == nil && rec.Hash == "" {
+		rec.Hash = AssignmentHash(rec.Assignment)
+	}
+	return rec, err
 }
 
 // visit adapts fn to a framelog scan: each payload is decoded and handed
@@ -188,7 +219,7 @@ func (c *codec) openReader(path string) (SourceReader, error) {
 }
 
 // scanSource is the one forward pass over a journal file, behind both
-// Entries and Records: from the start, through framelog's buffered scan,
+// Entries and Fields: from the start, through framelog's buffered scan,
 // each payload turned into one item of the sequence — with its extent
 // and, where the caller knows it, the canonical verdict of its frame. It
 // may be consumed more than once; each pass re-reads the file and leaves
@@ -232,27 +263,21 @@ func scanSource[T any](r *fileSource, item func(payload []byte, ext Extent) (T, 
 
 // Entries implements SourceReader with the codec's entry scan.
 func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
-	return func(yield func(SourceEntry, error) bool) {
-		scratch := frameBufPool.Get().(*[]byte)
-		defer putFrameBuf(scratch)
-		scanSource(r, func(payload []byte, ext Extent) (SourceEntry, bool, error) {
-			e, err := r.c.entry(payload, scratch)
-			e.Ext = ext
-			return e, e.canonical, err
-		})(yield)
-	}
+	f := new(Fields)
+	return scanSource(r, func(payload []byte, ext Extent) (SourceEntry, bool, error) {
+		e, err := r.c.entry(payload, f)
+		e.Ext = ext
+		return e, e.canonical, err
+	})
 }
 
-// Records implements SourceReader: each frame decoded once, a missing
-// hash derived as Read derives it. No frame is judged canonical, so a
-// Records pass never licenses Compact to leave the file alone.
-func (r *fileSource) Records() iter.Seq2[Record, error] {
-	return scanSource(r, func(payload []byte, _ Extent) (Record, bool, error) {
-		rec, err := r.c.decode(payload)
-		if err == nil && rec.Hash == "" {
-			rec.Hash = AssignmentHash(rec.Assignment)
-		}
-		return rec, false, err
+// Fields implements SourceReader with the codec's field pass, through one
+// view. No frame is judged canonical, so a Fields pass never licenses
+// Compact to leave the file alone.
+func (r *fileSource) Fields() iter.Seq2[*Fields, error] {
+	f := new(Fields)
+	return scanSource(r, func(payload []byte, _ Extent) (*Fields, bool, error) {
+		return f, false, r.c.fields(payload, f)
 	})
 }
 
@@ -290,12 +315,9 @@ func (r *fileSource) decodeRaw(raw []byte, ext Extent) (Record, error) {
 	if payload == nil {
 		return Record{}, fmt.Errorf("runstore: %s: bad extent at byte %d", r.path, ext.Off)
 	}
-	rec, err := r.c.decode(payload)
+	rec, err := r.c.read(payload)
 	if err != nil {
 		return Record{}, fmt.Errorf("runstore: %s: record at byte %d: %w", r.path, ext.Off, err)
-	}
-	if rec.Hash == "" {
-		rec.Hash = AssignmentHash(rec.Assignment)
 	}
 	return rec, nil
 }
@@ -326,16 +348,7 @@ func (c *codec) inspect(path string) (Info, error) {
 		return Info{}, err
 	}
 	defer r.Close()
-	distinct := make(map[string]struct{})
-	for e, err := range r.Entries() {
-		if err != nil {
-			return Info{}, err
-		}
-		distinct[e.Key()] = struct{}{}
-	}
-	info := r.Info()
-	info.Distinct = len(distinct)
-	return info, nil
+	return InspectSource(r)
 }
 
 // frame is one record on its way into a rewritten journal: the decoded

@@ -20,7 +20,19 @@
 // frame) and the in-memory last-wins index. Both record codecs live
 // here: json.go writes and parses a record's canonical JSON document
 // (AppendJSON, DecodeJSON — also the archive's block payload and the
-// NDJSON wire), binary.go the binary payload. A record identifies the
+// NDJSON wire), binary.go the binary payload. Each reads a stored
+// payload with one walk of its grammar (walkJSON, walkBinary) that fills
+// a Fields view — every field, no map and no string — and has three
+// projections of it: the record (decode: the view copied into memory of
+// its own), the index entry with its canonical verdict (codec.entry),
+// and the view itself (codec.fields, behind SourceReader.Fields and
+// DecodeJSONFields). A payload the walk does not recognise — anything
+// not written the way the codec writes it — is decoded the long way
+// (json.Unmarshal for JSON) and flattened into the same view, so what
+// decodes, to what, and with which error never depends on the
+// projection. A view points into the payload it was walked from and a
+// pass refills one view at every step: it is valid until the next step,
+// as a framelog.Visit payload is. A record identifies the
 // experiment by name, the design row by a stable hash of its factor-level
 // assignment (so journals survive design-row reordering), and the
 // replicate index. The normative file-format specification — record
@@ -47,9 +59,10 @@
 //
 // Rewrite contract: what Merge and Compact write is the canonical
 // encoding of every record they keep. Their index passes run on each
-// codec's entry scan (codec.entry), which reads a stored payload's
-// entry — and whether the payload is already canonical — without
-// building the record; the write pass copies canonical frames between
+// codec's entry scan (codec.entry, in either encoding), which reads a
+// stored payload's entry — and whether the payload is already canonical
+// — without building the record; the write pass copies canonical frames
+// between
 // files of one encoding and decodes and re-encodes everything else, to
 // the same bytes. An in-place Compact that would reproduce its file
 // leaves it untouched (docs/FORMAT.md §1 and §7).

@@ -18,7 +18,7 @@ import (
 // a silent slowdown.)
 func checkEntryScan(t *testing.T, c *codec, payload []byte) {
 	t.Helper()
-	got, err := c.entry(payload, new([]byte))
+	got, err := c.entry(payload, new(Fields))
 	rec, derr := c.decode(payload)
 	if (err != nil) != (derr != nil) {
 		t.Fatalf("%s entry(%q) error = %v, decode error = %v", c.name, payload, err, derr)
@@ -38,8 +38,8 @@ func checkEntryScan(t *testing.T, c *codec, payload []byte) {
 }
 
 // FuzzEntryScan runs checkEntryScan on arbitrary bytes as a payload of
-// each codec: the JSON scan's own pass and its fallback, and the binary
-// codec's re-encode-and-compare. The seeds are FuzzJSONCodec's and
+// each codec: the verdict of its walk, and the fallback's
+// re-encode-and-compare. The seeds are FuzzJSONCodec's and
 // FuzzBinaryDecode's, plus each way a JSON document can decode to a
 // record and still not be the document AppendJSON writes for it.
 func FuzzEntryScan(f *testing.F) {
@@ -89,9 +89,10 @@ func FuzzEntryScan(f *testing.F) {
 // may only be true for canonical bytes, and it must be true for them
 // without the fallback — every document AppendJSON writes for a record
 // of plain strings and a non-empty hash, in every float regime, passes
-// scanJSONEntry itself. A scan that quietly stopped recognising its own
-// encoder's output would cost every rewrite a decode and a re-encode per
-// record and fail nothing else.
+// walkJSON's canonical walk itself — and the same record's binary payload
+// walkBinary's. A walk that quietly stopped recognising its own encoder's
+// output would cost every rewrite a decode and a re-encode per record and
+// fail nothing else.
 func TestEntryScanRecognisesAppendJSON(t *testing.T) {
 	n := 30_000
 	if testing.Short() {
@@ -146,29 +147,42 @@ func TestEntryScanRecognisesAppendJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, ok := scanJSONEntry(doc)
-		if !ok {
-			t.Fatalf("scanJSONEntry does not recognise AppendJSON's own output %s", doc)
+		var f Fields
+		if !walkJSON(doc, &f, true) {
+			t.Fatalf("walkJSON does not recognise AppendJSON's own output %s", doc)
 		}
-		if want := entryOf(rec); e.Experiment != want.Experiment || e.Hash != want.Hash || e.Key() != want.Key() ||
-			e.Row != want.Row || e.Replicate != want.Replicate || e.Fp != want.Fp || !e.canonical {
-			t.Fatalf("scanJSONEntry(%s)\n got %+v\nwant %+v, canonical", doc, e, want)
+		want := entryOf(rec)
+		if e := f.Entry(); e != want {
+			t.Fatalf("walkJSON(%s)\n got %+v\nwant %+v", doc, e, want)
+		}
+		bin := appendBinaryRecord(nil, rec)
+		if canonical, err := walkBinary(bin, &f); err != nil || !canonical {
+			t.Fatalf("walkBinary does not recognise appendBinaryRecord's own output for %s: %v", doc, err)
+		}
+		if e := f.Entry(); e != want {
+			t.Fatalf("walkBinary(%s)\n got %+v\nwant %+v", doc, e, want)
 		}
 	}
 }
 
 // TestEntryScanAllocs pins what the scan is for: one allocation per
-// canonical line (the key, which the experiment and the hash are cut
-// from), where decoding the record costs a dozen.
+// canonical payload (the key, which the experiment and the hash are cut
+// from), in either codec, where decoding the record costs a dozen.
 func TestEntryScanAllocs(t *testing.T) {
 	doc := []byte(`{"experiment":"journey","row":7,"replicate":1,"hash":"00000000000000aa","assignment":{"cell":"c00007","pad":"x"},"responses":{"io":107,"ms":5.015}}`)
-	scratch := new([]byte)
-	if n := testing.AllocsPerRun(200, func() {
-		if e, err := jsonCodec.entry(doc, scratch); err != nil || !e.canonical {
-			t.Fatalf("entry = %+v, %v", e, err)
+	rec, err := DecodeJSON(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, payload := range map[*codec][]byte{jsonCodec: doc, binaryCodec: appendBinaryRecord(nil, rec)} {
+		f := new(Fields)
+		if n := testing.AllocsPerRun(200, func() {
+			if e, err := c.entry(payload, f); err != nil || !e.canonical {
+				t.Fatalf("%s entry = %+v, %v", c.name, e, err)
+			}
+		}); n > 1 {
+			t.Errorf("%s entry scan of a canonical payload allocates %v times, want 1", c.name, n)
 		}
-	}); n > 1 {
-		t.Errorf("entry scan of a canonical line allocates %v times, want 1", n)
 	}
 }
 

@@ -65,8 +65,8 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// fnvString folds s and a terminating zero byte into h. The entry scan
-// hashes strings it has only as bytes of the document.
+// fnvString folds s and a terminating zero byte into h. A Fields view
+// hashes strings it has only as bytes of the payload.
 func fnvString[S string | []byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64

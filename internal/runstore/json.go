@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/canonjson"
 )
@@ -45,119 +44,84 @@ func AppendJSON(dst []byte, rec Record) ([]byte, error) {
 }
 
 // DecodeJSON parses one record's JSON document exactly as stored: a
-// missing hash is left for the caller to derive. A document in the
-// canonical form is parsed in one pass; any other goes to
+// missing hash is left for the caller to derive. A document walkJSON
+// recognises is parsed in that one pass; any other goes to
 // json.Unmarshal, so what decodes, what it decodes to, and what each
 // failure says are encoding/json's.
 func DecodeJSON(doc []byte) (Record, error) {
-	if rec, ok := decodeCanonicalJSON(doc); ok {
-		return rec, nil
+	var f Fields // on this stack
+	if walkJSON(doc, &f, false) {
+		return f.Record(), nil
 	}
-	// From a zeroed record: json.Unmarshal adds to the maps it is given,
-	// and the canonical pass may have half-filled one.
 	var rec Record
 	err := json.Unmarshal(doc, &rec)
 	return rec, err
 }
 
-// decodeCanonicalJSON parses doc if it is written the way AppendJSON
-// writes a record whose strings are all plain: the six fields in order,
-// no whitespace, strings without escapes, integers and numbers as bare
-// JSON literals, maps as null or an object. It is deliberately narrow —
-// ok is false for everything else, valid JSON included — and whatever
-// it accepts json.Unmarshal decodes to the same record.
-func decodeCanonicalJSON(doc []byte) (rec Record, ok bool) {
-	c := canonjson.NewCursor(doc)
-	c.Lit(`{"experiment":`)
-	rec.Experiment = c.Str()
-	c.Lit(`,"row":`)
-	rec.Row = c.Int()
-	c.Lit(`,"replicate":`)
-	rec.Replicate = c.Int()
-	c.Lit(`,"hash":`)
-	rec.Hash = c.Str()
-	c.Lit(`,"assignment":`)
-	if c.Object() {
-		rec.Assignment = make(map[string]string)
-		for c.Member() {
-			k := c.Str()
-			c.Lit(":")
-			rec.Assignment[k] = c.Str()
-		}
-	}
-	c.Lit(`,"responses":`)
-	if c.Object() {
-		rec.Responses = make(map[string]float64)
-		for c.Member() {
-			k := c.Str()
-			c.Lit(":")
-			rec.Responses[k] = c.Num()
-		}
-	}
-	c.Lit(`}`)
-	return rec, c.Done()
-}
+// DecodeJSONFields is the field pass over one record's JSON document —
+// the payload of a journal line and of an archive record block: it fills
+// f with the record DecodeJSON returns for doc, a missing hash derived,
+// building the record itself only for a document walkJSON does not
+// recognise. f points into doc afterwards.
+func DecodeJSONFields(doc []byte, f *Fields) error { return jsonCodec.fields(doc, f) }
 
-// scanJSONEntry is the JSON codec's entry scan: one pass over doc that
-// builds no record. ok is true only when doc is byte for byte what
-// AppendJSON writes for the record it decodes to — the canonical form of
-// docs/FORMAT.md §1: the six fields in order, no whitespace, every string
-// plain, no -0 integer, a non-empty hash, map keys strictly ascending,
-// every number the shortest one canonjson.AppendFloat would write — and e
-// is then that record's index entry (entryOf, extent aside), its three
-// strings cut from one allocation. Sorted keys are also what lets
-// the fingerprint be folded in document order. Anything else, valid or
-// not, is the caller's to decode.
-func scanJSONEntry(doc []byte) (e SourceEntry, ok bool) {
+// walkJSON is the JSON codec's one walk of the record grammar: it fills f
+// from doc, building no map and no string, if doc is written the way
+// AppendJSON writes a record that has its hash and whose strings are all
+// plain — the six fields in order, no whitespace, strings without
+// escapes, integers and numbers as bare JSON literals, maps as null or an
+// object whose keys strictly ascend (so no key repeats, and the members
+// are already in the order every hash folds them in). It is deliberately
+// narrow: ok is false for everything else, valid JSON included, and what
+// f then holds means nothing. Whatever it accepts, json.Unmarshal decodes
+// to the record f describes.
+//
+// With canonical set it accepts only AppendJSON's own bytes for that
+// record — the canonical form of docs/FORMAT.md §1: additionally no raw
+// '<', '>' or '&', no -0 integer, every number the shortest one
+// canonjson.AppendFloat would write. That is the entry scan's verdict.
+func walkJSON(doc []byte, f *Fields, canonical bool) (ok bool) {
 	c := canonjson.NewCursor(doc)
 	c.Lit(`{"experiment":`)
-	experiment := c.Quoted(true)
+	f.Experiment = c.Quoted(canonical)
 	c.Lit(`,"row":`)
-	e.Row = c.CanonInt()
+	f.Row = jsonInt(&c, canonical)
 	c.Lit(`,"replicate":`)
-	replicate := c.Rest()
-	e.Replicate = c.CanonInt()
-	replicate = replicate[:len(replicate)-len(c.Rest())]
+	f.Replicate = jsonInt(&c, canonical)
 	c.Lit(`,"hash":`)
-	hash := c.Quoted(true)
+	f.Hash = c.Quoted(canonical)
 	c.Lit(`,"assignment":`)
-	h := fnvOffset64
-	if c.Object() {
+	if f.assignment.start(c.Object()) {
 		for k := []byte(nil); c.Member(); {
-			k = c.NextKey(k)
-			h = fnvString(fnvString(h, k), c.Quoted(true))
+			k = c.NextKey(k, canonical)
+			f.assignment.add(Pair{k, c.Quoted(canonical)})
 		}
 	}
 	c.Lit(`,"responses":`)
-	h = (h ^ 1) * fnvPrime64
-	if c.Object() {
+	if f.responses.start(c.Object()) {
 		var shortest [32]byte
 		for k := []byte(nil); c.Member(); {
-			k = c.NextKey(k)
+			k = c.NextKey(k, canonical)
 			literal := c.Rest()
 			v := c.Num()
-			literal = literal[:len(literal)-len(c.Rest())]
-			if want, err := canonjson.AppendFloat(shortest[:0], v); err != nil || !bytes.Equal(want, literal) {
-				c.Fail()
+			if canonical {
+				literal = literal[:len(literal)-len(c.Rest())]
+				if want, err := canonjson.AppendFloat(shortest[:0], v); err != nil || !bytes.Equal(want, literal) {
+					c.Fail()
+				}
 			}
-			h = fnvResponse(h, k, v)
+			f.responses.add(Response{k, v})
 		}
 	}
 	c.Lit(`}`)
-	if !c.Done() || len(hash) == 0 {
-		return SourceEntry{}, false
+	return c.Done() && len(f.Hash) > 0
+}
+
+// jsonInt consumes an int field's literal; canonical refuses -0, which
+// json.Unmarshal takes and strconv never writes.
+func jsonInt(c *canonjson.Cursor, canonical bool) int {
+	if canonical {
+		return c.CanonInt()
 	}
-	var key strings.Builder
-	key.Grow(len(experiment) + 1 + len(hash) + 1 + len(replicate))
-	key.Write(experiment)
-	key.WriteByte('/')
-	key.Write(hash)
-	key.WriteByte('/')
-	key.Write(replicate) // a canonical integer literal is strconv.Itoa's
-	e.key = key.String()
-	e.Experiment = e.key[:len(experiment)]
-	e.Hash = e.key[len(experiment)+1:][:len(hash)]
-	e.Fp = h
-	e.canonical = true
-	return e, true
+	return c.Int()
 }

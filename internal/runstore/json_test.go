@@ -186,8 +186,8 @@ func TestJSONCodecDecodeEdges(t *testing.T) {
 // not know still decodes, through the fallback, to the fields it does.
 func TestJSONCodecUnknownFieldTolerated(t *testing.T) {
 	doc := `{"experiment":"e","row":1,"replicate":2,"hash":"h","assignment":{"f":"x"},"responses":{"ms":1.5},"unit":"ms"}`
-	if _, ok := decodeCanonicalJSON([]byte(doc)); ok {
-		t.Fatal("the canonical pass accepted a document with an unknown field")
+	if walkJSON([]byte(doc), new(Fields), false) {
+		t.Fatal("the walk accepted a document with an unknown field")
 	}
 	got, err := DecodeJSON([]byte(doc))
 	if err != nil {
@@ -262,7 +262,7 @@ func TestJSONCodecRandomRecords(t *testing.T) {
 			continue
 		}
 		checkDecodeAgainstStdlib(t, doc)
-		if _, ok := decodeCanonicalJSON(doc); ok {
+		if walkJSON(doc, new(Fields), false) {
 			canonical++
 		}
 	}
@@ -308,10 +308,10 @@ func TestHashesMatchFNVReference(t *testing.T) {
 
 // TestJSONCodecAllocs is the guard against reflection creeping back:
 // encoding into a buffer with room allocates nothing, and decoding a
-// canonical document allocates what the record itself is made of —
-// seven strings and two maps here — and nothing else; giving up on a
-// non-canonical one allocates nothing, so the fallback pays only
-// encoding/json's own price.
+// canonical document allocates what the record itself is made of — the
+// memory its seven strings here are cut from, and two maps — and nothing
+// else, the same for a binary payload; giving up on a non-canonical one
+// allocates nothing, so the fallback pays only encoding/json's own price.
 func TestJSONCodecAllocs(t *testing.T) {
 	rec := benchCodecRecords(t, 1)[0]
 	buf := make([]byte, 0, 1<<10)
@@ -327,17 +327,26 @@ func TestJSONCodecAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := decodeCanonicalJSON(doc); !ok {
+	f := new(Fields)
+	if !walkJSON(doc, f, false) {
 		t.Fatalf("the benchmark record is not canonical: %s", doc)
 	}
-	// Seven strings; each small map is a header plus one group of slots.
-	const ceiling = 7 + 2*2
+	// The strings; each small map is a header plus one group of slots.
+	const ceiling = 1 + 2*2
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := DecodeJSON(doc); err != nil {
 			t.Fatal(err)
 		}
 	}); n > ceiling {
 		t.Errorf("DecodeJSON allocates %.0f time(s) per canonical record, want at most %d", n, ceiling)
+	}
+	payload := appendBinaryRecord(nil, rec)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := decodeBinaryRecord(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n > ceiling {
+		t.Errorf("decodeBinaryRecord allocates %.0f time(s) per record, want at most %d", n, ceiling)
 	}
 	// A document the canonical pass gives up on must cost the fallback
 	// nothing but the bytes walked: giving up allocates nothing.
@@ -346,7 +355,7 @@ func TestJSONCodecAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := decodeCanonicalJSON(doc); ok {
+		if walkJSON(doc, f, false) {
 			t.Fatal("a non-ASCII name took the canonical pass")
 		}
 	}); n != 0 {

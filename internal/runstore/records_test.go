@@ -9,11 +9,10 @@ import (
 	"testing"
 )
 
-// entriesThenRead is what Records replaces for a consumer that wants
-// every frame: the index pass, then one positioned read per entry.
-func entriesThenRead(t *testing.T, r SourceReader) []Record {
+// entriesThenRead is what the field pass replaces for a consumer that
+// wants every frame: the index pass, then one positioned read per entry.
+func entriesThenRead(t *testing.T, r SourceReader) (recs []Record, entries []SourceEntry) {
 	t.Helper()
-	var out []Record
 	for e, err := range r.Entries() {
 		if err != nil {
 			t.Fatal(err)
@@ -22,16 +21,39 @@ func entriesThenRead(t *testing.T, r SourceReader) []Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rec)
+		recs, entries = append(recs, rec), append(entries, e)
 	}
-	return out
+	return recs, entries
 }
 
-// TestRecordsIsEntriesPlusRead: one pass behind both projections. Records
-// yields, frame for frame and superseded frames included, what Entries
-// followed by Read yields — for both codecs, over hand-edited lines, a
-// missing hash (derived) and a torn tail — leaves the same Info behind,
-// and either pass may follow the other.
+// fieldsPass consumes r's field pass, copying out of the view at every
+// step what the step is supposed to hold: the record, its fingerprint and
+// whether its members strictly ascend.
+func fieldsPass(t *testing.T, r SourceReader) (recs []Record, fps []uint64) {
+	t.Helper()
+	var view *Fields
+	for f, err := range r.Fields() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view != nil && f != view {
+			t.Fatal("the field pass handed out a second view")
+		}
+		view = f
+		if !membersAscend(f) {
+			t.Fatalf("members of %s/%s/%d out of key order: %q, %+v", f.Experiment, f.Hash, f.Replicate, f.Assignment(), f.Responses())
+		}
+		recs, fps = append(recs, f.Record()), append(fps, f.Fingerprint())
+	}
+	return recs, fps
+}
+
+// TestRecordsIsEntriesPlusRead: one pass behind both projections. The
+// field pass yields, frame for frame and superseded frames included, the
+// fields of what Entries followed by Read yields — for both codecs, over
+// hand-edited lines (repeated and descending keys, escapes, an unknown
+// field), a missing hash (derived) and a torn tail — through one reused
+// view, leaves the same Info behind, and either pass may follow the other.
 func TestRecordsIsEntriesPlusRead(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -47,8 +69,9 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 		lines = append(lines, string(line))
 	}
 	lines = append(lines,
-		`{"experiment":"e","row":3,"replicate":0,"assignment":{"f":"x"},"responses":{"ms":1}}`, // no hash
-		` {"replicate":1, "experiment":"e", "hash":"h", "responses":{"ms":2}, "extra":true}`,   // hand-edited
+		`{"experiment":"e","row":3,"replicate":0,"assignment":{"f":"x"},"responses":{"ms":1}}`,                                                // no hash
+		` {"replicate":1, "experiment":"e", "hash":"h", "responses":{"ms":2}, "extra":true}`,                                                  // hand-edited
+		`{"experiment":"e","row":5,"replicate":2,"hash":"h","assignment":{"g":"1","f":"2","g":"3"},"responses":{"ms":-0,"io":1,"a\u0062":2}}`, // descending, repeated, escaped
 		`{"experiment":"e","row":4,"repl`) // torn
 	if err := os.WriteFile(jsonl, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
@@ -75,32 +98,32 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		want := entriesThenRead(t, r)
+		want, entries := entriesThenRead(t, r)
 		wantInfo := r.Info()
-		got, err := Collect(r.Records())
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, fps := fieldsPass(t, r)
 		if !reflect.DeepEqual(got, want) || len(got) < len(recs)-1 { // the torn tail costs at most one frame
-			t.Errorf("%s: Records yields\n %+v\nEntries+Read yields\n %+v", path, got, want)
+			t.Errorf("%s: Fields yields\n %+v\nEntries+Read yields\n %+v", path, got, want)
 		}
 		if info := r.Info(); info != wantInfo || !info.Torn {
-			t.Errorf("%s: Info after Records = %+v, after Entries %+v (want torn)", path, info, wantInfo)
+			t.Errorf("%s: Info after Fields = %+v, after Entries %+v (want torn)", path, info, wantInfo)
 		}
-		for _, rec := range got {
+		for i, rec := range got {
 			if rec.Hash == "" {
-				t.Errorf("%s: Records left %+v without its hash", path, rec)
+				t.Errorf("%s: Fields left %+v without its hash", path, rec)
+			}
+			if fps[i] != Fingerprint(rec) || fps[i] != entries[i].Fp {
+				t.Errorf("%s: frame %d fingerprints as %x in the view, %x decoded, %x in its entry", path, i, fps[i], Fingerprint(rec), entries[i].Fp)
 			}
 		}
-		if again := entriesThenRead(t, r); !reflect.DeepEqual(again, want) {
-			t.Errorf("%s: an Entries pass after a Records pass differs", path)
+		if again, _ := entriesThenRead(t, r); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: an Entries pass after a Fields pass differs", path)
 		}
 		// Stopping early is not an error and leaves the reader usable.
-		for range r.Records() {
+		for range r.Fields() {
 			break
 		}
-		if again, err := Collect(r.Records()); err != nil || !reflect.DeepEqual(again, want) {
-			t.Errorf("%s: a Records pass after an abandoned one: %v", path, err)
+		if again, _ := fieldsPass(t, r); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: a Fields pass after an abandoned one differs", path)
 		}
 	}
 
@@ -114,8 +137,12 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := Collect(r.Records()); err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "corrupt journal line at byte") {
-		t.Errorf("Records over a corrupt interior line: %v", err)
+	var failed error
+	for _, err := range r.Fields() {
+		failed = err
+	}
+	if failed == nil || !strings.Contains(failed.Error(), bad) || !strings.Contains(failed.Error(), "corrupt journal line at byte") {
+		t.Errorf("Fields over a corrupt interior line: %v", failed)
 	}
 }
 

@@ -98,8 +98,11 @@ func ShardIndex(hash string, n int) int {
 
 // Info summarizes one store file without opening it for writing.
 type Info struct {
-	Records  int    // complete records in the file, including superseded ones
-	Distinct int    // distinct (experiment, hash, replicate) keys
+	Records int // complete records in the file, including superseded ones
+	// Distinct counts the distinct (experiment, hash, replicate) keys. Only
+	// a pass that indexes the entries knows it: Inspect (InspectSource)
+	// counts it, a SourceReader's own Info leaves it zero.
+	Distinct int
 	Torn     bool   // the file ends in a torn (crash-interrupted) tail
 	Detail   string // backend-specific shape, e.g. archive block/index stats
 }
@@ -114,4 +117,20 @@ type Info struct {
 // reports richer Detail through its own Inspect hook.
 func Inspect(path string) (Info, error) {
 	return formatOf(path).Inspect(path)
+}
+
+// InspectSource consumes r's Entries and returns the Info they leave
+// behind with Distinct counted — what every Format's Inspect reports for
+// a file it reads through a SourceReader.
+func InspectSource(r SourceReader) (Info, error) {
+	distinct := make(map[string]struct{})
+	for e, err := range r.Entries() {
+		if err != nil {
+			return Info{}, err
+		}
+		distinct[e.Key()] = struct{}{}
+	}
+	info := r.Info()
+	info.Distinct = len(distinct)
+	return info, nil
 }

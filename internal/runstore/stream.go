@@ -15,8 +15,8 @@ type Extent struct {
 
 // SourceEntry is the lightweight per-record metadata a streaming index
 // pass yields: enough to key, order canonically, and compare
-// measurements without retaining the record — which a journal reader
-// does not even decode when its stored form is canonical (codec.entry).
+// measurements without retaining the record — which no reader builds
+// when its stored form is what the codec writes (codec.entry).
 type SourceEntry struct {
 	Experiment string
 	Hash       string
@@ -27,9 +27,9 @@ type SourceEntry struct {
 	// detectable without re-reading either record.
 	Fp  uint64
 	Ext Extent
-	// key is the lookup key, built once when a journal reader makes the
-	// entry: every index pass asks for it at least twice. Entries built
-	// elsewhere (the archive's) leave it empty and Key derives it.
+	// key is the lookup key, built once when a reader makes the entry
+	// (Fields.Entry, entryOf): every index pass asks for it at least twice.
+	// An entry put together elsewhere leaves it empty and Key derives it.
 	key string
 	// canonical says the stored payload is byte for byte what its codec
 	// writes for the record it decodes to, so a rewrite into the same
@@ -48,25 +48,28 @@ func (e SourceEntry) Key() string {
 
 // SourceReader is the streaming, random-access view of one store file
 // that Merge, Compact, LoadRecords, Inspect and the warehouse consume.
-// Entries and Records are two projections of one forward pass in file
+// Entries and Fields are two projections of one forward pass in file
 // order through buffered sequential reads — the index entry of each
-// frame, or the frame decoded — and Read decodes a single record by the
-// extent Entries yielded for it. A consumer that wants every record reads
-// Records and resolves last-wins itself, decoding each frame once; one
-// that wants few of many (a rewrite that copies canonical frames) indexes
-// with Entries and fetches by extent. Every Format brings one
-// (Format.OpenReader) — both journal encodings share fileSource — and
-// OpenSource dispatches.
+// frame, or its fields in a reused view — and Read decodes a single
+// record by the extent Entries yielded for it. Neither pass builds a
+// record for a frame stored the way its codec writes it. A consumer that
+// wants something of every record reads Fields and resolves last-wins
+// itself, walking each frame once; one that wants few of many (a rewrite
+// that copies canonical frames) indexes with Entries and fetches by
+// extent. Every Format brings one (Format.OpenReader) — both journal
+// encodings share fileSource — and OpenSource dispatches.
 type SourceReader interface {
 	// Entries iterates every record in file order — superseded records
 	// included — as lightweight entries. A torn trailing frame ends the
 	// iteration without error (Info reports it); a corrupt interior
 	// frame yields the error and stops.
 	Entries() iter.Seq2[SourceEntry, error]
-	// Records iterates every record in file order — superseded records
-	// included — decoded exactly once each, as Read would decode it. Torn
-	// tails and corrupt frames are Entries'.
-	Records() iter.Seq2[Record, error]
+	// Fields iterates every record in file order — superseded records
+	// included — as the fields of the record Read would decode, each frame
+	// walked exactly once. Every step yields the same view, refilled: it
+	// is valid until the next step (see Fields). Torn tails and corrupt
+	// frames are Entries'.
+	Fields() iter.Seq2[*Fields, error]
 	// Read decodes the record at ext, which must have been yielded by
 	// Entries on this reader. Read must be safe for concurrent use —
 	// every implementation serves it with a stateless positioned read
@@ -102,8 +105,8 @@ func Fingerprint(rec Record) uint64 {
 	return h
 }
 
-// fnvResponse folds one response into h; Fingerprint and the JSON entry
-// scan fold the same responses in the same (key) order.
+// fnvResponse folds one response into h; Fingerprint and
+// Fields.Fingerprint fold the same responses in the same (key) order.
 func fnvResponse[S string | []byte](h uint64, name S, v float64) uint64 {
 	h = fnvString(h, name)
 	if v == 0 {

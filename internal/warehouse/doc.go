@@ -11,7 +11,8 @@
 //     each file as one *run*. Refresh is incremental: a source whose
 //     size and modification time are unchanged is never re-read, and a
 //     changed one is re-ingested whole (its run summary is replaced,
-//     last-wins) in one forward pass that decodes every frame once;
+//     last-wins) in one forward pass that walks every frame once and
+//     builds no record (runstore.SourceReader.Fields);
 //     changed sources are read in parallel and indexed in catalog
 //     order. Sources that vanish stay in the index: the warehouse is
 //     the history, the store files are only its substrate.

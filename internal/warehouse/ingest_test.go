@@ -197,6 +197,88 @@ func TestIngestHandEditedJournal(t *testing.T) {
 	}
 }
 
+// TestIngestEqualsReference holds the field-pass ingest to the pass it
+// replaced (referenceIngest: a runstore.Record per frame), source for
+// source: the same Run, bit for bit — nil and empty assignments told
+// apart — or the same refusal in the same words. Over every format and a
+// range of seeds, whole, torn at every length a tail can be cut to, and
+// with a frame in the middle damaged.
+func TestIngestEqualsReference(t *testing.T) {
+	t.Parallel()
+	same := func(t *testing.T, root, rel string) {
+		t.Helper()
+		st, err := os.Stat(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ingest(root, rel, st)
+		want, werr := referenceIngest(root, rel, st)
+		if (err != nil) != (werr != nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("%s: ingest fails with %v, the reference with %v", rel, err, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ingest diverges from the reference:\n got %+v\nwant %+v", rel, got, want)
+		}
+	}
+	for i, ext := range []string{".jsonl", ".binj", ".arch", ".archz"} {
+		t.Run(ext, func(t *testing.T) {
+			t.Parallel()
+			root := t.TempDir()
+			for seed := 0; seed < 4; seed++ {
+				rel := fmt.Sprintf("run-%d%s", seed, ext)
+				frames := awkwardFrames(rand.New(rand.NewSource(int64(40 + 10*i + seed))))
+				// Maps that are null, and maps that are empty: the cell keeps
+				// which, and the index writes it.
+				frames = append(frames,
+					runstore.Record{Experiment: "exp2", Hash: "null-maps", Replicate: seed},
+					runstore.Record{Experiment: "exp2", Hash: "empty-maps", Replicate: seed, Assignment: map[string]string{}, Responses: map[string]float64{}})
+				appendStore(t, filepath.Join(root, rel), ext, frames)
+				same(t, root, rel)
+			}
+			whole, err := os.ReadFile(filepath.Join(root, "run-0"+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cut := 1; cut <= 200; cut += 7 { // through the last frame and into the one before
+				if err := os.WriteFile(filepath.Join(root, "torn"+ext), whole[:len(whole)-cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				same(t, root, "torn"+ext)
+			}
+			damaged := bytes.Clone(whole)
+			for i := len(damaged) / 2; i < len(damaged)/2+40; i++ {
+				damaged[i] ^= 0x55
+			}
+			if err := os.WriteFile(filepath.Join(root, "damaged"+ext), damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			same(t, root, "damaged"+ext)
+		})
+	}
+	t.Run("hand-edited", func(t *testing.T) {
+		t.Parallel()
+		root := t.TempDir()
+		lines := []string{
+			`{"experiment":"e","row":0,"replicate":0,"hash":"h","assignment":{"g":"1","f":"2"},"responses":{"ms":1.5,"io":3}}`,  // descending keys
+			`{"experiment":"e","row":0,"replicate":1,"hash":"h","assignment":{"f":"2","f":"3"},"responses":{"ms":2,"ms":2.5}}`,  // repeated keys
+			`{"experiment":"e","row":0,"replicate":2,"assignment":{"f":"2"},"responses":{"m\u0073":-0}}`,                        // no hash, an escape, -0
+			` {"replicate":3, "experiment":"e", "hash":"h", "assignment":{"f":"<2>"}, "responses":{"ms":1e-7}, "unit":"ms"}`,    // whitespace, raw HTML, an unknown field
+			`{"experiment":"e","row":1,"replicate":0,"hash":"k","assignment":null,"responses":{}}`,                              // null and {}
+			`{"experiment":"e","row":1,"replicate":0,"hash":"k","assignment":{},"responses":null}`,                              // superseded by {} and null
+			`{"experiment":"e","row":0,"replicate":0,"hash":"h","assignment":{"f":"2","g":"1"},"responses":{"io":4,"ms":1.25}}`, // a canonical line supersedes the first
+			`{"experiment":"e","row":2,"replicate":0,"hash":"x","assignment":{"f":"9"},"responses":{"ms":1,"ms":`,               // torn
+		}
+		if err := os.WriteFile(filepath.Join(root, "edited.jsonl"), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		same(t, root, "edited.jsonl")
+		if err := os.WriteFile(filepath.Join(root, "corrupt.jsonl"), []byte(strings.Join(lines, "\n")+"\n"+lines[0]+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		same(t, root, "corrupt.jsonl") // the torn line is now an interior one
+	})
+}
+
 // steppingClock returns a clock that advances one second per reading, so
 // the order Refresh reads it in is written into the index.
 func steppingClock() func() time.Time {

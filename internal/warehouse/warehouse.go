@@ -208,8 +208,9 @@ func (w *Warehouse) put(r Run) error {
 // time aside: the per-cell aggregates (replicate count, mean, unbiased
 // variance over the distinct last-wins records) and the order-independent
 // content fingerprint. It is the only place the warehouse reads record
-// data, and it reads it once: one forward pass over the reader's Records,
-// every frame decoded exactly once, last-wins resolved here.
+// data, and it reads it once: one forward pass over the reader's Fields,
+// every frame walked exactly once and no record built, last-wins resolved
+// here.
 //
 // The result is, bit for bit, what aggregating runstore.ScanFile's
 // sequence gives — the distinct records in first-appended order — which
@@ -217,8 +218,10 @@ func (w *Warehouse) put(r Run) error {
 // that order falls out of one rule: a key's first frame claims the next
 // slot, and a superseding frame replaces, in that slot, what the frame
 // before it left (its fingerprint, its values, and — when the slot is its
-// cell's first — the cell's assignment). What is kept per record is its
-// key, its fingerprint and its values, never the decoded maps.
+// cell's first — the cell's assignment). The view a step yields is gone at
+// the next, so what outlives it is copied here and only that: a record's
+// fingerprint and values, and once per cell its key (which the experiment
+// and the hash are cut from) and its assignment.
 func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
 	if err != nil {
@@ -232,53 +235,73 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	}
 	type slot struct { // one distinct record, in first-appended order
 		cell   int    // index into cells
-		fp     uint64 // recordFingerprint of the frame that holds the slot
+		fp     uint64 // keyedFingerprint of the frame that holds the slot
 		values []value
 	}
 	type cell struct { // one design cell, in first-appearance order
-		experiment, hash string
+		key              string // runstore.CellKey
+		experiment, hash string // cut from key
 		assignment       map[string]string
 		first            int // the slot whose record names the assignment
 	}
+	// A record's key is its cell's key, a slash and its replicate, and
+	// the replicate's digits hold no slash: (cell, replicate) is that key.
+	type slotKey struct{ cell, replicate int }
 	var (
 		slots  []slot
 		cells  []cell
-		slotAt = make(map[string]int) // record key -> slot
-		cellAt = make(map[string]int) // cell key (the record key's prefix) -> cell
+		slotAt = make(map[slotKey]int)
+		cellAt = make(map[string]int)    // cell key -> cell
+		names  = make(map[string]string) // a source's few factor and response names, each allocated once
 		key    []byte
 	)
-	for rec, err := range r.Records() {
+	name := func(b []byte) string {
+		s, ok := names[string(b)]
+		if !ok {
+			s = string(b)
+			names[s] = s
+		}
+		return s
+	}
+	for f, err := range r.Fields() {
 		if err != nil {
 			return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
 		}
-		// runstore.Key, and in its first bytes runstore.CellKey, built in
-		// a reused buffer: a map lookup by string(key) does not allocate.
-		key = append(append(append(key[:0], rec.Experiment...), '/'), rec.Hash...)
-		cellKey := len(key)
-		key = strconv.AppendInt(append(key, '/'), int64(rec.Replicate), 10)
-		i, seen := slotAt[string(key)]
+		// runstore.CellKey and then runstore.Key in a reused buffer: a map
+		// lookup by string(key) does not allocate.
+		key = append(append(append(key[:0], f.Experiment...), '/'), f.Hash...)
+		ci, ok := cellAt[string(key)]
+		if !ok {
+			ci = len(cells)
+			cells = append(cells, cell{key: string(key), first: len(slots)})
+			cellAt[cells[ci].key] = ci
+		}
+		i, seen := slotAt[slotKey{ci, f.Replicate}]
 		if !seen {
-			ci, ok := cellAt[string(key[:cellKey])]
-			if !ok {
-				ci = len(cells)
-				cells = append(cells, cell{first: len(slots)})
-				cellAt[string(key[:cellKey])] = ci
-			}
 			i = len(slots)
 			slots = append(slots, slot{cell: ci})
-			slotAt[string(key)] = i
+			slotAt[slotKey{ci, f.Replicate}] = i
 		}
+		key = strconv.AppendInt(append(key, '/'), int64(f.Replicate), 10)
 		s := &slots[i]
-		s.fp = recordFingerprint(rec)
-		if c := &cells[s.cell]; c.first == i {
-			c.experiment, c.hash, c.assignment = rec.Experiment, rec.Hash, rec.Assignment
+		s.fp = keyedFingerprint(key, f.Fingerprint())
+		if c := &cells[ci]; c.first == i {
+			c.experiment, c.hash = c.key[:len(f.Experiment)], c.key[len(f.Experiment)+1:]
+			c.assignment = nil
+			if a := f.Assignment(); a != nil {
+				c.assignment = make(map[string]string, len(a))
+				for _, p := range a {
+					c.assignment[name(p.Key)] = string(p.Value)
+				}
+			}
 		}
-		if need := len(rec.Responses); need > cap(s.values) {
+		responses := f.Responses()
+		if need := len(responses); need > cap(s.values) {
 			s.values = make([]value, 0, need)
 		}
 		s.values = s.values[:0]
-		for resp, v := range rec.Responses {
-			s.values = append(s.values, value{resp, v})
+		for _, resp := range responses {
+			s.values = append(s.values, value{name(resp.Name), resp.Value})
 		}
 	}
 
@@ -346,23 +369,16 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	return run, nil
 }
 
-// recordFingerprint folds one record's identity and measurement into
-// the run fingerprint: runstore.Fingerprint (assignment + responses)
-// mixed with the record key — FNV-1a over the bytes of rec.Key(), folded
-// field by field so the key itself is never built — combined
-// order-independently by the caller's XOR so equal record sets
-// fingerprint identically across formats and orders. The value is
-// persisted and compared on re-ingest: changing it would re-date every
-// indexed run.
-func recordFingerprint(rec runstore.Record) uint64 {
-	var digits [20]byte               // the longest int64, sign included
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	h = fnv1a(h, rec.Experiment)
-	h = fnv1a(h, "/")
-	h = fnv1a(h, rec.Hash)
-	h = fnv1a(h, "/")
-	h = fnv1a(h, strconv.AppendInt(digits[:0], int64(rec.Replicate), 10))
-	m := runstore.Fingerprint(rec)
+// keyedFingerprint folds one record's identity and measurement into the
+// run fingerprint: FNV-1a over the bytes of its key (runstore.Key), then
+// over the eight bytes of m, its runstore.Fingerprint (assignment +
+// responses) — combined order-independently by the caller's XOR so equal
+// record sets fingerprint identically across formats and orders. The
+// value is persisted and compared on re-ingest: changing it would re-date
+// every indexed run (TestRecordFingerprintPinned, through the reference
+// ingest is held to).
+func keyedFingerprint(key []byte, m uint64) uint64 {
+	h := fnv1a(14695981039346656037, key) // from the FNV-1a offset basis
 	for i := 0; i < 8; i++ {
 		h = (h ^ (m >> (8 * i) & 0xff)) * fnvPrime64
 	}
