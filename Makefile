@@ -37,6 +37,13 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# Merge reads its sources side by side on up to GOMAXPROCS goroutines, so
+# the rewrite tests are raced at a processor count that does not depend on
+# the machine running them: 1 (everything inline) and 4.
+.PHONY: race-cpu
+race-cpu:
+	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile' ./internal/runstore/...
+
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

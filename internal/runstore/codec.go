@@ -234,7 +234,6 @@ func scanSource[T any](r *fileSource, item func(payload []byte, ext Extent) (T, 
 		records, canonical := 0, true
 		tiled := int64(len(r.c.framing.Magic()))
 		terminator := int64(len(r.c.framing.Terminator()))
-		stop := fmt.Errorf("runstore: iteration stopped") // sentinel, never escapes
 		_, torn, err := r.c.framing.ScanFile(r.f, func(payload []byte, off, n int64) error {
 			it, canon, err := item(payload, Extent{Off: off, Len: n})
 			if err != nil {
@@ -244,11 +243,11 @@ func scanSource[T any](r *fileSource, item func(payload []byte, ext Extent) (T, 
 			canonical = canonical && canon
 			tiled += n + terminator
 			if !yield(it, nil) {
-				return stop
+				return errStop
 			}
 			return nil
 		})
-		if err == stop {
+		if err == errStop {
 			return
 		}
 		if err != nil {

@@ -52,8 +52,9 @@
 //
 // Streaming contract: the Store view (Scan) and every file-level reader
 // (ScanFile, SourceReader, Merge, Compact) hand records to the consumer
-// one at a time — peak memory holds a lightweight index entry per key,
-// never the record set. Collect materializes a sequence for the few
+// one at a time — peak memory holds a lightweight index entry per key
+// (Merge: per stored record of its sources, until its fold drops the
+// superseded), never the record set. Collect materializes a sequence for the few
 // sites that truly need a slice. The normative iteration-order and
 // error-in-sequence semantics are docs/FORMAT.md §9.
 //
@@ -61,8 +62,12 @@
 // encoding of every record they keep. Their index passes run on each
 // codec's entry scan (codec.entry, in either encoding), which reads a
 // stored payload's entry — and whether the payload is already canonical
-// — without building the record; the write pass copies canonical frames
-// between
+// — without building the record. Merge's index pass scans its sources
+// side by side (up to GOMAXPROCS at once, each into its own entry list),
+// folds the lists in source order — last wins, a Conflict is a
+// disagreement with the winner at that moment — and keeps each source's
+// winners in the order they were read, sorting only a list that is not
+// already canonical. The write pass copies canonical frames between
 // files of one encoding and decodes and re-encodes everything else, to
 // the same bytes. An in-place Compact that would reproduce its file
 // leaves it untouched (docs/FORMAT.md §1 and §7).

@@ -231,10 +231,11 @@ func (o *GateOptions) fill() error {
 
 // interval builds the comparison interval for one cell: a Student-t CI
 // when replicates allow (zero-variance samples yield a valid degenerate
-// CI), a tolerance band for single-replicate cells.
-func interval(values []float64, opt GateOptions) (stats.Interval, error) {
+// CI), a tolerance band for single-replicate cells. t is the pass's
+// critical-value lookup at opt.Confidence.
+func interval(values []float64, opt GateOptions, t *stats.TCritical) (stats.Interval, error) {
 	if len(values) >= 2 {
-		return stats.MeanCI(values, opt.Confidence)
+		return t.MeanCI(values)
 	}
 	if len(values) == 0 {
 		return stats.Interval{}, fmt.Errorf("runstore: empty cell")
@@ -257,8 +258,9 @@ func (s *Summary) Intervals(opt GateOptions) (map[string]map[string]stats.Interv
 		return nil, err
 	}
 	out := make(map[string]map[string]stats.Interval)
+	t := stats.NewTCritical(opt.Confidence)
 	for _, row := range s.Rows {
-		iv, err := interval(row.Values, opt)
+		iv, err := interval(row.Values, opt, &t)
 		if err != nil {
 			return nil, fmt.Errorf("runstore: cell %s/%s: %w", assignmentString(row.Assignment), row.Response, err)
 		}
@@ -300,6 +302,7 @@ func Gate(baseline, current *Summary, opt GateOptions) (*GateReport, error) {
 		curIdx[key{row.Hash, row.Response}] = row
 	}
 	report := &GateReport{Experiment: baseline.Experiment}
+	t := stats.NewTCritical(opt.Confidence)
 	seen := map[key]bool{}
 	for _, base := range baseline.Rows {
 		k := key{base.Hash, base.Response}
@@ -308,7 +311,7 @@ func Gate(baseline, current *Summary, opt GateOptions) (*GateReport, error) {
 		cur, ok := curIdx[k]
 		if !ok {
 			f.Verdict = Missing
-			bi, err := interval(base.Values, opt)
+			bi, err := interval(base.Values, opt, &t)
 			if err != nil {
 				return nil, fmt.Errorf("runstore: baseline cell %s/%s: %w", assignmentString(base.Assignment), base.Response, err)
 			}
@@ -316,11 +319,11 @@ func Gate(baseline, current *Summary, opt GateOptions) (*GateReport, error) {
 			report.Findings = append(report.Findings, f)
 			continue
 		}
-		bi, err := interval(base.Values, opt)
+		bi, err := interval(base.Values, opt, &t)
 		if err != nil {
 			return nil, fmt.Errorf("runstore: baseline cell %s/%s: %w", assignmentString(base.Assignment), base.Response, err)
 		}
-		ci, err := interval(cur.Values, opt)
+		ci, err := interval(cur.Values, opt, &t)
 		if err != nil {
 			return nil, fmt.Errorf("runstore: current cell %s/%s: %w", assignmentString(cur.Assignment), cur.Response, err)
 		}
@@ -343,7 +346,7 @@ func Gate(baseline, current *Summary, opt GateOptions) (*GateReport, error) {
 		if seen[k] {
 			continue
 		}
-		ci, err := interval(cur.Values, opt)
+		ci, err := interval(cur.Values, opt, &t)
 		if err != nil {
 			return nil, fmt.Errorf("runstore: current cell %s/%s: %w", assignmentString(cur.Assignment), cur.Response, err)
 		}

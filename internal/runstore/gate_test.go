@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -250,4 +251,35 @@ func TestGateExperimentMismatch(t *testing.T) {
 	if _, err := Gate(nil, a, GateOptions{}); err == nil {
 		t.Error("nil baseline should error")
 	}
+}
+
+// BenchmarkGate gates a 10 000-cell run against its baseline: five
+// replicates a cell, so two t-intervals per finding, all at one n.
+func BenchmarkGate(b *testing.B) {
+	const cells = 10_000
+	summary := func(shift float64) *Summary {
+		s := &Summary{Experiment: "gate", Rows: make([]SummaryRow, cells)}
+		for i := range s.Rows {
+			a := map[string]string{"cell": fmt.Sprint(i)}
+			v := float64(100+i%50) + shift
+			s.Rows[i] = SummaryRow{
+				Hash: AssignmentHash(a), Assignment: a, Response: "ms",
+				Values: []float64{v, v + 1, v - 1, v + 0.5, v - 0.5},
+			}
+		}
+		return s
+	}
+	baseline, current := summary(0), summary(0.25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		report, err := Gate(baseline, current, GateOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(report.Findings) != cells {
+			b.Fatalf("%d finding(s), want %d", len(report.Findings), cells)
+		}
+	}
+	b.ReportMetric(cells, "cells/op")
 }

@@ -3,6 +3,7 @@ package runstore
 import (
 	"bufio"
 	"cmp"
+	"errors"
 	"fmt"
 	"iter"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/framelog"
 )
@@ -49,16 +51,22 @@ type MergeStats struct {
 // Merging a single source therefore canonicalizes a journal in place.
 //
 // Merge streams: an index pass reduces each source to lightweight
-// entries (key, canonical position, measurement fingerprint, extent),
-// then the destination is written by k-way ordered iteration over the
+// entries (key, canonical position, measurement fingerprint, extent) —
+// the sources scanned side by side, up to GOMAXPROCS at once, then their
+// entry lists folded in source order, which is what last-wins and the
+// Conflicts are defined on, and each source's winners kept in the order
+// they were read (a list not already canonical is sorted) — then the
+// destination is written by k-way ordered iteration over the
 // per-source winner lists, one record at a time. A winner whose stored
 // frame is already what the destination's codec would write for it —
 // the ordinary case, a journal merged into a journal of the same
 // encoding — is copied from its source; any other (a hand-edited line,
 // an archive payload, the other encoding) is decoded and re-encoded. The
 // bytes written are the same either way.
-// Peak memory is the entry index, never the record set — merging two
-// 10^5-record files does not buffer 2x10^5 assignment/response maps.
+// Peak memory is the entry index — one entry per stored record,
+// superseded ones included until the fold drops them — never the record
+// set: merging two 10^5-record files does not buffer 2x10^5
+// assignment/response maps.
 //
 // The write is atomic (temp file, fsync, rename) and the whole operation
 // is idempotent: merging a merged journal reproduces it byte for byte,
@@ -201,7 +209,7 @@ func (p *mergePlan) write(dst string, f *Format, modeFrom string) error {
 func (p *mergePlan) Close() error {
 	var first error
 	for _, s := range p.sources {
-		if s.r == nil {
+		if s == nil { // a failed index pass never opened it, or closed it where its scan failed
 			continue
 		}
 		if err := s.r.Close(); err != nil && first == nil {
@@ -211,63 +219,139 @@ func (p *mergePlan) Close() error {
 	return first
 }
 
-// planMerge runs the index pass: each source's entries are folded into a
-// global last-wins index (source order, then append order within a
-// source), measurement disagreements are reported as Conflicts, and the
-// surviving entries are handed back to their sources as canonically
-// sorted winner lists ready for k-way iteration.
+// entryRef locates one entry of the index pass: the source it was read
+// from and its position in that source's read order. Eight bytes, so the
+// cross-source index holds no entry of its own (an entry list that
+// outgrew int32 would be 200 GB of entries first).
+type entryRef struct{ src, pos int32 }
+
+// planMerge runs the index pass in two halves. Reading: every source's
+// entries are collected in file order (scanSources; sources side by
+// side). Folding: one pass over those lists in source order, then file
+// order, through a map from key to the entry holding it at that moment —
+// last wins, a cross-source measurement disagreement with that holder is
+// a Conflict, and the holder it replaces is marked dead where it lies.
+// What survives in a source is its winner list, left in the order it was
+// read and sorted only if that order is not already canonical — a
+// worker's spool and a merged journal are — ready for k-way iteration.
 func planMerge(srcs []string) (*mergePlan, MergeStats, error) {
 	var ms MergeStats
 	if len(srcs) == 0 {
 		return nil, ms, fmt.Errorf("runstore: merge needs at least one source journal")
 	}
 	ms.Sources = len(srcs)
-	plan := &mergePlan{}
-	type winner struct {
-		src int
-		e   SourceEntry
+	plan, err := scanSources(srcs)
+	if err != nil {
+		return nil, ms, err
 	}
-	global := make(map[string]winner)
 	total := 0
-	for i, src := range srcs {
-		r, err := OpenSource(src)
-		if err != nil {
-			plan.Close()
-			return nil, ms, err
-		}
-		plan.sources = append(plan.sources, newMergeSource(r))
-		for e, eerr := range r.Entries() {
-			if eerr != nil {
-				plan.Close()
-				return nil, ms, eerr
-			}
-			k := e.Key()
-			// A same-source overwrite is an ordinary last-wins supersede,
-			// not a Conflict: only cross-source disagreement means two
-			// workers measured the same unit differently.
-			if prev, seen := global[k]; seen && prev.src != i && prev.e.Fp != e.Fp {
-				ms.Conflicts = append(ms.Conflicts, Conflict{
-					Key: k, Earlier: srcs[prev.src], Later: src,
-				})
-			}
-			global[k] = winner{src: i, e: e}
-		}
-		info := r.Info()
-		total += info.Records
-		if info.Torn {
+	for _, s := range plan.sources {
+		total += len(s.winners)
+		if s.r.Info().Torn {
 			ms.TornSources++
 		}
 	}
-	for _, w := range global {
-		s := plan.sources[w.src]
-		s.winners = append(s.winners, w.e)
+	index := make(map[string]entryRef, total)
+	dead := make([][]bool, len(srcs)) // per source, allocated at its first superseded entry
+	for i, s := range plan.sources {
+		for pos := range s.winners {
+			e := &s.winners[pos]
+			k := e.Key()
+			if prev, seen := index[k]; seen {
+				// A same-source overwrite is an ordinary last-wins supersede,
+				// not a Conflict: only cross-source disagreement means two
+				// workers measured the same unit differently.
+				if int(prev.src) != i && plan.sources[prev.src].winners[prev.pos].Fp != e.Fp {
+					ms.Conflicts = append(ms.Conflicts, Conflict{
+						Key: k, Earlier: srcs[prev.src], Later: srcs[i],
+					})
+				}
+				if dead[prev.src] == nil {
+					dead[prev.src] = make([]bool, len(plan.sources[prev.src].winners))
+				}
+				dead[prev.src][prev.pos] = true
+			}
+			index[k] = entryRef{src: int32(i), pos: int32(pos)}
+		}
 	}
-	for _, s := range plan.sources {
-		slices.SortFunc(s.winners, canonicalCompare)
+	for i, s := range plan.sources {
+		if dead[i] != nil {
+			read := s.winners
+			s.winners = s.winners[:0]
+			for pos, e := range read {
+				if !dead[i][pos] {
+					s.winners = append(s.winners, e)
+				}
+			}
+			clear(read[len(s.winners):])
+		}
+		if !slices.IsSortedFunc(s.winners, canonicalCompare) {
+			slices.SortFunc(s.winners, canonicalCompare)
+		}
 	}
-	ms.Kept = len(global)
-	ms.Superseded = total - len(global)
+	ms.Kept = len(index)
+	ms.Superseded = total - len(index)
 	return plan, ms, nil
+}
+
+// scanSources opens every source and collects its entries, in file
+// order, into its winners list. No source shares anything with another,
+// so they are read side by side on up to GOMAXPROCS goroutines, the
+// caller's among them (one source: only the caller's). Sources are
+// claimed in order and a failure stops further claims, so every source
+// before the lowest-numbered failing one has been read in full and its
+// failure is the one a one-at-a-time pass would have met: that is the
+// error returned, with every reader that was opened closed.
+func scanSources(srcs []string) (*mergePlan, error) {
+	plan := &mergePlan{sources: make([]*mergeSource, len(srcs))}
+	errs := make([]error, len(srcs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	scan := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(srcs) {
+				return
+			}
+			if plan.sources[i], errs[i] = scanMergeSource(srcs[i]); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scan()
+		}()
+	}
+	scan()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			plan.Close()
+			return nil, err
+		}
+	}
+	return plan, nil
+}
+
+// scanMergeSource opens one source and reads all of its entries.
+func scanMergeSource(path string) (*mergeSource, error) {
+	r, err := OpenSource(path)
+	if err != nil {
+		return nil, err
+	}
+	s := newMergeSource(r)
+	for e, err := range r.Entries() {
+		if err != nil {
+			r.Close()
+			return nil, err
+		}
+		s.winners = append(s.winners, e)
+	}
+	return s, nil
 }
 
 // canonicalCompare orders entries by (experiment, design row, replicate,
@@ -362,21 +446,25 @@ func (p *mergePlan) records() iter.Seq2[Record, error] {
 	}
 }
 
+// errStop ends a callback-driven pass (mergePlan.each, a framelog scan)
+// whose consumer stopped ranging. It never escapes the iterator that
+// returns it.
+var errStop = errors.New("runstore: iteration stopped")
+
 // framesSerial fetches one winner per step on the caller's goroutine.
 func (p *mergePlan) framesSerial(c *codec) iter.Seq2[frame, error] {
 	return func(yield func(frame, error) bool) {
-		stop := fmt.Errorf("stop") // sentinel, never escapes
 		err := p.each(func(s *mergeSource, e SourceEntry) error {
 			f, ferr := s.fetch(e, c, true)
 			if ferr != nil {
 				return ferr
 			}
 			if !yield(f, nil) {
-				return stop
+				return errStop
 			}
 			return nil
 		})
-		if err != nil && err != stop {
+		if err != nil && err != errStop {
 			yield(frame{}, err)
 		}
 	}
@@ -425,7 +513,6 @@ func (p *mergePlan) framesParallel(c *codec, workers int) iter.Seq2[frame, error
 				}
 			}()
 		}
-		stop := fmt.Errorf("stop") // sentinel, never escapes
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -436,12 +523,12 @@ func (p *mergePlan) framesParallel(c *codec, workers int) iter.Seq2[frame, error
 				select {
 				case order <- j:
 				case <-done:
-					return stop
+					return errStop
 				}
 				select {
 				case jobs <- j:
 				case <-done:
-					return stop
+					return errStop
 				}
 				return nil
 			})

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -172,13 +173,16 @@ func BenchmarkCollect(b *testing.B) { benchCollect(b, 0) }
 // still finds nothing to rewrite.
 func BenchmarkCollectHandEdited(b *testing.B) { benchCollect(b, 10) }
 
-// benchCollect runs the collect operation; editEvery > 0 makes every
-// editEvery-th source line non-canonical.
-func benchCollect(b *testing.B, editEvery int) {
-	dir := b.TempDir()
-	var shards [2]bytes.Buffer
+// writeShardJournals writes one run of cells x 2 records in the
+// end-to-end benchmark's record shape (bench/: one factor, two responses)
+// as n canonical shard journals, cell c in shard c%n — what n workers'
+// spools hold — and returns their paths. editEvery > 0 makes every
+// editEvery-th line non-canonical.
+func writeShardJournals(b *testing.B, dir string, cells, n, editEvery int) []string {
+	b.Helper()
+	shards := make([]bytes.Buffer, n)
 	lines := 0
-	for cell := 0; cell < 1500; cell++ {
+	for cell := 0; cell < cells; cell++ {
 		a := map[string]string{"cell": fmt.Sprintf("c%05d", cell)}
 		hash := AssignmentHash(a)
 		for rep := 0; rep < 2; rep++ {
@@ -193,16 +197,25 @@ func benchCollect(b *testing.B, editEvery int) {
 			if lines++; editEvery > 0 && lines%editEvery == 0 {
 				line = bytes.Replace(line, []byte(`,"responses":`), []byte(`, "responses":`), 1)
 			}
-			shards[cell%2].Write(line)
-			shards[cell%2].WriteByte('\n')
+			shards[cell%n].Write(line)
+			shards[cell%n].WriteByte('\n')
 		}
 	}
-	srcs := []string{filepath.Join(dir, "s0.jsonl"), filepath.Join(dir, "s1.jsonl")}
-	for i, src := range srcs {
-		if err := os.WriteFile(src, shards[i].Bytes(), 0o644); err != nil {
+	srcs := make([]string, n)
+	for i := range srcs {
+		srcs[i] = filepath.Join(dir, fmt.Sprintf("s%02d.jsonl", i))
+		if err := os.WriteFile(srcs[i], shards[i].Bytes(), 0o644); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return srcs
+}
+
+// benchCollect runs the collect operation; editEvery > 0 makes every
+// editEvery-th source line non-canonical.
+func benchCollect(b *testing.B, editEvery int) {
+	dir := b.TempDir()
+	srcs := writeShardJournals(b, dir, 1500, 2, editEvery)
 	dst := filepath.Join(dir, "canonical.jsonl")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -220,6 +233,78 @@ func benchCollect(b *testing.B, editEvery int) {
 		}
 	}
 	b.ReportMetric(3000, "records/op")
+}
+
+// BenchmarkMergeShards merges one 24 000-record run collected as 2, 8 and
+// 32 canonical shard journals: the same records and the same output, so
+// what moves with the shard count is the index pass — sources read side
+// by side, no list re-sorted — and the k-way write.
+func BenchmarkMergeShards(b *testing.B) {
+	for _, n := range []int{2, 8, 32} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			srcs := writeShardJournals(b, dir, 12_000, n, 0)
+			dst := filepath.Join(dir, "canonical.jsonl")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms, err := Merge(srcs, dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ms.Kept != 24_000 || ms.Superseded != 0 {
+					b.Fatalf("stats = %+v, want 24000 kept, none superseded", ms)
+				}
+			}
+			b.ReportMetric(24_000, "records/op")
+		})
+	}
+}
+
+// BenchmarkScanFileSuperseded is the in-order baseline of
+// BenchmarkScanFileReverseSuperseded.
+func BenchmarkScanFileSuperseded(b *testing.B) { benchScanFileSuperseded(b, false) }
+
+// BenchmarkScanFileReverseSuperseded prices the read-ahead window's worst
+// case: a 20 000-key journal written twice over, so ScanFile serves every
+// key from the second copy, in first-appended order. With the second copy
+// in the first's order the winners lie in file order and one 64 KiB read
+// serves a few hundred of them; with it reversed, as here, every winner
+// lies before the last one and the window is refilled per record.
+func BenchmarkScanFileReverseSuperseded(b *testing.B) { benchScanFileSuperseded(b, true) }
+
+func benchScanFileSuperseded(b *testing.B, reverse bool) {
+	dir := b.TempDir()
+	src := filepath.Join(dir, "src.jsonl")
+	const keys = 20_000
+	writeBulkJournal(b, src, "scan", keys, 1, "x")
+	data, err := os.ReadFile(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	second := bytes.SplitAfter(data, []byte("\n"))
+	second = second[:len(second)-1] // the empty piece after the last newline
+	if reverse {
+		slices.Reverse(second)
+	}
+	if err := os.WriteFile(src, slices.Concat(data, bytes.Join(second, nil)), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for _, err := range ScanFile(src) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			n++
+		}
+		if n != keys {
+			b.Fatalf("scanned %d records, want %d", n, keys)
+		}
+	}
+	b.ReportMetric(keys, "records/op")
 }
 
 // TestMergeStreamingPeakMemory is the deterministic form of the

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -265,5 +268,72 @@ func TestMergeIntraSourceSupersedeIsNotAConflict(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Responses["ms"] != 2 {
 		t.Errorf("merged records = %+v, want the superseding value", got)
+	}
+}
+
+// TestMergeDisagreeThenReagree pins what a Conflict is measured against:
+// the winner at that moment. Source 0 holds A; source 1 holds B, then A′
+// with A's measurement. B disagreed with A when it was read, so that is
+// one Conflict; A′ superseded B inside its own source, which is none —
+// even though the merge ends up holding what source 0 held all along.
+func TestMergeDisagreeThenReagree(t *testing.T) {
+	dir := t.TempDir()
+	a := map[string]string{"f": "x"}
+	s0 := filepath.Join(dir, "s0.jsonl")
+	s1 := filepath.Join(dir, "s1.jsonl")
+	writeJournal(t, s0, rec("e", 0, 0, a, map[string]float64{"ms": 10}))
+	writeJournal(t, s1,
+		rec("e", 0, 0, a, map[string]float64{"ms": 11}),
+		rec("e", 0, 0, a, map[string]float64{"ms": 10}),
+	)
+	ms, err := Merge([]string{s0, s1}, filepath.Join(dir, "merged.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Conflict{{Key: Key("e", AssignmentHash(a), 0), Earlier: s0, Later: s1}}
+	if !slices.Equal(ms.Conflicts, want) || ms.Kept != 1 || ms.Superseded != 2 {
+		t.Errorf("stats = %+v, want kept 1, superseded 2 and conflicts %+v", ms, want)
+	}
+}
+
+// TestMergeErrorPrecedence: sources are read side by side, but the error
+// of a failing merge is the one reading them one after another meets
+// first — the lowest-numbered failing source's — and every reader that
+// was opened on the way is closed.
+func TestMergeErrorPrecedence(t *testing.T) {
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files with")
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.jsonl")
+	writeBulkJournal(t, good, "prec", 200, 2, "x")
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := filepath.Join(dir, "corrupt.jsonl")
+	if err := os.WriteFile(corrupt, slices.Concat(data[:len(data)/2], []byte("not a record\n"), data[len(data)/2:]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srcs := []string{good, corrupt, filepath.Join(dir, "absent.jsonl"), good, good}
+	_, _, wantErr := referencePlanMerge(srcs)
+	if wantErr == nil || !strings.Contains(wantErr.Error(), corrupt) {
+		t.Fatalf("reference error = %v, want the corrupt source's", wantErr)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		before := openFiles()
+		_, err := Merge(srcs, filepath.Join(dir, "merged.jsonl"))
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("GOMAXPROCS %d: Merge error = %v, want %v", procs, err, wantErr)
+		}
+		if after := openFiles(); after != before {
+			t.Errorf("GOMAXPROCS %d: %d file(s) open after a failed merge, %d before it", procs, after, before)
+		}
 	}
 }

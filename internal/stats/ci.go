@@ -57,22 +57,62 @@ func (iv Interval) String() string {
 // degrees of freedom. It returns an error for samples with fewer than two
 // observations or a confidence outside (0, 1).
 func MeanCI(xs []float64, confidence float64) (Interval, error) {
+	// A sample too small is reported before a bad confidence, by t.MeanCI.
+	if len(xs) >= 2 && (confidence <= 0 || confidence >= 1) {
+		return Interval{}, fmt.Errorf("stats: confidence must be in (0,1), got %g", confidence)
+	}
+	t := NewTCritical(confidence)
+	return t.MeanCI(xs)
+}
+
+// TCritical is the two-sided Student-t critical value at one confidence
+// level, looked up by sample size: TQuantile(1-alpha/2, n-1), computed by
+// that call — a 200-step bisection — the first time an n is asked for and
+// remembered after. A pass that builds an interval per cell (the
+// regression gate, a warehouse query) meets a handful of distinct n, so
+// it holds one TCritical and pays per n, not per cell. Not safe for
+// concurrent use.
+type TCritical struct {
+	confidence float64
+	known      []tCritical
+}
+
+// tCritical is the critical value for samples of n observations.
+type tCritical struct {
+	n int
+	t float64
+}
+
+// NewTCritical returns the lookup for one confidence level, which must
+// be in (0, 1).
+func NewTCritical(confidence float64) TCritical { return TCritical{confidence: confidence} }
+
+// At returns the critical value for a sample of n >= 2 observations.
+func (c *TCritical) At(n int) float64 {
+	for _, k := range c.known {
+		if k.n == n {
+			return k.t
+		}
+	}
+	alpha := 1 - c.confidence
+	t := TQuantile(1-alpha/2, float64(n-1))
+	c.known = append(c.known, tCritical{n, t})
+	return t
+}
+
+// MeanCI is the package's MeanCI at c's confidence level.
+func (c *TCritical) MeanCI(xs []float64) (Interval, error) {
 	if len(xs) < 2 {
 		return Interval{}, fmt.Errorf("stats: confidence interval needs at least 2 observations, got %d", len(xs))
 	}
-	if confidence <= 0 || confidence >= 1 {
-		return Interval{}, fmt.Errorf("stats: confidence must be in (0,1), got %g", confidence)
-	}
 	m := Mean(xs)
 	se := StdErr(xs)
-	df := float64(len(xs) - 1)
-	alpha := 1 - confidence
-	t := TQuantile(1-alpha/2, df)
+	t := c.At(len(xs))
 	return Interval{
 		Mean:       m,
 		Lo:         m - t*se,
 		Hi:         m + t*se,
-		Confidence: confidence,
+		Confidence: c.confidence,
 		N:          len(xs),
 	}, nil
 }

@@ -204,29 +204,20 @@ func (w *Warehouse) assignmentsOf(r *Run) []string {
 // interval when N >= 2 (the exact stats.MeanCI arithmetic, with the
 // standard error recovered from the stored variance), a relative
 // tolerance band for single-replicate cells. The t-quantile depends only
-// on (confidence, N), and a query's cells share a handful of N, so each
-// is computed — by the same stats.TQuantile call, to the same bits — once
-// per query instead of once per cell.
+// on (confidence, N), and a query's cells share a handful of N, so the
+// query holds one stats.TCritical — the gate's lookup — for its pass.
 type intervals struct {
 	confidence, tolerance float64
-	t                     []tQuantile
+	t                     stats.TCritical
 }
 
-// tQuantile is stats.TQuantile(1-alpha/2, n-1) for one replicate count.
-type tQuantile struct {
-	n int
-	t float64
+func newIntervals(req Request) intervals {
+	return intervals{confidence: req.Confidence, tolerance: req.Tolerance, t: stats.NewTCritical(req.Confidence)}
 }
 
 func (iv *intervals) of(c *Cell) stats.Interval {
 	if c.N >= 2 {
-		i := slices.IndexFunc(iv.t, func(q tQuantile) bool { return q.n == c.N })
-		if i < 0 {
-			i = len(iv.t)
-			alpha := 1 - iv.confidence
-			iv.t = append(iv.t, tQuantile{c.N, stats.TQuantile(1-alpha/2, float64(c.N-1))})
-		}
-		t := iv.t[i].t
+		t := iv.t.At(c.N)
 		se := math.Sqrt(c.Variance) / math.Sqrt(float64(c.N))
 		return stats.Interval{Mean: c.Mean, Lo: c.Mean - t*se, Hi: c.Mean + t*se, Confidence: iv.confidence, N: c.N}
 	}
@@ -271,7 +262,7 @@ func queryRuns(live []Run, req Request) []RunInfo {
 
 func (w *Warehouse) queryHistory(live []Run, req Request) []HistoryPoint {
 	var out []HistoryPoint
-	iv := intervals{confidence: req.Confidence, tolerance: req.Tolerance}
+	iv := newIntervals(req)
 	for ri := range live {
 		r := &live[ri]
 		assignments := w.assignmentsOf(r)
@@ -412,7 +403,7 @@ func (w *Warehouse) queryRegressions(live []Run, req Request) []RegressionEntry 
 			strings.Compare(a.response, b.response))
 	})
 	var out []RegressionEntry
-	iv := intervals{confidence: req.Confidence, tolerance: req.Tolerance}
+	iv := newIntervals(req)
 	for _, s := range all {
 		if s.base.cell == nil {
 			continue
