@@ -39,10 +39,15 @@ race:
 
 # Merge reads its sources side by side on up to GOMAXPROCS goroutines, so
 # the rewrite tests are raced at a processor count that does not depend on
-# the machine running them: 1 (everything inline) and 4.
+# the machine running them: 1 (everything inline) and 4. So are the tests
+# of the two places a fleet worker and its daemon wait on each other — the
+# held acquire, and the spool commit that runs beside the ingest of the
+# same batch — whose interleavings differ most between one processor and
+# several.
 .PHONY: race-cpu
 race-cpu:
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile' ./internal/runstore/...
+	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore' ./internal/collector ./internal/collector/client
 
 .PHONY: bench
 bench:

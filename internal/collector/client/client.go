@@ -96,8 +96,17 @@ func (c *Client) Register(ctx context.Context, worker string) (string, error) {
 // ErrComplete when the experiment has no work left and ErrBusy (with
 // the server's suggested wait) when every incomplete shard is leased.
 func (c *Client) Acquire(ctx context.Context, worker, experiment string) (*collector.AcquireResponse, error) {
+	return c.acquire(ctx, worker, experiment, 0)
+}
+
+// acquire is Acquire with a hold: a positive wait asks the daemon to
+// keep the request for up to that long while every incomplete shard is
+// leased, and to answer the moment that changes, instead of ErrBusy at
+// once (collector.AcquireRequest.WaitMillis). The round trip can so
+// take up to wait longer; the transport must not time out under it.
+func (c *Client) acquire(ctx context.Context, worker, experiment string, wait time.Duration) (*collector.AcquireResponse, error) {
 	req, err := c.request(ctx, http.MethodPost, collector.PathAcquire, nil,
-		collector.AcquireRequest{Worker: worker, Experiment: experiment})
+		collector.AcquireRequest{Worker: worker, Experiment: experiment, WaitMillis: wait.Milliseconds()})
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +169,8 @@ func (c *Client) Snapshot(ctx context.Context, lease string) (map[string]runstor
 	return warm, nil
 }
 
-// Ingest streams one batch of records under the lease. Backpressure
+// Ingest streams one batch of records under the lease: it encodes them
+// in the client's wire framing, once, and sends that. Backpressure
 // (429) is retried after the server's hint until ctx ends; a storage
 // failure or shutdown (503) is retried the same way but a bounded
 // number of times; 410 maps to ErrLeaseLost and 409 to ErrConflict,
@@ -169,27 +179,26 @@ func (c *Client) Ingest(ctx context.Context, lease string, recs []runstore.Recor
 	if len(recs) == 0 {
 		return nil
 	}
-	encode, ctype := runstore.EncodeWire, runstore.WireJSONType
+	encode := runstore.EncodeBatch
 	if c.binary {
-		encode, ctype = runstore.EncodeWireBinary, runstore.WireBinaryType
+		encode = runstore.EncodeBatchBinary
 	}
-	var body bytes.Buffer
-	for i, rec := range recs {
-		if err := encode(&body, rec); err != nil {
-			return err
-		}
-		if i == 0 {
-			// One experiment's records are of a size: the first one says
-			// how much room the rest need.
-			body.Grow(body.Len() * (len(recs) - 1))
-		}
+	batch, err := encode(recs)
+	if err != nil {
+		return err
 	}
-	payload := body.Bytes()
+	return c.send(ctx, lease, batch)
+}
+
+// send POSTs one encoded batch to the ingest endpoint, in the framing it
+// was encoded in, and sees it through the retries Ingest documents.
+func (c *Client) send(ctx context.Context, lease string, batch *runstore.EncodedBatch) error {
+	payload, records := batch.Bytes(), batch.Len()
 	req, err := c.request(ctx, http.MethodPost, collector.PathIngest, url.Values{"lease": {lease}}, nil)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", ctype)
+	req.Header.Set("Content-Type", batch.WireType())
 	req.ContentLength = int64(len(payload))
 	// GetBody plus Idempotency-Key are what make the POST replayable:
 	// net/http retries a request transparently when a reused keep-alive
@@ -202,7 +211,7 @@ func (c *Client) Ingest(ctx context.Context, lease string, recs []runstore.Recor
 		return io.NopCloser(bytes.NewReader(payload)), nil
 	}
 	req.Header.Set("Idempotency-Key",
-		fmt.Sprintf("%s-%08x-%d", lease, crc32.ChecksumIEEE(payload), len(recs)))
+		fmt.Sprintf("%s-%08x-%d", lease, crc32.ChecksumIEEE(payload), records))
 	unavailable := 0
 	for {
 		httpResp, err := c.doRetry(ctx, ingestRetries, func() (*http.Request, error) {
@@ -216,11 +225,11 @@ func (c *Client) Ingest(ctx context.Context, lease string, recs []runstore.Recor
 		switch httpResp.StatusCode {
 		case http.StatusOK:
 			drain(httpResp)
-			c.met.streamed.Add(int64(len(recs)))
+			c.met.streamed.Add(int64(records))
 			c.met.ingestBytes.Add(int64(len(payload)))
 			c.met.batches.Inc()
 			c.log.Debug("ingest batch acknowledged",
-				"lease", lease, "records", len(recs), "bytes", len(payload))
+				"lease", lease, "records", records, "bytes", len(payload))
 			return nil
 		case http.StatusTooManyRequests:
 			wait := retryAfter(httpResp)

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runstore"
 )
 
@@ -508,16 +509,26 @@ func TestRenewLoopDaemonRestartOutlastsTTL(t *testing.T) {
 // TestRemoteStoreAppendBatch pins the batch side of the remote store:
 // every AppendBatch is one ingest carrying exactly its records and is
 // acknowledged by the time it returns, the spool's bytes are those of
-// per-record appends, and a lost lease fails the batch before anything
-// is spooled or sent.
+// per-record appends and the POST bodies' bytes those of per-record wire
+// encodes — on the NDJSON wire the same bytes, the batch being encoded
+// once for both; on the binary wire the body's own — and a lost lease
+// fails the batch before anything is spooled or sent.
 func TestRemoteStoreAppendBatch(t *testing.T) {
 	var mu sync.Mutex
-	posts := map[string][]int{} // lease → records per ingest, in order
+	posts := map[string][]int{}     // lease → records per ingest, in order
+	bodies := map[string][]byte{}   // lease → every ingest body, in order
+	ctypes := map[string][]string{} // lease → every ingest's Content-Type
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		mu.Lock()
 		lease := r.URL.Query().Get("lease")
-		posts[lease] = append(posts[lease], bytes.Count(body, []byte("\n")))
+		n := bytes.Count(body, []byte("\n"))
+		if r.Header.Get("Content-Type") == runstore.WireBinaryType {
+			n, _ = runstore.DecodeWireBinary(bytes.NewReader(body), func(runstore.Record) error { return nil })
+		}
+		posts[lease] = append(posts[lease], n)
+		bodies[lease] = append(bodies[lease], body...)
+		ctypes[lease] = append(ctypes[lease], r.Header.Get("Content-Type"))
 		mu.Unlock()
 	}))
 	defer srv.Close()
@@ -531,19 +542,34 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 		recs[i] = runstore.Record{Experiment: "e", Row: i, Replicate: 0,
 			Assignment: map[string]string{"f": strconv.Itoa(i)}, Responses: map[string]float64{"ms": float64(i)}}
 	}
-	open := func(lease string) (*remoteStore, string) {
+	// The bytes of the records one by one, through the per-record wire
+	// encoders: what the spool and the bodies held before a batch was
+	// encoded once.
+	var wantJSON, wantBinary bytes.Buffer
+	for _, rec := range recs {
+		if err := runstore.EncodeWire(&wantJSON, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := runstore.EncodeWireBinary(&wantBinary, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(lease string, binary bool) (*remoteStore, string) {
 		spool := filepath.Join(t.TempDir(), "spool.jsonl")
-		store, err := newRemoteStore(context.Background(), New(srv.URL, nil), lease, spool, nil)
+		c := New(srv.URL, nil)
+		c.SetBinary(binary)
+		store, err := newRemoteStore(context.Background(), c, lease, spool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return store, spool
 	}
+	batches := [][]runstore.Record{recs[:7], recs[7:8], recs[8:]}
 
-	batched, batchedSpool := open("batched")
+	batched, batchedSpool := open("batched", false)
 	var want []int
 	streamed := 0
-	for _, batch := range [][]runstore.Record{recs[:7], recs[7:8], recs[8:]} {
+	for _, batch := range batches {
 		if err := batched.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -556,13 +582,19 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 			t.Fatalf("after AppendBatch(%d) Streamed() = %d, want %d (acknowledged on return)", len(batch), got, streamed)
 		}
 	}
-	single, singleSpool := open("single")
+	single, singleSpool := open("single", false)
 	for _, rec := range recs {
 		if err := single.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, store := range []*remoteStore{batched, single} {
+	binary, binarySpool := open("binary", true)
+	for _, batch := range batches {
+		if err := binary.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, store := range []*remoteStore{batched, single, binary} {
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -573,19 +605,36 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 	if got := sent("single"); len(got) != len(recs) || slices.Max(got) != 1 {
 		t.Errorf("per-record appends were sent as %v, want %d ingests of 1", got, len(recs))
 	}
-	a, err := os.ReadFile(batchedSpool)
-	if err != nil {
-		t.Fatal(err)
+	if got := sent("binary"); !slices.Equal(got, want) {
+		t.Errorf("binary-wire ingests carried %v record(s), want %v", got, want)
 	}
-	b, err := os.ReadFile(singleSpool)
-	if err != nil {
-		t.Fatal(err)
+	for _, spool := range []string{batchedSpool, singleSpool, binarySpool} {
+		got, err := os.ReadFile(spool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantJSON.Bytes()) {
+			t.Errorf("spool %s differs from the records appended one by one:\n%s\nvs\n%s", spool, got, wantJSON.Bytes())
+		}
 	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("batched spool differs from per-record spool:\n%s\nvs\n%s", a, b)
+	mu.Lock()
+	for lease, wantBody := range map[string][]byte{
+		"batched": wantJSON.Bytes(), "single": wantJSON.Bytes(), "binary": wantBinary.Bytes(),
+	} {
+		if !bytes.Equal(bodies[lease], wantBody) {
+			t.Errorf("%s: the ingest bodies differ from the records wire-encoded one by one:\n%q\nvs\n%q", lease, bodies[lease], wantBody)
+		}
+		wantType := runstore.WireJSONType
+		if lease == "binary" {
+			wantType = runstore.WireBinaryType
+		}
+		if got := slices.Compact(slices.Clone(ctypes[lease])); !slices.Equal(got, []string{wantType}) {
+			t.Errorf("%s: ingests declared %v, want %s", lease, got, wantType)
+		}
 	}
+	mu.Unlock()
 
-	lost, lostSpool := open("lost")
+	lost, lostSpool := open("lost", false)
 	defer lost.Close()
 	lost.markLost(ErrLeaseLost)
 	if err := lost.AppendBatch(recs); !errors.Is(err, ErrLeaseLost) {
@@ -593,5 +642,124 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 	}
 	if data, _ := os.ReadFile(lostSpool); len(data) != 0 || len(sent("lost")) != 0 {
 		t.Errorf("lost lease still spooled %d byte(s) and sent %d ingest(s)", len(data), len(sent("lost")))
+	}
+}
+
+// TestRemoteStoreOneSideFails: spool and ingest of a batch run side by
+// side, so either can fail alone. A spool failure fails the append with
+// the spool's error while the ingest that landed is counted acknowledged
+// once and never as spooled; an ingest refusal fails the append, marks
+// the lease lost, and leaves the batch in the spool — where restream
+// finds it for the next run over that spool and sends exactly it.
+func TestRemoteStoreOneSideFails(t *testing.T) {
+	var mu sync.Mutex
+	var refuse bool
+	posts := 0
+	var accepted [][]byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		defer mu.Unlock()
+		posts++
+		if refuse {
+			http.Error(w, `{"error":"lease expired"}`, http.StatusGone)
+			return
+		}
+		accepted = append(accepted, body)
+	}))
+	defer srv.Close()
+	recs := make([]runstore.Record, 5)
+	for i := range recs {
+		recs[i] = runstore.Record{Experiment: "e", Row: i, Replicate: 0,
+			Assignment: map[string]string{"f": strconv.Itoa(i)}, Responses: map[string]float64{"ms": float64(i)}}
+	}
+	shard := func(rec runstore.Record) int { return runstore.ShardIndex(runstore.AssignmentHash(rec.Assignment), 2) }
+	open := func(spool string, warm map[string]runstore.Record) (*remoteStore, *obs.Registry) {
+		reg := obs.NewRegistry()
+		c := New(srv.URL, nil)
+		c.SetMetrics(reg)
+		store, err := newRemoteStore(context.Background(), c, "lease", spool, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, reg
+	}
+	counter := func(reg *obs.Registry, name string) float64 {
+		m, _ := reg.Snapshot().Get(name)
+		return m.Value
+	}
+	// script sets what the server does next and forgets what it saw.
+	script := func(refuseNext bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		refuse, posts, accepted = refuseNext, 0, nil
+	}
+	seen := func() (int, []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		return posts, bytes.Join(accepted, nil)
+	}
+
+	// The spool fails (its file is closed under it), the ingest lands.
+	store, reg := open(filepath.Join(t.TempDir(), "spool.jsonl"), nil)
+	if err := store.local.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err := store.AppendBatch(recs)
+	if err == nil || !strings.Contains(err.Error(), "closed") || errors.Is(err, ErrLeaseLost) {
+		t.Errorf("AppendBatch over a failed spool = %v, want the spool's error", err)
+	}
+	if n, _ := seen(); n != 1 || store.Streamed() != int64(len(recs)) || store.lostErr() != nil {
+		t.Errorf("failed spool: %d ingest(s), Streamed() = %d, lost = %v; want 1, %d, nil", n, store.Streamed(), store.lostErr(), len(recs))
+	}
+	if got := counter(reg, "worker_spool_records_total"); got != 0 {
+		t.Errorf("failed spool counted %v record(s) spooled", got)
+	}
+	if got := counter(reg, "worker_records_streamed_total"); got != float64(len(recs)) {
+		t.Errorf("worker_records_streamed_total = %v, want %d", got, len(recs))
+	}
+
+	// The ingest is refused, the spool lands.
+	spool := filepath.Join(t.TempDir(), "spool.jsonl")
+	store, reg = open(spool, nil)
+	script(true)
+	if err := store.AppendBatch(recs); !errors.Is(err, ErrLeaseLost) {
+		t.Errorf("AppendBatch with the ingest refused = %v, want ErrLeaseLost", err)
+	}
+	if n, _ := seen(); n != 1 || store.Streamed() != 0 || !errors.Is(store.lostErr(), ErrLeaseLost) {
+		t.Errorf("refused ingest: %d ingest(s), Streamed() = %d, lost = %v; want 1, 0, ErrLeaseLost", n, store.Streamed(), store.lostErr())
+	}
+	if got := counter(reg, "worker_spool_records_total"); got != float64(len(recs)) {
+		t.Errorf("worker_spool_records_total = %v, want %d: the spool landed", got, len(recs))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next run over that spool: the collector holds recs[0] already
+	// (its snapshot says so), so restream owes it the rest of shard 0 —
+	// and nothing of shard 1, which is not this lease's.
+	script(false)
+	store, _ = open(spool, map[string]runstore.Record{
+		runstore.Key("e", runstore.AssignmentHash(recs[0].Assignment), 0): recs[0]})
+	defer store.Close()
+	if err := store.restream("e", shard(recs[0]), 2); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	owed := 0
+	for _, rec := range recs[1:] {
+		if shard(rec) == shard(recs[0]) {
+			owed++
+			if err := runstore.EncodeWire(&want, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if owed == 0 || owed == len(recs)-1 {
+		t.Fatalf("the records do not split over two shards (%d of %d on one): pick other assignments", owed+1, len(recs))
+	}
+	if n, got := seen(); n != 1 || !bytes.Equal(got, want.Bytes()) || store.Streamed() != int64(owed) {
+		t.Errorf("restream sent %d ingest(s), Streamed() = %d:\n%s\nwant 1 ingest, %d record(s):\n%s", n, store.Streamed(), got, owed, want.Bytes())
 	}
 }

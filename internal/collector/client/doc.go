@@ -10,16 +10,22 @@
 //     pool from the collector, executes exactly that shard through
 //     internal/sched (Options.Store + Shards/Shard — the same partition
 //     arithmetic the single-disk workflow uses), and releases it
-//     complete, until the server answers "experiment complete".
+//     complete, until the server answers "experiment complete". It does
+//     not poll for that answer: an acquire that finds every incomplete
+//     shard leased carries wait_ms = Options.AcquireWait and is held by
+//     the daemon until a release, an expiry or the last completion
+//     decides it.
 //   - remoteStore is the runstore.Store (and BatchAppender) the
-//     scheduler journals into: a local spool journal (durability — each
-//     batch of finished units the scheduler's committer hands over is
-//     fsynced on this machine, once, before any of it is sent) followed
-//     by one NDJSON ingest of that same batch to the collector
-//     (collection — the batch counts as complete only once the daemon
-//     acknowledged it), with the shard's server-side warm-start snapshot
-//     behind Lookup so units a previous owner already collected replay
-//     instead of re-executing.
+//     scheduler journals into: each batch of finished units the
+//     scheduler's committer hands over is validated and encoded once,
+//     then committed to a local spool journal (durability — one fsync on
+//     this machine) and, side by side with that, sent to the collector
+//     as one ingest of the same bytes (collection — the batch counts as
+//     complete only once it is spooled and the daemon acknowledged it),
+//     with the shard's server-side warm-start snapshot behind Lookup so
+//     units a previous owner already collected replay instead of
+//     re-executing. Either copy can be ahead after a crash; what only
+//     the spool holds is sent again before the next run over it starts.
 //   - A renewal goroutine keeps the lease alive at a third of its TTL.
 //
 // Failure contract: on a server-reported conflict (409 — a record that

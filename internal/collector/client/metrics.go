@@ -33,7 +33,7 @@ func newClientMetrics(r *obs.Registry) *clientMetrics {
 		waitMs: r.Counter("worker_backpressure_wait_ms_total",
 			"Total milliseconds spent honoring Retry-After hints."),
 		spooled: r.Counter("worker_spool_records_total",
-			"Records appended to the local spool journal before streaming."),
+			"Records committed to the local spool journal, side by side with their ingest."),
 		retries: r.Counter("worker_transport_retries_total",
 			"Requests re-sent after a transport error (a restarting or unreachable daemon)."),
 	}

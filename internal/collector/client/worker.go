@@ -22,8 +22,9 @@ type Options struct {
 	// URL is the collector's base URL (e.g. "http://host:8080").
 	// Required.
 	URL string
-	// Worker names this worker in leases and status; empty asks the
-	// server to assign one.
+	// Worker names this worker in leases and status — its first acquire
+	// registers it; empty asks the server to assign one (a register
+	// round trip before the first acquire).
 	Worker string
 	// Workers, Retries, Timeout configure the underlying scheduler per
 	// shard run, exactly as sched.Options do.
@@ -33,8 +34,15 @@ type Options struct {
 	// SpoolDir is where the local spool journals (one per experiment
 	// shard) are written; empty means a fresh temporary directory.
 	SpoolDir string
-	// AcquireWait is how long to wait between acquire attempts while
-	// every incomplete shard is leased by someone else; 0 means 1s.
+	// AcquireWait is the longest one acquire is held: while every
+	// incomplete shard is leased by someone else the worker asks the
+	// daemon to keep the request this long (wait_ms) and is answered the
+	// moment a shard comes free or the experiment completes — it does not
+	// poll. Against a daemon that answers "busy" sooner (one that
+	// predates wait_ms, or is closing) the worker sleeps out the rest, so
+	// this is also the shortest time between two acquires that found
+	// nothing, and the pause after one that failed. HTTPClient must not
+	// time a request out in less. 0 means 1s.
 	AcquireWait time.Duration
 	// BinaryWire streams ingest uploads (and asks for snapshots) in the
 	// binary wire framing instead of the NDJSON default — the encoding
@@ -133,7 +141,11 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 		return nil, err
 	}
 	w.registerOnce.Do(func() {
-		w.name, w.registerErr = w.c.Register(ctx, w.opts.Worker)
+		// A named worker's first acquire registers it; only a name the
+		// server must assign needs the round trip.
+		if w.name = w.opts.Worker; w.name == "" {
+			w.name, w.registerErr = w.c.Register(ctx, "")
+		}
 	})
 	if w.registerErr != nil {
 		return nil, fmt.Errorf("collector client: register: %w", w.registerErr)
@@ -155,7 +167,11 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 	const maxStrikes = 10
 	strikes := 0
 	for {
-		grant, err := w.c.Acquire(ctx, w.name, e.Name)
+		// No acquire follows another by less than AcquireWait unless it
+		// was granted: the daemon holds a request that finds nothing for
+		// that long, and what it did not hold, the worker sleeps.
+		next := time.Now().Add(w.opts.AcquireWait)
+		grant, err := w.c.acquire(ctx, w.name, e.Name, w.opts.AcquireWait)
 		switch {
 		case errors.Is(err, ErrComplete):
 			if best == nil {
@@ -166,12 +182,10 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 			}
 			return best, nil
 		case errors.Is(err, ErrBusy):
-			select {
-			case <-time.After(w.opts.AcquireWait):
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			if err := sleepUntil(ctx, next); err != nil {
+				return nil, err
 			}
+			continue
 		case err != nil:
 			if ctx.Err() != nil {
 				return nil, err
@@ -182,12 +196,10 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 			}
 			w.opts.Logger.Warn("acquire failed, retrying",
 				"worker", w.name, "strikes", strikes, "err", err)
-			select {
-			case <-time.After(w.opts.AcquireWait):
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			if err := sleepUntil(ctx, next); err != nil {
+				return nil, err
 			}
+			continue
 		}
 		rs, err := w.runShard(ctx, e, spool, grant)
 		if err != nil {
@@ -209,6 +221,23 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 		}
 		strikes = 0
 		best = mergeResults(best, rs)
+	}
+}
+
+// sleepUntil waits for t, or not at all when t has passed; it returns
+// ctx's error if that ends the wait.
+func sleepUntil(ctx context.Context, t time.Time) error {
+	d := time.Until(t)
+	if d <= 0 {
+		return ctx.Err()
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -265,7 +294,13 @@ func (w *Worker) runShard(ctx context.Context, e *harness.Experiment, spool stri
 		Shard:   grant.Shard,
 		Metrics: w.opts.Metrics,
 	})
-	rs, runErr := s.Execute(shardCtx, e)
+	// What an earlier run over this spool left unacknowledged goes to the
+	// collector first: the scheduler will only replay it.
+	var rs *harness.ResultSet
+	runErr := store.restream(e.Name, grant.Shard, grant.Shards)
+	if runErr == nil {
+		rs, runErr = s.Execute(shardCtx, e)
+	}
 	stopRenew()
 	renewWG.Wait()
 	closeErr := store.Close()

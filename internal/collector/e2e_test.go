@@ -3,7 +3,10 @@ package collector_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -277,5 +280,220 @@ func TestWorkerCrashLeaseHandoff(t *testing.T) {
 	got := collectedJournal(t, srvDir, 1)
 	if !bytes.Equal(got, want) {
 		t.Errorf("collected store differs from the single-process journal after the handoff:\ncollected:\n%s\nreference:\n%s", got, want)
+	}
+}
+
+// oldDaemon fronts a collector the way one that predates wait_ms would
+// behave: it ignores the field — every acquire that finds nothing is
+// answered 409 at once — and, like any daemon, counts what it is asked.
+type oldDaemon struct {
+	next     http.Handler
+	mu       sync.Mutex
+	requests map[string]int // path → requests seen
+	waits    []int64        // the wait_ms of every acquire, before it was dropped
+}
+
+func (o *oldDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	o.mu.Lock()
+	o.requests[r.URL.Path]++
+	o.mu.Unlock()
+	if r.URL.Path == collector.PathAcquire {
+		var req collector.AcquireRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		o.mu.Lock()
+		o.waits = append(o.waits, req.WaitMillis)
+		o.mu.Unlock()
+		req.WaitMillis = 0
+		body, _ := json.Marshal(req)
+		r = r.Clone(r.Context())
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	}
+	o.next.ServeHTTP(w, r)
+}
+
+// TestNewWorkerOldDaemon: workers that ask to be held, against a daemon
+// that never holds, complete the run exactly as before — every early 409
+// is slept out to AcquireWait, so the acquire count stays what polling at
+// that interval gives, not a hot loop — and a named worker costs the
+// daemon no register round trip.
+func TestNewWorkerOldDaemon(t *testing.T) {
+	const reps, shards, fleet, wait = 3, 2, 3, 40 * time.Millisecond
+	srvDir := t.TempDir()
+	srv, err := collector.New(collector.Config{Dir: srvDir, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &oldDaemon{next: srv, requests: map[string]int{}}
+	hs := httptest.NewServer(old)
+	defer hs.Close()
+	defer srv.Close()
+
+	// A runner slow enough that the worker left without a shard finds
+	// the pool busy more than once.
+	slow := func(a design.Assignment, rep int) (map[string]float64, error) {
+		time.Sleep(15 * time.Millisecond)
+		return e2eRunner(a, rep)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, fleet)
+	for i := range errs {
+		w, err := client.NewWorker(client.Options{
+			URL: hs.URL, Worker: fmt.Sprintf("new-%d", i), Workers: 1,
+			SpoolDir: t.TempDir(), AcquireWait: wait,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = w.Execute(context.Background(), e2eExperiment(t, reps, slow))
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if got, want := collectedJournal(t, srvDir, shards), referenceJournal(t, reps); !bytes.Equal(got, want) {
+		t.Errorf("collected store differs from the single-process journal:\ncollected:\n%s\nreference:\n%s", got, want)
+	}
+
+	old.mu.Lock()
+	defer old.mu.Unlock()
+	if n := old.requests[collector.PathRegister]; n != 0 {
+		t.Errorf("%d register request(s) from named workers, want none", n)
+	}
+	for _, ms := range old.waits {
+		if ms != wait.Milliseconds() {
+			t.Fatalf("an acquire carried wait_ms %d, want AcquireWait = %d", ms, wait.Milliseconds())
+		}
+	}
+	// Per worker: one acquire per shard it ran, one that was told
+	// "complete", and at most one per AcquireWait of the run in between.
+	acquires := old.requests[collector.PathAcquire]
+	if limit := shards + fleet + fleet*int(elapsed/wait+1); acquires > limit || acquires < shards+fleet+1 {
+		t.Errorf("%d acquire(s) in %v at AcquireWait %v; want at least %d (someone must have found the pool busy) and at most %d",
+			acquires, elapsed, wait, shards+fleet+1, limit)
+	}
+}
+
+// TestSpoolAndCollectorDisagree: a batch is spooled and ingested side by
+// side, so a worker that dies (or loses one of the two) can leave either
+// copy ahead of the other. Whatever the next run over that spool finds —
+// records only the spool holds, records only the collector holds, a torn
+// spool, both — the collector ends up with every unit, the merged store
+// is the single-process journal byte for byte, and nothing is executed
+// that either copy already held.
+func TestSpoolAndCollectorDisagree(t *testing.T) {
+	const reps, units = 10, 40
+	exp := e2eExperiment(t, reps, nil)
+	// The units in the order a one-worker run finishes them.
+	refDir := t.TempDir()
+	if _, err := sched.New(sched.Options{Workers: 1, JournalDir: refDir}).Execute(context.Background(), exp); err != nil {
+		t.Fatal(err)
+	}
+	all, err := runstore.LoadRecords(filepath.Join(refDir, runstore.SanitizeName(exp.Name)+".jsonl"))
+	if err != nil || len(all) != units {
+		t.Fatalf("reference run: %d record(s), %v", len(all), err)
+	}
+	want := referenceJournal(t, reps)
+
+	for _, tc := range []struct {
+		name      string
+		spooled   []runstore.Record // in the spool before the run
+		torn      bool              // …followed by half a record
+		collected []runstore.Record // acknowledged by the collector before the run
+		report    client.Report
+	}{
+		// The bug this test was written for: spooled, never acknowledged.
+		// The scheduler replays the ten and streams nothing for them.
+		{name: "spool ahead", spooled: all[:10],
+			report: client.Report{Shards: 1, Executed: 30, Replayed: 10, Streamed: 40}},
+		{name: "collector ahead, no spool", collected: all[:10],
+			report: client.Report{Shards: 1, Executed: 30, Replayed: 10, Streamed: 30}},
+		{name: "collector ahead, spool torn", spooled: all[:9], torn: true, collected: all[:10],
+			report: client.Report{Shards: 1, Executed: 30, Replayed: 10, Streamed: 30}},
+		{name: "each ahead of the other", spooled: all[:10], collected: all[5:15],
+			report: client.Report{Shards: 1, Executed: 25, Replayed: 15, Streamed: 30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvDir, spoolDir := t.TempDir(), t.TempDir()
+			srv, err := collector.New(collector.Config{Dir: srvDir, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
+			defer srv.Close()
+			ctx := context.Background()
+
+			if len(tc.collected) > 0 {
+				c := client.New(hs.URL, nil)
+				grant, err := c.Acquire(ctx, "previous", exp.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Ingest(ctx, grant.Lease, tc.collected); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Release(ctx, grant.Lease, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			spool := shardstore.Path(spoolDir, exp.Name, 0, 1)
+			if len(tc.spooled) > 0 {
+				j, err := runstore.Open(spool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendBatch(tc.spooled); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.torn {
+				f, err := os.OpenFile(spool, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteString(`{"experiment":"collector 2^2","row":2,"repl`); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+
+			w, err := client.NewWorker(client.Options{
+				URL: hs.URL, Worker: "restarted", Workers: 1, SpoolDir: spoolDir,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Execute(ctx, exp); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.Report(); got != tc.report {
+				t.Errorf("Report = %+v, want %+v", got, tc.report)
+			}
+			merged := filepath.Join(t.TempDir(), "merged.jsonl")
+			ms, err := runstore.Merge(shardstore.Paths(srvDir, exp.Name, 1), merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms.Kept != units {
+				t.Errorf("Merge kept %d record(s), want %d", ms.Kept, units)
+			}
+			if got := collectedJournal(t, srvDir, 1); !bytes.Equal(got, want) {
+				t.Errorf("collected store differs from the single-process journal:\ncollected:\n%s\nreference:\n%s", got, want)
+			}
+		})
 	}
 }

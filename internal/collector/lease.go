@@ -3,7 +3,9 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"time"
 )
 
 // handleAcquire grants a shard lease on one experiment:
@@ -12,6 +14,13 @@ import (
 //	    leased to the caller for the server's TTL
 //	204 — every shard of the experiment is complete; the worker drains
 //	409 + Retry-After — all remaining shards are leased right now; retry
+//
+// A request that carries wait_ms is not answered 409 at once: it is held
+// until the experiment's pool changes under it (a release, an expiry,
+// the last completion), and 409 is what it gets only when
+// wait_ms runs out first or the daemon begins to close. A held request
+// writes nothing to the control-state journal; the grant that ends it
+// does.
 //
 // The worker must then fetch the shard's warm-start snapshot
 // (PathSnapshot) so records a previous owner already collected replay
@@ -26,64 +35,123 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "collector: acquire needs an experiment name")
 		return
 	}
-	now := s.cfg.Clock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := s.experimentLocked(req.Experiment)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if req.Worker != "" {
-		if _, known := s.workers[req.Worker]; !known {
-			s.workers[req.Worker] = struct{}{}
-			s.persist(stateEvent{Type: "worker", Worker: req.Worker})
+	// Clamped so that the conversion below cannot overflow.
+	wait := time.Duration(min(max(req.WaitMillis, 0), math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
+	asked := time.Now()
+	var timer *time.Timer // set once the request has been held
+	answered := func(outcome string) {
+		if timer == nil {
+			return
 		}
-		s.met.workers.Set(int64(len(s.workers)))
+		timer.Stop()
+		d := time.Since(asked)
+		s.met.acquireHeld.Observe(d.Seconds())
+		s.log.Debug("held acquire answered", "worker", req.Worker,
+			"experiment", req.Experiment, "outcome", outcome, "held", d)
 	}
-	s.sweepLocked(e, now)
-	free, done := -1, 0
-	for i, sh := range e.shards {
-		switch sh.state {
-		case shardFree:
-			if free < 0 {
-				free = i
+	for {
+		now := s.cfg.Clock()
+		s.mu.Lock()
+		e, err := s.experimentLocked(req.Experiment)
+		if err != nil {
+			s.mu.Unlock()
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		if timer == nil && req.Worker != "" {
+			s.registerLocked(req.Worker)
+		}
+		s.sweepLocked(e, now)
+		free, done := -1, 0
+		var expiry time.Time // the earliest among the live leases
+		for i, sh := range e.shards {
+			switch sh.state {
+			case shardFree:
+				if free < 0 {
+					free = i
+				}
+			case shardDone:
+				done++
+			case shardLeased:
+				if expiry.IsZero() || sh.l.expires.Before(expiry) {
+					expiry = sh.l.expires
+				}
 			}
-		case shardDone:
-			done++
 		}
-	}
-	if free < 0 {
+		if free >= 0 {
+			resp := s.grantLocked(e, free, req.Worker, now)
+			s.mu.Unlock()
+			answered("granted")
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
 		if done == len(e.shards) {
+			s.mu.Unlock()
+			answered("complete")
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		retryAfterHeader(w, s.cfg.RetryAfter)
-		writeError(w, http.StatusConflict,
-			fmt.Sprintf("collector: %s: all %d incomplete shard(s) are leased", e.name, len(e.shards)-done))
-		return
+		left := wait - time.Since(asked)
+		if left <= 0 || s.closed {
+			s.mu.Unlock()
+			answered("busy")
+			retryAfterHeader(w, s.cfg.RetryAfter)
+			writeError(w, http.StatusConflict,
+				fmt.Sprintf("collector: %s: all %d incomplete shard(s) are leased", e.name, len(e.shards)-done))
+			return
+		}
+		changed := e.changedLocked()
+		s.mu.Unlock()
+
+		// Held. Every shard that is not done is leased, so a live lease
+		// exists and its expiry bounds the hold even if no other request
+		// ever arrives to run the (lazy) sweep. An expiry the clock says
+		// is due but the sweep did not take — it frees a lease only
+		// strictly after its deadline — must not spin.
+		hold := min(left, max(expiry.Sub(now), time.Millisecond))
+		if timer == nil {
+			timer = time.NewTimer(hold)
+			s.log.Debug("acquire held", "worker", req.Worker,
+				"experiment", req.Experiment, "wait", wait)
+		} else {
+			timer.Reset(hold)
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+		case <-s.closing:
+		case <-r.Context().Done():
+			// The client went away; there is nobody to answer.
+			answered("abandoned")
+			return
+		}
 	}
+}
+
+// grantLocked leases shard i of e to worker and journals the grant.
+// Callers hold s.mu.
+func (s *Server) grantLocked(e *experiment, i int, worker string, now time.Time) AcquireResponse {
 	s.seq++
 	l := &lease{
 		id:      leaseID(s.epoch, s.seq),
 		exp:     e,
-		shard:   free,
-		worker:  req.Worker,
+		shard:   i,
+		worker:  worker,
 		expires: now.Add(s.cfg.LeaseTTL),
 	}
-	e.shards[free] = shardState{state: shardLeased, l: l}
+	e.shards[i] = shardState{state: shardLeased, l: l}
 	e.leases[l.id] = l
 	s.met.leaseAcquired.Inc()
 	s.persist(stateEvent{Type: "acquire", Lease: l.id, Worker: l.worker,
 		Experiment: e.name, Shard: l.shard, ExpiresMS: l.expires.UnixMilli()})
 	s.log.Info("lease granted", "lease", l.id, "worker", l.worker,
 		"experiment", e.name, "shard", l.shard, "shards", len(e.shards))
-	writeJSON(w, http.StatusOK, AcquireResponse{
+	return AcquireResponse{
 		Lease:     l.id,
 		Shard:     l.shard,
 		Shards:    len(e.shards),
 		TTLMillis: s.cfg.LeaseTTL.Milliseconds(),
-	})
+	}
 }
 
 // leaseFail classifies a lease id that did not resolve to a live lease.
@@ -153,6 +221,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	l.exp.shards[l.shard] = shardState{state: state}
 	delete(l.exp.leases, l.id)
+	l.exp.poolChangedLocked()
 	s.met.leaseReleased.Inc()
 	s.persist(stateEvent{Type: "release", Lease: l.id, Complete: req.Complete})
 	s.log.Info("lease released", "lease", l.id, "worker", l.worker,

@@ -21,6 +21,7 @@ type serverMetrics struct {
 	fsyncCoalesced *obs.Counter
 	stateErrors    *obs.Counter
 	commitSeconds  *obs.Histogram
+	acquireHeld    *obs.Histogram
 	workers        *obs.Gauge
 	inflightBytes  *obs.Gauge
 	epoch          *obs.Gauge
@@ -51,6 +52,9 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			"Control-state journal appends that failed (daemon kept serving; restart fidelity degraded)."),
 		commitSeconds: r.Histogram("collector_commit_seconds",
 			"Ingest batch commit latency: submit to the group-commit engine until its fsync returned.",
+			obs.DefBuckets),
+		acquireHeld: r.Histogram("collector_acquire_held_seconds",
+			"How long an acquire that found every incomplete shard leased was kept before it was answered (granted, complete, 409, or its client gone); acquires answered at once are not observed.",
 			obs.DefBuckets),
 		workers: r.Gauge("collector_workers",
 			"Workers that have registered with this daemon."),

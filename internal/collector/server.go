@@ -118,6 +118,7 @@ type Server struct {
 	exps    map[string]*experiment
 	seq     int // lease and worker name sequence
 	closed  bool
+	closing chan struct{} // closed with closed set: ends every held acquire
 }
 
 // experiment is one experiment's control state: its sharded store and
@@ -131,6 +132,29 @@ type experiment struct {
 	submits    sync.WaitGroup // in-flight commit submissions, drained by Close
 	records    int64
 	inflight   int64
+	// changed is what a held acquire waits on: made for the first one to
+	// wait, closed (and forgotten) the next time a shard stops being
+	// leased. Nil while nobody waits.
+	changed chan struct{}
+}
+
+// changedLocked returns the channel the next pool change closes.
+// Callers hold s.mu.
+func (e *experiment) changedLocked() <-chan struct{} {
+	if e.changed == nil {
+		e.changed = make(chan struct{})
+	}
+	return e.changed
+}
+
+// poolChangedLocked wakes every held acquire of e: a shard was released,
+// completed, or reclaimed from an expired lease, so what they were told
+// to wait for may now be decided. Callers hold s.mu.
+func (e *experiment) poolChangedLocked() {
+	if e.changed != nil {
+		close(e.changed)
+		e.changed = nil
+	}
 }
 
 // shard pool states.
@@ -171,6 +195,7 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 		workers: make(map[string]struct{}),
 		exps:    make(map[string]*experiment),
+		closing: make(chan struct{}),
 	}
 	state, events, err := openStateLog(filepath.Join(cfg.Dir, StateFile))
 	if err != nil {
@@ -238,7 +263,8 @@ func (s *Server) auth(h http.HandlerFunc) http.HandlerFunc {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains every experiment's group-commit engine — batches already
+// Close answers every held acquire (409, as if its wait had run out),
+// drains every experiment's group-commit engine — batches already
 // acknowledged (or about to be) are durable before their store closes —
 // then closes the stores and the control-state journal. In-flight
 // handlers racing Close fail their appends loudly (the journals are
@@ -250,6 +276,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.closing)
 	exps := make([]*experiment, 0, len(s.exps))
 	for _, e := range s.exps {
 		exps = append(exps, e)
@@ -325,6 +352,7 @@ func (s *Server) sweepLocked(e *experiment, now time.Time) {
 		if now.After(l.expires) {
 			e.shards[l.shard] = shardState{state: shardFree}
 			delete(e.leases, id)
+			e.poolChangedLocked()
 			s.met.leaseExpired.Inc()
 			s.persist(stateEvent{Type: "expire", Lease: id})
 			// The handoff must be diagnosable from the daemon log alone:
@@ -374,14 +402,20 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.seq++
 		req.Worker = "worker-" + strconv.Itoa(s.epoch) + "-" + strconv.Itoa(s.seq)
 	}
-	if _, known := s.workers[req.Worker]; !known {
-		s.workers[req.Worker] = struct{}{}
-		s.persist(stateEvent{Type: "worker", Worker: req.Worker})
-	}
-	s.met.workers.Set(int64(len(s.workers)))
+	s.registerLocked(req.Worker)
 	s.mu.Unlock()
 	s.log.Debug("worker registered", "worker", req.Worker)
 	writeJSON(w, http.StatusOK, RegisterResponse{Worker: req.Worker})
+}
+
+// registerLocked records a worker name, journaling it the first time it
+// is seen. Callers hold s.mu.
+func (s *Server) registerLocked(worker string) {
+	if _, known := s.workers[worker]; !known {
+		s.workers[worker] = struct{}{}
+		s.persist(stateEvent{Type: "worker", Worker: worker})
+	}
+	s.met.workers.Set(int64(len(s.workers)))
 }
 
 // writeJSON writes one JSON response body.

@@ -60,10 +60,16 @@ type RegisterResponse struct {
 	Worker string `json:"worker"`
 }
 
-// AcquireRequest asks for a shard lease on one experiment.
+// AcquireRequest asks for a shard lease on one experiment. WaitMillis,
+// when positive, is how long the daemon may keep the request while every
+// incomplete shard is leased instead of answering 409 at once: it
+// answers the moment a release, an expiry or the last completion decides
+// the matter, and 409 only if that long passes first. A daemon that
+// predates the field ignores it and answers at once.
 type AcquireRequest struct {
 	Worker     string `json:"worker"`
 	Experiment string `json:"experiment"`
+	WaitMillis int64  `json:"wait_ms,omitempty"`
 }
 
 // AcquireResponse grants a lease: an exclusive TTL-bounded claim on one

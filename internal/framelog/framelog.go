@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // FrameHeaderSize is the size of a checksummed frame's header: the
@@ -134,14 +135,17 @@ type Visit func(payload []byte, off, n int64) error
 // It is the whole recovery rule for a record stream; a wire stream in
 // either framing is scanned with it too.
 func (fr Framing) Scan(r io.Reader, base int64, fn Visit) (keep int64, torn bool, err error) {
-	return fr.scan(bufio.NewReaderSize(r, 64<<10), base, fn)
+	br := getReader(r)
+	defer putReader(br)
+	return fr.scan(br, base, fn)
 }
 
 // ScanFile is Scan over a whole file image: it checks the magic first.
 // An empty file is a fresh log; a strict prefix of the magic is a
 // crashed creation (keep 0, torn).
 func (fr Framing) ScanFile(r io.Reader, fn Visit) (keep int64, torn bool, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := getReader(r)
+	defer putReader(br)
 	head := make([]byte, len(fr.magic))
 	n, rerr := io.ReadFull(br, head)
 	if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
@@ -154,6 +158,28 @@ func (fr Framing) ScanFile(r io.Reader, fn Visit) (keep int64, torn bool, err er
 		return 0, n > 0, nil
 	}
 	return fr.scan(br, int64(n), fn)
+}
+
+// readerPool recycles the scans' read buffers: a scan is one per ingest
+// batch on the collector daemon and one per file everywhere else, and a
+// fresh 64 KiB buffer for each was a tenth of what a fleet run allocates.
+// A Visit payload may point into the buffer, which is why it is valid
+// only until the scan's next step and never after the scan returns.
+var readerPool = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, 64<<10) },
+}
+
+func getReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// putReader returns a scan's reader to the pool, letting go of the
+// stream it read.
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
 }
 
 func (fr Framing) scan(br *bufio.Reader, base int64, fn Visit) (keep int64, torn bool, err error) {

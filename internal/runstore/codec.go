@@ -20,11 +20,12 @@ import (
 // written once against this type, which is what makes "wire bytes ==
 // at-rest bytes" and "bulk writer == Append" true by construction.
 type codec struct {
-	name    string // Format.Name
-	ext     string // file extension, with dot
-	detail  string // Info.Detail of a file in this encoding
-	what    string // names one record in corruption errors
-	framing framelog.Framing
+	name     string // Format.Name
+	ext      string // file extension, with dot
+	detail   string // Info.Detail of a file in this encoding
+	what     string // names one record in corruption errors
+	wireType string // media type of a wire stream in this encoding
+	framing  framelog.Framing
 	// appendRecord appends rec's payload to dst. The encoding is
 	// deterministic: equal records encode to equal bytes, which the
 	// merge byte-identity property rests on.
@@ -45,6 +46,7 @@ var jsonCodec = &codec{
 	name:         "journal",
 	ext:          ".jsonl",
 	what:         "journal line",
+	wireType:     WireJSONType,
 	framing:      framelog.Lines,
 	appendRecord: AppendJSON,
 	decode:       DecodeJSON,
@@ -52,11 +54,12 @@ var jsonCodec = &codec{
 }
 
 var binaryCodec = &codec{
-	name:    "binary",
-	ext:     BinaryExt,
-	detail:  "binary frames (PEVBIN1)",
-	what:    "binary record",
-	framing: framelog.Frames("binary journal", BinaryMagic, maxBinaryPayload),
+	name:     "binary",
+	ext:      BinaryExt,
+	detail:   "binary frames (PEVBIN1)",
+	what:     "binary record",
+	wireType: WireBinaryType,
+	framing:  framelog.Frames("binary journal", BinaryMagic, maxBinaryPayload),
 	appendRecord: func(dst []byte, rec Record) ([]byte, error) {
 		return appendBinaryRecord(dst, rec), nil
 	},

@@ -264,21 +264,6 @@ func NormalizeAppend(rec Record) (Record, error) {
 	return rec, nil
 }
 
-// NormalizeBatch is NormalizeAppend over a whole batch, into a fresh
-// slice: the first invalid record fails all of it, which is how every
-// AppendBatch validates before it writes a byte.
-func NormalizeBatch(recs []Record) ([]Record, error) {
-	out := make([]Record, len(recs))
-	for i, rec := range recs {
-		rec, err := NormalizeAppend(rec)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rec
-	}
-	return out, nil
-}
-
 // Append validates, persists, and indexes one record. Its encoding is
 // written with a single Write call followed by Sync, so a crash leaves at
 // most one torn record — exactly what Open recovers from. A failed Write
@@ -299,34 +284,100 @@ func (j *Journal) Append(rec Record) error {
 	return j.commit(*bufp, rec)
 }
 
+// EncodedBatch is a batch of records validated, canonicalised and
+// encoded once, in one codec: the sealed frames a Journal of that codec
+// persists (CommitBatch) and, for the same bytes, the body of a wire
+// stream in that framing. A holder with two destinations — the collector
+// worker's spool and its ingest POST — makes the bytes once for both.
+// It is immutable once built.
+type EncodedBatch struct {
+	codec *codec
+	recs  []Record // normalized, in batch order
+	data  []byte   // their frames, back to back
+}
+
+// EncodeBatch validates recs (NormalizeAppend, into a fresh slice) and
+// encodes them in the JSON line framing — a JSONL Journal's bytes and
+// the NDJSON wire's. The first invalid record fails all of it.
+func EncodeBatch(recs []Record) (*EncodedBatch, error) { return jsonCodec.encodeBatch(nil, recs) }
+
+// EncodeBatchBinary is EncodeBatch for the binary framing.
+func EncodeBatchBinary(recs []Record) (*EncodedBatch, error) {
+	return binaryCodec.encodeBatch(nil, recs)
+}
+
+// encodeBatch is EncodeBatch in this codec, appending the frames to dst.
+func (c *codec) encodeBatch(dst []byte, recs []Record) (*EncodedBatch, error) {
+	b := &EncodedBatch{codec: c, recs: make([]Record, len(recs)), data: dst}
+	for i, rec := range recs {
+		rec, err := NormalizeAppend(rec)
+		if err != nil {
+			return nil, err
+		}
+		if b.data, err = c.appendFrame(b.data, rec); err != nil {
+			return nil, err
+		}
+		if i == 0 && dst == nil {
+			// One experiment's records are of a size: the first one says
+			// how much room the rest need.
+			b.data = slices.Grow(b.data, len(b.data)*(len(recs)-1))
+		}
+		b.recs[i] = rec
+	}
+	return b, nil
+}
+
+// Len returns the number of records in the batch.
+func (b *EncodedBatch) Len() int { return len(b.recs) }
+
+// Records returns the batch's records as normalized. Read-only.
+func (b *EncodedBatch) Records() []Record { return b.recs }
+
+// Bytes returns the batch's encoding: each record's frame, in order —
+// the bytes the same records appended one by one would persist.
+// Read-only.
+func (b *EncodedBatch) Bytes() []byte { return b.data }
+
+// WireType returns the media type of a wire stream carrying Bytes.
+func (b *EncodedBatch) WireType() string { return b.codec.wireType }
+
 // AppendBatch implements BatchAppender: it validates, persists, and
 // indexes a batch of records with a single Write call followed by a
 // single Sync — the group-commit primitive: N records cost one fsync
-// instead of N. Validation runs over the whole batch before any byte is
-// written, so a rejected batch leaves nothing behind; a crash mid-write
-// leaves a prefix of the batch's records and at most one torn one,
-// exactly as Append does, and Open recovers the intact prefix. A failed
-// Write or Sync indexes nothing from the batch and poisons the journal.
-// The bytes equal those of the same records appended one by one. An
-// empty batch is a no-op.
+// instead of N. It is "encode, then CommitBatch": validation runs over
+// the whole batch before any byte is written, so a rejected batch leaves
+// nothing behind. An empty batch is a no-op.
 func (j *Journal) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	normalized, err := NormalizeBatch(recs)
+	bufp := frameBufPool.Get().(*[]byte)
+	defer putFrameBuf(bufp)
+	b, err := j.codec.encodeBatch(*bufp, recs)
 	if err != nil {
 		return err
 	}
-	bufp := frameBufPool.Get().(*[]byte)
-	defer putFrameBuf(bufp)
-	for _, rec := range normalized {
-		if *bufp, err = j.codec.appendFrame(*bufp, rec); err != nil {
-			return err
-		}
+	*bufp = b.data // the pool keeps the buffer the batch grew
+	return j.CommitBatch(b)
+}
+
+// CommitBatch persists and indexes a batch encoded elsewhere, with one
+// Write and one Sync. A batch in another codec than the journal's is
+// refused before a byte is written: its frames would be garbage in this
+// file. A crash mid-write leaves a prefix of the batch's records and at
+// most one torn one, exactly as Append does, and Open recovers the
+// intact prefix. A failed Write or Sync indexes nothing from the batch
+// and poisons the journal. An empty batch is a no-op.
+func (j *Journal) CommitBatch(b *EncodedBatch) error {
+	if b.codec != j.codec {
+		return fmt.Errorf("runstore: %s: a %s batch cannot be committed to a %s journal", j.log.Path(), b.codec.name, j.codec.name)
+	}
+	if len(b.recs) == 0 {
+		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.commit(*bufp, normalized...)
+	return j.commit(b.data, b.recs...)
 }
 
 // commit makes data, the encoding of recs, durable and only then counts

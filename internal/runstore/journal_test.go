@@ -1,6 +1,8 @@
 package runstore
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -345,5 +347,98 @@ func TestJournalAppendBatchClosed(t *testing.T) {
 	err = j.AppendBatch([]Record{rec("e", 0, 0, map[string]string{"c": "a"}, map[string]float64{"t": 1})})
 	if err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("AppendBatch after Close = %v, want a closed-journal error", err)
+	}
+}
+
+// TestCommitBatch: a batch encoded once holds, in either framing, the
+// bytes of its records appended one by one — which are also a wire
+// stream's — and a journal commits them as AppendBatch would; a journal
+// of the other codec refuses the batch before it writes a byte.
+func TestCommitBatch(t *testing.T) {
+	recs := []Record{
+		{Experiment: "e", Row: 0, Replicate: 0, Assignment: map[string]string{"f": "a"}, Responses: map[string]float64{"ms": 1.5}},
+		{Experiment: "e", Row: 1, Replicate: 0, Assignment: map[string]string{"f": "b"}, Responses: map[string]float64{"ms": 2}},
+		{Experiment: "e", Row: 1, Replicate: 1, Assignment: map[string]string{"f": "b"}, Responses: map[string]float64{"ms": 3}},
+	}
+	for _, tc := range []struct {
+		name      string
+		encode    func([]Record) (*EncodedBatch, error)
+		wire      func(io.Writer, Record) error
+		wireType  string
+		open      func(string) (*Journal, error)
+		otherOpen func(string) (*Journal, error)
+	}{
+		{"json", EncodeBatch, EncodeWire, WireJSONType, Open, OpenBinary},
+		{"binary", EncodeBatchBinary, EncodeWireBinary, WireBinaryType, OpenBinary, Open},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := tc.encode(recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire bytes.Buffer
+			for _, rec := range recs {
+				if err := tc.wire(&wire, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(b.Bytes(), wire.Bytes()) || b.Len() != len(recs) || b.WireType() != tc.wireType {
+				t.Fatalf("batch of %d, %s:\n%q\nwant %d, %s:\n%q", b.Len(), b.WireType(), b.Bytes(), len(recs), tc.wireType, wire.Bytes())
+			}
+			for i, rec := range b.Records() {
+				if rec.Hash != AssignmentHash(recs[i].Assignment) {
+					t.Errorf("record %d of the batch is not normalized: hash %q", i, rec.Hash)
+				}
+			}
+
+			dir := t.TempDir()
+			committed, err := tc.open(filepath.Join(dir, "committed"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := committed.CommitBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			appended, err := tc.open(filepath.Join(dir, "appended"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := appended.AppendBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range []*Journal{committed, appended} {
+				if j.Len() != len(recs) {
+					t.Errorf("%s indexes %d record(s), want %d", j.Path(), j.Len(), len(recs))
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, _ := os.ReadFile(committed.Path())
+			want, _ := os.ReadFile(appended.Path())
+			if !bytes.Equal(got, want) || !bytes.HasSuffix(got, b.Bytes()) {
+				t.Errorf("CommitBatch wrote\n%q\nAppendBatch wrote\n%q", got, want)
+			}
+
+			other, err := tc.otherOpen(filepath.Join(dir, "other"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			before, _ := os.ReadFile(other.Path())
+			if err := other.CommitBatch(b); err == nil || !strings.Contains(err.Error(), "cannot be committed") {
+				t.Errorf("CommitBatch of a %s batch to the other codec's journal = %v, want a refusal", tc.name, err)
+			}
+			after, _ := os.ReadFile(other.Path())
+			if !bytes.Equal(before, after) || other.Len() != 0 {
+				t.Errorf("the refused batch left %d byte(s) and %d record(s) behind", len(after)-len(before), other.Len())
+			}
+		})
+	}
+
+	bad := append([]Record{}, recs...)
+	bad[2].Responses = map[string]float64{"ms": math.NaN()}
+	if b, err := EncodeBatch(bad); err == nil {
+		t.Errorf("EncodeBatch accepted a non-finite response: %q", b.Bytes())
 	}
 }
