@@ -55,18 +55,21 @@ bench:
 
 # bench/ is its own module (repro/bench, importing repro/internal/...), so
 # nothing above compiles it and an internal-API change can break the
-# repo's benchmark silently. This vets and tests it, then runs three
+# repo's benchmark silently. This vets and tests it, then runs four
 # workloads for two seconds each the way the driver does: local-run, the
 # one gated workload that drives the scheduler through a five-method
 # store (the persist stage's per-record width); fleet-collect, the
-# longest journey; and ingest-burst, which drives the daemon's ingest
-# and group commit hardest and is gated nowhere else. The benchmark
-# checks its own output (byte identity included) and says so in the last
-# line it prints.
+# longest journey; warehouse-query, the gated read path (cold refresh,
+# reopen, the query mix) over every at-rest format; and ingest-burst,
+# which drives the daemon's ingest and group commit hardest and is gated
+# nowhere else. The benchmark checks its own output (byte identity
+# included; on warehouse-query that the reopened warehouse skips every
+# source and the tracked cell's history matches the inputs) and says so in
+# the last line it prints.
 .PHONY: bench-e2e-smoke
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	for w in local-run fleet-collect ingest-burst; do \
+	for w in local-run fleet-collect warehouse-query ingest-burst; do \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
 		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 			{ echo "$$out" | tail -n 5; echo "bench-e2e-smoke: the last line of $$w does not say \"correct\":true"; exit 1; }; \

@@ -17,11 +17,12 @@ type CompactStats struct {
 // sheds every superseded record. A torn trailing line is dropped like
 // Open would.
 //
-// Compact streams: the index pass keeps one lightweight entry per key,
-// and the rewrite copies (or, where the stored frame is not what the
-// destination's codec would write, decodes and re-encodes) one record at
-// a time, so peak memory never holds the record set — run it on journals
-// of any size.
+// Compact streams: the index pass keeps one lightweight entry per key
+// (foldEntries: the winners in first-appended order, which the rewrite is
+// handed as they are), and the rewrite copies (or, where the stored frame
+// is not what the destination's codec would write, decodes and
+// re-encodes) one record at a time, so peak memory never holds the record
+// set — run it on journals of any size.
 //
 // The rewrite is atomic: records go to a temporary file in the target
 // directory which is fsynced and renamed into place. dst == "" compacts
@@ -47,12 +48,12 @@ func Compact(src, dst string) (CompactStats, error) {
 	}
 	plan := &mergePlan{sources: []*mergeSource{newMergeSource(r)}}
 	defer plan.Close()
-	idx, order, records, err := indexEntries(r)
+	winners, records, err := foldEntries(r)
 	if err != nil {
 		return cs, err
 	}
-	cs.Kept = len(order)
-	cs.Dropped = records - len(order)
+	cs.Kept = len(winners)
+	cs.Dropped = records - len(winners)
 	cs.Torn = r.Info().Torn
 
 	if dst == "" {
@@ -70,10 +71,7 @@ func Compact(src, dst string) (CompactStats, error) {
 		metCompactSkipped.Inc()
 		return cs, nil
 	}
-	s.winners = make([]SourceEntry, len(order))
-	for i, k := range order {
-		s.winners[i] = idx[k]
-	}
+	s.winners = winners
 	if err := plan.write(dst, formatWrite, src); err != nil {
 		return cs, err
 	}

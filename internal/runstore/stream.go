@@ -176,14 +176,14 @@ func ScanFile(path string) iter.Seq2[Record, error] {
 			return
 		}
 		defer r.Close()
-		idx, order, _, err := indexEntries(r)
+		winners, _, err := foldEntries(r)
 		if err != nil {
 			yield(Record{}, err)
 			return
 		}
 		src := newMergeSource(r)
-		for _, k := range order {
-			f, err := src.fetch(idx[k], nil, true)
+		for _, e := range winners {
+			f, err := src.fetch(e, nil, true)
 			if err != nil {
 				yield(Record{}, err)
 				return
@@ -195,21 +195,25 @@ func ScanFile(path string) iter.Seq2[Record, error] {
 	}
 }
 
-// indexEntries consumes a reader's Entries into a last-wins index plus
-// the first-appended key order — the in-memory shape Open's journal
-// index has, at entry rather than record cost.
-func indexEntries(r SourceReader) (idx map[string]SourceEntry, order []string, records int, err error) {
-	idx = make(map[string]SourceEntry)
+// foldEntries consumes a reader's Entries into its last-wins entries in
+// first-appended key order — the shape Open's journal index has, at entry
+// rather than record cost, and the shape planMerge folds its sources into:
+// a key's first entry claims the next slot, a superseding one overwrites
+// that slot, and the map holds a position per key, not an entry.
+func foldEntries(r SourceReader) (winners []SourceEntry, records int, err error) {
+	at := make(map[string]int32)
 	for e, eerr := range r.Entries() {
 		if eerr != nil {
-			return nil, nil, 0, eerr
+			return nil, 0, eerr
 		}
 		records++
-		k := e.Key()
-		if _, seen := idx[k]; !seen {
-			order = append(order, k)
+		k := e.Key() // not e.key: only a journal reader fills it in
+		if pos, seen := at[k]; seen {
+			winners[pos] = e
+			continue
 		}
-		idx[k] = e
+		at[k] = int32(len(winners))
+		winners = append(winners, e)
 	}
-	return idx, order, records, nil
+	return winners, records, nil
 }

@@ -199,7 +199,8 @@ func BenchmarkWarehouseReopen(b *testing.B) {
 }
 
 // BenchmarkWarehouseQueryHistory asks for one cell's history by its
-// assignment string, an earlier query having rendered the runs' strings.
+// assignment string: one pass over the live runs' cells, one string compare
+// per cell.
 func BenchmarkWarehouseQueryHistory(b *testing.B) {
 	w := benchRefreshed(b)
 	if res, err := w.Query(benchHistory); err != nil || len(res.History) != benchRuns {
@@ -208,21 +209,6 @@ func BenchmarkWarehouseQueryHistory(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Query(benchHistory); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWarehouseQueryHistoryFirst is the same question asked as the
-// first one after every run changed: what a one-query process, or a daemon
-// whose every shard changes between two queries, pays for its answer.
-func BenchmarkWarehouseQueryHistoryFirst(b *testing.B) {
-	w := benchRefreshed(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(w.assignments)
 		if _, err := w.Query(benchHistory); err != nil {
 			b.Fatal(err)
 		}

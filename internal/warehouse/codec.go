@@ -75,35 +75,127 @@ func appendRun(dst []byte, r Run) ([]byte, error) {
 }
 
 // decodeRun parses one run document. A document in the canonical form is
-// parsed in one pass; any other goes to json.Unmarshal, so what decodes,
-// what it decodes to, and what each failure says are encoding/json's.
-func decodeRun(doc []byte) (Run, error) {
-	if r, ok := decodeCanonicalRun(doc); ok {
+// parsed in one pass, its cells' identities shared through rp; any other
+// goes to json.Unmarshal, so what decodes, what it decodes to, and what
+// each failure says are encoding/json's. Either way every cell of the
+// result carries its selector.
+func decodeRun(doc []byte, rp *replay) (Run, error) {
+	if r, ok := decodeCanonicalRun(doc, rp); ok {
 		return r, nil
 	}
 	var r Run // from zero: the canonical pass may have half-filled one
 	err := json.Unmarshal(doc, &r)
+	r.Cells = withSelectors(r.Cells)
 	return r, err
 }
 
-// Literals the canonical pass asks about: a tombstone's flag, and what
-// starts every cell of a canonical document and nothing else in one (a
-// plain string holds no quote).
+// names holds each distinct string it is asked for once: the few names a
+// source or a whole index repeats — experiments, factors, responses,
+// formats.
+type names map[string]string
+
+// of returns b as a string, the one an earlier call made of the same bytes
+// if there was one.
+func (n names) of(b []byte) string {
+	s, ok := n[string(b)]
+	if !ok {
+		s = string(b)
+		n[s] = s
+	}
+	return s
+}
+
+// replay is the dictionary the frames of one index replay share. An index
+// is a history of the same design, so the replay builds each cell's
+// identity — experiment, hash, assignment and the selector rendered from
+// it — once, at the first frame that spells it, and hands every later cell
+// that spells it the same way the same strings and the same map. A run is
+// only ever replaced whole, never edited in place, so a value two runs
+// share cannot go stale. What an identity is built from is the bytes of
+// its span alone: no frame changes what a later frame decodes to, only
+// whether it allocates.
+type replay struct {
+	// cells holds, by a cell's document span from {"experiment": through
+	// the end of its assignment value, a cell with that identity and no
+	// aggregates: what every cell spelled that way starts as.
+	cells map[string]Cell
+	names names
+}
+
+func newReplay() *replay {
+	return &replay{cells: make(map[string]Cell), names: make(names)}
+}
+
+// Literals the canonical pass asks about: a tombstone's flag, what starts
+// every cell of a canonical document and nothing else in one (a plain
+// string holds no quote), and what follows a cell's identity.
 var (
-	prunedTrue = []byte(`,"pruned":true`)
-	comma      = []byte(`,`)
-	cellOpen   = []byte(`{"experiment":`)
+	prunedTrue  = []byte(`,"pruned":true`)
+	comma       = []byte(`,`)
+	cellOpen    = []byte(`{"experiment":`)
+	responseKey = []byte(`,"response":`)
 )
+
+// walkIdentity walks the identity span of one cell — {"experiment":
+// through the end of the assignment value — into a cell of that identity.
+func (rp *replay) walkIdentity(c *canonjson.Cursor) (cell Cell) {
+	c.Lit(`{"experiment":`)
+	cell.Experiment = rp.names.of(c.Quoted(false))
+	c.Lit(`,"hash":`)
+	cell.Hash = string(c.Quoted(false))
+	c.Lit(`,"assignment":`)
+	if c.Object() {
+		cell.Assignment = make(map[string]string)
+		for c.Member() {
+			k := rp.names.of(c.Quoted(false))
+			c.Lit(":")
+			cell.Assignment[k] = string(c.Quoted(false))
+		}
+	}
+	cell.selector = assignmentString(cell.Assignment)
+	return cell
+}
+
+// identity consumes one cell's identity span and the response key after
+// it, and returns a cell of the identity the span spells. ok is false, and
+// the walk failed, when the input does not continue that way.
+//
+// The input up to its first response key is looked up before it is walked.
+// A span is entered only once the walk has accepted it, the walk reads
+// nothing beyond the span it accepts, and a complete value is prefix-free:
+// input that starts with an entered span and the response key is input the
+// walk would accept, consuming exactly that span and building exactly that
+// identity. So a hit needs no walk and builds nothing; anything else — a
+// new identity, an assignment with a factor named response, input that is
+// not canonical — is the walk's to judge, every check of it kept.
+func (rp *replay) identity(c *canonjson.Cursor) (cell Cell, ok bool) {
+	rest := c.Rest()
+	if end := bytes.Index(rest, responseKey); end >= 0 {
+		if cell, ok = rp.cells[string(rest[:end])]; ok && c.Accept(rest[:end+len(responseKey)]) {
+			return cell, true
+		}
+	}
+	cell = rp.walkIdentity(c)
+	if !c.Accept(responseKey) {
+		c.Fail()
+		return cell, false
+	}
+	span := rest[:len(rest)-len(c.Rest())-len(responseKey)]
+	if known, ok := rp.cells[string(span)]; ok {
+		return known, true // spelled with a response key inside: found by the walk's span
+	}
+	rp.cells[string(span)] = cell
+	return cell, true
+}
 
 // decodeCanonicalRun parses doc if it is written the way appendRun writes
 // a run whose strings are all plain. It is deliberately narrow — ok is
 // false for everything else, valid JSON included — and whatever it
 // accepts json.Unmarshal decodes to an equal run. Equal, not identical:
-// a string or an assignment that repeats the cell before it (a run's
-// cells are sorted, so the responses of one design cell are adjacent) is
-// that cell's, not a copy — what ingest hands the index in the first
-// place.
-func decodeCanonicalRun(doc []byte) (r Run, ok bool) {
+// a cell's experiment, hash, assignment map and selector are rp's — the
+// ones every cell of this replay with the same identity holds, in this run
+// and in every other — and so are the response and format names.
+func decodeCanonicalRun(doc []byte, rp *replay) (r Run, ok bool) {
 	c := canonjson.NewCursor(doc)
 	c.Lit(`{"path":`)
 	r.Path = c.Str()
@@ -116,40 +208,19 @@ func decodeCanonicalRun(doc []byte) (r Run, ok bool) {
 	c.Lit(`,"fingerprint":`)
 	r.Fingerprint = c.Uint64()
 	c.Lit(`,"format":`)
-	r.Format = c.Str()
+	r.Format = rp.names.of(c.Quoted(false))
 	c.Lit(`,"records":`)
 	r.Records = c.Int()
 	r.Pruned = c.Accept(prunedTrue)
 	if c.Peek(',') {
 		c.Lit(`,"cells":[`)
 		r.Cells = make([]Cell, 0, bytes.Count(c.Rest(), cellOpen))
-		var prev Cell
-		var prevAssignment []byte // prev's assignment as the document spells it
 		for more := true; more; more = c.Accept(comma) {
-			var cell Cell
-			c.Lit(`{"experiment":`)
-			cell.Experiment = repeated(c.Quoted(false), prev.Experiment)
-			c.Lit(`,"hash":`)
-			cell.Hash = repeated(c.Quoted(false), prev.Hash)
-			c.Lit(`,"assignment":`)
-			// A complete value is prefix-free: input that starts with the
-			// bytes of prev's assignment holds that same assignment.
-			if len(prevAssignment) > 0 && c.Accept(prevAssignment) {
-				cell.Assignment = prev.Assignment
-			} else {
-				prevAssignment = c.Rest()
-				if c.Object() {
-					cell.Assignment = make(map[string]string)
-					for c.Member() {
-						k := c.Str()
-						c.Lit(":")
-						cell.Assignment[k] = c.Str()
-					}
-				}
-				prevAssignment = prevAssignment[:len(prevAssignment)-len(c.Rest())]
+			cell, ok := rp.identity(&c)
+			if !ok {
+				return r, false
 			}
-			c.Lit(`,"response":`)
-			cell.Response = repeated(c.Quoted(false), prev.Response)
+			cell.Response = rp.names.of(c.Quoted(false))
 			c.Lit(`,"n":`)
 			cell.N = c.Int()
 			c.Lit(`,"mean":`)
@@ -158,19 +229,9 @@ func decodeCanonicalRun(doc []byte) (r Run, ok bool) {
 			cell.Variance = c.Num()
 			c.Lit(`}`)
 			r.Cells = append(r.Cells, cell)
-			prev = cell
 		}
 		c.Lit(`]`)
 	}
 	c.Lit(`}`)
 	return r, c.Done()
-}
-
-// repeated returns s as a string: prev itself when it holds the same
-// bytes, so the strings every cell of a run repeats are allocated once.
-func repeated(s []byte, prev string) string {
-	if string(s) == prev {
-		return prev
-	}
-	return string(s)
 }

@@ -12,14 +12,16 @@ import (
 	"repro/internal/runstore"
 )
 
-// checkRunDecodeAgainstStdlib holds decodeRun to json.Unmarshal on one
-// document: both fail, with one message, or return deeply equal runs —
-// nil and empty maps and slices told apart.
-func checkRunDecodeAgainstStdlib(t *testing.T, doc []byte) (Run, bool) {
+// checkRunDecodeAgainstStdlib holds decodeRun, replaying into rp, to
+// json.Unmarshal on one document: both fail, with one message, or return
+// deeply equal runs — nil and empty maps and slices told apart, every
+// cell's selector what its assignment renders to.
+func checkRunDecodeAgainstStdlib(t *testing.T, doc []byte, rp *replay) (Run, bool) {
 	t.Helper()
 	var want Run
 	wantErr := json.Unmarshal(doc, &want)
-	got, err := decodeRun(doc)
+	want.Cells = withSelectors(want.Cells)
+	got, err := decodeRun(doc, rp)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("decodeRun(%q) error = %v, json.Unmarshal error = %v", doc, err, wantErr)
 	}
@@ -60,8 +62,8 @@ func TestIndexCodecEdges(t *testing.T) {
 	for _, r := range goldenRuns() {
 		checkRunEncodeAgainstStdlib(t, r)
 		doc, _ := json.Marshal(r)
-		checkRunDecodeAgainstStdlib(t, doc)
-		if _, ok := decodeCanonicalRun(doc); !ok {
+		checkRunDecodeAgainstStdlib(t, doc, newReplay())
+		if _, ok := decodeCanonicalRun(doc, newReplay()); !ok {
 			t.Errorf("the canonical pass refuses its own encoder's document %s", doc)
 		}
 	}
@@ -118,35 +120,62 @@ func TestIndexCodecEdges(t *testing.T) {
 		`{"path":"t","size":1,"mod_time_ns":2,"ingest_time_ns":3,"fingerprint":4,"format":"journal","records":5,"pruned":true}`,
 		`{}`, `null`, `[]`, ``, `{"path":7}`,
 	} {
-		checkRunDecodeAgainstStdlib(t, []byte(doc))
+		checkRunDecodeAgainstStdlib(t, []byte(doc), newReplay())
 	}
 }
 
 // TestIndexCodecSharesRepeats pins what the canonical pass adds to
-// json.Unmarshal's result: adjacent cells of one design cell come back
-// holding one assignment map, as they do from ingest, and a cell that
-// differs gets its own.
+// json.Unmarshal's result: within one replay, cells of one identity —
+// experiment, hash and assignment spelled the same — come back holding one
+// assignment map, whichever run and whichever response they belong to, and
+// a cell that differs in any of the three gets its own.
 func TestIndexCodecSharesRepeats(t *testing.T) {
 	t.Parallel()
 	x, y := map[string]string{"f": "x"}, map[string]string{"f": "y"}
-	r := Run{Path: "p", Cells: []Cell{
+	first := Run{Path: "p", Format: "journal", Cells: withSelectors([]Cell{
 		{Experiment: "e", Hash: "hx", Assignment: x, Response: "io", N: 1},
 		{Experiment: "e", Hash: "hx", Assignment: x, Response: "ms", N: 1},
 		{Experiment: "e", Hash: "hy", Assignment: y, Response: "io", N: 1},
 		{Experiment: "e", Hash: "hn", Assignment: nil, Response: "io", N: 1},
 		{Experiment: "e", Hash: "hn", Assignment: nil, Response: "ms", N: 1},
-	}}
-	doc, err := appendRun(nil, r)
-	if err != nil {
-		t.Fatal(err)
+	})}
+	second := Run{Path: "q", Format: "journal", Cells: withSelectors([]Cell{
+		{Experiment: "e", Hash: "hx", Assignment: x, Response: "ms", N: 2, Mean: 3},
+		{Experiment: "e", Hash: "hx", Assignment: y, Response: "ms", N: 1},  // same hash, another assignment
+		{Experiment: "e2", Hash: "hx", Assignment: x, Response: "ms", N: 1}, // same assignment, another experiment
+		{Experiment: "e", Hash: "hz", Assignment: x, Response: "ms", N: 1},  // same assignment, another hash
+		{Experiment: "e", Hash: "he", Assignment: map[string]string{}, Response: "ms", N: 1},
+	})}
+	rp := newReplay()
+	var got [2]Run
+	for i, r := range []Run{first, second} {
+		doc, err := appendRun(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if got[i], ok = decodeCanonicalRun(doc, rp); !ok || !reflect.DeepEqual(got[i], r) {
+			t.Fatalf("decodeCanonicalRun = %+v, %v; want %+v", got[i], ok, r)
+		}
 	}
-	got, ok := decodeCanonicalRun(doc)
-	if !ok || !reflect.DeepEqual(got, r) {
-		t.Fatalf("decodeCanonicalRun = %+v, %v; want %+v", got, ok, r)
+	same := func(a, b Cell) bool { return sameMap(a.Assignment, b.Assignment) }
+	p, q := got[0].Cells, got[1].Cells
+	if !same(p[0], p[1]) || !same(p[0], q[0]) {
+		t.Errorf("one identity does not hold one assignment map across responses and runs: %+v / %+v", p, q)
 	}
-	same := func(a, b map[string]string) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
-	if c := got.Cells; !same(c[0].Assignment, c[1].Assignment) || same(c[1].Assignment, c[2].Assignment) || c[3].Assignment != nil || c[4].Assignment != nil {
-		t.Errorf("assignment maps are not shared cell by adjacent cell: %+v", c)
+	if same(p[1], p[2]) || same(p[2], q[1]) || same(p[0], q[2]) || same(p[0], q[3]) {
+		t.Errorf("cells of different identities share an assignment map: %+v / %+v", p, q)
+	}
+	if p[3].Assignment != nil || p[4].Assignment != nil || q[4].Assignment == nil {
+		t.Errorf("nil and empty assignments are not told apart: %+v / %+v", p, q)
+	}
+	if len(rp.cells) != 7 {
+		t.Errorf("the replay holds %d identities, want 7", len(rp.cells))
+	}
+	// A dictionary of its own shares nothing with the first.
+	doc, _ := appendRun(nil, first)
+	if alone, _ := decodeCanonicalRun(doc, newReplay()); same(alone.Cells[0], p[0]) {
+		t.Error("two replays share an assignment map")
 	}
 }
 
@@ -160,29 +189,45 @@ func TestIndexCodecSharesRepeats(t *testing.T) {
 //  3. The same holds for a run cut from the raw input itself — invalid
 //     UTF-8, control characters and non-finite aggregates included, which
 //     no decoded run can carry.
+//  4. What a document decodes to does not depend on what its replay has
+//     seen: a fresh dictionary, one that replayed the whole seed corpus
+//     first, and that one again now that it holds the input's own
+//     identities all give equal runs.
 func FuzzIndexCodec(f *testing.F) {
+	var seeds [][]byte
+	add := func(doc []byte) {
+		seeds = append(seeds, doc)
+		f.Add(doc)
+	}
 	for _, r := range goldenRuns() {
 		doc, err := json.Marshal(r)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(doc)
+		add(doc)
 	}
 	valid := `{"path":"a.jsonl","size":1,"mod_time_ns":2,"ingest_time_ns":3,"fingerprint":4,"format":"journal","records":5,"cells":[{"experiment":"e","hash":"h","assignment":{"f":"x"},"response":"io","n":1,"mean":7,"variance":0},{"experiment":"e","hash":"h","assignment":{"f":"x"},"response":"ms","n":2,"mean":1.5,"variance":0.25}]}`
-	f.Add([]byte(valid))
-	f.Add([]byte(valid + " "))
-	f.Add([]byte(strings.Replace(valid, `"records":5`, `"records":5,"pruned":true`, 1)))
-	f.Add([]byte(strings.Replace(valid, `"records":5`, `"records":-0,"pruned":false,"unknown":[1,{"x":null}]`, 1)))
-	f.Add([]byte(strings.Replace(valid, `{"f":"x"}`, `{"k":"v","k":"w","a<b":"<\n"}`, 1)))
-	f.Add([]byte(strings.Replace(valid, `"mean":1.5`, `"mean":1e999`, 1)))
-	f.Add([]byte(`{"path":"é","size":9223372036854775808,"fingerprint":18446744073709551615,"cells":[]}`))
-	f.Add([]byte(`{"path":"t","size":64,"mod_time_ns":5,"ingest_time_ns":6,"fingerprint":7,"format":"archive","records":2,"pruned":true}`))
-	f.Add([]byte("{\"path\":\"\xff\x00<>&\"}"))
-	f.Add([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 'n', 'a', 'n'})
+	add([]byte(valid))
+	add([]byte(valid + " "))
+	add([]byte(strings.Replace(valid, `"records":5`, `"records":5,"pruned":true`, 1)))
+	add([]byte(strings.Replace(valid, `"records":5`, `"records":-0,"pruned":false,"unknown":[1,{"x":null}]`, 1)))
+	add([]byte(strings.Replace(valid, `{"f":"x"}`, `{"k":"v","k":"w","a<b":"<\n"}`, 1)))
+	add([]byte(strings.ReplaceAll(valid, `{"f":"x"}`, `{"f":"x","response":"y"}`)))
+	add([]byte(strings.Replace(valid, `"mean":1.5`, `"mean":1e999`, 1)))
+	add([]byte(`{"path":"é","size":9223372036854775808,"fingerprint":18446744073709551615,"cells":[]}`))
+	add([]byte(`{"path":"t","size":64,"mod_time_ns":5,"ingest_time_ns":6,"fingerprint":7,"format":"archive","records":2,"pruned":true}`))
+	add([]byte("{\"path\":\"\xff\x00<>&\"}"))
+	add([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 'n', 'a', 'n'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, ok := checkRunDecodeAgainstStdlib(t, data); ok {
+		if r, ok := checkRunDecodeAgainstStdlib(t, data, newReplay()); ok {
 			checkRunEncodeAgainstStdlib(t, r)
 		}
+		loaded := newReplay()
+		for _, doc := range seeds {
+			decodeRun(doc, loaded)
+		}
+		checkRunDecodeAgainstStdlib(t, data, loaded)
+		checkRunDecodeAgainstStdlib(t, data, loaded)
 		var bits [8]byte
 		copy(bits[:], data)
 		half := string(data[:len(data)/2])

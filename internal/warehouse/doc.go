@@ -24,14 +24,22 @@
 //     blocks; deleting every source file after a Refresh changes no
 //     answer. A run's JSON document is written and parsed by codec.go,
 //     which knows its one shape; encoding/json is its specification
-//     and its fallback.
+//     and its fallback. An index is a history of the same design, so
+//     the frames of one Open are replayed against one dictionary: a
+//     design cell's experiment, hash, assignment map and selector (the
+//     assignment's canonical "k=v k=v" string) are built once per Open
+//     and shared by every run that spells the cell the same way — safe
+//     because a run is only ever replaced whole — which makes every
+//     Assignment map the index hands out read-only.
 //   - The query core (Request, Result, Warehouse.Query) answers run
 //     listings, per-cell history, per-experiment trend lines, and
 //     regression listings reusing the CI-shift rule of the runstore
 //     regression gate (disjoint intervals, higher mean = regressed).
 //     A query is one pass over the live runs' cells: it compares
-//     strings the index already holds and evaluates the t-quantile once
-//     per distinct replicate count.
+//     strings every cell already carries — its hash, and its selector,
+//     rendered at ingest or at replay and never by a query — and
+//     evaluates the t-quantile once per distinct replicate count.
+//     Nothing is kept between queries.
 //     The same core backs repro.Query, `perfeval query`, and the
 //     collector daemon's GET /v1/query, so they cannot drift.
 //

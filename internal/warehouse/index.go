@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,7 +48,10 @@ type Run struct {
 
 // Cell is one (experiment, design cell, response) aggregate of one run:
 // everything a Student-t confidence interval needs, without the raw
-// replicate values.
+// replicate values. The three fields that name the design cell are shared,
+// not copied: the aggregates of one design cell hold one Assignment map —
+// within a run, and after a replay across every run of the index — so the
+// map is read-only to everyone.
 type Cell struct {
 	// Experiment names the experiment the cell belongs to.
 	Experiment string `json:"experiment"`
@@ -64,6 +68,35 @@ type Cell struct {
 	// Variance is the unbiased sample variance (divisor n-1); 0 when
 	// N < 2.
 	Variance float64 `json:"variance"`
+
+	// selector is Assignment in the canonical sorted "k=v k=v" form: the
+	// second thing, after Hash, a Request.Cell may name the cell by. It is
+	// part of every cell the index holds and never of the document: ingest
+	// renders it once per design cell (it sorts by it), the replay once per
+	// design cell per Open, and withSelectors for a run built any other
+	// way — never a query.
+	selector string
+}
+
+// withSelectors returns cells with every selector present: cells itself
+// when none is missing, else a copy with the missing ones rendered — a
+// run built by hand is its builder's, and is left as it was. An empty
+// assignment's selector is the empty string, which no query matches.
+func withSelectors(cells []Cell) []Cell {
+	missing := func(c *Cell) bool { return c.selector == "" && len(c.Assignment) > 0 }
+	for i := range cells {
+		if !missing(&cells[i]) {
+			continue
+		}
+		out := slices.Clone(cells)
+		for j := i; j < len(out); j++ {
+			if missing(&out[j]) {
+				out[j].selector = assignmentString(out[j].Assignment)
+			}
+		}
+		return out
+	}
+	return cells
 }
 
 const (
@@ -113,10 +146,14 @@ func openIndex(path string) (*index, error) {
 }
 
 // collectRuns is the index scan callback: it decodes each frame's Run
-// into runs, last frame per path winning.
+// into runs, last frame per path winning. The frames of one scan share one
+// replay dictionary, which lives as long as the callback does: it is gone
+// when the scan returns, and nothing of it is kept between queries but the
+// values the runs themselves hold.
 func collectRuns(runs map[string]Run) framelog.Visit {
+	rp := newReplay()
 	return func(payload []byte, off, _ int64) error {
-		r, err := decodeRun(payload)
+		r, err := decodeRun(payload, rp)
 		if err != nil {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: %v", off, err))
 		}
@@ -159,7 +196,8 @@ func encodeIndexFrame(r Run) ([]byte, error) {
 
 // Put durably inserts or replaces one run's summary, keyed by Path: one
 // frame appended with a single Write call followed by Sync, so a crash
-// leaves at most one torn frame.
+// leaves at most one torn frame. A cell that comes without its selector —
+// a run built by hand rather than by ingest — is held with it.
 func (x *index) Put(r Run) error {
 	if r.Path == "" {
 		return fmt.Errorf("warehouse: run needs a path")
@@ -168,6 +206,7 @@ func (x *index) Put(r Run) error {
 	if err != nil {
 		return err
 	}
+	r.Cells = withSelectors(r.Cells)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if err := x.log.Commit(frame); err != nil {

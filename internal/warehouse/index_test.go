@@ -39,6 +39,7 @@ func sampleRun(path string, mod int64) Run {
 			N:          3,
 			Mean:       1.5,
 			Variance:   0.25,
+			selector:   "f=x",
 		}},
 	}
 }

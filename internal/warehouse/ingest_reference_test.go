@@ -146,6 +146,7 @@ func referenceIngest(root, rel string, st os.FileInfo) (Run, error) {
 		run.Cells = make([]Cell, len(sorted))
 		for i := range sorted {
 			run.Cells[i] = sorted[i].Cell
+			run.Cells[i].selector = sorted[i].assignment // the one thing ingest keeps that this pass threw away
 		}
 	}
 	return run, nil

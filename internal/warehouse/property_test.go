@@ -74,6 +74,9 @@ func recomputeCells(t *testing.T, abs string) []Cell {
 		}
 		return a.Response < b.Response
 	})
+	for i := range out {
+		out[i].selector = assignmentString(out[i].Assignment) // part of every cell the index holds
+	}
 	return out
 }
 

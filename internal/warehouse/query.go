@@ -37,7 +37,9 @@ const (
 type Request struct {
 	// Kind is one of KindRuns, KindHistory, KindTrends, KindRegressions.
 	Kind string `json:"kind"`
-	// Experiment filters to one experiment (required for history).
+	// Experiment filters to one experiment. Every kind takes it and none
+	// needs it: a history query without one lists the selected cell under
+	// every experiment that has it.
 	Experiment string `json:"experiment,omitempty"`
 	// Cell selects one design cell for history queries, by assignment
 	// hash or by the canonical sorted "k=v k=v" assignment string.
@@ -99,19 +101,21 @@ type RunInfo struct {
 // HistoryPoint is one run's aggregate of the queried cell, with the
 // confidence interval rebuilt from (n, mean, variance).
 type HistoryPoint struct {
-	Run          string            `json:"run"`
-	ModTimeNS    int64             `json:"mod_time_ns"`
-	IngestTimeNS int64             `json:"ingest_time_ns"`
-	Experiment   string            `json:"experiment"`
-	Hash         string            `json:"hash"`
-	Assignment   map[string]string `json:"assignment"`
-	Response     string            `json:"response"`
-	N            int               `json:"n"`
-	Mean         float64           `json:"mean"`
-	Variance     float64           `json:"variance"`
-	Lo           float64           `json:"lo"`
-	Hi           float64           `json:"hi"`
-	Confidence   float64           `json:"confidence"`
+	Run          string `json:"run"`
+	ModTimeNS    int64  `json:"mod_time_ns"`
+	IngestTimeNS int64  `json:"ingest_time_ns"`
+	Experiment   string `json:"experiment"`
+	Hash         string `json:"hash"`
+	// Assignment is the index's own map, the one every aggregate of the
+	// design cell holds in every run: read-only.
+	Assignment map[string]string `json:"assignment"`
+	Response   string            `json:"response"`
+	N          int               `json:"n"`
+	Mean       float64           `json:"mean"`
+	Variance   float64           `json:"variance"`
+	Lo         float64           `json:"lo"`
+	Hi         float64           `json:"hi"`
+	Confidence float64           `json:"confidence"`
 }
 
 // TrendPoint is one run on a trend line.
@@ -133,8 +137,10 @@ type TrendLine struct {
 // run before it: disjoint confidence intervals, higher current mean —
 // the same rule as runstore.Gate.
 type RegressionEntry struct {
-	Experiment string            `json:"experiment"`
-	Hash       string            `json:"hash"`
+	Experiment string `json:"experiment"`
+	Hash       string `json:"hash"`
+	// Assignment is the index's own map, the one every aggregate of the
+	// design cell holds in every run: read-only.
 	Assignment map[string]string `json:"assignment"`
 	Response   string            `json:"response"`
 	BaseRun    string            `json:"base_run"`
@@ -170,33 +176,15 @@ func (w *Warehouse) Query(req Request) (*Result, error) {
 	case KindRuns:
 		res.Runs = queryRuns(live, req)
 	case KindHistory:
-		res.History = w.queryHistory(live, req)
+		res.History = queryHistory(live, req)
 	case KindTrends:
 		res.Trends = queryTrends(live, req)
 	case KindRegressions:
-		res.Regressions = w.queryRegressions(live, req)
+		res.Regressions = queryRegressions(live, req)
 	}
 	w.met.queries.Inc()
 	w.met.querySeconds.Observe(time.Since(start).Seconds())
 	return res, nil
-}
-
-// assignmentsOf returns, cell for cell, the canonical "k=v k=v"
-// assignment strings of r's cells — the second thing, after its hash, a
-// Request.Cell may name a cell by. A run's strings are rendered by the
-// first query that matches a selector against it and kept until put
-// replaces the run: that query renders what every query used to, and no
-// later one renders it again.
-func (w *Warehouse) assignmentsOf(r *Run) []string {
-	s, ok := w.assignments[r.Path]
-	if !ok {
-		s = make([]string, len(r.Cells))
-		for i, c := range r.Cells {
-			s[i] = assignmentString(c.Assignment)
-		}
-		w.assignments[r.Path] = s
-	}
-	return s
 }
 
 // intervals rebuilds cells' comparison intervals for one query,
@@ -260,16 +248,15 @@ func queryRuns(live []Run, req Request) []RunInfo {
 	return tail(out, req.Limit)
 }
 
-func (w *Warehouse) queryHistory(live []Run, req Request) []HistoryPoint {
+func queryHistory(live []Run, req Request) []HistoryPoint {
 	var out []HistoryPoint
 	iv := newIntervals(req)
 	for ri := range live {
 		r := &live[ri]
-		assignments := w.assignmentsOf(r)
 		for i := range r.Cells {
 			c := &r.Cells[i]
 			// The selector first: it is the filter that rejects most cells.
-			if req.Cell != assignments[i] && req.Cell != c.Hash {
+			if req.Cell != c.selector && req.Cell != c.Hash {
 				continue
 			}
 			if req.Experiment != "" && c.Experiment != req.Experiment {
@@ -355,7 +342,7 @@ func queryTrends(live []Run, req Request) []TrendLine {
 	return out
 }
 
-func (w *Warehouse) queryRegressions(live []Run, req Request) []RegressionEntry {
+func queryRegressions(live []Run, req Request) []RegressionEntry {
 	type point struct {
 		run  *Run
 		cell *Cell
@@ -370,13 +357,9 @@ func (w *Warehouse) queryRegressions(live []Run, req Request) []RegressionEntry 
 	var all []series
 	for ri := range live {
 		r := &live[ri]
-		var assignments []string
-		if req.Cell != "" {
-			assignments = w.assignmentsOf(r)
-		}
 		for ci := range r.Cells {
 			c := &r.Cells[ci]
-			if req.Cell != "" && req.Cell != assignments[ci] && req.Cell != c.Hash {
+			if req.Cell != "" && req.Cell != c.selector && req.Cell != c.Hash {
 				continue
 			}
 			if req.Experiment != "" && c.Experiment != req.Experiment {

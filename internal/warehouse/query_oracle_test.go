@@ -85,7 +85,7 @@ func TestQueryEqualsReferenceOverRandomIndexes(t *testing.T) {
 		w := openTest(t, t.TempDir())
 		put := func(r Run) {
 			t.Helper()
-			if err := w.put(r); err != nil {
+			if err := w.idx.Put(r); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,7 +1,9 @@
 package warehouse
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +80,41 @@ func TestQueryHistory(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "cell history: 3 points") {
 		t.Fatalf("history render:\n%s", res.String())
+	}
+}
+
+// TestQueryHistorySpansExperiments pins what Request.Experiment says: a
+// history query needs a cell and nothing else, and without an experiment it
+// lists the cell under every experiment that has it — each experiment's
+// points oldest first within a run-ordered listing.
+func TestQueryHistorySpansExperiments(t *testing.T) {
+	root := t.TempDir()
+	cell := map[string]string{"f": "x"}
+	for i, name := range []string{"r0.jsonl", "r1.jsonl"} {
+		writeJournal(t, filepath.Join(root, name), []runstore.Record{
+			mkRec("e1", cell, 0, map[string]float64{"ms": float64(10 + i)}),
+			mkRec("e2", cell, 0, map[string]float64{"ms": float64(20 + i)}),
+			mkRec("e2", map[string]string{"f": "y"}, 0, map[string]float64{"ms": 99}),
+		}, baseTime.Add(time.Duration(i)*time.Second))
+	}
+	w := refreshed(t, root)
+	for _, sel := range []string{"f=x", runstore.AssignmentHash(cell)} {
+		res, err := w.Query(Request{Kind: KindHistory, Cell: sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range res.History {
+			got = append(got, fmt.Sprintf("%s/%s=%g", p.Run, p.Experiment, p.Mean))
+		}
+		want := []string{"r0.jsonl/e1=10", "r0.jsonl/e2=20", "r1.jsonl/e1=11", "r1.jsonl/e2=21"}
+		if !slices.Equal(got, want) {
+			t.Errorf("history of %q without an experiment = %v, want both experiments' histories %v", sel, got, want)
+		}
+		one, err := w.Query(Request{Kind: KindHistory, Cell: sel, Experiment: "e2"})
+		if err != nil || len(one.History) != 2 || one.History[0].Mean != 20 || one.History[1].Mean != 21 {
+			t.Errorf("history of %q in e2 = %+v, %v", sel, one, err)
+		}
 	}
 }
 
@@ -247,6 +284,9 @@ func TestQueryMetrics(t *testing.T) {
 	}
 	if got["warehouse_queries_total"] != 3 {
 		t.Fatalf("queries = %g, want 3", got["warehouse_queries_total"])
+	}
+	if hist["warehouse_open_seconds"] != 1 {
+		t.Fatalf("open_seconds count = %d, want 1: one observation per Open", hist["warehouse_open_seconds"])
 	}
 	if hist["warehouse_query_seconds"] != 3 {
 		t.Fatalf("query_seconds count = %d, want 3", hist["warehouse_query_seconds"])

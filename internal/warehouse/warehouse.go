@@ -43,15 +43,15 @@ type Warehouse struct {
 	idx   *index
 	met   *metrics
 	clock func() time.Time
-	// assignments holds, per run path, what assignmentsOf rendered for the
-	// run the index holds under that path.
-	assignments map[string][]string
 }
 
 // Open opens the warehouse over root (which must exist), loading the
 // index file. Open never reads a record and builds no query structure:
 // a warehouse over a million-record directory opens in the time it
-// takes to replay its index file, one pass over its bytes.
+// takes to replay its index file, one pass over its bytes — and what the
+// runs of one design repeat (a cell's experiment, hash, assignment and
+// selector) is built once per Open, not once per run. The replay is the
+// one observation warehouse_open_seconds gets.
 func Open(root string, opts Options) (*Warehouse, error) {
 	st, err := os.Stat(root)
 	if err != nil {
@@ -59,10 +59,6 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	}
 	if !st.IsDir() {
 		return nil, fmt.Errorf("warehouse: root %s is not a directory", root)
-	}
-	idx, err := openIndex(filepath.Join(root, IndexFile))
-	if err != nil {
-		return nil, err
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -72,7 +68,14 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Warehouse{root: root, idx: idx, met: newMetrics(reg), clock: clock, assignments: make(map[string][]string)}, nil
+	met := newMetrics(reg)
+	start := time.Now()
+	idx, err := openIndex(filepath.Join(root, IndexFile))
+	if err != nil {
+		return nil, err
+	}
+	met.openSeconds.Observe(time.Since(start).Seconds())
+	return &Warehouse{root: root, idx: idx, met: met, clock: clock}, nil
 }
 
 // Root returns the directory the warehouse catalogs.
@@ -186,7 +189,7 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 		if prev, known := indexed[t.rel]; known && prev.Fingerprint == run.Fingerprint && !prev.Pruned {
 			run.IngestTimeNS = prev.IngestTimeNS // touched, not changed
 		}
-		if err := w.put(run); err != nil {
+		if err := w.idx.Put(run); err != nil {
 			return rs, err
 		}
 		rs.Ingested++
@@ -195,13 +198,6 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 		w.met.ingestRecords.Add(int64(run.Records))
 	}
 	return rs, statErr
-}
-
-// put is idx.Put for a warehouse: a run that is replaced takes the
-// assignment strings rendered for it along.
-func (w *Warehouse) put(r Run) error {
-	delete(w.assignments, r.Path)
-	return w.idx.Put(r)
 }
 
 // ingest reads one source end to end and builds its run summary, ingest
@@ -221,7 +217,9 @@ func (w *Warehouse) put(r Run) error {
 // cell's first — the cell's assignment). The view a step yields is gone at
 // the next, so what outlives it is copied here and only that: a record's
 // fingerprint and values, and once per cell its key (which the experiment
-// and the hash are cut from) and its assignment.
+// and the hash are cut from) and its assignment — whose canonical string,
+// rendered once per design cell to sort the run's cells by, stays on every
+// cell as its selector.
 func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
 	if err != nil {
@@ -251,18 +249,10 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 		slots  []slot
 		cells  []cell
 		slotAt = make(map[slotKey]int)
-		cellAt = make(map[string]int)    // cell key -> cell
-		names  = make(map[string]string) // a source's few factor and response names, each allocated once
+		cellAt = make(map[string]int) // cell key -> cell
+		name   = make(names).of       // a source's few factor and response names, each allocated once
 		key    []byte
 	)
-	name := func(b []byte) string {
-		s, ok := names[string(b)]
-		if !ok {
-			s = string(b)
-			names[s] = s
-		}
-		return s
-	}
 	for f, err := range r.Fields() {
 		if err != nil {
 			return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
@@ -326,18 +316,13 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 			vals[rv.response] = append(vals[rv.response], rv.v)
 		}
 	}
-	type sortable struct {
-		Cell
-		assignment string // the canonical "k=v k=v" form, rendered once per design cell
-	}
-	var sorted []sortable
 	for ci, c := range cells {
 		resps := make([]string, 0, len(perCell[ci]))
 		for resp := range perCell[ci] {
 			resps = append(resps, resp)
 		}
 		slices.Sort(resps)
-		assignment := assignmentString(c.assignment)
+		selector := assignmentString(c.assignment) // once per design cell: sorted by here, matched by queries
 		for _, resp := range resps {
 			vals := perCell[ci][resp]
 			out := Cell{
@@ -347,25 +332,20 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 				Response:   resp,
 				N:          len(vals),
 				Mean:       stats.Mean(vals),
+				selector:   selector,
 			}
 			if len(vals) >= 2 {
 				out.Variance = stats.Variance(vals)
 			}
-			sorted = append(sorted, sortable{out, assignment})
+			run.Cells = append(run.Cells, out)
 		}
 	}
-	slices.SortFunc(sorted, func(a, b sortable) int {
+	slices.SortFunc(run.Cells, func(a, b Cell) int {
 		return cmp.Or(
 			strings.Compare(a.Experiment, b.Experiment),
-			strings.Compare(a.assignment, b.assignment),
+			strings.Compare(a.selector, b.selector),
 			strings.Compare(a.Response, b.Response))
 	})
-	if len(sorted) > 0 {
-		run.Cells = make([]Cell, len(sorted))
-		for i := range sorted {
-			run.Cells[i] = sorted[i].Cell
-		}
-	}
 	return run, nil
 }
 
@@ -484,7 +464,7 @@ func (w *Warehouse) Prune(pol Retention) (PruneStats, error) {
 			Records:      r.Records,
 			Pruned:       true,
 		}
-		if err := w.put(tomb); err != nil {
+		if err := w.idx.Put(tomb); err != nil {
 			return ps, err
 		}
 		ps.Pruned++

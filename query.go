@@ -46,7 +46,9 @@ type QueryConfig struct {
 	// Kind selects the question: QueryRuns (default), QueryHistory,
 	// QueryTrends, or QueryRegressions.
 	Kind string
-	// Experiment filters to one experiment (required for history).
+	// Experiment filters to one experiment. Every kind takes it and none
+	// needs it: a history query without one lists the selected cell under
+	// every experiment that has it.
 	Experiment string
 	// Cell selects one design cell for history queries, by assignment
 	// hash or by the canonical sorted "k=v k=v" assignment string.
