@@ -93,9 +93,12 @@ docs-check:
 # binary walk to the decoder it replaced), and each codec's entry
 # scan must agree with decoding on every payload, its canonical verdict
 # true exactly when re-encoding reproduces the bytes (FuzzEntryScan —
-# what lets Merge and Compact copy a frame), and the hand-written run
+# what lets Merge and Compact copy a frame), the hand-written run
 # document codec of the warehouse index must agree with encoding/json on
-# every input (FuzzIndexCodec). `go test -fuzz` takes
+# every input (FuzzIndexCodec), and the archive's streaming walk must
+# agree with Archive.Open + Scan over arbitrary bytes after either
+# version's magic, every record block type judged by one torn-or-corrupt
+# rule (FuzzArchiveReader). `go test -fuzz` takes
 # one target per invocation, so the fuzzers run back to back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
@@ -107,6 +110,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEntryScan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 	$(GO) test -fuzz=FuzzIndexCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
+	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore/archivestore
 
 .PHONY: cover
 cover:

@@ -20,6 +20,7 @@ type Archive struct {
 	mu       sync.Mutex
 	path     string
 	f        *os.File // nil after Close; reads then reopen read-only per call
+	version  int      // the file's format version: its magic, trailer and record blocks
 	interval int      // record blocks per index page
 
 	idx      map[string]entry // runstore.Key -> record block location
@@ -32,20 +33,7 @@ type Archive struct {
 	needTruncate bool  // a loaded footer must be cut off before appending
 	dirty        bool  // the on-disk footer is absent or stale
 	torn         bool  // recovery dropped a torn tail on open
-	compress     bool  // new appends are written as compressed blocks
 	closed       bool
-}
-
-// SetCompress selects the block encoding for subsequent Appends: when
-// on, each record is written as a compressed block (blockRecordZ, the
-// JSON doc flate-compressed) instead of a plain one. The two encodings
-// coexist freely within a file — every reader dispatches per block — so
-// the switch can be flipped at any point in an archive's life, and an
-// archive written by either setting opens everywhere.
-func (a *Archive) SetCompress(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.compress = on
 }
 
 // Archive is a Store backend like the journal and the shard store.
@@ -56,7 +44,9 @@ var _ runstore.Store = (*Archive)(nil)
 // payloads; an unfinalized one — a crash before Close — is recovered by
 // scanning block checksums and truncating the torn tail, exactly as the
 // journal truncates a torn line. Parent directories are created as
-// needed.
+// needed. A new file is a version-1 archive; an existing one keeps its
+// version, and its appends are written in that version's record block
+// (appendRecordPayload).
 func Open(path string) (*Archive, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -67,7 +57,7 @@ func Open(path string) (*Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archivestore: %w", err)
 	}
-	a := &Archive{path: path, f: f, interval: DefaultIndexInterval, idx: make(map[string]entry)}
+	a := &Archive{path: path, f: f, version: 1, interval: DefaultIndexInterval, idx: make(map[string]entry)}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -87,7 +77,10 @@ func Open(path string) (*Archive, error) {
 		return a, nil
 	}
 	head := make([]byte, headerSize)
-	if _, err := f.ReadAt(head, 0); err != nil || string(head) != Magic {
+	if _, err := f.ReadAt(head, 0); err != nil {
+		clear(head)
+	}
+	if a.version = versionOf(head); a.version == 0 {
 		f.Close()
 		return nil, fmt.Errorf("archivestore: %s is not an archive (bad or short magic)", path)
 	}
@@ -132,7 +125,7 @@ func (a *Archive) loadFinalized(size int64) (bool, error) {
 	if _, err := a.f.ReadAt(t, size-int64(trailerSize)); err != nil {
 		return false, fmt.Errorf("archivestore: %w", err)
 	}
-	footOff, ok := decodeTrailer(t)
+	footOff, ok := decodeTrailer(t, a.version)
 	if !ok || footOff < int64(headerSize) || footOff+int64(blockHeaderSize) > size-int64(trailerSize) {
 		return false, nil
 	}
@@ -207,8 +200,8 @@ func (a *Archive) scanBlocks(data []byte) int64 {
 		}
 		blockLen := int64(blockHeaderSize) + int64(len(payload))
 		switch typ {
-		case blockRecord, blockRecordZ:
-			exp, hash, rep, err := recordPayloadKey(payload)
+		case blockRecord, blockRecordZ, blockRecordB:
+			exp, hash, rep, err := recordPayloadKey(typ, payload)
 			if err != nil {
 				return off // checksummed but malformed: treat as torn here
 			}
@@ -288,7 +281,7 @@ func (a *Archive) Info() runstore.Info {
 	if len(a.pending) > 0 {
 		pages++
 	}
-	detail := fmt.Sprintf("archive: %d record block(s), %d index page(s)", a.appended, pages)
+	detail := fmt.Sprintf("%s: %d record block(s), %d index page(s)", label(a.version), a.appended, pages)
 	switch {
 	case !a.dirty:
 		detail += ", footer ok"
@@ -400,17 +393,7 @@ func (a *Archive) Append(rec runstore.Record) error {
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	compress := a.compress
-	a.mu.Unlock()
-	typ := byte(blockRecord)
-	var payload []byte
-	if compress {
-		typ = blockRecordZ
-		payload, err = encodeRecordPayloadZ(rec)
-	} else {
-		payload, err = encodeRecordPayload(rec)
-	}
+	typ, payload, err := appendRecordPayload(nil, a.version, rec) // version is fixed at Open
 	if err != nil {
 		return err
 	}
@@ -488,7 +471,7 @@ func (a *Archive) Close() error {
 	}
 	footOff := a.dataEnd
 	tail := appendBlock(nil, blockFooter, encodeFooterPayload(a.appended, a.pages))
-	tail = append(tail, encodeTrailer(footOff)...)
+	tail = append(tail, encodeTrailer(footOff, a.version)...)
 	if _, err := f.WriteAt(tail, footOff); err != nil {
 		f.Close()
 		a.f = nil

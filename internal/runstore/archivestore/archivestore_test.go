@@ -302,13 +302,13 @@ func TestUnknownBlockTypeSkipped(t *testing.T) {
 	// record — the shape a crashed future-version writer leaves behind.
 	var data []byte
 	data = append(data, Magic...)
-	p0, err := encodeRecordPayload(r0)
+	_, p0, err := appendRecordPayload(nil, 1, r0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data = appendBlock(data, blockRecord, p0)
 	data = appendBlock(data, 42, []byte("future auxiliary data"))
-	p1, err := encodeRecordPayload(r1)
+	_, p1, err := appendRecordPayload(nil, 1, r1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,32 +17,43 @@ import (
 
 // On-disk layout constants. The normative specification lives in
 // docs/FORMAT.md; change either in lockstep with the other and with the
-// version byte baked into the magic strings.
+// version digit baked into the magic strings.
 const (
-	// Magic is the 8-byte file header every archive starts with. The
-	// trailing '1' is the format version: an incompatible layout change
-	// bumps it, so old readers reject new files instead of misparsing
-	// them.
+	// Magic is the 8-byte file header of a version-1 archive — what a new
+	// live Archive and the plain bulk writer (Write) start a file with.
+	// The trailing digit is the format version: an incompatible layout
+	// change bumps it, so old readers reject new files instead of
+	// misparsing them.
 	Magic = "PEVARCH1"
-	// TrailerMagic ends the fixed-size trailer of a finalized archive.
+	// TrailerMagic ends the fixed-size trailer of a finalized version-1
+	// archive.
 	TrailerMagic = "PEA1"
+	// MagicV2 is the file header of a version-2 archive, the version
+	// WriteCompressed writes: its record blocks carry the binary codec's
+	// payload (blockRecordB), which a version-1 reader would skip as an
+	// unknown block type — a silent partial read — so the version is
+	// bumped and such a reader refuses the file instead.
+	MagicV2 = "PEVARCH2"
+	// TrailerMagicV2 ends the trailer of a finalized version-2 archive.
+	TrailerMagicV2 = "PEA2"
 	// Ext is the file extension of archive files; runstore.Merge writes
 	// an archive when its destination carries it.
 	Ext = ".arch"
-	// ExtZ is the destination extension selecting the compressed bulk
-	// writer (WriteCompressed). The file is an ordinary archive — same
-	// magic, same block framing — whose record blocks carry compressed
-	// payloads, so sources are still sniffed and read as "archive".
+	// ExtZ is the destination extension selecting the binary bulk writer
+	// (WriteCompressed): a version-2 archive, same block framing and
+	// index, whose record blocks carry the binary codec's payload. As a
+	// source it is sniffed and read as "archive", like any other.
 	ExtZ = ".archz"
 
-	blockRecord  = 1 // one length-prefixed record: key fields + JSON payload
+	blockRecord  = 1 // one record: key fields + JSON payload
 	blockIndex   = 2 // one index page: key -> block location entries
 	blockFooter  = 3 // the footer: appended count + index page offsets
-	blockRecordZ = 4 // a record block whose JSON doc is flate-compressed
+	blockRecordZ = 4 // legacy, read only: key fields + flate-compressed JSON doc
+	blockRecordB = 5 // version 2: one record's binary payload, its own key
 
 	headerSize      = len(Magic)
 	blockHeaderSize = 1 + 4 + 4 // type, payload length, payload CRC
-	trailerSize     = 8 + 4 + 4 // footer offset, its CRC, TrailerMagic
+	trailerSize     = 8 + 4 + 4 // footer offset, its CRC, trailer magic
 
 	// maxPayload bounds a block payload so a corrupt length field cannot
 	// drive a multi-gigabyte allocation during recovery scans.
@@ -53,6 +65,32 @@ const (
 	// (open reads every page either way, scans read every block).
 	DefaultIndexInterval = 1024
 )
+
+// versions holds each archive version's header and trailer magic,
+// indexed by version number. A file's trailer must be its header's.
+var versions = [...]struct{ magic, trailer string }{
+	1: {Magic, TrailerMagic},
+	2: {MagicV2, TrailerMagicV2},
+}
+
+// versionOf returns the version whose header magic head is, 0 for none.
+func versionOf(head []byte) int {
+	for v := 1; v < len(versions); v++ {
+		if string(head) == versions[v].magic {
+			return v
+		}
+	}
+	return 0
+}
+
+// label names an archive of the given version in Info details: "archive"
+// for version 1, whose details predate version 2 and stay as they were.
+func label(version int) string {
+	if version == 1 {
+		return "archive"
+	}
+	return fmt.Sprintf("archive v%d", version)
+}
 
 // castagnoli is the CRC-32C table every block checksum uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -159,42 +197,120 @@ func parseKeyFields(b []byte) (exp, hash string, rep int, rest []byte, err error
 	return string(e), string(h), rep, rest, err
 }
 
-// encodeRecordPayload builds a record block payload: key fields followed
-// by the record's canonical JSON document (runstore.AppendJSON, the
-// payload of a journal line, so the two formats round-trip losslessly). Key fields carry u16 length
-// prefixes, so over-long names are rejected here rather than silently
-// wrapped into a corrupt encoding.
-func encodeRecordPayload(rec runstore.Record) ([]byte, error) {
+// appendRecordPayload appends the payload of rec's record block in a file
+// of the given version to dst and returns the block's type with it: in
+// version 1 key fields followed by the record's canonical JSON document
+// (runstore.AppendJSON, the payload of a journal line), in version 2 the
+// binary codec's payload (runstore.AppendBinary, a binary journal frame's),
+// whose first three fields are the key — either way the record round-trips
+// losslessly through every other format. Index pages carry the key in
+// fields with u16 length prefixes, so over-long names are rejected here
+// rather than silently wrapped into a corrupt encoding. On error dst is
+// returned unextended.
+func appendRecordPayload(dst []byte, version int, rec runstore.Record) (byte, []byte, error) {
 	if len(rec.Experiment) > math.MaxUint16 {
-		return nil, fmt.Errorf("archivestore: experiment name is %d bytes, max %d", len(rec.Experiment), math.MaxUint16)
+		return 0, dst, fmt.Errorf("archivestore: experiment name is %d bytes, max %d", len(rec.Experiment), math.MaxUint16)
 	}
 	if len(rec.Hash) > math.MaxUint16 {
-		return nil, fmt.Errorf("archivestore: assignment hash is %d bytes, max %d", len(rec.Hash), math.MaxUint16)
+		return 0, dst, fmt.Errorf("archivestore: assignment hash is %d bytes, max %d", len(rec.Hash), math.MaxUint16)
 	}
-	payload, err := runstore.AppendJSON(appendKeyFields(nil, rec.Experiment, rec.Hash, rec.Replicate), rec)
+	if version == 2 {
+		return blockRecordB, runstore.AppendBinary(dst, rec), nil
+	}
+	out, err := runstore.AppendJSON(appendKeyFields(dst, rec.Experiment, rec.Hash, rec.Replicate), rec)
 	if err != nil {
-		return nil, fmt.Errorf("archivestore: %w", err)
+		return 0, dst, fmt.Errorf("archivestore: %w", err)
 	}
-	return payload, nil
+	return blockRecord, out, nil
 }
 
-// recordPayloadKey parses only the key fields of a record block payload —
-// what recovery scans and Inspect need, JSON parse avoided. The key
-// fields lead the payload uncompressed in both record block types, so
-// the same parse serves blockRecord and blockRecordZ.
-func recordPayloadKey(payload []byte) (exp, hash string, rep int, err error) {
+// errBinaryKey is what a binary record block whose key does not parse
+// fails with.
+var errBinaryKey = errors.New("archivestore: corrupt binary record block: malformed key")
+
+// binaryKey parses the key a binary record block's payload leads with —
+// the experiment, hash and replicate fields of the binary codec's payload
+// (docs/FORMAT.md §4), by the codec's own rules — without reading the
+// rest, the strings still in the payload. Every writer fills the hash
+// first, so a payload without one is malformed, as one whose key fields
+// are cut short is.
+func binaryKey(b []byte) (exp, hash []byte, rep int, err error) {
+	str := func() ([]byte, bool) {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return nil, false
+		}
+		s := b[k : k+int(n)]
+		b = b[k+int(n):]
+		return s, true
+	}
+	exp, ok := str()
+	if ok {
+		hash, ok = str()
+	}
+	r, k := binary.Varint(b)
+	if !ok || len(hash) == 0 || k <= 0 {
+		return nil, nil, 0, errBinaryKey
+	}
+	return exp, hash, int(r), nil
+}
+
+// recordPayloadKey parses only the key of a record block payload of type
+// typ — what recovery scans need, no document read: the key fields a JSON
+// record block leads with, plain or compressed, or a binary block's first
+// three fields.
+func recordPayloadKey(typ byte, payload []byte) (exp, hash string, rep int, err error) {
+	if typ == blockRecordB {
+		e, h, rep, err := binaryKey(payload)
+		return string(e), string(h), rep, err
+	}
 	exp, hash, rep, _, err = parseKeyFields(payload)
 	return
 }
 
-// isRecordBlock reports whether typ carries a record — plain or
-// compressed. Everything that indexes, scans, or reads record blocks
-// dispatches through it so the two encodings stay interchangeable.
-func isRecordBlock(typ byte) bool { return typ == blockRecord || typ == blockRecordZ }
+// isRecordBlock reports whether typ carries a record — JSON, compressed
+// JSON or binary. Everything that indexes, scans, or reads record blocks
+// dispatches through it so the encodings stay interchangeable.
+func isRecordBlock(typ byte) bool {
+	return typ == blockRecord || typ == blockRecordZ || typ == blockRecordB
+}
+
+// recordFields is the field pass over a record block payload of type typ:
+// f filled with the record the block holds, pointing into payload — or,
+// for a compressed block, into *buf, which the document is inflated into
+// (see recordDoc). A payload that does not decode is the error, its key
+// included: a block a recovery scan would stop at (recordPayloadKey) never
+// yields fields.
+func recordFields(typ byte, payload []byte, buf *[]byte, f *runstore.Fields) error {
+	if typ == blockRecordB {
+		if _, _, _, err := binaryKey(payload); err != nil {
+			return err
+		}
+		if err := runstore.DecodeBinaryFields(payload, f); err != nil {
+			return fmt.Errorf("archivestore: %w", err)
+		}
+		return nil
+	}
+	doc, err := recordDoc(typ, payload, buf)
+	if err != nil {
+		return err
+	}
+	if err := runstore.DecodeJSONFields(doc, f); err != nil {
+		return fmt.Errorf("archivestore: corrupt record payload: %w", err)
+	}
+	return nil
+}
 
 // decodeRecordBlock decodes a record block payload according to its
 // block type.
 func decodeRecordBlock(typ byte, payload []byte) (runstore.Record, error) {
+	if typ == blockRecordB {
+		var f runstore.Fields // on this stack
+		if err := recordFields(typ, payload, nil, &f); err != nil {
+			return runstore.Record{}, err
+		}
+		return f.Record(), nil
+	}
 	doc, err := recordDoc(typ, payload, new([]byte))
 	if err != nil {
 		return runstore.Record{}, err
@@ -206,61 +322,18 @@ func decodeRecordBlock(typ byte, payload []byte) (runstore.Record, error) {
 	return rec, nil
 }
 
-// flateWriters pools flate writers for the compressed-block encode
-// path: flate.NewWriter allocates large internal tables, so bulk writes
-// reuse one per goroutine instead of one per record.
-var flateWriters = sync.Pool{New: func() any {
-	zw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		panic(err) // only invalid levels fail; BestSpeed is valid
-	}
-	return zw
-}}
-
-// flateReaders pools flate readers for the decode path; every reader
-// returned by flate.NewReader implements flate.Resetter.
+// flateReaders pools flate readers for the legacy compressed blocks;
+// every reader returned by flate.NewReader implements flate.Resetter.
 var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
 
-// encodeRecordPayloadZ builds a compressed record block payload: the
-// same uncompressed key fields a plain record block leads with (so
-// recovery scans and index rebuilds never inflate anything), then the
-// raw JSON doc length, then the doc flate-compressed at BestSpeed —
-// archives trade a little CPU for the dominant storage term, and the
-// ratio on repetitive assignment maps is what matters, not the level.
-func encodeRecordPayloadZ(rec runstore.Record) ([]byte, error) {
-	if len(rec.Experiment) > math.MaxUint16 {
-		return nil, fmt.Errorf("archivestore: experiment name is %d bytes, max %d", len(rec.Experiment), math.MaxUint16)
-	}
-	if len(rec.Hash) > math.MaxUint16 {
-		return nil, fmt.Errorf("archivestore: assignment hash is %d bytes, max %d", len(rec.Hash), math.MaxUint16)
-	}
-	doc, err := runstore.AppendJSON(nil, rec)
-	if err != nil {
-		return nil, fmt.Errorf("archivestore: %w", err)
-	}
-	payload := appendKeyFields(nil, rec.Experiment, rec.Hash, rec.Replicate)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:4], uint32(len(doc)))
-	payload = append(payload, n[:4]...)
-	buf := bytes.NewBuffer(payload)
-	zw := flateWriters.Get().(*flate.Writer)
-	zw.Reset(buf)
-	if _, err := zw.Write(doc); err == nil {
-		err = zw.Close()
-	}
-	flateWriters.Put(zw)
-	if err != nil {
-		return nil, fmt.Errorf("archivestore: compressing record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// recordDoc returns the record's JSON document inside a record block
+// recordDoc returns the record's JSON document inside a JSON record block
 // payload of type typ: what follows the key fields — a compressed one
-// inflated into *buf, which is grown as needed and which the next call
-// may be handed again, so the document is valid until then.
+// (type 4, written by the compact bulk writer before version 2: the raw
+// document's length, then its DEFLATE stream) inflated into *buf, which
+// is grown as needed and which the next call may be handed again, so the
+// document is valid until then.
 func recordDoc(typ byte, payload []byte, buf *[]byte) ([]byte, error) {
 	_, _, _, rest, err := cutKeyFields(payload)
 	if err != nil || typ != blockRecordZ {
@@ -371,20 +444,21 @@ func decodeFooterPayload(payload []byte) (appended int, pages []int64, err error
 	return appended, pages, nil
 }
 
-// encodeTrailer builds the fixed-size trailer pointing at the footer
-// block.
-func encodeTrailer(footerOff int64) []byte {
+// encodeTrailer builds the fixed-size trailer of an archive of the given
+// version, pointing at the footer block.
+func encodeTrailer(footerOff int64, version int) []byte {
 	t := make([]byte, trailerSize)
 	binary.LittleEndian.PutUint64(t[:8], uint64(footerOff))
 	binary.LittleEndian.PutUint32(t[8:12], crc32.Checksum(t[:8], castagnoli))
-	copy(t[12:], TrailerMagic)
+	copy(t[12:], versions[version].trailer)
 	return t
 }
 
-// decodeTrailer validates a 16-byte trailer and returns the footer
-// offset; ok is false for anything that is not a well-formed trailer.
-func decodeTrailer(t []byte) (footerOff int64, ok bool) {
-	if len(t) != trailerSize || string(t[12:]) != TrailerMagic {
+// decodeTrailer validates a 16-byte trailer of an archive of the given
+// version and returns the footer offset; ok is false for anything that is
+// not a well-formed trailer of that version — another version's included.
+func decodeTrailer(t []byte, version int) (footerOff int64, ok bool) {
+	if len(t) != trailerSize || string(t[12:]) != versions[version].trailer {
 		return 0, false
 	}
 	if crc32.Checksum(t[:8], castagnoli) != binary.LittleEndian.Uint32(t[8:12]) {

@@ -1,4 +1,4 @@
-package archivestore_test
+package archivestore
 
 import (
 	"os"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/runstore"
-	"repro/internal/runstore/archivestore"
 	"repro/internal/runstore/storetest"
 )
 
@@ -17,39 +16,55 @@ func TestArchivestoreConformance(t *testing.T) {
 	storetest.Run(t, storetest.Backend{
 		Name: "archivestore",
 		Open: func(t *testing.T, dir string) runstore.Store {
-			a, err := archivestore.OpenDir(dir, "e")
+			a, err := OpenDir(dir, "e")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
 		},
-		Tear: tearArchive,
+		Tear: func(t *testing.T, dir string) { tearArchive(t, filepath.Join(dir, "e"+Ext)) },
 	})
 }
 
-// TestArchivestoreCompressedConformance runs the same contract suite
-// with compressed record blocks — the Store semantics must not depend
-// on the block encoding.
+// TestArchivestoreCompressedConformance runs the same contract suite over
+// a compact archive: the version-2 file runstore.Merge writes for an
+// .archz destination, opened by the live Archive, whose appends then
+// carry the binary codec's payload like the blocks the merge wrote. The
+// Store semantics must not depend on the file's version or its record
+// block encoding.
 func TestArchivestoreCompressedConformance(t *testing.T) {
 	storetest.Run(t, storetest.Backend{
 		Name: "archivestore-compressed",
 		Open: func(t *testing.T, dir string) runstore.Store {
-			a, err := archivestore.OpenDir(dir, "e")
+			path := filepath.Join(dir, "e"+ExtZ)
+			if _, err := os.Stat(path); os.IsNotExist(err) {
+				empty := filepath.Join(dir, "empty.jsonl")
+				if err := os.WriteFile(empty, nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := runstore.Merge([]string{empty}, path); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Remove(empty); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.SetCompress(true)
 			return a
 		},
-		Tear: tearArchive,
+		Tear: func(t *testing.T, dir string) { tearArchive(t, filepath.Join(dir, "e"+ExtZ)) },
 	})
 }
 
 // tearArchive simulates a crash mid-append: a half-written block after
 // the finalized tail also invalidates the trailer, so the reopen takes
 // the recovery-scan path.
-func tearArchive(t *testing.T, dir string) {
-	f, err := os.OpenFile(filepath.Join(dir, "e"+archivestore.Ext), os.O_APPEND|os.O_WRONLY, 0)
+func tearArchive(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package archivestore
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"iter"
 	"os"
@@ -15,22 +14,22 @@ import (
 // init plugs the archive format into the runstore journal tooling:
 // Merge writes an archive when the destination ends in Ext, and
 // LoadRecords / ScanFile / Inspect / Merge sources dispatch on the file
-// magic through the streaming reader. Any program importing this
-// package gets the behavior; the scheduler does not need to.
+// magic — either version's — through the streaming reader. Any program
+// importing this package gets the behavior; the scheduler does not need
+// to.
 func init() {
 	runstore.RegisterFormat(runstore.Format{
 		Name:       "archive",
 		Ext:        Ext,
-		Sniff:      func(head []byte) bool { return bytes.Equal(head, []byte(Magic)) },
+		Sniff:      func(head []byte) bool { return versionOf(head) != 0 },
 		OpenReader: OpenReader,
 		Write:      Write,
 		Inspect:    Inspect,
 	})
-	// The compressed variant is destination-only: a .archz file carries
-	// the same magic and block framing, so as a source it sniffs (and
-	// reads) as "archive" above. Registering the extension routes Merge
-	// and Compact destinations ending in .archz through the compressed
-	// bulk writer.
+	// The binary variant is destination-only: a .archz file has the same
+	// block framing and index, so as a source it sniffs (and reads) as
+	// "archive" above. Registering the extension routes Merge and Compact
+	// destinations ending in .archz through the binary bulk writer.
 	runstore.RegisterFormat(runstore.Format{
 		Name:       "archivez",
 		Ext:        ExtZ,
@@ -49,21 +48,26 @@ func init() {
 // unlike Archive.Append it buffers and syncs once, so converting a
 // 10^5-record journal costs one write pass, not 10^5 fsyncs. A yielded
 // error aborts the write and leaves dst untouched. The file mode is
-// copied from modeFrom when that file exists, 0644 otherwise.
+// copied from modeFrom when that file exists, 0644 otherwise. The file is
+// a version-1 archive, its record blocks JSON: what a live Archive
+// writes.
 func Write(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string) error {
-	return writeWith(dst, recs, modeFrom, false)
+	return writeVersion(dst, recs, modeFrom, 1)
 }
 
-// WriteCompressed is Write with every record block flate-compressed —
-// the bulk build path behind .archz merge destinations. The result is a
-// valid archive by every reader's lights (compression is per block, not
-// per file), just smaller on disk for the storage-bound cold path.
+// WriteCompressed is Write into a version-2 archive, every record block
+// the binary codec's payload of one record — the bulk build path behind
+// .archz merge destinations: the smaller file, and the cheaper one to
+// read and to write (no JSON document in it anywhere). The name predates
+// version 2, when the blocks were DEFLATE-compressed JSON.
 func WriteCompressed(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string) error {
-	return writeWith(dst, recs, modeFrom, true)
+	return writeVersion(dst, recs, modeFrom, 2)
 }
 
-// writeWith is the shared bulk writer behind Write and WriteCompressed.
-func writeWith(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string, compress bool) error {
+// writeVersion is the shared bulk writer behind Write and WriteCompressed:
+// an archive of the given version, its record blocks that version's
+// (appendRecordPayload).
+func writeVersion(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string, version int) error {
 	if dir := filepath.Dir(dst); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("archivestore: %w", err)
@@ -87,13 +91,14 @@ func writeWith(dst string, recs iter.Seq2[runstore.Record, error], modeFrom stri
 		return err
 	}
 	bw := bufio.NewWriterSize(tmp, 256<<10)
-	if _, err := bw.WriteString(Magic); err != nil {
+	if _, err := bw.WriteString(versions[version].magic); err != nil {
 		return fail(fmt.Errorf("archivestore: %w", err))
 	}
 	off := int64(headerSize)
 	written := 0
 	var pending []pendingEntry
 	var pages []int64
+	var payload, block []byte // reused for every record
 	flushPage := func() error {
 		if len(pending) == 0 {
 			return nil
@@ -118,19 +123,12 @@ func writeWith(dst string, recs iter.Seq2[runstore.Record, error], modeFrom stri
 		if rec.Hash == "" {
 			rec.Hash = runstore.AssignmentHash(rec.Assignment)
 		}
-		typ := byte(blockRecord)
-		var payload []byte
-		var err error
-		if compress {
-			typ = blockRecordZ
-			payload, err = encodeRecordPayloadZ(rec)
-		} else {
-			payload, err = encodeRecordPayload(rec)
-		}
+		typ, out, err := appendRecordPayload(payload[:0], version, rec)
 		if err != nil {
 			return fail(err)
 		}
-		block := appendBlock(nil, typ, payload)
+		payload = out
+		block = appendBlock(block[:0], typ, payload)
 		if _, err := bw.Write(block); err != nil {
 			return fail(fmt.Errorf("archivestore: %w", err))
 		}
@@ -150,7 +148,7 @@ func writeWith(dst string, recs iter.Seq2[runstore.Record, error], modeFrom stri
 		return fail(err)
 	}
 	tail := appendBlock(nil, blockFooter, encodeFooterPayload(written, pages))
-	tail = append(tail, encodeTrailer(off)...)
+	tail = append(tail, encodeTrailer(off, version)...)
 	if _, err := bw.Write(tail); err != nil {
 		return fail(fmt.Errorf("archivestore: %w", err))
 	}

@@ -16,7 +16,17 @@
 // (experiment, assignment-hash, replicate) key to its block's offset,
 // and record payloads stay on disk until Lookup fetches one. The
 // normative byte-level specification is docs/FORMAT.md; the versioning
-// policy lives in the magic strings (Magic, TrailerMagic).
+// policy lives in the magic strings.
+//
+// There are two versions, and every reader reads both. Version 1
+// (Magic, TrailerMagic) is what a new live Archive and Write produce:
+// each record block holds key fields and the record's JSON document.
+// Version 2 (MagicV2, TrailerMagicV2) is what WriteCompressed produces
+// for .archz destinations: each record block holds the binary codec's
+// payload of one record (runstore.AppendBinary), whose first three
+// fields are its key — the smaller file, and the cheaper one to read and
+// write. Blocks of flate-compressed JSON, what .archz files held before
+// version 2, are still read and no longer written.
 //
 // Concurrency contract: an Archive's methods are safe for concurrent
 // use within one process (one mutex guards file and index). The file
@@ -28,7 +38,7 @@
 // before returning, so a crash after a successful Append loses nothing.
 // A crash before Close loses only the footer: Open detects the missing
 // or invalid trailer, rebuilds the index by scanning block checksums —
-// record keys are in the block headers, so recovery parses no JSON —
+// record keys lead every record payload, so recovery parses no document —
 // and truncates the torn tail past the last valid block, exactly as the
 // journal truncates a torn line. Index pages and footer are derivable
 // from the data blocks; only record blocks are load-bearing.

@@ -8,23 +8,26 @@ import (
 	"iter"
 	"os"
 	"slices"
+	"strings"
 
 	"repro/internal/runstore"
 )
 
-// reader is the streaming runstore.SourceReader over one archive file:
-// Fields and Entries are one walk of the block sequence front to back
-// with buffered reads, every block's document (a compressed one inflated
-// first) walked once by the JSON codec's field pass and no record built;
-// Read fetches a single block by extent. It backs runstore.OpenSource,
-// LoadRecords, ScanFile, Merge, Compact, Inspect and the warehouse ingest
-// for archive files — the same walk, torn-tail rule, and finalization
-// check everywhere.
+// reader is the streaming runstore.SourceReader over one archive file of
+// either version: Fields and Entries are one walk of the block sequence
+// front to back with buffered reads, every record block walked once by
+// its codec's field pass — a binary payload by the binary codec's, a JSON
+// document (a legacy compressed one inflated first) by the JSON codec's —
+// and no record built; Read fetches a single block by extent. It backs
+// runstore.OpenSource, LoadRecords, ScanFile, Merge, Compact, Inspect and
+// the warehouse ingest for archive files — the same walk, torn-tail rule,
+// and finalization check everywhere.
 type reader struct {
-	path string
-	f    *os.File
-	size int64
-	info runstore.Info
+	path    string
+	f       *os.File
+	size    int64
+	version int // from the header; the trailer must agree
+	info    runstore.Info
 }
 
 // OpenReader opens the archive at path for streaming read-only access —
@@ -41,26 +44,32 @@ func OpenReader(path string) (runstore.SourceReader, error) {
 		return nil, fmt.Errorf("archivestore: %w", err)
 	}
 	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, head); err != nil || string(head) != Magic {
+	if _, err := io.ReadFull(f, head); err != nil {
+		clear(head)
+	}
+	version := versionOf(head)
+	if version == 0 {
 		f.Close()
 		return nil, fmt.Errorf("archivestore: %s is not an archive (bad or short magic)", path)
 	}
-	return &reader{path: path, f: f, size: st.Size()}, nil
+	return &reader{path: path, f: f, size: st.Size(), version: version}, nil
 }
 
 // walk is the one forward pass over the block sequence, behind both
 // Fields and Entries: every record block in file order, superseded blocks
 // included, its document's fields handed to fn with the block's extent
 // until fn reports false. The view is the walk's own and every block
-// refills it, through one block buffer and one inflate buffer: it is valid
-// until fn returns. A torn or unfinalized tail ends the walk without error
-// and is reported via Info; unknown block types with valid checksums are
-// skipped (forward compatibility, per the docs/FORMAT.md versioning
-// policy); a record block that does not decode is the walk's error.
+// refills it, through one block buffer (and, for legacy compressed
+// blocks, one inflate buffer): it is valid until fn returns. A torn or
+// unfinalized tail ends the walk without error and is reported via Info;
+// unknown block types with valid checksums are skipped (forward
+// compatibility, per the docs/FORMAT.md versioning policy); a record
+// block that does not decode is the walk's error.
 func (r *reader) walk(fn func(*runstore.Fields, runstore.Extent) bool) error {
 	br := bufio.NewReaderSize(io.NewSectionReader(r.f, int64(headerSize), r.size-int64(headerSize)), 256<<10)
 	off := int64(headerSize)
-	records, zrecords, pages := 0, 0, 0
+	var records [blockRecordB + 1]int // record blocks by type; the total at 0
+	pages := 0
 	finalized := false
 	var (
 		frame    []byte // one block buffer for the whole walk
@@ -82,26 +91,18 @@ scan:
 			if r.size == end+int64(trailerSize) {
 				t := make([]byte, trailerSize)
 				if _, err := r.f.ReadAt(t, end); err == nil {
-					if footOff, ok := decodeTrailer(t); ok && footOff == off {
+					if footOff, ok := decodeTrailer(t, r.version); ok && footOff == off {
 						finalized = true
 					}
 				}
 			}
 			break scan
-		case blockRecord, blockRecordZ:
-			doc, err := recordDoc(typ, payload, &inflated)
-			if err == nil {
-				if err = runstore.DecodeJSONFields(doc, &fields); err != nil {
-					err = fmt.Errorf("archivestore: corrupt record payload: %w", err)
-				}
-			}
-			if err != nil {
+		case blockRecord, blockRecordZ, blockRecordB:
+			if err := recordFields(typ, payload, &inflated, &fields); err != nil {
 				return fmt.Errorf("archivestore: %s: %w", r.path, err)
 			}
-			records++
-			if typ == blockRecordZ {
-				zrecords++
-			}
+			records[0]++
+			records[typ]++
 			if !fn(&fields, runstore.Extent{Off: off, Len: blockLen}) {
 				return nil
 			}
@@ -115,9 +116,9 @@ scan:
 		dropped = r.size - off
 	}
 	r.info = runstore.Info{
-		Records: records,
-		Torn:    dropped > 0 || (!finalized && records > 0),
-		Detail:  describe(records, zrecords, pages, finalized, dropped),
+		Records: records[0],
+		Torn:    dropped > 0 || (!finalized && records[0] > 0),
+		Detail:  describe(r.version, records[0], records[blockRecordZ], records[blockRecordB], pages, finalized, dropped),
 	}
 	return nil
 }
@@ -192,13 +193,22 @@ func (r *reader) Info() runstore.Info { return r.info }
 // Close implements runstore.SourceReader.
 func (r *reader) Close() error { return r.f.Close() }
 
-// describe renders the archive Detail string shared by the streaming
-// reader, Inspect, and the open Archive's Info.
-func describe(records, zrecords, pages int, finalized bool, dropped int64) string {
-	detail := fmt.Sprintf("archive: %d record block(s), %d index page(s)", records, pages)
+// describe renders the archive Detail string of the streaming reader and
+// Inspect: the record blocks, how many of them are legacy compressed ones
+// and how many binary, and the index pages.
+func describe(version, records, zrecords, brecords, pages int, finalized bool, dropped int64) string {
+	var kinds []string
 	if zrecords > 0 {
-		detail = fmt.Sprintf("archive: %d record block(s) (%d compressed), %d index page(s)", records, zrecords, pages)
+		kinds = append(kinds, fmt.Sprintf("%d compressed", zrecords))
 	}
+	if brecords > 0 {
+		kinds = append(kinds, fmt.Sprintf("%d binary", brecords))
+	}
+	detail := fmt.Sprintf("%s: %d record block(s)", label(version), records)
+	if len(kinds) > 0 {
+		detail += " (" + strings.Join(kinds, ", ") + ")"
+	}
+	detail += fmt.Sprintf(", %d index page(s)", pages)
 	switch {
 	case finalized:
 		detail += ", footer ok"

@@ -25,8 +25,9 @@ func fieldsPass(t *testing.T, r runstore.SourceReader) (recs []runstore.Record, 
 
 // TestRecordsIsEntriesPlusRead: one block walk behind both projections,
 // through one block buffer, one inflate buffer and one view. Over an
-// archive whose blocks grow, shrink and grow again — plain and compressed,
-// superseded keys, an unknown block type in between, a torn tail — the
+// archive whose blocks grow, shrink and grow again — JSON, legacy
+// compressed and binary, superseded keys, an unknown block type in
+// between, a torn tail — the
 // field pass yields, block for block, the fields of what Entries followed
 // by Read yields, so nothing a step hands out is read from a buffer the
 // next block has overwritten; and both leave the same Info behind, its
@@ -34,20 +35,18 @@ func fieldsPass(t *testing.T, r runstore.SourceReader) (recs []runstore.Record, 
 func TestRecordsIsEntriesPlusRead(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "run.arch")
-	data := []byte(Magic)
+	data := []byte(MagicV2)
 	var frames []runstore.Record
 	for i, width := range []int{4000, 3, 1, 9000, 0, 40, 9000, 2} {
 		r := rec("e", i%5, 0, float64(i)) // rows repeat: superseded blocks
 		r.Hash = hashOf(r)                // the key is the row's, whatever the padding
 		r.Assignment["pad"] = strings.Repeat(string(rune('a'+i)), width)
-		payload, err := encodeRecordPayload(r)
-		typ := byte(blockRecord)
-		if i%3 == 1 {
-			typ = blockRecordZ
-			payload, err = encodeRecordPayloadZ(r)
-		}
+		typ, payload, err := appendRecordPayload(nil, 1+i%3%2, r) // JSON, binary, then
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			typ, payload = blockRecordZ, legacyPayloadZ(t, r) // compressed
 		}
 		data = appendBlock(data, typ, payload)
 		if i == 4 {

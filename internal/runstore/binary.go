@@ -46,11 +46,12 @@ const (
 	binMapPresent = 1
 )
 
-// appendBinaryRecord appends rec's binary payload encoding to dst and
-// returns the extended buffer. Map keys are emitted in sorted order, so
-// the encoding is deterministic: two equal records encode to equal
+// AppendBinary appends rec's binary payload encoding to dst and returns
+// the extended buffer: the payload of a binary journal frame and of an
+// archive's binary record block. Map keys are emitted in sorted order,
+// so the encoding is deterministic: two equal records encode to equal
 // bytes, which is what the merge byte-identity property rests on.
-func appendBinaryRecord(dst []byte, rec Record) []byte {
+func AppendBinary(dst []byte, rec Record) []byte {
 	dst = appendBinaryString(dst, rec.Experiment)
 	dst = appendBinaryString(dst, rec.Hash)
 	dst = binary.AppendVarint(dst, int64(rec.Replicate))
@@ -183,10 +184,10 @@ func (d *binDecoder) count(what string) uint64 {
 
 // walkBinary is the binary codec's one walk of the record grammar: it
 // fills f from the payload b, building no map and no string, and accepts
-// exactly what appendBinaryRecord can have written — trailing bytes,
+// exactly what AppendBinary can have written — trailing bytes,
 // truncated fields and impossible counts are errors, never partial
 // records. Members are left in payload order. canonical says b is byte
-// for byte what appendBinaryRecord writes for the record f then holds:
+// for byte what AppendBinary writes for the record f then holds:
 // varints in the fewest bytes, keys strictly ascending in both maps (so f
 // is in the shape Fields promises), no NaN (whose bits a float64 need not
 // keep) — and, because nothing is appended without one, a hash.
@@ -254,6 +255,14 @@ func walkBinary(b []byte, f *Fields) (canonical bool, err error) {
 	}
 	return canonical && !d.overlong, nil
 }
+
+// DecodeBinaryFields is the field pass over one binary record payload —
+// the payload of a binary journal frame and of an archive's binary record
+// block, and the mirror of DecodeJSONFields: it fills f with the record
+// decodeBinaryRecord returns for payload, a missing hash derived,
+// building the record itself only for a payload walkBinary does not find
+// canonical. f points into payload afterwards.
+func DecodeBinaryFields(payload []byte, f *Fields) error { return binaryCodec.fields(payload, f) }
 
 // decodeBinaryRecord parses one binary record payload exactly as stored:
 // walkBinary's record, a repeated key keeping its last value.

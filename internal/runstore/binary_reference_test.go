@@ -78,7 +78,7 @@ func (d *refBinDecoder) byte(what string) byte {
 }
 
 // referenceDecodeBinary parses one binary record payload. It accepts
-// exactly what appendBinaryRecord emits; trailing bytes, truncated
+// exactly what AppendBinary emits; trailing bytes, truncated
 // fields, or impossible counts are errors, never partial records.
 func referenceDecodeBinary(b []byte) (Record, error) {
 	d := &refBinDecoder{b: b}

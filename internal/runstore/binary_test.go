@@ -29,7 +29,7 @@ func codecCases() []Record {
 // the nil-vs-empty map distinction and -0 — and encoding determinism.
 func TestBinaryRecordRoundTrip(t *testing.T) {
 	for _, want := range codecCases() {
-		payload := appendBinaryRecord(nil, want)
+		payload := AppendBinary(nil, want)
 		got, err := decodeBinaryRecord(payload)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
@@ -40,7 +40,7 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 		if math.Signbit(want.Responses["negzero"]) != math.Signbit(got.Responses["negzero"]) {
 			t.Errorf("-0 not preserved: %+v", got.Responses)
 		}
-		again := appendBinaryRecord(nil, want)
+		again := AppendBinary(nil, want)
 		if string(again) != string(payload) {
 			t.Errorf("encoding not deterministic for %+v", want)
 		}
@@ -51,7 +51,7 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 // of a valid payload fail cleanly rather than yielding a wrong record.
 func TestBinaryRecordDecodeRejects(t *testing.T) {
 	rec := codecCases()[2]
-	payload := appendBinaryRecord(nil, rec)
+	payload := AppendBinary(nil, rec)
 	for n := 0; n < len(payload); n++ {
 		if _, err := decodeBinaryRecord(payload[:n]); err == nil {
 			// A truncation may still decode if it lands exactly after a

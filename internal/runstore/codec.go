@@ -61,7 +61,7 @@ var binaryCodec = &codec{
 	wireType: WireBinaryType,
 	framing:  framelog.Frames("binary journal", BinaryMagic, maxBinaryPayload),
 	appendRecord: func(dst []byte, rec Record) ([]byte, error) {
-		return appendBinaryRecord(dst, rec), nil
+		return AppendBinary(dst, rec), nil
 	},
 	decode: decodeBinaryRecord,
 	// A record has one binary spelling, so there is no recognised payload

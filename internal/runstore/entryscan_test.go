@@ -66,14 +66,14 @@ func FuzzEntryScan(f *testing.F) {
 	} {
 		f.Add(bytes.Replace([]byte(valid), []byte(edit[0]), []byte(edit[1]), 1))
 	}
-	bin := appendBinaryRecord(nil, Record{
+	bin := AppendBinary(nil, Record{
 		Experiment: "e", Hash: "00000000000000aa",
 		Assignment: map[string]string{"f": "x", "g": "y"},
 		Responses:  map[string]float64{"ms": 1.5},
 	})
 	f.Add(bin)
 	f.Add(bin[:len(bin)-3])
-	f.Add(appendBinaryRecord(nil, Record{Experiment: "e"}))                                  // missing hash, nil maps
+	f.Add(AppendBinary(nil, Record{Experiment: "e"}))                                        // missing hash, nil maps
 	f.Add([]byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0})             // unsorted keys
 	f.Add([]byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'f', 1, 'x', 1, 'f', 1, 'y', 0})             // duplicate key
 	f.Add([]byte{0x81, 0, 'e', 1, 'h', 0, 0, 0, 0})                                          // overlong varint
@@ -155,9 +155,9 @@ func TestEntryScanRecognisesAppendJSON(t *testing.T) {
 		if e := f.Entry(); e != want {
 			t.Fatalf("walkJSON(%s)\n got %+v\nwant %+v", doc, e, want)
 		}
-		bin := appendBinaryRecord(nil, rec)
+		bin := AppendBinary(nil, rec)
 		if canonical, err := walkBinary(bin, &f); err != nil || !canonical {
-			t.Fatalf("walkBinary does not recognise appendBinaryRecord's own output for %s: %v", doc, err)
+			t.Fatalf("walkBinary does not recognise AppendBinary's own output for %s: %v", doc, err)
 		}
 		if e := f.Entry(); e != want {
 			t.Fatalf("walkBinary(%s)\n got %+v\nwant %+v", doc, e, want)
@@ -174,7 +174,7 @@ func TestEntryScanAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, payload := range map[*codec][]byte{jsonCodec: doc, binaryCodec: appendBinaryRecord(nil, rec)} {
+	for c, payload := range map[*codec][]byte{jsonCodec: doc, binaryCodec: AppendBinary(nil, rec)} {
 		f := new(Fields)
 		if n := testing.AllocsPerRun(200, func() {
 			if e, err := c.entry(payload, f); err != nil || !e.canonical {

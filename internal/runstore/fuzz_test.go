@@ -112,11 +112,11 @@ func FuzzBinaryDecode(f *testing.F) {
 	// Payloads the walk must hand to the long way round, bare (the fuzz body
 	// decodes its input as a payload too) and framed.
 	for _, payload := range [][]byte{
-		appendBinaryRecord(nil, Record{Experiment: "e"}), // missing hash, nil maps
-		appendBinaryRecord(nil, Record{Experiment: "e", Hash: "h", Assignment: map[string]string{}, Responses: map[string]float64{}}), // {} maps
-		appendBinaryRecord(nil, Record{Experiment: "e", Hash: "h", Responses: map[string]float64{"v": math.Copysign(0, -1)}}),         // -0
-		{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0},                                                               // descending keys
-		{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'f', 1, 'x', 1, 'f', 1, 'y', 0},                                                               // repeated key
+		AppendBinary(nil, Record{Experiment: "e"}), // missing hash, nil maps
+		AppendBinary(nil, Record{Experiment: "e", Hash: "h", Assignment: map[string]string{}, Responses: map[string]float64{}}), // {} maps
+		AppendBinary(nil, Record{Experiment: "e", Hash: "h", Responses: map[string]float64{"v": math.Copysign(0, -1)}}),         // -0
+		{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0},                                                         // descending keys
+		{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'f', 1, 'x', 1, 'f', 1, 'y', 0},                                                         // repeated key
 		{0x81, 0, 'e', 1, 'h', 0, 0, 0, 0},                                    // overlong varint
 		{1, 'e', 1, 'h', 0, 0, 0, 1, 1, 1, 'v', 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}, // NaN response
 		{1, 'e', 1, 'h', 0, 0, 2, 0},                                          // bad marker
@@ -244,7 +244,7 @@ func FuzzJSONCodec(f *testing.F) {
 // nil and empty maps told apart, a NaN equal to itself — by their binary
 // encoding, which spells all of that out.
 func sameRecord(a, b Record) bool {
-	return bytes.Equal(appendBinaryRecord(nil, a), appendBinaryRecord(nil, b))
+	return bytes.Equal(AppendBinary(nil, a), AppendBinary(nil, b))
 }
 
 // membersAscend reports whether both of a view's member lists are in

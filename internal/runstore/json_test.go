@@ -340,7 +340,7 @@ func TestJSONCodecAllocs(t *testing.T) {
 	}); n > ceiling {
 		t.Errorf("DecodeJSON allocates %.0f time(s) per canonical record, want at most %d", n, ceiling)
 	}
-	payload := appendBinaryRecord(nil, rec)
+	payload := AppendBinary(nil, rec)
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := decodeBinaryRecord(payload); err != nil {
 			t.Fatal(err)

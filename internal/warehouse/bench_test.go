@@ -163,13 +163,11 @@ func BenchmarkIngestPerFormat(b *testing.B) {
 // TestIngestAllocsPerRecord holds ingest to what it keeps: per record a
 // fingerprint and its values (one allocation), per cell — one record in
 // ten here — a key, an assignment and the aggregates. That measures 2.9
-// allocations per record for the journals and the plain archive and 4.9
-// for the compressed one, whose every block is a flate stream of its own;
-// the records ingest used to build, two maps and six strings apiece,
-// measured 14.6 to 19.6. The ceiling is where a map per record cannot come
-// back unnoticed; the compressed archive's is loose because its flate
-// readers are pooled, and under the race detector a sync.Pool forgets on
-// purpose.
+// allocations per record for every format, the compact archive included
+// since its blocks carry the binary codec's payload (4.9 while every block
+// was a flate stream of its own); the records ingest used to build, two
+// maps and six strings apiece, measured 14.6 to 19.6. The ceiling is where
+// a map per record cannot come back unnoticed.
 func TestIngestAllocsPerRecord(t *testing.T) {
 	forEachFormat(t, func(ext, root, rel string, st os.FileInfo) {
 		perRun := testing.AllocsPerRun(5, func() {
@@ -177,12 +175,8 @@ func TestIngestAllocsPerRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		ceiling := 4.0
-		if ext == ".archz" {
-			ceiling = 8
-		}
-		if perRecord := perRun / (benchCells * benchReps); perRecord > ceiling {
-			t.Errorf("%s: ingest allocates %.1f times per record, want at most %.0f", ext, perRecord, ceiling)
+		if perRecord := perRun / (benchCells * benchReps); perRecord > 4 {
+			t.Errorf("%s: ingest allocates %.1f times per record, want at most 4", ext, perRecord)
 		}
 	})
 }

@@ -21,7 +21,9 @@ import (
 
 // appendStore writes frames, in order and without deduplication, into a
 // new store of the format ext names — so a key appended twice is a
-// superseded frame on disk, in every format.
+// superseded frame on disk, in every format. A compact archive has no
+// appender of its own: it is what the writer behind Merge's .archz
+// destination writes, handed the frames as Append would store them.
 func appendStore(t *testing.T, path, ext string, frames []runstore.Record) {
 	t.Helper()
 	var s interface {
@@ -34,12 +36,19 @@ func appendStore(t *testing.T, path, ext string, frames []runstore.Record) {
 		s, err = runstore.Open(path)
 	case ".binj":
 		s, err = runstore.OpenBinary(path)
-	case ".arch", ".archz":
-		var a *archivestore.Archive
-		if a, err = archivestore.Open(path); err == nil {
-			a.SetCompress(ext == ".archz")
-			s = a
+	case ".arch":
+		s, err = archivestore.Open(path)
+	case ".archz":
+		normalized := make([]runstore.Record, len(frames))
+		for i, rec := range frames {
+			if normalized[i], err = runstore.NormalizeAppend(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if err := archivestore.WriteCompressed(path, runstore.Seq(normalized), ""); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
 	if err != nil {
 		t.Fatal(err)

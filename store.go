@@ -36,10 +36,12 @@ type CompactStats = runstore.CompactStats
 // Merge or Convert destination carrying it is written as an archive.
 const ArchiveExt = archivestore.Ext
 
-// ArchiveExtZ is the compressed-archive destination extension: the same
-// block-indexed layout with every record block DEFLATE-compressed
-// (docs/FORMAT.md §8). The file carries the same magic, so readers need
-// no hint — the extension only selects the encoding at write time.
+// ArchiveExtZ is the binary-archive destination extension: the same
+// block-indexed layout, as format version 2, with every record block
+// holding the binary codec's payload instead of a JSON document
+// (docs/FORMAT.md §8) — smaller, and cheaper to read and write. Readers
+// need no hint: the file's magic names its version, and the extension
+// only selects the encoding at write time.
 const ArchiveExtZ = archivestore.ExtZ
 
 // Store is a read-only, format-sniffing view of one store file — a
@@ -176,7 +178,7 @@ type ConvertStats struct {
 
 // Convert merges the store files at srcs into a finalized block-indexed
 // archive at dst (which must end in ArchiveExt, or ArchiveExtZ for
-// compressed record blocks) and verifies the
+// binary record blocks) and verifies the
 // artifact: every record of a second streaming pass over the merged
 // view must be served back, identical, by the archive's index — a
 // conversion that cannot be read back is worse than no conversion,
