@@ -3,9 +3,18 @@ GO ?= go
 # The default target is what CI runs on every PR: vet plus the full test
 # suite under the race detector, so the concurrent scheduler
 # (internal/sched) and the journal (internal/runstore) are race-checked
-# on every change, plus the public-API compatibility gate.
+# on every change, plus the public-API compatibility gate and the golden
+# corpus check.
 .PHONY: check
-check: vet race apicheck
+check: vet race apicheck golden-check
+
+# The on-disk format corpus is written once per format version and never
+# regenerated: testdata/golden/SHA256SUMS pins every file's bytes, so a
+# test or a tool that rewrites one fails here. A new format version adds
+# its file and its line; no existing line changes.
+.PHONY: golden-check
+golden-check:
+	cd testdata/golden && sha256sum -c --quiet SHA256SUMS
 
 # API-compatibility gate: the exported surface of the public repro
 # package must match api/repro.txt. Intentional API changes regenerate
@@ -96,7 +105,7 @@ docs-check:
 # what lets Merge and Compact copy a frame), the hand-written run
 # document codec of the warehouse index must agree with encoding/json on
 # every input (FuzzIndexCodec), and the archive's streaming walk must
-# agree with Archive.Open + Scan over arbitrary bytes after either
+# agree with Archive.Open + Scan over arbitrary bytes after any
 # version's magic, every record block type judged by one torn-or-corrupt
 # rule (FuzzArchiveReader). `go test -fuzz` takes
 # one target per invocation, so the fuzzers run back to back. CI runs

@@ -45,7 +45,7 @@ func TestArchiveWorkflowEndToEnd(t *testing.T) {
 	if err := runW(&out, []string{"inspect", journals[0], arch}); err != nil {
 		t.Fatalf("inspect: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "archive:") || !strings.Contains(out.String(), "index page(s)") {
+	if !strings.Contains(out.String(), "archive v3:") || !strings.Contains(out.String(), "index page(s)") {
 		t.Errorf("inspect output missing archive stats:\n%s", out.String())
 	}
 	if strings.Contains(out.String(), "WARNING") {

@@ -97,9 +97,9 @@
 // semantics, but reopening a finished run costs O(index), not a re-parse
 // of every record — the backend for million-run archives. `perfeval
 // archive out.arch src...` converts journals (or merged shards, or other
-// archives) into one verified archive — out.archz writes its record
-// blocks in the binary encoding, the smaller archive and the cheaper one
-// to read; `perfeval inspect` prints any
+// archives — a read-only legacy version-1 or -2 one included, which is
+// how it is upgraded) into one verified archive; `perfeval inspect`
+// prints any
 // store file's shape — record/distinct counts, archive block and index
 // page stats — and reports torn or truncated tails instead of silently
 // counting only the valid prefix (-Dinspect.strict=true turns a torn

@@ -10,12 +10,11 @@ import (
 	"repro/internal/runstore/archivestore"
 )
 
-// TestDirectorySyncedOnCreateAndRenameOnly covers the three places a
-// file's name comes into being — framelog.Open creating a log, and the
-// two write-temp-then-rename paths (runstore's atomicWrite behind Merge
-// and Compact, archivestore's bulk writer): the parent directory is
-// synced exactly once there, and never when the file is appended to,
-// read, or reopened.
+// TestDirectorySyncedOnCreateAndRenameOnly covers the places a file's
+// name comes into being — framelog.Open creating a log, and AtomicWrite
+// behind Merge and Compact and behind the archive's bulk writer: the
+// parent directory is synced exactly once there, and never when the file
+// is appended to, read, or reopened.
 func TestDirectorySyncedOnCreateAndRenameOnly(t *testing.T) {
 	rec := func(rep int) runstore.Record {
 		return runstore.Record{Experiment: "e", Replicate: rep,
@@ -77,7 +76,7 @@ func TestDirectorySyncedOnCreateAndRenameOnly(t *testing.T) {
 				}
 			},
 			func(t *testing.T, path string) {
-				if recs, _, err := archivestore.Load(path); err != nil || len(recs) != 3 {
+				if recs, err := runstore.LoadRecords(path); err != nil || len(recs) != 3 {
 					t.Fatalf("reading the archive back: %d record(s), %v", len(recs), err)
 				}
 			}},

@@ -1,9 +1,10 @@
 // Package framelog is the one append-only file under every journal in
 // this repository: the JSONL and binary run journals (internal/runstore),
-// the collector's control-state log, and the warehouse index. It owns
-// the whole life of such a file — create, scan, recover from a crash,
-// append durably, fail-stop — so each of those stores keeps only its
-// payload codec.
+// the collector's control-state log, the warehouse index, and the
+// block-indexed archive. It owns the whole life of such a file — create,
+// scan, recover from a crash, append durably, fail-stop — so each of
+// those stores keeps only its payload codec. AtomicWrite, beside it, is
+// the one way a whole file is replaced.
 //
 // A file is an optional magic header followed by records in one of two
 // framings (docs/FORMAT.md, "Frame log"):
@@ -11,15 +12,17 @@
 //	Lines             payload '\n'
 //	Frames(magic, …)  magic | ( u32 len | u32 CRC-32C(payload) | payload )*
 //
-// (integers little-endian). There is one recovery rule. A crash can
-// only cut the last Commit short, so damage a cut explains is a torn
-// tail and is dropped: a short or checksum-failed trailing frame, an
-// undecodable final line with no terminator, a file holding a strict
-// prefix of its magic (a crashed creation, which restarts the file).
-// Damage a cut cannot explain is corruption and is an error: an
-// undecodable terminated line or checksum-valid frame, a frame header
-// claiming an impossible length, a foreign magic. Dropping complete
-// records silently would turn resume into silent re-execution.
+// (integers little-endian; a frame's payload is never empty). There is
+// one recovery rule. A crash can only cut the last Commit short, so
+// damage a cut explains is a torn tail and is dropped: a short or
+// checksum-failed trailing frame, an all-zero frame header (a region the
+// file was extended over but never written), an undecodable final line
+// with no terminator, a file holding a strict prefix of its magic (a
+// crashed creation, which restarts the file). Damage a cut cannot
+// explain is corruption and is an error: an undecodable terminated line
+// or checksum-valid frame, a frame header claiming an impossible length,
+// a foreign magic. Dropping complete records silently would turn resume
+// into silent re-execution.
 //
 // A Log is not safe for concurrent use; its owner serializes Commit and
 // Close (every owner already holds a mutex over its in-memory index).
@@ -35,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -102,12 +106,17 @@ func (fr Framing) Terminator() string {
 }
 
 // Payload returns the payload inside one whole record as a scan
-// reported it (off, n), or nil when n bytes cannot hold one.
+// reported it (off, n), or nil when those bytes are not one: a frame
+// whose header does not give the rest as its length, or whose checksum
+// fails. A point read checks what a scan would have, so a frame reached
+// through an index of its own (an archive's) is verified when read.
 func (fr Framing) Payload(record []byte) []byte {
 	if !fr.frames {
 		return record
 	}
-	if len(record) < FrameHeaderSize {
+	if len(record) < FrameHeaderSize ||
+		binary.LittleEndian.Uint32(record[0:4]) != uint32(len(record)-FrameHeaderSize) ||
+		crc32.Checksum(record[FrameHeaderSize:], castagnoli) != binary.LittleEndian.Uint32(record[4:8]) {
 		return nil
 	}
 	return record[FrameHeaderSize:]
@@ -249,17 +258,19 @@ func (fr Framing) scanFrames(br *bufio.Reader, off int64, fn Visit) (keep int64,
 			}
 			return 0, false, rerr
 		}
+		if hdr == [FrameHeaderSize]byte{} {
+			// No frame is empty, so a zero header was never written: it is
+			// space the file grew by before a crash, read back as zeros.
+			return off, true, nil
+		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		if n > fr.maxPayload {
 			// A cut leaves a prefix of a valid frame, so a complete header
 			// is a written header: an absurd length is damage.
 			return 0, false, fmt.Errorf("corrupt %s frame at byte %d: impossible payload length %d (max %d)", fr.what, off, n, fr.maxPayload)
 		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, rerr := io.ReadFull(br, payload); rerr != nil {
+		var rerr error
+		if payload, rerr = readPayload(br, payload, int(n)); rerr != nil {
 			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 				return off, true, nil // torn mid-payload
 			}
@@ -282,12 +293,32 @@ func (fr Framing) scanFrames(br *bufio.Reader, off int64, fn Visit) (keep int64,
 	}
 }
 
+// readPayload reads n bytes from r into buf, reusing its capacity and
+// growing it only as the bytes arrive, so a length the stream does not
+// back — a cut frame's, a corrupt one's — costs what the stream holds,
+// not what the header claims.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 64<<10)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // Log is an open log file positioned for appending.
 type Log struct {
 	path   string
 	f      *os.File // nil once closed
 	torn   bool
-	failed error // the first Write or Sync failure; sticky
+	cut    int64 // OpenAt's end, until the first Commit cuts the file there; -1 once done
+	failed error // the first Truncate, Write or Sync failure; sticky
 }
 
 // Open opens the log at path, creating it (and its directory) if
@@ -305,12 +336,27 @@ func Open(path string, fr Framing, replay Visit) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{path: path, f: f}
+	l := &Log{path: path, f: f, cut: -1}
 	if err := l.restore(fr, replay); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return l, nil
+}
+
+// OpenAt opens the existing log at path for appending at end, a record
+// boundary its caller has already verified through an index of its own
+// (an archive's trailer and footer), so nothing is replayed: the open is
+// a seek, however long the file. Whatever lies past end — what that
+// index was reached through — stays until the first Commit, which cuts
+// it off and makes the cut durable before anything lands in its place,
+// so a session that commits nothing leaves the file as it was.
+func OpenAt(path string, end int64) (*Log, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Log{path: path, f: f, cut: end}, nil
 }
 
 func (l *Log) restore(fr Framing, replay Visit) error {
@@ -355,8 +401,8 @@ var dirSynced func(dir string)
 
 // SyncDir makes dir's entries durable: a file created in it, or renamed
 // into it, survives power loss only after this returns. Open calls it
-// for a log it creates; code that replaces a file by rename calls it
-// after the rename. It is never on an append path.
+// for a log it creates, AtomicWrite after its rename. It is never on an
+// append path.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -370,6 +416,50 @@ func SyncDir(dir string) error {
 		dirSynced(dir)
 	}
 	return err
+}
+
+// AtomicWrite replaces dst with whatever emit writes: a temporary file in
+// dst's directory, one fsync, a rename over dst, then SyncDir so the
+// rename itself survives power loss. The file mode is copied from
+// modeFrom when that file exists (rewriting a file in place never
+// silently changes its permissions), 0644 otherwise. On any error —
+// emit's is returned as it is — dst is left untouched. Every whole-file
+// rewrite in the repository goes through it: Merge, Compact, and the
+// archive's bulk writer.
+func AtomicWrite(dst, modeFrom string, emit func(w *bufio.Writer) error) error {
+	dir := filepath.Dir(dst)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, filepath.Base(dst)+".rewrite-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	mode := os.FileMode(0o644)
+	if fi, err := os.Stat(modeFrom); err == nil {
+		mode = fi.Mode().Perm()
+	}
+	err = tmp.Chmod(mode)
+	if err == nil {
+		bw := bufio.NewWriterSize(tmp, 256<<10)
+		if err = emit(bw); err == nil {
+			err = bw.Flush()
+		}
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), dst); err != nil {
+		return err
+	}
+	return SyncDir(dir)
 }
 
 // Path returns the log's file path.
@@ -391,7 +481,18 @@ func (l *Log) Commit(data []byte) error {
 	case l.failed != nil:
 		return l.failed
 	}
-	_, err := l.f.Write(data)
+	var err error
+	if l.cut >= 0 {
+		// Synced on its own: a cut that a crash undid under records already
+		// written past it would leave the old tail's bytes behind them.
+		if err = l.f.Truncate(l.cut); err == nil {
+			err = l.f.Sync()
+		}
+		l.cut = -1
+	}
+	if err == nil {
+		_, err = l.f.Write(data)
+	}
 	if err == nil {
 		err = l.f.Sync()
 	}

@@ -2,12 +2,17 @@ package archivestore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"iter"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
+	"repro/internal/framelog"
 	"repro/internal/runstore"
 )
 
@@ -15,88 +20,190 @@ import (
 // runstore.Store: reads are served from an in-memory index of block
 // locations (loaded from the footer in O(index) time on a finalized
 // file) plus point reads of individual record blocks, so an archive is
-// never materialized wholesale; appends are durable, checksummed blocks.
+// never materialized wholesale; appends are durable, checksummed frames.
 type Archive struct {
 	mu       sync.Mutex
 	path     string
-	f        *os.File // nil after Close; reads then reopen read-only per call
-	version  int      // the file's format version: its magic, trailer and record blocks
-	interval int      // record blocks per index page
+	version  int           // latest, unless the file is a legacy one, which is read-only
+	log      *framelog.Log // appends; nil for a legacy file, and once closed
+	f        *os.File      // reads; nil once closed (reads then reopen read-only per call)
+	interval int           // record frames per index page
 
-	idx      map[string]entry // runstore.Key -> record block location
-	order    []string         // keys in first-appended order
-	pending  []pendingEntry   // appends not yet covered by an index page
-	pages    []int64          // index page offsets, in file order
-	appended int              // record blocks ever written, superseded included
+	idx   map[string]entry // runstore.Key -> record block location
+	order []string         // keys in first-appended order
+	layout
 
-	dataEnd      int64 // next append offset (= end of last data block)
-	needTruncate bool  // a loaded footer must be cut off before appending
-	dirty        bool  // the on-disk footer is absent or stale
-	torn         bool  // recovery dropped a torn tail on open
-	closed       bool
+	dirty bool // the file has no valid footer, or a stale one
+	torn  bool // Open dropped a torn tail (a legacy file's is left in place)
 }
 
 // Archive is a Store backend like the journal and the shard store.
 var _ runstore.Store = (*Archive)(nil)
 
 // Open opens (creating if absent) the archive at path. A finalized
-// archive loads its index from the footer without touching record
-// payloads; an unfinalized one — a crash before Close — is recovered by
-// scanning block checksums and truncating the torn tail, exactly as the
+// archive loads its index from the trailer, the footer and the index
+// pages without touching record payloads; any other — a crash before
+// Close — is recovered by framelog: every frame replayed (a record's key
+// read, nothing decoded) and a torn tail truncated, exactly as the
 // journal truncates a torn line. Parent directories are created as
-// needed. A new file is a version-1 archive; an existing one keeps its
-// version, and its appends are written in that version's record block
-// (appendRecordPayload).
+// needed. A legacy (version 1 or 2) file opens read-only through the
+// streaming walk, and stays untouched.
 func Open(path string) (*Archive, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("archivestore: %w", err)
+	a := &Archive{path: path, version: latest, interval: DefaultIndexInterval, idx: make(map[string]entry)}
+	a.end = int64(len(Magic))
+	if err := a.open(); err != nil {
+		if a.f != nil {
+			a.f.Close()
 		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("archivestore: %w", err)
-	}
-	a := &Archive{path: path, f: f, version: 1, interval: DefaultIndexInterval, idx: make(map[string]entry)}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("archivestore: %w", err)
-	}
-	size := st.Size()
-	if size == 0 {
-		if _, err := f.WriteAt([]byte(Magic), 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("archivestore: %w", err)
+		if a.log != nil {
+			a.log.Close()
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("archivestore: %w", err)
-		}
-		a.dataEnd = int64(headerSize)
-		return a, nil
-	}
-	head := make([]byte, headerSize)
-	if _, err := f.ReadAt(head, 0); err != nil {
-		clear(head)
-	}
-	if a.version = versionOf(head); a.version == 0 {
-		f.Close()
-		return nil, fmt.Errorf("archivestore: %s is not an archive (bad or short magic)", path)
-	}
-	ok, err := a.loadFinalized(size)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if ok {
-		return a, nil
-	}
-	if err := a.recover(size); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return a, nil
+}
+
+func (a *Archive) open() error {
+	f, err := os.Open(a.path)
+	switch {
+	case err == nil:
+		a.f = f
+		st, err := f.Stat()
+		if err != nil {
+			return wrap(err)
+		}
+		head := make([]byte, len(Magic))
+		n, _ := io.ReadFull(f, head)
+		switch a.version = versionOf(head[:n]); {
+		case a.version == latest:
+			if a.loadFinalized(st.Size()) {
+				a.log, err = framelog.OpenAt(a.path, a.end)
+				return wrap(err)
+			}
+		case a.version != 0:
+			return a.openLegacy(st.Size())
+		case !strings.HasPrefix(Magic, string(head[:n])):
+			return fmt.Errorf("archivestore: %s is not an archive (bad or short magic)", a.path)
+		}
+		a.version = latest // a strict prefix of the magic: a crashed creation
+	case !errors.Is(err, fs.ErrNotExist):
+		return wrap(err)
+	}
+	if a.log, err = framelog.Open(a.path, frames, a.replay); err != nil {
+		return wrap(err)
+	}
+	a.torn = a.log.Torn()
+	a.dirty = a.end > int64(len(Magic))
+	if a.f == nil {
+		a.f, err = os.Open(a.path)
+	}
+	return wrap(err)
+}
+
+// wrap names the package in an error from below it; nil stays nil.
+func wrap(err error) error {
+	if err != nil {
+		return fmt.Errorf("archivestore: %w", err)
+	}
+	return nil
+}
+
+// loadFinalized tries the O(index) open: a trailer frame ending the
+// file, the footer frame it points at ending right before it, and the
+// index pages the footer names — a few point reads, no record read. It
+// reports false, leaving the index empty, when any of that fails, and the
+// replay takes over.
+func (a *Archive) loadFinalized(size int64) bool {
+	trailer := size - trailerSize
+	typ, body, end := a.frameAt(trailer, size)
+	if typ != blockTrailer || len(body) != 8 || end != size {
+		return false
+	}
+	footer := int64(binary.LittleEndian.Uint64(body))
+	typ, body, end = a.frameAt(footer, trailer)
+	if typ != blockFooter || end != trailer {
+		return false
+	}
+	appended, pages, err := decodeFooter(body)
+	if err != nil {
+		return false
+	}
+	// The footer's appended count sizes the index up front: growing a
+	// 10^5-entry map incrementally costs more than loading it. No count
+	// exceeds the bytes before the footer.
+	hint := max(0, min(appended, int(footer)))
+	a.idx = make(map[string]entry, hint)
+	a.order = make([]string, 0, hint)
+	for _, p := range pages {
+		typ, body, _ := a.frameAt(p, footer)
+		if typ != blockIndex || decodeIndexPage(body, func(exp, hash []byte, rep int, e entry) {
+			a.addIndex(string(exp), string(hash), rep, e)
+		}) != nil {
+			a.idx, a.order = make(map[string]entry), nil
+			return false
+		}
+	}
+	a.layout = layout{end: footer, pages: pages, appended: appended}
+	return true
+}
+
+// frameAt reads the frame at off, which must end by limit, and returns
+// its type, its body and where it ends; typ is 0 when there is no valid
+// frame there.
+func (a *Archive) frameAt(off, limit int64) (typ byte, body []byte, end int64) {
+	var hdr [framelog.FrameHeaderSize]byte
+	if off < int64(len(Magic)) || off+int64(len(hdr)) > limit {
+		return 0, nil, 0
+	}
+	if _, err := a.f.ReadAt(hdr[:], off); err != nil {
+		return 0, nil, 0
+	}
+	end = off + int64(len(hdr)) + int64(binary.LittleEndian.Uint32(hdr[:]))
+	if end > limit {
+		return 0, nil, 0
+	}
+	raw := make([]byte, end-off)
+	if _, err := a.f.ReadAt(raw, off); err != nil {
+		return 0, nil, 0
+	}
+	typ, body, _ = splitBlock(latest, raw)
+	return typ, body, end
+}
+
+// replay indexes one frame of a file framelog is recovering: a record by
+// its key alone, an index page as covering what precedes it. Footer and
+// trailer frames — a finalization the file has since grown past — and
+// types this build does not know are passed over.
+func (a *Archive) replay(payload []byte, off, n int64) error {
+	switch typ, body := payload[0], payload[1:]; typ {
+	case blockRecord:
+		exp, hash, rep, err := binaryKey(body)
+		if err != nil {
+			return framelog.Corrupt(fmt.Errorf("record frame at byte %d: %w", off, err))
+		}
+		p := pendingEntry{string(exp), string(hash), rep, entry{off: off, n: int32(n)}}
+		a.addIndex(p.exp, p.hash, p.rep, p.entry)
+		a.pending = append(a.pending, p)
+		a.appended++
+	case blockIndex:
+		a.pages = append(a.pages, off)
+		a.pending = a.pending[:0]
+	}
+	a.end = off + n
+	return nil
+}
+
+// openLegacy indexes a version-1 or -2 file through the streaming walk,
+// read-only: whatever its tail holds stays, and Append refuses.
+func (a *Archive) openLegacy(size int64) error {
+	r := &reader{path: a.path, f: a.f, size: size, version: a.version}
+	err := r.walk(func(f *runstore.Fields, ext runstore.Extent) bool {
+		a.addIndex(string(f.Experiment), string(f.Hash), f.Replicate, entry{off: ext.Off, n: int32(ext.Len)})
+		return true
+	})
+	a.layout = layout{pages: r.pages, appended: r.info.Records}
+	a.dirty, a.torn = !r.finalized, r.info.Torn
+	return err
 }
 
 // OpenDir opens the archive for one experiment under dir, mirroring
@@ -108,117 +215,6 @@ func OpenDir(dir, experiment string) (*Archive, error) {
 	return Open(filepath.Join(dir, runstore.SanitizeName(experiment)+Ext))
 }
 
-// loadFinalized tries the O(index) open path: a valid trailer at EOF, a
-// checksummed footer, and checksummed index pages. It returns false (and
-// resets the partial index) when any of that fails, handing over to the
-// recovery scan.
-func (a *Archive) loadFinalized(size int64) (bool, error) {
-	reset := func() {
-		a.idx = make(map[string]entry)
-		a.order, a.pages = nil, nil
-		a.appended = 0
-	}
-	if size < int64(headerSize+blockHeaderSize+trailerSize) {
-		return false, nil
-	}
-	t := make([]byte, trailerSize)
-	if _, err := a.f.ReadAt(t, size-int64(trailerSize)); err != nil {
-		return false, fmt.Errorf("archivestore: %w", err)
-	}
-	footOff, ok := decodeTrailer(t, a.version)
-	if !ok || footOff < int64(headerSize) || footOff+int64(blockHeaderSize) > size-int64(trailerSize) {
-		return false, nil
-	}
-	footLen := size - int64(trailerSize) - footOff
-	typ, payload, err := a.readBlockAt(entry{off: footOff, n: int32(footLen)})
-	if err != nil || typ != blockFooter {
-		return false, nil
-	}
-	appended, pages, err := decodeFooterPayload(payload)
-	if err != nil {
-		return false, nil
-	}
-	// The footer's appended count sizes the index up front: growing a
-	// 10^5-entry map incrementally costs more than loading it.
-	a.idx = make(map[string]entry, appended)
-	a.order = make([]string, 0, appended)
-	for _, p := range pages {
-		if p < int64(headerSize) || p >= footOff {
-			reset()
-			return false, nil
-		}
-		ptyp, ppayload, perr := a.readBlockBounded(p, footOff)
-		if perr != nil || ptyp != blockIndex {
-			reset()
-			return false, nil
-		}
-		if err := decodeIndexPayload(ppayload, func(exp, hash string, rep int, e entry) error {
-			a.addIndex(exp, hash, rep, e)
-			return nil
-		}); err != nil {
-			reset()
-			return false, nil
-		}
-	}
-	a.appended = appended
-	a.pages = pages
-	a.dataEnd = footOff
-	a.needTruncate = true
-	return true, nil
-}
-
-// recover rebuilds the index by scanning blocks from the header,
-// truncating the file past the last valid block — the crash-recovery
-// path a missing or corrupt footer routes through.
-func (a *Archive) recover(size int64) error {
-	data, err := os.ReadFile(a.path)
-	if err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	a.dataEnd = a.scanBlocks(data)
-	if a.dataEnd < size {
-		a.torn = true
-		if err := a.f.Truncate(a.dataEnd); err != nil {
-			return fmt.Errorf("archivestore: truncating torn tail: %w", err)
-		}
-	}
-	a.dirty = true // the on-disk file has no (valid) footer until Close
-	return nil
-}
-
-// scanBlocks walks data from the header, indexing record blocks and
-// noting index pages, and returns the offset of the first byte that is
-// not part of a complete valid data block — the recovery truncation
-// point. A footer block ends the walk without being indexed, so Close
-// rewrites it.
-func (a *Archive) scanBlocks(data []byte) int64 {
-	off := int64(headerSize)
-	for {
-		typ, payload, ok := parseBlock(data, off)
-		if !ok {
-			return off
-		}
-		blockLen := int64(blockHeaderSize) + int64(len(payload))
-		switch typ {
-		case blockRecord, blockRecordZ, blockRecordB:
-			exp, hash, rep, err := recordPayloadKey(typ, payload)
-			if err != nil {
-				return off // checksummed but malformed: treat as torn here
-			}
-			e := entry{off: off, n: int32(blockLen)}
-			a.addIndex(exp, hash, rep, e)
-			a.pending = append(a.pending, pendingEntry{exp: exp, hash: hash, rep: rep, entry: e})
-			a.appended++
-		case blockIndex:
-			a.pages = append(a.pages, off)
-			a.pending = a.pending[:0]
-		case blockFooter:
-			return off
-		}
-		off += blockLen
-	}
-}
-
 // addIndex records one block location, last-wins per key with the first
 // appearance keeping its position in the order — the journal's indexing
 // rule.
@@ -228,43 +224,6 @@ func (a *Archive) addIndex(exp, hash string, rep int, e entry) {
 		a.order = append(a.order, k)
 	}
 	a.idx[k] = e
-}
-
-// readBlockAt reads and validates the block at e, via the open handle or
-// a transient read-only reopen after Close.
-func (a *Archive) readBlockAt(e entry) (typ byte, payload []byte, err error) {
-	buf := make([]byte, e.n)
-	r := a.f
-	if r == nil {
-		rf, err := os.Open(a.path)
-		if err != nil {
-			return 0, nil, fmt.Errorf("archivestore: %w", err)
-		}
-		defer rf.Close()
-		r = rf
-	}
-	if _, err := r.ReadAt(buf, e.off); err != nil {
-		return 0, nil, fmt.Errorf("archivestore: %s: reading block at %d: %w", a.path, e.off, err)
-	}
-	typ, payload, ok := parseBlock(buf, 0)
-	if !ok || int64(blockHeaderSize)+int64(len(payload)) != int64(e.n) {
-		return 0, nil, fmt.Errorf("archivestore: %s: corrupt block at offset %d", a.path, e.off)
-	}
-	return typ, payload, nil
-}
-
-// readBlockBounded reads the block starting at off, whose length is not
-// known in advance, refusing to read past limit.
-func (a *Archive) readBlockBounded(off, limit int64) (typ byte, payload []byte, err error) {
-	hdr := make([]byte, blockHeaderSize)
-	if _, err := a.f.ReadAt(hdr, off); err != nil {
-		return 0, nil, fmt.Errorf("archivestore: %w", err)
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[1:5]))
-	if n > maxPayload || off+int64(blockHeaderSize)+n > limit {
-		return 0, nil, fmt.Errorf("archivestore: %s: block at %d overruns its bounds", a.path, off)
-	}
-	return a.readBlockAt(entry{off: off, n: int32(int64(blockHeaderSize) + n)})
 }
 
 // Path returns the archive's file path.
@@ -285,6 +244,8 @@ func (a *Archive) Info() runstore.Info {
 	switch {
 	case !a.dirty:
 		detail += ", footer ok"
+	case a.version < latest:
+		detail += ", no valid footer: read-only, left as found"
 	case a.torn:
 		detail += ", torn tail truncated on open; footer pending until Close"
 	default:
@@ -293,7 +254,7 @@ func (a *Archive) Info() runstore.Info {
 	return runstore.Info{Records: a.appended, Distinct: len(a.idx), Torn: a.torn, Detail: detail}
 }
 
-// Torn reports whether recovery dropped a torn tail when opening.
+// Torn reports whether the file had a torn tail when opened.
 func (a *Archive) Torn() bool { return a.torn }
 
 // Len returns the number of distinct archived units.
@@ -321,16 +282,28 @@ func (a *Archive) Lookup(experiment, hash string, replicate int) (runstore.Recor
 	return rec, true
 }
 
-// readRecord fetches and decodes one record block.
+// readRecord fetches, verifies and decodes one record block, via the
+// open handle or a transient read-only reopen after Close.
 func (a *Archive) readRecord(e entry) (runstore.Record, error) {
-	typ, payload, err := a.readBlockAt(e)
+	r := a.f
+	if r == nil {
+		rf, err := os.Open(a.path)
+		if err != nil {
+			return runstore.Record{}, fmt.Errorf("archivestore: %w", err)
+		}
+		defer rf.Close()
+		r = rf
+	}
+	raw := make([]byte, e.n)
+	_, err := r.ReadAt(raw, e.off)
+	var rec runstore.Record
+	if err == nil {
+		rec, err = decodeRecord(a.version, raw)
+	}
 	if err != nil {
-		return runstore.Record{}, err
+		return runstore.Record{}, fmt.Errorf("archivestore: %s: block at %d: %w", a.path, e.off, err)
 	}
-	if !isRecordBlock(typ) {
-		return runstore.Record{}, fmt.Errorf("archivestore: %s: block at %d is not a record", a.path, e.off)
-	}
-	return decodeRecordBlock(typ, payload)
+	return rec, nil
 }
 
 // ReplicateCount implements runstore.Store: contiguous replicates 0..n-1
@@ -384,108 +357,59 @@ func (a *Archive) Scan() iter.Seq2[runstore.Record, error] {
 }
 
 // Append implements runstore.Store. The record becomes one checksummed
-// block written and fsynced before Append returns, so a crash leaves at
-// most one torn block — exactly what Open's recovery scan truncates.
-// Every interval appends, an index page block is interleaved so a later
-// finalize covers them.
+// frame committed — written and fsynced — before Append returns, so a
+// crash leaves at most one torn frame, exactly what Open's recovery
+// truncates. The index page a full interval of records calls for goes
+// out in the same commit as the record after them. A legacy file refuses
+// every append and is left as it is.
 func (a *Archive) Append(rec runstore.Record) error {
 	rec, err := runstore.NormalizeAppend(rec)
 	if err != nil {
 		return err
 	}
-	typ, payload, err := appendRecordPayload(nil, a.version, rec) // version is fixed at Open
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch {
+	case a.f == nil:
+		return fmt.Errorf("archivestore: archive %s is closed", a.path)
+	case a.log == nil:
+		return fmt.Errorf("archivestore: %s is a read-only version-%d archive: rewrite it as version %d to append to it (`perfeval archive NEW%s %s`, or repro.Convert)",
+			a.path, a.version, latest, Ext, a.path)
+	}
+	buf, p, err := a.appendRecord(nil, rec, a.interval)
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.f == nil {
-		return fmt.Errorf("archivestore: archive %s is closed", a.path)
+	if err := a.log.Commit(buf); err != nil {
+		return wrap(err)
 	}
-	if a.needTruncate {
-		// The first append after opening a finalized archive cuts off the
-		// old footer and trailer; they are rewritten by Close.
-		if err := a.f.Truncate(a.dataEnd); err != nil {
-			return fmt.Errorf("archivestore: %w", err)
-		}
-		a.needTruncate = false
-	}
-	block := appendBlock(nil, typ, payload)
-	if _, err := a.f.WriteAt(block, a.dataEnd); err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	e := entry{off: a.dataEnd, n: int32(len(block))}
-	a.dataEnd += int64(len(block))
-	a.addIndex(rec.Experiment, rec.Hash, rec.Replicate, e)
-	a.pending = append(a.pending, pendingEntry{exp: rec.Experiment, hash: rec.Hash, rep: rec.Replicate, entry: e})
-	a.appended++
+	a.add(p)
+	a.addIndex(p.exp, p.hash, p.rep, p.entry)
 	a.dirty = true
-	if len(a.pending) >= a.interval {
-		if err := a.flushIndexPageLocked(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// flushIndexPageLocked writes the pending entries as one index page
-// block. Pages are derivable from the data blocks, so a crash between a
-// record append and its page costs nothing: recovery rebuilds the same
-// entries.
-func (a *Archive) flushIndexPageLocked() error {
-	if len(a.pending) == 0 {
-		return nil
-	}
-	block := appendBlock(nil, blockIndex, encodeIndexPayload(a.pending))
-	if _, err := a.f.WriteAt(block, a.dataEnd); err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	a.pages = append(a.pages, a.dataEnd)
-	a.dataEnd += int64(len(block))
-	a.pending = a.pending[:0]
-	return nil
-}
-
-// Close finalizes and closes the archive: pending index entries are
-// flushed as a final page, and a footer block plus trailer are written
-// and fsynced so the next Open is O(index). Reads keep working after
-// Close via transient read-only reopens; Append fails.
+// Close finalizes and closes the archive: the last index page, the
+// footer and the trailer frame are committed, so the next Open is
+// O(index). Reads keep working after Close via transient read-only
+// reopens; Append fails.
 func (a *Archive) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.f == nil {
 		return nil
 	}
-	f := a.f
-	if !a.dirty {
-		a.f = nil
-		return f.Close()
+	var err error
+	if a.log != nil {
+		if a.dirty {
+			if err = a.log.Commit(a.appendFinish(nil)); err == nil {
+				a.dirty = false
+			}
+		}
+		err = errors.Join(err, a.log.Close())
+		a.log = nil
 	}
-	if err := a.flushIndexPageLocked(); err != nil {
-		f.Close()
-		a.f = nil
-		return err
-	}
-	footOff := a.dataEnd
-	tail := appendBlock(nil, blockFooter, encodeFooterPayload(a.appended, a.pages))
-	tail = append(tail, encodeTrailer(footOff, a.version)...)
-	if _, err := f.WriteAt(tail, footOff); err != nil {
-		f.Close()
-		a.f = nil
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		a.f = nil
-		return fmt.Errorf("archivestore: %w", err)
-	}
+	err = errors.Join(err, a.f.Close())
 	a.f = nil
-	a.dirty = false
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	return nil
+	return wrap(err)
 }

@@ -1,6 +1,7 @@
 package archivestore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -262,7 +263,7 @@ func TestFinalizedOpenIsIndexOnly(t *testing.T) {
 	if err := a.Append(r1); err != nil {
 		t.Fatal(err)
 	}
-	e0 := a.idx[r0.Key()]
+	e0 := a.idx[runstore.Key("e", hashOf(r0), 0)]
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestFinalizedOpenIsIndexOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xAA}, e0.off+int64(blockHeaderSize)+5); err != nil {
+	if _, err := f.WriteAt([]byte{0xAA}, e0.off+int64(e0.n)-1); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -298,21 +299,12 @@ func TestUnknownBlockTypeSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.arch")
 	r0, r1 := rec("e", 0, 0, 7), rec("e", 1, 0, 8)
 	r0.Hash, r1.Hash = hashOf(r0), hashOf(r1)
-	// Hand-build an unfinalized file: header, record, future-type block,
+	// Hand-build an unfinalized file: header, record, future-type frame,
 	// record — the shape a crashed future-version writer leaves behind.
-	var data []byte
-	data = append(data, Magic...)
-	_, p0, err := appendRecordPayload(nil, 1, r0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = appendBlock(data, blockRecord, p0)
-	data = appendBlock(data, 42, []byte("future auxiliary data"))
-	_, p1, err := appendRecordPayload(nil, 1, r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = appendBlock(data, blockRecord, p1)
+	data := []byte(Magic)
+	data = appendFrame(data, blockRecord, runstore.AppendBinary(nil, r0))
+	data = appendFrame(data, 42, []byte("future auxiliary data"))
+	data = appendFrame(data, blockRecord, runstore.AppendBinary(nil, r1))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -385,35 +377,29 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 	if err := Write(path, runstore.Seq(recs), ""); err != nil {
 		t.Fatal(err)
 	}
-	got, info, err := Load(path)
+	got, err := runstore.LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Torn {
+	info, err := Inspect(path)
+	if err != nil || info.Torn {
 		t.Fatalf("fresh bulk archive reported torn: %+v", info)
 	}
 	if info.Records != len(recs) || info.Distinct != len(recs) {
 		t.Fatalf("info = %+v, want %d records", info, len(recs))
 	}
 	if len(got) != len(recs) {
-		t.Fatalf("Load returned %d records, want %d", len(got), len(recs))
+		t.Fatalf("LoadRecords returned %d records, want %d", len(got), len(recs))
 	}
 	for i := range got {
 		want := recs[i]
 		want.Hash = hashOf(want)
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("Load[%d] = %+v, want %+v", i, got[i], want)
+			t.Fatalf("LoadRecords[%d] = %+v, want %+v", i, got[i], want)
 		}
 	}
-	ins, err := Inspect(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ins.Records != len(recs) || ins.Torn {
-		t.Fatalf("Inspect = %+v", ins)
-	}
-	if !strings.Contains(ins.Detail, "footer ok") {
-		t.Fatalf("Inspect detail %q should report the footer", ins.Detail)
+	if !strings.Contains(info.Detail, "footer ok") {
+		t.Fatalf("Inspect detail %q should report the footer", info.Detail)
 	}
 
 	// A truncated bulk archive is detected, reported, and still loadable
@@ -422,15 +408,15 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-int64(trailerSize)-1); err != nil {
 		t.Fatal(err)
 	}
-	ins, err = Inspect(path)
+	info, err = Inspect(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ins.Torn || !strings.Contains(ins.Detail, "TRUNCATED") {
-		t.Fatalf("Inspect of truncated archive = %+v, want Torn + TRUNCATED detail", ins)
+	if !info.Torn || !strings.Contains(info.Detail, "TRUNCATED") {
+		t.Fatalf("Inspect of truncated archive = %+v, want Torn + TRUNCATED detail", info)
 	}
-	if _, info, err = Load(path); err != nil || !info.Torn {
-		t.Fatalf("Load of truncated archive: info=%+v err=%v, want Torn", info, err)
+	if got, err = runstore.LoadRecords(path); err != nil || len(got) != len(recs) {
+		t.Fatalf("LoadRecords of truncated archive: %d record(s), %v; want all %d", len(got), err, len(recs))
 	}
 }
 
@@ -466,12 +452,12 @@ func TestCompactDispatch(t *testing.T) {
 	if cs.Kept != 3 || cs.Dropped != 1 {
 		t.Fatalf("compact stats = %+v, want kept 3 dropped 1", cs)
 	}
-	recs, info, err := Load(path)
+	recs, err := runstore.LoadRecords(path)
 	if err != nil {
 		t.Fatalf("compacted file is not an archive: %v", err)
 	}
-	if len(recs) != 3 || info.Torn {
-		t.Fatalf("compacted archive: %d records, torn=%v", len(recs), info.Torn)
+	if info, err := Inspect(path); err != nil || len(recs) != 3 || info.Torn {
+		t.Fatalf("compacted archive: %d records, %+v, %v", len(recs), info, err)
 	}
 	if recs[1].Responses["t"] != 42 {
 		t.Fatalf("compaction lost the last-wins record: %+v", recs[1])
@@ -494,7 +480,7 @@ func TestCompactDispatch(t *testing.T) {
 	if _, err := runstore.Compact(renamed, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(renamed); err != nil {
+	if _, err := Inspect(renamed); err != nil {
 		t.Fatalf("renamed archive became a non-archive after in-place compact: %v", err)
 	}
 	// Compacting an archive to a .jsonl destination converts.
@@ -592,7 +578,7 @@ func TestRunstoreDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != len(want) || !strings.Contains(info.Detail, "archive:") {
+	if info.Records != len(want) || !strings.Contains(info.Detail, "archive v3:") {
 		t.Fatalf("runstore.Inspect(archive) = %+v", info)
 	}
 
@@ -610,5 +596,133 @@ func TestRunstoreDispatch(t *testing.T) {
 	b2, _ := os.ReadFile(canon)
 	if string(b1) != string(b2) {
 		t.Fatalf("journal→archive→journal round-trip is not byte-identical:\n%s\nvs\n%s", b1, b2)
+	}
+}
+
+// lastWins is the view of appends: each key's last record, in the order
+// the keys first appeared.
+func lastWins(appends []runstore.Record) []runstore.Record {
+	var out []runstore.Record
+	at := map[string]int{}
+	for _, r := range appends {
+		if i, ok := at[r.Key()]; ok {
+			out[i] = r
+			continue
+		}
+		at[r.Key()] = len(out)
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestCutAtEveryByte crashes a live archive at every byte: a file written
+// by appends, Close, a reopen, more appends (one superseding an earlier
+// record) and Close is cut at every length from the header to EOF. Each
+// cut opens and serves the last-wins view of a prefix of the acknowledged
+// appends — a longer prefix, or the same, the longer the cut — and Close
+// then leaves a file that reopens finalized, serving the same.
+func TestCutAtEveryByte(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.arch")
+	var acked []runstore.Record
+	for session, rows := range [][]int{{0, 1, 2}, {3, 0, 4}} {
+		a, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.interval = 2 // index pages mid-stream, and one a reopen's first append writes
+		for _, row := range rows {
+			r := rec("e", row, 0, float64(10*session+row))
+			if err := a.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			r.Hash = hashOf(r)
+			acked = append(acked, r)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutPath, prefix := filepath.Join(dir, "cut.arch"), 0
+	served := func(cut int, stage string) []runstore.Record {
+		t.Helper()
+		a, err := Open(cutPath)
+		if err != nil {
+			t.Fatalf("cut at %d, %s: %v", cut, stage, err)
+		}
+		got, err := runstore.Collect(a.Scan())
+		if err != nil {
+			t.Fatalf("cut at %d, %s: %v", cut, stage, err)
+		}
+		if stage == "reopen" && a.dirty {
+			t.Fatalf("cut at %d: Close left a file that does not reopen finalized", cut)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for cut := len(Magic); cut <= len(data); cut++ {
+		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := served(cut, "open")
+		for prefix < len(acked) && len(got) > 0 && !reflect.DeepEqual(got, lastWins(acked[:prefix])) {
+			prefix++
+		}
+		if want := lastWins(acked[:prefix]); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d serves %+v: not the view of %d or more acknowledged appends", cut, got, prefix)
+		}
+		if again := served(cut, "reopen"); !reflect.DeepEqual(again, got) {
+			t.Fatalf("cut at %d: the reopened file serves %+v, the cut %+v", cut, again, got)
+		}
+	}
+	if prefix != len(acked) {
+		t.Fatalf("the whole file serves %d acknowledged appends, want all %d", prefix, len(acked))
+	}
+}
+
+// TestZeroFilledTailIsTorn: zero bytes after a version-3 archive's last
+// frame — what a file the filesystem had extended reads back as when a
+// crash kept the data from being written — end the readable region as a
+// torn tail, after a finalized file and after an unfinalized one: every
+// reader serves the record before them, and Open truncates them away.
+func TestZeroFilledTailIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.arch")
+	r := rec("e", 0, 0, 1)
+	if err := Write(path, runstore.Seq([]runstore.Record{r}), ""); err != nil {
+		t.Fatal(err)
+	}
+	r.Hash = hashOf(r)
+	finalized, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := blocksOf(finalized)[0]
+	for name, clean := range map[string][]byte{"finalized": finalized, "unfinalized": finalized[:first.off+first.n]} {
+		if err := os.WriteFile(path, append(bytes.Clone(clean), make([]byte, 4096)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := Inspect(path); err != nil || !info.Torn || info.Records != 1 {
+			t.Errorf("%s: Inspect = %+v, %v; want one record and a torn tail", name, info, err)
+		}
+		if got, err := runstore.LoadRecords(path); err != nil || !reflect.DeepEqual(got, []runstore.Record{r}) {
+			t.Errorf("%s: LoadRecords = %+v, %v", name, got, err)
+		}
+		a, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, err := runstore.Collect(a.Scan()); err != nil || !a.Torn() || !reflect.DeepEqual(got, []runstore.Record{r}) {
+			t.Errorf("%s: Open serves %+v, %v (torn %v)", name, got, err, a.Torn())
+		}
+		a.Close()
+		if got, _ := os.ReadFile(path); bytes.Contains(got, make([]byte, 64)) {
+			t.Errorf("%s: the zeros survived Open + Close", name)
+		}
 	}
 }

@@ -27,11 +27,11 @@ func TestArchivestoreConformance(t *testing.T) {
 }
 
 // TestArchivestoreCompressedConformance runs the same contract suite over
-// a compact archive: the version-2 file runstore.Merge writes for an
-// .archz destination, opened by the live Archive, whose appends then
-// carry the binary codec's payload like the blocks the merge wrote. The
-// Store semantics must not depend on the file's version or its record
-// block encoding.
+// an archive the bulk writer began: the file runstore.Merge writes for an
+// .archz destination, opened by the live Archive on its finalized path,
+// whose first append cuts the footer off (framelog.OpenAt) and whose
+// Close writes it again. The Store semantics must not depend on which
+// writer began the file.
 func TestArchivestoreCompressedConformance(t *testing.T) {
 	storetest.Run(t, storetest.Backend{
 		Name: "archivestore-compressed",

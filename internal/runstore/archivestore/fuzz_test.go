@@ -10,80 +10,95 @@ import (
 	"repro/internal/runstore"
 )
 
-// FuzzArchiveReader feeds arbitrary bytes after either archive magic —
-// seeded with the golden archives, whole and cut, and with hand-built
-// blocks of every record type (JSON, legacy compressed, binary, binary
-// with a malformed payload under a valid checksum), an unknown type and
-// torn tails — to both readers of the format. The properties under test:
+// FuzzArchiveReader feeds arbitrary bytes after any version's archive
+// magic — seeded with the golden archives, whole and cut, and with
+// hand-built blocks of every record type (JSON, legacy compressed, binary,
+// binary with a malformed payload under a valid checksum), an unknown type
+// and torn tails, as legacy blocks and as version-3 frames — to both
+// readers of the format. The properties under test:
 //
 //  1. Neither the streaming walk (OpenReader) nor Archive.Open and its
-//     Scan panics, whatever follows the magic; Open accepts every file
-//     with a valid magic.
+//     Scan panics, whatever follows the magic, and Open accepts every file
+//     the walk reads: a legacy file opens exactly when the walk reads it
+//     (it is that walk), a version-3 one whenever the walk reads it
+//     (framelog may refuse more: a checksum-valid frame whose key does not
+//     parse is corruption).
 //  2. Every checksummed record block is judged by one rule, whatever its
-//     type: a block whose key does not parse — where a recovery scan
-//     stops — yields no fields; one whose fields the walk reads has the
-//     key recovery indexes it under, and a point read decodes it to the
-//     same record.
+//     type: a block whose key does not parse yields no fields; one whose
+//     fields the walk reads has that key, and a point read decodes it to
+//     the same record.
 //  3. When the walk reads every record block, Archive.Open + Scan serves
 //     its last-wins view: in first-appended order, each key's last
-//     record. A recovery scan must agree outright; a finalized open is
-//     held to it whenever its index pages describe the blocks the walk
-//     read (pages are trusted by design — that is the O(index) open — so
-//     pages that point elsewhere are not this target's subject).
+//     record. A legacy open and a version-3 recovery must agree outright;
+//     a finalized open is held to it whenever its index pages describe
+//     the blocks the walk read (pages are trusted by design — that is the
+//     O(index) open — so pages that point elsewhere are not this target's
+//     subject).
 func FuzzArchiveReader(f *testing.F) {
-	for _, name := range []string{"archive.v1.arch", "archive.v1.mixed.arch", "archive.v1.archz", "archive.v1.torn.archz", "archive.v2.archz"} {
+	for _, name := range []string{"archive.v1.arch", "archive.v1.mixed.arch", "archive.v1.archz", "archive.v1.torn.archz", "archive.v2.archz", "archive.v3.arch"} {
 		data, err := os.ReadFile(filepath.Join(goldenDir, name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		v2, body := versionOf(data[:headerSize]) == 2, data[headerSize:]
-		f.Add(v2, body)
-		f.Add(v2, body[:len(body)-trailerSize-5]) // a finalize cut short
-		f.Add(v2, body[:len(body)/2])             // a torn record block
-	}
-	var body []byte
-	for i := 0; i < 6; i++ {
-		r := rec("e", i%4, i%2, float64(i)) // rows repeat: superseded blocks
-		r.Hash = hashOf(r)
-		typ, payload, _ := appendRecordPayload(nil, 1+i%3%2, r) // JSON, binary, then
-		if i%3 == 2 {
-			typ, payload = blockRecordZ, legacyPayloadZ(f, r) // compressed
-		}
-		body = appendBlock(body, typ, payload)
-		if i == 3 {
-			body = appendBlock(body, 42, []byte("future auxiliary data"))
-		}
+		v, body := uint8(versionOf(data[:len(Magic)])), data[len(Magic):]
+		f.Add(v, body)
+		f.Add(v, body[:len(body)-trailerSize-5]) // a finalize cut short
+		f.Add(v, body[:len(body)/2])             // a torn record block
 	}
 	bin := runstore.AppendBinary(nil, runstore.Record{Experiment: "e", Hash: "h", Assignment: map[string]string{"k": "v"}})
-	for _, v2 := range []bool{false, true} {
-		f.Add(v2, body)
-		f.Add(v2, append(body[:len(body):len(body)], appendBlock(nil, blockRecordB, bin)[:12]...))       // torn
-		f.Add(v2, appendBlock(body[:len(body):len(body)], blockRecordB, bin[:len(bin)-3]))               // key whole, record cut
-		f.Add(v2, appendBlock(appendBlock(nil, blockRecordB, bin[:3]), blockRecordB, bin))               // key cut
-		f.Add(v2, appendBlock(appendBlock(nil, blockRecordB, bin), blockRecordB, append(bin, 0)))        // a trailing byte
-		f.Add(v2, appendBlock(nil, blockRecordB, []byte{1, 'e', 0, 0, 0, 0, 0}))                         // no hash
-		f.Add(v2, appendBlock(appendBlock(nil, blockRecord, []byte("not a record")), blockRecordB, bin)) // key cut, type 1
+	for v := uint8(1); v <= latest; v++ {
+		add := appendFrame
+		if v < latest {
+			add = appendLegacyBlock
+		}
+		var body []byte
+		for i := 0; i < 6; i++ {
+			r := rec("e", i%4, i%2, float64(i)) // rows repeat: superseded blocks
+			r.Hash = hashOf(r)
+			switch {
+			case v == latest || i%3 == 1:
+				body = add(body, blockRecord, runstore.AppendBinary(nil, r))
+			case i%3 == 0:
+				body = add(body, blockRecordJSON, legacyPayload(f, blockRecordJSON, r))
+			default:
+				body = add(body, blockRecordZ, legacyPayload(f, blockRecordZ, r))
+			}
+			if i == 3 {
+				body = add(body, 42, []byte("future auxiliary data"))
+			}
+		}
+		f.Add(v, body)
+		f.Add(v, append(body[:len(body):len(body)], add(nil, blockRecord, bin)[:12]...))   // torn
+		f.Add(v, add(body[:len(body):len(body)], blockRecord, bin[:len(bin)-3]))           // key whole, record cut
+		f.Add(v, add(add(nil, blockRecord, bin[:3]), blockRecord, bin))                    // key cut
+		f.Add(v, add(add(nil, blockRecord, bin), blockRecord, append(bin, 0)))             // a trailing byte
+		f.Add(v, add(nil, blockRecord, []byte{1, 'e', 0, 0, 0, 0, 0}))                     // no hash
+		f.Add(v, add(add(nil, blockRecordJSON, []byte("not a record")), blockRecord, bin)) // key cut, type 1
 	}
 	path := filepath.Join(f.TempDir(), "fuzz.arch") // one file, rewritten by every input: a directory per input costs more than the input
-	f.Fuzz(func(t *testing.T, v2 bool, body []byte) {
-		magic := Magic
-		if v2 {
-			magic = MagicV2
-		}
-		data := append([]byte(magic), body...)
+	f.Fuzz(func(t *testing.T, v uint8, body []byte) {
+		version := 1 + int(v)%latest
+		data := append([]byte(versions[version].magic), body...)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
 		// Property 2, block by block over the data region.
 		for _, b := range blocksOf(data) {
-			if b.typ == blockFooter {
+			if version < latest && b.typ == blockFooter {
 				break
 			}
-			if !isRecordBlock(b.typ) {
+			if !isRecord(version, b.typ) {
 				continue
 			}
-			exp, hash, rep, kerr := recordPayloadKey(b.typ, b.payload)
+			var kerr error
+			var exp, hash []byte
+			var rep int
+			if b.typ == blockRecord {
+				exp, hash, rep, kerr = binaryKey(b.payload)
+			} else {
+				exp, hash, rep, _, kerr = cutKeyFields(b.payload)
+			}
 			var fields runstore.Fields
 			ferr := recordFields(b.typ, b.payload, new([]byte), &fields)
 			if kerr != nil && ferr == nil {
@@ -93,10 +108,10 @@ func FuzzArchiveReader(f *testing.F) {
 				continue
 			}
 			want := fields.Record()
-			if b.typ == blockRecordB && runstore.Key(exp, hash, rep) != want.Key() {
-				t.Fatalf("binary block at %d: keyed %s, holds %s", b.off, runstore.Key(exp, hash, rep), want.Key())
+			if b.typ == blockRecord && runstore.Key(string(exp), string(hash), rep) != want.Key() {
+				t.Fatalf("binary block at %d: keyed %s, holds %s", b.off, runstore.Key(string(exp), string(hash), rep), want.Key())
 			}
-			if got, err := decodeRecordBlock(b.typ, b.payload); err != nil || !reflect.DeepEqual(got, want) {
+			if got, err := decodeRecord(version, data[b.off:b.off+b.n]); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("type-%d block at %d: the walk reads %+v, a point read %+v, %v", b.typ, b.off, want, got, err)
 			}
 		}
@@ -124,11 +139,22 @@ func FuzzArchiveReader(f *testing.F) {
 
 		a, err := Open(path)
 		if err != nil {
-			t.Fatalf("Open: %v", err)
+			if walkErr == nil {
+				t.Fatalf("Open: %v; the walk read the file", err)
+			}
+			return
 		}
-		defer a.f.Close() // not Close: finalizing syncs, and a sync per input is most of its cost
+		defer func() { // not Close: finalizing syncs, and a sync per input is most of its cost
+			a.f.Close()
+			if a.log != nil {
+				a.log.Close()
+			}
+		}()
 		served, scanErr := runstore.Collect(a.Scan())
 		if walkErr != nil {
+			if version < latest {
+				t.Fatalf("the walk failed (%v), the legacy open it is did not", walkErr)
+			}
 			return // a record block that does not decode: the walk's error, and a point read's (property 2)
 		}
 		a.mu.Lock()
@@ -136,11 +162,11 @@ func FuzzArchiveReader(f *testing.F) {
 		for k, e := range extents {
 			sameIndex = sameIndex && a.idx[k] == e
 		}
-		finalized := !a.dirty
+		finalized := !a.dirty && version == latest
 		a.mu.Unlock()
 		if !sameIndex {
 			if !finalized {
-				t.Fatalf("recovery indexed %v, the walk read %v", a.order, order)
+				t.Fatalf("Open indexed %v, the walk read %v", a.order, order)
 			}
 			return
 		}

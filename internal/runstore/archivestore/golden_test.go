@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -14,7 +15,8 @@ import (
 
 // goldenDir is the on-disk format corpus runstore's golden test reads
 // too: files written once by the build that introduced their format
-// version, never regenerated, only added to.
+// version, never regenerated, only added to (testdata/golden/SHA256SUMS
+// pins their bytes; `make golden-check` verifies them).
 //
 // The version-1 archives were written at commit 3cf9d2c (PR 24, the last
 // build whose .archz writer wrote type-4 blocks), in a scratch checkout of
@@ -29,7 +31,8 @@ import (
 //     a crash mid-append leaves.
 //
 // archive.v2.archz is WriteCompressed's output at PR 25, which introduced
-// version 2 (type-5 blocks).
+// version 2 (type-5 blocks). archive.v3.arch is Open, Append each record,
+// Close at the build that made the archive a frame log (version 3).
 const goldenDir = "../../../testdata/golden"
 
 // goldenWritten is the record sequence every golden archive was written
@@ -97,10 +100,11 @@ func warehouseRun(t *testing.T, name string) warehouse.Run {
 // the streaming walk (OpenReader), Inspect, runstore.ScanFile, a
 // warehouse refresh, and Archive.Open on its finalized and its recovery
 // path — and gets the records and Info the build that wrote the file got:
-// the Info strings below are what commit 3cf9d2c printed for the
-// version-1 files. Then today's writers must still write the clean files
-// of their version byte for byte: the live Archive archive.v1.arch, the
-// compact bulk writer archive.v2.archz.
+// the walk's Info strings below are what commit 3cf9d2c printed for the
+// version-1 files. A legacy (version 1 or 2) file is read-only: Append
+// fails, naming the upgrade, and Close leaves it as it was, torn tail
+// included. Then today's writers — the live Archive and the bulk writer —
+// must both still write archive.v3.arch byte for byte.
 func TestGoldenArchives(t *testing.T) {
 	journal := warehouseRun(t, "journal.jsonl") // the same records, as the golden journal holds them
 	if journal.Records != 3 || len(journal.Cells) != 2 {
@@ -124,13 +128,17 @@ func TestGoldenArchives(t *testing.T) {
 			"archive: 4 record block(s), 1 index page(s), footer ok"},
 		{"archive.v1.torn.archz", true,
 			"archive: 4 record block(s) (4 compressed), 1 index page(s), TRUNCATED: no valid footer, 11 trailing byte(s) would be dropped on open",
-			"archive: 4 record block(s), 1 index page(s), torn tail truncated on open; footer pending until Close"},
+			"archive: 4 record block(s), 1 index page(s), no valid footer: read-only, left as found"},
 		{"archive.v2.archz", false,
 			"archive v2: 4 record block(s) (4 binary), 1 index page(s), footer ok",
 			"archive v2: 4 record block(s), 1 index page(s), footer ok"},
+		{"archive.v3.arch", false,
+			"archive v3: 4 record block(s), 1 index page(s), footer ok",
+			"archive v3: 4 record block(s), 1 index page(s), footer ok"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			path, original := copyGolden(t, tc.file)
+			legacy := versionOf(original[:len(Magic)]) < latest
 
 			// Read-only tooling first: none of it may touch the file.
 			r, err := OpenReader(path)
@@ -160,8 +168,9 @@ func TestGoldenArchives(t *testing.T) {
 				t.Fatal("read-only tooling modified the file")
 			}
 
-			// Archive.Open: the finalized path for a clean file, recovery for
-			// the torn one, which Close then finalizes into the clean file.
+			// Archive.Open: the finalized path for a clean file, the read-only
+			// walk for a legacy torn one. Open + Close leaves every file as it
+			// was; an Append to a legacy file fails and changes nothing.
 			a, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
@@ -173,21 +182,20 @@ func TestGoldenArchives(t *testing.T) {
 			if got, err := runstore.Collect(a.Scan()); err != nil || !reflect.DeepEqual(got, goldenServed()) {
 				t.Errorf("Archive.Scan = %+v, %v; want %+v", got, err, goldenServed())
 			}
+			if legacy {
+				if err := a.Append(rec("golden", 5, 0, 5)); err == nil || !strings.Contains(err.Error(), "perfeval archive") || !strings.Contains(err.Error(), "repro.Convert") {
+					t.Errorf("Append to a legacy archive = %v, want a refusal naming the upgrade", err)
+				}
+			}
 			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
-			want := original
-			if tc.torn {
-				if want, err = os.ReadFile(filepath.Join(goldenDir, "archive.v1.archz")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if after, _ := os.ReadFile(path); !bytes.Equal(after, want) {
-				t.Errorf("open + close left %d byte(s), want %d", len(after), len(want))
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, original) {
+				t.Errorf("open + close left %d byte(s), want the %d it found", len(after), len(original))
 			}
 
 			// The recovery path for every file: bytes past the trailer.
-			garbage := append(bytes.Clone(original), blockRecord, 0xff, 0xff)
+			garbage := append(bytes.Clone(original), blockRecordJSON, 0xff, 0xff)
 			if err := os.WriteFile(path, garbage, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -215,17 +223,16 @@ func TestGoldenArchives(t *testing.T) {
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteCompressed(filepath.Join(dir, "bulk.archz"), runstore.Seq(goldenWritten()), ""); err != nil {
+		if err := Write(filepath.Join(dir, "bulk.arch"), runstore.Seq(goldenWritten()), ""); err != nil {
 			t.Fatal(err)
 		}
-		for written, golden := range map[string]string{"live.arch": "archive.v1.arch", "bulk.archz": "archive.v2.archz"} {
-			got, _ := os.ReadFile(filepath.Join(dir, written))
-			want, err := os.ReadFile(filepath.Join(goldenDir, golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("today's writer no longer reproduces %s byte for byte:\n got %q\nwant %q", golden, got, want)
+		want, err := os.ReadFile(filepath.Join(goldenDir, "archive.v3.arch"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, written := range []string{"live.arch", "bulk.arch"} {
+			if got, _ := os.ReadFile(filepath.Join(dir, written)); !bytes.Equal(got, want) {
+				t.Errorf("%s no longer reproduces archive.v3.arch byte for byte:\n got %q\nwant %q", written, got, want)
 			}
 		}
 	})

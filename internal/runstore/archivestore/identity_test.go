@@ -59,14 +59,15 @@ func randomRecords(rng *rand.Rand) []runstore.Record {
 	return recs
 }
 
-// TestArchzByteIdentity: the compact archive is a lossless stop between
-// formats. For random records, from a JSON and from a binary journal,
-// Merge(src → x.archz) then Merge(x.archz → y.jsonl) writes exactly the
-// bytes of Merge(src → y.jsonl); and a warehouse refresh ingests x.archz
-// to src's records and fingerprint, and to the cells — bit for bit — of
-// the journal the same merge writes. (Not src's own: Merge writes records
-// in canonical order, and the order records arrive in decides which of
-// two cells tied on everything the cell sort compares comes first.)
+// TestArchzByteIdentity: the archive is a lossless stop between formats,
+// under either of its extensions. For random records, from a JSON and
+// from a binary journal, Merge(src → x.arch) and Merge(src → x.archz)
+// write the same bytes, and Merge(x → y.jsonl) writes exactly the bytes
+// of Merge(src → y.jsonl); and a warehouse refresh ingests either to
+// src's records and fingerprint, and to the cells — bit for bit — of the
+// journal the same merge writes. (Not src's own: Merge writes records in
+// canonical order, and the order records arrive in decides which of two
+// cells tied on everything the cell sort compares comes first.)
 func TestArchzByteIdentity(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(25))
@@ -83,23 +84,34 @@ func TestArchzByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			j.Close()
-			x, direct := filepath.Join(root, "x.archz"), filepath.Join(root, "direct.jsonl")
-			via := filepath.Join(t.TempDir(), "via.jsonl")
-			for _, m := range [][2]string{{src, x}, {x, via}, {src, direct}} {
-				if _, err := runstore.Merge([]string{m[0]}, m[1]); err != nil {
-					t.Fatal(err)
-				}
+			direct := filepath.Join(root, "direct.jsonl")
+			if _, err := runstore.Merge([]string{src}, direct); err != nil {
+				t.Fatal(err)
 			}
 			want, _ := os.ReadFile(direct)
-			if got, _ := os.ReadFile(via); !bytes.Equal(got, want) {
-				t.Fatalf("round %d: %s → .archz → .jsonl is not %s → .jsonl:\n got %q\nwant %q", round, ext, ext, got, want)
+			var archives [][]byte
+			for _, x := range []string{filepath.Join(root, "x"+Ext), filepath.Join(root, "x"+ExtZ)} {
+				via := filepath.Join(t.TempDir(), "via.jsonl")
+				for _, m := range [][2]string{{src, x}, {x, via}} {
+					if _, err := runstore.Merge([]string{m[0]}, m[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, _ := os.ReadFile(via); !bytes.Equal(got, want) {
+					t.Fatalf("round %d: %s → %s → .jsonl is not %s → .jsonl:\n got %q\nwant %q", round, ext, filepath.Ext(x), ext, got, want)
+				}
+				data, _ := os.ReadFile(x)
+				archives = append(archives, data)
+			}
+			if !bytes.Equal(archives[0], archives[1]) {
+				t.Fatalf("round %d, %s: the %s and %s merges wrote different bytes", round, ext, Ext, ExtZ)
 			}
 
 			w, err := warehouse.Open(root, warehouse.Options{Metrics: obs.NewRegistry()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rs, err := w.Refresh(); err != nil || rs.Ingested != 3 {
+			if rs, err := w.Refresh(); err != nil || rs.Ingested != 4 {
 				t.Fatalf("round %d, %s: refresh = %+v, %v", round, ext, rs, err)
 			}
 			runs := map[string]warehouse.Run{}
@@ -107,9 +119,11 @@ func TestArchzByteIdentity(t *testing.T) {
 				runs[r.Path] = r
 			}
 			w.Close()
-			got, merged, source := runs["x.archz"], runs["direct.jsonl"], runs["src"+ext]
-			if got.Records != source.Records || got.Fingerprint != source.Fingerprint || !reflect.DeepEqual(got.Cells, merged.Cells) {
-				t.Fatalf("round %d, %s: the warehouse ingests x.archz as\n %+v\nsrc as\n %+v\nand the merged journal as\n %+v", round, ext, got, source, merged)
+			merged, source := runs["direct.jsonl"], runs["src"+ext]
+			for _, x := range []string{"x" + Ext, "x" + ExtZ} {
+				if got := runs[x]; got.Format != "archive" || got.Records != source.Records || got.Fingerprint != source.Fingerprint || !reflect.DeepEqual(got.Cells, merged.Cells) {
+					t.Fatalf("round %d, %s: the warehouse ingests %s as\n %+v\nsrc as\n %+v\nand the merged journal as\n %+v", round, ext, x, got, source, merged)
+				}
 			}
 		}
 	}

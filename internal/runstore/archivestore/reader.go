@@ -1,33 +1,35 @@
 package archivestore
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
 	"os"
-	"slices"
 	"strings"
 
 	"repro/internal/runstore"
 )
 
 // reader is the streaming runstore.SourceReader over one archive file of
-// either version: Fields and Entries are one walk of the block sequence
+// any version: Fields and Entries are one walk of the block sequence
 // front to back with buffered reads, every record block walked once by
-// its codec's field pass — a binary payload by the binary codec's, a JSON
-// document (a legacy compressed one inflated first) by the JSON codec's —
-// and no record built; Read fetches a single block by extent. It backs
-// runstore.OpenSource, LoadRecords, ScanFile, Merge, Compact, Inspect and
-// the warehouse ingest for archive files — the same walk, torn-tail rule,
-// and finalization check everywhere.
+// its codec's field pass and no record built; Read fetches a single block
+// by extent. It backs runstore.OpenSource, LoadRecords, ScanFile, Merge,
+// Compact, Inspect and the warehouse ingest for archive files, and
+// Archive.Open for a legacy one — the same walk, torn-tail rule, and
+// finalization check everywhere.
 type reader struct {
 	path    string
 	f       *os.File
 	size    int64
-	version int // from the header; the trailer must agree
+	version int // from the header
 	info    runstore.Info
+	// What the last complete walk found besides records: the index pages'
+	// offsets, and whether the file is finalized.
+	pages     []int64
+	finalized bool
 }
 
 // OpenReader opens the archive at path for streaming read-only access —
@@ -43,7 +45,7 @@ func OpenReader(path string) (runstore.SourceReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("archivestore: %w", err)
 	}
-	head := make([]byte, headerSize)
+	head := make([]byte, len(Magic))
 	if _, err := io.ReadFull(f, head); err != nil {
 		clear(head)
 	}
@@ -55,70 +57,82 @@ func OpenReader(path string) (runstore.SourceReader, error) {
 	return &reader{path: path, f: f, size: st.Size(), version: version}, nil
 }
 
-// walk is the one forward pass over the block sequence, behind both
-// Fields and Entries: every record block in file order, superseded blocks
-// included, its document's fields handed to fn with the block's extent
-// until fn reports false. The view is the walk's own and every block
-// refills it, through one block buffer (and, for legacy compressed
-// blocks, one inflate buffer): it is valid until fn returns. A torn or
+// blockVisit receives one block of a walk: its type, its payload (valid
+// only until it returns), and the extent of the whole block.
+type blockVisit func(typ byte, payload []byte, ext runstore.Extent) error
+
+// blocks hands fn every block of the file in order and reports whether
+// the file is finalized and how many bytes a torn tail holds. A version-3
+// file is framelog's scan with framelog's recovery rule, footer and
+// trailer frames handed over like any other — the file is finalized when
+// its last frames are a footer and the trailer pointing at it; a legacy
+// file is legacyBlocks. fn's error stops the walk and is returned.
+func (r *reader) blocks(fn blockVisit) (finalized bool, dropped int64, err error) {
+	if r.version < latest {
+		return r.legacyBlocks(fn)
+	}
+	footer := int64(-1) // the previous frame's offset, when it was a footer
+	keep, torn, err := frames.ScanFile(io.NewSectionReader(r.f, 0, r.size), func(payload []byte, off, n int64) error {
+		typ, body := payload[0], payload[1:]
+		finalized = typ == blockTrailer && len(body) == 8 && int64(binary.LittleEndian.Uint64(body)) == footer
+		footer = -1
+		if typ == blockFooter {
+			footer = off
+		}
+		return fn(typ, body, runstore.Extent{Off: off, Len: n})
+	})
+	if torn {
+		return false, r.size - keep, err
+	}
+	return finalized, 0, err
+}
+
+// errStop ends a walk whose consumer stopped early.
+var errStop = errors.New("archivestore: walk stopped")
+
+// walk is the one forward pass over the block sequence, behind Fields,
+// Entries and a legacy file's Archive.Open: every record block in file
+// order, superseded blocks included, its fields handed to fn with the
+// block's extent until fn reports false. The view is the walk's own and
+// every block refills it: it is valid until fn returns. A torn or
 // unfinalized tail ends the walk without error and is reported via Info;
-// unknown block types with valid checksums are skipped (forward
-// compatibility, per the docs/FORMAT.md versioning policy); a record
-// block that does not decode is the walk's error.
+// unknown block types are skipped (forward compatibility, per the
+// docs/FORMAT.md versioning policy); a record block that does not decode
+// is the walk's error.
 func (r *reader) walk(fn func(*runstore.Fields, runstore.Extent) bool) error {
-	br := bufio.NewReaderSize(io.NewSectionReader(r.f, int64(headerSize), r.size-int64(headerSize)), 256<<10)
-	off := int64(headerSize)
-	var records [blockRecordB + 1]int // record blocks by type; the total at 0
-	pages := 0
-	finalized := false
 	var (
-		frame    []byte // one block buffer for the whole walk
-		inflated []byte // and one for the document of a compressed block
+		records  [blockRecord + 1]int // record blocks by type; the total at 0
+		pages    []int64
+		inflated []byte // the document of a legacy compressed block
 		fields   runstore.Fields
 	)
-scan:
-	for {
-		typ, payload, ok := readBlock(br, &frame, r.size-off)
-		if !ok {
-			break // EOF or a torn block: the tail is measured below
-		}
-		blockLen := int64(blockHeaderSize) + int64(len(payload))
-		switch typ {
-		case blockFooter:
-			// A finalized archive ends footer, trailer, EOF — anything
-			// else past the footer is a torn finalize.
-			end := off + blockLen
-			if r.size == end+int64(trailerSize) {
-				t := make([]byte, trailerSize)
-				if _, err := r.f.ReadAt(t, end); err == nil {
-					if footOff, ok := decodeTrailer(t, r.version); ok && footOff == off {
-						finalized = true
-					}
-				}
-			}
-			break scan
-		case blockRecord, blockRecordZ, blockRecordB:
+	finalized, dropped, err := r.blocks(func(typ byte, payload []byte, ext runstore.Extent) error {
+		switch {
+		case isRecord(r.version, typ):
 			if err := recordFields(typ, payload, &inflated, &fields); err != nil {
-				return fmt.Errorf("archivestore: %s: %w", r.path, err)
+				return fmt.Errorf("block at byte %d: %w", ext.Off, err)
 			}
 			records[0]++
 			records[typ]++
-			if !fn(&fields, runstore.Extent{Off: off, Len: blockLen}) {
-				return nil
+			if !fn(&fields, ext) {
+				return errStop
 			}
-		case blockIndex:
-			pages++
+		case typ == blockIndex:
+			pages = append(pages, ext.Off)
 		}
-		off += blockLen
+		return nil
+	})
+	if err == errStop {
+		return nil
 	}
-	var dropped int64
-	if !finalized {
-		dropped = r.size - off
+	if err != nil {
+		return fmt.Errorf("archivestore: %s: %w", r.path, err)
 	}
+	r.pages, r.finalized = pages, finalized
 	r.info = runstore.Info{
 		Records: records[0],
 		Torn:    dropped > 0 || (!finalized && records[0] > 0),
-		Detail:  describe(r.version, records[0], records[blockRecordZ], records[blockRecordB], pages, finalized, dropped),
+		Detail:  describe(r.version, records[0], records[blockRecordZ], records[blockRecord], len(pages), finalized, dropped),
 	}
 	return nil
 }
@@ -147,42 +161,19 @@ func (r *reader) Entries() iter.Seq2[runstore.SourceEntry, error] {
 	}
 }
 
-// readBlock reads the next block of a streamed walk into *buf, which it
-// grows as needed and every call reuses; payload is valid until the next
-// one. It validates the length against both the payload bound and the
-// bytes remaining in the file (so a corrupt length field cannot drive a
-// huge allocation) and checks the checksum — parseBlock's torn-block rule
-// for streamed input.
-func readBlock(br *bufio.Reader, buf *[]byte, remaining int64) (typ byte, payload []byte, ok bool) {
-	b := slices.Grow((*buf)[:0], blockHeaderSize)[:blockHeaderSize]
-	*buf = b
-	if _, err := io.ReadFull(br, b); err != nil {
-		return 0, nil, false
-	}
-	n := int64(binary.LittleEndian.Uint32(b[1:5]))
-	if b[0] == 0 || n > maxPayload || n > remaining-int64(blockHeaderSize) {
-		return 0, nil, false // a zeroed region is damage, not a block
-	}
-	b = slices.Grow(b, int(n))[:blockHeaderSize+int(n)]
-	*buf = b
-	if _, err := io.ReadFull(br, b[blockHeaderSize:]); err != nil {
-		return 0, nil, false
-	}
-	return parseBlock(b, 0)
-}
-
 // Read implements runstore.SourceReader with one positioned read of the
 // record block at ext.
 func (r *reader) Read(ext runstore.Extent) (runstore.Record, error) {
-	buf := make([]byte, ext.Len)
-	if _, err := r.f.ReadAt(buf, ext.Off); err != nil {
-		return runstore.Record{}, fmt.Errorf("archivestore: %s: reading block at %d: %w", r.path, ext.Off, err)
+	raw := make([]byte, ext.Len)
+	_, err := r.f.ReadAt(raw, ext.Off)
+	var rec runstore.Record
+	if err == nil {
+		rec, err = decodeRecord(r.version, raw)
 	}
-	typ, payload, ok := parseBlock(buf, 0)
-	if !ok || !isRecordBlock(typ) {
-		return runstore.Record{}, fmt.Errorf("archivestore: %s: block at %d is not a valid record", r.path, ext.Off)
+	if err != nil {
+		return runstore.Record{}, fmt.Errorf("archivestore: %s: block at %d: %w", r.path, ext.Off, err)
 	}
-	return decodeRecordBlock(typ, payload)
+	return rec, nil
 }
 
 // Info implements runstore.SourceReader; complete once Entries has been
@@ -194,14 +185,14 @@ func (r *reader) Info() runstore.Info { return r.info }
 func (r *reader) Close() error { return r.f.Close() }
 
 // describe renders the archive Detail string of the streaming reader and
-// Inspect: the record blocks, how many of them are legacy compressed ones
-// and how many binary, and the index pages.
+// Inspect: the record blocks — in a legacy file, how many of them are
+// compressed and how many binary — and the index pages.
 func describe(version, records, zrecords, brecords, pages int, finalized bool, dropped int64) string {
 	var kinds []string
 	if zrecords > 0 {
 		kinds = append(kinds, fmt.Sprintf("%d compressed", zrecords))
 	}
-	if brecords > 0 {
+	if brecords > 0 && version < latest {
 		kinds = append(kinds, fmt.Sprintf("%d binary", brecords))
 	}
 	detail := fmt.Sprintf("%s: %d record block(s)", label(version), records)

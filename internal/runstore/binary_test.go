@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -170,6 +171,43 @@ func TestBinaryJournalTornTail(t *testing.T) {
 		if string(got) != string(full) {
 			t.Errorf("cut at %d: re-appended journal differs from original", cut)
 		}
+	}
+}
+
+// TestBinaryJournalZeroFilledTail: zero bytes after the last frame — what
+// a file the filesystem had extended reads back as when a crash kept the
+// data from being written — are a torn tail, not an empty frame that
+// fails to decode: LoadRecords reads the record before them, and
+// OpenBinary truncates them away.
+func TestBinaryJournalZeroFilledTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.binj")
+	j, err := OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Experiment: "e", Assignment: map[string]string{"a": "1"}, Responses: map[string]float64{"ms": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(clean, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := LoadRecords(path); err != nil || len(recs) != 1 {
+		t.Fatalf("LoadRecords = %d record(s), %v; want the one before the zeros", len(recs), err)
+	}
+	if j, err = OpenBinary(path); err != nil {
+		t.Fatal(err)
+	}
+	if !j.Torn() || j.Len() != 1 {
+		t.Errorf("OpenBinary: torn %v, %d record(s); want torn, 1", j.Torn(), j.Len())
+	}
+	j.Close()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, clean) {
+		t.Errorf("OpenBinary left %d byte(s), want the %d before the zeros", len(got), len(clean))
 	}
 }
 

@@ -315,7 +315,7 @@ func (r *fileSource) raw(ext Extent, ahead bool) ([]byte, error) {
 func (r *fileSource) decodeRaw(raw []byte, ext Extent) (Record, error) {
 	payload := r.c.framing.Payload(raw)
 	if payload == nil {
-		return Record{}, fmt.Errorf("runstore: %s: bad extent at byte %d", r.path, ext.Off)
+		return Record{}, fmt.Errorf("runstore: %s: no whole record at byte %d", r.path, ext.Off)
 	}
 	rec, err := r.c.read(payload)
 	if err != nil {
@@ -373,7 +373,7 @@ func (c *codec) writeFrames(dst string, frames iter.Seq2[frame, error], modeFrom
 	bufp := frameBufPool.Get().(*[]byte)
 	defer putFrameBuf(bufp)
 	terminator := c.framing.Terminator()
-	err = atomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
+	err = framelog.AtomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
 		if _, err := w.WriteString(c.framing.Magic()); err != nil {
 			return fmt.Errorf("runstore: %w", err)
 		}

@@ -1,20 +1,15 @@
 package runstore
 
 import (
-	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
 	"iter"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/framelog"
 )
 
 // Conflict is one key whose stored measurements disagree across merge
@@ -544,54 +539,4 @@ func (p *mergePlan) framesParallel(c *codec, workers int) iter.Seq2[frame, error
 			}
 		}
 	}
-}
-
-// atomicWrite replaces dst with whatever emit writes: temp file in the
-// target directory, single fsync, rename, then a directory fsync so the
-// rename itself survives power loss. The file mode is copied from
-// modeFrom when it exists (so rewriting a journal in place never
-// silently changes its permissions), 0644 otherwise. Merge and Compact
-// share this path.
-func atomicWrite(dst, modeFrom string, emit func(w *bufio.Writer) error) error {
-	if dir := filepath.Dir(dst); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("runstore: %w", err)
-		}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".rewrite-*")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(modeFrom); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	bw := bufio.NewWriterSize(tmp, 256<<10)
-	if err := emit(bw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := framelog.SyncDir(filepath.Dir(dst)); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
 }

@@ -20,12 +20,8 @@ import (
 func writeRandomStore(t *testing.T, path string, recs []runstore.Record) {
 	t.Helper()
 	switch ext := filepath.Ext(path); ext {
-	case archivestore.Ext:
+	case archivestore.Ext, archivestore.ExtZ:
 		if err := archivestore.Write(path, runstore.Seq(recs), ""); err != nil {
-			t.Fatal(err)
-		}
-	case archivestore.ExtZ:
-		if err := archivestore.WriteCompressed(path, runstore.Seq(recs), ""); err != nil {
 			t.Fatal(err)
 		}
 	default:
@@ -38,7 +34,7 @@ func writeRandomStore(t *testing.T, path string, recs []runstore.Record) {
 // TestPlanMergeMatchesReference holds Merge's index pass — sources read
 // side by side, one fold over their entry lists, winners kept where they
 // were read — to the serial map-of-entries pass it replaced: over random
-// stores in all four at-rest formats, 1–9 sources, keys superseded inside
+// stores under all four at-rest extensions, 1–9 sources, keys superseded inside
 // a source and across sources with agreeing and disagreeing measurements,
 // sources already in canonical order and not, and a torn tail, at three
 // GOMAXPROCS, the per-source winner lists agree entry for entry and the

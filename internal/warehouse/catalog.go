@@ -16,7 +16,7 @@ var storeExts = map[string]bool{
 	".jsonl": true, // JSONL journal (and shard files)
 	".binj":  true, // binary journal
 	".arch":  true, // block-indexed archive
-	".archz": true, // compressed-block archive
+	".archz": true, // block-indexed archive, under its other name
 }
 
 // collectorStateFile is the collector daemon's control-state journal

@@ -107,6 +107,8 @@ func TestFileEngineTornTail(t *testing.T) {
 		"short header":      whole[:framelog.FrameHeaderSize-2],
 		"short payload":     whole[:len(whole)-3],
 		"checksum mismatch": append(append([]byte{}, whole[:4]...), append([]byte{0xde, 0xad, 0xbe, 0xef}, whole[framelog.FrameHeaderSize:]...)...),
+		// What a file extended but never written before a crash reads back.
+		"zero-filled tail": make([]byte, 4096),
 	}
 	for name, tail := range cases {
 		t.Run(name, func(t *testing.T) {

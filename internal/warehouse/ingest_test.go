@@ -21,9 +21,9 @@ import (
 
 // appendStore writes frames, in order and without deduplication, into a
 // new store of the format ext names — so a key appended twice is a
-// superseded frame on disk, in every format. A compact archive has no
-// appender of its own: it is what the writer behind Merge's .archz
-// destination writes, handed the frames as Append would store them.
+// superseded frame on disk, in every format. An .arch store is written by
+// the live archive, an .archz one by the bulk writer behind Merge, handed
+// the frames as Append would store them: the same file either way.
 func appendStore(t *testing.T, path, ext string, frames []runstore.Record) {
 	t.Helper()
 	var s interface {
@@ -45,7 +45,7 @@ func appendStore(t *testing.T, path, ext string, frames []runstore.Record) {
 				t.Fatal(err)
 			}
 		}
-		if err := archivestore.WriteCompressed(path, runstore.Seq(normalized), ""); err != nil {
+		if err := archivestore.Write(path, runstore.Seq(normalized), ""); err != nil {
 			t.Fatal(err)
 		}
 		return

@@ -36,12 +36,10 @@ type CompactStats = runstore.CompactStats
 // Merge or Convert destination carrying it is written as an archive.
 const ArchiveExt = archivestore.Ext
 
-// ArchiveExtZ is the binary-archive destination extension: the same
-// block-indexed layout, as format version 2, with every record block
-// holding the binary codec's payload instead of a JSON document
-// (docs/FORMAT.md §8) — smaller, and cheaper to read and write. Readers
-// need no hint: the file's magic names its version, and the extension
-// only selects the encoding at write time.
+// ArchiveExtZ is accepted wherever ArchiveExt is, as a destination that
+// writes the same archive (docs/FORMAT.md §8): it once selected binary
+// record blocks, which every archive now has. Readers need no hint
+// either way: the file's magic names its format and version.
 const ArchiveExtZ = archivestore.ExtZ
 
 // Store is a read-only, format-sniffing view of one store file — a
@@ -177,8 +175,8 @@ type ConvertStats struct {
 }
 
 // Convert merges the store files at srcs into a finalized block-indexed
-// archive at dst (which must end in ArchiveExt, or ArchiveExtZ for
-// binary record blocks) and verifies the
+// archive at dst (which must end in ArchiveExt or ArchiveExtZ) and
+// verifies the
 // artifact: every record of a second streaming pass over the merged
 // view must be served back, identical, by the archive's index — a
 // conversion that cannot be read back is worse than no conversion,
