@@ -52,11 +52,14 @@ race:
 # of the two places a fleet worker and its daemon wait on each other — the
 # held acquire, and the spool commit that runs beside the ingest of the
 # same batch — whose interleavings differ most between one processor and
-# several.
+# several. So, last, are the warehouse's Refresh and ingest tests: Refresh
+# ingests changed sources on up to GOMAXPROCS goroutines, and the scratch
+# an ingest folds a source in passes between them through a sync.Pool.
 .PHONY: race-cpu
 race-cpu:
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore' ./internal/collector ./internal/collector/client
+	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest' ./internal/warehouse
 
 .PHONY: bench
 bench:
@@ -104,10 +107,12 @@ docs-check:
 # true exactly when re-encoding reproduces the bytes (FuzzEntryScan —
 # what lets Merge and Compact copy a frame), the hand-written run
 # document codec of the warehouse index must agree with encoding/json on
-# every input (FuzzIndexCodec), and the archive's streaming walk must
+# every input (FuzzIndexCodec), the archive's streaming walk must
 # agree with Archive.Open + Scan over arbitrary bytes after any
 # version's magic, every record block type judged by one torn-or-corrupt
-# rule (FuzzArchiveReader). `go test -fuzz` takes
+# rule (FuzzArchiveReader), and the warehouse's single-pass ingest must
+# equal its record-per-frame reference, errors included, over frame
+# sequences written in three formats (FuzzIngest). `go test -fuzz` takes
 # one target per invocation, so the fuzzers run back to back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
@@ -120,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 	$(GO) test -fuzz=FuzzIndexCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore/archivestore
+	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 
 .PHONY: cover
 cover:

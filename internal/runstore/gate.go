@@ -1,15 +1,16 @@
 package runstore
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"repro/internal/design"
+	"repro/internal/framelog"
 	"repro/internal/harness"
 	"repro/internal/stats"
 )
@@ -122,18 +123,18 @@ func FromResultSet(rs *harness.ResultSet) *Summary {
 	return s
 }
 
-// Save writes the summary as indented JSON — the baseline file format.
+// Save writes the summary as indented JSON — the baseline file format —
+// through framelog.AtomicWrite: a baseline is replaced whole and synced,
+// keeps its file mode, and a failed save leaves the one before it.
 func (s *Summary) Save(path string) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("runstore: %w", err)
-		}
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := framelog.AtomicWrite(path, path, func(w *bufio.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package runstore
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -133,6 +134,37 @@ func TestSummarySaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadSummary(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("missing baseline should error")
+	}
+}
+
+// TestSummarySaveReplacesWhole: a save over an existing baseline replaces
+// it whole, keeps its file mode, and leaves no temporary file beside it.
+func TestSummarySaveReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "baseline.json")
+	if err := summaryFor(t, map[string]float64{"lo": 10, "hi": 20}, []float64{-0.1, 0, 0.1}).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	next := summaryFor(t, map[string]float64{"lo": 30, "hi": 40}, []float64{-0.3, 0.3})
+	if err := next.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o600 {
+		t.Fatalf("baseline after a save over it: %v, %v; want mode 0600 kept", st.Mode(), err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries after the save, want only the baseline: %v", len(entries), entries)
+	}
+	got, err := LoadSummary(path)
+	if err != nil || len(got.Rows) != len(next.Rows) || got.Rows[0].Values[0] != next.Rows[0].Values[0] {
+		t.Fatalf("baseline after the save = %+v, %v; want the second summary", got, err)
 	}
 }
 

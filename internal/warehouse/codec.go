@@ -90,8 +90,7 @@ func decodeRun(doc []byte, rp *replay) (Run, error) {
 }
 
 // names holds each distinct string it is asked for once: the few names a
-// source or a whole index repeats — experiments, factors, responses,
-// formats.
+// whole index repeats — experiments, factors, responses, formats.
 type names map[string]string
 
 // of returns b as a string, the one an earlier call made of the same bytes

@@ -1,12 +1,15 @@
 package warehouse
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/framelog"
+	"repro/internal/runstore"
 )
 
 // FuzzWarehouseIndex feeds arbitrary byte streams — valid indexes, torn
@@ -84,6 +87,74 @@ func FuzzWarehouseIndex(f *testing.F) {
 		}
 		if _, ok := after[extra.Path]; !ok {
 			t.Fatal("put run lost after reopen")
+		}
+	})
+}
+
+// FuzzIngest holds ingest to referenceIngest (same) over frame sequences
+// the fuzzer spells, each written as a .jsonl, a .binj and an .arch source:
+// the same Run bit for bit, or the same error. The first two bytes choose
+// a byte of the file to flip and a tail to cut off (zero for neither);
+// then each frame takes four bytes — experiment, hash, assignment,
+// responses — and a varint replicate, from alphabets small enough that
+// keys repeat and frames supersede one another. Maps come null, empty or
+// filled, a hash empty (derived on append) or holding a slash, so two
+// cells can spell one key, and replicate numbers run to 2^63-1.
+func FuzzIngest(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 2, 1, 2, 0x1e, 14, 2, 1, 3, 0x3f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 2, 1, 2, 0x1e, 14})
+	f.Add([]byte{128, 0, 0, 3, 2, 0x8e, 0, 1, 2, 3, 1, 3, 2, 3, 0, 3, 0, 0, 0, 0x82, 9})
+	f.Add([]byte{0, 9, 4, 5, 6, 0xfe, 1, 4, 5, 6, 0xfe, 2, 0, 0, 0, 0, 0})
+	values := []float64{0, math.Copysign(0, -1), 1.5, -2.25, 1e15, 5e-324, 7, 0.1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		flip, cut := int(data[0]), int(data[1])
+		var frames []runstore.Record
+		for data = data[2:]; len(data) >= 5 && len(frames) < 64; {
+			e, h, a, r := data[0], data[1], data[2], data[3]
+			rep, n := binary.Uvarint(data[4:])
+			if n <= 0 {
+				n = len(data) - 4
+			}
+			data = data[4+n:]
+			rec := runstore.Record{
+				Experiment: []string{"e", "f", "e/x"}[e%3],
+				Hash:       []string{"", "h0", "h1", "x/h0"}[h%4],
+				Replicate:  int(rep >> 1),
+			}
+			if a%4 > 0 {
+				rec.Assignment = map[string]string{}
+				for k, name := range []string{"f", "g"}[:a%4-1] {
+					rec.Assignment[name] = []string{"1", "2", "3"}[int(a>>(2+2*k))%3]
+				}
+			}
+			if r&1 == 1 {
+				rec.Responses = map[string]float64{}
+				for k, name := range []string{"ms", "io", "rows"} {
+					if r>>(1+k)&1 == 1 {
+						rec.Responses[name] = values[int(r>>4+e>>2+byte(k))%len(values)]
+					}
+				}
+			}
+			frames = append(frames, rec)
+		}
+		root := t.TempDir()
+		for _, ext := range []string{".jsonl", ".binj", ".arch"} {
+			path := filepath.Join(root, "fuzz"+ext)
+			appendStore(t, path, ext, frames)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flip > 0 && len(b) > 0 {
+				b[flip*len(b)/256] ^= 1
+			}
+			if err := os.WriteFile(path, b[:len(b)-min(cut, len(b))], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			same(t, root, "fuzz"+ext)
 		}
 	})
 }

@@ -206,28 +206,55 @@ func TestIngestHandEditedJournal(t *testing.T) {
 	}
 }
 
-// TestIngestEqualsReference holds the field-pass ingest to the pass it
-// replaced (referenceIngest: a runstore.Record per frame), source for
-// source: the same Run, bit for bit — nil and empty assignments told
-// apart — or the same refusal in the same words. Over every format and a
-// range of seeds, whole, torn at every length a tail can be cut to, and
-// with a frame in the middle damaged.
+// same holds the field-pass ingest of one source to the pass it replaced
+// (referenceIngest: a runstore.Record per frame): the same Run, bit for
+// bit — nil and empty told apart — or the same refusal in the same words.
+// It returns the run.
+func same(t *testing.T, root, rel string) Run {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(root, rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ingest(root, rel, st)
+	want, werr := referenceIngest(root, rel, st)
+	if (err != nil) != (werr != nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("%s: ingest fails with %v, the reference with %v", rel, err, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: ingest diverges from the reference:\n got %+v\nwant %+v", rel, got, want)
+	}
+	return got
+}
+
+// TestIngestEqualsReference holds ingest to referenceIngest (same) source
+// for source, over every format and a range of seeds, whole, torn at
+// every length a tail can be cut to, and with a frame in the middle
+// damaged; and over the shapes the seeded fixtures lack: replicate numbers
+// sparse and huge, one cell of 5 000 replicates, every cell's replicate 0
+// before any cell's replicate 1 (no frame in the cell of the frame
+// before), and a source with no response at all, whose run has nil cells.
 func TestIngestEqualsReference(t *testing.T) {
 	t.Parallel()
-	same := func(t *testing.T, root, rel string) {
-		t.Helper()
-		st, err := os.Stat(filepath.Join(root, rel))
-		if err != nil {
-			t.Fatal(err)
+	var sparse, wide, major, silent []runstore.Record
+	for i, rep := range []int{0, 7, 1 << 20, 1 << 31, 1 << 40} {
+		for _, f := range []string{"a", "b"} {
+			sparse = append(sparse, mkRec("exp0", map[string]string{"f": f}, rep, map[string]float64{"ms": float64(i), "io": float64(rep % 1000)}))
 		}
-		got, err := ingest(root, rel, st)
-		want, werr := referenceIngest(root, rel, st)
-		if (err != nil) != (werr != nil) || err != nil && err.Error() != werr.Error() {
-			t.Fatalf("%s: ingest fails with %v, the reference with %v", rel, err, werr)
+	}
+	sparse = append(sparse, mkRec("exp0", map[string]string{"f": "a"}, 1<<40, map[string]float64{"ms": -1})) // supersedes a huge replicate
+	for rep := 0; rep < 5000; rep++ {
+		wide = append(wide, mkRec("exp0", map[string]string{"f": "wide"}, rep, map[string]float64{"ms": float64(rep%97) / 8}))
+	}
+	for rep := 0; rep < 3; rep++ {
+		for c := 0; c < 20; c++ {
+			major = append(major, mkRec("exp0", map[string]string{"f": fmt.Sprint(c)}, rep, map[string]float64{"ms": float64(c*rep) + 0.5, "io": float64(rep)}))
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: ingest diverges from the reference:\n got %+v\nwant %+v", rel, got, want)
-		}
+	}
+	for rep := 0; rep < 3; rep++ {
+		silent = append(silent,
+			mkRec("exp0", map[string]string{"f": "x"}, rep, nil),
+			runstore.Record{Experiment: "exp1", Hash: "h", Replicate: rep, Responses: map[string]float64{}})
 	}
 	for i, ext := range []string{".jsonl", ".binj", ".arch", ".archz"} {
 		t.Run(ext, func(t *testing.T) {
@@ -262,6 +289,13 @@ func TestIngestEqualsReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(t, root, "damaged"+ext)
+
+			for name, frames := range map[string][]runstore.Record{"sparse": sparse, "wide": wide, "replicate-major": major, "silent": silent} {
+				appendStore(t, filepath.Join(root, name+ext), ext, frames)
+				if run := same(t, root, name+ext); name == "silent" && run.Cells != nil {
+					t.Errorf("%s: a source without a response ingests to cells %#v, want nil", name+ext, run.Cells)
+				}
+			}
 		})
 	}
 	t.Run("hand-edited", func(t *testing.T) {

@@ -175,7 +175,7 @@ func TestHandBuiltRunIsFoundBySelectorAndHash(t *testing.T) {
 // of every run measured 3.5. The ceiling is where a map per cell per run
 // cannot come back unnoticed.
 func TestOpenAllocsPerCell(t *testing.T) {
-	root := benchFixture(t, benchRuns)
+	root := benchFixture(t, benchRuns, benchReps)
 	w, err := Open(root, Options{Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

@@ -200,98 +200,84 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 	return rs, statErr
 }
 
-// ingest reads one source end to end and builds its run summary, ingest
-// time aside: the per-cell aggregates (replicate count, mean, unbiased
-// variance over the distinct last-wins records) and the order-independent
-// content fingerprint. It is the only place the warehouse reads record
-// data, and it reads it once: one forward pass over the reader's Fields,
-// every frame walked exactly once and no record built, last-wins resolved
-// here.
+// ingest reads one source end to end — each frame once, through the
+// reader's Fields, building no record — into its run summary, ingest time
+// aside: per cell the replicate count, mean and unbiased variance over the
+// distinct last-wins records, and the order-independent fingerprint.
 //
 // The result is, bit for bit, what aggregating runstore.ScanFile's
-// sequence gives — the distinct records in first-appended order — which
-// a differential test holds it to. Overwriting by key is idempotent, so
-// that order falls out of one rule: a key's first frame claims the next
-// slot, and a superseding frame replaces, in that slot, what the frame
-// before it left (its fingerprint, its values, and — when the slot is its
-// cell's first — the cell's assignment). The view a step yields is gone at
-// the next, so what outlives it is copied here and only that: a record's
-// fingerprint and values, and once per cell its key (which the experiment
-// and the hash are cut from) and its assignment — whose canonical string,
-// rendered once per design cell to sort the run's cells by, stays on every
-// cell as its selector.
+// sequence gives — the distinct records in first-appended order — which a
+// differential test holds it to. Overwriting by key is idempotent, so that
+// order falls out of one rule: a key's first frame claims the next slot,
+// and a superseding frame replaces, in that slot, what the frame before it
+// left (its fingerprint, its values and, for its cell's first slot, the
+// cell's assignment). What outlives a step's view is copied out of it: a
+// record's fingerprint and values into a scratch reused from source to
+// source, so that a record allocates nothing, and per cell its key (which
+// the experiment and hash are cut from) and its assignment, whose canonical
+// string is the cell's selector.
 func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
 	if err != nil {
 		return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
 	}
 	defer r.Close()
-
-	type value struct {
-		response string
-		v        float64
-	}
-	type slot struct { // one distinct record, in first-appended order
-		cell   int    // index into cells
-		fp     uint64 // keyedFingerprint of the frame that holds the slot
-		values []value
-	}
-	type cell struct { // one design cell, in first-appearance order
-		key              string // runstore.CellKey
-		experiment, hash string // cut from key
-		assignment       map[string]string
-		first            int // the slot whose record names the assignment
-	}
-	// A record's key is its cell's key, a slash and its replicate, and
-	// the replicate's digits hold no slash: (cell, replicate) is that key.
-	type slotKey struct{ cell, replicate int }
+	s := foldPool.Get().(*fold)
+	defer foldPool.Put(s)
+	clear(s.slotAt) // keeps its buckets, as truncation keeps an array
+	s.slots, s.arena = s.slots[:0], s.arena[:0]
 	var (
-		slots  []slot
-		cells  []cell
-		slotAt = make(map[slotKey]int)
-		cellAt = make(map[string]int) // cell key -> cell
-		name   = make(names).of       // a source's few factor and response names, each allocated once
+		cells  []foldCell
+		cellAt = make(map[string]int) // cell key -> cells
+		ci     = -1                   // the frame's cell, which the next frame is most often in too
+		nameAt = make(map[string]int) // factor or response name -> names
+		names  []string               // a source's few, each allocated once
 		key    []byte
 	)
+	name := func(b []byte) int {
+		n, ok := nameAt[string(b)]
+		if !ok {
+			n, names = len(names), append(names, string(b))
+			nameAt[names[n]] = n
+		}
+		return n
+	}
 	for f, err := range r.Fields() {
 		if err != nil {
 			return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
 		}
-		// runstore.CellKey and then runstore.Key in a reused buffer: a map
-		// lookup by string(key) does not allocate.
+		// runstore.CellKey, then runstore.Key: looking string(key) up allocates nothing.
 		key = append(append(append(key[:0], f.Experiment...), '/'), f.Hash...)
-		ci, ok := cellAt[string(key)]
-		if !ok {
-			ci = len(cells)
-			cells = append(cells, cell{key: string(key), first: len(slots)})
-			cellAt[cells[ci].key] = ci
+		if ci < 0 || cells[ci].key != string(key) {
+			var ok bool
+			if ci, ok = cellAt[string(key)]; !ok {
+				ci = len(cells)
+				cells = append(cells, foldCell{key: string(key), first: len(s.slots)})
+				cellAt[cells[ci].key] = ci
+			}
 		}
-		i, seen := slotAt[slotKey{ci, f.Replicate}]
+		i, seen := s.slotAt[[2]int{ci, f.Replicate}]
 		if !seen {
-			i = len(slots)
-			slots = append(slots, slot{cell: ci})
-			slotAt[slotKey{ci, f.Replicate}] = i
+			i = len(s.slots)
+			s.slots = append(s.slots, foldSlot{cell: ci})
+			s.slotAt[[2]int{ci, f.Replicate}] = i
 		}
 		key = strconv.AppendInt(append(key, '/'), int64(f.Replicate), 10)
-		s := &slots[i]
-		s.fp = keyedFingerprint(key, f.Fingerprint())
+		sl := &s.slots[i]
+		sl.fp = keyedFingerprint(key, f.Fingerprint())
 		if c := &cells[ci]; c.first == i {
 			c.experiment, c.hash = c.key[:len(f.Experiment)], c.key[len(f.Experiment)+1:]
 			c.assignment = nil
 			if a := f.Assignment(); a != nil {
 				c.assignment = make(map[string]string, len(a))
 				for _, p := range a {
-					c.assignment[name(p.Key)] = string(p.Value)
+					c.assignment[names[name(p.Key)]] = string(p.Value)
 				}
 			}
 		}
-		responses := f.Responses()
-		if need := len(responses); need > cap(s.values) {
-			s.values = make([]value, 0, need)
-		}
-		s.values = s.values[:0]
-		for _, resp := range responses {
-			s.values = append(s.values, value{name(resp.Name), resp.Value})
+		sl.off, sl.n = len(s.arena), len(f.Responses())
+		for _, resp := range f.Responses() {
+			s.arena = append(s.arena, foldValue{name(resp.Name), resp.Value})
 		}
 	}
 
@@ -300,36 +286,43 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 		Size:      st.Size(),
 		ModTimeNS: st.ModTime().UnixNano(),
 		Format:    formatName(rel),
-		Records:   len(slots),
+		Records:   len(s.slots),
 	}
-	// Per cell, each response's values in slot order: the order ScanFile
-	// yields the cell's records in, so the sums below add in its order.
-	perCell := make([]map[string][]float64, len(cells))
-	for _, s := range slots {
-		run.Fingerprint ^= s.fp
-		vals := perCell[s.cell]
-		if vals == nil {
-			vals = make(map[string][]float64)
-			perCell[s.cell] = vals
-		}
-		for _, rv := range s.values {
-			vals[rv.response] = append(vals[rv.response], rv.v)
-		}
+	// Each cell's values in slot order, as ScanFile yields its records, so the
+	// sums below add in its order: a counting sort, cell ci's ending at end[ci].
+	end := make([]int, len(cells))
+	for _, sl := range s.slots {
+		run.Fingerprint ^= sl.fp
+		end[sl.cell] += sl.n
 	}
+	for ci, at := 0, 0; ci < len(end); ci++ {
+		end[ci], at = at, at+end[ci]
+	}
+	s.byCell = slices.Grow(s.byCell[:0], len(s.arena))[:len(s.arena)]
+	for _, sl := range s.slots {
+		end[sl.cell] += copy(s.byCell[end[sl.cell]:], s.arena[sl.off:][:sl.n])
+	}
+	byName := make([][]float64, len(names)) // by response, one cell's values
+	lo, resps := 0, []int(nil)
 	for ci, c := range cells {
-		resps := make([]string, 0, len(perCell[ci]))
-		for resp := range perCell[ci] {
-			resps = append(resps, resp)
+		in := s.byCell[lo:end[ci]]
+		lo, resps = end[ci], resps[:0]
+		for _, v := range in {
+			if len(byName[v.name]) == 0 {
+				resps = append(resps, v.name)
+			}
+			byName[v.name] = append(byName[v.name], v.v)
 		}
-		slices.Sort(resps)
+		slices.SortFunc(resps, func(a, b int) int { return strings.Compare(names[a], names[b]) })
 		selector := assignmentString(c.assignment) // once per design cell: sorted by here, matched by queries
-		for _, resp := range resps {
-			vals := perCell[ci][resp]
+		for _, n := range resps {
+			vals := byName[n]
+			byName[n] = vals[:0]
 			out := Cell{
 				Experiment: c.experiment,
 				Hash:       c.hash,
 				Assignment: c.assignment,
-				Response:   resp,
+				Response:   names[n],
 				N:          len(vals),
 				Mean:       stats.Mean(vals),
 				selector:   selector,
@@ -348,6 +341,34 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	})
 	return run, nil
 }
+
+// fold is what ingest keeps per record, pooled from source to source. A
+// record's key is its cell's key, '/' and slash-free digits: (cell, replicate).
+type (
+	fold struct {
+		slotAt map[[2]int]int // (cell, replicate) -> slots
+		slots  []foldSlot
+		arena  []foldValue
+		byCell []foldValue // the arena's live values, by cell
+	}
+	foldSlot struct { // one distinct record, in first-appended order
+		cell   int    // index into cells
+		fp     uint64 // keyedFingerprint of the frame that holds the slot
+		off, n int    // its values: arena[off:off+n]
+	}
+	foldCell struct { // one design cell, in first-appearance order
+		key              string // runstore.CellKey
+		experiment, hash string // cut from key
+		assignment       map[string]string
+		first            int // the slot whose record names the assignment
+	}
+	foldValue struct {
+		name int // into names
+		v    float64
+	}
+)
+
+var foldPool = sync.Pool{New: func() any { return &fold{slotAt: make(map[[2]int]int)} }}
 
 // keyedFingerprint folds one record's identity and measurement into the
 // run fingerprint: FNV-1a over the bytes of its key (runstore.Key), then
