@@ -46,9 +46,11 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Merge reads its sources side by side on up to GOMAXPROCS goroutines, so
-# the rewrite tests are raced at a processor count that does not depend on
-# the machine running them: 1 (everything inline) and 4. So are the tests
+# Merge and Compact read their sources side by side, and a line-framed
+# journal in sections, on up to GOMAXPROCS goroutines, so the rewrite tests
+# and the entry scans' are raced at a processor count that does not depend
+# on the machine running them: 1 (everything inline, one section per
+# source) and 4 (several sections per source). So are the tests
 # of the two places a fleet worker and its daemon wait on each other — the
 # held acquire, and the spool commit that runs beside the ingest of the
 # same batch — whose interleavings differ most between one processor and
@@ -57,7 +59,7 @@ race:
 # an ingest folds a source in passes between them through a sync.Pool.
 .PHONY: race-cpu
 race-cpu:
-	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile' ./internal/runstore/...
+	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile|Entries|Section|Inspect' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore' ./internal/collector ./internal/collector/client
 	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest' ./internal/warehouse
 
@@ -112,7 +114,10 @@ docs-check:
 # version's magic, every record block type judged by one torn-or-corrupt
 # rule (FuzzArchiveReader), and the warehouse's single-pass ingest must
 # equal its record-per-frame reference, errors included, over frame
-# sequences written in three formats (FuzzIngest). `go test -fuzz` takes
+# sequences written in three formats (FuzzIngest), and the index pass over
+# a journal read in sections must equal the one-section pass, errors,
+# Info and canonical verdict included, over arbitrary bytes
+# (FuzzSectionedScan). `go test -fuzz` takes
 # one target per invocation, so the fuzzers run back to back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
@@ -126,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIndexCodec -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore/archivestore
 	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
+	$(GO) test -fuzz=FuzzSectionedScan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 
 .PHONY: cover
 cover:

@@ -84,6 +84,50 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
+// Shortest reports whether literal, a JSON number that parses to v, is
+// what AppendFloat writes for v. It decides without formatting when
+// literal is a plain positional decimal of at most 15 significant digits
+// and v lies where AppendFloat writes positional decimals: no two such
+// decimals parse to the same float64, so none shorter reaches v and
+// AppendFloat's digits are literal's own — literal is canonical exactly
+// when its fraction, if any, ends in a nonzero digit. Any other literal
+// (an exponent, more digits, v outside that range) is compared with
+// AppendFloat's bytes.
+func Shortest(literal []byte, v float64) bool {
+	digits, first, last, point := 0, -1, -1, false
+	for i, ch := range literal {
+		switch {
+		case ch >= '1' && ch <= '9':
+			if first < 0 {
+				first = digits
+			}
+			last = digits
+			digits++
+		case ch == '0':
+			digits++
+		case ch == '.':
+			point = true
+		case ch == '-' && i == 0:
+		default:
+			digits = -1 // an exponent: not positional
+		}
+		if digits < 0 {
+			break
+		}
+	}
+	if digits >= 0 {
+		if point && literal[len(literal)-1] == '0' {
+			return false // AppendFloat never ends a fraction in zero
+		}
+		if abs := math.Abs(v); last-first < 15 && (abs == 0 || abs >= 1e-6 && abs < 1e21) {
+			return true
+		}
+	}
+	var buf [32]byte
+	want, err := AppendFloat(buf[:0], v)
+	return err == nil && bytes.Equal(want, literal)
+}
+
 // AppendMap appends m as a JSON object with its keys in byte order; a
 // nil map is null, an empty one {}. It stops at the first value that
 // does not encode.

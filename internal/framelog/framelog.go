@@ -169,6 +169,57 @@ func (fr Framing) ScanFile(r io.Reader, fn Visit) (keep int64, torn bool, err er
 	return fr.scan(br, int64(n), fn)
 }
 
+// Sections cuts a file of size bytes in this framing, read through r, into
+// at most n sections of at least floor bytes each, for a reader that scans
+// them side by side, and returns their bounds: 0, every cut, size. Only
+// Lines cuts: a payload never holds a newline, so a cut just past one
+// ends a line and starts the next, and every section but the last ends
+// on a terminated line — a torn tail can only end the last. Scan each
+// section from its first bound with Scan (ScanFile for the first); the
+// first error by offset is the file's, and the last section's keep and
+// torn are the file's. Length-prefixed frames cannot resynchronize, so a
+// Frames file is one section.
+func (fr Framing) Sections(r io.ReaderAt, size int64, n int, floor int64) ([]int64, error) {
+	floor = max(floor, 1)
+	bounds := []int64{0}
+	if !fr.frames {
+		n = int(min(int64(n), size/floor))
+		var buf [4 << 10]byte
+		for k := 1; k < n; k++ {
+			cut, err := lineAfter(r, max(int64(k)*size/int64(n), bounds[len(bounds)-1]+floor), size, buf[:])
+			if err != nil {
+				return nil, err
+			}
+			if size-cut < floor {
+				break
+			}
+			bounds = append(bounds, cut)
+		}
+	}
+	return append(bounds, size), nil
+}
+
+// lineAfter returns the offset just past the first newline at or after
+// from-1 — from itself when a line ends just before it — or size when no
+// line ends before size.
+func lineAfter(r io.ReaderAt, from, size int64, buf []byte) (int64, error) {
+	for off := from - 1; off < size; {
+		chunk := buf[:min(int64(len(buf)), size-off)]
+		n, err := r.ReadAt(chunk, off)
+		if i := bytes.IndexByte(chunk[:n], '\n'); i >= 0 {
+			return off + int64(i) + 1, nil
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		off += int64(n)
+	}
+	return size, nil
+}
+
 // readerPool recycles the scans' read buffers: a scan is one per ingest
 // batch on the collector daemon and one per file everywhere else, and a
 // fresh 64 KiB buffer for each was a tenth of what a fleet run allocates.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"os"
 	"sync"
 
@@ -202,10 +203,11 @@ type fileSource struct {
 	f    *os.File
 	c    *codec
 	info Info
-	// canonical: the last complete Entries pass found every frame
-	// canonical, no torn tail, and the frames tiling the file exactly —
-	// no blank line, no unterminated last line. Rewriting such a file's
-	// records in file order reproduces it.
+	// canonical: the last complete entry scan (Entries, or the index
+	// pass's sections joined by finish) found every frame canonical, no
+	// torn tail, and the frames tiling the file exactly — no blank line,
+	// no unterminated last line. Rewriting such a file's records in file
+	// order reproduces it.
 	canonical bool
 	// ahead is the write pass's read-ahead window, the file's bytes from
 	// aheadOff on (raw).
@@ -221,45 +223,94 @@ func (c *codec) openReader(path string) (SourceReader, error) {
 	return &fileSource{path: path, f: f, c: c}, nil
 }
 
-// scanSource is the one forward pass over a journal file, behind both
-// Entries and Fields: from the start, through framelog's buffered scan,
-// each payload turned into one item of the sequence — with its extent
-// and, where the caller knows it, the canonical verdict of its frame. It
-// may be consumed more than once; each pass re-reads the file and leaves
-// the reader's Info behind.
+// scanned is what a scan of a stretch of a journal file found: how many
+// records, how many bytes their frames cover (terminators included, and
+// the magic for a stretch that starts the file), whether every frame was
+// canonical, and whether a torn tail ended it.
+type scanned struct {
+	records   int
+	tiled     int64
+	canonical bool
+	torn      bool
+}
+
+// scan is the one forward pass over the stretch of r's file from base —
+// 0, or just past a newline of a line-framed file — up to end
+// (math.MaxInt64: to whatever end the file has by then), through
+// framelog's buffered scan. item receives each payload with its extent
+// and returns the canonical verdict of its frame; an error it returns
+// marks the payload corrupt for the recovery rule, except errStop, which
+// ends the pass and is returned as it is. Concurrent scans of one file
+// share nothing: each reads through its own positioned reader.
+func (r *fileSource) scan(base, end int64, item func(payload []byte, ext Extent) (bool, error)) (scanned, error) {
+	s := scanned{canonical: true}
+	terminator := int64(len(r.c.framing.Terminator()))
+	visit := func(payload []byte, off, n int64) error {
+		canon, err := item(payload, Extent{Off: off, Len: n})
+		if err == errStop {
+			return err
+		}
+		if err != nil {
+			return framelog.Corrupt(fmt.Errorf("corrupt %s at byte %d: %v", r.c.what, off, err))
+		}
+		s.records++
+		s.canonical = s.canonical && canon
+		s.tiled += n + terminator
+		return nil
+	}
+	in := io.NewSectionReader(r.f, base, end-base)
+	var err error
+	if base == 0 {
+		s.tiled = int64(len(r.c.framing.Magic()))
+		_, s.torn, err = r.c.framing.ScanFile(in, visit)
+	} else {
+		_, s.torn, err = r.c.framing.Scan(in, base, visit)
+	}
+	if err != nil && err != errStop {
+		err = fmt.Errorf("runstore: %s: %w", r.path, err)
+	}
+	return s, err
+}
+
+// finish leaves what a whole pass found — its stretches joined in file
+// order — behind as the reader's Info and canonical verdict. Only the
+// last stretch can end torn.
+func (r *fileSource) finish(parts ...scanned) {
+	whole := scanned{canonical: true}
+	for _, p := range parts {
+		whole.records += p.records
+		whole.tiled += p.tiled
+		whole.canonical = whole.canonical && p.canonical
+		whole.torn = p.torn
+	}
+	r.info = Info{Records: whole.records, Torn: whole.torn, Detail: r.c.detail}
+	st, err := r.f.Stat()
+	r.canonical = whole.canonical && !whole.torn && err == nil && whole.tiled == st.Size()
+}
+
+// scanSource is the forward pass behind both Entries and Fields: the whole
+// file, each payload turned into one item of the sequence — with its
+// extent and, where the caller knows it, the canonical verdict of its
+// frame. It may be consumed more than once; each pass re-reads the file
+// and leaves the reader's Info behind.
 func scanSource[T any](r *fileSource, item func(payload []byte, ext Extent) (T, bool, error)) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
-		var zero T
-		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-			yield(zero, fmt.Errorf("runstore: %w", err))
-			return
-		}
-		records, canonical := 0, true
-		tiled := int64(len(r.c.framing.Magic()))
-		terminator := int64(len(r.c.framing.Terminator()))
-		_, torn, err := r.c.framing.ScanFile(r.f, func(payload []byte, off, n int64) error {
-			it, canon, err := item(payload, Extent{Off: off, Len: n})
-			if err != nil {
-				return framelog.Corrupt(fmt.Errorf("corrupt %s at byte %d: %v", r.c.what, off, err))
+		whole, err := r.scan(0, math.MaxInt64, func(payload []byte, ext Extent) (bool, error) {
+			it, canon, err := item(payload, ext)
+			if err == nil && !yield(it, nil) {
+				return canon, errStop
 			}
-			records++
-			canonical = canonical && canon
-			tiled += n + terminator
-			if !yield(it, nil) {
-				return errStop
-			}
-			return nil
+			return canon, err
 		})
 		if err == errStop {
 			return
 		}
 		if err != nil {
-			yield(zero, fmt.Errorf("runstore: %s: %w", r.path, err))
+			var zero T
+			yield(zero, err)
 			return
 		}
-		r.info = Info{Records: records, Torn: torn, Detail: r.c.detail}
-		st, err := r.f.Stat()
-		r.canonical = canonical && !torn && err == nil && tiled == st.Size()
+		r.finish(whole)
 	}
 }
 
@@ -271,6 +322,38 @@ func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
 		e.Ext = ext
 		return e, e.canonical, err
 	})
+}
+
+// sections returns the bounds the index pass reads the file in: up to n
+// sections of at least sectionFloor bytes (framelog's Sections; a file in
+// checksummed framing is one). A file it cannot size or cut is one
+// section, whose scan meets whatever stopped the cutting.
+func (r *fileSource) sections(n int) []int64 {
+	var size int64
+	if st, err := r.f.Stat(); err == nil {
+		size = st.Size()
+	}
+	bounds, err := r.c.framing.Sections(r.f, size, n, sectionFloor)
+	if err != nil {
+		return []int64{0, size}
+	}
+	return bounds
+}
+
+// entries is the entry scan of the section from base to end, collected
+// in file order, and what the section's scan found, for finish.
+func (r *fileSource) entries(base, end int64) ([]SourceEntry, scanned, error) {
+	f := new(Fields)
+	var list []SourceEntry
+	s, err := r.scan(base, end, func(payload []byte, ext Extent) (bool, error) {
+		e, err := r.c.entry(payload, f)
+		e.Ext = ext
+		if err == nil {
+			list = append(list, e)
+		}
+		return e.canonical, err
+	})
+	return list, s, err
 }
 
 // Fields implements SourceReader with the codec's field pass, through one
@@ -299,15 +382,22 @@ func (r *fileSource) raw(ext Extent, ahead bool) ([]byte, error) {
 		return r.ahead[lo : lo+ext.Len], nil
 	}
 	size := max(ext.Len, readAhead)
+	off := ext.Off
+	if ext.Off < r.aheadOff {
+		// Reading backwards (keys superseded in reverse order): the window
+		// ends where this extent ends, so it serves the extents before it.
+		off = max(0, ext.Off+ext.Len-size)
+	}
 	if int64(cap(r.ahead)) < size {
 		r.ahead = make([]byte, size)
 	}
-	n, err := r.f.ReadAt(r.ahead[:size], ext.Off)
-	r.ahead, r.aheadOff = r.ahead[:n], ext.Off
-	if int64(n) < ext.Len { // err says why: io.EOF at least
+	n, err := r.f.ReadAt(r.ahead[:size], off)
+	r.ahead, r.aheadOff = r.ahead[:n], off
+	lo := ext.Off - off
+	if int64(n) < lo+ext.Len { // err says why: io.EOF at least
 		return nil, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
 	}
-	return r.ahead[:ext.Len], nil
+	return r.ahead[lo : lo+ext.Len], nil
 }
 
 // decodeRaw decodes the record whose stored bytes at ext are raw,

@@ -1,5 +1,7 @@
 package runstore
 
+import "runtime"
+
 // CompactStats reports what one compaction did.
 type CompactStats struct {
 	Kept    int // distinct records the compacted journal holds
@@ -17,12 +19,14 @@ type CompactStats struct {
 // sheds every superseded record. A torn trailing line is dropped like
 // Open would.
 //
-// Compact streams: the index pass keeps one lightweight entry per key
-// (foldEntries: the winners in first-appended order, which the rewrite is
-// handed as they are), and the rewrite copies (or, where the stored frame
-// is not what the destination's codec would write, decodes and
-// re-encodes) one record at a time, so peak memory never holds the record
-// set — run it on journals of any size.
+// Compact streams: the index pass is Merge's over one source — a
+// line-framed journal read in sections on up to GOMAXPROCS goroutines,
+// then folded to one lightweight entry per key, the winners in
+// first-appended order, which the rewrite is handed as they are — and the
+// rewrite copies (or, where the stored frame is not what the
+// destination's codec would write, decodes and re-encodes) one record at
+// a time, so peak memory never holds the record set — run it on journals
+// of any size.
 //
 // The rewrite is atomic: records go to a temporary file in the target
 // directory which is fsynced and renamed into place. dst == "" compacts
@@ -48,13 +52,11 @@ func Compact(src, dst string) (CompactStats, error) {
 	}
 	plan := &mergePlan{sources: []*mergeSource{newMergeSource(r)}}
 	defer plan.Close()
-	winners, records, err := foldEntries(r)
-	if err != nil {
+	if err := plan.scan(runtime.GOMAXPROCS(0)); err != nil {
 		return cs, err
 	}
-	cs.Kept = len(winners)
-	cs.Dropped = records - len(winners)
-	cs.Torn = r.Info().Torn
+	ms := plan.fold([]string{src})
+	cs.Kept, cs.Dropped, cs.Torn = ms.Kept, ms.Superseded, ms.TornSources > 0
 
 	if dst == "" {
 		dst = src
@@ -71,7 +73,6 @@ func Compact(src, dst string) (CompactStats, error) {
 		metCompactSkipped.Inc()
 		return cs, nil
 	}
-	s.winners = winners
 	if err := plan.write(dst, formatWrite, src); err != nil {
 		return cs, err
 	}

@@ -53,8 +53,8 @@
 // Streaming contract: the Store view (Scan) and every file-level reader
 // (ScanFile, SourceReader, Merge, Compact) hand records to the consumer
 // one at a time — peak memory holds a lightweight index entry per key
-// (Merge: per stored record of its sources, until its fold drops the
-// superseded), never the record set. Collect materializes a sequence for the few
+// (Merge, Compact and ScanFile: per stored record of their sources,
+// until the fold drops the superseded), never the record set. Collect materializes a sequence for the few
 // sites that truly need a slice. The normative iteration-order and
 // error-in-sequence semantics are docs/FORMAT.md §9.
 //
@@ -62,14 +62,15 @@
 // encoding of every record they keep. Their index passes run on each
 // codec's entry scan (codec.entry, in either encoding), which reads a
 // stored payload's entry — and whether the payload is already canonical
-// — without building the record. Merge's index pass scans its sources
-// side by side (up to GOMAXPROCS at once, each into its own entry list),
-// folds the lists in source order — last wins, a Conflict is a
-// disagreement with the winner at that moment — and keeps each source's
-// winners in the order they were read, sorting only a list that is not
-// already canonical. The write pass copies canonical frames between
-// files of one encoding and decodes and re-encodes everything else, to
-// the same bytes. An in-place Compact that would reproduce its file
+// — without building the record. The index pass reads on up to
+// GOMAXPROCS goroutines (sources side by side, a line-framed journal in
+// sections cut just past a newline, each into its own entry list, joined
+// in file order), folds the lists in source order — last wins, a
+// Conflict is a disagreement with the winner at that moment — and keeps
+// each source's winners in the order they were read, Merge sorting a
+// list that is not already canonical. The write pass copies canonical
+// frames between files of one encoding and decodes and re-encodes
+// everything else, to the same bytes. An in-place Compact that would reproduce its file
 // leaves it untouched (docs/FORMAT.md §1 and §7).
 //
 // Durability contract: Append returns only after the record's bytes are

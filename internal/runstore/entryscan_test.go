@@ -59,6 +59,13 @@ func FuzzEntryScan(f *testing.F) {
 		{`1.5`, `15e-1`},
 		{`1.5`, `-0`},
 		{`1.5`, `0.0000001`},
+		{`1.5`, `0.123456789012345`},   // 15 significant digits
+		{`1.5`, `0.1234567890123456`},  // 16
+		{`1.5`, `0.12345678901234568`}, // 17
+		{`1.5`, `123456789012345680000`},
+		{`1.5`, `1.5e0`},
+		{`1.5`, `1.5E+00`},
+		{`1.5`, `1e21`},
 		{`{"f":"x"}`, `{"g":"x","f":"y"}`},
 		{`{"f":"x"}`, `{"f":"x","f":"y"}`},
 		{`{"ms":1.5}`, `{"ms":1.5,"io":2}`},

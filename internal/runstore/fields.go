@@ -117,14 +117,12 @@ func (f *Fields) Entry() SourceEntry {
 	key.Write(f.Hash)
 	key.WriteByte('/')
 	key.Write(replicate)
-	k := key.String()
 	return SourceEntry{
-		Experiment: k[:len(f.Experiment)],
-		Hash:       k[len(f.Experiment)+1:][:len(f.Hash)],
-		Replicate:  f.Replicate,
-		Row:        f.Row,
-		Fp:         f.Fingerprint(),
-		key:        k,
+		key:       key.String(),
+		exp:       uint32(len(f.Experiment)),
+		Replicate: f.Replicate,
+		Row:       f.Row,
+		Fp:        f.Fingerprint(),
 	}
 }
 

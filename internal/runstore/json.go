@@ -1,7 +1,6 @@
 package runstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -79,7 +78,9 @@ func DecodeJSONFields(doc []byte, f *Fields) error { return jsonCodec.fields(doc
 // With canonical set it accepts only AppendJSON's own bytes for that
 // record — the canonical form of docs/FORMAT.md §1: additionally no raw
 // '<', '>' or '&', no -0 integer, every number the shortest one
-// canonjson.AppendFloat would write. That is the entry scan's verdict.
+// canonjson.AppendFloat would write (canonjson.Shortest, which decides
+// an ordinary number without formatting it). That is the entry scan's
+// verdict.
 func walkJSON(doc []byte, f *Fields, canonical bool) (ok bool) {
 	c := canonjson.NewCursor(doc)
 	c.Lit(`{"experiment":`)
@@ -99,16 +100,12 @@ func walkJSON(doc []byte, f *Fields, canonical bool) (ok bool) {
 	}
 	c.Lit(`,"responses":`)
 	if f.responses.start(c.Object()) {
-		var shortest [32]byte
 		for k := []byte(nil); c.Member(); {
 			k = c.NextKey(k, canonical)
 			literal := c.Rest()
 			v := c.Num()
-			if canonical {
-				literal = literal[:len(literal)-len(c.Rest())]
-				if want, err := canonjson.AppendFloat(shortest[:0], v); err != nil || !bytes.Equal(want, literal) {
-					c.Fail()
-				}
+			if canonical && !canonjson.Shortest(literal[:len(literal)-len(c.Rest())], v) {
+				c.Fail()
 			}
 			f.responses.add(Response{k, v})
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -47,12 +48,13 @@ type MergeStats struct {
 //
 // Merge streams: an index pass reduces each source to lightweight
 // entries (key, canonical position, measurement fingerprint, extent) —
-// the sources scanned side by side, up to GOMAXPROCS at once, then their
-// entry lists folded in source order, which is what last-wins and the
-// Conflicts are defined on, and each source's winners kept in the order
-// they were read (a list not already canonical is sorted) — then the
-// destination is written by k-way ordered iteration over the
-// per-source winner lists, one record at a time. A winner whose stored
+// read on up to GOMAXPROCS goroutines at once, sources side by side and a
+// line-framed journal in sections cut just past a newline, joined in file
+// order; then the entry lists folded in source order, which is what
+// last-wins and the Conflicts are defined on, and each source's winners
+// kept in the order they were read (a list not already canonical is
+// sorted) — then the destination is written by k-way ordered iteration
+// over the per-source winner lists, one record at a time. A winner whose stored
 // frame is already what the destination's codec would write for it —
 // the ordinary case, a journal merged into a journal of the same
 // encoding — is copied from its source; any other (a hand-edited line,
@@ -204,9 +206,6 @@ func (p *mergePlan) write(dst string, f *Format, modeFrom string) error {
 func (p *mergePlan) Close() error {
 	var first error
 	for _, s := range p.sources {
-		if s == nil { // a failed index pass never opened it, or closed it where its scan failed
-			continue
-		}
 		if err := s.r.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -220,133 +219,216 @@ func (p *mergePlan) Close() error {
 // outgrew int32 would be 200 GB of entries first).
 type entryRef struct{ src, pos int32 }
 
-// planMerge runs the index pass in two halves. Reading: every source's
-// entries are collected in file order (scanSources; sources side by
-// side). Folding: one pass over those lists in source order, then file
-// order, through a map from key to the entry holding it at that moment —
-// last wins, a cross-source measurement disagreement with that holder is
-// a Conflict, and the holder it replaces is marked dead where it lies.
-// What survives in a source is its winner list, left in the order it was
-// read and sorted only if that order is not already canonical — a
-// worker's spool and a merged journal are — ready for k-way iteration.
+// planMerge runs Merge's index pass: every source's entries read
+// (scanSources), last-wins resolved over them (fold), and each source's
+// survivors put in canonical order — left as they are when they already
+// are in it, as a worker's spool and a merged journal are — ready for
+// k-way iteration.
 func planMerge(srcs []string) (*mergePlan, MergeStats, error) {
-	var ms MergeStats
 	if len(srcs) == 0 {
-		return nil, ms, fmt.Errorf("runstore: merge needs at least one source journal")
+		return nil, MergeStats{}, fmt.Errorf("runstore: merge needs at least one source journal")
 	}
-	ms.Sources = len(srcs)
 	plan, err := scanSources(srcs)
 	if err != nil {
-		return nil, ms, err
+		return nil, MergeStats{Sources: len(srcs)}, err
 	}
-	total := 0
+	ms := plan.fold(srcs)
 	for _, s := range plan.sources {
+		if !slices.IsSortedFunc(s.winners, canonicalCompare) {
+			slices.SortFunc(s.winners, canonicalCompare)
+		}
+	}
+	return plan, ms, nil
+}
+
+// fold resolves last-wins over the entry lists the scan read, named srcs:
+// one pass in source order, then file order, through a map from key to
+// the entry holding it at that moment, sized from the entry count the
+// scan reports. A key met again in the same source is an ordinary
+// supersede — the later entry takes the earlier one's slot, so a source's
+// survivors keep its keys in first-appended order, the order Compact and
+// ScanFile serve. Met in a later source, the key's holder is marked dead
+// where it lies, and a measurement that disagrees with the holder's is a
+// Conflict: only cross-source disagreement means two workers measured the
+// same unit differently. The dead are then dropped from every list.
+func (p *mergePlan) fold(srcs []string) MergeStats {
+	ms := MergeStats{Sources: len(srcs)}
+	total := 0
+	for _, s := range p.sources {
 		total += len(s.winners)
 		if s.r.Info().Torn {
 			ms.TornSources++
 		}
 	}
 	index := make(map[string]entryRef, total)
-	dead := make([][]bool, len(srcs)) // per source, allocated at its first superseded entry
-	for i, s := range plan.sources {
+	dead := make([][]bool, len(p.sources)) // per source, allocated at its first superseded entry
+	kill := func(at entryRef) {
+		if dead[at.src] == nil {
+			dead[at.src] = make([]bool, len(p.sources[at.src].winners))
+		}
+		dead[at.src][at.pos] = true
+	}
+	for i, s := range p.sources {
 		for pos := range s.winners {
 			e := &s.winners[pos]
 			k := e.Key()
-			if prev, seen := index[k]; seen {
-				// A same-source overwrite is an ordinary last-wins supersede,
-				// not a Conflict: only cross-source disagreement means two
-				// workers measured the same unit differently.
-				if int(prev.src) != i && plan.sources[prev.src].winners[prev.pos].Fp != e.Fp {
-					ms.Conflicts = append(ms.Conflicts, Conflict{
-						Key: k, Earlier: srcs[prev.src], Later: srcs[i],
-					})
+			here := entryRef{src: int32(i), pos: int32(pos)}
+			prev, seen := index[k]
+			switch {
+			case !seen:
+				index[k] = here
+			case prev.src == here.src:
+				s.winners[prev.pos] = *e
+				kill(here)
+			default:
+				if p.sources[prev.src].winners[prev.pos].Fp != e.Fp {
+					ms.Conflicts = append(ms.Conflicts, Conflict{Key: k, Earlier: srcs[prev.src], Later: srcs[i]})
 				}
-				if dead[prev.src] == nil {
-					dead[prev.src] = make([]bool, len(plan.sources[prev.src].winners))
-				}
-				dead[prev.src][prev.pos] = true
+				kill(prev)
+				index[k] = here
 			}
-			index[k] = entryRef{src: int32(i), pos: int32(pos)}
 		}
 	}
-	for i, s := range plan.sources {
-		if dead[i] != nil {
-			read := s.winners
-			s.winners = s.winners[:0]
-			for pos, e := range read {
-				if !dead[i][pos] {
-					s.winners = append(s.winners, e)
-				}
+	for i, s := range p.sources {
+		if dead[i] == nil {
+			continue
+		}
+		read := s.winners
+		s.winners = s.winners[:0]
+		for pos, e := range read {
+			if !dead[i][pos] {
+				s.winners = append(s.winners, e)
 			}
-			clear(read[len(s.winners):])
 		}
-		if !slices.IsSortedFunc(s.winners, canonicalCompare) {
-			slices.SortFunc(s.winners, canonicalCompare)
-		}
+		clear(read[len(s.winners):])
 	}
 	ms.Kept = len(index)
 	ms.Superseded = total - len(index)
-	return plan, ms, nil
+	return ms
 }
 
-// scanSources opens every source and collects its entries, in file
-// order, into its winners list. No source shares anything with another,
-// so they are read side by side on up to GOMAXPROCS goroutines, the
-// caller's among them (one source: only the caller's). Sources are
-// claimed in order and a failure stops further claims, so every source
-// before the lowest-numbered failing one has been read in full and its
-// failure is the one a one-at-a-time pass would have met: that is the
-// error returned, with every reader that was opened closed.
+// scanSources opens every source, in order, and reads the entries of
+// those it could open (scan). An open failure ends the list there, and is
+// the error returned unless a source before it failed first; either way
+// every reader that was opened is closed.
 func scanSources(srcs []string) (*mergePlan, error) {
-	plan := &mergePlan{sources: make([]*mergeSource, len(srcs))}
-	errs := make([]error, len(srcs))
+	plan := &mergePlan{sources: make([]*mergeSource, 0, len(srcs))}
+	var openErr error
+	for _, path := range srcs {
+		r, err := OpenSource(path)
+		if err != nil {
+			openErr = err
+			break
+		}
+		plan.sources = append(plan.sources, newMergeSource(r))
+	}
+	if err := cmp.Or(plan.scan(runtime.GOMAXPROCS(0)), openErr); err != nil {
+		plan.Close()
+		return nil, err
+	}
+	return plan, nil
+}
+
+// sectionFloor is the least a section holds when the index pass cuts a
+// line-framed journal of its own for another core to read: below it a
+// section's hand-off and its reader cost more than the lines it scans.
+// On BenchmarkCollect at -cpu 2 (two 200 KiB shard journals merged, the
+// 400 KiB result compacted) floors of 16 and 64 KiB measured alike
+// (6.6–8.5 ms), 256 KiB, which reads each shard in one section, 8.1–10.3
+// ms; of the two equal ones the larger keeps small files whole. A var,
+// not a const, so tests can cut small files into many sections.
+var sectionFloor int64 = 64 << 10
+
+// scan is the index pass's read half: it collects every source's entries,
+// in file order, into its winners list. It runs on up to GOMAXPROCS
+// goroutines, the caller's among them (one unit: only the caller's),
+// which claim units in order: a journal in line framing is cut into up to
+// sections sections (fileSource.sections), each read by the one serial
+// scan from its own offset; any other source is one unit, read through
+// Entries. A failure stops further claims, so every unit before the
+// lowest-numbered failing one has been read in full, and its failure —
+// the first by source, then by offset — is the one a one-at-a-time pass
+// would have met. Each source's section lists and what its sections
+// found are then joined in file order.
+func (p *mergePlan) scan(sections int) error {
+	type unit struct{ src, sec int }
+	var units []unit
+	bounds := make([][]int64, len(p.sources)) // nil: read through Entries
+	lists := make([][][]SourceEntry, len(p.sources))
+	found := make([][]scanned, len(p.sources))
+	for i, s := range p.sources {
+		n := 1
+		if s.fs != nil {
+			bounds[i] = s.fs.sections(sections)
+			n = len(bounds[i]) - 1
+		}
+		lists[i], found[i] = make([][]SourceEntry, n), make([]scanned, n)
+		for sec := range n {
+			units = append(units, unit{i, sec})
+		}
+	}
+	errs := make([]error, len(units))
 	var next atomic.Int64
 	var failed atomic.Bool
-	scan := func() {
+	read := func() {
 		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= len(srcs) {
+			u := int(next.Add(1)) - 1
+			if u >= len(units) {
 				return
 			}
-			if plan.sources[i], errs[i] = scanMergeSource(srcs[i]); errs[i] != nil {
+			i, sec := units[u].src, units[u].sec
+			if b := bounds[i]; b != nil {
+				end := int64(math.MaxInt64) // the last section reads on to the file's end, as one pass would
+				if sec+2 < len(b) {
+					end = b[sec+1]
+				}
+				lists[i][sec], found[i][sec], errs[u] = p.sources[i].fs.entries(b[sec], end)
+			} else {
+				lists[i][sec], errs[u] = collectEntries(p.sources[i].r)
+			}
+			if errs[u] != nil {
 				failed.Store(true)
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 1; w-- {
+	for w := min(runtime.GOMAXPROCS(0), len(units)); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scan()
+			read()
 		}()
 	}
-	scan()
+	read()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			plan.Close()
-			return nil, err
+			return err
 		}
 	}
-	return plan, nil
+	for i, s := range p.sources {
+		if len(lists[i]) == 1 {
+			s.winners = lists[i][0]
+		} else {
+			s.winners = slices.Concat(lists[i]...)
+		}
+		if bounds[i] != nil {
+			s.fs.finish(found[i]...)
+		}
+	}
+	return nil
 }
 
-// scanMergeSource opens one source and reads all of its entries.
-func scanMergeSource(path string) (*mergeSource, error) {
-	r, err := OpenSource(path)
-	if err != nil {
-		return nil, err
-	}
-	s := newMergeSource(r)
+// collectEntries reads all of r's entries.
+func collectEntries(r SourceReader) ([]SourceEntry, error) {
+	var list []SourceEntry
 	for e, err := range r.Entries() {
 		if err != nil {
-			r.Close()
 			return nil, err
 		}
-		s.winners = append(s.winners, e)
+		list = append(list, e)
 	}
-	return s, nil
+	return list, nil
 }
 
 // canonicalCompare orders entries by (experiment, design row, replicate,
@@ -355,7 +437,7 @@ func scanMergeSource(path string) (*mergeSource, error) {
 // after canonicalization. After last-wins resolution no two winners
 // share all four fields, so the order is total.
 func canonicalCompare(a, b SourceEntry) int {
-	if c := strings.Compare(a.Experiment, b.Experiment); c != 0 {
+	if c := strings.Compare(a.Experiment(), b.Experiment()); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.Row, b.Row); c != 0 {
@@ -364,7 +446,7 @@ func canonicalCompare(a, b SourceEntry) int {
 	if c := cmp.Compare(a.Replicate, b.Replicate); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Hash, b.Hash)
+	return strings.Compare(a.Hash(), b.Hash())
 }
 
 // each iterates the plan's winners in canonical output order by k-way

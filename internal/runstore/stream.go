@@ -3,6 +3,7 @@ package runstore
 import (
 	"iter"
 	"math"
+	"strings"
 )
 
 // Extent locates one record's encoded bytes inside a store file, in the
@@ -16,21 +17,20 @@ type Extent struct {
 // SourceEntry is the lightweight per-record metadata a streaming index
 // pass yields: enough to key, order canonically, and compare
 // measurements without retaining the record — which no reader builds
-// when its stored form is what the codec writes (codec.entry).
+// when its stored form is what the codec writes (codec.entry). It holds
+// one string, the key, built once when a reader makes the entry
+// (Fields.Entry, entryOf), and cuts the experiment and the hash from it:
+// an index pass keeps one entry per stored record.
 type SourceEntry struct {
-	Experiment string
-	Hash       string
-	Replicate  int
-	Row        int
+	key       string // Key(experiment, hash, replicate)
+	Replicate int
+	Row       int
 	// Fp fingerprints the measurement (assignment + responses, Row
 	// excluded) so superseding appends that changed the measurement are
 	// detectable without re-reading either record.
 	Fp  uint64
 	Ext Extent
-	// key is the lookup key, built once when a reader makes the entry
-	// (Fields.Entry, entryOf): every index pass asks for it at least twice.
-	// An entry put together elsewhere leaves it empty and Key derives it.
-	key string
+	exp uint32 // the experiment's length: key[:exp]
 	// canonical says the stored payload is byte for byte what its codec
 	// writes for the record it decodes to, so a rewrite into the same
 	// codec may copy the frame instead of re-making it. Only a journal
@@ -39,11 +39,15 @@ type SourceEntry struct {
 }
 
 // Key returns the entry's runstore lookup key.
-func (e SourceEntry) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return Key(e.Experiment, e.Hash, e.Replicate)
+func (e SourceEntry) Key() string { return e.key }
+
+// Experiment returns the experiment of the entry's record.
+func (e SourceEntry) Experiment() string { return e.key[:e.exp] }
+
+// Hash returns the assignment hash of the entry's record: what lies
+// between the experiment and the replicate, which holds no '/'.
+func (e SourceEntry) Hash() string {
+	return e.key[e.exp+1 : strings.LastIndexByte(e.key, '/')]
 }
 
 // SourceReader is the streaming, random-access view of one store file
@@ -60,9 +64,12 @@ func (e SourceEntry) Key() string {
 // encodings share fileSource — and OpenSource dispatches.
 type SourceReader interface {
 	// Entries iterates every record in file order — superseded records
-	// included — as lightweight entries. A torn trailing frame ends the
-	// iteration without error (Info reports it); a corrupt interior
-	// frame yields the error and stops.
+	// included — as lightweight entries, in one pass front to back. A
+	// torn trailing frame ends the iteration without error (Info reports
+	// it); a corrupt interior frame yields the error and stops. Merge's
+	// and Compact's index pass reads a line-framed journal in sections
+	// instead, each by the scan under Entries, to the same entries, Info
+	// and error.
 	Entries() iter.Seq2[SourceEntry, error]
 	// Fields iterates every record in file order — superseded records
 	// included — as the fields of the record Read would decode, each frame
@@ -122,12 +129,11 @@ func fnvResponse[S string | []byte](h uint64, name S, v float64) uint64 {
 // entryOf builds the index entry for one decoded record.
 func entryOf(rec Record) SourceEntry {
 	return SourceEntry{
-		Experiment: rec.Experiment,
-		Hash:       rec.Hash,
-		Replicate:  rec.Replicate,
-		Row:        rec.Row,
-		Fp:         Fingerprint(rec),
-		key:        rec.Key(),
+		key:       rec.Key(),
+		exp:       uint32(len(rec.Experiment)),
+		Replicate: rec.Replicate,
+		Row:       rec.Row,
+		Fp:        Fingerprint(rec),
 	}
 }
 
@@ -160,30 +166,28 @@ func Seq(recs []Record) iter.Seq2[Record, error] {
 
 // ScanFile streams the distinct last-wins records of a store file —
 // journal or registered-format archive — in the file's deterministic
-// first-appended order, without materializing the record set: an index
-// pass sizes the winners, then records decode one at a time — a journal's
-// through the rewrite's read-ahead window, so the read pass costs one
-// positioned read per 64 KiB, not per record. The file is opened
-// read-only and never repaired; a torn trailing frame is dropped exactly
-// as Open would drop it. Errors (unreadable file, corrupt interior frame)
-// surface in the sequence; iteration stops at the first one. It is the
-// reference the warehouse's single-pass ingest is held to.
+// first-appended order, without materializing the record set: Compact's
+// index pass (a line-framed journal read in sections on every core, then
+// folded) sizes the winners, then records decode one at a time — a
+// journal's through the rewrite's read-ahead window, so the read pass
+// costs one positioned read per 64 KiB, not per record, read forwards or
+// backwards. The file is opened read-only and never repaired; a torn
+// trailing frame is dropped exactly as Open would drop it. Errors
+// (unreadable file, corrupt interior frame) surface in the sequence;
+// iteration stops at the first one. It is the reference the warehouse's
+// single-pass ingest is held to.
 func ScanFile(path string) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
-		r, err := OpenSource(path)
+		plan, err := scanSources([]string{path})
 		if err != nil {
 			yield(Record{}, err)
 			return
 		}
-		defer r.Close()
-		winners, _, err := foldEntries(r)
-		if err != nil {
-			yield(Record{}, err)
-			return
-		}
-		src := newMergeSource(r)
-		for _, e := range winners {
-			f, err := src.fetch(e, nil, true)
+		defer plan.Close()
+		plan.fold([]string{path})
+		s := plan.sources[0]
+		for _, e := range s.winners {
+			f, err := s.fetch(e, nil, true)
 			if err != nil {
 				yield(Record{}, err)
 				return
@@ -193,27 +197,4 @@ func ScanFile(path string) iter.Seq2[Record, error] {
 			}
 		}
 	}
-}
-
-// foldEntries consumes a reader's Entries into its last-wins entries in
-// first-appended key order — the shape Open's journal index has, at entry
-// rather than record cost, and the shape planMerge folds its sources into:
-// a key's first entry claims the next slot, a superseding one overwrites
-// that slot, and the map holds a position per key, not an entry.
-func foldEntries(r SourceReader) (winners []SourceEntry, records int, err error) {
-	at := make(map[string]int32)
-	for e, eerr := range r.Entries() {
-		if eerr != nil {
-			return nil, 0, eerr
-		}
-		records++
-		k := e.Key() // not e.key: only a journal reader fills it in
-		if pos, seen := at[k]; seen {
-			winners[pos] = e
-			continue
-		}
-		at[k] = int32(len(winners))
-		winners = append(winners, e)
-	}
-	return winners, records, nil
 }
