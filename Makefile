@@ -117,8 +117,11 @@ docs-check:
 # sequences written in three formats (FuzzIngest), and the index pass over
 # a journal read in sections must equal the one-section pass, errors,
 # Info and canonical verdict included, over arbitrary bytes
-# (FuzzSectionedScan). `go test -fuzz` takes
-# one target per invocation, so the fuzzers run back to back. CI runs
+# (FuzzSectionedScan), and perfeval's property binder must never panic
+# and either fail or bind only the command's own keys, the same way
+# twice, over arbitrary argument vectors (FuzzPropertyArgs). `go test
+# -fuzz` takes one target per invocation, so the fuzzers run back to
+# back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
 .PHONY: fuzz
@@ -132,6 +135,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore/archivestore
 	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 	$(GO) test -fuzz=FuzzSectionedScan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
+	$(GO) test -fuzz=FuzzPropertyArgs -fuzztime=$(FUZZTIME) -run=^$$ ./cmd/perfeval
 
 .PHONY: cover
 cover:

@@ -3,17 +3,16 @@
 // Usage:
 //
 //	perfeval list
-//	perfeval run <id>|all [-Dout.dir=DIR] [-Dsched.workers=N] [-Djournal.dir=DIR] [-Dstore=journal|archive|binary]
-//	perfeval run <id>|all -Dsched.shards=N -Dsched.shard=K -Djournal.dir=DIR
-//	perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=:8080] [-Dcollector.shards=N] [-Dcollector.log=debug|info|quiet]
-//	perfeval work <id>|all -Dcollector.url=http://host:8080 [-Dsched.workers=N] [-Dworker.binary=true]
-//	perfeval metrics -Dcollector.url=http://host:8080 [-Dmetrics.format=prometheus|json]
+//	perfeval run <id>|all... [-Dout.dir=DIR] [-Djournal.dir=DIR] [-Dstore=journal|archive|binary] [-Dsched.shards=N] [-Dsched.shard=K] [-Dsched.workers=N] [-Dsched.retries=N] [-Dsched.timeout=DUR] [-Dadaptive.rel=REL] [-Dadaptive.min=N] [-Dadaptive.max=N] [-Dadaptive.prioritize=BASELINE]
+//	perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=ADDR] [-Dcollector.shards=N] [-Dcollector.ttl=DUR] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=BASELINE] [-Dcollector.token=SECRET] [-Dcollector.log=debug|info|quiet]
+//	perfeval work <id>|all... -Dcollector.url=URL [-Dsched.workers=N] [-Dsched.retries=N] [-Dsched.timeout=DUR] [-Dworker.name=NAME] [-Dworker.spool=DIR] [-Dworker.token=SECRET] [-Dworker.binary=BOOL] [-Dcollector.log=debug|info|quiet]
+//	perfeval metrics -Dcollector.url=URL [-Dmetrics.format=prometheus|json]
 //	perfeval shard-plan <id>|all -Dsched.shards=N [-Djournal.dir=DIR]
-//	perfeval merge <out.jsonl|out.arch> <src.jsonl|src.arch>... [-Dmerge.strict=true]
-//	perfeval archive <out.arch|out.archz> <src.jsonl|src.arch>...
-//	perfeval inspect <file|dir>... [-Dinspect.strict=true]
-//	perfeval query <dir> [-Dquery.kind=runs|history|trends|regressions] [-Dquery.experiment=NAME] [-Dquery.cell=HASH|"k=v k=v"] [-Dquery.response=NAME] [-Dquery.limit=N] [-Dquery.format=table|json]
-//	perfeval diff <baseline.jsonl> <current.jsonl> [-Ddiff.confidence=0.95] [-Ddiff.tolerance=0.05]
+//	perfeval merge <out.jsonl|out.arch> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
+//	perfeval archive <out.arch|out.archz> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
+//	perfeval inspect <file|dir>... [-Dinspect.strict=BOOL]
+//	perfeval query <dir> [-Dquery.kind=runs|history|trends|regressions] [-Dquery.experiment=NAME] [-Dquery.cell=HASH|SELECTOR] [-Dquery.response=NAME] [-Dquery.confidence=LEVEL] [-Dquery.tolerance=FRACTION] [-Dquery.limit=N] [-Dquery.keep=N] [-Dquery.maxage=DUR] [-Dquery.norefresh=BOOL] [-Dquery.format=table|json]
+//	perfeval diff <baseline.jsonl> <current.jsonl> [-Ddiff.confidence=LEVEL] [-Ddiff.tolerance=FRACTION]
 //	perfeval compact <journal.jsonl> [-Dcompact.out=PATH]
 //	perfeval suite
 //
@@ -21,7 +20,10 @@
 // package: every -D property maps onto a repro.RunConfig field or a
 // repro function argument, so anything the CLI can do, a library caller
 // can do identically — and the two cannot drift (tools/apicheck guards
-// the API surface `make check` builds against).
+// the API surface `make check` builds against). One table states each
+// command and each of its properties once; the usage above is generated
+// from it, and a property the command does not take is an error naming
+// the ones it does.
 //
 // run prints the artifact to stdout; with -Dout.dir=DIR it also writes
 // res/<id>.txt under DIR (creating directories as needed). With
@@ -147,14 +149,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"syscall"
+	"time"
 
 	"repro"
 	"repro/internal/config"
@@ -169,7 +171,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
-	if err := runCtx(ctx, os.Args[1:]); err != nil {
+	if err := runCtxW(ctx, os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "perfeval:", err)
 		os.Exit(1)
 	}
@@ -179,576 +181,222 @@ func run(args []string) error { return runW(os.Stdout, args) }
 
 func runW(w io.Writer, args []string) error { return runCtxW(context.Background(), w, args) }
 
-func runCtx(ctx context.Context, args []string) error { return runCtxW(ctx, os.Stdout, args) }
-
+// runCtxW runs one command line: the command its first plain argument
+// names, given as many more as the command's shape takes and the -D
+// properties bound to its rows.
 func runCtxW(ctx context.Context, w io.Writer, args []string) error {
 	props := config.New(nil)
 	rest, err := props.ApplyArgs(args)
 	if err != nil {
 		return err
 	}
-	if len(rest) == 0 {
-		return fmt.Errorf("usage: perfeval list | run <id>|all | serve | work <id>|all | metrics | shard-plan <id>|all | merge <out> <src>... | archive <out.arch> <src>... | inspect <file|dir>... | query <dir> | diff <baseline> <current> | compact <journal> | suite")
-	}
-	switch rest[0] {
-	case "list":
-		for _, e := range repro.Experiments() {
-			fmt.Fprintf(w, "%-4s %s\n", e.ID, e.Title)
-		}
-		return nil
-
-	case "run":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: perfeval run <id>|all")
-		}
-		return runExperiments(ctx, w, props, rest[1:])
-
-	case "serve":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=:8080] [-Dcollector.shards=N] [-Dcollector.ttl=30s] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=PATH] [-Dcollector.token=SECRET]")
-		}
-		return serveCmd(ctx, w, props)
-
-	case "work":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: perfeval work <id>|all -Dcollector.url=URL [-Dsched.workers=N] [-Dworker.name=NAME] [-Dworker.spool=DIR] [-Dworker.token=SECRET]")
-		}
-		return workCmd(ctx, w, props, rest[1:])
-
-	case "metrics":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: perfeval metrics -Dcollector.url=URL [-Dmetrics.format=prometheus|json]")
-		}
-		return metricsCmd(ctx, w, props)
-
-	case "shard-plan":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: perfeval shard-plan <id>|all -Dsched.shards=N [-Djournal.dir=DIR]")
-		}
-		return shardPlan(w, props, rest[1])
-
-	case "merge":
-		if len(rest) < 3 {
-			return fmt.Errorf("usage: perfeval merge <out.jsonl> <src.jsonl>...")
-		}
-		return merge(w, props, rest[1], rest[2:])
-
-	case "archive":
-		if len(rest) < 3 {
-			return fmt.Errorf("usage: perfeval archive <out%s|out%s> <src.jsonl|src%s>...", repro.ArchiveExt, repro.ArchiveExtZ, repro.ArchiveExt)
-		}
-		return archiveCmd(w, props, rest[1], rest[2:])
-
-	case "inspect":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: perfeval inspect <file|dir>... [-Dinspect.strict=true]")
-		}
-		return inspect(w, props, rest[1:])
-
-	case "query":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: perfeval query <dir> [-Dquery.kind=runs|history|trends|regressions] [-Dquery.experiment=NAME] [-Dquery.cell=HASH|\"k=v k=v\"] [-Dquery.response=NAME] [-Dquery.confidence=0.95] [-Dquery.tolerance=0.05] [-Dquery.limit=N] [-Dquery.keep=N] [-Dquery.maxage=DUR] [-Dquery.norefresh=true] [-Dquery.format=table|json]")
-		}
-		return queryCmd(w, props, rest[1])
-
-	case "diff":
-		if len(rest) != 3 {
-			return fmt.Errorf("usage: perfeval diff <baseline.jsonl> <current.jsonl>")
-		}
-		return diff(w, props, rest[1], rest[2])
-
-	case "compact":
-		if len(rest) != 2 {
-			return fmt.Errorf("usage: perfeval compact <journal.jsonl>")
-		}
-		out := props.GetOr("compact.out", "")
-		cs, err := repro.Compact(rest[1], out)
-		if err != nil {
-			return err
-		}
-		if out == "" {
-			out = rest[1]
-		}
-		if cs.Unchanged {
-			fmt.Fprintf(w, "%s is already compact: %d record(s), nothing superseded; not rewritten\n", out, cs.Kept)
-			return nil
-		}
-		fmt.Fprintf(w, "compacted %s: kept %d record(s), dropped %d superseded", out, cs.Kept, cs.Dropped)
-		if cs.Torn {
-			fmt.Fprint(w, ", torn tail removed")
-		}
-		fmt.Fprintln(w)
-		return nil
-
-	case "suite":
-		fmt.Fprint(w, repro.SuiteInstructions())
-		return nil
-
-	default:
-		return fmt.Errorf("unknown command %q (want list, run, serve, work, metrics, shard-plan, merge, archive, inspect, query, diff, compact, or suite)", rest[0])
-	}
-}
-
-// runExperiments is the run subcommand: flags become a repro.RunConfig,
-// each experiment runs through repro.Run, and artifacts plus budget
-// reports print in paper order.
-func runExperiments(ctx context.Context, w io.Writer, props *config.Properties, ids []string) error {
-	cfg, err := buildRunConfig(props)
-	if err != nil {
-		return err
-	}
-	if banner := cfg.Describe(); banner != "" {
-		fmt.Fprintln(w, banner)
-	}
-	outDir := props.GetOr("out.dir", "")
-	if ids[0] == "all" {
-		// Run ids one by one (rather than repro.RunAll) so artifacts and
-		// budget reports stream out as each experiment finishes.
-		ids = nil
-		for _, e := range repro.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	}
-	for _, id := range ids {
-		out, err := repro.Run(ctx, id, cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		r := out.Result
-		fmt.Fprintf(w, "=== %s (slides %s): %s ===\n\n%s\n", r.ID, r.Slides, r.Title, r.Text)
-		if r.Notes != "" {
-			fmt.Fprintf(w, "notes: %s\n\n", r.Notes)
-		}
-		if out.Budget != nil {
-			fmt.Fprintf(w, "%s\n", out.Budget)
-		}
-		if outDir != "" {
-			dir := filepath.Join(outDir, "res")
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(dir, r.ID+".txt")
-			if err := os.WriteFile(path, []byte(r.Text), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n\n", path)
-		}
-	}
-	return nil
-}
-
-// buildRunConfig maps the sched.*, journal.*, store, and adaptive.*
-// properties onto a repro.RunConfig, validating flag combinations at
-// the CLI boundary (a dropped flag in a worker script must fail loudly,
-// not silently produce an incomplete dataset). With none of those
-// properties set it returns the zero config: the sequential executor,
-// keeping measurements unperturbed by concurrency.
-func buildRunConfig(props *config.Properties) (repro.RunConfig, error) {
-	var cfg repro.RunConfig
-	var err error
-	workersSet := props.GetOr("sched.workers", "") != ""
-	journalDir := props.GetOr("journal.dir", "")
-	shardsSet := props.GetOr("sched.shards", "") != ""
-	shardSet := props.GetOr("sched.shard", "") != ""
-	storeKind := props.GetOr("store", "")
-	adaptiveCfg, err := buildAdaptive(props)
-	if err != nil {
-		return cfg, err
-	}
-	if !workersSet && journalDir == "" && adaptiveCfg == nil && !shardsSet && !shardSet && storeKind == "" {
-		return cfg, nil
-	}
-	cfg.JournalDir = journalDir
-	cfg.Adaptive = adaptiveCfg
-	if storeKind != "" && journalDir == "" {
-		return cfg, fmt.Errorf("store=%s requires -Djournal.dir (the directory the per-experiment store files live in)", storeKind)
-	}
-	switch storeKind {
-	case "", "journal":
-		// The JSONL journal is the default backend.
-	case "archive":
-		if shardsSet {
-			return cfg, fmt.Errorf("store=archive cannot combine with sched.shards: shard files are journals; archive the merged result instead")
-		}
-		cfg.Store = repro.StoreArchive
-	case "binary":
-		if shardsSet {
-			return cfg, fmt.Errorf("store=binary cannot combine with sched.shards: shard files are JSONL journals; convert the merged result instead")
-		}
-		cfg.Store = repro.StoreBinary
-	default:
-		return cfg, fmt.Errorf("unknown store backend %q (want journal, archive, or binary)", storeKind)
-	}
-	if shardSet && !shardsSet {
-		return cfg, fmt.Errorf("sched.shard needs sched.shards")
-	}
-	if shardsSet {
-		if cfg.Shards, err = props.GetInt("sched.shards"); err != nil {
-			return cfg, err
-		}
-		if cfg.Shards < 1 {
-			return cfg, fmt.Errorf("sched.shards = %d, need >= 1", cfg.Shards)
-		}
-		if journalDir == "" {
-			return cfg, fmt.Errorf("sched.shards requires -Djournal.dir (shard files are the run's only output)")
-		}
-		if !shardSet && cfg.Shards > 1 {
-			// Defaulting to shard 0 would silently execute a fraction of
-			// the design and exit 0 — a dropped flag in a worker script
-			// must fail loudly, not produce an incomplete dataset.
-			return cfg, fmt.Errorf("sched.shards = %d needs an explicit -Dsched.shard=K (0..%d)", cfg.Shards, cfg.Shards-1)
-		}
-		if shardSet {
-			if cfg.Shard, err = props.GetInt("sched.shard"); err != nil {
-				return cfg, err
-			}
-		}
-		if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
-			return cfg, fmt.Errorf("sched.shard = %d out of range [0,%d)", cfg.Shard, cfg.Shards)
-		}
-	}
-	if workersSet {
-		if cfg.Workers, err = props.GetInt("sched.workers"); err != nil {
-			return cfg, err
-		}
-		if cfg.Workers < 1 {
-			return cfg, fmt.Errorf("sched.workers = %d, need >= 1", cfg.Workers)
-		}
-	}
-	if props.GetOr("sched.retries", "") != "" {
-		if cfg.Retries, err = props.GetInt("sched.retries"); err != nil {
-			return cfg, err
-		}
-	}
-	if props.GetOr("sched.timeout", "") != "" {
-		if cfg.Timeout, err = props.GetDuration("sched.timeout"); err != nil {
-			return cfg, err
-		}
-	}
-	return cfg, nil
-}
-
-// buildAdaptive maps the adaptive.* properties onto an AdaptiveConfig,
-// nil when none is set.
-func buildAdaptive(props *config.Properties) (*repro.AdaptiveConfig, error) {
-	relSet := props.GetOr("adaptive.rel", "") != ""
-	minSet := props.GetOr("adaptive.min", "") != ""
-	maxSet := props.GetOr("adaptive.max", "") != ""
-	prioritize := props.GetOr("adaptive.prioritize", "")
-	if !relSet && !minSet && !maxSet && prioritize == "" {
-		return nil, nil
-	}
-	a := &repro.AdaptiveConfig{Baseline: prioritize}
-	var err error
-	if relSet {
-		if a.Rel, err = props.GetFloat("adaptive.rel"); err != nil {
-			return nil, err
-		}
-	}
-	if minSet {
-		if a.Min, err = props.GetInt("adaptive.min"); err != nil {
-			return nil, err
-		}
-	}
-	if maxSet {
-		if a.Max, err = props.GetInt("adaptive.max"); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
-}
-
-// merge folds shard journals into one canonical journal and reports
-// cross-source conflicts; with merge.strict=true conflicts fail the
-// command after the (last-wins) merge has still been written.
-func merge(w io.Writer, props *config.Properties, out string, srcs []string) error {
-	strict, err := strictFlag(props, "merge.strict")
-	if err != nil {
-		return err
-	}
-	ms, err := repro.Merge(out, srcs...)
-	if err != nil {
-		return err
-	}
-	for _, c := range ms.Conflicts {
-		fmt.Fprintf(w, "conflict: %s: %s overrides %s\n", c.Key, c.Later, c.Earlier)
-	}
-	fmt.Fprintf(w, "merged %d source(s) into %s: kept %d record(s), dropped %d superseded, %d conflict(s)",
-		ms.Sources, out, ms.Kept, ms.Superseded, len(ms.Conflicts))
-	if ms.TornSources > 0 {
-		fmt.Fprintf(w, ", torn tail dropped in %d source(s)", ms.TornSources)
-	}
-	fmt.Fprintln(w)
-	if strict && len(ms.Conflicts) > 0 {
-		return fmt.Errorf("%d conflicting record(s) across sources", len(ms.Conflicts))
-	}
-	return nil
-}
-
-// archiveCmd converts source journals (or merged shards, or archives)
-// into one finalized, read-back-verified block-indexed archive via
-// repro.Convert. Cross-source conflicts are reported exactly as
-// `perfeval merge` reports them; with merge.strict=true they abort the
-// conversion before anything is written.
-func archiveCmd(w io.Writer, props *config.Properties, out string, srcs []string) error {
-	strict, err := strictFlag(props, "merge.strict")
-	if err != nil {
-		return err
-	}
-	cs, err := repro.Convert(out, srcs, strict)
-	for _, c := range cs.Conflicts {
-		fmt.Fprintf(w, "conflict: %s: %s overrides %s\n", c.Key, c.Later, c.Earlier)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "archived %d source(s) into %s: %d record(s), dropped %d superseded, verified %d index lookup(s)",
-		cs.Sources, out, cs.Kept, cs.Superseded, cs.Verified)
-	if cs.TornSources > 0 {
-		fmt.Fprintf(w, ", torn tail dropped in %d source(s)", cs.TornSources)
-	}
-	if len(cs.Conflicts) > 0 {
-		fmt.Fprintf(w, ", %d conflict(s)", len(cs.Conflicts))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, cs.Detail)
-	return nil
-}
-
-// strictFlag parses one boolean -D property, defaulting to false.
-func strictFlag(props *config.Properties, key string) (bool, error) {
-	if props.GetOr(key, "") == "" {
-		return false, nil
-	}
-	return props.GetBool(key)
-}
-
-// inspect prints the shape of store files — journals or archives — and
-// reports torn or truncated tails loudly instead of letting a damaged
-// artifact read as a small complete one. A directory argument expands to
-// every store file the warehouse catalog would discover under it, one
-// row per store. inspect.strict=true turns any torn file into a
-// non-zero exit for CI use.
-func inspect(w io.Writer, props *config.Properties, paths []string) error {
-	strict, err := strictFlag(props, "inspect.strict")
-	if err != nil {
-		return err
-	}
-	tab := repro.NewTable().Header("file", "records", "distinct", "torn")
-	var details, torn []string
-	addRow := func(name string, info repro.Info) {
-		tab.Row(name, fmt.Sprintf("%d", info.Records), fmt.Sprintf("%d", info.Distinct), fmt.Sprintf("%v", info.Torn))
-		if info.Detail != "" {
-			details = append(details, name+": "+info.Detail)
-		}
-		if info.Torn {
-			torn = append(torn, name)
-		}
-	}
-	for _, p := range paths {
-		st, err := os.Stat(p)
-		if err != nil {
-			return err
-		}
-		if st.IsDir() {
-			stores, err := repro.InspectDir(p)
-			if err != nil {
-				return err
-			}
-			if len(stores) == 0 {
-				details = append(details, p+": no store files discovered")
-			}
-			for _, s := range stores {
-				addRow(filepath.Join(p, filepath.FromSlash(s.Path)), s.Info)
-			}
+	o := new(opts)
+	for _, c := range commands(o) {
+		if len(rest) == 0 || c.name != rest[0] {
 			continue
 		}
-		info, err := repro.Inspect(p)
-		if err != nil {
+		want := len(strings.Fields(c.args))
+		if got := len(rest) - 1; got < want || got > want && !strings.HasSuffix(c.args, "...") {
+			return fmt.Errorf("usage: %s", c.usage())
+		}
+		if o.set, err = c.bind(props); err != nil {
 			return err
 		}
-		addRow(p, info)
+		return c.do(ctx, w, o, rest[1:])
 	}
-	fmt.Fprint(w, tab.String())
-	for _, d := range details {
-		fmt.Fprintln(w, d)
+	msg := "usage:"
+	if len(rest) > 0 {
+		msg = fmt.Sprintf("unknown command %q; usage:", rest[0])
 	}
-	for _, p := range torn {
-		fmt.Fprintf(w, "WARNING: %s has a torn or truncated tail — counts cover only the valid prefix; reopening for writing repairs by truncation\n", p)
-	}
-	if strict && len(torn) > 0 {
-		return fmt.Errorf("%d file(s) torn or truncated", len(torn))
-	}
-	return nil
+	return fmt.Errorf("%s\n\t%s", msg, strings.Join(usage(), "\n\t"))
 }
 
-// shardPlan prints the copy-pasteable command sequence of the sharded
-// workflow — one worker command per shard, then the merge, compact, and
-// diff steps — and, when the journal directory already exists, a status
-// table of the shard files found there.
-func shardPlan(w io.Writer, props *config.Properties, id string) error {
-	shards, err := props.GetInt("sched.shards")
-	if err != nil {
-		return fmt.Errorf("shard-plan needs -Dsched.shards=N: %w", err)
-	}
-	if shards < 1 {
-		return fmt.Errorf("sched.shards = %d, need >= 1", shards)
-	}
-	if id != "all" {
-		known := false
-		for _, e := range repro.Experiments() {
-			if e.ID == id {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown experiment %q (see perfeval list)", id)
-		}
-	}
-	dir := props.GetOr("journal.dir", "shards")
-	fmt.Fprintf(w, "shard plan: run %s across %d worker process(es), journal dir %s\n\n", id, shards, dir)
-	fmt.Fprintf(w, "# 1. one worker per shard — separate processes or machines, any order;\n")
-	fmt.Fprintf(w, "#    each executes only the design rows its shard owns and writes\n")
-	fmt.Fprintf(w, "#    %s/<experiment>.shard-K-of-%03d.jsonl:\n", dir, shards)
-	for k := 0; k < shards; k++ {
-		fmt.Fprintf(w, "perfeval run %s -Dsched.shards=%d -Dsched.shard=%d -Djournal.dir=%s\n", id, shards, k, dir)
-	}
-	fmt.Fprintf(w, "\n# 2. merge each experiment's shard files into one canonical journal:\n")
-	fmt.Fprintf(w, "perfeval merge %s/merged/<experiment>.jsonl %s/<experiment>.shard-*-of-%03d.jsonl\n", dir, dir, shards)
-	fmt.Fprintf(w, "\n# 3. compact then has nothing to rewrite (merge already wrote the\n")
-	fmt.Fprintf(w, "#    canonical last-wins form) and leaves the file untouched, so\n")
-	fmt.Fprintf(w, "#    archives stay stable:\n")
-	fmt.Fprintf(w, "perfeval compact %s/merged/<experiment>.jsonl\n", dir)
-	fmt.Fprintf(w, "\n# 4. replay the merged journal for the full artifact, or gate it:\n")
-	fmt.Fprintf(w, "perfeval run %s -Djournal.dir=%s/merged\n", id, dir)
-	fmt.Fprintf(w, "perfeval diff <baseline.jsonl> %s/merged/<experiment>.jsonl\n", dir)
-	fmt.Fprintf(w, "\n# collector mode runs the same plan without a shared filesystem or\n")
-	fmt.Fprintf(w, "# per-worker -Dsched.shard bookkeeping: one daemon owns the store and\n")
-	fmt.Fprintf(w, "# leases shards to workers over HTTP (see docs/COLLECTOR.md):\n")
-	fmt.Fprintf(w, "perfeval serve -Dcollector.dir=%s -Dcollector.shards=%d\n", dir, shards)
-	fmt.Fprintf(w, "perfeval work %s -Dcollector.url=http://<collector-host>:8080   # per worker machine\n", id)
+// opts holds every value a -D property sets, in the types the repro
+// package takes them in; a command's handler reads the fields its rows
+// point at.
+type opts struct {
+	set      map[string]bool // the keys the command line gave a value
+	run      repro.RunConfig // run's rows; work and shard-plan read the ones they share
+	adaptive repro.AdaptiveConfig
+	serve    repro.ServeConfig
+	work     repro.WorkConfig
+	query    repro.QueryConfig
+	gate     repro.GateOptions
 
-	pattern := filepath.Join(dir, fmt.Sprintf("*.shard-*-of-%03d.jsonl", shards))
-	files, err := filepath.Glob(pattern)
-	if err != nil {
-		return err
-	}
-	if len(files) == 0 {
-		return nil
-	}
-	sort.Strings(files)
-	fmt.Fprintf(w, "\nshard files present under %s:\n", dir)
-	tab := repro.NewTable().Header("file", "records", "distinct", "torn")
-	for _, f := range files {
-		info, err := repro.Inspect(f)
-		if err != nil {
-			return err
-		}
-		tab.Row(filepath.Base(f), fmt.Sprintf("%d", info.Records),
-			fmt.Sprintf("%d", info.Distinct), fmt.Sprintf("%v", info.Torn))
-	}
-	fmt.Fprint(w, tab.String())
-	return nil
+	outDir, logLevel, metricsFormat, queryFormat, compactOut string
+	mergeStrict, inspectStrict                               bool
 }
 
-// queryCmd maps the query.* properties onto a repro.QueryConfig and
-// prints the answer — the house-style table by default, or with
-// query.format=json the exact body a collector daemon serves on
-// GET /v1/query for the same warehouse.
-func queryCmd(w io.Writer, props *config.Properties, dir string) error {
-	cfg := repro.QueryConfig{
-		Dir:        dir,
-		Kind:       props.GetOr("query.kind", ""),
-		Experiment: props.GetOr("query.experiment", ""),
-		Cell:       props.GetOr("query.cell", ""),
-		Response:   props.GetOr("query.response", ""),
-	}
-	var err error
-	if props.GetOr("query.confidence", "") != "" {
-		if cfg.Confidence, err = props.GetFloat("query.confidence"); err != nil {
-			return err
-		}
-	}
-	if props.GetOr("query.tolerance", "") != "" {
-		if cfg.Tolerance, err = props.GetFloat("query.tolerance"); err != nil {
-			return err
-		}
-	}
-	if props.GetOr("query.limit", "") != "" {
-		if cfg.Limit, err = props.GetInt("query.limit"); err != nil {
-			return err
-		}
-	}
-	if props.GetOr("query.keep", "") != "" {
-		if cfg.KeepRuns, err = props.GetInt("query.keep"); err != nil {
-			return err
-		}
-	}
-	if props.GetOr("query.maxage", "") != "" {
-		if cfg.MaxAge, err = props.GetDuration("query.maxage"); err != nil {
-			return err
-		}
-	}
-	if cfg.NoRefresh, err = strictFlag(props, "query.norefresh"); err != nil {
-		return err
-	}
-	format := props.GetOr("query.format", "table")
-	if format != "table" && format != "json" {
-		return fmt.Errorf("unknown query format %q (want table or json)", format)
-	}
-	out, err := repro.Query(cfg)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out.Result)
-	}
-	if !cfg.NoRefresh {
-		fmt.Fprintf(w, "catalog: %d store(s) discovered, %d ingested (%d record(s)), %d unchanged\n",
-			out.Refresh.Candidates, out.Refresh.Ingested, out.Refresh.Records, out.Refresh.Unchanged)
-	}
-	if cfg.KeepRuns > 0 || cfg.MaxAge > 0 {
-		fmt.Fprintf(w, "retention: %d run(s) pruned, %d kept\n", out.Prune.Pruned, out.Prune.Kept)
-	}
-	fmt.Fprint(w, out.Result.String())
-	return nil
+// A prop is one -Dkey=value property: its key, the metavar its usage
+// shows, the typed field it sets (*string, *int, *int64, *float64, *bool
+// or *time.Duration), and whether the value must be at least 1.
+type prop struct {
+	key, meta string
+	field     any
+	atLeast1  bool
 }
 
-// diff gates a current run store against a baseline store and returns
-// an error when any cell regressed or went unmeasured, so CI pipelines
-// can fail on the exit code.
-func diff(w io.Writer, props *config.Properties, basePath, curPath string) error {
-	var opt repro.GateOptions
-	var err error
-	if props.GetOr("diff.confidence", "") != "" {
-		if opt.Confidence, err = props.GetFloat("diff.confidence"); err != nil {
-			return err
+// A command is one subcommand: its name, its positional arguments (a
+// last one ending in "..." repeats), the properties it cannot run
+// without, its optional properties, and its handler.
+type command struct {
+	name  string
+	args  string
+	need  []prop
+	props []prop
+	do    func(ctx context.Context, w io.Writer, o *opts, args []string) error
+}
+
+// commands is the command table over one invocation's opts. A property
+// two commands share is one row, listed by both.
+func commands(o *opts) []command {
+	journal := prop{"journal.dir", "DIR", &o.run.JournalDir, false}
+	shards := prop{"sched.shards", "N", &o.run.Shards, true}
+	sched := []prop{
+		{"sched.workers", "N", &o.run.Workers, true},
+		{"sched.retries", "N", &o.run.Retries, false},
+		{"sched.timeout", "DUR", &o.run.Timeout, false},
+	}
+	url := prop{"collector.url", "URL", &o.work.URL, false}
+	logLevel := prop{"collector.log", "debug|info|quiet", &o.logLevel, false}
+	mergeStrict := prop{"merge.strict", "BOOL", &o.mergeStrict, false}
+	return []command{
+		{name: "list", do: list},
+		{name: "run", args: "<id>|all...", do: runCmd, props: slices.Concat([]prop{
+			{"out.dir", "DIR", &o.outDir, false},
+			journal,
+			{"store", "journal|archive|binary", (*string)(&o.run.Store), false},
+			shards,
+			{"sched.shard", "K", &o.run.Shard, false},
+		}, sched, []prop{
+			{"adaptive.rel", "REL", &o.adaptive.Rel, false},
+			{"adaptive.min", "N", &o.adaptive.Min, false},
+			{"adaptive.max", "N", &o.adaptive.Max, false},
+			{"adaptive.prioritize", "BASELINE", &o.adaptive.Baseline, false},
+		})},
+		{name: "serve", do: serveCmd, need: []prop{{"collector.dir", "DIR", &o.serve.Dir, false}}, props: []prop{
+			{"collector.addr", "ADDR", &o.serve.Addr, false},
+			{"collector.shards", "N", &o.serve.Shards, true},
+			{"collector.ttl", "DUR", &o.serve.LeaseTTL, false},
+			{"collector.inflight", "BYTES", &o.serve.MaxInflight, true},
+			{"collector.baseline", "BASELINE", &o.serve.Baseline, false},
+			{"collector.token", "SECRET", &o.serve.Token, false},
+			logLevel,
+		}},
+		{name: "work", args: "<id>|all...", do: workCmd, need: []prop{url}, props: slices.Concat(sched, []prop{
+			{"worker.name", "NAME", &o.work.Name, false},
+			{"worker.spool", "DIR", &o.work.SpoolDir, false},
+			{"worker.token", "SECRET", &o.work.Token, false},
+			{"worker.binary", "BOOL", &o.work.BinaryWire, false},
+			logLevel,
+		})},
+		{name: "metrics", do: metricsCmd, need: []prop{url}, props: []prop{
+			{"metrics.format", "prometheus|json", &o.metricsFormat, false},
+		}},
+		{name: "shard-plan", args: "<id>|all", do: shardPlan, need: []prop{shards}, props: []prop{journal}},
+		{name: "merge", args: "<out.jsonl|out.arch> <src.jsonl|src.arch>...", do: merge, props: []prop{mergeStrict}},
+		{name: "archive", args: "<out.arch|out.archz> <src.jsonl|src.arch>...", do: archive, props: []prop{mergeStrict}},
+		{name: "inspect", args: "<file|dir>...", do: inspect, props: []prop{
+			{"inspect.strict", "BOOL", &o.inspectStrict, false},
+		}},
+		{name: "query", args: "<dir>", do: query, props: []prop{
+			{"query.kind", "runs|history|trends|regressions", &o.query.Kind, false},
+			{"query.experiment", "NAME", &o.query.Experiment, false},
+			{"query.cell", "HASH|SELECTOR", &o.query.Cell, false},
+			{"query.response", "NAME", &o.query.Response, false},
+			{"query.confidence", "LEVEL", &o.query.Confidence, false},
+			{"query.tolerance", "FRACTION", &o.query.Tolerance, false},
+			{"query.limit", "N", &o.query.Limit, false},
+			{"query.keep", "N", &o.query.KeepRuns, false},
+			{"query.maxage", "DUR", &o.query.MaxAge, false},
+			{"query.norefresh", "BOOL", &o.query.NoRefresh, false},
+			{"query.format", "table|json", &o.queryFormat, false},
+		}},
+		{name: "diff", args: "<baseline.jsonl> <current.jsonl>", do: diff, props: []prop{
+			{"diff.confidence", "LEVEL", &o.gate.Confidence, false},
+			{"diff.tolerance", "FRACTION", &o.gate.Tolerance, false},
+		}},
+		{name: "compact", args: "<journal.jsonl>", do: compact, props: []prop{
+			{"compact.out", "PATH", &o.compactOut, false},
+		}},
+		{name: "suite", do: suite},
+	}
+}
+
+// bind parses each property the command line set into the field of its
+// row, by the field's type, and returns the keys it gave a value; a
+// property set to "" stays unset. A key that is not one of c's rows (the
+// error shows c's usage, which names them), a required row left unset
+// and a value below its row's bound are errors.
+func (c command) bind(props *config.Properties) (map[string]bool, error) {
+	rows := c.rows()
+	set := map[string]bool{}
+	for _, key := range props.Keys() {
+		i := slices.IndexFunc(rows, func(p prop) bool { return p.key == key })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown property -D%s; usage: %s", key, c.usage())
 		}
-	}
-	if props.GetOr("diff.tolerance", "") != "" {
-		if opt.Tolerance, err = props.GetFloat("diff.tolerance"); err != nil {
-			return err
-		}
-	}
-	d, err := repro.Diff(basePath, curPath, opt)
-	if err != nil {
-		return err
-	}
-	for _, e := range d.Entries {
-		if e.Report == nil {
-			fmt.Fprintf(w, "experiment %q: absent from current run\n", e.Experiment)
+		if props.GetOr(key, "") == "" {
 			continue
 		}
-		fmt.Fprintln(w, e.Report)
+		var err error
+		n := 1 // the value a row's bound is checked against
+		switch f := rows[i].field.(type) {
+		case *string:
+			*f, err = props.Get(key)
+		case *int:
+			*f, err = props.GetInt(key)
+			n = *f
+		case *int64:
+			n, err = props.GetInt(key)
+			*f = int64(n)
+		case *float64:
+			*f, err = props.GetFloat(key)
+		case *bool:
+			*f, err = props.GetBool(key)
+		case *time.Duration:
+			*f, err = props.GetDuration(key)
+		default:
+			panic(fmt.Sprintf("perfeval: -D%s sets a %T", key, f))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if rows[i].atLeast1 && n < 1 {
+			return nil, fmt.Errorf("%s = %d, need >= 1", key, n)
+		}
+		set[key] = true
 	}
-	for _, name := range d.CurrentOnly {
-		fmt.Fprintf(w, "experiment %q: in current only, skipped\n", name)
+	for _, p := range c.need {
+		if !set[p.key] {
+			return nil, fmt.Errorf("%s needs -D%s=%s", c.name, p.key, p.meta)
+		}
 	}
-	if d.Failed() {
-		return fmt.Errorf("%d cell(s) regressed, %d cell(s) missing versus baseline %s", d.Regressions, d.Missing, basePath)
+	return set, nil
+}
+
+// rows is every property c takes, required ones first.
+func (c command) rows() []prop { return slices.Concat(c.need, c.props) }
+
+// usage renders c's command line: positional arguments, required
+// properties, then optional ones in brackets.
+func (c command) usage() string {
+	s := strings.TrimSpace("perfeval " + c.name + " " + c.args)
+	for _, p := range c.need {
+		s += fmt.Sprintf(" -D%s=%s", p.key, p.meta)
 	}
-	return nil
+	for _, p := range c.props {
+		s += fmt.Sprintf(" [-D%s=%s]", p.key, p.meta)
+	}
+	return s
+}
+
+// usage is every command's line, in table order — what perfeval with no
+// arguments prints, and the block the package doc shows.
+func usage() []string {
+	var lines []string
+	for _, c := range commands(new(opts)) {
+		lines = append(lines, c.usage())
+	}
+	return lines
 }

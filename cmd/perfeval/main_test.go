@@ -44,7 +44,7 @@ func TestPerfevalCommands(t *testing.T) {
 		{"diff", "absent-a.jsonl", "absent-b.jsonl"},
 		{"-Dsched.workers=zero", "run", "t4"},
 		{"-Dsched.workers=0", "run", "t4"},
-		{"-Dsched.timeout=nonsense", "-Djournal.dir=x", "run", "t4"},
+		{"-Dsched.timeout=nonsense", "run", "t4"},
 		{"compact"},
 		{"compact", "a.jsonl", "b.jsonl"},
 		{"compact", "absent.jsonl"},

@@ -197,7 +197,10 @@ func (ctrl *Controller) Target(key string, observed int) int {
 		if byResp, ok := ctrl.base[key]; ok {
 			for name, bi := range byResp {
 				iv, err := stats.MeanCI(prefix(cl.obs[name], observed), o.Confidence)
-				if err == nil && !bi.Overlaps(iv) && iv.Mean > bi.Mean {
+				if err != nil {
+					continue
+				}
+				if v, _ := runstore.CIShift(bi, iv); v == runstore.Regressed {
 					cl.flagged = true
 					break
 				}

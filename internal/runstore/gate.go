@@ -275,6 +275,26 @@ func (s *Summary) Intervals(opt GateOptions) (map[string]map[string]stats.Interv
 	return out, nil
 }
 
+// CIShift is the regression gate's rule for one cell, given its
+// baseline and current confidence intervals: overlapping intervals are
+// Unchanged, disjoint ones Regressed when the current mean is higher
+// (lower is better) and Improved otherwise. deltaPct is the current
+// mean's change in percent of the baseline mean's magnitude, 0 when the
+// baseline mean is 0. Gate, the warehouse's regressions query and the
+// adaptive controller's baseline-drift flag all decide by it.
+func CIShift(base, cur stats.Interval) (v Verdict, deltaPct float64) {
+	if base.Mean != 0 {
+		deltaPct = (cur.Mean - base.Mean) / math.Abs(base.Mean) * 100
+	}
+	switch {
+	case base.Overlaps(cur):
+		return Unchanged, deltaPct
+	case cur.Mean > base.Mean:
+		return Regressed, deltaPct
+	}
+	return Improved, deltaPct
+}
+
 // GateReport is the outcome of gating a run against a baseline.
 type GateReport struct {
 	Experiment string
@@ -329,17 +349,7 @@ func Gate(baseline, current *Summary, opt GateOptions) (*GateReport, error) {
 			return nil, fmt.Errorf("runstore: current cell %s/%s: %w", assignmentString(cur.Assignment), cur.Response, err)
 		}
 		f.Base, f.Cur = bi, ci
-		if bi.Mean != 0 {
-			f.DeltaPct = (ci.Mean - bi.Mean) / math.Abs(bi.Mean) * 100
-		}
-		switch {
-		case bi.Overlaps(ci):
-			f.Verdict = Unchanged
-		case ci.Mean > bi.Mean:
-			f.Verdict = Regressed
-		default:
-			f.Verdict = Improved
-		}
+		f.Verdict, f.DeltaPct = CIShift(bi, ci)
 		report.Findings = append(report.Findings, f)
 	}
 	for _, cur := range current.Rows {

@@ -392,9 +392,8 @@ func queryRegressions(live []Run, req Request) []RegressionEntry {
 			continue
 		}
 		bi, ci := iv.of(s.base.cell), iv.of(s.cur.cell)
-		// The gate's CI-shift rule: overlapping intervals are unchanged,
-		// disjoint with a higher current mean is a regression.
-		if bi.Overlaps(ci) || ci.Mean <= bi.Mean {
+		v, delta := runstore.CIShift(bi, ci)
+		if v != runstore.Regressed {
 			continue
 		}
 		e := RegressionEntry{
@@ -406,9 +405,7 @@ func queryRegressions(live []Run, req Request) []RegressionEntry {
 			CurRun:     s.cur.run.Path,
 			Base:       bi,
 			Cur:        ci,
-		}
-		if bi.Mean != 0 {
-			e.DeltaPct = (ci.Mean - bi.Mean) / math.Abs(bi.Mean) * 100
+			DeltaPct:   delta,
 		}
 		out = append(out, e)
 		if req.Limit > 0 && len(out) == req.Limit {
