@@ -89,9 +89,10 @@ bench-e2e-smoke:
 			{ echo "$$out" | tail -n 5; echo "bench-e2e-smoke: the last line of $$w does not say \"correct\":true"; exit 1; }; \
 	done
 
-# Documentation lint, run by CI: broken intra-repo links in README/docs
-# and exported identifiers missing doc comments in the subsystem
-# packages fail the build. go vet first — parse errors should name
+# Documentation lint, run by CI: broken intra-repo links and `go run` /
+# `go test` commands naming a missing directory in README, docs/ and the
+# verify skill, and exported identifiers missing doc comments in the
+# subsystem packages, fail the build. go vet first — parse errors should name
 # themselves, not surface as lint noise.
 .PHONY: docs-check
 docs-check:

@@ -10,10 +10,10 @@ import (
 
 // Executor turns a validated Experiment into a ResultSet. The package-
 // level Execute runs through the executor its context carries
-// (WithExecutor), so callers (the paperexp drivers, examples, the
-// perfeval CLI) can swap the strictly sequential in-process executor for
-// the concurrent, journaled scheduler in internal/sched without touching
-// experiment code. Sequential is what runs when the context carries
+// (WithExecutor), so callers (the paperexp drivers, the repro API and
+// the perfeval CLI built on it) can swap the strictly sequential
+// in-process executor for the concurrent, journaled scheduler in
+// internal/sched without touching experiment code. Sequential is what runs when the context carries
 // none: for measurement-sensitive runs, concurrent execution on one
 // machine perturbs the very quantity being measured. There is no
 // process-wide default to set.

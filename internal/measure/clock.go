@@ -3,16 +3,15 @@
 // probing, wall/CPU/I-O time decomposition, and run protocols (cold runs,
 // hot runs, warm-up, last-of-N / median-of-N selection, replication).
 //
-// Measurement is abstracted over a Clock so experiments can run against the
-// real clock or against a deterministic simulated clock (hwsim.VirtualClock)
-// — which is how this repository keeps every paper experiment repeatable.
+// Measurement is abstracted over a Clock; the paper's experiments run
+// against a deterministic simulated clock (hwsim.VirtualClock), which is
+// how this repository keeps every one of them repeatable.
 package measure
 
 import "time"
 
 // Clock supplies the current time as a duration since an arbitrary fixed
-// origin. Implementations: RealClock (wall time) and hwsim.VirtualClock
-// (simulated time).
+// origin, such as hwsim.VirtualClock's simulated time.
 type Clock interface {
 	Now() time.Duration
 }
@@ -28,18 +27,6 @@ type SplitClock interface {
 	// component that makes cold real time exceed cold user time).
 	IOWait() time.Duration
 }
-
-// RealClock measures wall-clock time with time.Now, anchored at its
-// creation instant.
-type RealClock struct {
-	origin time.Time
-}
-
-// NewRealClock returns a RealClock anchored now.
-func NewRealClock() *RealClock { return &RealClock{origin: time.Now()} }
-
-// Now returns the wall-clock duration since the clock was created.
-func (c *RealClock) Now() time.Duration { return time.Since(c.origin) }
 
 // Sample is one measured run, decomposed the way the paper's tables are:
 // Real is wall-clock time; User is CPU time; IO is time blocked on I/O.

@@ -128,70 +128,3 @@ func (s *Suite) Instructions() string {
 	fmt.Fprintf(&b, "Total expected duration: %s\n", s.TotalExpectedDuration())
 	return b.String()
 }
-
-// RunReport is the outcome of executing a suite.
-type RunReport struct {
-	Suite    string
-	Results  []RunResult
-	AllOK    bool
-	Duration time.Duration
-}
-
-// RunResult is one experiment's outcome.
-type RunResult struct {
-	ID       string
-	Err      error
-	Duration time.Duration
-	// Overran flags an experiment that took more than double its
-	// declared expected duration.
-	Overran bool
-}
-
-// Clock abstracts time measurement for the runner (tests use a virtual
-// clock).
-type Clock interface{ Now() time.Duration }
-
-// Run executes every experiment through exec (which receives the
-// experiment and returns an error on failure), checking durations against
-// declarations. A failed experiment does not stop the suite: the
-// repeatability committee wants the full picture.
-func (s *Suite) Run(clock Clock, exec func(Experiment) error) (*RunReport, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if clock == nil || exec == nil {
-		return nil, fmt.Errorf("repeat: Run needs a clock and an exec function")
-	}
-	report := &RunReport{Suite: s.Name, AllOK: true}
-	suiteStart := clock.Now()
-	for _, e := range s.Experiments {
-		start := clock.Now()
-		err := exec(e)
-		d := clock.Now() - start
-		r := RunResult{ID: e.ID, Err: err, Duration: d, Overran: d > 2*e.ExpectedDuration}
-		if err != nil {
-			report.AllOK = false
-		}
-		report.Results = append(report.Results, r)
-	}
-	report.Duration = clock.Now() - suiteStart
-	return report, nil
-}
-
-// String renders the run report.
-func (r *RunReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "suite %s: %d experiments in %s\n", r.Suite, len(r.Results), r.Duration)
-	for _, res := range r.Results {
-		status := "ok"
-		if res.Err != nil {
-			status = "FAILED: " + res.Err.Error()
-		}
-		over := ""
-		if res.Overran {
-			over = " (overran declared duration)"
-		}
-		fmt.Fprintf(&b, "  %-12s %-30s %s%s\n", res.ID, res.Duration, status, over)
-	}
-	return b.String()
-}

@@ -1,7 +1,6 @@
 package repeat
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -71,71 +70,6 @@ func TestInstructions(t *testing.T) {
 		if !strings.Contains(doc, want) {
 			t.Errorf("instructions missing %q", want)
 		}
-	}
-}
-
-type tickClock struct{ t time.Duration }
-
-func (c *tickClock) Now() time.Duration { return c.t }
-
-func TestSuiteRun(t *testing.T) {
-	s := goodSuite()
-	clock := &tickClock{}
-	boom := errors.New("segfault in experiment")
-	report, err := s.Run(clock, func(e Experiment) error {
-		switch e.ID {
-		case "t1":
-			clock.t += 3 * time.Second
-			return nil
-		case "f2":
-			clock.t += 30 * time.Second // overruns 2*2s
-			return nil
-		default:
-			clock.t += time.Second
-			return boom
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.AllOK {
-		t.Error("suite with a failure should not be AllOK")
-	}
-	if len(report.Results) != 3 {
-		t.Fatalf("results = %d", len(report.Results))
-	}
-	if report.Results[0].Overran {
-		t.Error("t1 within budget should not overrun")
-	}
-	if !report.Results[1].Overran {
-		t.Error("f2 at 30s vs declared 2s should overrun")
-	}
-	if report.Results[2].Err == nil {
-		t.Error("load failure not recorded")
-	}
-	if report.Duration != 34*time.Second {
-		t.Errorf("total duration = %v", report.Duration)
-	}
-	text := report.String()
-	for _, want := range []string{"perfeval-paper", "FAILED: segfault", "overran declared duration"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("report missing %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestSuiteRunErrors(t *testing.T) {
-	s := goodSuite()
-	if _, err := s.Run(nil, func(Experiment) error { return nil }); err == nil {
-		t.Error("nil clock should error")
-	}
-	if _, err := s.Run(&tickClock{}, nil); err == nil {
-		t.Error("nil exec should error")
-	}
-	bad := goodSuite()
-	bad.Install = ""
-	if _, err := bad.Run(&tickClock{}, func(Experiment) error { return nil }); err == nil {
-		t.Error("invalid suite should not run")
 	}
 }
 

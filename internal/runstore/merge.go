@@ -102,23 +102,6 @@ func MergeChecked(srcs []string, dst string, failOnConflict bool) (MergeStats, e
 	return ms, nil
 }
 
-// MergeRecords is the materializing form of Merge: it folds the sources
-// into one canonical last-wins record slice without writing anything.
-// Use it only when the whole record set is genuinely needed at once
-// (verification against another artifact); Merge itself streams.
-func MergeRecords(srcs []string) ([]Record, MergeStats, error) {
-	plan, ms, err := planMerge(srcs)
-	if err != nil {
-		return nil, ms, err
-	}
-	defer plan.Close()
-	recs, err := Collect(plan.records())
-	if err != nil {
-		return nil, ms, err
-	}
-	return recs, ms, nil
-}
-
 // MergeScan streams the canonical merged view of srcs — the exact
 // record sequence Merge would write — without writing anything: the
 // same index pass, last-wins resolution, and k-way ordered iteration,

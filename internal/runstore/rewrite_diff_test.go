@@ -110,7 +110,7 @@ func TestRewriteMatchesRecordPath(t *testing.T) {
 
 	for _, srcs := range [][]string{{a}, {b}, {c}, {a, b}, {b, a}, {a, b, c}, {c, a}, {d, a}, {a, d, c, b}} {
 		for _, ext := range []string{".jsonl", runstore.BinaryExt} {
-			recs, _, err := runstore.MergeRecords(srcs)
+			recs, err := runstore.Collect(runstore.MergeScan(srcs))
 			if err != nil {
 				t.Fatal(err)
 			}

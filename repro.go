@@ -1,12 +1,12 @@
 // Package repro reproduces "Performance Evaluation in Database Research:
 // Principles and Experiences" (Manolescu & Manegold, ICDE 2008 / EDBT 2009)
 // as a Go library: the experiment-methodology pipeline the paper teaches
-// (internal/core, internal/design, internal/measure, internal/stats,
-// internal/harness, internal/plot, internal/config, internal/sysinfo,
-// internal/repeat), the run-execution subsystem (internal/sched's
-// concurrent scheduler over internal/runstore's persistent run stores
-// and regression gate), plus the substrates its worked examples run on
-// (internal/vdb, internal/tpch, internal/hwsim, internal/netsim).
+// (internal/design, internal/measure, internal/stats, internal/harness,
+// internal/plot, internal/config, internal/sysinfo, internal/repeat),
+// the run-execution subsystem (internal/sched's concurrent scheduler
+// over internal/runstore's persistent run stores and regression gate),
+// plus the substrates its worked examples run on (internal/vdb,
+// internal/tpch, internal/hwsim, internal/netsim).
 //
 // This root package is the public API the perfeval CLI is built on, so
 // the command line and the library cannot drift:
@@ -21,6 +21,10 @@
 //     journal or block-indexed archive, dispatched by content sniffing —
 //     and Merge, Compact, Convert, Inspect, and Diff are the library
 //     forms of the corresponding perfeval subcommands.
+//
+// Each workflow — a journaled warm start, adaptive replication, merging
+// shards, converting to an archive, gating with Diff, and a collector
+// fleet — has an Example in example_test.go whose output go test checks.
 //
 // The guarded API surface lives in api/repro.txt; `make check` fails
 // when it changes without that file being regenerated (tools/apicheck).

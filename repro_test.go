@@ -59,6 +59,7 @@ func TestRunConfigScheduledJournaledRun(t *testing.T) {
 	if cold.Budget != nil {
 		t.Error("fixed-budget run should carry no Budget")
 	}
+	assertUnits(t, "cold", cold.Metrics, 4, 0)
 	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("journal files = %v (err %v)", files, err)
@@ -75,6 +76,7 @@ func TestRunConfigScheduledJournaledRun(t *testing.T) {
 	if warm.Result.Text != cold.Result.Text {
 		t.Error("warm artifact differs from cold")
 	}
+	assertUnits(t, "warm", warm.Metrics, 0, 4)
 	after, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +111,19 @@ func TestRunConfigScheduledJournaledRun(t *testing.T) {
 	}
 	if n != len(recs) {
 		t.Errorf("Scan yielded %d, Records %d", n, len(recs))
+	}
+}
+
+// assertUnits checks the scheduler counters of one Run's own metrics.
+func assertUnits(t *testing.T, run string, m *Metrics, executed, replayed float64) {
+	t.Helper()
+	if m == nil {
+		t.Fatalf("%s run: Outcome.Metrics is nil", run)
+	}
+	e, _ := m.Get("sched_units_executed_total")
+	r, _ := m.Get("sched_units_replayed_total")
+	if e.Value != executed || r.Value != replayed {
+		t.Errorf("%s run: executed %v, replayed %v; want %v, %v", run, e.Value, r.Value, executed, replayed)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/paperexp"
 	"repro/internal/runstore"
 	"repro/internal/runstore/archivestore"
@@ -116,6 +117,7 @@ func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
 		JournalDir: cfg.JournalDir,
 		Shards:     cfg.Shards,
 		Shard:      cfg.Shard,
+		Metrics:    obs.NewRegistry(),
 	}
 	if cfg.Workers < 0 {
 		return nil, nil, fmt.Errorf("repro: Workers = %d, need >= 0", cfg.Workers)
@@ -297,9 +299,9 @@ type Outcome struct {
 	// Budget itemizes per-cell replicate spend; nil unless the run was
 	// driven by adaptive replication.
 	Budget *Budget
-	// Metrics snapshots the scheduler's metrics registry after the run;
-	// nil on the sequential path, which schedules nothing and so has
-	// nothing to measure.
+	// Metrics snapshots this run's own scheduler registry after the run,
+	// so its sched_* series count this call alone; nil on the sequential
+	// path, which schedules nothing and so has nothing to measure.
 	Metrics *Metrics
 }
 

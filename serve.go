@@ -14,6 +14,7 @@ import (
 	"repro/internal/collector"
 	"repro/internal/collector/client"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/paperexp"
 )
 
@@ -168,9 +169,9 @@ type WorkReport struct {
 	Executed int   // units executed live on this worker
 	Replayed int   // units replayed from warm-start snapshots or spool
 	Streamed int64 // records acknowledged by the collector
-	// Metrics snapshots the worker's metrics registry after the run:
+	// Metrics snapshots this call's own worker registry after the run:
 	// the sched_* series of its per-shard schedulers and the worker_*
-	// ingest/backpressure series.
+	// ingest/backpressure series, counting this call alone.
 	Metrics *Metrics
 }
 
@@ -218,6 +219,7 @@ func Work(ctx context.Context, id string, cfg WorkConfig) (*WorkOutcome, error) 
 		SpoolDir:   cfg.SpoolDir,
 		BinaryWire: cfg.BinaryWire,
 		Token:      cfg.Token,
+		Metrics:    obs.NewRegistry(),
 		Logger:     logger,
 	})
 	if err != nil {

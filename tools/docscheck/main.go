@@ -1,9 +1,11 @@
 // Command docscheck is the documentation linter behind `make docs-check`:
-// it fails when intra-repo markdown links in README.md or docs/ point at
-// files that do not exist, when a checked package lacks a package
-// comment, or when an exported identifier in a checked package lacks a
-// doc comment. It runs on the standard library alone (go/parser +
-// go/ast), so CI needs nothing beyond the Go toolchain.
+// it fails when an intra-repo markdown link in README.md, docs/ or the
+// verify skill points at a file that does not exist, when a `go run` or
+// `go test` command in their code names a package directory that does
+// not exist, when a checked package lacks a package comment, or when an
+// exported identifier in a checked package lacks a doc comment. It runs
+// on the standard library alone (go/parser + go/ast), so CI needs nothing
+// beyond the Go toolchain.
 //
 // Usage (from the repository root):
 //
@@ -47,8 +49,8 @@ var checkedPackages = []string{
 }
 
 // checkedMarkdown are the markdown files (or directories of them) whose
-// intra-repo links must resolve.
-var checkedMarkdown = []string{"README.md", "docs"}
+// intra-repo links and go command paths must resolve.
+var checkedMarkdown = []string{"README.md", "docs", ".claude/skills/verify/SKILL.md"}
 
 func main() {
 	var problems []string
@@ -67,10 +69,18 @@ func main() {
 // linkRE matches markdown link targets: [text](target).
 var linkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// codeSpanRE matches an inline code span, which may wrap lines.
+var codeSpanRE = regexp.MustCompile("`([^`]+)`")
+
+// goCommandRE matches a go run or go test invocation up to the end of
+// its shell command.
+var goCommandRE = regexp.MustCompile(`\bgo (run|test)\b([^;|&]*)`)
+
 // checkLinks verifies that every relative link target in the checked
-// markdown files points at an existing file or directory. External
-// schemes and pure anchors are skipped; an anchor suffix on a file link
-// is stripped (anchor names themselves are not verified).
+// markdown files points at an existing file or directory, and that every
+// go command in their code does. External schemes and pure anchors are
+// skipped; an anchor suffix on a file link is stripped (anchor names
+// themselves are not verified).
 func checkLinks() []string {
 	var problems []string
 	var files []string
@@ -103,6 +113,7 @@ func checkLinks() []string {
 			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
 			continue
 		}
+		problems = append(problems, checkCommands(file, string(data))...)
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
 				target := m[1]
@@ -123,6 +134,66 @@ func checkLinks() []string {
 		}
 	}
 	return problems
+}
+
+// checkCommands verifies that every `go run` and `go test` command in a
+// fenced code block or an inline code span of one markdown file names
+// existing package directories. Paths resolve against the repository
+// root, where the commands are meant to run.
+func checkCommands(file, text string) []string {
+	var problems []string
+	check := func(line int, code string) {
+		for _, m := range goCommandRE.FindAllStringSubmatch(code, -1) {
+			for _, dir := range packageDirs(m[1], strings.Fields(m[2])) {
+				if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+					problems = append(problems, fmt.Sprintf("%s:%d: `go %s` names %s, which is not a directory", file, line, m[1], dir))
+				}
+			}
+		}
+	}
+	// Fenced blocks are checked line by line and blanked out of the
+	// prose, keeping its line numbers, before the spans are found.
+	lines := strings.Split(text, "\n")
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			lines[i] = ""
+			continue
+		}
+		if fenced {
+			check(i+1, line)
+			lines[i] = ""
+		}
+	}
+	prose := strings.Join(lines, "\n")
+	for _, m := range codeSpanRE.FindAllStringSubmatchIndex(prose, -1) {
+		line := 1 + strings.Count(prose[:m[0]], "\n")
+		check(line, strings.Join(strings.Fields(prose[m[2]:m[3]]), " "))
+	}
+	return problems
+}
+
+// packageDirs returns the package directories a go run or go test
+// argument list names: a go run's first ./ path (what follows is the
+// program's arguments), every ./ path of a go test before -args. A
+// trailing /... names the directory it recurses from.
+func packageDirs(verb string, args []string) []string {
+	var dirs []string
+	for _, a := range args {
+		if a == "-args" {
+			break
+		}
+		a = strings.TrimRight(a, `)'",`)
+		if !strings.HasPrefix(a, "./") {
+			continue
+		}
+		dirs = append(dirs, strings.TrimSuffix(strings.TrimSuffix(a, "..."), "/"))
+		if verb == "run" {
+			break
+		}
+	}
+	return dirs
 }
 
 // checkGodoc verifies that each checked package has a package comment
