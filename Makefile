@@ -91,8 +91,9 @@ bench-e2e-smoke:
 
 # Documentation lint, run by CI: broken intra-repo links and `go run` /
 # `go test` commands naming a missing directory in README, docs/ and the
-# verify skill, and exported identifiers missing doc comments in the
-# subsystem packages, fail the build. go vet first — parse errors should name
+# verify skill, exported identifiers missing doc comments in the
+# subsystem packages, and a Go comment naming a markdown file that does
+# not exist, fail the build. go vet first — parse errors should name
 # themselves, not surface as lint noise.
 .PHONY: docs-check
 docs-check:

@@ -12,7 +12,6 @@ import (
 	"repro/internal/design"
 	"repro/internal/harness"
 	"repro/internal/hwsim"
-	"repro/internal/microbench"
 	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -172,7 +171,8 @@ func BenchmarkScanCostModel(b *testing.B) {
 	}
 }
 
-// --- ablation benches for DESIGN.md's called-out choices ---
+// --- ablation benches: each times one design choice against its
+// alternative on the same input ---
 
 // BenchmarkAblationTupleOverhead quantifies the cost model's central knob:
 // the same Q1 on the row engine with and without per-tuple overhead
@@ -193,40 +193,6 @@ func BenchmarkAblationTupleOverhead(b *testing.B) {
 			ctx := vdb.NewSimContext(db, &m, hwsim.NewVirtualClock())
 			ctx.Buffers.WarmAll(db.TableNames())
 			if _, err := vdb.Run(ctx, vdb.RowEngine{}, q.Plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationTopN quantifies the TopN design choice: heap-based
-// top-k versus full Sort+Limit on the same input, real work on both sides.
-func BenchmarkAblationTopN(b *testing.B) {
-	n := 100000
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64((i * 48271) % 1000000)
-	}
-	tab, err := vdb.NewTable("big", vdb.NewIntColumn("v", vals))
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := vdb.NewDB()
-	if err := db.AddTable(tab); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("topn-heap", func(b *testing.B) {
-		plan := vdb.Scan("big").TopN(10, vdb.SortKey{Col: "v"}).Node()
-		for i := 0; i < b.N; i++ {
-			if _, err := vdb.Run(vdb.NewContext(db), vdb.ColumnEngine{}, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sort-limit", func(b *testing.B) {
-		plan := vdb.Scan("big").OrderBy(vdb.SortKey{Col: "v"}).Limit(10).Node()
-		for i := 0; i < b.N; i++ {
-			if _, err := vdb.Run(vdb.NewContext(db), vdb.ColumnEngine{}, plan); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -292,26 +258,6 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 	})
 }
 
-// BenchmarkMicroSelectivitySweep measures the micro-benchmark harness
-// itself: a 5-point selectivity sweep over 50k rows.
-func BenchmarkMicroSelectivitySweep(b *testing.B) {
-	tab, err := microbench.TableSpec{
-		Name: "t", Rows: 50000,
-		Cols: []microbench.ColSpec{{Name: "v", Dist: microbench.Uniform{Lo: 0, Hi: 1}}},
-	}.Build(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sweep := &microbench.Sweep{Table: tab, Column: "v",
-		Selectivities: []float64{0.01, 0.1, 0.5, 0.9, 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sweep.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationFractional quantifies what the 2^(7-4) fraction saves
 // over the full 2^7 design at equal analysis machinery.
 func BenchmarkAblationFractional(b *testing.B) {
@@ -347,35 +293,6 @@ func BenchmarkAblationFractional(b *testing.B) {
 			}
 			y := make([]float64, fr.Table.Runs)
 			if _, err := fr.Estimate(y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationOptimizer measures the same filtered join with and
-// without the logical optimizer's filter pushdown (real work: the pushed
-// plan joins far fewer rows).
-func BenchmarkAblationOptimizer(b *testing.B) {
-	db := benchDB(b, 0.1)
-	plan := vdb.Scan("lineitem").
-		Join(vdb.Scan("part"), "l_partkey", "p_partkey").
-		Filter(vdb.Eq(vdb.Col("p_brand"), vdb.Str("Brand#23"))).
-		Aggregate(vdb.Count("n")).Node()
-	opt, _, err := vdb.Optimize(db, plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("unoptimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := vdb.Run(vdb.NewContext(db), vdb.ColumnEngine{}, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pushed-filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := vdb.Run(vdb.NewContext(db), vdb.ColumnEngine{}, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

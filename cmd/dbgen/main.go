@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/tpch"
@@ -40,10 +41,19 @@ func run(args []string) error {
 		return err
 	}
 	want := map[string]bool{}
-	if *tables != "" {
-		for _, t := range strings.Split(*tables, ",") {
-			want[strings.TrimSpace(t)] = true
+	var unknown []string
+	for _, t := range strings.Split(*tables, ",") {
+		if t = strings.TrimSpace(t); t == "" {
+			continue
 		}
+		if _, err := db.Table(t); err != nil {
+			unknown = append(unknown, strconv.Quote(t))
+		}
+		want[t] = true
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("-tables: unknown table(s) %s; tables: %s",
+			strings.Join(unknown, ", "), strings.Join(db.TableNames(), ","))
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +41,15 @@ func TestDbgen(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Error("bad flag should error")
+	}
+	// A misspelt table name fails, naming every unknown table, and
+	// writes nothing.
+	dir3 := t.TempDir()
+	err := run([]string{"-sf", "0.01", "-out", dir3, "-tables", "bogus,region,regoin"})
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), `"regoin"`) {
+		t.Errorf("misspelt tables: err = %v, want both names", err)
+	}
+	if files, _ := os.ReadDir(dir3); len(files) != 0 {
+		t.Errorf("misspelt tables wrote %d file(s)", len(files))
 	}
 }

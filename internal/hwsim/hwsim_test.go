@@ -14,9 +14,6 @@ func TestProfilesValid(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
 		}
-		if m.Spec() == "" {
-			t.Errorf("%s: empty spec", m.Name)
-		}
 	}
 }
 

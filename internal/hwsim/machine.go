@@ -70,15 +70,6 @@ func (m *Machine) Validate() error {
 // CycleNs returns the duration of one CPU cycle in nanoseconds.
 func (m *Machine) CycleNs() float64 { return 1e9 / m.ClockHz }
 
-// Spec returns the right-sized hardware description the paper recommends
-// (slide 155): vendor/model/clock/caches, memory, disk — no lspci dump.
-func (m *Machine) Spec() string {
-	return fmt.Sprintf("%s (%d): %s @ %.0f MHz, L1 %dKB, L2 %dKB (%dB lines), mem %.0fns latency / %.1f GB/s, disk %.0f MB/s",
-		m.Name, m.Year, m.CPU, m.ClockHz/1e6,
-		m.L1.SizeBytes/1024, m.L2.SizeBytes/1024, m.L2.LineBytes,
-		m.MemLatencyNs, m.MemBandwidthBps/1e9, m.DiskMBps)
-}
-
 // The memory-wall machine series (paper slides 46/51). Parameters are
 // calibrated so a tight in-memory scan shows the published shape: CPU
 // clock improves 10x across the series while elapsed time per iteration

@@ -261,11 +261,3 @@ func TestStringers(t *testing.T) {
 		t.Error("unknown pick should render")
 	}
 }
-
-func TestResultRealTimes(t *testing.T) {
-	r := &Result{Samples: []Sample{{Real: 1500 * time.Microsecond}, {Real: 2 * time.Millisecond}}}
-	ts := r.RealTimes()
-	if len(ts) != 2 || ts[0] != 1.5 || ts[1] != 2 {
-		t.Errorf("RealTimes = %v", ts)
-	}
-}

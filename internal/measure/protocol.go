@@ -137,16 +137,6 @@ type Result struct {
 	Warnings []string
 }
 
-// RealTimes returns the real-time component of every sample, for feeding
-// the stats package.
-func (r *Result) RealTimes() []float64 {
-	out := make([]float64, len(r.Samples))
-	for i, s := range r.Samples {
-		out[i] = float64(s.Real) / float64(time.Millisecond)
-	}
-	return out
-}
-
 // Run executes the protocol against the target.
 //
 // For Cold state, Reset(Cold) runs before every measured run, so every run

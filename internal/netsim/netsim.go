@@ -248,28 +248,6 @@ func Simulate(net Network, pat Pattern, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// SimulateReplicated runs the simulation under nSeeds consecutive seeds
-// (cfg.Seed, cfg.Seed+1, ...) and returns the per-seed metrics — the
-// replication needed to put confidence intervals on simulator outputs
-// instead of presenting a single random quantity (one of the paper's
-// pictorial games).
-func SimulateReplicated(net Network, pat Pattern, cfg Config, nSeeds int) ([]Metrics, error) {
-	if nSeeds < 1 {
-		return nil, fmt.Errorf("netsim: need at least 1 seed, got %d", nSeeds)
-	}
-	out := make([]Metrics, 0, nSeeds)
-	for i := 0; i < nSeeds; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		m, err := Simulate(net, pat, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // PaperData returns the published response table of the paper's example
 // (slides 90-93) in canonical 2^2 run order (network varies slowest:
 // Crossbar+Random, Crossbar+Matrix, Omega+Random, Omega+Matrix), keyed by

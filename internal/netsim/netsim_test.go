@@ -102,6 +102,16 @@ func TestSimulateDeterministic(t *testing.T) {
 	if m1 != m2 {
 		t.Errorf("same seed gave %+v vs %+v", m1, m2)
 	}
+	// The seed is what a replicate varies: the next one is a different run.
+	c := cfg()
+	c.Seed++
+	m3, err := Simulate(Omega{N: 16}, RandomPattern{}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3 == m1 {
+		t.Errorf("seeds %d and %d gave the same run %+v", c.Seed-1, c.Seed, m1)
+	}
 }
 
 func TestMetricsSanity(t *testing.T) {
@@ -251,36 +261,5 @@ func TestSimulatePropertiesQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSimulateReplicated(t *testing.T) {
-	ms, err := SimulateReplicated(Crossbar{N: 16}, RandomPattern{}, cfg(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 5 {
-		t.Fatalf("metrics = %d", len(ms))
-	}
-	// Different seeds give (generally) different throughputs, all valid.
-	distinct := map[float64]bool{}
-	for _, m := range ms {
-		if m.Throughput <= 0 || m.Throughput > 1 {
-			t.Errorf("throughput %g out of range", m.Throughput)
-		}
-		distinct[m.Throughput] = true
-	}
-	if len(distinct) < 2 {
-		t.Error("replicates suspiciously identical across seeds")
-	}
-	// Deterministic: same call, same series.
-	ms2, _ := SimulateReplicated(Crossbar{N: 16}, RandomPattern{}, cfg(), 5)
-	for i := range ms {
-		if ms[i] != ms2[i] {
-			t.Error("replicated series not deterministic")
-		}
-	}
-	if _, err := SimulateReplicated(Crossbar{N: 16}, RandomPattern{}, cfg(), 0); err == nil {
-		t.Error("0 seeds should error")
 	}
 }

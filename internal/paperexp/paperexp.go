@@ -1,5 +1,6 @@
 // Package paperexp contains one driver per table and figure of the paper's
-// worked examples — the per-experiment index of DESIGN.md made executable.
+// worked examples, registered in paper order under the artifact's id
+// (t1-t10, f1-f7): Registry is the index of what the repository reproduces.
 // Each driver assembles the relevant substrates (vdb engines over tpch data
 // on a hwsim machine, the netsim interconnect, the design/stats analysis,
 // the plot/sysinfo/repeat tooling), regenerates the artifact, and returns

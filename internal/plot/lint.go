@@ -34,9 +34,6 @@ const (
 	// RuleAspectRatio: "let the useful height of the graph be 3/4th of
 	// its useful width".
 	RuleAspectRatio
-	// RuleMissingCI: "plot random quantities without confidence
-	// intervals" — replicated measurements need intervals.
-	RuleMissingCI
 	// RuleInconsistentStyle: "change the graphical layout of a given
 	// curve from one figure to another".
 	RuleInconsistentStyle
@@ -66,8 +63,6 @@ func (r Rule) String() string {
 		return "truncated-axis"
 	case RuleAspectRatio:
 		return "aspect-ratio"
-	case RuleMissingCI:
-		return "missing-confidence-interval"
 	case RuleInconsistentStyle:
 		return "inconsistent-style"
 	case RuleTooManyResponseVariables:
@@ -217,26 +212,4 @@ func LintCombined(c *Chart, seriesResponseVars []string) []Violation {
 			Message: fmt.Sprintf("chart %q mixes %d response variables (%s); plot them separately", c.Title, len(distinct), strings.Join(vars, ", "))}}
 	}
 	return nil
-}
-
-// CheckReplicatedSeries flags series that plot means of replicated runs
-// without confidence intervals.
-func CheckReplicatedSeries(c *Chart, replicated bool) []Violation {
-	if !replicated {
-		return nil
-	}
-	var out []Violation
-	for _, s := range c.Series {
-		missing := 0
-		for _, p := range s.Points {
-			if p.CIHalf == 0 {
-				missing++
-			}
-		}
-		if missing > 0 {
-			out = append(out, Violation{Rule: RuleMissingCI,
-				Message: fmt.Sprintf("series %q plots %d replicated points without confidence intervals; overlapping intervals may mean the quantities are statistically indifferent", s.Name, missing)})
-		}
-	}
-	return out
 }

@@ -6,62 +6,16 @@ import (
 	"strings"
 )
 
-// This file implements locale-safe CSV handling. The paper's war story
+// This file implements locale-safe number handling. The paper's war story
 // (slides 212-215): a results file containing "13.666" was pasted into a
 // spreadsheet whose locale treated '.' as a thousands separator, silently
 // becoming 13666 and wrecking the graph. All formatting here is C-locale;
-// parsing detects the hazard.
+// DetectLocaleHazards finds the values such an import mangled.
 
 // FormatFloat renders a float in C-locale (period decimal separator, no
 // grouping), the only representation safe to exchange between tools.
 func FormatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteCSV renders rows of float columns with a header, C-locale.
-func WriteCSV(header []string, rows [][]float64) (string, error) {
-	var b strings.Builder
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
-	for i, row := range rows {
-		if len(row) != len(header) {
-			return "", fmt.Errorf("plot: row %d has %d values for %d columns", i, len(row), len(header))
-		}
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = FormatFloat(v)
-		}
-		b.WriteString(strings.Join(parts, ","))
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
-}
-
-// ParseCSV parses a C-locale CSV of floats with one header line.
-func ParseCSV(text string) (header []string, rows [][]float64, err error) {
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
-		return nil, nil, fmt.Errorf("plot: empty CSV")
-	}
-	header = strings.Split(lines[0], ",")
-	for ln, line := range lines[1:] {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != len(header) {
-			return nil, nil, fmt.Errorf("plot: line %d has %d fields for %d columns", ln+2, len(parts), len(header))
-		}
-		row := make([]float64, len(parts))
-		for j, p := range parts {
-			row[j], err = strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("plot: line %d field %d: %w", ln+2, j+1, err)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return header, rows, nil
 }
 
 // LocaleMangle simulates what a '.'-as-thousands-separator locale does to a

@@ -182,23 +182,6 @@ func TestLintCombined(t *testing.T) {
 	}
 }
 
-func TestCheckReplicatedSeries(t *testing.T) {
-	c := goodLineChart()
-	vs := CheckReplicatedSeries(c, true)
-	if len(vs) != 1 || vs[0].Rule != RuleMissingCI {
-		t.Errorf("missing CI should be flagged: %v", vs)
-	}
-	for i := range c.Series[0].Points {
-		c.Series[0].Points[i].CIHalf = 1
-	}
-	if vs := CheckReplicatedSeries(c, true); len(vs) != 0 {
-		t.Errorf("series with CIs flagged: %v", vs)
-	}
-	if vs := CheckReplicatedSeries(c, false); len(vs) != 0 {
-		t.Errorf("unreplicated series flagged: %v", vs)
-	}
-}
-
 func hasRule(vs []Violation, r Rule) bool {
 	for _, v := range vs {
 		if v.Rule == r {
@@ -211,7 +194,7 @@ func hasRule(vs []Violation, r Rule) bool {
 func TestRuleStrings(t *testing.T) {
 	rules := []Rule{RuleMaxCurves, RuleMaxBars, RuleMaxPieComponents, RuleHistogramCellCount,
 		RuleAxisLabelMissing, RuleAxisUnitMissing, RuleSymbolLabel, RuleTruncatedAxis,
-		RuleAspectRatio, RuleMissingCI, RuleInconsistentStyle, RuleTooManyResponseVariables}
+		RuleAspectRatio, RuleInconsistentStyle, RuleTooManyResponseVariables}
 	seen := map[string]bool{}
 	for _, r := range rules {
 		s := r.String()
@@ -299,44 +282,6 @@ func TestGnuplotData(t *testing.T) {
 	pie := NewPieChart("p", Labels{"x"}, []float64{1})
 	if s := GnuplotScript(pie, "d.dat", "o.eps"); !strings.Contains(s, "boxes") {
 		t.Errorf("pie script = %q", s)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	header := []string{"a", "b"}
-	rows := [][]float64{{1, 13.666}, {2, 15}, {3, 12.3333}, {4, 13}}
-	text, err := WriteCSV(header, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, r2, err := ParseCSV(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h2) != 2 || h2[0] != "a" {
-		t.Errorf("header = %v", h2)
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			if rows[i][j] != r2[i][j] {
-				t.Errorf("round trip [%d][%d]: %g vs %g", i, j, rows[i][j], r2[i][j])
-			}
-		}
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	if _, err := WriteCSV([]string{"a"}, [][]float64{{1, 2}}); err == nil {
-		t.Error("width mismatch should error")
-	}
-	if _, _, err := ParseCSV(""); err == nil {
-		t.Error("empty CSV should error")
-	}
-	if _, _, err := ParseCSV("a,b\n1\n"); err == nil {
-		t.Error("short row should error")
-	}
-	if _, _, err := ParseCSV("a\nxyz\n"); err == nil {
-		t.Error("non-numeric should error")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package plot implements the paper's Presentation chapter as code: a chart
-// model, gnuplot script emission, ASCII rendering for terminals, CSV
-// reading/writing with locale-hazard detection, and — most importantly — a
+// model, gnuplot script emission, ASCII rendering for terminals, C-locale
+// number formatting with locale-hazard detection, and — most importantly — a
 // chart linter that enforces the paper's guidelines ("require minimum
 // effort from the reader", "maximize information", "minimize ink") and
 // flags its catalogued mistakes and pictorial games.
@@ -37,11 +37,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Point is one (x, y) observation, optionally with a confidence-interval
-// half-width (CIHalf = 0 means no interval known).
+// Point is one (x, y) observation.
 type Point struct {
-	X, Y   float64
-	CIHalf float64
+	X, Y float64
 }
 
 // Style is a named visual style for a series. The paper's rule: a given

@@ -47,9 +47,6 @@ func Date(y, m, d int) int64 {
 	return int64((y-1992)*365 + (m-1)*30 + (d - 1))
 }
 
-// Year recovers the year component of an encoded date.
-func Year(date int64) int64 { return 1992 + date/365 }
-
 // Value pools mirroring TPC-H's domains.
 var (
 	regionNames   = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}

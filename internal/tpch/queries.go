@@ -21,8 +21,11 @@ func revenue() vdb.Expr {
 // Queries returns analogs of all 22 TPC-H queries, in order. Each keeps the
 // original's plan shape (scan-heavy aggregation, selective multi-way joins,
 // grouped tops) within vdb's operator set: single-column equi-joins, no
-// correlated subqueries — where the original needs one, the analog uses the
-// closest join/aggregate composition. DESIGN.md documents the substitution.
+// correlated subqueries. Where the original needs one, the analog joins the
+// subquery's table and aggregates instead: Q4's EXISTS becomes a join and
+// a count(distinct) of the outer key, Q2's per-part minimum a grouped min,
+// and Q17's per-part average a constant quantity bound. The experiments
+// need the plan shapes, not TPC-H's answers, so the result sets differ.
 func Queries() []Query {
 	lineitem := func() *vdb.Plan { return vdb.Scan("lineitem") }
 

@@ -55,10 +55,6 @@ func (e ColumnEngine) exec(ctx *ExecContext, n Node) (res *Table, err error) {
 			return nil, err
 		}
 		return limitTable(child, node.N)
-	case *DistinctNode:
-		return e.execDistinct(ctx, node)
-	case *TopNNode:
-		return e.execTopN(ctx, node)
 	default:
 		return nil, fmt.Errorf("vdb: column engine: unknown node %T", n)
 	}

@@ -1,12 +1,9 @@
 package vdb
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // These tests exercise corners the main suites don't reach: expression
-// edge cases, plan-node plumbing, and helper accessors.
+// edge cases, operator plumbing, and helper accessors.
 
 func TestExprLeAndAllComparisons(t *testing.T) {
 	db := testDB(t)
@@ -85,45 +82,7 @@ func TestExprTypeErrors(t *testing.T) {
 	}
 }
 
-func TestPlanNodeChildren(t *testing.T) {
-	plan := Scan("t").
-		Filter(Gt(Col("a"), Int(0))).
-		Project([]string{"a"}, Col("a")).
-		Distinct().
-		TopN(3, SortKey{Col: "a"}).
-		Node()
-	// Walk the tree: every node reports its children; leaf is the scan.
-	depth := 0
-	for n := plan; n != nil; {
-		kids := n.Children()
-		if len(kids) == 0 {
-			if _, ok := n.(*ScanNode); !ok {
-				t.Errorf("leaf is %T, want ScanNode", n)
-			}
-			break
-		}
-		n = kids[0]
-		depth++
-	}
-	if depth != 4 {
-		t.Errorf("depth = %d, want 4", depth)
-	}
-	// Join has two children.
-	j := Scan("a").Join(From(Scan("b").Node()), "x", "y").Node()
-	if len(j.Children()) != 2 {
-		t.Errorf("join children = %d", len(j.Children()))
-	}
-}
-
 func TestTableHelpers(t *testing.T) {
-	db := testDB(t)
-	orders, _ := db.Table("orders")
-	if !orders.HasColumn("o_id") || orders.HasColumn("bogus") {
-		t.Error("HasColumn")
-	}
-	if orders.RowWidthBytes() <= 0 {
-		t.Error("RowWidthBytes")
-	}
 	empty := &Table{Name: "empty"}
 	if empty.NumRows() != 0 {
 		t.Error("empty table rows")
@@ -174,16 +133,8 @@ func TestProfileOpClass(t *testing.T) {
 	if opClass("Filter (a > 1)") != "Filter" {
 		t.Errorf("opClass = %q", opClass("Filter (a > 1)"))
 	}
-	if opClass("Distinct") != "Distinct" {
-		t.Errorf("opClass = %q", opClass("Distinct"))
-	}
-}
-
-func TestExplainDistinctTopN(t *testing.T) {
-	plan := Scan("t").Distinct().TopN(5, SortKey{Col: "a", Desc: true}).Node()
-	out := Explain(plan)
-	if !strings.Contains(out, "TopN 5 by a DESC") || !strings.Contains(out, "Distinct") {
-		t.Errorf("explain:\n%s", out)
+	if opClass("Scan") != "Scan" {
+		t.Errorf("opClass = %q", opClass("Scan"))
 	}
 }
 
@@ -195,10 +146,8 @@ func TestRowEngineCloseIsSafe(t *testing.T) {
 		Filter(Gt(Col("o_total"), Float(0))).
 		Join(From(Scan("cust").Node()), "o_cust", "c_id").
 		Project([]string{"n", "v"}, Col("c_name"), Col("o_total")).
-		Distinct().
 		GroupBy([]string{"n"}, Sum(Col("v"), "s")).
 		OrderBy(SortKey{Col: "s", Desc: true}).
-		TopN(2, SortKey{Col: "s", Desc: true}).
 		Limit(2).Node()
 	res, err := Run(NewContext(db), RowEngine{}, plan)
 	if err != nil {

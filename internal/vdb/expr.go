@@ -257,7 +257,6 @@ type LikeExpr struct {
 	Kind    LikeKind
 	Operand Expr
 	Pattern string
-	Negate  bool
 }
 
 // HasPrefix builds operand LIKE 'pat%'.
@@ -268,11 +267,6 @@ func HasPrefix(operand Expr, pat string) Expr {
 // Contains builds operand LIKE '%pat%'.
 func Contains(operand Expr, pat string) Expr {
 	return LikeExpr{Kind: LikeContains, Operand: operand, Pattern: pat}
-}
-
-// NotContains builds operand NOT LIKE '%pat%'.
-func NotContains(operand Expr, pat string) Expr {
-	return LikeExpr{Kind: LikeContains, Operand: operand, Pattern: pat, Negate: true}
 }
 
 // HasSuffix builds operand LIKE '%pat'.
@@ -302,24 +296,18 @@ func (e LikeExpr) String() string {
 	default:
 		pat = "%" + e.Pattern
 	}
-	op := "LIKE"
-	if e.Negate {
-		op = "NOT LIKE"
-	}
-	return fmt.Sprintf("(%s %s '%s')", e.Operand, op, pat)
+	return fmt.Sprintf("(%s LIKE '%s')", e.Operand, pat)
 }
 
 func (e LikeExpr) match(s string) bool {
-	var ok bool
 	switch e.Kind {
 	case LikePrefix:
-		ok = strings.HasPrefix(s, e.Pattern)
+		return strings.HasPrefix(s, e.Pattern)
 	case LikeContains:
-		ok = strings.Contains(s, e.Pattern)
+		return strings.Contains(s, e.Pattern)
 	default:
-		ok = strings.HasSuffix(s, e.Pattern)
+		return strings.HasSuffix(s, e.Pattern)
 	}
-	return ok != e.Negate
 }
 
 // EvalRow evaluates an expression against one row of a schema-described

@@ -7,9 +7,8 @@ import (
 
 // Node is a logical query plan node. Both engines interpret the same plan.
 type Node interface {
-	// Children returns the node's inputs (left before right).
-	Children() []Node
-	// Describe renders the node's own line of EXPLAIN output.
+	// Describe renders the node on one line; profiles and operator
+	// statistics are labelled with it.
 	Describe() string
 }
 
@@ -18,9 +17,6 @@ type ScanNode struct {
 	Table string
 	Cols  []string // nil means all columns
 }
-
-// Children implements Node.
-func (n *ScanNode) Children() []Node { return nil }
 
 // Describe implements Node.
 func (n *ScanNode) Describe() string {
@@ -36,9 +32,6 @@ type FilterNode struct {
 	Pred  Expr
 }
 
-// Children implements Node.
-func (n *FilterNode) Children() []Node { return []Node{n.Child} }
-
 // Describe implements Node.
 func (n *FilterNode) Describe() string { return fmt.Sprintf("Filter %s", n.Pred) }
 
@@ -48,9 +41,6 @@ type ProjectNode struct {
 	Exprs []Expr
 	Names []string
 }
-
-// Children implements Node.
-func (n *ProjectNode) Children() []Node { return []Node{n.Child} }
 
 // Describe implements Node.
 func (n *ProjectNode) Describe() string {
@@ -68,9 +58,6 @@ type JoinNode struct {
 	Left, Right       Node
 	LeftKey, RightKey string
 }
-
-// Children implements Node.
-func (n *JoinNode) Children() []Node { return []Node{n.Left, n.Right} }
 
 // Describe implements Node.
 func (n *JoinNode) Describe() string {
@@ -118,9 +105,6 @@ type AggNode struct {
 	Aggs    []AggSpec
 }
 
-// Children implements Node.
-func (n *AggNode) Children() []Node { return []Node{n.Child} }
-
 // Describe implements Node.
 func (n *AggNode) Describe() string {
 	parts := make([]string, len(n.Aggs))
@@ -152,9 +136,6 @@ type SortNode struct {
 	Keys  []SortKey
 }
 
-// Children implements Node.
-func (n *SortNode) Children() []Node { return []Node{n.Child} }
-
 // Describe implements Node.
 func (n *SortNode) Describe() string {
 	parts := make([]string, len(n.Keys))
@@ -169,9 +150,6 @@ type LimitNode struct {
 	Child Node
 	N     int
 }
-
-// Children implements Node.
-func (n *LimitNode) Children() []Node { return []Node{n.Child} }
 
 // Describe implements Node.
 func (n *LimitNode) Describe() string { return fmt.Sprintf("Limit %d", n.N) }
@@ -247,21 +225,4 @@ func MaxOf(e Expr, name string) AggSpec { return AggSpec{Func: AggMax, Expr: e, 
 // CountDistinct builds count(distinct expr) AS name.
 func CountDistinct(e Expr, name string) AggSpec {
 	return AggSpec{Func: AggCountDistinct, Expr: e, Name: name}
-}
-
-// Explain renders the plan tree with two-space indentation, the EXPLAIN
-// output the paper recommends inspecting ("Find out what happens!").
-func Explain(n Node) string {
-	var b strings.Builder
-	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Describe())
-		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(n, 0)
-	return b.String()
 }

@@ -219,32 +219,6 @@ func buildIter(ctx *ExecContext, n Node) (rowIter, error) {
 		}
 		return &limitIter{ctx: ctx, child: child, n: node.N, st: opStats{op: node.Describe()}}, nil
 
-	case *DistinctNode:
-		child, err := buildIter(ctx, node.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctIter{ctx: ctx, child: child, st: opStats{op: node.Describe()}}, nil
-
-	case *TopNNode:
-		child, err := buildIter(ctx, node.Child)
-		if err != nil {
-			return nil, err
-		}
-		schema, err := OutputSchema(ctx.DB, node.Child)
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int, len(node.Keys))
-		for i, k := range node.Keys {
-			idx[i], err = schema.IndexOf(k.Col)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &topNIter{ctx: ctx, child: child, keys: node.Keys, keyIdx: idx, n: node.N,
-			st: opStats{op: node.Describe()}}, nil
-
 	default:
 		return nil, fmt.Errorf("vdb: row engine: unknown node %T", n)
 	}

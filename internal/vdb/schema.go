@@ -149,9 +149,6 @@ func OutputSchema(db *DB, n Node) (*Schema, error) {
 		return OutputSchema(db, node.Child)
 
 	default:
-		if s, handled, err := distinctTopNSchema(db, n); handled {
-			return s, err
-		}
 		return nil, fmt.Errorf("vdb: unknown plan node %T", n)
 	}
 }

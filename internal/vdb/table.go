@@ -52,12 +52,6 @@ func (t *Table) Column(name string) (*Column, error) {
 	return nil, fmt.Errorf("vdb: table %q has no column %q", t.Name, name)
 }
 
-// HasColumn reports whether the named column exists.
-func (t *Table) HasColumn(name string) bool {
-	_, err := t.Column(name)
-	return err == nil
-}
-
 // ColumnNames returns the column names in declaration order.
 func (t *Table) ColumnNames() []string {
 	out := make([]string, len(t.Cols))
@@ -84,15 +78,6 @@ func (t *Table) ByteSize() int64 {
 		total += n * int64(c.WidthBytes())
 	}
 	return total
-}
-
-// RowWidthBytes estimates bytes per row.
-func (t *Table) RowWidthBytes() int {
-	w := 0
-	for _, c := range t.Cols {
-		w += c.WidthBytes()
-	}
-	return w
 }
 
 // CSV renders the table as C-locale CSV with a header row: the exact bytes
@@ -173,12 +158,3 @@ func (db *DB) Table(name string) (*Table, error) {
 
 // TableNames lists base tables in registration order.
 func (db *DB) TableNames() []string { return append([]string(nil), db.order...) }
-
-// TotalBytes sums the footprint of every base table.
-func (db *DB) TotalBytes() int64 {
-	var total int64
-	for _, name := range db.order {
-		total += db.tables[name].ByteSize()
-	}
-	return total
-}

@@ -1,9 +1,6 @@
 package vdb
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // testDB builds a small two-table catalog used across the engine tests.
 func testDB(t *testing.T) *DB {
@@ -92,9 +89,6 @@ func TestDBCatalog(t *testing.T) {
 	}
 	if err := db.AddTable(nil); err == nil {
 		t.Error("nil table should error")
-	}
-	if db.TotalBytes() <= 0 {
-		t.Error("total bytes should be positive")
 	}
 }
 
@@ -316,7 +310,6 @@ func TestLikeBothEngines(t *testing.T) {
 	}{
 		{HasPrefix(Col("c_name"), "a"), 1},
 		{Contains(Col("c_name"), "o"), 2}, // bob, carol
-		{NotContains(Col("c_name"), "o"), 1},
 		{HasSuffix(Col("c_name"), "l"), 1},
 	}
 	for _, c := range cases {
@@ -428,28 +421,27 @@ func TestIntArithmeticStaysInt(t *testing.T) {
 	}
 }
 
-func TestExplain(t *testing.T) {
-	db := testDB(t)
-	plan := Scan("orders").
-		Filter(Gt(Col("o_total"), Float(100))).
-		GroupBy([]string{"o_status"}, Count("n")).
-		OrderBy(SortKey{Col: "n", Desc: true}).
-		Limit(1).Node()
-	out := Explain(plan)
-	for _, want := range []string{"Limit 1", "Sort n DESC", "GroupBy [o_status]", "Filter", "Scan orders"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain missing %q:\n%s", want, out)
+// TestDescribe pins each operator's one-line rendering: profiles label
+// their spans with it, and the f3 artifact prints those labels.
+func TestDescribe(t *testing.T) {
+	for _, c := range []struct {
+		node Node
+		want string
+	}{
+		{&ScanNode{Table: "orders"}, "Scan orders"},
+		{&ScanNode{Table: "orders", Cols: []string{"o_id", "o_total"}}, "Scan orders [o_id, o_total]"},
+		{&FilterNode{Pred: Gt(Col("o_total"), Float(100))}, "Filter (o_total > 100)"},
+		{&ProjectNode{Exprs: []Expr{Col("o_id")}, Names: []string{"id"}}, "Project o_id AS id"},
+		{&JoinNode{LeftKey: "o_cust", RightKey: "c_id"}, "HashJoin o_cust = c_id"},
+		{&AggNode{GroupBy: []string{"o_status"}, Aggs: []AggSpec{Count("n")}}, "GroupBy [o_status] count(*) AS n"},
+		{&AggNode{Aggs: []AggSpec{Sum(Col("o_total"), "s")}}, "Aggregate sum(o_total) AS s"},
+		{&SortNode{Keys: []SortKey{{Col: "n", Desc: true}, {Col: "o_id"}}}, "Sort n DESC, o_id"},
+		{&LimitNode{N: 1}, "Limit 1"},
+	} {
+		if got := c.node.Describe(); got != c.want {
+			t.Errorf("%T.Describe() = %q, want %q", c.node, got, c.want)
 		}
 	}
-	// Deeper nodes are more indented.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("explain lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[4], "        ") {
-		t.Errorf("scan should be deepest: %q", lines[4])
-	}
-	_ = db
 }
 
 func TestCSVRendering(t *testing.T) {

@@ -2,8 +2,9 @@
 // it fails when an intra-repo markdown link in README.md, docs/ or the
 // verify skill points at a file that does not exist, when a `go run` or
 // `go test` command in their code names a package directory that does
-// not exist, when a checked package lacks a package comment, or when an
-// exported identifier in a checked package lacks a doc comment. It runs
+// not exist, when a checked package lacks a package comment, when an
+// exported identifier in a checked package lacks a doc comment, or when a
+// comment in any Go file names a markdown file that does not exist. It runs
 // on the standard library alone (go/parser + go/ast), so CI needs nothing
 // beyond the Go toolchain.
 //
@@ -56,6 +57,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkLinks()...)
 	problems = append(problems, checkGodoc()...)
+	problems = append(problems, checkGoComments()...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -194,6 +196,61 @@ func packageDirs(verb string, args []string) []string {
 		}
 	}
 	return dirs
+}
+
+// mdPathRE matches a markdown file path in a comment: README.md,
+// docs/FORMAT.md, ../../README.md.
+var mdPathRE = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// checkGoComments verifies that every markdown file a comment in a Go file
+// names exists, relative to the repository root or to the file's
+// directory. A comment citing a document that is gone sends its reader
+// nowhere; it should state the reason itself. Hidden directories and
+// testdata are skipped, and so is a path that is part of a URL.
+func checkGoComments() []string {
+	var problems []string
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", path, err))
+			return nil
+		}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				for _, m := range mdPathRE.FindAllStringIndex(c.Text, -1) {
+					name := c.Text[m[0]:m[1]]
+					inURL := m[0] > 0 && c.Text[m[0]-1] == ':'
+					if inURL || exists(name) || exists(filepath.Join(filepath.Dir(path), name)) {
+						continue
+					}
+					line := fset.Position(c.Pos()).Line + strings.Count(c.Text[:m[0]], "\n")
+					problems = append(problems, fmt.Sprintf("%s:%d: comment names %s, which exists neither at the repository root nor beside the file", path, line, name))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		problems = append(problems, err.Error())
+	}
+	return problems
 }
 
 // checkGodoc verifies that each checked package has a package comment
