@@ -89,10 +89,11 @@ bench-e2e-smoke:
 			{ echo "$$out" | tail -n 5; echo "bench-e2e-smoke: the last line of $$w does not say \"correct\":true"; exit 1; }; \
 	done
 
-# Documentation lint, run by CI: broken intra-repo links and `go run` /
-# `go test` commands naming a missing directory in README, docs/ and the
-# verify skill, exported identifiers missing doc comments in the
-# subsystem packages, and a Go comment naming a markdown file that does
+# Documentation lint, run by CI: broken intra-repo links, `go run` /
+# `go test` commands naming a missing directory, and code spans naming a
+# `pkg.Name` its repo package does not declare, in README, docs/ and the
+# verify skill; exported identifiers missing doc comments in the
+# subsystem packages; and a Go comment naming a markdown file that does
 # not exist, fail the build. go vet first — parse errors should name
 # themselves, not surface as lint noise.
 .PHONY: docs-check

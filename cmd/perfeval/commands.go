@@ -46,10 +46,10 @@ func printArtifact(w io.Writer, r *repro.Result) {
 }
 
 // runCmd is the run subcommand: each experiment runs through repro.Run
-// under the RunConfig the properties set, one by one (rather than
-// repro.RunAll) so artifacts and budget reports stream out as each
-// experiment finishes. Whether the run is scheduled, and whether the
-// config is valid, is repro's to decide.
+// under the RunConfig the properties set, one by one, so artifacts and
+// budget reports stream out as each experiment finishes. Whether the
+// run is scheduled, and whether the config is valid, is repro's to
+// decide.
 func runCmd(ctx context.Context, w io.Writer, o *opts, ids []string) error {
 	cfg := o.run
 	// RunConfig.Shard's zero-value hazard: a worker script that dropped

@@ -9,7 +9,7 @@
 //	perfeval metrics -Dcollector.url=URL [-Dmetrics.format=prometheus|json]
 //	perfeval shard-plan <id>|all -Dsched.shards=N [-Djournal.dir=DIR]
 //	perfeval merge <out.jsonl|out.arch> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
-//	perfeval archive <out.arch|out.archz> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
+//	perfeval archive <out.arch> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
 //	perfeval inspect <file|dir>... [-Dinspect.strict=BOOL]
 //	perfeval query <dir> [-Dquery.kind=runs|history|trends|regressions] [-Dquery.experiment=NAME] [-Dquery.cell=HASH|SELECTOR] [-Dquery.response=NAME] [-Dquery.confidence=LEVEL] [-Dquery.tolerance=FRACTION] [-Dquery.limit=N] [-Dquery.keep=N] [-Dquery.maxage=DUR] [-Dquery.norefresh=BOOL] [-Dquery.format=table|json]
 //	perfeval diff <baseline.jsonl> <current.jsonl> [-Ddiff.confidence=LEVEL] [-Ddiff.tolerance=FRACTION]
@@ -185,7 +185,7 @@ func runW(w io.Writer, args []string) error { return runCtxW(context.Background(
 // names, given as many more as the command's shape takes and the -D
 // properties bound to its rows.
 func runCtxW(ctx context.Context, w io.Writer, args []string) error {
-	props := config.New(nil)
+	props := config.New()
 	rest, err := props.ApplyArgs(args)
 	if err != nil {
 		return err
@@ -295,7 +295,7 @@ func commands(o *opts) []command {
 		}},
 		{name: "shard-plan", args: "<id>|all", do: shardPlan, need: []prop{shards}, props: []prop{journal}},
 		{name: "merge", args: "<out.jsonl|out.arch> <src.jsonl|src.arch>...", do: merge, props: []prop{mergeStrict}},
-		{name: "archive", args: "<out.arch|out.archz> <src.jsonl|src.arch>...", do: archive, props: []prop{mergeStrict}},
+		{name: "archive", args: "<out.arch> <src.jsonl|src.arch>...", do: archive, props: []prop{mergeStrict}},
 		{name: "inspect", args: "<file|dir>...", do: inspect, props: []prop{
 			{"inspect.strict", "BOOL", &o.inspectStrict, false},
 		}},

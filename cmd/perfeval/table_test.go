@@ -66,7 +66,7 @@ func bindProps(props *config.Properties, i int) (*opts, command, error) {
 
 func bindArgs(t *testing.T, i int, args ...string) (*opts, command, error) {
 	t.Helper()
-	props := config.New(nil)
+	props := config.New()
 	if _, err := props.ApplyArgs(args); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func FuzzPropertyArgs(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		props := config.New(nil)
+		props := config.New()
 		if _, err := props.ApplyArgs(strings.Split(s, "\x00")); err != nil {
 			return
 		}

@@ -135,24 +135,15 @@ func (ctrl *Controller) AddBaseline(s *runstore.Summary) error {
 }
 
 // Prioritize flags cells by key (runstore.CellKey form): tighter target,
-// scheduled ahead of unflagged cells.
+// scheduled ahead of unflagged cells. Shipped runs flag cells by baseline
+// drift (AddBaseline); TestAdaptivePrioritySchedulesFlaggedFirst flags
+// one before any replicate is observed, which drift cannot.
 func (ctrl *Controller) Prioritize(keys ...string) {
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()
 	for _, k := range keys {
 		ctrl.get(k).flagged = true
 	}
-}
-
-// PrioritizeGateFindings flags every cell a gate report found regressed
-// and returns how many cells that flagged.
-func (ctrl *Controller) PrioritizeGateFindings(report *runstore.GateReport) int {
-	n := 0
-	for _, f := range report.Regressions() {
-		ctrl.Prioritize(runstore.CellKey(report.Experiment, runstore.AssignmentHash(f.Assignment)))
-		n++
-	}
-	return n
 }
 
 func (ctrl *Controller) get(key string) *cell {

@@ -180,40 +180,9 @@ func TestPrioritizeAndBaselineDrift(t *testing.T) {
 		t.Error("cell without a baseline entry must not be flagged")
 	}
 
-	// Explicit prioritization, as PrioritizeGateFindings would do it.
+	// Explicit prioritization.
 	c.Prioritize("e/manual")
 	if !c.Priority("e/manual") {
 		t.Error("Prioritize should raise Priority")
-	}
-}
-
-// TestPrioritizeGateFindings flags exactly the regressed cells of a
-// gate report.
-func TestPrioritizeGateFindings(t *testing.T) {
-	mk := func(level string, vals ...float64) runstore.SummaryRow {
-		a := map[string]string{"f": level}
-		return runstore.SummaryRow{Hash: runstore.AssignmentHash(a), Assignment: a, Response: "ms", Values: vals}
-	}
-	base := &runstore.Summary{Experiment: "e", Rows: []runstore.SummaryRow{
-		mk("lo", 10, 10.1, 9.9), mk("hi", 20, 20.1, 19.9),
-	}}
-	cur := &runstore.Summary{Experiment: "e", Rows: []runstore.SummaryRow{
-		mk("lo", 10, 10.1, 9.9), mk("hi", 30, 30.1, 29.9), // hi regressed
-	}}
-	report, err := runstore.Gate(base, cur, runstore.GateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := c.PrioritizeGateFindings(report); n != 1 {
-		t.Errorf("flagged %d cells, want 1", n)
-	}
-	hi := runstore.CellKey("e", runstore.AssignmentHash(map[string]string{"f": "hi"}))
-	lo := runstore.CellKey("e", runstore.AssignmentHash(map[string]string{"f": "lo"}))
-	if !c.Priority(hi) || c.Priority(lo) {
-		t.Errorf("priority: hi=%v lo=%v, want exactly the regressed cell", c.Priority(hi), c.Priority(lo))
 	}
 }

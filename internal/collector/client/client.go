@@ -298,7 +298,9 @@ func (c *Client) Release(ctx context.Context, lease string, complete bool) error
 	return c.postJSON(ctx, collector.PathRelease, collector.ReleaseRequest{Lease: lease, Complete: complete}, nil)
 }
 
-// Status fetches the collector's live control-plane view.
+// Status fetches the collector's live control-plane view. Workers act
+// on acquire answers instead; the collector's end-to-end, restart,
+// held-acquire, metrics and soak tests read the view through it.
 func (c *Client) Status(ctx context.Context) (*collector.StatusResponse, error) {
 	req, err := c.request(ctx, http.MethodGet, collector.PathStatus, nil, nil)
 	if err != nil {

@@ -1,44 +1,30 @@
 // Package config implements the parameterization machinery of the paper's
-// Repeatability chapter: a Properties store (modeled on the
-// java.util.Properties pattern the paper walks through) with defaults,
-// key=value file load/store, environment overrides, and -Dkey=value
-// command-line overrides — so that producing a measurement for
-// f1=v1, ..., fk=vk never requires editing source code ("You may omit
-// coding like this: the input data set files should be specified in source
-// file util.GlobalProperty.java").
+// Repeatability chapter: a Properties store filled from -Dkey=value
+// command-line arguments (the java.util.Properties pattern the paper
+// walks through) and read through typed getters — so that producing a
+// measurement for f1=v1, ..., fk=vk never requires editing source code
+// ("You may omit coding like this: the input data set files should be
+// specified in source file util.GlobalProperty.java"). perfeval binds
+// every property it takes through it.
 package config
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Properties is an ordered string-to-string parameter map with a defaults
-// chain: Get falls back to the defaults when the key is unset.
+// Properties is an ordered string-to-string parameter map.
 type Properties struct {
-	values   map[string]string
-	order    []string
-	defaults *Properties
+	values map[string]string
+	order  []string
 }
 
-// New returns an empty Properties with optional defaults.
-func New(defaults *Properties) *Properties {
-	return &Properties{values: make(map[string]string), defaults: defaults}
-}
-
-// FromPairs builds Properties from alternating key, value strings.
-func FromPairs(pairs ...string) (*Properties, error) {
-	if len(pairs)%2 != 0 {
-		return nil, fmt.Errorf("config: FromPairs needs an even number of arguments, got %d", len(pairs))
-	}
-	p := New(nil)
-	for i := 0; i < len(pairs); i += 2 {
-		p.Set(pairs[i], pairs[i+1])
-	}
-	return p, nil
+// New returns an empty Properties.
+func New() *Properties {
+	return &Properties{values: make(map[string]string)}
 }
 
 // Set stores a key.
@@ -49,18 +35,13 @@ func (p *Properties) Set(key, value string) {
 	p.values[key] = value
 }
 
-// Get retrieves a key, consulting the defaults chain. The error names the
-// key and the known keys — "report meaningful error".
+// Get retrieves a key. The error names the key and the known keys —
+// "report meaningful error".
 func (p *Properties) Get(key string) (string, error) {
 	if v, ok := p.values[key]; ok {
 		return v, nil
 	}
-	if p.defaults != nil {
-		if v, err := p.defaults.Get(key); err == nil {
-			return v, nil
-		}
-	}
-	return "", fmt.Errorf("config: parameter %q is not set (known: %s)", key, strings.Join(p.Keys(), ", "))
+	return "", fmt.Errorf("config: parameter %q is not set (known: %s)", key, strings.Join(p.order, ", "))
 }
 
 // GetOr retrieves a key or returns fallback.
@@ -126,61 +107,8 @@ func (p *Properties) GetDuration(key string) (time.Duration, error) {
 	return d, nil
 }
 
-// Keys returns all keys visible through the chain, own keys in insertion
-// order followed by default-only keys.
-func (p *Properties) Keys() []string {
-	seen := make(map[string]bool, len(p.values))
-	out := make([]string, 0, len(p.values))
-	for _, k := range p.order {
-		out = append(out, k)
-		seen[k] = true
-	}
-	if p.defaults != nil {
-		var inherited []string
-		for _, k := range p.defaults.Keys() {
-			if !seen[k] {
-				inherited = append(inherited, k)
-			}
-		}
-		sort.Strings(inherited)
-		out = append(out, inherited...)
-	}
-	return out
-}
-
-// Store renders the properties (own keys only) in key=value file format
-// with escaping for newlines and backslashes.
-func (p *Properties) Store(comment string) string {
-	var b strings.Builder
-	if comment != "" {
-		fmt.Fprintf(&b, "# %s\n", comment)
-	}
-	for _, k := range p.order {
-		fmt.Fprintf(&b, "%s=%s\n", escape(k), escape(p.values[k]))
-	}
-	return b.String()
-}
-
-// Load parses key=value lines ('#' and '!' comments, blank lines ignored)
-// into a new Properties with the given defaults. Malformed lines produce an
-// error naming the line.
-func Load(text string, defaults *Properties) (*Properties, error) {
-	p := New(defaults)
-	for i, line := range strings.Split(text, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || trimmed[0] == '#' || trimmed[0] == '!' {
-			continue
-		}
-		eq := strings.IndexByte(trimmed, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("config: line %d: expected key=value, got %q", i+1, trimmed)
-		}
-		key := unescape(strings.TrimSpace(trimmed[:eq]))
-		val := unescape(strings.TrimSpace(trimmed[eq+1:]))
-		p.Set(key, val)
-	}
-	return p, nil
-}
+// Keys returns every key in insertion order.
+func (p *Properties) Keys() []string { return slices.Clone(p.order) }
 
 // ApplyArgs overlays -Dkey=value command-line arguments (the paper's
 // "java -DdataDir=./test" pattern) and returns the remaining arguments.
@@ -199,44 +127,4 @@ func (p *Properties) ApplyArgs(args []string) (rest []string, err error) {
 		p.Set(body[:eq], body[eq+1:])
 	}
 	return rest, nil
-}
-
-// ApplyEnv overlays environment variables with the given prefix:
-// PREFIX_DATA_DIR=x sets data.dir. environ is in os.Environ format.
-func (p *Properties) ApplyEnv(environ []string, prefix string) {
-	for _, e := range environ {
-		eq := strings.IndexByte(e, '=')
-		if eq <= 0 {
-			continue
-		}
-		name, val := e[:eq], e[eq+1:]
-		if !strings.HasPrefix(name, prefix+"_") {
-			continue
-		}
-		key := strings.ToLower(strings.ReplaceAll(name[len(prefix)+1:], "_", "."))
-		p.Set(key, val)
-	}
-}
-
-func escape(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return s
-}
-
-func unescape(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			if s[i] == 'n' {
-				b.WriteByte('\n')
-			} else {
-				b.WriteByte(s[i])
-			}
-			continue
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
 }

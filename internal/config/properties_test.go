@@ -1,39 +1,17 @@
 package config
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
-func TestDefaultsChain(t *testing.T) {
-	defaults, err := FromPairs("dataDir", "./data", "doStore", "true")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(defaults)
-	// Unset key falls back to default (the paper's init() pattern).
-	if v, err := p.Get("dataDir"); err != nil || v != "./data" {
-		t.Errorf("dataDir = %q, %v", v, err)
-	}
-	// Override wins.
-	p.Set("dataDir", "./test")
-	if v, _ := p.Get("dataDir"); v != "./test" {
-		t.Errorf("overridden dataDir = %q", v)
-	}
-	// Unknown key: meaningful error naming known keys.
-	_, err = p.Get("bogus")
-	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "dataDir") {
-		t.Errorf("error = %v", err)
-	}
-	if p.GetOr("bogus", "fb") != "fb" {
-		t.Error("GetOr fallback")
-	}
-}
-
 func TestTypedGetters(t *testing.T) {
-	p, _ := FromPairs("n", "42", "f", "1.5", "b", "yes", "d", "150ms", "bad", "xyz")
+	p := New()
+	for _, kv := range [][2]string{{"n", "42"}, {"f", "1.5"}, {"b", "yes"}, {"d", "150ms"}, {"bad", "xyz"}} {
+		p.Set(kv[0], kv[1])
+	}
 	if n, err := p.GetInt("n"); err != nil || n != 42 {
 		t.Errorf("GetInt = %d, %v", n, err)
 	}
@@ -66,55 +44,32 @@ func TestTypedGetters(t *testing.T) {
 			t.Errorf("GetBool(%q) = %v, %v", s, got, err)
 		}
 	}
-}
-
-func TestLoadStoreRoundTrip(t *testing.T) {
-	p, _ := FromPairs("key.one", "value one", "path", `C:\tmp`, "multi", "a\nb")
-	text := p.Store("experiment parameters")
-	if !strings.HasPrefix(text, "# experiment parameters\n") {
-		t.Errorf("missing comment header: %q", text)
+	// Unknown key: meaningful error naming known keys.
+	_, err := p.Get("bogus")
+	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "n, f") {
+		t.Errorf("error = %v", err)
 	}
-	q, err := Load(text, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"key.one", "path", "multi"} {
-		a, _ := p.Get(k)
-		b, err := q.Get(k)
-		if err != nil || a != b {
-			t.Errorf("round trip %q: %q vs %q (%v)", k, a, b, err)
-		}
-	}
-}
-
-func TestLoadErrorsAndComments(t *testing.T) {
-	text := "# comment\n! also comment\n\nkey=value\n"
-	p, err := Load(text, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := p.Get("key"); v != "value" {
-		t.Errorf("key = %q", v)
-	}
-	if _, err := Load("novalue\n", nil); err == nil {
-		t.Error("malformed line should error")
-	}
-	if _, err := Load("=nokey\n", nil); err == nil {
-		t.Error("empty key should error")
+	if p.GetOr("bogus", "fb") != "fb" || p.GetOr("n", "fb") != "42" {
+		t.Error("GetOr")
 	}
 }
 
 func TestApplyArgs(t *testing.T) {
-	p := New(nil)
-	rest, err := p.ApplyArgs([]string{"-DdataDir=./test", "run", "-DdoStore=false", "q1"})
+	p := New()
+	rest, err := p.ApplyArgs([]string{"-DdataDir=./test", "run", "-DdoStore=false", "q1", "-DdataDir=./data"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 2 || rest[0] != "run" || rest[1] != "q1" {
 		t.Errorf("rest = %v", rest)
 	}
-	if v, _ := p.Get("dataDir"); v != "./test" {
+	// A later -D overrides an earlier one; Keys lists each key once, in
+	// the order it was first set.
+	if v, _ := p.Get("dataDir"); v != "./data" {
 		t.Errorf("dataDir = %q", v)
+	}
+	if keys := p.Keys(); !slices.Equal(keys, []string{"dataDir", "doStore"}) {
+		t.Errorf("keys = %v", keys)
 	}
 	if _, err := p.ApplyArgs([]string{"-Dmalformed"}); err == nil {
 		t.Error("malformed -D should error")
@@ -122,95 +77,4 @@ func TestApplyArgs(t *testing.T) {
 	if _, err := p.ApplyArgs([]string{"-D=v"}); err == nil {
 		t.Error("empty key -D should error")
 	}
-}
-
-func TestApplyEnv(t *testing.T) {
-	p := New(nil)
-	p.ApplyEnv([]string{"PERFEVAL_DATA_DIR=/x", "OTHER=1", "PERFEVAL_SCALE=0.1", "MALFORMED"}, "PERFEVAL")
-	if v, _ := p.Get("data.dir"); v != "/x" {
-		t.Errorf("data.dir = %q", v)
-	}
-	if v, _ := p.Get("scale"); v != "0.1" {
-		t.Errorf("scale = %q", v)
-	}
-	if _, err := p.Get("other"); err == nil {
-		t.Error("unprefixed env var should not apply")
-	}
-}
-
-func TestKeysOrderAndChain(t *testing.T) {
-	defaults, _ := FromPairs("z", "1", "a", "2")
-	p := New(defaults)
-	p.Set("m", "3")
-	p.Set("b", "4")
-	keys := p.Keys()
-	// Own keys first in insertion order, then inherited sorted.
-	want := []string{"m", "b", "a", "z"}
-	if len(keys) != len(want) {
-		t.Fatalf("keys = %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Errorf("keys[%d] = %q, want %q", i, keys[i], want[i])
-		}
-	}
-	// Overriding an inherited key doesn't duplicate it.
-	p.Set("a", "x")
-	count := 0
-	for _, k := range p.Keys() {
-		if k == "a" {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Errorf("key 'a' appears %d times", count)
-	}
-}
-
-func TestFromPairsOdd(t *testing.T) {
-	if _, err := FromPairs("only-key"); err == nil {
-		t.Error("odd pair count should error")
-	}
-}
-
-// Property: Store/Load round-trips arbitrary printable values.
-func TestRoundTripQuick(t *testing.T) {
-	f := func(rawKey, rawVal []byte) bool {
-		key := sanitizeKey(rawKey)
-		val := sanitizeVal(rawVal)
-		if key == "" {
-			return true
-		}
-		p := New(nil)
-		p.Set(key, val)
-		q, err := Load(p.Store(""), nil)
-		if err != nil {
-			return false
-		}
-		got, err := q.Get(key)
-		return err == nil && got == val
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func sanitizeKey(raw []byte) string {
-	var b strings.Builder
-	for _, c := range raw {
-		if c > ' ' && c < 127 && c != '=' && c != '#' && c != '!' && c != '\\' {
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-func sanitizeVal(raw []byte) string {
-	var b strings.Builder
-	for _, c := range raw {
-		if c >= ' ' && c < 127 {
-			b.WriteByte(c)
-		}
-	}
-	return strings.TrimSpace(b.String())
 }

@@ -61,9 +61,6 @@ func EstimateEffectsReplicated(st *SignTable, reps [][]float64) (*Effects, error
 	return EstimateEffects(st, y)
 }
 
-// Coefficient returns q_e.
-func (ef *Effects) Coefficient(e Effect) float64 { return ef.Q[e] }
-
 // Predict evaluates the fitted model for the run whose factor high/low
 // pattern is given by coded values (-1/+1 per factor).
 func (ef *Effects) Predict(coded []float64) (float64, error) {

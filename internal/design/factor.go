@@ -4,6 +4,12 @@
 // variation, and fractional factorial 2^(k-p) designs with confounding
 // (alias) algebra — following Raj Jain's "The Art of Computer Systems
 // Performance Analysis", which the paper draws on.
+//
+// Part of the analysis side — Effects.Predict and ImportantEffects,
+// Fractional.Estimate, ReplicatedAnalysis.DominatedByError, TwoByTwo,
+// TwoStage.RefinePlan — has no shipped caller yet. It is kept for the
+// screen of the system's own knobs (ROADMAP.md item 5); the sign table's
+// ZeroSum and Orthogonal are its tests' oracles.
 package design
 
 import (

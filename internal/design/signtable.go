@@ -159,15 +159,6 @@ func (st *SignTable) LevelIndex(r, f int) int {
 	return 0
 }
 
-// Column materializes the sign column for effect e.
-func (st *SignTable) Column(e Effect) []float64 {
-	col := make([]float64, st.Runs)
-	for r := range col {
-		col[r] = st.Sign(r, e)
-	}
-	return col
-}
-
 // Dot returns the dot product of the effect column with y.
 func (st *SignTable) Dot(e Effect, y []float64) (float64, error) {
 	if len(y) != st.Runs {

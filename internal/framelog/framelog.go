@@ -475,8 +475,8 @@ func SyncDir(dir string) error {
 // modeFrom when that file exists (rewriting a file in place never
 // silently changes its permissions), 0644 otherwise. On any error —
 // emit's is returned as it is — dst is left untouched. Every whole-file
-// rewrite in the repository goes through it: Merge, Compact, the
-// archive's bulk writer, and the gate's baseline file (Summary.Save).
+// rewrite in the repository goes through it: Merge, Compact and the
+// archive's bulk writer.
 func AtomicWrite(dst, modeFrom string, emit func(w *bufio.Writer) error) error {
 	dir := filepath.Dir(dst)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

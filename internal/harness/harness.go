@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -78,7 +77,8 @@ func (rs *ResultSet) Means(response string) []float64 {
 }
 
 // CIs returns per-row confidence intervals of a response (needs >= 2
-// replicates).
+// replicates). Artifacts compute their own intervals; the sched
+// adaptive tests check a stopped cell's precision through it.
 func (rs *ResultSet) CIs(response string, confidence float64) ([]stats.Interval, error) {
 	out := make([]stats.Interval, len(rs.Rows))
 	for r := range rs.Rows {
@@ -273,17 +273,6 @@ func (t *Table) Header(cells ...string) *Table { t.header = cells; return t }
 // Row appends a row.
 func (t *Table) Row(cells ...string) *Table {
 	t.rows = append(t.rows, cells)
-	return t
-}
-
-// SortRowsBy sorts data rows by the given column index (string order).
-func (t *Table) SortRowsBy(col int) *Table {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		if col >= len(t.rows[i]) || col >= len(t.rows[j]) {
-			return false
-		}
-		return t.rows[i][col] < t.rows[j][col]
-	})
 	return t
 }
 

@@ -13,9 +13,6 @@ type Cost struct {
 // TotalNs returns CPU + memory nanoseconds.
 func (c Cost) TotalNs() float64 { return c.CPUNs + c.MemNs }
 
-// Add returns the component-wise sum.
-func (c Cost) Add(o Cost) Cost { return Cost{CPUNs: c.CPUNs + o.CPUNs, MemNs: c.MemNs + o.MemNs} }
-
 // Scale multiplies both components by f.
 func (c Cost) Scale(f float64) Cost { return Cost{CPUNs: c.CPUNs * f, MemNs: c.MemNs * f} }
 

@@ -225,10 +225,6 @@ func TestBuildModeFactors(t *testing.T) {
 
 func TestCostArithmetic(t *testing.T) {
 	a := Cost{CPUNs: 1, MemNs: 2}
-	b := Cost{CPUNs: 10, MemNs: 20}
-	if got := a.Add(b); got != (Cost{CPUNs: 11, MemNs: 22}) {
-		t.Errorf("Add = %v", got)
-	}
 	if got := a.Scale(3); got != (Cost{CPUNs: 3, MemNs: 6}) {
 		t.Errorf("Scale = %v", got)
 	}

@@ -51,6 +51,8 @@ type Machine struct {
 }
 
 // Validate reports configuration errors that would produce nonsense costs.
+// The built-in profiles are constants, so nothing ships a call to it:
+// TestProfilesValid runs it over every one of them.
 func (m *Machine) Validate() error {
 	switch {
 	case m.ClockHz <= 0:

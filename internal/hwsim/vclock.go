@@ -47,7 +47,8 @@ func (c *VirtualClock) User() time.Duration {
 	return time.Duration(c.cpuNs) * time.Nanosecond
 }
 
-// IOWait returns accumulated simulated I/O wait.
+// IOWait returns accumulated simulated I/O wait. Artifacts read User
+// and Now; the hwsim and vdb tests check the I/O share through it.
 func (c *VirtualClock) IOWait() time.Duration {
 	return time.Duration(c.ioNs) * time.Nanosecond
 }

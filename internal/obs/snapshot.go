@@ -44,8 +44,9 @@ type Bucket struct {
 	Count int64 `json:"count"`
 }
 
-// Get returns the named metric from the snapshot — the test and
-// tooling accessor.
+// Get returns the named metric from the snapshot. Nothing ships a call
+// to it: it is how the collector, runstore and root-package tests, and
+// the root examples, read one series.
 func (s Snapshot) Get(name string) (Metric, bool) {
 	for _, m := range s.Metrics {
 		if m.Name == name {

@@ -226,9 +226,6 @@ func (a *Archive) addIndex(exp, hash string, rep int, e entry) {
 	a.idx[k] = e
 }
 
-// Path returns the archive's file path.
-func (a *Archive) Path() string { return a.path }
-
 // Info reports the open archive's shape from its in-memory state — the
 // same fields the file-level Inspect reads back, without re-reading the
 // file. Index entries not yet flushed as a page count toward the page a

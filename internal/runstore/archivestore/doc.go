@@ -20,13 +20,13 @@
 // normative byte-level specification is docs/FORMAT.md.
 //
 // Every writer writes version 3: a live Archive, and Write — behind
-// Merge, Compact, `perfeval archive` and repro.Convert, whose .arch and
-// .archz destinations are the same file — which writes the bytes an
-// Archive appending the same records would. Versions 1 and 2 (JSON,
-// flate-compressed JSON and binary record blocks in a framing of their
-// own) are still read by every reader, through one legacy path, and are
-// read-only: Append on one fails and names the conversion that upgrades
-// it.
+// Merge, Compact, `perfeval archive` and repro.Convert — which writes the
+// bytes an Archive appending the same records would. The legacy .archz
+// name is a Merge and Compact destination only, for the same file.
+// Versions 1 and 2 (JSON, flate-compressed JSON and binary record blocks
+// in a framing of their own) are still read by every reader, through one
+// legacy path, and are read-only: Append on one fails and names the
+// conversion that upgrades it.
 //
 // Concurrency contract: an Archive's methods are safe for concurrent
 // use within one process (one mutex guards file and index). The file

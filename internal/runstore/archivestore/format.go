@@ -23,9 +23,10 @@ const (
 	// Ext is the file extension of archive files; runstore.Merge writes
 	// an archive when its destination carries it.
 	Ext = ".arch"
-	// ExtZ is accepted wherever Ext is, as a destination that writes the
-	// same version-3 file. It once selected a smaller encoding, which is
-	// now the only one.
+	// ExtZ is the legacy archive extension. It once selected a smaller
+	// encoding, which is now the only one. Readers accept it; as a Merge
+	// or Compact destination it writes the same version-3 file, which the
+	// repository benchmark relies on. repro.Convert refuses it.
 	ExtZ = ".archz"
 
 	latest = 3 // the version of Magic

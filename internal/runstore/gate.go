@@ -1,35 +1,32 @@
 package runstore
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/design"
-	"repro/internal/framelog"
 	"repro/internal/harness"
 	"repro/internal/stats"
 )
 
-// Summary is the per-(assignment, response) aggregation of a run — the
-// persistent baseline format of the regression gate. Rows are sorted by
-// (assignment, response) so the JSON form is deterministic.
+// Summary is the per-(assignment, response) aggregation of a run's
+// records — what the regression gate compares. A baseline is always a
+// store file, summarized when it is read. Rows are sorted by
+// (assignment, response) so a gate report's order is deterministic.
 type Summary struct {
-	Experiment string       `json:"experiment"`
-	Rows       []SummaryRow `json:"rows"`
+	Experiment string
+	Rows       []SummaryRow
 }
 
 // SummaryRow holds every replicate value of one response for one
 // factor-level assignment.
 type SummaryRow struct {
-	Hash       string            `json:"hash"`
-	Assignment map[string]string `json:"assignment"`
-	Response   string            `json:"response"`
-	Values     []float64         `json:"values"`
+	Hash       string
+	Assignment map[string]string
+	Response   string
+	Values     []float64
 }
 
 // assignmentString renders an assignment in the repository's canonical
@@ -103,54 +100,6 @@ func Summarize(recs []Record) []*Summary {
 		out = append(out, s)
 	}
 	return out
-}
-
-// FromResultSet summarizes an in-memory ResultSet for gating without a
-// journal round-trip.
-func FromResultSet(rs *harness.ResultSet) *Summary {
-	s := &Summary{Experiment: rs.Experiment.Name}
-	for _, row := range rs.Rows {
-		hash := AssignmentHash(row.Assignment)
-		for _, resp := range rs.Experiment.Responses {
-			sr := SummaryRow{Hash: hash, Assignment: row.Assignment, Response: resp}
-			for _, rep := range row.Reps {
-				sr.Values = append(sr.Values, rep[resp])
-			}
-			s.Rows = append(s.Rows, sr)
-		}
-	}
-	sortSummary(s)
-	return s
-}
-
-// Save writes the summary as indented JSON — the baseline file format —
-// through framelog.AtomicWrite: a baseline is replaced whole and synced,
-// keeps its file mode, and a failed save leaves the one before it.
-func (s *Summary) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := framelog.AtomicWrite(path, path, func(w *bufio.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	}); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
-}
-
-// LoadSummary reads a baseline file written by Save.
-func LoadSummary(path string) (*Summary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	var s Summary
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("runstore: %s: %w", path, err)
-	}
-	return &s, nil
 }
 
 // Verdict classifies one (assignment, response) cell of a gate report.

@@ -1,15 +1,9 @@
 package runstore
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/design"
-	"repro/internal/harness"
 )
 
 func summaryFor(t *testing.T, base map[string]float64, noise []float64) *Summary {
@@ -49,122 +43,6 @@ func TestSummarizeGroupsAndSorts(t *testing.T) {
 	// Replicate order, not journal order.
 	if rows[0].Values[0] != 10 || rows[0].Values[1] != 11 {
 		t.Errorf("values = %v, want [10 11]", rows[0].Values)
-	}
-}
-
-func TestFromResultSetMatchesJournalSummary(t *testing.T) {
-	d, err := design.TwoLevelFull([]design.Factor{design.MustFactor("f", "lo", "hi")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Replicates = 2
-	e := &harness.Experiment{
-		Name: "exp", Design: d, Responses: []string{"t"},
-		Run: func(a design.Assignment, rep int) (map[string]float64, error) {
-			v := 10.0
-			if a["f"] == "hi" {
-				v = 20
-			}
-			return map[string]float64{"t": v + float64(rep)}, nil
-		},
-	}
-	rs, err := harness.Execute(context.Background(), e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromRS := FromResultSet(rs)
-
-	// The same run journaled and summarized must agree cell for cell.
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, row := range rs.Rows {
-		for rep, resp := range row.Reps {
-			if err := j.Append(rec("exp", r, rep, row.Assignment, resp)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	j.Close()
-	recs, err := LoadRecords(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJournal := Summarize(recs)[0]
-	if len(fromRS.Rows) != len(fromJournal.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(fromRS.Rows), len(fromJournal.Rows))
-	}
-	for i := range fromRS.Rows {
-		a, b := fromRS.Rows[i], fromJournal.Rows[i]
-		if a.Hash != b.Hash || a.Response != b.Response || len(a.Values) != len(b.Values) {
-			t.Fatalf("row %d differs: %+v vs %+v", i, a, b)
-		}
-		for k := range a.Values {
-			if a.Values[k] != b.Values[k] {
-				t.Errorf("row %d value %d: %v vs %v", i, k, a.Values[k], b.Values[k])
-			}
-		}
-	}
-}
-
-func TestSummarySaveLoadRoundTrip(t *testing.T) {
-	s := summaryFor(t, map[string]float64{"lo": 10, "hi": 20}, []float64{-0.1, 0, 0.1})
-	path := filepath.Join(t.TempDir(), "sub", "baseline.json")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSummary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Experiment != s.Experiment || len(got.Rows) != len(s.Rows) {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	for i := range s.Rows {
-		if got.Rows[i].Hash != s.Rows[i].Hash {
-			t.Errorf("row %d hash differs", i)
-		}
-		for k := range s.Rows[i].Values {
-			if got.Rows[i].Values[k] != s.Rows[i].Values[k] {
-				t.Errorf("row %d value %d differs after JSON round trip", i, k)
-			}
-		}
-	}
-	if _, err := LoadSummary(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing baseline should error")
-	}
-}
-
-// TestSummarySaveReplacesWhole: a save over an existing baseline replaces
-// it whole, keeps its file mode, and leaves no temporary file beside it.
-func TestSummarySaveReplacesWhole(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	if err := summaryFor(t, map[string]float64{"lo": 10, "hi": 20}, []float64{-0.1, 0, 0.1}).Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chmod(path, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	next := summaryFor(t, map[string]float64{"lo": 30, "hi": 40}, []float64{-0.3, 0.3})
-	if err := next.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o600 {
-		t.Fatalf("baseline after a save over it: %v, %v; want mode 0600 kept", st.Mode(), err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory holds %d entries after the save, want only the baseline: %v", len(entries), entries)
-	}
-	got, err := LoadSummary(path)
-	if err != nil || len(got.Rows) != len(next.Rows) || got.Rows[0].Values[0] != next.Rows[0].Values[0] {
-		t.Fatalf("baseline after the save = %+v, %v; want the second summary", got, err)
 	}
 }
 

@@ -117,7 +117,8 @@ func Open(path string) (*Journal, error) { return open(path, jsonCodec) }
 
 // OpenBinary is Open for the binary encoding (docs/FORMAT.md §4): the
 // same store over length-prefixed checksummed frames. A file that is
-// not a binary journal is an error.
+// not a binary journal is an error. Runs open binary journals through
+// OpenBinaryDir; the runstore and warehouse tests open a file directly.
 func OpenBinary(path string) (*Journal, error) { return open(path, binaryCodec) }
 
 func open(path string, c *codec) (*Journal, error) {
@@ -181,6 +182,8 @@ func (j *Journal) index(rec Record) {
 func (j *Journal) Path() string { return j.log.Path() }
 
 // Torn reports whether a torn trailing record was truncated when opening.
+// Inspect reports the same thing for a file; the recovery tests of
+// runstore, sched and the collector client ask the open journal.
 func (j *Journal) Torn() bool { return j.log.Torn() }
 
 // Len returns the number of distinct journaled units.

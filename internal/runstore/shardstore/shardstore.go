@@ -87,9 +87,6 @@ func Paths(dir, experiment string, shards int) []string {
 	return out
 }
 
-// Shards returns the shard count the store was opened with.
-func (s *Store) Shards() int { return s.shards }
-
 // shardOf routes a hash to its shard journal (nil when not owned).
 func (s *Store) shardOf(hash string) *runstore.Journal {
 	return s.files[runstore.ShardIndex(hash, s.shards)]
@@ -195,17 +192,6 @@ func (s *Store) Len() int {
 		}
 	}
 	return n
-}
-
-// Torn reports whether any owned shard had a torn trailing line
-// truncated on open.
-func (s *Store) Torn() bool {
-	for _, j := range s.files {
-		if j != nil && j.Torn() {
-			return true
-		}
-	}
-	return false
 }
 
 // Close implements runstore.Store, closing every owned shard and

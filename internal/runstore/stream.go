@@ -153,7 +153,8 @@ func Collect(seq iter.Seq2[Record, error]) ([]Record, error) {
 }
 
 // Seq adapts a record slice to the streaming sequence shape consumed by
-// Format.Write and friends.
+// Format.Write and friends. Shipped writers stream from a store; the
+// archivestore, merge and warehouse tests write a slice through it.
 func Seq(recs []Record) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		for _, rec := range recs {

@@ -130,9 +130,9 @@ func TestAdaptiveSavesReplicates(t *testing.T) {
 	if st.Units >= st.FixedBudget/2 {
 		t.Errorf("adaptive spent %d of %d replicates — no measurable saving", st.Units, st.FixedBudget)
 	}
-	cells := s.CellStats()
+	cells := s.TakeCellStats()
 	if len(cells) != 2 {
-		t.Fatalf("CellStats = %d cells, want 2", len(cells))
+		t.Fatalf("TakeCellStats = %d cells, want 2", len(cells))
 	}
 	for _, c := range cells {
 		switch c.Assignment["noise"] {
@@ -162,7 +162,7 @@ func TestAdaptiveSavesReplicates(t *testing.T) {
 	// Every row must hold exactly the replicates the budget says.
 	for _, c := range cells {
 		if got := len(rs.Rows[c.Row].Reps); got != c.Spent() {
-			t.Errorf("row %d has %d reps, CellStats says %d", c.Row, got, c.Spent())
+			t.Errorf("row %d has %d reps, TakeCellStats says %d", c.Row, got, c.Spent())
 		}
 	}
 }
@@ -211,7 +211,10 @@ func TestAdaptiveWarmStartKeepsBudget(t *testing.T) {
 	if rs1.CSV() != rs2.CSV() || rs1.Report() != rs2.Report() {
 		t.Error("warm-started adaptive ResultSet differs from the cold one")
 	}
-	c1, c2 := s1.CellStats(), s2.CellStats()
+	c1, c2 := s1.TakeCellStats(), s2.TakeCellStats()
+	if len(c1) == 0 || len(c1) != len(c2) {
+		t.Fatalf("cells reported: cold %d, warm %d; want the same nonzero count", len(c1), len(c2))
+	}
 	for i := range c1 {
 		if c1[i].Spent() != c2[i].Spent() {
 			t.Errorf("cell %d budget drifted on resume: %d -> %d", i, c1[i].Spent(), c2[i].Spent())

@@ -25,8 +25,8 @@
 //     never scheduled, and its row is the contiguous prefix the store
 //     held. Shards with a Controller is rejected.
 //  3. Stats.Units is Executed + Replayed.
-//  4. CellStats and the sched_adaptive_{continue,stop}_total counters
-//     belong to the Controller: without one CellStats is nil and the
+//  4. TakeCellStats and the sched_adaptive_{continue,stop}_total counters
+//     belong to the Controller: without one TakeCellStats is nil and the
 //     counters do not move.
 //  5. Workers. Options.Workers goroutines, GOMAXPROCS when it is < 1,
 //     whatever the size of the design; none are started when everything

@@ -178,19 +178,13 @@ func (s *Scheduler) LastStats() Stats {
 	return s.last
 }
 
-// CellStats is the per-cell replicate spend of the most recent Execute.
-// It is nil unless that run was driven by a Controller — a fixed-budget
-// run spends uniformly, so there is no per-cell budget story to tell.
-func (s *Scheduler) CellStats() []harness.CellStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastCells
-}
-
-// TakeCellStats returns CellStats and clears it, so a caller reporting
-// after each of several driver invocations (the perfeval run loop)
-// never re-attributes one experiment's budget to a driver that executed
-// no harness experiment at all.
+// TakeCellStats returns the per-cell replicate spend of the most recent
+// Execute and clears it, so a caller reporting after each of several
+// driver invocations (the perfeval run loop) never re-attributes one
+// experiment's budget to a driver that executed no harness experiment
+// at all. It is nil unless that run was driven by a Controller — a
+// fixed-budget run spends uniformly, so there is no per-cell budget
+// story to tell.
 func (s *Scheduler) TakeCellStats() []harness.CellStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -191,7 +191,9 @@ func CompareAlternatives(a, b []float64, confidence float64) (Comparison, error)
 
 // WelchT performs Welch's unequal-variance t-test on two samples and returns
 // the t statistic, the Welch-Satterthwaite degrees of freedom, and the
-// two-sided p-value.
+// two-sided p-value. Nothing ships a call to it yet: it is kept for the
+// gate's overlapping-intervals case, which CompareAlternatives sends to a
+// t-test (ROADMAP.md item 8(a)).
 func WelchT(a, b []float64) (t, df, p float64, err error) {
 	if len(a) < 2 || len(b) < 2 {
 		return 0, 0, 0, fmt.Errorf("stats: Welch t-test needs >=2 observations per sample, got %d and %d", len(a), len(b))
@@ -225,6 +227,8 @@ func sign(x float64) int {
 // set), the test runs on the per-pair differences. It returns the t
 // statistic, degrees of freedom (n-1), the two-sided p-value, and the
 // confidence interval of the mean difference at the given confidence.
+// Nothing ships a call to it yet: it is kept for the benchmark's blocked,
+// paired parent/change comparison (ROADMAP.md item 10).
 func PairedT(a, b []float64, confidence float64) (t, df, p float64, diffCI Interval, err error) {
 	if len(a) != len(b) {
 		return 0, 0, 0, Interval{}, fmt.Errorf("stats: paired samples must have equal length, got %d and %d", len(a), len(b))
@@ -251,13 +255,4 @@ func PairedT(a, b []float64, confidence float64) (t, df, p float64, diffCI Inter
 	t = Mean(diffs) / se
 	p = 2 * (1 - TCDF(math.Abs(t), df))
 	return t, df, p, diffCI, nil
-}
-
-// QueriesPerSecond is the paper's basic throughput metric: completed
-// queries per elapsed second. Returns NaN for non-positive elapsed time.
-func QueriesPerSecond(queries int, elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
-		return math.NaN()
-	}
-	return float64(queries) / elapsedSeconds
 }

@@ -263,13 +263,6 @@ func TestRelHalfWidth(t *testing.T) {
 	approx(t, ci.RelHalfWidth(), ci.HalfWidth()/ci.Mean, 1e-12, "MeanCI consistency")
 }
 
-func TestQueriesPerSecond(t *testing.T) {
-	approx(t, QueriesPerSecond(100, 4), 25, 1e-12, "qps")
-	if !math.IsNaN(QueriesPerSecond(10, 0)) {
-		t.Error("zero elapsed should be NaN")
-	}
-}
-
 // TestTCriticalSameBits: the lookup is TQuantile's value, not an
 // approximation of it — asked once or again, in any order of n — and its
 // MeanCI is the package's, field for field.

@@ -1,15 +1,13 @@
 // Package stats provides the statistical machinery that the paper's
 // methodology rests on: descriptive statistics, Student-t confidence
-// intervals, comparison of alternatives via interval overlap, least-squares
-// regression, histograms with the paper's cell-size rules, and the
-// sum-of-squares decomposition used by allocation of variation.
+// intervals, comparison of alternatives via interval overlap, and
+// histograms with the paper's cell-size rules.
 //
 // Everything is deterministic and pure; no global state.
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -130,86 +128,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Summary bundles the descriptive statistics of a sample, in the shape a
-// measurement report needs: location, spread, and extremes.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	StdErr float64
-	Min    float64
-	Median float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Min:    Min(xs),
-		Median: Median(xs),
-		Max:    Max(xs),
-	}
-	if len(xs) >= 2 {
-		s.StdDev = StdDev(xs)
-		s.StdErr = StdErr(xs)
-	}
-	return s, nil
-}
-
-// String renders the summary on one line, suitable for experiment logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g se=%.4g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.StdErr, s.Min, s.Median, s.Max)
-}
-
-// SumSquaresTotal returns SST = sum (yi - mean)^2, the total variation of y
-// that allocation of variation distributes among factors (paper slides
-// 81-85).
-func SumSquaresTotal(ys []float64) float64 {
-	m := Mean(ys)
-	var ss float64
-	for _, y := range ys {
-		d := y - m
-		ss += d * d
-	}
-	return ss
-}
-
-// CoefficientOfVariation returns StdDev/Mean, a scale-free measure of
-// measurement noise. Experiment reports use it to check that variation due
-// to a factor dominates variation due to experimental error (common mistake
-// #1 in the paper).
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return math.NaN()
-	}
-	return StdDev(xs) / m
-}
-
-// Speedup returns base/improved, the paper's "speed-up" comparison metric.
-// It returns NaN if improved is zero.
-func Speedup(base, improved float64) float64 {
-	if improved == 0 {
-		return math.NaN()
-	}
-	return base / improved
-}
-
-// ScaleUp returns (workBig/workSmall)/(timeBig/timeSmall): 1.0 means perfect
-// scale-up (doubling the work doubles the time), >1 means better than
-// linear.
-func ScaleUp(workSmall, timeSmall, workBig, timeBig float64) float64 {
-	if workSmall == 0 || timeSmall == 0 || timeBig == 0 {
-		return math.NaN()
-	}
-	return (workBig / workSmall) / (timeBig / timeSmall)
 }

@@ -34,9 +34,6 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if !math.IsNaN(Median(nil)) {
 		t.Error("median of empty should be NaN")
 	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
 }
 
 func TestPercentile(t *testing.T) {
@@ -61,38 +58,6 @@ func TestGeoMean(t *testing.T) {
 	approx(t, GeoMean([]float64{2, 2, 2}), 2, 1e-12, "geomean constant")
 	if !math.IsNaN(GeoMean([]float64{1, -1})) {
 		t.Error("geomean with nonpositive should be NaN")
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 || s.Mean != 2 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
-	}
-}
-
-func TestSpeedupScaleUp(t *testing.T) {
-	approx(t, Speedup(10, 5), 2, 1e-12, "speedup")
-	if !math.IsNaN(Speedup(1, 0)) {
-		t.Error("speedup by zero should be NaN")
-	}
-	// Doubling work doubles time: perfect scale-up of 1.
-	approx(t, ScaleUp(1, 10, 2, 20), 1, 1e-12, "perfect scaleup")
-	// Doubling work only adds 50% time: scale-up 4/3.
-	approx(t, ScaleUp(1, 10, 2, 15), 4.0/3, 1e-12, "superlinear")
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	cv := CoefficientOfVariation([]float64{9, 10, 11})
-	approx(t, cv, 1.0/10, 1e-12, "cv")
-	if !math.IsNaN(CoefficientOfVariation([]float64{-1, 1})) {
-		t.Error("cv with zero mean should be NaN")
 	}
 }
 
@@ -151,11 +116,4 @@ func TestOrderingPropertiesQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestSumSquaresTotal(t *testing.T) {
-	// Paper 2^2 example responses: 15, 45, 25, 75; mean 40.
-	ys := []float64{15, 45, 25, 75}
-	// SST = 625+25+225+1225 = 2100.
-	approx(t, SumSquaresTotal(ys), 2100, 1e-9, "SST")
 }

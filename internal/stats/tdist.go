@@ -144,29 +144,3 @@ func TQuantile(p, df float64) float64 {
 	}
 	return (lo + hi) / 2
 }
-
-// NormalCDF returns the standard normal CDF Phi(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalQuantile returns the standard normal quantile (inverse CDF) for
-// p in (0, 1), by bisection on NormalCDF.
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if NormalCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-14 {
-			break
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -65,16 +65,6 @@ func TestTLargeDFApproachesNormal(t *testing.T) {
 	approx(t, got, 1.959964, 1e-3, "t(inf) ~ normal")
 }
 
-func TestNormal(t *testing.T) {
-	approx(t, NormalCDF(0), 0.5, 1e-12, "Phi(0)")
-	approx(t, NormalCDF(1.959964), 0.975, 1e-6, "Phi(1.96)")
-	approx(t, NormalQuantile(0.975), 1.959964, 1e-5, "z(0.975)")
-	approx(t, NormalQuantile(0.5), 0, 1e-9, "z(0.5)")
-	if !math.IsNaN(NormalQuantile(0)) || !math.IsNaN(NormalQuantile(1)) {
-		t.Error("quantile at 0/1 should be NaN")
-	}
-}
-
 func TestIncompleteBetaEdges(t *testing.T) {
 	approx(t, RegularizedIncompleteBeta(2, 3, 0), 0, 0, "I_0")
 	approx(t, RegularizedIncompleteBeta(2, 3, 1), 1, 0, "I_1")

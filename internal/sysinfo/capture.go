@@ -9,9 +9,8 @@ import (
 // Capture assembles a best-effort hardware/software spec of the machine the
 // process runs on: CPU details from /proc/cpuinfo where available (Linux),
 // falling back to runtime information elsewhere. The result is a starting
-// point — Validate/MissingFields tell you what still needs filling in by
-// hand (memory, disks, network), because an honest partial spec beats a
-// fabricated complete one.
+// point: memory, disks and network still need filling in by hand,
+// because an honest partial spec beats a fabricated complete one.
 func Capture() (HWSpec, SWSpec, error) {
 	var hw HWSpec
 	if text, err := os.ReadFile("/proc/cpuinfo"); err == nil {

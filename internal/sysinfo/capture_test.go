@@ -19,10 +19,4 @@ func TestCapture(t *testing.T) {
 	if sw.Compiler == "" || sw.Flags == "" {
 		t.Error("software spec incomplete")
 	}
-	// The captured spec is a starting point: MissingFields must work on
-	// it without panicking and usually reports gaps (memory/disk).
-	_ = hw.MissingFields()
-	if len(sw.MissingFields()) != 0 {
-		t.Errorf("captured software spec missing %v", sw.MissingFields())
-	}
 }

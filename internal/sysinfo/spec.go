@@ -76,51 +76,6 @@ func (d DetailLevel) String() string {
 	}
 }
 
-// MissingFields lists what a right-sized report still needs. An empty
-// result means the spec is complete.
-func (h *HWSpec) MissingFields() []string {
-	var out []string
-	if h.CPUVendor == "" {
-		out = append(out, "CPU vendor")
-	}
-	if h.CPUModel == "" {
-		out = append(out, "CPU model/generation")
-	}
-	if h.ClockHz <= 0 {
-		out = append(out, "CPU clock speed")
-	}
-	if len(h.Caches) == 0 {
-		out = append(out, "cache sizes")
-	}
-	if h.RAMBytes <= 0 {
-		out = append(out, "main memory size")
-	}
-	if len(h.Disks) == 0 {
-		out = append(out, "disk size & speed")
-	}
-	return out
-}
-
-// MissingFields lists what a software spec still needs.
-func (s *SWSpec) MissingFields() []string {
-	var out []string
-	if s.OS == "" {
-		out = append(out, "operating system")
-	}
-	if s.Compiler == "" {
-		out = append(out, "compiler")
-	}
-	if s.Flags == "" {
-		out = append(out, "compiler/optimization flags")
-	}
-	for _, p := range s.Products {
-		if p.Version == "" {
-			out = append(out, fmt.Sprintf("exact version of %s", p.Name))
-		}
-	}
-	return out
-}
-
 // Report renders the spec at the requested detail level. Right is the
 // paper's slide-155 format.
 func (h *HWSpec) Report(level DetailLevel) string {
@@ -150,32 +105,6 @@ func (h *HWSpec) Report(level DetailLevel) string {
 		}
 		return b.String()
 	}
-}
-
-// Report renders the software environment: "product names, exact version
-// numbers, and/or sources where obtained from".
-func (s *SWSpec) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "OS: %s", s.OS)
-	if s.Kernel != "" {
-		fmt.Fprintf(&b, " (kernel %s)", s.Kernel)
-	}
-	b.WriteByte('\n')
-	if s.Compiler != "" {
-		fmt.Fprintf(&b, "Compiler: %s", s.Compiler)
-		if s.Flags != "" {
-			fmt.Fprintf(&b, " [%s]", s.Flags)
-		}
-		b.WriteByte('\n')
-	}
-	for _, p := range s.Products {
-		fmt.Fprintf(&b, "%s %s", p.Name, p.Version)
-		if p.Source != "" {
-			fmt.Fprintf(&b, " (from %s)", p.Source)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Classify estimates the detail level of a free-form hardware description:

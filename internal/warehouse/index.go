@@ -243,6 +243,8 @@ func readFrames(data []byte) (map[string]Run, bool, error) {
 
 // InspectIndex reports the shape of an index file without opening it
 // for writing: run and tombstone counts and whether the tail was torn.
+// The index, golden, property and framelog poison tests read an index
+// file through it.
 func InspectIndex(path string) (runs, pruned int, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

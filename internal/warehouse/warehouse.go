@@ -415,7 +415,9 @@ func assignmentString(a map[string]string) string {
 }
 
 // Runs returns the live (non-pruned) indexed runs, oldest first by
-// source modification time.
+// source modification time. Queries read the runs themselves; the
+// warehouse, archivestore and framelog tests check the index through
+// it.
 func (w *Warehouse) Runs() []Run {
 	w.mu.Lock()
 	defer w.mu.Unlock()

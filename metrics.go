@@ -18,13 +18,6 @@ import (
 // metric names and their stability policy.
 type Metrics = obs.Snapshot
 
-// MetricsSnapshot snapshots the process-wide metrics registry: what the
-// process's stores (runstore_*), warehouse queries and an in-process
-// collector daemon accumulated so far. Run and Work give each call a
-// registry of its own, so their sched_* and worker_* series are not
-// included; they ride on Outcome.Metrics and WorkReport.Metrics instead.
-func MetricsSnapshot() Metrics { return obs.Default().Snapshot() }
-
 // FetchMetrics polls a running collector daemon's GET /v1/metrics
 // endpoint and returns the response body: Prometheus text format for
 // format "" / "prometheus" / "text", the JSON exposition for "json".

@@ -11,7 +11,7 @@
 // This root package is the public API the perfeval CLI is built on, so
 // the command line and the library cannot drift:
 //
-//   - Run and RunAll execute the paper's experiment drivers under a
+//   - Run executes one of the paper's experiment drivers under a
 //     context (cancellation drains the scheduler and leaves a valid,
 //     warm-startable store) with a typed RunConfig covering everything
 //     the CLI exposes as -D flags — workers, retries, timeouts,

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/paperexp"
+	"repro/internal/runstore"
 )
 
 func TestPublicAPI(t *testing.T) {
@@ -24,22 +24,6 @@ func TestPublicAPI(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), "zzz", RunConfig{}); err == nil {
 		t.Error("unknown id should error")
-	}
-}
-
-func TestRunAllMatchesRegistry(t *testing.T) {
-	outs, err := RunAll(context.Background(), RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := paperexp.Registry()
-	if len(outs) != len(reg) {
-		t.Fatalf("results = %d, registry = %d", len(outs), len(reg))
-	}
-	for i, o := range outs {
-		if o.Result.ID != reg[i].ID {
-			t.Errorf("result %d id = %s, want %s", i, o.Result.ID, reg[i].ID)
-		}
 	}
 }
 
@@ -92,7 +76,7 @@ func TestRunConfigScheduledJournaledRun(t *testing.T) {
 	if st.Info().Torn {
 		t.Error("fresh journal reports torn")
 	}
-	recs, err := Collect(st.Scan())
+	recs, err := runstore.Collect(st.Scan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +180,26 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// .archz is a legacy name that readers accept and Convert refuses.
+	if _, err := Convert(filepath.Join(dir, "baseline.archz"), []string{merged}, true); err == nil || !strings.Contains(err.Error(), "must end in .arch") {
+		t.Errorf("Convert to a .archz destination: %v, want it refused", err)
+	}
+	for _, name := range []string{"archive.v1.archz", "archive.v2.archz"} {
+		path := filepath.Join("testdata", "golden", name)
+		info, err := Inspect(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := runstore.Collect(st.Scan())
+		if err != nil || len(recs) == 0 || len(recs) != info.Distinct {
+			t.Errorf("%s: scanned %d record(s), %v; Inspect says %d distinct", name, len(recs), err, info.Distinct)
+		}
+	}
+
 	arch := filepath.Join(dir, "baseline"+ArchiveExt)
 	cs, err := Convert(arch, []string{merged}, true)
 	if err != nil {
@@ -218,7 +222,7 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := Collect(a.Scan())
+	ar, err := runstore.Collect(a.Scan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := Collect(j.Scan())
+	jr, err := runstore.Collect(j.Scan())
 	if err != nil {
 		t.Fatal(err)
 	}

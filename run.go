@@ -53,9 +53,9 @@ type AdaptiveConfig struct {
 	Baseline string
 
 	// baselineOnce caches the loaded baseline summaries on this value,
-	// so RunAll (and the CLI's run-all loop, which reuses one config)
-	// reads and aggregates the baseline file once, not once per
-	// experiment. Share one *AdaptiveConfig across runs to benefit.
+	// so the CLI's run-all loop, which reuses one config, reads and
+	// aggregates the baseline file once, not once per experiment. Share
+	// one *AdaptiveConfig across runs to benefit.
 	baselineOnce sync.Once
 	baselineSums []*runstore.Summary
 	baselineErr  error
@@ -334,20 +334,6 @@ func Run(ctx context.Context, id string, cfg RunConfig) (*Outcome, error) {
 		o.Metrics = &m
 	}
 	return o, nil
-}
-
-// RunAll regenerates every artifact in paper order under ctx and cfg,
-// stopping at the first failure (a canceled context included).
-func RunAll(ctx context.Context, cfg RunConfig) ([]*Outcome, error) {
-	var out []*Outcome
-	for _, e := range Experiments() {
-		o, err := Run(ctx, e.ID, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, o)
-	}
-	return out, nil
 }
 
 // takeBudget drains the scheduler's per-cell stats into a Budget,

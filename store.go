@@ -36,12 +36,6 @@ type CompactStats = runstore.CompactStats
 // Merge or Convert destination carrying it is written as an archive.
 const ArchiveExt = archivestore.Ext
 
-// ArchiveExtZ is accepted wherever ArchiveExt is, as a destination that
-// writes the same archive (docs/FORMAT.md §8): it once selected binary
-// record blocks, which every archive now has. Readers need no hint
-// either way: the file's magic names its format and version.
-const ArchiveExtZ = archivestore.ExtZ
-
 // Store is a read-only, format-sniffing view of one store file — a
 // JSONL journal or a block-indexed archive, dispatched by content, so
 // renamed files keep working. It never creates, repairs, or truncates
@@ -75,12 +69,6 @@ func (s *Store) Info() Info { return s.info }
 // surface in the sequence and stop it.
 func (s *Store) Scan() iter.Seq2[Record, error] {
 	return runstore.ScanFile(s.path)
-}
-
-// Collect materializes a record sequence into a slice, stopping at the
-// first error.
-func Collect(seq iter.Seq2[Record, error]) ([]Record, error) {
-	return runstore.Collect(seq)
 }
 
 // Inspect reports the shape of the store at path — record and distinct
@@ -175,8 +163,7 @@ type ConvertStats struct {
 }
 
 // Convert merges the store files at srcs into a finalized block-indexed
-// archive at dst (which must end in ArchiveExt or ArchiveExtZ) and
-// verifies the
+// archive at dst (which must end in ArchiveExt) and verifies the
 // artifact: every record of a second streaming pass over the merged
 // view must be served back, identical, by the archive's index — a
 // conversion that cannot be read back is worse than no conversion,
@@ -187,8 +174,8 @@ type ConvertStats struct {
 // long-lived baseline is the most expensive place to hide one.
 func Convert(dst string, srcs []string, strict bool) (ConvertStats, error) {
 	var cs ConvertStats
-	if !strings.HasSuffix(dst, ArchiveExt) && !strings.HasSuffix(dst, ArchiveExtZ) {
-		return cs, fmt.Errorf("archive destination %q must end in %s or %s", dst, ArchiveExt, ArchiveExtZ)
+	if !strings.HasSuffix(dst, ArchiveExt) {
+		return cs, fmt.Errorf("archive destination %q must end in %s", dst, ArchiveExt)
 	}
 	ms, err := runstore.MergeChecked(srcs, dst, strict)
 	cs.MergeStats = ms
@@ -221,13 +208,6 @@ func Convert(dst string, srcs []string, strict bool) (ConvertStats, error) {
 	}
 	cs.Detail = a.Info().Detail
 	return cs, nil
-}
-
-// ShardPath returns the file path of one shard of an experiment's
-// sharded store under dir — where a worker running shard `shard` of
-// `shards` journals its completed units.
-func ShardPath(dir, experiment string, shard, shards int) string {
-	return shardstore.Path(dir, experiment, shard, shards)
 }
 
 // ShardPaths returns every shard file path of an experiment's sharded

@@ -2,11 +2,13 @@
 // it fails when an intra-repo markdown link in README.md, docs/ or the
 // verify skill points at a file that does not exist, when a `go run` or
 // `go test` command in their code names a package directory that does
-// not exist, when a checked package lacks a package comment, when an
-// exported identifier in a checked package lacks a doc comment, or when a
-// comment in any Go file names a markdown file that does not exist. It runs
-// on the standard library alone (go/parser + go/ast), so CI needs nothing
-// beyond the Go toolchain.
+// not exist, when a code span in them names a `pkg.Name` that the repo
+// package pkg (the root package is repro) does not declare at top level,
+// when a checked package lacks a package comment, when an exported
+// identifier in a checked package lacks a doc comment, or when a comment
+// in any Go file names a markdown file that does not exist. It runs on the
+// standard library alone (go/parser + go/ast), so CI needs nothing beyond
+// the Go toolchain.
 //
 // Usage (from the repository root):
 //
@@ -55,7 +57,11 @@ var checkedMarkdown = []string{"README.md", "docs", ".claude/skills/verify/SKILL
 
 func main() {
 	var problems []string
-	problems = append(problems, checkLinks()...)
+	decls, err := packageDecls()
+	if err != nil {
+		problems = append(problems, err.Error())
+	}
+	problems = append(problems, checkLinks(decls)...)
 	problems = append(problems, checkGodoc()...)
 	problems = append(problems, checkGoComments()...)
 	if len(problems) > 0 {
@@ -79,11 +85,12 @@ var codeSpanRE = regexp.MustCompile("`([^`]+)`")
 var goCommandRE = regexp.MustCompile(`\bgo (run|test)\b([^;|&]*)`)
 
 // checkLinks verifies that every relative link target in the checked
-// markdown files points at an existing file or directory, and that every
-// go command in their code does. External schemes and pure anchors are
-// skipped; an anchor suffix on a file link is stripped (anchor names
-// themselves are not verified).
-func checkLinks() []string {
+// markdown files points at an existing file or directory, that every go
+// command in their code does, and that every identifier their code spans
+// name resolves in decls. External schemes and pure anchors are skipped;
+// an anchor suffix on a file link is stripped (anchor names themselves
+// are not verified).
+func checkLinks(decls map[string]map[string]bool) []string {
 	var problems []string
 	var files []string
 	for _, root := range checkedMarkdown {
@@ -115,7 +122,7 @@ func checkLinks() []string {
 			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
 			continue
 		}
-		problems = append(problems, checkCommands(file, string(data))...)
+		problems = append(problems, checkCommands(file, string(data), decls)...)
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
 				target := m[1]
@@ -140,9 +147,11 @@ func checkLinks() []string {
 
 // checkCommands verifies that every `go run` and `go test` command in a
 // fenced code block or an inline code span of one markdown file names
-// existing package directories. Paths resolve against the repository
-// root, where the commands are meant to run.
-func checkCommands(file, text string) []string {
+// existing package directories, and that every `pkg.Name` in an inline
+// code span whose pkg is a repo package names one of its top-level
+// declarations. Paths resolve against the repository root, where the
+// commands are meant to run.
+func checkCommands(file, text string, decls map[string]map[string]bool) []string {
 	var problems []string
 	check := func(line int, code string) {
 		for _, m := range goCommandRE.FindAllStringSubmatch(code, -1) {
@@ -171,9 +180,74 @@ func checkCommands(file, text string) []string {
 	prose := strings.Join(lines, "\n")
 	for _, m := range codeSpanRE.FindAllStringSubmatchIndex(prose, -1) {
 		line := 1 + strings.Count(prose[:m[0]], "\n")
-		check(line, strings.Join(strings.Fields(prose[m[2]:m[3]]), " "))
+		span := strings.Join(strings.Fields(prose[m[2]:m[3]]), " ")
+		check(line, span)
+		for _, q := range qualifiedRE.FindAllStringSubmatch(span, -1) {
+			if names, ok := decls[q[1]]; ok && !names[q[2]] {
+				problems = append(problems, fmt.Sprintf("%s:%d: `%s.%s`: package %s declares no %s", file, line, q[1], q[2], q[1], q[2]))
+			}
+		}
 	}
 	return problems
+}
+
+// qualifiedRE matches a package-qualified exported name, pkg.Name, that is
+// not itself the tail of a longer selector (s.reg.Snapshot).
+var qualifiedRE = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+
+// packageDecls maps the name of every package in the repository — the
+// root package is repro; main packages, test files, hidden directories
+// and testdata are left out — to the names it declares at top level.
+// Packages that share a name share an entry.
+func packageDecls() (map[string]map[string]bool, error) {
+	decls := map[string]map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if d.IsDir() {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			return nil
+		}
+		names := decls[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			decls[f.Name.Name] = names
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return decls, err
 }
 
 // packageDirs returns the package directories a go run or go test
