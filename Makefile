@@ -57,8 +57,13 @@ race:
 # several. So, last, are the warehouse's Refresh and ingest tests: Refresh
 # ingests changed sources on up to GOMAXPROCS goroutines, and the scratch
 # an ingest folds a source in passes between them through a sync.Pool.
+# And the commit tests, twenty times over: concurrent commits to one log
+# overlap their syncs and settle in write order, and a failed sync with
+# others in flight poisons the log and cuts it back, interleavings that
+# one processor and four order differently and one run may miss.
 .PHONY: race-cpu
 race-cpu:
+	$(GO) test -race -cpu 1,4 -count=20 -run 'Commit|Poison|Concurrent' ./internal/framelog ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile|Entries|Section|Inspect' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore' ./internal/collector ./internal/collector/client
 	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest' ./internal/warehouse

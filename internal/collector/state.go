@@ -79,7 +79,7 @@ func (s *stateLog) append(ev stateEvent) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.log.Commit(framelog.Lines.Seal(line, 0))
+	return s.log.Commit(framelog.Lines.Seal(line, 0), nil)
 }
 
 func (s *stateLog) close() error {

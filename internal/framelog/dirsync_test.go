@@ -41,7 +41,7 @@ func TestDirectorySyncedOnCreateAndRenameOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Commit(fr.Seal(append(fr.Reserve(nil), "{}"...), 0)); err != nil {
+			if err := l.Commit(fr.Seal(append(fr.Reserve(nil), "{}"...), 0), nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Close(); err != nil {

@@ -13,19 +13,26 @@
 //	Frames(magic, …)  magic | ( u32 len | u32 CRC-32C(payload) | payload )*
 //
 // (integers little-endian; a frame's payload is never empty). There is
-// one recovery rule. A crash can only cut the last Commit short, so
-// damage a cut explains is a torn tail and is dropped: a short or
-// checksum-failed trailing frame, an all-zero frame header (a region the
-// file was extended over but never written), an undecodable final line
-// with no terminator, a file holding a strict prefix of its magic (a
-// crashed creation, which restarts the file). Damage a cut cannot
+// one recovery rule. A crash can only cut short the commits written since
+// the last settled one (see below), so damage a cut explains is a torn
+// tail and is dropped: a short or checksum-failed trailing frame, an
+// all-zero frame header (a region the file was extended over but never
+// written), an undecodable final line with no terminator, a file holding
+// a strict prefix of its magic (a crashed creation, which restarts the
+// file). Damage a cut cannot
 // explain is corruption and is an error: an undecodable terminated line
 // or checksum-valid frame, a frame header claiming an impossible length,
 // a foreign magic. Dropping complete records silently would turn resume
 // into silent re-execution.
 //
-// A Log is not safe for concurrent use; its owner serializes Commit and
-// Close (every owner already holds a mutex over its in-memory index).
+// Commit is safe for concurrent use. Writes are serialized, so the file
+// holds commits in the order they were written; syncs overlap, and a
+// commit is settled — durable, and its callback run — once its own sync
+// has succeeded and every earlier commit is settled. The bytes written since
+// the last settled commit are one contiguous tail, so a crash still
+// leaves a prefix of it, which the one recovery rule covers. The first
+// failure poisons the log and cuts the file back to the last settled
+// commit; every unsettled commit returns that error.
 package framelog
 
 import (
@@ -363,13 +370,23 @@ func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Log is an open log file positioned for appending.
+// Log is an open log file positioned for appending. Commit and Close are
+// safe for concurrent use.
 type Log struct {
-	path   string
-	f      *os.File // nil once closed
-	torn   bool
-	cut    int64 // OpenAt's end, until the first Commit cuts the file there; -1 once done
-	failed error // the first Truncate, Write or Sync failure; sticky
+	path string
+	torn bool
+
+	mu      sync.Mutex
+	turn    sync.Cond  // on mu: a commit settled or the log failed, or a sync ended
+	f       *os.File   // the writer's descriptor
+	closed  bool       // Close has begun: Commit fails
+	busy    bool       // a sync on f is in flight
+	spares  []*os.File // idle second descriptors on path, for syncs that overlap one on f
+	syncing int        // syncs in flight
+	cut     bool       // the file runs past end until the first Commit cuts it there (OpenAt)
+	failed  error      // the first failure; sticky
+	end     int64      // where the next Commit's bytes land
+	settled int64      // the end of the last settled commit
 }
 
 // Open opens the log at path, creating it (and its directory) if
@@ -387,7 +404,7 @@ func Open(path string, fr Framing, replay Visit) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{path: path, f: f, cut: -1}
+	l := newLog(path, f)
 	if err := l.restore(fr, replay); err != nil {
 		f.Close()
 		return nil, err
@@ -407,7 +424,15 @@ func OpenAt(path string, end int64) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{path: path, f: f, cut: end}, nil
+	l := newLog(path, f)
+	l.cut, l.end, l.settled = true, end, end
+	return l, nil
+}
+
+func newLog(path string, f *os.File) *Log {
+	l := &Log{path: path, f: f}
+	l.turn.L = &l.mu
+	return l
 }
 
 func (l *Log) restore(fr Framing, replay Visit) error {
@@ -430,9 +455,10 @@ func (l *Log) restore(fr Framing, replay Visit) error {
 			return err
 		}
 	}
+	var n int
 	switch {
 	case fr.frames && keep == 0:
-		if _, err = l.f.WriteString(fr.magic); err == nil {
+		if n, err = l.f.WriteString(fr.magic); err == nil {
 			err = l.f.Sync()
 		}
 	case !fr.frames && keep > 0:
@@ -440,9 +466,11 @@ func (l *Log) restore(fr Framing, replay Visit) error {
 		// edited by hand): terminate it so the next record starts a line.
 		var last [1]byte
 		if _, err = l.f.ReadAt(last[:], keep-1); err == nil && last[0] != '\n' {
-			_, err = l.f.WriteString("\n")
+			n, err = l.f.WriteString("\n")
 		}
 	}
+	l.end = keep + int64(n)
+	l.settled = l.end
 	return err
 }
 
@@ -520,45 +548,161 @@ func (l *Log) Path() string { return l.path }
 func (l *Log) Torn() bool { return l.torn }
 
 // Commit appends data — whole sealed records — with one Write and one
-// Sync, and returns once they are durable. The first failure of either
-// is sticky: every later Commit returns that same error until the file
-// is reopened. A short write leaves a torn tail Open knows how to drop,
-// but only while it is the tail; a later successful append would bury it
-// as a corrupt interior record, which Open rightly refuses.
-func (l *Log) Commit(data []byte) error {
-	switch {
-	case l.f == nil:
-		return fmt.Errorf("framelog: %s is closed", l.path)
-	case l.failed != nil:
-		return l.failed
+// Sync, and returns nil once they are settled: durable, and announced by
+// settled, which may be nil. It is safe for concurrent use. Writes are
+// serialized under the log's lock, so the file's order is the order of
+// the commits; the sync runs outside it, so concurrent commits share the
+// disk's flush instead of queuing for it. A commit is settled once its
+// own sync has succeeded and every commit written before it is settled:
+// one whose sync finishes first waits its turn. So settled callbacks run
+// in write order, under the log's lock, on the committer's goroutine.
+//
+// A lone commit syncs on the writer's descriptor, one that overlaps
+// another's sync on a second descriptor of the same file. Linux reports a
+// writeback error once per open file description, so on a shared one a
+// later sync could miss an error an earlier one consumed. A second
+// descriptor opened after another had consumed an error misses it too,
+// which is why no commit settles on another's sync: the commit whose
+// sync consumed the error fails, and with it every unsettled one.
+//
+// The first failure — of a Truncate, a Write, a Sync, or the open of a
+// second descriptor — is sticky: nothing settles after it, and every
+// unsettled commit and every later one returns that same error until the
+// file is reopened. The file is cut back to the end of the last settled
+// commit first. Bytes an error may have left half written must stay a
+// tail Open drops or never exist: a later successful append would bury
+// them as a corrupt interior record, which Open rightly refuses.
+func (l *Log) Commit(data []byte, settled func()) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start := l.end
+	f, err := l.write(data)
+	if err != nil {
+		return err
 	}
-	var err error
-	if l.cut >= 0 {
-		// Synced on its own: a cut that a crash undid under records already
-		// written past it would leave the old tail's bytes behind them.
-		if err = l.f.Truncate(l.cut); err == nil {
-			err = l.f.Sync()
-		}
-		l.cut = -1
+	end := l.end
+	l.syncing++
+	l.mu.Unlock()
+	if commitSync != nil {
+		err = commitSync(f)
+	} else {
+		err = f.Sync()
 	}
-	if err == nil {
-		_, err = l.f.Write(data)
-	}
-	if err == nil {
-		err = l.f.Sync()
+	l.mu.Lock()
+	defer l.turn.Broadcast()
+	l.syncing--
+	if f == l.f {
+		l.busy = false
+	} else {
+		l.spares = append(l.spares, f)
 	}
 	if err != nil {
-		l.failed = fmt.Errorf("framelog: %s failed and must be reopened: %w", l.path, err)
+		l.fail(err)
 	}
-	return l.failed
+	for l.failed == nil && l.settled != start {
+		l.turn.Wait()
+	}
+	if l.failed != nil {
+		return l.failed
+	}
+	if settled != nil {
+		settled()
+	}
+	l.settled = end
+	return nil
 }
 
-// Close closes the file; a second Close is a no-op.
+// commitSync is a test hook: when set, a Commit's sync calls it instead
+// of f.Sync.
+var commitSync func(f *os.File) error
+
+// write appends data at the end of the file and returns the descriptor
+// its sync is to run on. Called with l.mu held.
+func (l *Log) write(data []byte) (*os.File, error) {
+	switch {
+	case l.closed:
+		return nil, fmt.Errorf("framelog: %s is closed", l.path)
+	case l.failed != nil:
+		return nil, l.failed
+	}
+	var err error
+	if l.cut {
+		// Synced on its own: a cut that a crash undid under records already
+		// written past it would leave the old tail's bytes behind them.
+		if err = l.f.Truncate(l.end); err == nil {
+			err = l.f.Sync()
+		}
+		l.cut = false
+	}
+	if err == nil {
+		var n int
+		n, err = l.f.Write(data)
+		l.end += int64(n)
+	}
+	var f *os.File
+	if err == nil {
+		f, err = l.syncer()
+	}
+	if err != nil {
+		l.fail(err)
+		return nil, l.failed
+	}
+	return f, nil
+}
+
+// syncer returns the descriptor a sync begun now runs on: the writer's,
+// unless a sync on it is in flight, else an idle second descriptor,
+// opened on first need. Called with l.mu held.
+func (l *Log) syncer() (*os.File, error) {
+	if !l.busy {
+		l.busy = true
+		return l.f, nil
+	}
+	if n := len(l.spares); n > 0 {
+		f := l.spares[n-1]
+		l.spares = l.spares[:n-1]
+		return f, nil
+	}
+	return os.Open(l.path)
+}
+
+// fail makes err the log's sticky error — the unsettled commits return
+// it, and their callbacks never run — and cuts the file back to the end
+// of the last settled commit. Called with l.mu held.
+func (l *Log) fail(err error) {
+	if l.failed != nil {
+		return
+	}
+	if l.end > l.settled {
+		if terr := l.f.Truncate(l.settled); terr != nil {
+			err = errors.Join(err, fmt.Errorf("cutting back to byte %d: %w", l.settled, terr))
+		} else {
+			// Its result is not checked: it may only report again the
+			// writeback error being handled here.
+			_ = l.f.Sync()
+		}
+	}
+	l.failed = fmt.Errorf("framelog: %s failed and must be reopened: %w", l.path, err)
+	l.turn.Broadcast()
+}
+
+// Close waits for the syncs in flight, then closes the file and every
+// second descriptor; a second Close is a no-op. A Commit that begins
+// after Close fails.
 func (l *Log) Close() error {
-	if l.f == nil {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return nil
 	}
+	l.closed = true
+	for l.syncing > 0 {
+		l.turn.Wait()
+	}
 	err := l.f.Close()
-	l.f = nil
+	for _, f := range l.spares {
+		err = errors.Join(err, f.Close())
+	}
+	l.spares = nil
 	return err
 }

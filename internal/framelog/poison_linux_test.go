@@ -15,36 +15,25 @@ import (
 	"testing"
 
 	"repro/internal/collector"
+	"repro/internal/framelog"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/warehouse"
 )
 
-// swapReadOnly is the fault: underneath whoever holds it, the one
+// swapReadOnly is the write fault: underneath whoever holds them, every
 // descriptor this process has open on path is replaced by a read-only
-// one, so the holder's next Write fails. restore puts the original back.
+// one, so the holder's next Write fails. restore puts the originals back.
 // The owners keep their *framelog.Log unexported, so the swap is made at
-// the descriptor table, found through /proc.
+// the descriptor table, found through /proc; a log that has overlapped
+// two syncs holds more than one descriptor.
 func swapReadOnly(t *testing.T, path string) (restore func()) {
 	t.Helper()
 	path, err := filepath.EvalSymlinks(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := -1
 	entries, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && target == path {
-			fd, _ = strconv.Atoi(e.Name())
-		}
-	}
-	if fd < 0 {
-		t.Fatalf("no open descriptor on %s", path)
-	}
-	saved, err := syscall.Dup(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +42,39 @@ func swapReadOnly(t *testing.T, path string) (restore func()) {
 		t.Fatal(err)
 	}
 	defer syscall.Close(ro)
-	if err := syscall.Dup3(ro, fd, syscall.O_CLOEXEC); err != nil {
-		t.Fatal(err)
-	}
-	return func() {
-		if err := syscall.Dup3(saved, fd, syscall.O_CLOEXEC); err != nil {
+	saved := map[int]int{} // swapped descriptor → a duplicate of the original
+	for _, e := range entries {
+		// ro may have taken the number the listing's own descriptor had.
+		fd, _ := strconv.Atoi(e.Name())
+		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err != nil || target != path || fd == ro {
+			continue
+		}
+		dup, err := syscall.Dup(fd)
+		if err != nil {
 			t.Fatal(err)
 		}
-		syscall.Close(saved)
+		saved[fd] = dup
+		if err := syscall.Dup3(ro, fd, syscall.O_CLOEXEC); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if len(saved) == 0 {
+		t.Fatalf("no open descriptor on %s", path)
+	}
+	return func() {
+		for fd, dup := range saved {
+			if err := syscall.Dup3(dup, fd, syscall.O_CLOEXEC); err != nil {
+				t.Fatal(err)
+			}
+			syscall.Close(dup)
+		}
+	}
+}
+
+// failSyncs is the sync fault: every Commit's write lands and its sync
+// fails.
+func failSyncs(*testing.T, string) (restore func()) {
+	return framelog.SetCommitSync(func(*os.File) error { return errInjected })
 }
 
 // poisonable is one of the four logs, driven through its owner's own
@@ -191,17 +204,21 @@ func openState(t *testing.T, dir string) poisonable {
 // every log built on framelog: after a Write or Sync fails the handle
 // must stay failed — even once the fault is gone — because a later
 // successful append would bury the failed one's torn bytes as a corrupt
-// interior record. Nothing from a failed call may be served or stored,
-// and reopening the file must find exactly the acknowledged items.
+// interior record. Nothing from a failed call may be served or stored —
+// a failed sync's written bytes are cut off again — and reopening the
+// file must find exactly the acknowledged items.
 func TestFailedAppendPoisonsJournal(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		open func(t *testing.T, dir string) poisonable
+		name  string
+		open  func(t *testing.T, dir string) poisonable
+		fault func(t *testing.T, path string) (restore func())
 	}{
-		{"jsonl", openJournal(runstore.Open)},
-		{"binary", openJournal(runstore.OpenBinary)},
-		{"state", openState},
-		{"index", openIndex},
+		{"jsonl", openJournal(runstore.Open), swapReadOnly},
+		{"binary", openJournal(runstore.OpenBinary), swapReadOnly},
+		{"state", openState, swapReadOnly},
+		{"index", openIndex, swapReadOnly},
+		{"jsonl-sync", openJournal(runstore.Open), failSyncs},
+		{"binary-sync", openJournal(runstore.OpenBinary), failSyncs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -214,7 +231,7 @@ func TestFailedAppendPoisonsJournal(t *testing.T) {
 				}
 			}
 
-			restore := swapReadOnly(t, log.file)
+			restore := tc.fault(t, log.file)
 			first := log.append(acked)
 			restore() // the fault clears; the log must not
 			if first == nil {

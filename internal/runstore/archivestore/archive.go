@@ -377,7 +377,7 @@ func (a *Archive) Append(rec runstore.Record) error {
 	if err != nil {
 		return err
 	}
-	if err := a.log.Commit(buf); err != nil {
+	if err := a.log.Commit(buf, nil); err != nil {
 		return wrap(err)
 	}
 	a.add(p)
@@ -399,7 +399,7 @@ func (a *Archive) Close() error {
 	var err error
 	if a.log != nil {
 		if a.dirty {
-			if err = a.log.Commit(a.appendFinish(nil)); err == nil {
+			if err = a.log.Commit(a.appendFinish(nil), nil); err == nil {
 				a.dirty = false
 			}
 		}

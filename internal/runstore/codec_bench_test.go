@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -183,6 +184,30 @@ func BenchmarkAppendBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkJournalAppendConcurrent is the per-record append from
+// several goroutines at once — a scheduler's workers over a Store that
+// does not batch. Run it at -cpu 1,2,4: RunParallel starts GOMAXPROCS
+// appenders, whose fsyncs overlap instead of queuing one behind another.
+func BenchmarkJournalAppendConcurrent(b *testing.B) {
+	j, err := Open(filepath.Join(b.TempDir(), "append.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	recs := benchCodecRecords(b, 1000)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := j.Append(recs[next.Add(1)%int64(len(recs))]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // The Merge pair is the acceptance workload: two 5x10^4-record sources

@@ -40,10 +40,15 @@
 // layout — is docs/FORMAT.md.
 //
 // Concurrency contract: Journal's Append, AppendBatch, Lookup,
-// ReplicateCount, Scan, Len, and Close are safe for concurrent use (one
-// mutex guards file and index); Scan snapshots the key set when
-// iteration starts, so concurrent appends neither block nor corrupt it.
-// Package-level
+// ReplicateCount, Scan, Len, and Close are safe for concurrent use. The
+// file is the framelog log's to serialize: appends are written one at a
+// time, in the order they reach it, and their fsyncs overlap; no append
+// holds the journal's own mutex, which guards only the index, so a read
+// never waits behind an fsync. A record is indexed when its commit
+// settles, in file order, so the live last-wins view is the one a reopen
+// serves. The lock order is the log's, then the journal's. Scan
+// snapshots the key set when iteration starts, so concurrent appends
+// neither block nor corrupt it. Package-level
 // functions that rewrite files (Compact, Merge) are single-writer:
 // callers must not run them concurrently with writers of the same
 // files. Read-only entry points (OpenSource, ScanFile, LoadRecords,
@@ -74,17 +79,19 @@
 // leaves it untouched (docs/FORMAT.md §1 and §7).
 //
 // Durability contract: Append returns only after the record's bytes are
-// written and fsynced, so a crash immediately after a successful Append
-// loses nothing. AppendBatch — the optional BatchAppender side of the
-// Store contract — gives a whole batch the
-// same guarantee for one Write and one Sync: every record is validated
-// before any byte is written, and the bytes are those of the same
-// records appended one by one. A crash mid-append leaves a prefix of the
-// batch's records and at most one torn trailing record, which Open
-// truncates. A journal is fail-stop: after a failed Write or Sync every
-// later Append and AppendBatch returns that first error until the file
-// is reopened, because appending past a short write would turn its torn
-// tail into a corrupt interior record. Complete records are never
-// rewritten in place — Compact and Merge write aside atomically (temp
-// file, fsync, rename) and replace, or write nothing.
+// written and fsynced, and every append written before it is too, so a
+// crash immediately after a successful Append loses nothing. AppendBatch — the optional BatchAppender side of
+// the Store contract — gives a whole batch the same guarantee for one
+// Write and one Sync: every record is validated before any byte is
+// written, and the bytes are those of the same records appended one by
+// one. A crash mid-append leaves a prefix of the appends not yet
+// acknowledged — whole records and at most one torn trailing record,
+// which Open truncates. A journal is fail-stop: after a failed Write or
+// Sync the file is cut back to the last acknowledged append, and every
+// append in flight and every later one returns that first error until
+// the file is reopened, because appending past bytes a failure may have
+// left half written would turn them into a corrupt interior record.
+// Complete records are never rewritten in place — Compact and Merge
+// write aside atomically (temp file, fsync, rename) and replace, or
+// write nothing.
 package runstore

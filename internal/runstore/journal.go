@@ -98,12 +98,12 @@ func fnvAssignment(h uint64, a map[string]string) uint64 {
 
 // Journal is an append-only run store with an in-memory last-wins
 // index: one framelog file whose records are encoded by a codec — JSON
-// lines (Open) or checksummed binary frames (OpenBinary). Append and
-// Lookup are safe for concurrent use.
+// lines (Open) or checksummed binary frames (OpenBinary). Every method is
+// safe for concurrent use.
 type Journal struct {
-	mu    sync.Mutex
 	log   *framelog.Log
 	codec *codec
+	mu    sync.Mutex // guards recs and order; taken inside the log's lock
 	recs  map[string]Record
 	order []string // keys in file order, for deterministic Scan order
 }
@@ -269,9 +269,11 @@ func NormalizeAppend(rec Record) (Record, error) {
 
 // Append validates, persists, and indexes one record. Its encoding is
 // written with a single Write call followed by Sync, so a crash leaves at
-// most one torn record — exactly what Open recovers from. A failed Write
-// or Sync poisons the journal (framelog.Log.Commit): every later Append
-// or AppendBatch returns that first error until the file is reopened.
+// most one torn record — exactly what Open recovers from. Concurrent
+// Appends overlap their syncs (framelog.Log.Commit), and each record is
+// indexed once it is settled, in file order. A failed Write or Sync
+// poisons the journal: every later Append or AppendBatch returns that
+// first error until the file is reopened.
 func (j *Journal) Append(rec Record) error {
 	rec, err := NormalizeAppend(rec)
 	if err != nil {
@@ -282,8 +284,6 @@ func (j *Journal) Append(rec Record) error {
 	if *bufp, err = j.codec.appendFrame(*bufp, rec); err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.commit(*bufp, rec)
 }
 
@@ -378,34 +378,31 @@ func (j *Journal) CommitBatch(b *EncodedBatch) error {
 	if len(b.recs) == 0 {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.commit(b.data, b.recs...)
 }
 
-// commit makes data, the encoding of recs, durable and only then counts
-// and indexes them, so nothing from a failed commit is ever served.
-// Callers hold j.mu.
+// commit makes data, the encoding of recs, durable and counts and indexes
+// them once the log settles it — in file order, so the live last-wins
+// view is the one a reopen serves, and nothing from a failed commit is
+// ever served.
 func (j *Journal) commit(data []byte, recs ...Record) error {
-	if err := j.log.Commit(data); err != nil {
-		return err
-	}
-	metAppends.Add(int64(len(recs)))
-	metAppendBytes.Add(int64(len(data)))
-	metFsyncs.Inc()
-	for _, rec := range recs {
-		j.index(rec)
-	}
-	return nil
+	n := int64(len(data))
+	return j.log.Commit(data, func() {
+		metAppends.Add(int64(len(recs)))
+		metAppendBytes.Add(n)
+		metFsyncs.Inc()
+		j.mu.Lock()
+		for _, rec := range recs {
+			j.index(rec)
+		}
+		j.mu.Unlock()
+	})
 }
 
-// Close closes the journal file. Lookup and Scan keep working on the
-// in-memory index; Append fails.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.log.Close()
-}
+// Close closes the journal file once the appends in flight are settled
+// or failed. Lookup and Scan keep working on the in-memory index; Append
+// fails.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // LoadRecords reads every complete record from an existing journal (or
 // registered-format archive) file without opening it for writing — the

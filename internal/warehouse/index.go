@@ -209,7 +209,7 @@ func (x *index) Put(r Run) error {
 	r.Cells = withSelectors(r.Cells)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if err := x.log.Commit(frame); err != nil {
+	if err := x.log.Commit(frame, nil); err != nil {
 		return err
 	}
 	x.runs[r.Path] = r
