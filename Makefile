@@ -60,13 +60,16 @@ race:
 # And the commit tests, twenty times over: concurrent commits to one log
 # overlap their syncs and settle in write order, and a failed sync with
 # others in flight poisons the log and cuts it back, interleavings that
-# one processor and four order differently and one run may miss.
+# one processor and four order differently and one run may miss. And the
+# scheduler's committer: a held AppendBatch with a backlog queued behind
+# it, landed in batches of at most sched.MaxBatch.
 .PHONY: race-cpu
 race-cpu:
 	$(GO) test -race -cpu 1,4 -count=20 -run 'Commit|Poison|Concurrent' ./internal/framelog ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile|Entries|Section|Inspect' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore' ./internal/collector ./internal/collector/client
 	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest' ./internal/warehouse
+	$(GO) test -race -cpu 1,4 -run 'Backlog' ./internal/sched
 
 .PHONY: bench
 bench:

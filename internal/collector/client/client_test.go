@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/runstore"
+	"repro/internal/sched"
 )
 
 // TestIngestReplaysOnKilledKeepAlive kills the keep-alive connection
@@ -650,7 +651,8 @@ func TestRemoteStoreAppendBatch(t *testing.T) {
 // the spool's error while the ingest that landed is counted acknowledged
 // once and never as spooled; an ingest refusal fails the append, marks
 // the lease lost, and leaves the batch in the spool — where restream
-// finds it for the next run over that spool and sends exactly it.
+// finds it for the next run over that spool and sends exactly it, cut
+// into ingests of at most sched.MaxBatch records.
 func TestRemoteStoreOneSideFails(t *testing.T) {
 	var mu sync.Mutex
 	var refuse bool
@@ -761,5 +763,52 @@ func TestRemoteStoreOneSideFails(t *testing.T) {
 	}
 	if n, got := seen(); n != 1 || !bytes.Equal(got, want.Bytes()) || store.Streamed() != int64(owed) {
 		t.Errorf("restream sent %d ingest(s), Streamed() = %d:\n%s\nwant 1 ingest, %d record(s):\n%s", n, store.Streamed(), got, owed, want.Bytes())
+	}
+
+	// A spool owing more than the scheduler's largest batch: restream
+	// cuts it at sched.MaxBatch, so a restream ingest is never larger
+	// than a live one — MaxBatch records, then the rest, in spool order.
+	script(false)
+	spool = filepath.Join(t.TempDir(), "spool.jsonl")
+	j, err := runstore.Open(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spooled []runstore.Record
+	want.Reset()
+	owed = 0
+	for i := 0; owed < sched.MaxBatch+3; i++ {
+		rec := runstore.Record{Experiment: "e", Row: i, Replicate: 0,
+			Assignment: map[string]string{"f": strconv.Itoa(i)}, Responses: map[string]float64{"ms": float64(i)}}
+		spooled = append(spooled, rec)
+		if shard(rec) == 0 {
+			owed++
+			if err := runstore.EncodeWire(&want, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.AppendBatch(spooled); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut, _ := open(spool, nil)
+	defer cut.Close()
+	if err := cut.restream("e", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	bodies := slices.Clone(accepted)
+	mu.Unlock()
+	if len(bodies) != 2 || bytes.Count(bodies[0], []byte("\n")) != sched.MaxBatch ||
+		!bytes.Equal(bytes.Join(bodies, nil), want.Bytes()) || cut.Streamed() != int64(owed) {
+		lines := make([]int, len(bodies))
+		for i, b := range bodies {
+			lines[i] = bytes.Count(b, []byte("\n"))
+		}
+		t.Errorf("restream of %d owed record(s) sent ingests of %v record(s), Streamed() = %d; want [%d 3] in spool order",
+			owed, lines, cut.Streamed(), sched.MaxBatch)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/runstore"
+	"repro/internal/sched"
 )
 
 // remoteStore is the runstore.Store a collector worker's scheduler
@@ -169,17 +170,14 @@ func (r *remoteStore) send(batch *runstore.EncodedBatch) error {
 	return nil
 }
 
-// restreamBatch bounds one ingest of restream — the scheduler's own
-// largest batch.
-const restreamBatch = 256
-
 // restream sends the collector every record of this shard that the
 // spool holds and the warm snapshot lacks: records a previous run over
 // this spool made durable here but never got acknowledged (it died
 // between its spool fsync and the ack, or its ingest failed). Lookup
 // finds them, so the scheduler would replay them and stream nothing —
 // and release the shard complete with the collector never having seen
-// them. It runs before the scheduler does.
+// them. It runs before the scheduler does, and cuts its ingests at the
+// scheduler's own largest batch, sched.MaxBatch.
 func (r *remoteStore) restream(experiment string, shard, shards int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -203,7 +201,7 @@ func (r *remoteStore) restream(experiment string, shard, shards int) error {
 			rec.Experiment != experiment || runstore.ShardIndex(rec.Hash, shards) != shard {
 			continue
 		}
-		if pending = append(pending, rec); len(pending) == restreamBatch {
+		if pending = append(pending, rec); len(pending) == sched.MaxBatch {
 			if err := flush(); err != nil {
 				return err
 			}

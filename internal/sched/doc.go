@@ -70,14 +70,15 @@
 //   - A store with a batch side (runstore.BatchAppender: both journals,
 //     the shard store, the collector worker's remote store) gets group
 //     commit. Workers hand each finished unit to one committer goroutine
-//     per Execute over a bounded FIFO (256 units, a constant) and start
-//     their next unit without waiting; the committer
-//     (internal/groupcommit.Loop) takes the first queued unit, drains
-//     whatever else is already queued, and lands it all with one
-//     AppendBatch. There is no timer: the commit in progress is what
-//     paces the next batch, so a runner slower than an fsync still
-//     commits every unit alone and immediately, and a faster one pays
-//     one fsync per batch instead of one per record.
+//     per Execute over a bounded FIFO (MaxBatch units, a constant sized
+//     for the collector worker's round trip, and never more than the
+//     Execute dispatches at its start) and start their next unit without
+//     waiting; the committer (internal/groupcommit.Loop) takes the first
+//     queued unit, drains whatever else is already queued, and lands it
+//     all with one AppendBatch. There is no timer: the commit in progress
+//     is what paces the next batch, so a runner slower than a commit
+//     still commits every unit alone and immediately, and a faster one
+//     pays one commit per batch instead of one per record.
 //   - Any other store — a third-party five-method wrapper — is appended
 //     to from the worker, one record at a time.
 //
@@ -89,10 +90,12 @@
 // that is design order, and the raw journal of a single-worker run is
 // byte for byte what it was when workers appended for themselves. After
 // a crash the store holds a prefix, in completion order, of the finished
-// units: finished units still queued (at most 256; for a runner slower
-// than an fsync, none beyond the unit in flight) die with the process
-// and re-execute on resume. The first append error fails the run; units
-// of the failed batch and units queued behind it are dropped
+// units: finished units still queued die with the process and re-execute
+// on resume. That is at most MaxBatch (1 024) units, and only a runner
+// faster than one commit gets near it — for such a runner MaxBatch units
+// are about one round trip of work; under a runner slower than a commit,
+// none beyond the unit in flight. The first append error fails the run;
+// units of the failed batch and units queued behind it are dropped
 // unjournaled.
 //
 // The Store seam is what makes the scheduler distribution-agnostic: the

@@ -7,13 +7,27 @@ import (
 	"repro/internal/runstore"
 )
 
-// commitQueue bounds the finished units waiting for the committer, and
-// with it both the largest batch one AppendBatch carries and the most
-// finished units a crash can send back for re-execution. At 256 records
-// per fsync the sync costs less per record than encoding the record
-// does (≈150 µs ÷ 256 against ≈1.3 µs where bench/ measured them), so a
-// deeper queue would buy no throughput, only more to re-run.
-const commitQueue = 256
+// MaxBatch bounds the finished units waiting for the committer, and with
+// it both the largest batch one AppendBatch carries and the most finished
+// units a crash can send back for re-execution. It has two users: the
+// persist stage, where it caps the queue and groupcommit.Loop's batch,
+// and the collector worker's restream (internal/collector/client), which
+// cuts its ingests at it so that a restream ingest is never larger than a
+// live one.
+//
+// It is sized for the slowest batch store, the collector worker's remote
+// store, whose commit is an ingest round trip plus a spool fsync: ≈3 ms
+// at the median on bench/'s fleet-collect workload (2-vCPU Xeon, ext4),
+// about 20 times a local journal's ≈150 µs fsync. Only a runner faster
+// than one commit reaches the bound, and for it MaxBatch units are about
+// one round trip of work: at ≈8 µs a unit, ≈375 units finish per round
+// trip, so 1 024 leaves room for jitter. A bound sized for the fsync
+// alone (256) fills in ≈2 ms and leaves the runner waiting for the ack;
+// 4 096 measures only marginally better than 1 024 (BenchmarkFleetCollect
+// in internal/collector at -cpu 2: exec-ms 32–37 against 32–39, and
+// 40–49 at 256). The largest NDJSON ingest this makes is ≈143 KB, far
+// below the daemon's default 8 MiB MaxInflight.
+const MaxBatch = 1024
 
 // outcome is one live unit on its way back from a worker: through the
 // persist stage when the runner succeeded, around it when it failed.
@@ -36,12 +50,12 @@ type outcome struct {
 // Execute: workers queue finished units on a bounded FIFO and move on to
 // their next unit, and the committer (groupcommit.Loop) takes the first
 // queued unit, drains whatever else is already queued without waiting,
-// and lands it all with one AppendBatch. The pacing is the sync itself —
-// there is no timer — so a runner slower than an fsync still commits
+// and lands it all with one AppendBatch. The pacing is the commit itself
+// — there is no timer — so a runner slower than a commit still commits
 // every unit alone and at once, and a faster one gets batches as large
-// as one fsync lasts. Any other store is appended to from the worker,
-// record by record: a committer with no batch to offer would only
-// serialise encoding behind the fsync.
+// as one commit lasts, up to MaxBatch. Any other store is appended to
+// from the worker, record by record: a committer with no batch to offer
+// would only serialise encoding behind the fsync.
 type persistStage struct {
 	experiment string
 	store      runstore.Store         // nil: nothing to persist
@@ -54,12 +68,15 @@ type persistStage struct {
 
 // newPersistStage starts the stage for one Execute. complete is called
 // from the committer goroutine when there is one, otherwise from the
-// workers, concurrently.
-func (s *Scheduler) newPersistStage(experiment string, store runstore.Store, complete func(outcome)) *persistStage {
+// workers, concurrently. units is how many units the Execute dispatches
+// at its start: the queue holds min(MaxBatch, units), so a small Execute
+// allocates no deeper queue than it can fill. An adaptive run whose
+// queue grows later keeps that smaller bound.
+func (s *Scheduler) newPersistStage(experiment string, store runstore.Store, units int, complete func(outcome)) *persistStage {
 	p := &persistStage{experiment: experiment, store: store, met: s.met, complete: complete}
 	if b, ok := store.(runstore.BatchAppender); ok {
 		p.batch = b
-		p.queue = make(chan outcome, commitQueue)
+		p.queue = make(chan outcome, min(MaxBatch, units))
 		p.exited = make(chan struct{})
 		go p.commitLoop()
 	}
@@ -97,7 +114,7 @@ func (p *persistStage) close() {
 func (p *persistStage) commitLoop() {
 	defer close(p.exited)
 	var failed error
-	groupcommit.Loop(p.queue, commitQueue, func(batch []outcome) {
+	groupcommit.Loop(p.queue, MaxBatch, func(batch []outcome) {
 		if failed == nil {
 			recs := make([]runstore.Record, len(batch))
 			for i, o := range batch {

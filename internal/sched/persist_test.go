@@ -3,12 +3,15 @@ package sched
 import (
 	"bytes"
 	"context"
+	"iter"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/design"
 	"repro/internal/obs"
@@ -70,6 +73,147 @@ func TestPersistPathsWriteTheSameJournal(t *testing.T) {
 			t.Errorf("sched_commit_seconds observed %d commit(s), sched_commits_total says %v", timed, commits)
 		}
 	}
+}
+
+// batchRecorder is an empty batch store that keeps only the row and
+// replicate of every unit it is handed, batch by batch, and holds its
+// first AppendBatch: it closes started on entry and returns once release
+// is closed.
+type batchRecorder struct {
+	started, release chan struct{}
+	batches          [][][2]int // row, replicate; read once Execute returned
+}
+
+func newBatchRecorder() *batchRecorder {
+	return &batchRecorder{started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *batchRecorder) AppendBatch(recs []runstore.Record) error {
+	if len(b.batches) == 0 {
+		close(b.started)
+		<-b.release
+	}
+	units := make([][2]int, len(recs))
+	for i, rec := range recs {
+		units[i] = [2]int{rec.Row, rec.Replicate}
+	}
+	b.batches = append(b.batches, units)
+	return nil
+}
+
+func (b *batchRecorder) Append(rec runstore.Record) error {
+	return b.AppendBatch([]runstore.Record{rec})
+}
+func (*batchRecorder) Lookup(string, string, int) (runstore.Record, bool) {
+	return runstore.Record{}, false
+}
+func (*batchRecorder) ReplicateCount(string, string) int { return 0 }
+func (*batchRecorder) Scan() iter.Seq2[runstore.Record, error] {
+	return func(func(runstore.Record, error) bool) {}
+}
+func (*batchRecorder) Close() error { return nil }
+
+// TestBacklogLandsInBatchesOfTheBound holds the committer's first
+// AppendBatch while an instant single-worker runner piles finished units
+// up behind it: one unit in flight, a full queue of MaxBatch, and one
+// more blocked on its send. Released, the committer lands the queue as
+// one batch of exactly MaxBatch units, never a larger one, and the store
+// receives every unit once, in completion order — design order at
+// Workers: 1. A small Execute gets a queue no deeper than its units, so a
+// run of 10 units pays less for its committer than a queue fixed at 256
+// slots alone cost, let alone one fixed at MaxBatch.
+func TestBacklogLandsInBatchesOfTheBound(t *testing.T) {
+	t.Run("backlog", func(t *testing.T) {
+		const cells, reps = 300, 8 // more units than 1 + MaxBatch + 1
+		const total = cells * reps
+		store := newBatchRecorder()
+		var calls atomic.Int32
+		called := make(chan struct{}, total)
+		run := func(a design.Assignment, rep int) (map[string]float64, error) {
+			if calls.Add(1) == 2 {
+				<-store.started // so the first batch is the first unit alone
+			}
+			called <- struct{}{}
+			return wideRunner(a, rep)
+		}
+		e := newWideExperiment(t, cells, reps, run)
+		s := New(Options{Workers: 1, Store: store})
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Execute(context.Background(), e)
+			errc <- err
+		}()
+		for range 1 + MaxBatch + 1 { // in flight, queued, blocked on its send
+			select {
+			case <-called:
+			case err := <-errc:
+				t.Fatalf("Execute returned before the backlog built up: %v", err)
+			}
+		}
+		close(store.release)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if st := s.LastStats(); st.Executed != total {
+			t.Fatalf("executed %d unit(s), want %d", st.Executed, total)
+		}
+		if len(store.batches) < 2 || len(store.batches[0]) != 1 || len(store.batches[1]) != MaxBatch {
+			sizes := make([]int, len(store.batches))
+			for i, b := range store.batches {
+				sizes[i] = len(b)
+			}
+			t.Fatalf("batch sizes %v, want 1 then MaxBatch (%d)", sizes, MaxBatch)
+		}
+		i := 0
+		for n, batch := range store.batches {
+			if len(batch) > MaxBatch {
+				t.Errorf("batch %d carries %d units, more than MaxBatch (%d)", n, len(batch), MaxBatch)
+			}
+			for _, u := range batch {
+				if want := [2]int{i / reps, i % reps}; u != want {
+					t.Fatalf("unit %d landed as row %d replicate %d, want design order %v", i, u[0], u[1], want)
+				}
+				i++
+			}
+		}
+		if i != total {
+			t.Errorf("%d unit(s) landed, want %d", i, total)
+		}
+	})
+
+	t.Run("small Execute", func(t *testing.T) {
+		const cells, reps, runs = 5, 2, 50
+		e := newWideExperiment(t, cells, reps, nil)
+		// bytesPerRun is the heap a 10-unit Execute into store allocates.
+		bytesPerRun := func(store runstore.Store) uint64 {
+			s := New(Options{Workers: 1, Store: store})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if _, err := s.Execute(context.Background(), e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		store := newBatchRecorder()
+		close(store.release)
+		bytesPerRun(store) // warm up
+		batched := bytesPerRun(store)
+		perUnit := bytesPerRun(appendOnly{store})
+		// What a queue fixed at 256 slots, the bound before it was sized
+		// for a round trip, cost on its own.
+		fixed := 256 * uint64(unsafe.Sizeof(outcome{}))
+		if batched > perUnit+fixed {
+			t.Errorf("a 10-unit Execute allocates %d B with a committer, %d B without: the queue is deeper than the run", batched, perUnit)
+		}
+		p := New(Options{}).newPersistStage(e.Name, store, cells*reps, func(outcome) {})
+		defer p.close()
+		if got := cap(p.queue); got != cells*reps {
+			t.Errorf("a %d-unit Execute got a %d-slot queue", cells*reps, got)
+		}
+	})
 }
 
 func metric(t *testing.T, snap obs.Snapshot, name string) obs.Metric {

@@ -447,7 +447,7 @@ func (x *execution) dispatch(ctx context.Context, queue []unit) error {
 	// be persisting and the stage may close.
 	jobs := make(chan unit, 2*workers)
 	done := make(chan outcome, workers)
-	persist := x.s.newPersistStage(x.e.Name, x.store, func(o outcome) { done <- o })
+	persist := x.s.newPersistStage(x.e.Name, x.store, len(queue), func(o outcome) { done <- o })
 	defer persist.close()
 	for w := 0; w < workers; w++ {
 		go func() {
