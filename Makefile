@@ -54,9 +54,11 @@ race:
 # of the two places a fleet worker and its daemon wait on each other — the
 # held acquire, and the spool commit that runs beside the ingest of the
 # same batch — whose interleavings differ most between one processor and
-# several. So, last, are the warehouse's Refresh and ingest tests: Refresh
-# ingests changed sources on up to GOMAXPROCS goroutines, and the scratch
-# an ingest folds a source in passes between them through a sync.Pool.
+# several. So, last, are the warehouse's Refresh, ingest and query tests:
+# Refresh ingests changed sources on up to GOMAXPROCS goroutines, the
+# scratch an ingest folds a source in passes between them through a
+# sync.Pool, and queries share the warehouse's t-quantile slot while
+# refreshes and prunes replace the runs under them.
 # And the commit tests, twenty times over: concurrent commits to one log
 # overlap their syncs and settle in write order, and a failed sync with
 # others in flight poisons the log and cuts it back, interleavings that
@@ -68,7 +70,7 @@ race-cpu:
 	$(GO) test -race -cpu 1,4 -count=20 -run 'Commit|Poison|Concurrent' ./internal/framelog ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile|Entries|Section|Inspect' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore' ./internal/collector ./internal/collector/client
-	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest' ./internal/warehouse
+	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest|Quer' ./internal/warehouse
 	$(GO) test -race -cpu 1,4 -run 'Backlog' ./internal/sched
 
 .PHONY: bench

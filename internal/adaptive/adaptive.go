@@ -68,7 +68,7 @@ func (o *Options) fill() error {
 		return fmt.Errorf("adaptive: Rel target must be > 0, got %g", o.Rel)
 	case o.TightRel <= 0 || o.TightRel > o.Rel:
 		return fmt.Errorf("adaptive: TightRel must be in (0, Rel], got %g", o.TightRel)
-	case o.Confidence <= 0 || o.Confidence >= 1:
+	case !(o.Confidence > 0 && o.Confidence < 1): // negated so that NaN fails
 		return fmt.Errorf("adaptive: confidence must be in (0,1), got %g", o.Confidence)
 	case o.Min < 1:
 		return fmt.Errorf("adaptive: Min = %d, need >= 1", o.Min)

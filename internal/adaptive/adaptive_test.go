@@ -22,6 +22,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Rel: -1},
 		{Rel: 0.05, TightRel: 0.1}, // tighter must not be looser
 		{Confidence: 1.5},
+		{Confidence: math.NaN()},
 		{Min: -2},
 		{Min: 10, Max: 3},
 	} {

@@ -131,6 +131,35 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryEndpointRejectsNonFinite pins that a confidence or tolerance
+// strconv.ParseFloat accepts but no interval can use is a client error,
+// not an answer of NaN intervals.
+func TestQueryEndpointRejectsNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	seedQueryDir(t, dir)
+	srv, err := collector.New(collector.Config{Dir: dir, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	for _, q := range []string{
+		"?kind=history&cell=f%3Dx&confidence=NaN",
+		"?kind=regressions&confidence=NaN",
+		"?kind=regressions&tolerance=NaN",
+		"?kind=regressions&tolerance=Inf",
+	} {
+		resp, err := http.Get(hs.URL + collector.PathQuery + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s status = %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
 // TestQueryEndpointTokenExempt pins the auth contract: /v1/query is a
 // read-only aggregate view, open like status and metrics even when the
 // data plane requires a bearer token.

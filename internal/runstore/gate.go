@@ -170,10 +170,11 @@ func (o *GateOptions) fill() error {
 	if o.Tolerance == 0 {
 		o.Tolerance = 0.05
 	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
+	// Negated so that NaN, which compares false with everything, fails.
+	if !(o.Confidence > 0 && o.Confidence < 1) {
 		return fmt.Errorf("runstore: gate confidence must be in (0,1), got %g", o.Confidence)
 	}
-	if o.Tolerance <= 0 {
+	if !(o.Tolerance > 0) || math.IsInf(o.Tolerance, 1) {
 		return fmt.Errorf("runstore: gate tolerance must be > 0, got %g", o.Tolerance)
 	}
 	return nil

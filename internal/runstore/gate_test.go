@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,9 @@ func TestGateRejectsInvalidOptions(t *testing.T) {
 		{Confidence: 95},   // percent instead of fraction
 		{Confidence: -0.5}, // negative
 		{Tolerance: -0.1},  // negative
+		{Confidence: math.NaN()},
+		{Tolerance: math.NaN()},
+		{Tolerance: math.Inf(1)},
 	} {
 		if _, err := Gate(s, s, opt); err == nil {
 			t.Errorf("options %+v should be rejected", opt)

@@ -58,7 +58,7 @@ func (iv Interval) String() string {
 // observations or a confidence outside (0, 1).
 func MeanCI(xs []float64, confidence float64) (Interval, error) {
 	// A sample too small is reported before a bad confidence, by t.MeanCI.
-	if len(xs) >= 2 && (confidence <= 0 || confidence >= 1) {
+	if len(xs) >= 2 && !(confidence > 0 && confidence < 1) { // negated so that NaN fails
 		return Interval{}, fmt.Errorf("stats: confidence must be in (0,1), got %g", confidence)
 	}
 	t := NewTCritical(confidence)

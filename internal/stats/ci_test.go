@@ -32,6 +32,9 @@ func TestMeanCIErrors(t *testing.T) {
 	if _, err := MeanCI([]float64{1, 2}, 0); err == nil {
 		t.Error("confidence 0 should error")
 	}
+	if _, err := MeanCI([]float64{1, 2}, math.NaN()); err == nil {
+		t.Error("confidence NaN should error")
+	}
 }
 
 func TestIntervalOverlap(t *testing.T) {

@@ -230,6 +230,7 @@ type scanIter struct {
 	ctx   *ExecContext
 	table *Table
 	cols  []*Column
+	width int // bytes per row the scan charges: the columns' WidthBytes, summed once per Open
 	idx   int
 	st    opStats
 }
@@ -237,6 +238,12 @@ type scanIter struct {
 func (it *scanIter) Open() error {
 	charge(it.ctx, &it.st, func() { it.ctx.chargeTableLoad(it.table) })
 	it.idx = 0
+	// A string column's width is its average string length, a pass over
+	// every value, so it is summed once here rather than per row.
+	it.width = 0
+	for _, c := range it.cols {
+		it.width += c.WidthBytes()
+	}
 	return nil
 }
 
@@ -249,12 +256,10 @@ func (it *scanIter) Next() ([]Value, bool, error) {
 		it.ctx.chargeTupleOverhead(1, hwsim.OpScan)
 		it.ctx.chargeValueWork(len(it.cols), hwsim.OpScan)
 		row = make([]Value, len(it.cols))
-		w := 0
 		for i, c := range it.cols {
 			row[i] = c.Value(it.idx)
-			w += c.WidthBytes()
 		}
-		it.ctx.chargeScanMemory(1, w)
+		it.ctx.chargeScanMemory(1, it.width)
 	})
 	it.idx++
 	it.st.rows++

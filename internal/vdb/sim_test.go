@@ -282,3 +282,23 @@ func TestSimulatedDeterminism(t *testing.T) {
 		t.Errorf("simulated times differ: %v vs %v", times[0], times[1])
 	}
 }
+
+// TestScanChargesWidthOncePerOpen holds the row engine's scan to one
+// WidthBytes call per column per Open: a string column's width is a pass
+// over all its values, so a call per row made a scan quadratic in its rows.
+// It counts calls, not time, so it does not depend on the machine.
+func TestScanChargesWidthOncePerOpen(t *testing.T) {
+	plan := Scan("big").Filter(Gt(Col("val"), Float(1e9))).Node()
+	calls := make(map[int]int64)
+	for _, rows := range []int{1000, 10000} {
+		db := bigDB(t, rows)
+		n := countWidthBytes(t)
+		if _, err := Run(simCtx(db), RowEngine{}, plan); err != nil {
+			t.Fatal(err)
+		}
+		calls[rows] = n.Load()
+	}
+	if calls[1000] == 0 || calls[10000] != calls[1000] {
+		t.Fatalf("WidthBytes calls by rows = %v, want the same nonzero count at 1 000 and 10 000 rows", calls)
+	}
+}

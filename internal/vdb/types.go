@@ -196,9 +196,16 @@ func (c *Column) Gather(idx []int) *Column {
 	return out
 }
 
+// widthBytesHook, when set, is called by every WidthBytes: a test counts
+// the calls a query makes through it (export_test.go).
+var widthBytesHook func()
+
 // WidthBytes estimates the in-memory width of one value, for the hardware
 // cost model: 8 bytes for numerics, 16 + average length for strings.
 func (c *Column) WidthBytes() int {
+	if widthBytesHook != nil {
+		widthBytesHook()
+	}
 	if c.Type != TString {
 		return 8
 	}

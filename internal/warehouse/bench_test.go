@@ -203,8 +203,9 @@ func BenchmarkWarehouseReopen(b *testing.B) {
 }
 
 // BenchmarkWarehouseQueryHistory asks for one cell's history by its
-// assignment string: one pass over the live runs' cells, one string compare
-// per cell.
+// assignment string: per run, a binary search of the experiment's block of
+// cells, which ingest sorted by selector, on the t-quantile lookup the
+// warehouse kept from the query before.
 func BenchmarkWarehouseQueryHistory(b *testing.B) {
 	w := benchRefreshed(b)
 	if res, err := w.Query(benchHistory); err != nil || len(res.History) != benchRuns {

@@ -35,11 +35,15 @@
 //     listings, per-cell history, per-experiment trend lines, and
 //     regression listings reusing the CI-shift rule of the runstore
 //     regression gate (disjoint intervals, higher mean = regressed).
-//     A query is one pass over the live runs' cells: it compares
+//     A history query naming its cell by selector binary-searches each
+//     run's cells, which ingest left sorted by (experiment, selector,
+//     response) and the index notes as seekable once per run; every
+//     other query is one pass over the live runs' cells. Either compares
 //     strings every cell already carries — its hash, and its selector,
-//     rendered at ingest or at replay and never by a query — and
-//     evaluates the t-quantile once per distinct replicate count.
-//     Nothing is kept between queries.
+//     rendered at ingest or at replay and never by a query. The
+//     t-quantile is evaluated once per (confidence, replicate count):
+//     the warehouse keeps the lookup of the last confidence asked, and
+//     nothing else, between queries.
 //     The same core backs repro.Query, `perfeval query`, and the
 //     collector daemon's GET /v1/query, so they cannot drift.
 //

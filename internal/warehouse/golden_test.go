@@ -2,9 +2,11 @@ package warehouse
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/runstore"
@@ -107,4 +109,30 @@ func TestGoldenIndex(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenIndexAnswersLikeTheReference asks the golden torn index, as
+// Open repairs it, everything the oracle asks: its live runs are one whose
+// cells are in ingest's order and one whose cells are not, so a selector
+// history seeks the first and scans the second.
+func TestGoldenIndexAnswersLikeTheReference(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("../../testdata/golden", "warehouse.torn.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, IndexFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := openTest(t, root)
+	var seek []bool
+	for _, r := range w.liveRuns() {
+		seek = append(seek, r.seekable)
+	}
+	if !slices.Contains(seek, true) || !slices.Contains(seek, false) {
+		t.Fatalf("live runs seekable = %v, want one of each", seek)
+	}
+	selectors := []string{"f=x", "00000000000000aa", "cbf29ce484222325"}
+	reqs := oracleRequests(rand.New(rand.NewSource(1)), []string{"e", "e2"}, []string{"ms", "rows"}, selectors)
+	checkQueriesAgainstReference(t, w, reqs)
 }

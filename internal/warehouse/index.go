@@ -2,10 +2,11 @@ package warehouse
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/framelog"
@@ -41,8 +42,12 @@ type Run struct {
 	// history but its identity (and change-detection meta) is kept so a
 	// Refresh does not silently resurrect it.
 	Pruned bool `json:"pruned,omitempty"`
-	// Cells are the run's per-(experiment, cell, response) aggregates,
-	// sorted by (experiment, assignment, response). Empty on tombstones.
+	// Cells are the run's per-(experiment, cell, response) aggregates.
+	// Ingest sorts them by (experiment, selector, response) — byte order of
+	// the experiment, then of the canonical "k=v k=v" assignment string,
+	// then of the response — and a history query seeks that order instead
+	// of scanning (seekable). A run built or stored any other way may hold
+	// them in any order; it is scanned. Empty on tombstones.
 	Cells []Cell `json:"cells,omitempty"`
 }
 
@@ -123,11 +128,21 @@ var indexFraming = framelog.Frames("warehouse index", IndexMagic, maxIndexFrame)
 // file with the crash discipline every log in the repository shares —
 // one write plus one fsync per Put, torn trailing frame truncated on
 // open, corrupt interior frame an error, fail-stop after a failed Put —
-// under an in-memory last-wins view. It is safe for concurrent use.
+// under an in-memory last-wins view. Beside each run it keeps one fact
+// the file does not hold, whether the run is seekable, decided once when
+// the run enters the view. It is safe for concurrent use.
 type index struct {
-	mu   sync.Mutex
-	log  *framelog.Log
-	runs map[string]Run // last-wins by Run.Path
+	mu       sync.Mutex
+	log      *framelog.Log
+	runs     map[string]Run  // last-wins by Run.Path
+	seekable map[string]bool // by Run.Path: seekable(runs[path].Cells)
+}
+
+// heldRun is one run of the index's view with the fact the index keeps
+// about it.
+type heldRun struct {
+	Run
+	seekable bool // seekable(Run.Cells)
 }
 
 // openIndex opens (creating if absent) the index file at path. A torn
@@ -136,8 +151,8 @@ type index struct {
 // dropping indexed history would let a stale index masquerade as a
 // fresh one.
 func openIndex(path string) (*index, error) {
-	x := &index{runs: make(map[string]Run)}
-	log, err := framelog.Open(path, indexFraming, collectRuns(x.runs))
+	x := &index{runs: make(map[string]Run), seekable: make(map[string]bool)}
+	log, err := framelog.Open(path, indexFraming, collectRuns(x.runs, x.seekable))
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
@@ -146,11 +161,12 @@ func openIndex(path string) (*index, error) {
 }
 
 // collectRuns is the index scan callback: it decodes each frame's Run
-// into runs, last frame per path winning. The frames of one scan share one
+// into runs, last frame per path winning, and, when seek is not nil,
+// whether the run is seekable into seek. The frames of one scan share one
 // replay dictionary, which lives as long as the callback does: it is gone
 // when the scan returns, and nothing of it is kept between queries but the
 // values the runs themselves hold.
-func collectRuns(runs map[string]Run) framelog.Visit {
+func collectRuns(runs map[string]Run, seek map[string]bool) framelog.Visit {
 	rp := newReplay()
 	return func(payload []byte, off, _ int64) error {
 		r, err := decodeRun(payload, rp)
@@ -161,24 +177,64 @@ func collectRuns(runs map[string]Run) framelog.Visit {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: run without a path", off))
 		}
 		runs[r.Path] = r
+		if seek != nil {
+			seek[r.Path] = seekable(r.Cells)
+		}
 		return nil
 	}
+}
+
+// seekable reports whether a history query may seek cells instead of
+// scanning them: they are in ingest's (experiment, selector, response)
+// order, and no hash contains '='. Every non-empty selector contains '='
+// (a "k=v" pair), so a Request.Cell that does can then name a cell only
+// by its selector, and the cells it names are one contiguous span of each
+// experiment's block.
+func seekable(cells []Cell) bool {
+	for i := range cells {
+		if strings.IndexByte(cells[i].Hash, '=') >= 0 {
+			return false
+		}
+		if i > 0 && compareCells(&cells[i-1], &cells[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// compareCells orders cells the way ingest sorts them. Unlike cmp.Or,
+// it compares a field only when the ones before it tie.
+func compareCells(a, b *Cell) int {
+	if c := strings.Compare(a.Experiment, b.Experiment); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.selector, b.selector); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Response, b.Response)
 }
 
 // Runs returns the last-wins view of every indexed run — tombstones
 // included — sorted by (ModTimeNS, Path).
 func (x *index) Runs() []Run {
+	held := x.held()
+	out := make([]Run, len(held))
+	for i := range held {
+		out[i] = held[i].Run
+	}
+	return out
+}
+
+// held is Runs with the fact the index keeps about each run.
+func (x *index) held() []heldRun {
 	x.mu.Lock()
-	out := make([]Run, 0, len(x.runs))
-	for _, r := range x.runs {
-		out = append(out, r)
+	out := make([]heldRun, 0, len(x.runs))
+	for path, r := range x.runs {
+		out = append(out, heldRun{r, x.seekable[path]})
 	}
 	x.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ModTimeNS != out[j].ModTimeNS {
-			return out[i].ModTimeNS < out[j].ModTimeNS
-		}
-		return out[i].Path < out[j].Path
+	slices.SortFunc(out, func(a, b heldRun) int {
+		return cmp.Or(cmp.Compare(a.ModTimeNS, b.ModTimeNS), strings.Compare(a.Path, b.Path))
 	})
 	return out
 }
@@ -207,12 +263,14 @@ func (x *index) Put(r Run) error {
 		return err
 	}
 	r.Cells = withSelectors(r.Cells)
+	seek := seekable(r.Cells)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if err := x.log.Commit(frame, nil); err != nil {
 		return err
 	}
 	x.runs[r.Path] = r
+	x.seekable[r.Path] = seek
 	return nil
 }
 
@@ -234,7 +292,7 @@ func (x *index) Torn() bool { return x.log.Torn() }
 // the decoder through it.
 func readFrames(data []byte) (map[string]Run, bool, error) {
 	runs := make(map[string]Run)
-	_, torn, err := indexFraming.ScanFile(bytes.NewReader(data), collectRuns(runs))
+	_, torn, err := indexFraming.ScanFile(bytes.NewReader(data), collectRuns(runs, nil))
 	if err != nil {
 		return nil, false, err
 	}

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -75,10 +76,11 @@ func (r *Request) fill() error {
 	if r.Tolerance == 0 {
 		r.Tolerance = 0.05
 	}
-	if r.Confidence <= 0 || r.Confidence >= 1 {
+	// Negated so that NaN, which compares false with everything, fails.
+	if !(r.Confidence > 0 && r.Confidence < 1) {
 		return fmt.Errorf("warehouse: confidence must be in (0,1), got %g", r.Confidence)
 	}
-	if r.Tolerance <= 0 {
+	if !(r.Tolerance > 0) || math.IsInf(r.Tolerance, 1) {
 		return fmt.Errorf("warehouse: tolerance must be > 0, got %g", r.Tolerance)
 	}
 	if r.Limit < 0 {
@@ -161,8 +163,10 @@ type Result struct {
 }
 
 // Query answers one Request from the index alone — no record block is
-// ever read — in one pass over the live runs' cells. Runs are ordered
-// oldest first by source modification time.
+// ever read. Runs are ordered oldest first by source modification time.
+// A history query naming its cell by selector seeks each run's cells,
+// which ingest left in selector order (Run.Cells); one naming it by hash,
+// and every other kind, is one pass over the live runs' cells.
 func (w *Warehouse) Query(req Request) (*Result, error) {
 	start := time.Now()
 	w.mu.Lock()
@@ -176,11 +180,11 @@ func (w *Warehouse) Query(req Request) (*Result, error) {
 	case KindRuns:
 		res.Runs = queryRuns(live, req)
 	case KindHistory:
-		res.History = queryHistory(live, req)
+		res.History = queryHistory(live, req, w.intervals(req))
 	case KindTrends:
 		res.Trends = queryTrends(live, req)
 	case KindRegressions:
-		res.Regressions = queryRegressions(live, req)
+		res.Regressions = queryRegressions(live, req, w.intervals(req))
 	}
 	w.met.queries.Inc()
 	w.met.querySeconds.Observe(time.Since(start).Seconds())
@@ -192,15 +196,23 @@ func (w *Warehouse) Query(req Request) (*Result, error) {
 // interval when N >= 2 (the exact stats.MeanCI arithmetic, with the
 // standard error recovered from the stored variance), a relative
 // tolerance band for single-replicate cells. The t-quantile depends only
-// on (confidence, N), and a query's cells share a handful of N, so the
-// query holds one stats.TCritical — the gate's lookup — for its pass.
+// on (confidence, N), and the warehouse's cells share a handful of N, so
+// queries share one stats.TCritical — the gate's lookup — the
+// warehouse's slot for the last confidence asked.
 type intervals struct {
 	confidence, tolerance float64
-	t                     stats.TCritical
+	t                     *stats.TCritical
 }
 
-func newIntervals(req Request) intervals {
-	return intervals{confidence: req.Confidence, tolerance: req.Tolerance, t: stats.NewTCritical(req.Confidence)}
+// intervals returns req's interval builder on the warehouse's t-quantile
+// slot, replacing the slot's lookup when req names another confidence
+// than the query before it. Called under w.mu; req is filled, so its
+// confidence is a number in (0, 1) and equal levels compare equal.
+func (w *Warehouse) intervals(req Request) intervals {
+	if w.tConfidence != req.Confidence {
+		w.t, w.tConfidence = stats.NewTCritical(req.Confidence), req.Confidence
+	}
+	return intervals{confidence: req.Confidence, tolerance: req.Tolerance, t: &w.t}
 }
 
 func (iv *intervals) of(c *Cell) stats.Interval {
@@ -216,7 +228,7 @@ func (iv *intervals) of(c *Cell) stats.Interval {
 	return stats.Interval{Mean: c.Mean, Lo: c.Mean - half, Hi: c.Mean + half, Confidence: iv.confidence, N: c.N}
 }
 
-func queryRuns(live []Run, req Request) []RunInfo {
+func queryRuns(live []heldRun, req Request) []RunInfo {
 	var out []RunInfo
 	for _, r := range live {
 		exps := make(map[string]bool)
@@ -248,23 +260,11 @@ func queryRuns(live []Run, req Request) []RunInfo {
 	return tail(out, req.Limit)
 }
 
-func queryHistory(live []Run, req Request) []HistoryPoint {
+func queryHistory(live []heldRun, req Request, iv intervals) []HistoryPoint {
 	var out []HistoryPoint
-	iv := newIntervals(req)
 	for ri := range live {
 		r := &live[ri]
-		for i := range r.Cells {
-			c := &r.Cells[i]
-			// The selector first: it is the filter that rejects most cells.
-			if req.Cell != c.selector && req.Cell != c.Hash {
-				continue
-			}
-			if req.Experiment != "" && c.Experiment != req.Experiment {
-				continue
-			}
-			if req.Response != "" && c.Response != req.Response {
-				continue
-			}
+		for c := range historyCells(r, req) {
 			ci := iv.of(c)
 			out = append(out, HistoryPoint{
 				Run:          r.Path,
@@ -286,7 +286,77 @@ func queryHistory(live []Run, req Request) []HistoryPoint {
 	return tail(out, req.Limit)
 }
 
-func queryTrends(live []Run, req Request) []TrendLine {
+// historyCells yields the cells of r a history request selects, in r's
+// order. On a seekable run, a Request.Cell containing '=' can name cells
+// only by selector (seekable), so it binary-searches for the request's
+// (experiment, selector) in the one experiment block the request names,
+// or in each block when it names none, and reads the span it finds;
+// otherwise it scans every cell.
+func historyCells(r *heldRun, req Request) iter.Seq[*Cell] {
+	return func(yield func(*Cell) bool) {
+		cells, read := r.Cells, 0
+		if historyReads != nil {
+			defer func() { historyReads(read) }()
+		}
+		if !r.seekable || strings.IndexByte(req.Cell, '=') < 0 {
+			read = len(cells)
+			for i := range cells {
+				c := &cells[i]
+				// The selector first: it is the filter that rejects most cells.
+				if req.Cell != c.selector && req.Cell != c.Hash {
+					continue
+				}
+				if req.Experiment != "" && c.Experiment != req.Experiment {
+					continue
+				}
+				if req.Response != "" && c.Response != req.Response {
+					continue
+				}
+				if !yield(c) {
+					return
+				}
+			}
+			return
+		}
+		for lo := 0; lo < len(cells); {
+			exp := req.Experiment
+			if exp == "" {
+				exp = cells[lo].Experiment
+			}
+			// The first cell at or after (exp, selector), then the span of
+			// them: the probe sorts first among them, no response being
+			// below "".
+			probe := Cell{Experiment: exp, selector: req.Cell}
+			i := lo + sort.Search(len(cells)-lo, func(j int) bool {
+				read++
+				return compareCells(&cells[lo+j], &probe) >= 0
+			})
+			for ; i < len(cells) && cells[i].Experiment == exp && cells[i].selector == req.Cell; i++ {
+				read++
+				if req.Response != "" && cells[i].Response != req.Response {
+					continue
+				}
+				if !yield(&cells[i]) {
+					return
+				}
+			}
+			if req.Experiment != "" {
+				return
+			}
+			// The next experiment's block.
+			lo = i + sort.Search(len(cells)-i, func(j int) bool {
+				read++
+				return cells[i+j].Experiment > exp
+			})
+		}
+	}
+}
+
+// historyReads, when set, is told how many cells each run's history pass
+// read: a test's window on whether a query seeks (export_test.go).
+var historyReads func(cells int)
+
+func queryTrends(live []heldRun, req Request) []TrendLine {
 	type lineKey struct{ experiment, response string }
 	lines := make(map[lineKey]*TrendLine)
 	var order []lineKey
@@ -342,7 +412,7 @@ func queryTrends(live []Run, req Request) []TrendLine {
 	return out
 }
 
-func queryRegressions(live []Run, req Request) []RegressionEntry {
+func queryRegressions(live []heldRun, req Request, iv intervals) []RegressionEntry {
 	type point struct {
 		run  *Run
 		cell *Cell
@@ -356,7 +426,7 @@ func queryRegressions(live []Run, req Request) []RegressionEntry {
 	at := make(map[cellKey]int)
 	var all []series
 	for ri := range live {
-		r := &live[ri]
+		r := &live[ri].Run
 		for ci := range r.Cells {
 			c := &r.Cells[ci]
 			if req.Cell != "" && req.Cell != c.selector && req.Cell != c.Hash {
@@ -386,7 +456,6 @@ func queryRegressions(live []Run, req Request) []RegressionEntry {
 			strings.Compare(a.response, b.response))
 	})
 	var out []RegressionEntry
-	iv := newIntervals(req)
 	for _, s := range all {
 		if s.base.cell == nil {
 			continue

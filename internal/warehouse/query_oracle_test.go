@@ -1,12 +1,14 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +70,11 @@ func checkQueriesAgainstReference(t *testing.T, w *Warehouse, reqs []Request) {
 
 // TestQueryEqualsReferenceOverRandomIndexes puts random runs straight into
 // the index — so cells can be what no ingest builds but a hand-edited or
-// older index may hold — and asks everything.
+// older index may hold — and asks everything. Half the runs are in the
+// order ingest leaves cells in, most with every hash derived from its
+// assignment, which the index holds seekable: history requests by
+// selector seek those, beside runs scanned for the same request, in which
+// the selector may be another cell's stored hash.
 func TestQueryEqualsReferenceOverRandomIndexes(t *testing.T) {
 	t.Parallel()
 	experiments := []string{"e0", "e1"}
@@ -113,8 +119,38 @@ func TestQueryEqualsReferenceOverRandomIndexes(t *testing.T) {
 			}
 			return r
 		}
+		// sortedRun is randomRun as ingest would order it, hashes derived,
+		// sorted here by the assignment string the reference matches on.
+		sortedRun := func(path string) Run {
+			r := randomRun(path)
+			for i := range r.Cells {
+				r.Cells[i].Hash = runstore.AssignmentHash(r.Cells[i].Assignment)
+			}
+			slices.SortStableFunc(r.Cells, func(a, b Cell) int {
+				return cmp.Or(strings.Compare(a.Experiment, b.Experiment),
+					strings.Compare(assignmentString(a.Assignment), assignmentString(b.Assignment)),
+					strings.Compare(a.Response, b.Response))
+			})
+			return r
+		}
 		for i := 0; i < 8; i++ {
-			put(randomRun(fmt.Sprintf("run-%d.jsonl", rng.Intn(6)))) // paths repeat: re-ingests
+			path := fmt.Sprintf("run-%d.jsonl", rng.Intn(6)) // paths repeat: re-ingests
+			if rng.Intn(2) == 0 {
+				r := sortedRun(path)
+				// Sometimes a stored hash is another cell's assignment
+				// string, which a selector request must still match: the
+				// run is in order, and scanned.
+				hashSelects := len(r.Cells) > 0 && rng.Intn(3) == 0
+				if hashSelects {
+					r.Cells[rng.Intn(len(r.Cells))].Hash = selectors[rng.Intn(3)]
+				}
+				put(r)
+				if w.idx.seekable[path] == hashSelects {
+					t.Fatalf("run with a hash containing '=' %v is held seekable %v: %+v", hashSelects, w.idx.seekable[path], r)
+				}
+			} else {
+				put(randomRun(path))
+			}
 			if rng.Intn(3) == 0 {
 				checkQueriesAgainstReference(t, w, oracleRequests(rng, experiments, responses, selectors))
 			}
@@ -270,5 +306,54 @@ func TestConcurrentQueriesAndIndexChanges(t *testing.T) {
 	checkQueriesAgainstReference(t, w, slices.DeleteFunc(reqs, func(r Request) bool { return r.Kind == KindRuns || r.Kind == KindTrends }))
 	if res, err := w.Query(Request{Kind: KindHistory, Cell: hash}); err != nil || len(res.History) != 5 {
 		t.Fatalf("history after the last prune = %+v, %v; want the 5 kept runs", res, err)
+	}
+}
+
+// TestSelectorHistorySeeks fails when a history query naming its cell by
+// selector reads every cell of the runs ingest built, rather than seeking
+// the order ingest left them in; a query naming the cell by hash scans, and
+// both answer like the reference.
+func TestSelectorHistorySeeks(t *testing.T) {
+	root := t.TempDir()
+	const levels = 40
+	for run := 0; run < 3; run++ {
+		var recs []runstore.Record
+		for _, exp := range []string{"e0", "e1"} {
+			for l := 0; l < levels; l++ {
+				for rep := 0; rep < 2; rep++ {
+					recs = append(recs, mkRec(exp, map[string]string{"f": fmt.Sprintf("l%02d", l)}, rep,
+						map[string]float64{"ms": float64(run + l + rep), "io": float64(l)}))
+				}
+			}
+		}
+		writeJournal(t, filepath.Join(root, fmt.Sprintf("run%d.jsonl", run)), recs, baseTime.Add(time.Duration(run)*time.Second))
+	}
+	w := refreshed(t, root)
+	total := 0
+	for _, r := range w.liveRuns() {
+		if !r.seekable {
+			t.Fatalf("ingested run %s is not seekable", r.Path)
+		}
+		total += len(r.Cells)
+	}
+	hash := runstore.AssignmentHash(map[string]string{"f": "l17"})
+	for _, req := range []Request{
+		{Kind: KindHistory, Cell: "f=l17"},
+		{Kind: KindHistory, Cell: "f=l17", Experiment: "e1"},
+		{Kind: KindHistory, Cell: "f=l17", Experiment: "e0", Response: "ms", Limit: 2},
+		{Kind: KindHistory, Cell: hash},
+	} {
+		reads := countHistoryReads(t)
+		checkQueriesAgainstReference(t, w, []Request{req})
+		if req.Cell == hash {
+			if *reads != total {
+				t.Errorf("history by hash read %d of %d cells, want a scan of all", *reads, total)
+			}
+			continue
+		}
+		// A few binary-search probes per experiment block and the span found.
+		if *reads >= total/4 {
+			t.Errorf("history %+v read %d of %d cells, want a seek", req, *reads, total)
+		}
 	}
 }

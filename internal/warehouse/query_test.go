@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -242,6 +243,11 @@ func TestQueryValidation(t *testing.T) {
 		{Kind: KindRuns, Confidence: 1.5},
 		{Kind: KindRuns, Tolerance: -1},
 		{Kind: KindRuns, Limit: -1},
+		// NaN compares false with every bound, and +Inf is above every one.
+		{Kind: KindRuns, Confidence: math.NaN()},
+		{Kind: KindHistory, Cell: "f=x", Confidence: math.NaN()},
+		{Kind: KindRuns, Tolerance: math.NaN()},
+		{Kind: KindRuns, Tolerance: math.Inf(1)},
 	}
 	for _, req := range cases {
 		if _, err := w.Query(req); err == nil {

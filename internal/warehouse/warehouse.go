@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,14 +34,23 @@ type Options struct {
 // stores. Open one with Open, keep it refreshed with Refresh, ask it
 // questions with Query, bound it with Prune, and Close it when done.
 // All methods are safe for concurrent use. Open replays the index file
-// and nothing more; Refresh reads each changed source once; a Query is
-// one pass over the live runs' cells.
+// and nothing more; Refresh reads each changed source once; a history
+// Query by selector seeks each run's cells in the order ingest sorted
+// them, and any other Query is one pass over the live runs' cells.
 type Warehouse struct {
 	mu    sync.Mutex // serializes Refresh, Prune, and Query
 	root  string
 	idx   *index
 	met   *metrics
 	clock func() time.Time
+
+	// t is the Student-t critical-value lookup at tConfidence, the
+	// confidence of the last query that built intervals: one slot,
+	// replaced when a query names another level, so queries at one level
+	// pay each t-quantile once and the slot stays a handful of values
+	// whatever levels are asked. Used under mu.
+	t           stats.TCritical
+	tConfidence float64
 }
 
 // Open opens the warehouse over root (which must exist), loading the
@@ -333,12 +341,7 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 			run.Cells = append(run.Cells, out)
 		}
 	}
-	slices.SortFunc(run.Cells, func(a, b Cell) int {
-		return cmp.Or(
-			strings.Compare(a.Experiment, b.Experiment),
-			strings.Compare(a.selector, b.selector),
-			strings.Compare(a.Response, b.Response))
-	})
+	slices.SortFunc(run.Cells, func(a, b Cell) int { return compareCells(&a, &b) })
 	return run, nil
 }
 
@@ -421,11 +424,11 @@ func assignmentString(a map[string]string) string {
 func (w *Warehouse) Runs() []Run {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.liveRuns()
+	return slices.DeleteFunc(w.idx.Runs(), func(r Run) bool { return r.Pruned })
 }
 
-func (w *Warehouse) liveRuns() []Run {
-	return slices.DeleteFunc(w.idx.Runs(), func(r Run) bool { return r.Pruned })
+func (w *Warehouse) liveRuns() []heldRun {
+	return slices.DeleteFunc(w.idx.held(), func(r heldRun) bool { return r.Pruned })
 }
 
 // Retention is the warehouse's pruning policy. Both knobs bound the
