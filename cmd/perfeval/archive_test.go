@@ -179,6 +179,7 @@ func TestStoreFlagValidation(t *testing.T) {
 		{[]string{"-Dstore=archive", "run", "t4"}, "requires JournalDir"},
 		{[]string{"-Dstore=archive", "-Dsched.shards=2", "-Dsched.shard=0", "-Djournal.dir=x", "run", "t4"}, "cannot combine with sharded execution"},
 		{[]string{"-Dstore=bolt", "-Djournal.dir=x", "run", "t4"}, "unknown store backend"},
+		{[]string{"-Dstore=binary", "-Djournal.dir=x", "run", "t4"}, "unknown store backend"},
 		{[]string{"-Dstore=journal", "run", "t4"}, "requires JournalDir"},
 	}
 	for _, c := range cases {

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	perfeval list
-//	perfeval run <id>|all... [-Dout.dir=DIR] [-Djournal.dir=DIR] [-Dstore=journal|archive|binary] [-Dsched.shards=N] [-Dsched.shard=K] [-Dsched.workers=N] [-Dsched.retries=N] [-Dsched.timeout=DUR] [-Dadaptive.rel=REL] [-Dadaptive.min=N] [-Dadaptive.max=N] [-Dadaptive.prioritize=BASELINE]
+//	perfeval run <id>|all... [-Dout.dir=DIR] [-Djournal.dir=DIR] [-Dstore=journal|archive] [-Dsched.shards=N] [-Dsched.shard=K] [-Dsched.workers=N] [-Dsched.retries=N] [-Dsched.timeout=DUR] [-Dadaptive.rel=REL] [-Dadaptive.min=N] [-Dadaptive.max=N] [-Dadaptive.prioritize=BASELINE]
 //	perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=ADDR] [-Dcollector.shards=N] [-Dcollector.ttl=DUR] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=BASELINE] [-Dcollector.token=SECRET] [-Dcollector.log=debug|info|quiet]
 //	perfeval work <id>|all... -Dcollector.url=URL [-Dsched.workers=N] [-Dsched.retries=N] [-Dsched.timeout=DUR] [-Dworker.name=NAME] [-Dworker.spool=DIR] [-Dworker.token=SECRET] [-Dworker.binary=BOOL] [-Dcollector.log=debug|info|quiet]
 //	perfeval metrics -Dcollector.url=URL [-Dmetrics.format=prometheus|json]
@@ -108,11 +108,11 @@
 // tail into a non-zero exit). diff and merge read archives wherever they
 // read journals.
 //
-// The binary store (-Dstore=binary) keeps the journal's append-only
-// single-file semantics but frames records in the length-prefixed
-// checksummed binary encoding (docs/FORMAT.md) instead of JSON lines —
-// the fast append/scan path. merge, inspect, diff, and compact read and
-// write .binj files exactly as they do journals and archives.
+// Binary record files (.binj: length-prefixed checksummed frames,
+// docs/FORMAT.md §4) are written only by merge and compact; a run never
+// writes one, and the writable binary store is the archive. merge,
+// inspect, diff, compact and query read .binj files exactly as they do
+// journals and archives.
 //
 // query asks the result warehouse (internal/warehouse; docs/WAREHOUSE.md)
 // one question: `perfeval query <dir>` indexes every store file under
@@ -265,7 +265,7 @@ func commands(o *opts) []command {
 		{name: "run", args: "<id>|all...", do: runCmd, props: slices.Concat([]prop{
 			{"out.dir", "DIR", &o.outDir, false},
 			journal,
-			{"store", "journal|archive|binary", (*string)(&o.run.Store), false},
+			{"store", "journal|archive", (*string)(&o.run.Store), false},
 			shards,
 			{"sched.shard", "K", &o.run.Shard, false},
 		}, sched, []prop{

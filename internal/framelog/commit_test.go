@@ -122,12 +122,15 @@ func record(replicate int, v float64) runstore.Record {
 		Assignment: map[string]string{"f": "x"}, Responses: map[string]float64{"ms": v}}
 }
 
+// journals are the stores whose appends overlap their commits: the JSONL
+// journal alone. The archive, the one binary store, holds its own mutex
+// across Commit, so two of its appends never overlap (its commits are
+// TestFailedAppendPoisonsJournal's "binary" rows).
 var journals = []struct {
 	name string
 	open func(string) (*runstore.Journal, error)
 }{
 	{"jsonl", runstore.Open},
-	{"binary", runstore.OpenBinary},
 }
 
 // TestConcurrentAppendsServeFileOrder overlaps two Appends of one key

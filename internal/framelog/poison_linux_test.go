@@ -18,6 +18,7 @@ import (
 	"repro/internal/framelog"
 	"repro/internal/obs"
 	"repro/internal/runstore"
+	"repro/internal/runstore/archivestore"
 	"repro/internal/warehouse"
 )
 
@@ -77,7 +78,7 @@ func failSyncs(*testing.T, string) (restore func()) {
 	return framelog.SetCommitSync(func(*os.File) error { return errInjected })
 }
 
-// poisonable is one of the four logs, driven through its owner's own
+// poisonable is one of the logs, driven through its owner's own
 // append path.
 type poisonable struct {
 	file   string              // the framelog file under the owner
@@ -92,28 +93,54 @@ func poisonRecord(i int) runstore.Record {
 		Assignment: map[string]string{"f": "x"}, Responses: map[string]float64{"ms": float64(i)}}
 }
 
-func openJournal(open func(string) (*runstore.Journal, error)) func(*testing.T, string) poisonable {
-	return func(t *testing.T, dir string) poisonable {
-		path := filepath.Join(dir, "j")
-		j, err := open(path)
-		if err != nil {
-			t.Fatal(err)
+// store is what the journal and the archive offer the poison test.
+type store interface {
+	runstore.Store
+	runstore.BatchAppender
+	Len() int
+}
+
+func openJournal(t *testing.T, dir string) poisonable {
+	path := filepath.Join(dir, "j")
+	j, err := runstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return poisonableStore(j, path, j.Close)
+}
+
+// openArchive drives the binary store, an archive. Its Close commits the
+// footer, which a poisoned log refuses with its first failure: the file
+// stays unfinalized, and the reopen replays it.
+func openArchive(t *testing.T, dir string) poisonable {
+	path := filepath.Join(dir, "a"+archivestore.Ext)
+	a, err := archivestore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return poisonableStore(a, path, func() error {
+		if err := a.Close(); err != nil && !strings.Contains(err.Error(), "must be reopened") {
+			return err
 		}
-		return poisonable{
-			file: path,
-			append: func(i int) error {
-				if i%2 == 1 { // both entry points commit through the same log
-					return j.AppendBatch([]runstore.Record{poisonRecord(i)})
-				}
-				return j.Append(poisonRecord(i))
-			},
-			served: j.Len,
-			stored: func() (int, error) {
-				info, err := runstore.Inspect(path)
-				return info.Records, err
-			},
-			close: j.Close,
-		}
+		return nil
+	})
+}
+
+func poisonableStore(s store, path string, close func() error) poisonable {
+	return poisonable{
+		file: path,
+		append: func(i int) error {
+			if i%2 == 1 { // both entry points commit through the same log
+				return s.AppendBatch([]runstore.Record{poisonRecord(i)})
+			}
+			return s.Append(poisonRecord(i))
+		},
+		served: s.Len,
+		stored: func() (int, error) {
+			info, err := runstore.Inspect(path)
+			return info.Records, err
+		},
+		close: close,
 	}
 }
 
@@ -213,12 +240,12 @@ func TestFailedAppendPoisonsJournal(t *testing.T) {
 		open  func(t *testing.T, dir string) poisonable
 		fault func(t *testing.T, path string) (restore func())
 	}{
-		{"jsonl", openJournal(runstore.Open), swapReadOnly},
-		{"binary", openJournal(runstore.OpenBinary), swapReadOnly},
+		{"jsonl", openJournal, swapReadOnly},
+		{"binary", openArchive, swapReadOnly},
 		{"state", openState, swapReadOnly},
 		{"index", openIndex, swapReadOnly},
-		{"jsonl-sync", openJournal(runstore.Open), failSyncs},
-		{"binary-sync", openJournal(runstore.OpenBinary), failSyncs},
+		{"jsonl-sync", openJournal, failSyncs},
+		{"binary-sync", openArchive, failSyncs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -261,6 +288,76 @@ func TestFailedAppendPoisonsJournal(t *testing.T) {
 			}
 			if n, err := log.stored(); err != nil || n != acked+1 {
 				t.Fatalf("reopened file holds %d item(s) (err %v), want the %d acknowledged and the new one", n, err, acked)
+			}
+		})
+	}
+}
+
+// TestPoisonedArchiveBatchMovesNothing fails an archive's commit of one
+// batch that an index page falls due inside: the batch is served by
+// neither Lookup nor Scan, the archive's shape — records, index pages —
+// has not moved, and a reopen serves exactly the acknowledged records and
+// takes appends again.
+func TestPoisonedArchiveBatchMovesNothing(t *testing.T) {
+	batch := func(from, n int) []runstore.Record {
+		recs := make([]runstore.Record, n)
+		for i := range recs {
+			recs[i] = poisonRecord(from + i)
+		}
+		return recs
+	}
+	const acked = archivestore.DefaultIndexInterval - 10 // the failed batch crosses the first page
+	for _, tc := range []struct {
+		name  string
+		fault func(t *testing.T, path string) (restore func())
+	}{
+		{"write", swapReadOnly},
+		{"sync", failSyncs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a"+archivestore.Ext)
+			a, err := archivestore.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if err := a.AppendBatch(batch(0, acked)); err != nil {
+				t.Fatal(err)
+			}
+			before := a.Info()
+
+			restore := tc.fault(t, path)
+			err = a.AppendBatch(batch(acked, 20))
+			restore()
+			if err == nil || !strings.Contains(err.Error(), "must be reopened") {
+				t.Fatalf("batch through the fault = %v, want the must-be-reopened failure", err)
+			}
+			if info := a.Info(); info != before {
+				t.Errorf("the failed batch moved the archive from %+v to %+v", before, info)
+			}
+			if _, ok := a.Lookup("e", runstore.AssignmentHash(poisonRecord(0).Assignment), acked); ok {
+				t.Error("Lookup serves a record of the failed batch")
+			}
+			if recs, err := runstore.Collect(a.Scan()); err != nil || len(recs) != acked {
+				t.Errorf("Scan serves %d record(s) (err %v), want the %d acknowledged", len(recs), err, acked)
+			}
+			if err := a.Close(); err != nil && !strings.Contains(err.Error(), "must be reopened") {
+				t.Fatal(err)
+			}
+
+			re, err := archivestore.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if info := re.Info(); info.Records != acked || info.Distinct != acked || re.Torn() {
+				t.Errorf("reopened archive = %+v (torn %v), want the %d acknowledged records", info, re.Torn(), acked)
+			}
+			if err := re.AppendBatch(batch(acked, 20)); err != nil {
+				t.Fatalf("batch after reopening: %v", err)
+			}
+			if n := re.Len(); n != acked+20 {
+				t.Errorf("reopened archive serves %d record(s) after the batch, want %d", n, acked+20)
 			}
 		})
 	}

@@ -2,7 +2,9 @@ package paperexp
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -32,12 +34,27 @@ func TestRegistryAndRun(t *testing.T) {
 	}
 }
 
-func TestRunAllProduceText(t *testing.T) {
+// firstRuns runs every artifact once per test binary. TestRunAllProduceText
+// checks these results and TestDeterminism compares them with a second
+// run, so each artifact runs two times, not three.
+var firstRuns = sync.OnceValues(func() ([]*Result, error) {
+	var rs []*Result
 	for _, e := range Registry() {
 		r, err := e.Run(context.Background())
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
+		rs = append(rs, r)
+	}
+	return rs, nil
+})
+
+func TestRunAllProduceText(t *testing.T) {
+	rs, err := firstRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
 		if len(r.Text) < 50 {
 			t.Errorf("%s: artifact too short (%d bytes)", r.ID, len(r.Text))
 		}
@@ -341,11 +358,12 @@ func TestPaperSuite(t *testing.T) {
 // TestDeterminism: every driver produces byte-identical output across runs
 // — the repository applies the paper's repeatability principle to itself.
 func TestDeterminism(t *testing.T) {
-	for _, e := range Registry() {
-		a, err := e.Run(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
+	first, err := firstRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range Registry() {
+		a := first[i]
 		b, err := e.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)

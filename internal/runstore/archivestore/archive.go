@@ -39,6 +39,7 @@ type Archive struct {
 
 // Archive is a Store backend like the journal and the shard store.
 var _ runstore.Store = (*Archive)(nil)
+var _ runstore.BatchAppender = (*Archive)(nil)
 
 // Open opens (creating if absent) the archive at path. A finalized
 // archive loads its index from the trailer, the footer and the index
@@ -353,16 +354,21 @@ func (a *Archive) Scan() iter.Seq2[runstore.Record, error] {
 	}
 }
 
-// Append implements runstore.Store. The record becomes one checksummed
-// frame committed — written and fsynced — before Append returns, so a
-// crash leaves at most one torn frame, exactly what Open's recovery
-// truncates. The index page a full interval of records calls for goes
-// out in the same commit as the record after them. A legacy file refuses
-// every append and is left as it is.
+// Append implements runstore.Store: a one-record AppendBatch.
 func (a *Archive) Append(rec runstore.Record) error {
-	rec, err := runstore.NormalizeAppend(rec)
-	if err != nil {
-		return err
+	return a.AppendBatch([]runstore.Record{rec})
+}
+
+// AppendBatch implements runstore.BatchAppender: the records, and any
+// index page falling due among them, are laid out on a fork of the layout
+// and committed together — one write, one fsync — so a crash leaves a
+// prefix of the batch. Only a successful commit installs the fork and
+// indexes the records; a failed one poisons the archive, and every later
+// append returns that first error. A legacy file refuses every append. An
+// empty batch is a no-op.
+func (a *Archive) AppendBatch(recs []runstore.Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -373,15 +379,25 @@ func (a *Archive) Append(rec runstore.Record) error {
 		return fmt.Errorf("archivestore: %s is a read-only version-%d archive: rewrite it as version %d to append to it (`perfeval archive NEW%s %s`, or repro.Convert)",
 			a.path, a.version, latest, Ext, a.path)
 	}
-	buf, p, err := a.appendRecord(nil, rec, a.interval)
-	if err != nil {
-		return err
+	l := a.fork(len(recs))
+	added := make([]pendingEntry, len(recs))
+	var buf []byte
+	for i, rec := range recs {
+		rec, err := runstore.NormalizeAppend(rec)
+		if err == nil {
+			buf, added[i], err = l.appendRecord(buf, rec, a.interval)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if err := a.log.Commit(buf, nil); err != nil {
-		return wrap(err)
+		return err // the log's own error: after a failure, the same one every time
 	}
-	a.add(p)
-	a.addIndex(p.exp, p.hash, p.rep, p.entry)
+	a.layout = l
+	for _, p := range added {
+		a.addIndex(p.exp, p.hash, p.rep, p.entry)
+	}
 	a.dirty = true
 	return nil
 }

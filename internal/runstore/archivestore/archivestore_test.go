@@ -616,11 +616,13 @@ func lastWins(appends []runstore.Record) []runstore.Record {
 }
 
 // TestCutAtEveryByte crashes a live archive at every byte: a file written
-// by appends, Close, a reopen, more appends (one superseding an earlier
-// record) and Close is cut at every length from the header to EOF. Each
-// cut opens and serves the last-wins view of a prefix of the acknowledged
-// appends — a longer prefix, or the same, the longer the cut — and Close
-// then leaves a file that reopens finalized, serving the same.
+// by appends, Close, a reopen, one batch (a record in it superseding an
+// earlier one, an index page falling due inside it) and Close is cut at
+// every length from the header to EOF. Each cut opens and serves the
+// last-wins view of a prefix of the acknowledged appends — a longer
+// prefix, or the same, the longer the cut, so a batch cut short leaves a
+// prefix of its records — and Close then leaves a file that reopens
+// finalized, serving the same.
 func TestCutAtEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.arch")
@@ -630,14 +632,23 @@ func TestCutAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.interval = 2 // index pages mid-stream, and one a reopen's first append writes
+		a.interval = 2 // index pages mid-stream, and one the reopen's batch writes
+		var batch []runstore.Record
 		for _, row := range rows {
 			r := rec("e", row, 0, float64(10*session+row))
-			if err := a.Append(r); err != nil {
-				t.Fatal(err)
+			if session == 0 {
+				if err := a.Append(r); err != nil {
+					t.Fatal(err)
+				}
 			}
+			batch = append(batch, r)
 			r.Hash = hashOf(r)
 			acked = append(acked, r)
+		}
+		if session == 1 {
+			if err := a.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := a.Close(); err != nil {
 			t.Fatal(err)

@@ -58,14 +58,12 @@ func Write(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string) 
 			if rec.Hash == "" {
 				rec.Hash = runstore.AssignmentHash(rec.Assignment)
 			}
-			var p pendingEntry
-			if buf, p, err = l.appendRecord(buf, rec, DefaultIndexInterval); err != nil {
+			if buf, _, err = l.appendRecord(buf, rec, DefaultIndexInterval); err != nil {
 				return err
 			}
 			if _, err := w.Write(buf); err != nil {
 				return fmt.Errorf("archivestore: %w", err)
 			}
-			l.add(p)
 			buf = buf[:0]
 		}
 		if _, err := w.Write(l.appendFinish(buf)); err != nil {

@@ -34,8 +34,9 @@
 // for writing; concurrent readers of a finalized archive (OpenReader,
 // Inspect, a closed Archive's Lookup) are safe.
 //
-// Durability contract: Append commits one frame — written and fsynced —
-// before returning, so a crash after a successful Append loses nothing.
+// Durability contract: AppendBatch (Append is a one-record batch) commits
+// — one write, one fsync — before returning, so a crash after a successful
+// call loses nothing and a crash mid-batch leaves a prefix of it.
 // A crash before Close loses only the footer: Open finds no valid
 // trailer and recovers through framelog — every frame replayed, a
 // record's key read from its payload's first three fields and nothing

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/framelog"
 	"repro/internal/runstore"
@@ -81,35 +82,39 @@ type layout struct {
 }
 
 // appendRecord appends to dst what the next record puts in the file —
-// the index page the previous record filled, if it did, then rec's frame
-// — and returns it with the entry rec is indexed under. The layout is
-// unchanged until add is handed that entry, once the bytes are written.
-// Index pages carry the key in fields with u16 length prefixes, so an
-// over-long name is rejected here, dst returned unextended, rather than
+// the index page the previous record filled, if it did, then rec's frame —
+// advances l past them, and returns the entry rec is indexed under. Index
+// pages carry the key in fields with u16 length prefixes, so an over-long
+// name is rejected here, dst and l left as they were, rather than
 // silently wrapped into a corrupt page.
 func (l *layout) appendRecord(dst []byte, rec runstore.Record, interval int) ([]byte, pendingEntry, error) {
 	if len(rec.Experiment) > math.MaxUint16 || len(rec.Hash) > math.MaxUint16 {
 		return dst, pendingEntry{}, fmt.Errorf("archivestore: experiment name (%d bytes) or assignment hash (%d bytes) over the max of %d",
 			len(rec.Experiment), len(rec.Hash), math.MaxUint16)
 	}
-	start := len(dst)
 	if len(l.pending) >= interval {
+		at := len(dst)
 		dst = appendIndexFrame(dst, l.pending)
+		l.pages = append(l.pages, l.end)
+		l.pending = l.pending[:0]
+		l.end += int64(len(dst) - at)
 	}
 	at := len(dst)
 	dst = frames.Seal(runstore.AppendBinary(append(frames.Reserve(dst), blockRecord), rec), at)
-	return dst, pendingEntry{rec.Experiment, rec.Hash, rec.Replicate, entry{off: l.end + int64(at-start), n: int32(len(dst) - at)}}, nil
+	p := pendingEntry{rec.Experiment, rec.Hash, rec.Replicate, entry{off: l.end, n: int32(len(dst) - at)}}
+	l.pending = append(l.pending, p)
+	l.end += int64(p.n)
+	l.appended++
+	return dst, p, nil
 }
 
-// add notes the record appendRecord returned p for as written.
-func (l *layout) add(p pendingEntry) {
-	if p.off > l.end { // an index page went first
-		l.pages = append(l.pages, l.end)
-		l.pending = l.pending[:0]
-	}
-	l.pending = append(l.pending, p)
-	l.end = p.off + int64(p.n)
-	l.appended++
+// fork returns a copy of l with room for n more records and slices of its
+// own, so appendRecord's reuse of pending cannot write over l's entries.
+func (l *layout) fork(n int) layout {
+	c := *l
+	c.pending = append(make([]pendingEntry, 0, len(l.pending)+n), l.pending...)
+	c.pages = slices.Clip(l.pages)
+	return c
 }
 
 // appendFinish appends to dst what finalizes the file: an index page of

@@ -103,8 +103,9 @@ func warehouseRun(t *testing.T, name string) warehouse.Run {
 // the walk's Info strings below are what commit 3cf9d2c printed for the
 // version-1 files. A legacy (version 1 or 2) file is read-only: Append
 // fails, naming the upgrade, and Close leaves it as it was, torn tail
-// included. Then today's writers — the live Archive and the bulk writer —
-// must both still write archive.v3.arch byte for byte.
+// included. Then today's writers — the live Archive, appending one record
+// at a time or the whole sequence as one batch, and the bulk writer — must
+// all still write archive.v3.arch byte for byte.
 func TestGoldenArchives(t *testing.T) {
 	journal := warehouseRun(t, "journal.jsonl") // the same records, as the golden journal holds them
 	if journal.Records != 3 || len(journal.Cells) != 2 {
@@ -223,6 +224,15 @@ func TestGoldenArchives(t *testing.T) {
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if a, err = Open(filepath.Join(dir, "batched.arch")); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AppendBatch(goldenWritten()); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
 		if err := Write(filepath.Join(dir, "bulk.arch"), runstore.Seq(goldenWritten()), ""); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +240,7 @@ func TestGoldenArchives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, written := range []string{"live.arch", "bulk.arch"} {
+		for _, written := range []string{"live.arch", "batched.arch", "bulk.arch"} {
 			if got, _ := os.ReadFile(filepath.Join(dir, written)); !bytes.Equal(got, want) {
 				t.Errorf("%s no longer reproduces archive.v3.arch byte for byte:\n got %q\nwant %q", written, got, want)
 			}

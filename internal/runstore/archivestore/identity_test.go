@@ -60,8 +60,8 @@ func randomRecords(rng *rand.Rand) []runstore.Record {
 }
 
 // TestArchzByteIdentity: the archive is a lossless stop between formats,
-// under either of its extensions. For random records, from a JSON and
-// from a binary journal, Merge(src → x.arch) and Merge(src → x.archz)
+// under either of its extensions. For random records, from a JSON journal
+// and from the binary record file Merge writes of it, Merge(src → x.arch) and Merge(src → x.archz)
 // write the same bytes, and Merge(x → y.jsonl) writes exactly the bytes
 // of Merge(src → y.jsonl); and a warehouse refresh ingests either to
 // src's records and fingerprint, and to the cells — bit for bit — of the
@@ -73,10 +73,14 @@ func TestArchzByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for round := 0; round < 20; round++ {
 		recs := randomRecords(rng)
-		for ext, open := range map[string]func(string) (*runstore.Journal, error){".jsonl": runstore.Open, runstore.BinaryExt: runstore.OpenBinary} {
+		for _, ext := range []string{".jsonl", runstore.BinaryExt} {
 			root := t.TempDir()
 			src := filepath.Join(root, "src"+ext)
-			j, err := open(src)
+			journal := src
+			if ext != ".jsonl" {
+				journal = filepath.Join(t.TempDir(), "src.jsonl") // outside root: the refresh below ingests what root holds
+			}
+			j, err := runstore.Open(journal)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,6 +88,11 @@ func TestArchzByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			j.Close()
+			if journal != src {
+				if _, err := runstore.Merge([]string{journal}, src); err != nil {
+					t.Fatal(err)
+				}
+			}
 			direct := filepath.Join(root, "direct.jsonl")
 			if _, err := runstore.Merge([]string{src}, direct); err != nil {
 				t.Fatal(err)

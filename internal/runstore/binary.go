@@ -17,22 +17,22 @@ import (
 // lockstep with the other and with the version byte baked into
 // BinaryMagic.
 //
-// A binary journal file is framelog's checksummed framing over this
-// payload encoding:
+// A binary record file (.binj) is framelog's checksummed framing over
+// this payload encoding:
 //
 //	"PEVBIN1\n" | ( payload-length u32 | crc32c(payload) u32 | payload )*
 //
-// This file holds only the payload encoder and decoder; the frame
-// walk, the torn-tail rule and the append path are framelog's, bound to
-// this payload by binaryCodec (codec.go).
+// Only Merge and Compact write one. This file holds only the payload
+// encoder and decoder; the frame walk and the torn-tail rule are
+// framelog's, bound to this payload by binaryCodec (codec.go).
 const (
-	// BinaryMagic is the 8-byte header every binary journal starts with.
+	// BinaryMagic is the 8-byte header of every binary record file.
 	// The digit is the format version: an incompatible change to the
 	// frame or payload layout bumps it, so old readers reject new files
 	// instead of misparsing them.
 	BinaryMagic = "PEVBIN1\n"
-	// BinaryExt is the binary journal's file extension. A Merge or
-	// Compact destination carrying it is written in the binary format.
+	// BinaryExt is the binary record file's extension. A Merge or Compact
+	// destination carrying it is written in the binary format.
 	BinaryExt = ".binj"
 
 	// maxBinaryPayload bounds a frame payload so a corrupt length field
@@ -47,9 +47,9 @@ const (
 )
 
 // AppendBinary appends rec's binary payload encoding to dst and returns
-// the extended buffer: the payload of a binary journal frame and of an
-// archive's binary record block. Map keys are emitted in sorted order,
-// so the encoding is deterministic: two equal records encode to equal
+// the extended buffer: the payload of a .binj or binary wire frame and of
+// an archive's record block. Map keys are emitted in sorted order, so the
+// encoding is deterministic: two equal records encode to equal
 // bytes, which is what the merge byte-identity property rests on.
 func AppendBinary(dst []byte, rec Record) []byte {
 	dst = appendBinaryString(dst, rec.Experiment)

@@ -66,110 +66,114 @@ func TestBinaryRecordDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestBinaryJournalReopen appends through the store, reopens, and
-// checks the indexed view and replicate counts survive byte-exactly.
-func TestBinaryJournalReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.binj")
-	j, err := OpenBinary(path)
+// binaryImage is a binary record file holding recs frame by frame, in
+// order and superseded ones included: the magic, then the frames
+// EncodeBatchBinary makes for them. Merge writes a .binj only compact and
+// in canonical order; a test that needs a superseded or an out-of-order
+// frame builds the file from this.
+func binaryImage(t testing.TB, recs []Record) []byte {
+	t.Helper()
+	b, err := binaryCodec.encodeBatch([]byte(BinaryMagic), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range codecCases() {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	return b.Bytes()
+}
+
+// writeBinary writes binaryImage(recs) to path.
+func writeBinary(t testing.TB, path string, recs []Record) {
+	t.Helper()
+	if err := os.WriteFile(path, binaryImage(t, recs), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	j2, err := OpenBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Torn() {
-		t.Error("clean reopen reported torn")
-	}
-	if j2.Len() != len(codecCases()) {
-		t.Fatalf("reopened Len = %d, want %d", j2.Len(), len(codecCases()))
-	}
-	for _, want := range codecCases() {
-		got, ok := j2.Lookup(want.Experiment, want.Hash, want.Replicate)
-		if !ok {
-			t.Fatalf("lookup %s missing after reopen", want.Key())
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("reopen mismatch:\n got %#v\nwant %#v", got, want)
-		}
 	}
 }
 
-// TestBinaryJournalTornTail simulates crashes at every byte boundary of
-// a trailing append: the reopened journal must keep the two complete
-// records, report Torn, and accept further appends.
-func TestBinaryJournalTornTail(t *testing.T) {
+// TestBinaryJournalReopen: a binary record file reads back byte-exactly.
+// Merge writes the codec's edge cases from a JSONL journal into a .binj;
+// ScanFile and Inspect serve them unchanged, and the file holds exactly
+// the frames today's binary encoder makes for the records in Merge's
+// canonical order.
+func TestBinaryJournalReopen(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "base.binj")
-	j, err := OpenBinary(base)
+	j, err := Open(filepath.Join(dir, "run.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := j.AppendBatch(codecCases()); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	path := filepath.Join(dir, "run.binj")
+	if _, err := Merge([]string{j.Path()}, path); err != nil {
+		t.Fatal(err)
+	}
+	info, err := Inspect(path)
+	if err != nil || info.Torn || info.Records != len(codecCases()) || info.Distinct != len(codecCases()) {
+		t.Fatalf("Inspect = %+v, %v", info, err)
+	}
+	got, err := Collect(ScanFile(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := codecCases()
+	byKey := make(map[string]Record, len(want))
+	for _, rec := range want {
+		byKey[rec.Key()] = rec
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ScanFile served %d record(s), want %d", len(got), len(want))
+	}
+	for _, rec := range got {
+		if w := byKey[rec.Key()]; !reflect.DeepEqual(rec, w) {
+			t.Errorf("read back mismatch:\n got %#v\nwant %#v", rec, w)
+		}
+		if rec.Key() == want[2].Key() && !math.Signbit(rec.Responses["negzero"]) {
+			t.Errorf("-0 not preserved: %+v", rec.Responses)
+		}
+	}
+	if data, _ := os.ReadFile(path); !bytes.Equal(data, binaryImage(t, got)) {
+		t.Error("Merge's .binj is not the binary encoder's frames for its records")
+	}
+}
+
+// TestBinaryJournalTornTail simulates crashes at every byte boundary of a
+// binary record file's last frame: every reader — ScanFile, Inspect, and
+// Merge reading it as a source — keeps the two complete records and
+// reports the torn tail, and none of them touches the file. The archive,
+// the writable binary store, holds its recovery to the same rule
+// (archivestore's TestCutAtEveryByte and TestTornRecordReappends).
+func TestBinaryJournalTornTail(t *testing.T) {
+	dir := t.TempDir()
 	recs := []Record{
 		{Experiment: "e", Row: 0, Replicate: 0, Assignment: map[string]string{"a": "1"}, Responses: map[string]float64{"ms": 1}},
 		{Experiment: "e", Row: 1, Replicate: 0, Assignment: map[string]string{"a": "2"}, Responses: map[string]float64{"ms": 2}},
 		{Experiment: "e", Row: 2, Replicate: 0, Assignment: map[string]string{"a": "3"}, Responses: map[string]float64{"ms": 3}},
 	}
-	for _, rec := range recs {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	for i := range recs {
+		recs[i].Hash = AssignmentHash(recs[i].Assignment)
 	}
-	j.Close()
-	full, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the third frame's start: scan two frames past the magic.
-	r, err := OpenSource(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int64
-	for e, err := range r.Entries() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		offs = append(offs, e.Ext.Off)
-	}
-	r.Close()
-	if len(offs) != 3 {
-		t.Fatalf("scanned %d entries, want 3", len(offs))
-	}
-	for cut := offs[2] + 1; cut < int64(len(full)); cut++ {
-		path := filepath.Join(dir, "torn.binj")
+	full := binaryImage(t, recs)
+	clean := binaryImage(t, recs[:2])
+	path := filepath.Join(dir, "torn.binj")
+	for cut := len(clean) + 1; cut < len(full); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := OpenBinary(path)
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
+		if got, err := Collect(ScanFile(path)); err != nil || !reflect.DeepEqual(got, recs[:2]) {
+			t.Errorf("cut at %d: ScanFile = %+v, %v; want the two complete records", cut, got, err)
 		}
-		if !j.Torn() {
-			t.Errorf("cut at %d: torn not reported", cut)
+		if info, err := Inspect(path); err != nil || !info.Torn || info.Records != 2 {
+			t.Errorf("cut at %d: Inspect = %+v, %v; want two records and a torn tail", cut, info, err)
 		}
-		if j.Len() != 2 {
-			t.Errorf("cut at %d: kept %d records, want 2", cut, j.Len())
+		merged := filepath.Join(dir, "merged.binj")
+		if _, err := Merge([]string{path}, merged); err != nil {
+			t.Fatalf("cut at %d: Merge: %v", cut, err)
 		}
-		if err := j.Append(recs[2]); err != nil {
-			t.Errorf("cut at %d: append after recovery: %v", cut, err)
+		if got, _ := os.ReadFile(merged); !bytes.Equal(got, clean) {
+			t.Errorf("cut at %d: Merge wrote %d byte(s), want the %d of the complete records", cut, len(got), len(clean))
 		}
-		j.Close()
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(full) {
-			t.Errorf("cut at %d: re-appended journal differs from original", cut)
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, full[:cut]) {
+			t.Fatalf("cut at %d: a reader modified the torn file", cut)
 		}
 	}
 }
@@ -177,76 +181,68 @@ func TestBinaryJournalTornTail(t *testing.T) {
 // TestBinaryJournalZeroFilledTail: zero bytes after the last frame — what
 // a file the filesystem had extended reads back as when a crash kept the
 // data from being written — are a torn tail, not an empty frame that
-// fails to decode: LoadRecords reads the record before them, and
-// OpenBinary truncates them away.
+// fails to decode: LoadRecords and Inspect read the record before them,
+// and Compact writes the file without them. archivestore's
+// TestZeroFilledTailIsTorn holds the archive's recovery to the same rule.
 func TestBinaryJournalZeroFilledTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.binj")
-	j, err := OpenBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(Record{Experiment: "e", Assignment: map[string]string{"a": "1"}, Responses: map[string]float64{"ms": 1}}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(clean, make([]byte, 4096)...), 0o644); err != nil {
+	clean := binaryImage(t, []Record{{Experiment: "e", Assignment: map[string]string{"a": "1"}, Responses: map[string]float64{"ms": 1}}})
+	if err := os.WriteFile(path, append(bytes.Clone(clean), make([]byte, 4096)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err := LoadRecords(path); err != nil || len(recs) != 1 {
 		t.Fatalf("LoadRecords = %d record(s), %v; want the one before the zeros", len(recs), err)
 	}
-	if j, err = OpenBinary(path); err != nil {
+	if info, err := Inspect(path); err != nil || !info.Torn || info.Records != 1 {
+		t.Errorf("Inspect = %+v, %v; want one record and a torn tail", info, err)
+	}
+	if _, err := Compact(path, ""); err != nil {
 		t.Fatal(err)
 	}
-	if !j.Torn() || j.Len() != 1 {
-		t.Errorf("OpenBinary: torn %v, %d record(s); want torn, 1", j.Torn(), j.Len())
-	}
-	j.Close()
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, clean) {
-		t.Errorf("OpenBinary left %d byte(s), want the %d before the zeros", len(got), len(clean))
+		t.Errorf("Compact left %d byte(s), want the %d before the zeros", len(got), len(clean))
 	}
 }
 
-// TestBinaryJournalRejectsForeignFile checks that a JSONL journal (or
-// arbitrary bytes) does not open as a binary journal.
+// TestBinaryJournalRejectsForeignFile checks that a JSONL journal does not
+// read as a binary record file because of its name: the readers sniff the
+// content, so a .binj holding JSON lines reads as the journal it is, and
+// a .binj whose frames follow a broken magic is not read as binary frames.
 func TestBinaryJournalRejectsForeignFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.binj")
-	if err := os.WriteFile(path, []byte(`{"experiment":"e","replicate":0}`+"\n"), 0o644); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.binj")
+	line := `{"experiment":"e","replicate":0,"hash":"h"}`
+	if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBinary(path); err == nil {
-		t.Fatal("OpenBinary accepted a JSONL file")
+	if got, err := LoadRecords(path); err != nil || len(got) != 1 || got[0].Hash != "h" {
+		t.Fatalf("LoadRecords of JSON lines named .binj = %+v, %v", got, err)
+	}
+	if info, err := Inspect(path); err != nil || info.Detail == binaryCodec.detail {
+		t.Errorf("Inspect of JSON lines named .binj = %+v, %v; want the journal's shape", info, err)
+	}
+	image := binaryImage(t, codecCases())
+	image[0] ^= 0xff
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadRecords(path); err == nil && len(got) > 0 {
+		t.Errorf("LoadRecords read %d record(s) out of frames behind a broken magic", len(got))
 	}
 }
 
-// TestBinaryFormatSeams drives the binary journal through every
+// TestBinaryFormatSeams drives a binary record file through every
 // registry seam: ScanFile, Inspect, Merge to and from .binj, Compact in
 // place, and the binary → JSON → binary convert round trip, which must
 // be record-identical.
 func TestBinaryFormatSeams(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "run.binj")
-	j, err := OpenBinary(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := codecCases()
-	for _, rec := range cases {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Supersede one key so merge/compact have work to do.
 	dup := cases[2]
 	dup.Responses = map[string]float64{"ms": 9.5}
-	if err := j.Append(dup); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	writeBinary(t, bin, append(cases[:len(cases):len(cases)], dup))
 
 	want, err := LoadRecords(bin)
 	if err != nil {

@@ -185,7 +185,7 @@ func (c *codec) format() Format {
 // is consulted last).
 var journalFormat = jsonCodec.format()
 
-// The binary journal registers as a Format so Merge, Compact,
+// The binary record file registers as a Format so Merge, Compact,
 // LoadRecords, ScanFile, and Inspect transparently read .binj sources
 // (dispatched by content sniffing) and write .binj destinations
 // (dispatched by extension) — the same seam the archive uses.

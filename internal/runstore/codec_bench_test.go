@@ -94,8 +94,8 @@ func BenchmarkEncodeBinary(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "records/op")
 }
 
-// The Scan pair measures the read half: open a 10^5-record store and
-// decode every record through the public Scan sequence.
+// The Scan benchmarks measure the read half: open a 10^5-record journal
+// and decode every record through the public Scan sequence.
 
 type scanCloser interface {
 	Scan() iter.Seq2[Record, error]
@@ -144,34 +144,12 @@ func BenchmarkScanJSONEscaped(b *testing.B) {
 	benchScan(b, path, func(p string) (scanCloser, error) { return Open(p) })
 }
 
-func BenchmarkScanBinary(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "scan.binj")
-	writeBulkBinary(b, path, "bench-scan", 50_000, 2, strings.Repeat("x", 64))
-	benchScan(b, path, func(p string) (scanCloser, error) { return OpenBinary(p) })
-}
-
-// The Append pair measures the live per-record append, fsync included —
-// both formats pay the same sync, so the delta here is the encode work
-// alone; the bulk-write delta shows up in the Merge pair below.
+// BenchmarkAppendJSON measures the live per-record append, fsync
+// included; the encode work of both formats shows up in the Merge pair
+// below.
 
 func BenchmarkAppendJSON(b *testing.B) {
 	j, err := Open(filepath.Join(b.TempDir(), "append.jsonl"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
-	recs := benchCodecRecords(b, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.Append(recs[i%len(recs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAppendBinary(b *testing.B) {
-	j, err := OpenBinary(filepath.Join(b.TempDir(), "append.binj"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,44 +220,31 @@ func BenchmarkMergeJSON(b *testing.B)   { benchMerge(b, ".jsonl", writeBulkJourn
 func BenchmarkMergeBinary(b *testing.B) { benchMerge(b, BinaryExt, writeBulkBinary) }
 
 // TestBulkBinaryMatchesAppend pins the writeBulkBinary helper to the
-// real append path: the bytes it fabricates must be exactly what
-// a binary Journal's Append produces, or every binary benchmark above would
-// measure a fiction.
+// writer of binary record files: the bytes it fabricates must be exactly
+// what Merge writes into a .binj for the same records read from
+// writeBulkJournal's journal — both helpers list them in Merge's
+// canonical order — or every binary benchmark above would measure a
+// fiction.
 func TestBulkBinaryMatchesAppend(t *testing.T) {
 	dir := t.TempDir()
 	bulk := filepath.Join(dir, "bulk.binj")
 	writeBulkBinary(t, bulk, "pin", 3, 2, "x")
-	appended := filepath.Join(dir, "appended.binj")
-	j, err := OpenBinary(appended)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < 3; row++ {
-		a := map[string]string{"cell": fmt.Sprintf("c%06d", row), "pad": "x"}
-		hash := AssignmentHash(a)
-		for rep := 0; rep < 2; rep++ {
-			if err := j.Append(Record{
-				Experiment: "pin", Row: row, Replicate: rep, Hash: hash,
-				Assignment: a,
-				Responses:  map[string]float64{"ms": float64(row) + float64(rep)/10},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := j.Close(); err != nil {
+	journal := filepath.Join(dir, "bulk.jsonl")
+	writeBulkJournal(t, journal, "pin", 3, 2, "x")
+	merged := filepath.Join(dir, "merged.binj")
+	if _, err := Merge([]string{journal}, merged); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(bulk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := os.ReadFile(appended)
+	bb, err := os.ReadFile(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, bb) {
-		t.Fatal("writeBulkBinary bytes differ from a binary Journal's Append bytes")
+		t.Fatal("writeBulkBinary bytes differ from the .binj Merge writes")
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package runstore persists experiment execution: the Store interface
 // the scheduler (internal/sched) executes against, its reference
-// implementation — Journal, an append-only run journal keyed by
-// (experiment, assignment-hash, replicate), in a JSONL or a binary
-// encoding — plus a baseline store, a
+// implementation — Journal, an append-only JSONL run journal keyed by
+// (experiment, assignment-hash, replicate) — plus a baseline store, a
 // CI-shift regression gate, journal compaction, canonical-order merging,
 // and format-aware inspection. Sibling packages provide the scale-out
 // backends behind the same interface: shardstore (a sharded directory of
 // journals for disjoint workers) and archivestore (a single-file
-// block-indexed archive for million-run warm starts).
+// block-indexed archive for million-run warm starts, and the one writable
+// binary store: only Merge and Compact write a .binj).
 //
 // The journal is the durability substrate of the scheduler: a unit of
 // work counts as completed only once the append covering it has
@@ -16,8 +16,8 @@
 // the paper's repeatability chapter applied to the experiment harness
 // itself. The file is an internal/framelog log — which owns open, scan,
 // torn-tail recovery and the durable, fail-stop append — and a Journal
-// adds only its codec (JSON object per line, or checksummed binary
-// frame) and the in-memory last-wins index. Both record codecs live
+// adds only its codec (a JSON object per line) and the in-memory
+// last-wins index. Both record codecs live
 // here: json.go writes and parses a record's canonical JSON document
 // (AppendJSON, DecodeJSON — also the archive's block payload and the
 // NDJSON wire), binary.go the binary payload. Each reads a stored

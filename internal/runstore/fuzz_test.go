@@ -84,18 +84,21 @@ func FuzzJournalParse(f *testing.F) {
 	})
 }
 
-// FuzzBinaryDecode is FuzzJournalParse's twin for the binary journal:
-// arbitrary bytes go through the frame decoder and the file opener.
-// The properties under test:
+// FuzzBinaryDecode is FuzzJournalParse's twin for binary record files:
+// arbitrary bytes go through the frame decoder and every reader of a
+// .binj. The properties under test:
 //
 //  1. decodeBinaryRecord never panics — it decodes or errors, whatever
 //     the payload bytes are — and, being a projection of walkBinary, it
 //     and the field pass agree with the decoder that was there before
 //     the walk (checkBinaryWalk).
-//  2. OpenBinary never panics on arbitrary frame data after the magic;
-//     when it succeeds, the journal stays writable and every record it
-//     served survives an append + reopen round trip — the same
-//     durability claim the JSONL fuzz pins.
+//  2. OpenSource, ScanFile and Inspect never panic on arbitrary frame
+//     data after the magic, never modify the file, and agree: the source's
+//     entry pass, ScanFile and Inspect fail together, and when they
+//     succeed ScanFile serves Inspect's distinct count, and every record
+//     it served survives Merge's rewrite into a fresh .binj — the
+//     durability claim the JSONL fuzz pins, for the one writer binary
+//     record files have.
 func FuzzBinaryDecode(f *testing.F) {
 	valid := appendRecordFrame(nil, Record{
 		Experiment: "e", Row: 0, Replicate: 0, Hash: "00000000000000aa",
@@ -133,42 +136,53 @@ func FuzzBinaryDecode(f *testing.F) {
 		}
 		checkBinaryWalk(t, data)
 
-		path := filepath.Join(t.TempDir(), "fuzz.binj")
-		if err := os.WriteFile(path, append([]byte(BinaryMagic), data...), 0o644); err != nil {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.binj")
+		image := append([]byte(BinaryMagic), data...)
+		if err := os.WriteFile(path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := OpenBinary(path)
+		r, err := OpenSource(path)
 		if err != nil {
+			t.Fatalf("OpenSource of a file with the binary magic: %v", err)
+		}
+		var entryErr error
+		for _, err := range r.Entries() {
+			entryErr = err
+		}
+		r.Close()
+		info, inspectErr := Inspect(path)
+		recs, scanErr := Collect(ScanFile(path))
+		if (entryErr == nil) != (inspectErr == nil) || (inspectErr == nil) != (scanErr == nil) {
+			t.Fatalf("readers disagree: entries %v, Inspect %v, ScanFile %v", entryErr, inspectErr, scanErr)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, image) {
+			t.Fatal("a reader modified the file")
+		}
+		if scanErr != nil {
 			return // rejected (undecodable checksummed frame); rejecting is fine, panicking is not
 		}
-		recs, err := Collect(j.Scan())
-		if err != nil {
-			t.Fatalf("scan of reopened binary journal failed: %v", err)
-		}
-		extra := Record{
-			Experiment: "fuzz-extra",
-			Replicate:  0,
-			Assignment: map[string]string{"f": "x"},
-			Responses:  map[string]float64{"v": 1},
-		}
-		extraKey := Key(extra.Experiment, AssignmentHash(extra.Assignment), extra.Replicate)
-		if err := j.Append(extra); err != nil {
-			t.Fatalf("append to reopened binary journal failed: %v", err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatalf("close failed: %v", err)
+		if info.Distinct != len(recs) {
+			t.Fatalf("Inspect counts %d distinct record(s), ScanFile serves %d", info.Distinct, len(recs))
 		}
 
-		j2, err := OpenBinary(path)
-		if err != nil {
-			t.Fatalf("binary journal unreadable after append: %v", err)
+		merged := filepath.Join(dir, "merged.binj")
+		if _, err := Merge([]string{path}, merged); err != nil {
+			t.Fatalf("Merge of a readable binary record file: %v", err)
 		}
-		defer j2.Close()
+		again, err := Collect(ScanFile(merged))
+		if err != nil {
+			t.Fatalf("the merged binary record file is unreadable: %v", err)
+		}
+		byKey := make(map[string]Record, len(again))
+		for _, rec := range again {
+			byKey[rec.Key()] = rec
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("Merge kept %d of %d record(s)", len(again), len(recs))
+		}
 		for _, rec := range recs {
-			if rec.Key() == extraKey {
-				continue // the fuzz input happened to collide with the probe record
-			}
-			got, ok := j2.Lookup(rec.Experiment, rec.Hash, rec.Replicate)
+			got, ok := byKey[rec.Key()]
 			if !ok {
 				t.Fatalf("record %s lost in round trip", rec.Key())
 			}
@@ -176,9 +190,6 @@ func FuzzBinaryDecode(f *testing.F) {
 				t.Fatalf("record %s responses changed in round trip: %v -> %v",
 					rec.Key(), rec.Responses, got.Responses)
 			}
-		}
-		if _, ok := j2.Lookup(extra.Experiment, AssignmentHash(extra.Assignment), 0); !ok {
-			t.Fatal("appended record lost after reopen")
 		}
 	})
 }

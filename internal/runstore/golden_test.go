@@ -38,15 +38,6 @@ func goldenServed() []Record {
 	return out
 }
 
-// goldenStore is what the test needs of a journal, whichever
-// constructor opened it.
-type goldenStore interface {
-	Store
-	BatchAppender
-	Len() int
-	Torn() bool
-}
-
 func copyGolden(t *testing.T, name string) (path string, data []byte) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(goldenDir, name))
@@ -61,20 +52,6 @@ func copyGolden(t *testing.T, name string) (path string, data []byte) {
 }
 
 func TestGoldenJournals(t *testing.T) {
-	openJSON := func(path string) (goldenStore, error) {
-		j, err := Open(path)
-		if err != nil {
-			return nil, err
-		}
-		return j, nil
-	}
-	openBinary := func(path string) (goldenStore, error) {
-		j, err := OpenBinary(path)
-		if err != nil {
-			return nil, err
-		}
-		return j, nil
-	}
 	// The hand-edited journal: a line without a hash, a blank line, and
 	// a decodable final line nobody terminated. Read-only tooling keys
 	// the first record by the hash Append would have derived.
@@ -85,19 +62,21 @@ func TestGoldenJournals(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		file   string
-		open   func(string) (goldenStore, error)
 		served []Record
 		torn   bool
-		// clean names the golden file that open must repair the copy
-		// to and that re-appending goldenWritten must reproduce; "" for
-		// the hand-edited file, which open only terminates.
+		// clean names the golden file that Open must repair the copy to
+		// and that re-appending goldenWritten must reproduce; "" for the
+		// hand-edited file, which Open only terminates. A binary record
+		// file is read-only: today's binary encoder must reproduce clean
+		// from goldenWritten, and Merge must read the file as the records
+		// of the golden journal.
 		clean string
 	}{
-		{"journal.jsonl", openJSON, goldenServed(), false, "journal.jsonl"},
-		{"journal.torn.jsonl", openJSON, goldenServed(), true, "journal.jsonl"},
-		{"journal.handedited.jsonl", openJSON, handEdited, false, ""},
-		{"journal.binj", openBinary, goldenServed(), false, "journal.binj"},
-		{"journal.torn.binj", openBinary, goldenServed(), true, "journal.binj"},
+		{"journal.jsonl", goldenServed(), false, "journal.jsonl"},
+		{"journal.torn.jsonl", goldenServed(), true, "journal.jsonl"},
+		{"journal.handedited.jsonl", handEdited, false, ""},
+		{"journal.binj", goldenServed(), false, "journal.binj"},
+		{"journal.torn.binj", goldenServed(), true, "journal.binj"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			path, original := copyGolden(t, tc.file)
@@ -118,7 +97,33 @@ func TestGoldenJournals(t *testing.T) {
 				t.Fatal("read-only tooling modified the file")
 			}
 
-			j, err := tc.open(path)
+			if filepath.Ext(tc.file) == BinaryExt {
+				want, err := os.ReadFile(filepath.Join(goldenDir, tc.clean))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := binaryImage(t, goldenWritten()); !bytes.Equal(got, want) {
+					t.Errorf("today's binary encoder no longer reproduces %s byte for byte:\n got %q\nwant %q", tc.clean, got, want)
+				}
+				dir := t.TempDir()
+				fromBinary, fromJournal := filepath.Join(dir, "binary.binj"), filepath.Join(dir, "journal.binj")
+				if _, err := Merge([]string{path}, fromBinary); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Merge([]string{filepath.Join(goldenDir, "journal.jsonl")}, fromJournal); err != nil {
+					t.Fatal(err)
+				}
+				got, _ := os.ReadFile(fromBinary)
+				if want, _ := os.ReadFile(fromJournal); !bytes.Equal(got, want) {
+					t.Errorf("Merge of %s wrote\n%q\nMerge of journal.jsonl\n%q", tc.file, got, want)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(after, original) {
+					t.Fatal("Merge modified its source")
+				}
+				return
+			}
+
+			j, err := Open(path)
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -151,7 +156,7 @@ func TestGoldenJournals(t *testing.T) {
 
 			if tc.clean != "" {
 				freshPath := filepath.Join(t.TempDir(), "fresh")
-				fresh, err := tc.open(freshPath)
+				fresh, err := Open(freshPath)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +185,7 @@ func TestGoldenJournals(t *testing.T) {
 				t.Fatalf("append to the opened golden file: %v", err)
 			}
 			j.Close()
-			again, err := tc.open(path)
+			again, err := Open(path)
 			if err != nil {
 				t.Fatalf("reopen after append: %v", err)
 			}

@@ -97,12 +97,10 @@ func fnvAssignment(h uint64, a map[string]string) uint64 {
 }
 
 // Journal is an append-only run store with an in-memory last-wins
-// index: one framelog file whose records are encoded by a codec — JSON
-// lines (Open) or checksummed binary frames (OpenBinary). Every method is
-// safe for concurrent use.
+// index: one framelog file of JSON lines. Every method is safe for
+// concurrent use.
 type Journal struct {
 	log   *framelog.Log
-	codec *codec
 	mu    sync.Mutex // guards recs and order; taken inside the log's lock
 	recs  map[string]Record
 	order []string // keys in file order, for deterministic Scan order
@@ -113,17 +111,9 @@ type Journal struct {
 // truncated; a corrupt line anywhere else is an error, because silently
 // skipping complete records would turn resume into silent re-execution
 // (the recovery rule is framelog's, shared by every log in the repo).
-func Open(path string) (*Journal, error) { return open(path, jsonCodec) }
-
-// OpenBinary is Open for the binary encoding (docs/FORMAT.md §4): the
-// same store over length-prefixed checksummed frames. A file that is
-// not a binary journal is an error. Runs open binary journals through
-// OpenBinaryDir; the runstore and warehouse tests open a file directly.
-func OpenBinary(path string) (*Journal, error) { return open(path, binaryCodec) }
-
-func open(path string, c *codec) (*Journal, error) {
-	j := &Journal{codec: c, recs: make(map[string]Record)}
-	log, err := framelog.Open(path, c.framing, c.visit(func(rec Record, _ Extent) error {
+func Open(path string) (*Journal, error) {
+	j := &Journal{recs: make(map[string]Record)}
+	log, err := framelog.Open(path, jsonCodec.framing, jsonCodec.visit(func(rec Record, _ Extent) error {
 		j.index(rec)
 		return nil
 	}))
@@ -137,20 +127,10 @@ func open(path string, c *codec) (*Journal, error) {
 // OpenDir opens the JSONL journal for one experiment under dir, creating
 // the directory as needed. The file is <dir>/<sanitized-experiment>.jsonl.
 func OpenDir(dir, experiment string) (*Journal, error) {
-	return openDir(dir, experiment, jsonCodec)
-}
-
-// OpenBinaryDir is OpenDir for the binary encoding; the file is
-// <dir>/<sanitized-experiment>.binj.
-func OpenBinaryDir(dir, experiment string) (*Journal, error) {
-	return openDir(dir, experiment, binaryCodec)
-}
-
-func openDir(dir, experiment string, c *codec) (*Journal, error) {
 	if experiment == "" {
 		return nil, fmt.Errorf("runstore: experiment name required")
 	}
-	return open(filepath.Join(dir, SanitizeName(experiment)+c.ext), c)
+	return Open(filepath.Join(dir, SanitizeName(experiment)+jsonCodec.ext))
 }
 
 // SanitizeName maps an experiment name to a filesystem-safe file stem.
@@ -281,16 +261,16 @@ func (j *Journal) Append(rec Record) error {
 	}
 	bufp := frameBufPool.Get().(*[]byte)
 	defer putFrameBuf(bufp)
-	if *bufp, err = j.codec.appendFrame(*bufp, rec); err != nil {
+	if *bufp, err = jsonCodec.appendFrame(*bufp, rec); err != nil {
 		return err
 	}
 	return j.commit(*bufp, rec)
 }
 
 // EncodedBatch is a batch of records validated, canonicalised and
-// encoded once, in one codec: the sealed frames a Journal of that codec
-// persists (CommitBatch) and, for the same bytes, the body of a wire
-// stream in that framing. A holder with two destinations — the collector
+// encoded once, in one codec: the body of a wire stream in that framing
+// and, for a batch in the JSON line framing, the lines a Journal persists
+// (CommitBatch). A holder with two destinations — the collector
 // worker's spool and its ingest POST — makes the bytes once for both.
 // It is immutable once built.
 type EncodedBatch struct {
@@ -356,7 +336,7 @@ func (j *Journal) AppendBatch(recs []Record) error {
 	}
 	bufp := frameBufPool.Get().(*[]byte)
 	defer putFrameBuf(bufp)
-	b, err := j.codec.encodeBatch(*bufp, recs)
+	b, err := jsonCodec.encodeBatch(*bufp, recs)
 	if err != nil {
 		return err
 	}
@@ -365,15 +345,15 @@ func (j *Journal) AppendBatch(recs []Record) error {
 }
 
 // CommitBatch persists and indexes a batch encoded elsewhere, with one
-// Write and one Sync. A batch in another codec than the journal's is
-// refused before a byte is written: its frames would be garbage in this
-// file. A crash mid-write leaves a prefix of the batch's records and at
+// Write and one Sync. A batch in the binary framing is refused before a
+// byte is written: its frames would be garbage in this file. A crash
+// mid-write leaves a prefix of the batch's records and at
 // most one torn one, exactly as Append does, and Open recovers the
 // intact prefix. A failed Write or Sync indexes nothing from the batch
 // and poisons the journal. An empty batch is a no-op.
 func (j *Journal) CommitBatch(b *EncodedBatch) error {
-	if b.codec != j.codec {
-		return fmt.Errorf("runstore: %s: a %s batch cannot be committed to a %s journal", j.log.Path(), b.codec.name, j.codec.name)
+	if b.codec != jsonCodec {
+		return fmt.Errorf("runstore: %s: a %s batch cannot be committed to a journal", j.log.Path(), b.codec.name)
 	}
 	if len(b.recs) == 0 {
 		return nil

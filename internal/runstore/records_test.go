@@ -77,16 +77,7 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	binj := filepath.Join(dir, "run.binj")
-	j, err := OpenBinary(binj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
+	writeBinary(t, binj, recs)
 	st, _ := os.Stat(binj)
 	if err := os.Truncate(binj, st.Size()-3); err != nil {
 		t.Fatal(err)
@@ -155,14 +146,19 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 func TestScanFileReadsAheadInAnyOrder(t *testing.T) {
 	t.Parallel()
 	for _, open := range []struct {
-		ext  string
-		open func(string) (*Journal, error)
-	}{{".jsonl", Open}, {BinaryExt, OpenBinary}} {
-		path := filepath.Join(t.TempDir(), "run"+open.ext)
-		j, err := open.open(path)
+		ext   string
+		write func(path string, recs []Record)
+	}{{".jsonl", func(path string, recs []Record) {
+		j, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := j.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+	}}, {BinaryExt, func(path string, recs []Record) { writeBinary(t, path, recs) }}} {
+		path := filepath.Join(t.TempDir(), "run"+open.ext)
 		mk := func(i int, v float64) Record {
 			return rec("e", i, 0, map[string]string{"f": fmt.Sprintf("level-%04d-%s", i, strings.Repeat("x", 150))}, map[string]float64{"ms": v})
 		}
@@ -174,10 +170,7 @@ func TestScanFileReadsAheadInAnyOrder(t *testing.T) {
 		for i := 40; i >= 0; i -= 4 { // supersede early keys, last first
 			batch = append(batch, mk(i, -float64(i)))
 		}
-		if err := j.AppendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		j.Close()
+		open.write(path, batch)
 		if st, _ := os.Stat(path); st.Size() < 3*readAhead {
 			t.Fatalf("fixture is %d bytes, want several read-ahead windows", st.Size())
 		}

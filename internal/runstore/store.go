@@ -9,10 +9,10 @@ import (
 // executes against: lookup and warm-start reads, durable appends, and a
 // deterministic streaming view of every record. *Journal — the
 // single-file JSONL backend — is the reference implementation;
-// shardstore (a sharded directory of journals) is the scale-out one and
-// archivestore (a block-indexed single file) the million-run one. Future
-// backends (a remote-worker collector feed) plug in behind the same five
-// methods without touching the scheduler.
+// shardstore (a sharded directory of journals) is the scale-out one,
+// archivestore (a block-indexed single file) the million-run one, and the
+// collector worker's remote store the one that streams to a daemon; each
+// plugs in behind the same five methods without touching the scheduler.
 //
 // The scheduler treats a unit as complete only when the Append — or the
 // AppendBatch, for a store that is also a BatchAppender — covering it
@@ -60,9 +60,9 @@ type Store interface {
 // records durable at once (one Write and one Sync for the journals)
 // implements it, and the scheduler's persist stage (internal/sched) then
 // commits finished units in batches instead of one by one; a store
-// without it is appended to record by record, exactly as before. The
-// journal, the binary journal, the shard store and the collector
-// worker's remote store implement it.
+// without it is appended to record by record. Every shipped store — the
+// journal, the archive, the shard store, the collector worker's remote
+// store — implements it.
 //
 // AppendBatch validates every record before it writes a byte, so a batch
 // holding one invalid record leaves nothing behind; it is durable before

@@ -12,7 +12,7 @@ import "io"
 // sender retrying, not the receiver guessing.
 //
 // The binary encoding follows the same design: a binary wire stream is
-// the binary journal's frame sequence without the leading magic (the
+// a binary record file's frame sequence without the leading magic (the
 // Content-Type identifies the framing; a magic would be redundant and
 // would break stream concatenation). Negotiation is by media type —
 // WireJSONType vs WireBinaryType — with JSON the default and the
@@ -49,14 +49,14 @@ func DecodeWire(r io.Reader, fn func(Record) error) (int, error) {
 }
 
 // EncodeWireBinary is EncodeWire for the binary framing: one
-// length-prefixed checksummed frame, the exact bytes a binary Journal's
-// Append would persist, encoded through the pooled buffer so the binary
-// ingest hot path allocates nothing per record.
+// length-prefixed checksummed frame, the exact bytes of the record's frame
+// in a binary record file (.binj), encoded through the pooled buffer so
+// the binary ingest hot path allocates nothing per record.
 func EncodeWireBinary(w io.Writer, rec Record) error { return binaryCodec.encodeWire(w, rec) }
 
 // DecodeWireBinary is DecodeWire for the binary framing. As on the JSON
 // wire, a torn trailing frame is an error — the sender was cut off
-// mid-record — and so is any frame a journal open would refuse.
+// mid-record — and so is any frame a .binj reader would refuse.
 func DecodeWireBinary(r io.Reader, fn func(Record) error) (int, error) {
 	return binaryCodec.decodeWire(r, fn)
 }

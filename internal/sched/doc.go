@@ -67,9 +67,9 @@
 // AppendBatch are durable before they return. A finished unit goes
 // through one persist stage:
 //
-//   - A store with a batch side (runstore.BatchAppender: both journals,
-//     the shard store, the collector worker's remote store) gets group
-//     commit. Workers hand each finished unit to one committer goroutine
+//   - A store with a batch side (runstore.BatchAppender: the journal,
+//     the archive, the shard store, the collector worker's remote store)
+//     gets group commit. Workers hand each finished unit to one committer goroutine
 //     per Execute over a bounded FIFO (MaxBatch units, a constant sized
 //     for the collector worker's round trip, and never more than the
 //     Execute dispatches at its start) and start their next unit without
@@ -80,7 +80,8 @@
 //     still commits every unit alone and immediately, and a faster one
 //     pays one commit per batch instead of one per record.
 //   - Any other store — a third-party five-method wrapper — is appended
-//     to from the worker, one record at a time.
+//     to from the worker, one record at a time. No shipped store takes
+//     this path: every one has a batch side.
 //
 // Either way a unit is complete only when the append covering it has
 // returned nil: only then does its result enter the ResultSet, count in

@@ -50,7 +50,8 @@ type Options struct {
 	// runs only when the store holds no valid record of it, wherever in
 	// the cell the gap is. Any runstore.Store backend works: the
 	// single-file JSONL journal, the sharded directory store
-	// (internal/runstore/shardstore), or a future database backend. A
+	// (internal/runstore/shardstore) or the archive
+	// (internal/runstore/archivestore). A
 	// store that is also a runstore.BatchAppender is committed to in
 	// batches, in completion order, by one goroutine per Execute; any
 	// other store is appended to by the workers, record by record (see

@@ -14,7 +14,7 @@ import (
 // the runstore readers understand.
 var storeExts = map[string]bool{
 	".jsonl": true, // JSONL journal (and shard files)
-	".binj":  true, // binary journal
+	".binj":  true, // binary record file
 	".arch":  true, // block-indexed archive
 	".archz": true, // block-indexed archive, under its other name
 }

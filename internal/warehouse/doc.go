@@ -7,7 +7,7 @@
 //
 //   - The catalog (Discover, Warehouse.Refresh) walks a root directory
 //     for store files every runstore reader understands — JSONL
-//     journals, binary journals, block-indexed archives — and treats
+//     journals, binary record files, block-indexed archives — and treats
 //     each file as one *run*. Refresh is incremental: a source whose
 //     size and modification time are unchanged is never re-read, and a
 //     changed one is re-ingested whole (its run summary is replaced,

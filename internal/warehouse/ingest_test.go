@@ -23,7 +23,9 @@ import (
 // new store of the format ext names — so a key appended twice is a
 // superseded frame on disk, in every format. An .arch store is written by
 // the live archive, an .archz one by the bulk writer behind Merge, handed
-// the frames as Append would store them: the same file either way.
+// the frames as Append would store them: the same file either way. A
+// .binj is the binary magic and the frames EncodeBatchBinary makes: Merge,
+// the one writer of binary record files, would drop the superseded ones.
 func appendStore(t *testing.T, path, ext string, frames []runstore.Record) {
 	t.Helper()
 	var s interface {
@@ -35,7 +37,14 @@ func appendStore(t *testing.T, path, ext string, frames []runstore.Record) {
 	case ".jsonl":
 		s, err = runstore.Open(path)
 	case ".binj":
-		s, err = runstore.OpenBinary(path)
+		b, err := runstore.EncodeBatchBinary(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append([]byte(runstore.BinaryMagic), b.Bytes()...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	case ".arch":
 		s, err = archivestore.Open(path)
 	case ".archz":

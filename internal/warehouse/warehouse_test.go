@@ -44,19 +44,13 @@ func writeJournal(t *testing.T, path string, recs []runstore.Record, mod time.Ti
 	}
 }
 
-// writeBinary is writeJournal for the binary journal format.
+// writeBinary is writeJournal for the binary record format: the journal
+// is written outside path's directory, and Merge writes it into path.
 func writeBinary(t *testing.T, path string, recs []runstore.Record, mod time.Time) {
 	t.Helper()
-	j, err := runstore.OpenBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	journal := filepath.Join(t.TempDir(), "src.jsonl")
+	writeJournal(t, journal, recs, mod)
+	if _, err := runstore.Merge([]string{journal}, path); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chtimes(path, mod, mod); err != nil {

@@ -247,3 +247,27 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 		t.Errorf("self-diff failed: %+v", d)
 	}
 }
+
+// TestArchiveRunCommitsBatches: a concurrent run into the archive store
+// commits finished units in batches — fewer commits than units — and a
+// second run over the same directory replays every unit from the archive.
+func TestArchiveRunCommitsBatches(t *testing.T) {
+	cfg := RunConfig{Workers: 2, JournalDir: t.TempDir(), Store: StoreArchive}
+	out, err := Run(context.Background(), "t4", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := out.Metrics.Get("sched_units_executed_total")
+	c, _ := out.Metrics.Get("sched_commits_total")
+	if e.Value == 0 || c.Value >= e.Value {
+		t.Errorf("cold run: %v commit(s) for %v executed unit(s), want fewer commits than units", c.Value, e.Value)
+	}
+	warm, err := Run(context.Background(), "t4", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertUnits(t, "warm", warm.Metrics, 0, e.Value)
+	if warm.Result.Text != out.Result.Text {
+		t.Error("the warm run's artifact differs from the cold run's")
+	}
+}

@@ -30,10 +30,6 @@ const (
 	// StoreArchive is the block-indexed single-file archive: identical
 	// warm-start and durability semantics, O(index) reopen.
 	StoreArchive StoreKind = "archive"
-	// StoreBinary is the binary-framed journal: identical semantics to
-	// StoreJournal with the length-prefixed checksummed binary encoding
-	// (docs/FORMAT.md) in place of JSON lines — the fast append path.
-	StoreBinary StoreKind = "binary"
 )
 
 // AdaptiveConfig switches a run from the fixed rows x replicates budget
@@ -135,18 +131,8 @@ func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
 		opts.OpenStore = func(dir, experiment string) (runstore.Store, error) {
 			return archivestore.OpenDir(dir, experiment)
 		}
-	case StoreBinary:
-		if cfg.JournalDir == "" {
-			return nil, nil, fmt.Errorf("repro: Store %q requires JournalDir (the directory the per-experiment store files live in)", cfg.Store)
-		}
-		if cfg.Shards > 0 {
-			return nil, nil, fmt.Errorf("repro: Store %q cannot combine with sharded execution: shard files are JSONL journals; convert the merged result instead", cfg.Store)
-		}
-		opts.OpenStore = func(dir, experiment string) (runstore.Store, error) {
-			return runstore.OpenBinaryDir(dir, experiment)
-		}
 	default:
-		return nil, nil, fmt.Errorf("repro: unknown store backend %q (want %q, %q, or %q)", cfg.Store, StoreJournal, StoreArchive, StoreBinary)
+		return nil, nil, fmt.Errorf("repro: unknown store backend %q (want %q or %q)", cfg.Store, StoreJournal, StoreArchive)
 	}
 	if cfg.Store == StoreJournal && cfg.JournalDir == "" {
 		return nil, nil, fmt.Errorf("repro: Store %q requires JournalDir", cfg.Store)
@@ -216,8 +202,6 @@ func (cfg RunConfig) Describe() string {
 		switch cfg.Store {
 		case StoreArchive:
 			fmt.Fprintf(&b, ", archive store %s", cfg.JournalDir)
-		case StoreBinary:
-			fmt.Fprintf(&b, ", binary journal %s", cfg.JournalDir)
 		default:
 			fmt.Fprintf(&b, ", journal %s", cfg.JournalDir)
 		}

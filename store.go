@@ -112,7 +112,7 @@ type StoreStatus struct {
 }
 
 // InspectDir discovers every store file under dir exactly as the
-// warehouse catalog does — journals, binary journals, archives; hidden
+// warehouse catalog does — journals, binary record files, archives; hidden
 // files, the warehouse index, and the collector's control-state journal
 // skipped — and reports each store's shape, sorted by path.
 func InspectDir(dir string) ([]StoreStatus, error) {
