@@ -4,9 +4,13 @@ GO ?= go
 # suite under the race detector, so the concurrent scheduler
 # (internal/sched) and the journal (internal/runstore) are race-checked
 # on every change, plus the public-API compatibility gate and the golden
-# corpus check.
+# corpus check. Its last line is its wall time, so the suite's cost is
+# seen on every run.
 .PHONY: check
-check: vet race apicheck golden-check
+check:
+	@start=$$(date +%s); \
+	$(MAKE) --no-print-directory vet race apicheck golden-check || exit 1; \
+	echo "make check: ok in $$(( $$(date +%s) - start )) s wall"
 
 # The on-disk format corpus is written once per format version and never
 # regenerated: testdata/golden/SHA256SUMS pins every file's bytes, so a

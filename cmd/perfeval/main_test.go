@@ -57,6 +57,14 @@ func TestPerfevalCommands(t *testing.T) {
 			t.Errorf("run(%v) should error", bad)
 		}
 	}
+	// NaN and Inf parse as floats, so the controller's own check is what
+	// refuses them.
+	for _, rel := range []string{"NaN", "+Inf"} {
+		args := []string{"-Dadaptive.rel=" + rel, "run", "t4"}
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "Rel target must be > 0") {
+			t.Errorf("run(%v) = %v, want the Rel target error", args, err)
+		}
+	}
 }
 
 // TestAdaptiveRunPrintsBudgetReport runs t4 under the adaptive

@@ -11,6 +11,8 @@ import (
 
 // Defaults for the zero values of Options, exported so front-ends (the
 // perfeval banner) report the same numbers the controller applies.
+// DefaultConfidence is the confidence of every running interval; it is
+// not an option.
 const (
 	DefaultRel        = 0.05
 	DefaultConfidence = 0.95
@@ -22,12 +24,9 @@ const (
 type Options struct {
 	// Rel is the stopping target: replication stops once the cell's
 	// confidence interval has relative half-width <= Rel for every
-	// declared response (default DefaultRel, the mean known to ±5%).
+	// declared response (default DefaultRel, the mean known to ±5%). A
+	// cell flagged against its baseline is held to Rel/2.
 	Rel float64
-	// TightRel is the target applied to flagged cells (default Rel/2).
-	TightRel float64
-	// Confidence of the running intervals (default 0.95).
-	Confidence float64
 	// Min is the number of replicates every cell gets before the
 	// stopping rule may fire (default 3). Precision claims need at
 	// least 2; journal-replayed replicates count.
@@ -35,27 +34,11 @@ type Options struct {
 	// Max caps the replicates any one cell may spend (default 50). A
 	// cell that exhausts Max stops regardless of achieved precision.
 	Max int
-	// Baseline, when set, is compared against each cell's running
-	// interval: a cell whose interval is disjoint from and above its
-	// baseline interval (the gate's "regressed" verdict) is flagged —
-	// tighter target, scheduled first from then on. Summaries for
-	// several experiments may be supplied via AddBaseline.
-	Baseline *runstore.Summary
-	// BaselineOpt builds the baseline intervals (zero value = the
-	// regression gate's defaults: 95% confidence, 5% tolerance band for
-	// single-replicate cells).
-	BaselineOpt runstore.GateOptions
 }
 
 func (o *Options) fill() error {
 	if o.Rel == 0 {
 		o.Rel = DefaultRel
-	}
-	if o.TightRel == 0 {
-		o.TightRel = o.Rel / 2
-	}
-	if o.Confidence == 0 {
-		o.Confidence = DefaultConfidence
 	}
 	if o.Min == 0 {
 		o.Min = DefaultMin
@@ -64,12 +47,9 @@ func (o *Options) fill() error {
 		o.Max = DefaultMax
 	}
 	switch {
-	case o.Rel <= 0:
+	// Negated so that NaN, which compares false with everything, fails.
+	case !(o.Rel > 0) || math.IsInf(o.Rel, 1):
 		return fmt.Errorf("adaptive: Rel target must be > 0, got %g", o.Rel)
-	case o.TightRel <= 0 || o.TightRel > o.Rel:
-		return fmt.Errorf("adaptive: TightRel must be in (0, Rel], got %g", o.TightRel)
-	case !(o.Confidence > 0 && o.Confidence < 1): // negated so that NaN fails
-		return fmt.Errorf("adaptive: confidence must be in (0,1), got %g", o.Confidence)
 	case o.Min < 1:
 		return fmt.Errorf("adaptive: Min = %d, need >= 1", o.Min)
 	case o.Max < o.Min:
@@ -90,8 +70,9 @@ type cell struct {
 	stopped  string               // human-readable stop reason, set on the stopping decision
 }
 
-// Controller implements sched.Controller with the CI-targeted stopping
-// rule. Safe for concurrent use.
+// Controller is the CI-targeted stopping rule the scheduler asks, cell
+// by cell, how much replication is enough (sched.Options.Controller).
+// Safe for concurrent use.
 type Controller struct {
 	opts Options
 	mu   sync.Mutex
@@ -105,24 +86,22 @@ func New(opts Options) (*Controller, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	ctrl := &Controller{
+	return &Controller{
 		opts: opts,
 		base: map[string]map[string]stats.Interval{},
 		c:    map[string]*cell{},
-	}
-	if opts.Baseline != nil {
-		if err := ctrl.AddBaseline(opts.Baseline); err != nil {
-			return nil, err
-		}
-	}
-	return ctrl, nil
+	}, nil
 }
 
 // AddBaseline registers one experiment's baseline summary; its cells
-// become eligible for mid-run drift flagging. Several experiments may
-// be registered on one controller.
+// become eligible for mid-run drift flagging: a cell whose running
+// interval is disjoint from and above its baseline interval (the gate's
+// "regressed" verdict) is held to Rel/2 and scheduled first from then on.
+// The baseline intervals are the gate's, at its defaults (95%
+// confidence, a 5% tolerance band for single-replicate cells). Several
+// experiments may be registered on one controller.
 func (ctrl *Controller) AddBaseline(s *runstore.Summary) error {
-	ivs, err := s.Intervals(ctrl.opts.BaselineOpt)
+	ivs, err := s.Intervals(runstore.GateOptions{})
 	if err != nil {
 		return err
 	}
@@ -155,7 +134,8 @@ func (ctrl *Controller) get(key string) *cell {
 	return cl
 }
 
-// Observe implements sched.Controller.
+// Observe ingests one completed replicate of a cell — live or replayed
+// from the store — restricted to the experiment's declared responses.
 func (ctrl *Controller) Observe(key string, replicate int, responses map[string]float64) {
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()
@@ -171,9 +151,12 @@ func (ctrl *Controller) Observe(key string, replicate int, responses map[string]
 	cl.observed++
 }
 
-// Target implements sched.Controller: the sequential-analysis stopping
-// rule. Called at batch boundaries, with replicates 0..observed-1 all
-// ingested.
+// Target is the sequential-analysis stopping rule: the total number of
+// replicates the cell should reach, given that observed have completed.
+// A value <= observed stops the cell; a larger one asks for the
+// difference as the next batch, and the first call (observed is 0)
+// returns at least Min >= 1. Called at batch boundaries, with replicates
+// 0..observed-1 all ingested.
 func (ctrl *Controller) Target(key string, observed int) int {
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()
@@ -187,7 +170,7 @@ func (ctrl *Controller) Target(key string, observed int) int {
 	if !cl.flagged && observed >= 2 {
 		if byResp, ok := ctrl.base[key]; ok {
 			for name, bi := range byResp {
-				iv, err := stats.MeanCI(prefix(cl.obs[name], observed), o.Confidence)
+				iv, err := stats.MeanCI(prefix(cl.obs[name], observed), DefaultConfidence)
 				if err != nil {
 					continue
 				}
@@ -200,13 +183,13 @@ func (ctrl *Controller) Target(key string, observed int) int {
 	}
 	rel := o.Rel
 	if cl.flagged {
-		rel = o.TightRel
+		rel = o.Rel / 2
 	}
 
 	if observed < o.Min {
 		return o.Min
 	}
-	worst := cl.worstRel(observed, o.Confidence)
+	worst := cl.worstRel(observed)
 	switch {
 	case observed >= 2 && worst <= rel:
 		cl.stopped = fmt.Sprintf("rel ±%.1f%% ≤ %.1f%% after %d reps", worst*100, rel*100, observed)
@@ -221,13 +204,13 @@ func (ctrl *Controller) Target(key string, observed int) int {
 
 // worstRel returns the worst (largest) relative CI half-width across the
 // cell's responses over replicates 0..n-1, or +Inf while n < 2.
-func (cl *cell) worstRel(n int, confidence float64) float64 {
+func (cl *cell) worstRel(n int) float64 {
 	if n < 2 {
 		return math.Inf(1)
 	}
 	worst := 0.0
 	for _, values := range cl.obs {
-		iv, err := stats.MeanCI(prefix(values, n), confidence)
+		iv, err := stats.MeanCI(prefix(values, n), DefaultConfidence)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -247,14 +230,16 @@ func prefix(values []float64, n int) []float64 {
 	return values[:n]
 }
 
-// Priority implements sched.Controller.
+// Priority reports whether the cell is flagged, to be scheduled ahead of
+// unflagged cells.
 func (ctrl *Controller) Priority(key string) bool {
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()
 	return ctrl.get(key).flagged
 }
 
-// Explain implements sched.Controller.
+// Explain renders a short account of the cell's state — achieved
+// precision, applied target, stop reason — for budget reports.
 func (ctrl *Controller) Explain(key string) string {
 	ctrl.mu.Lock()
 	defer ctrl.mu.Unlock()

@@ -20,9 +20,9 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for _, bad := range []Options{
 		{Rel: -1},
-		{Rel: 0.05, TightRel: 0.1}, // tighter must not be looser
-		{Confidence: 1.5},
-		{Confidence: math.NaN()},
+		{Rel: math.NaN()}, // compares false with everything, so only a negated check catches it
+		{Rel: math.Inf(1)},
+		{Rel: math.Inf(-1)},
 		{Min: -2},
 		{Min: 10, Max: 3},
 	} {
@@ -143,8 +143,11 @@ func TestPrioritizeAndBaselineDrift(t *testing.T) {
 			Values:     []float64{10, 10.1, 9.9},
 		}},
 	}
-	c, err := New(Options{Rel: 0.10, Min: 3, Max: 20, Baseline: base})
+	c, err := New(Options{Rel: 0.10, Min: 3, Max: 20})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBaseline(base); err != nil {
 		t.Fatal(err)
 	}
 	key := runstore.CellKey("e", runstore.AssignmentHash(map[string]string{"f": "x"}))

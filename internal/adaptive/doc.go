@@ -13,8 +13,11 @@
 // off a stored baseline mid-run — are held to a tighter target and
 // scheduled ahead of the rest: spend the hardware where the doubt is.
 //
-// Controller implements sched.Controller; wire it in via
-// sched.Options.Controller.
+// The scheduler (internal/sched) is its one user: set
+// sched.Options.Controller to a Controller and the worker pool asks it,
+// at every batch boundary of a cell, how many replicates the cell should
+// reach. The scheduler's package comment states the cell-key and
+// determinism contracts the two keep.
 //
 // Concurrency contract: a Controller's methods are safe for concurrent
 // use (one mutex guards per-cell state); the scheduler's workers report

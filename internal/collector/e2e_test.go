@@ -65,7 +65,7 @@ func e2eRunner(a design.Assignment, rep int) (map[string]float64, error) {
 func referenceJournal(t *testing.T, reps int) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	s := sched.New(sched.Options{Workers: 1, JournalDir: dir})
+	s := sched.New(sched.Options{Workers: 1, Open: func(name string) (runstore.Store, error) { return runstore.OpenDir(dir, name) }})
 	if _, err := s.Execute(context.Background(), e2eExperiment(t, reps, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestSpoolAndCollectorDisagree(t *testing.T) {
 	exp := e2eExperiment(t, reps, nil)
 	// The units in the order a one-worker run finishes them.
 	refDir := t.TempDir()
-	if _, err := sched.New(sched.Options{Workers: 1, JournalDir: refDir}).Execute(context.Background(), exp); err != nil {
+	if _, err := sched.New(sched.Options{Workers: 1, Open: func(name string) (runstore.Store, error) { return runstore.OpenDir(refDir, name) }}).Execute(context.Background(), exp); err != nil {
 		t.Fatal(err)
 	}
 	all, err := runstore.LoadRecords(filepath.Join(refDir, runstore.SanitizeName(exp.Name)+".jsonl"))

@@ -126,7 +126,7 @@ func soakRunner(a design.Assignment, rep int) (map[string]float64, error) {
 func referenceJournal(t *testing.T, reps int) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	s := sched.New(sched.Options{Workers: 1, JournalDir: dir})
+	s := sched.New(sched.Options{Workers: 1, Open: func(name string) (runstore.Store, error) { return runstore.OpenDir(dir, name) }})
 	if _, err := s.Execute(context.Background(), soakExperiment(t, reps, nil)); err != nil {
 		t.Fatal(err)
 	}

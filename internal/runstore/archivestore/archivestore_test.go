@@ -381,7 +381,7 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(path)
+	info, err := runstore.Inspect(path)
 	if err != nil || info.Torn {
 		t.Fatalf("fresh bulk archive reported torn: %+v", info)
 	}
@@ -408,7 +408,7 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-int64(trailerSize)-1); err != nil {
 		t.Fatal(err)
 	}
-	info, err = Inspect(path)
+	info, err = runstore.Inspect(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestCompactDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compacted file is not an archive: %v", err)
 	}
-	if info, err := Inspect(path); err != nil || len(recs) != 3 || info.Torn {
+	if info, err := runstore.Inspect(path); err != nil || len(recs) != 3 || info.Torn {
 		t.Fatalf("compacted archive: %d records, %+v, %v", len(recs), info, err)
 	}
 	if recs[1].Responses["t"] != 42 {
@@ -480,7 +480,7 @@ func TestCompactDispatch(t *testing.T) {
 	if _, err := runstore.Compact(renamed, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Inspect(renamed); err != nil {
+	if _, err := runstore.Inspect(renamed); err != nil {
 		t.Fatalf("renamed archive became a non-archive after in-place compact: %v", err)
 	}
 	// Compacting an archive to a .jsonl destination converts.
@@ -718,7 +718,7 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 		if err := os.WriteFile(path, append(bytes.Clone(clean), make([]byte, 4096)...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if info, err := Inspect(path); err != nil || !info.Torn || info.Records != 1 {
+		if info, err := runstore.Inspect(path); err != nil || !info.Torn || info.Records != 1 {
 			t.Errorf("%s: Inspect = %+v, %v; want one record and a torn tail", name, info, err)
 		}
 		if got, err := runstore.LoadRecords(path); err != nil || !reflect.DeepEqual(got, []runstore.Record{r}) {

@@ -181,7 +181,7 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 // appends, a reopen, and the crash-recovery replay.
 func TestCompressedAppendMixedAndReopen(t *testing.T) {
 	path, original := copyGolden(t, "archive.v1.mixed.arch")
-	if info, err := Inspect(path); err != nil || !strings.Contains(info.Detail, "(2 compressed)") {
+	if info, err := runstore.Inspect(path); err != nil || !strings.Contains(info.Detail, "(2 compressed)") {
 		t.Fatalf("Inspect = %+v, %v; want two compressed blocks counted", info, err)
 	}
 	want := goldenServed()

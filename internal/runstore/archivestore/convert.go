@@ -12,9 +12,10 @@ import (
 // init plugs the archive format into the runstore journal tooling:
 // Merge writes an archive when the destination ends in Ext or ExtZ, and
 // LoadRecords / ScanFile / Inspect / Merge sources dispatch on the file
-// magic — any version's — through the streaming reader. Any program
-// importing this package gets the behavior; the scheduler does not need
-// to.
+// magic — any version's — through the streaming reader, whose Info
+// reports the block and index shape runstore.Inspect prints as Detail.
+// Any program importing this package gets the behavior; the scheduler
+// does not need to.
 func init() {
 	archive := runstore.Format{
 		Name:       "archive",
@@ -22,7 +23,6 @@ func init() {
 		Sniff:      func(head []byte) bool { return versionOf(head) != 0 },
 		OpenReader: OpenReader,
 		Write:      Write,
-		Inspect:    Inspect,
 	}
 	runstore.RegisterFormat(archive)
 	// The same writer behind the other extension; as a source every
@@ -71,17 +71,4 @@ func Write(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string) 
 		}
 		return nil
 	})
-}
-
-// Inspect reports an archive file's shape — block and index page counts,
-// footer state, and any torn or unfinalized tail — through the same
-// streaming walk every other reader uses. It backs runstore.Inspect for
-// archive files.
-func Inspect(path string) (runstore.Info, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return runstore.Info{}, err
-	}
-	defer r.Close()
-	return runstore.InspectSource(r)
 }

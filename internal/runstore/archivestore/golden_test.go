@@ -155,7 +155,7 @@ func TestGoldenArchives(t *testing.T) {
 			}
 			r.Close()
 			walked.Distinct = 3
-			if info, err := Inspect(path); err != nil || info != walked {
+			if info, err := runstore.Inspect(path); err != nil || info != walked {
 				t.Errorf("Inspect = %+v, %v; want %+v", info, err, walked)
 			}
 			if got, err := runstore.Collect(runstore.ScanFile(path)); err != nil || !reflect.DeepEqual(got, goldenServed()) {

@@ -96,7 +96,7 @@ func TestRecordsIsEntriesPlusRead(t *testing.T) {
 		if info := r.Info(); info != wantInfo || !info.Torn || info.Records != len(written) || info.Distinct != 0 {
 			t.Errorf("%s: Info after Fields = %+v, after Entries %+v; want %d torn record blocks, distinct uncounted", magic, info, wantInfo, len(written))
 		}
-		if info, err := Inspect(path); err != nil || info.Records != len(written) || info.Distinct != 5 || info.Detail != wantInfo.Detail {
+		if info, err := runstore.Inspect(path); err != nil || info.Records != len(written) || info.Distinct != 5 || info.Detail != wantInfo.Detail {
 			t.Errorf("%s: Inspect = %+v, %v; want %d record blocks, 5 distinct, the walk's detail", magic, info, err, len(written))
 		}
 		for range r.Fields() {

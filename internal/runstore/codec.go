@@ -176,7 +176,6 @@ func (c *codec) format() Format {
 		Sniff:      func(head []byte) bool { return bytes.HasPrefix(head, []byte(c.framing.Magic())) },
 		OpenReader: c.openReader,
 		Write:      c.writeFile,
-		Inspect:    c.inspect,
 	}
 }
 
@@ -431,17 +430,6 @@ func (r *fileSource) Info() Info { return r.info }
 
 // Close implements SourceReader.
 func (r *fileSource) Close() error { return r.f.Close() }
-
-// inspect reports a journal file's shape without retaining any record
-// payloads.
-func (c *codec) inspect(path string) (Info, error) {
-	r, err := c.openReader(path)
-	if err != nil {
-		return Info{}, err
-	}
-	defer r.Close()
-	return InspectSource(r)
-}
 
 // frame is one record on its way into a rewritten journal: the decoded
 // record, or — when raw is set — its extent's bytes exactly as a source

@@ -9,11 +9,12 @@ import (
 )
 
 // Format describes an alternative on-disk record-store format (the
-// block-indexed archive in internal/runstore/archivestore is the first)
-// so the journal-file tooling — Merge, LoadRecords, Inspect — transparently
-// reads and writes it. A backend registers its Format from an init
-// function; any program that imports the backend package can then merge
-// into, diff against, or inspect files of that format with no extra
+// block-indexed archive in internal/runstore/archivestore is the first):
+// how to recognise, read and write it. Merge, Compact, LoadRecords,
+// ScanFile and Inspect read every format through its reader, whose Info
+// carries the format's Detail. A backend registers its Format from an
+// init function; any program that imports the backend package can then
+// merge into, diff against, or inspect files of that format with no extra
 // plumbing. The two journal encodings are Formats too (codec.go): the
 // binary one is registered like any other, the JSONL one — which has no
 // magic to sniff — is the default every dispatch falls back to.
@@ -36,8 +37,6 @@ type Format struct {
 	// file mode from modeFrom when it exists (mirroring the journal's
 	// writer). A yielded error aborts the write, leaving dst untouched.
 	Write func(dst string, recs iter.Seq2[Record, error], modeFrom string) error
-	// Inspect reports the file's shape without loading record payloads.
-	Inspect func(path string) (Info, error)
 }
 
 // formats holds registered formats. Registration happens only from init
@@ -48,7 +47,7 @@ var formats []Format
 // tooling. Call it from the backend package's init function only; later
 // registration races with lookups.
 func RegisterFormat(f Format) {
-	if f.Name == "" || f.Ext == "" || f.Sniff == nil || f.OpenReader == nil || f.Write == nil || f.Inspect == nil {
+	if f.Name == "" || f.Ext == "" || f.Sniff == nil || f.OpenReader == nil || f.Write == nil {
 		panic(fmt.Sprintf("runstore: RegisterFormat: incomplete format %+v", f))
 	}
 	formats = append(formats, f)

@@ -180,23 +180,34 @@ func (o *GateOptions) fill() error {
 	return nil
 }
 
-// interval builds the comparison interval for one cell: a Student-t CI
-// when replicates allow (zero-variance samples yield a valid degenerate
-// CI), a tolerance band for single-replicate cells. t is the pass's
+// CellInterval is the gate's comparison interval for a cell of n values
+// with the given mean and sample variance: mean ± t·√variance/√n (the
+// stats.MeanCI arithmetic) when n >= 2, else a tolerance·|mean| band
+// (tolerance when the mean is 0). The interval's confidence is t's. The
+// warehouse's queries call it once per cell; it does not allocate.
+func CellInterval(n int, mean, variance, tolerance float64, t *stats.TCritical) stats.Interval {
+	if n >= 2 {
+		h := t.At(n) * (math.Sqrt(variance) / math.Sqrt(float64(n)))
+		return stats.Interval{Mean: mean, Lo: mean - h, Hi: mean + h, Confidence: t.Confidence(), N: n}
+	}
+	half := tolerance * math.Abs(mean)
+	if half == 0 {
+		half = tolerance
+	}
+	return stats.Interval{Mean: mean, Lo: mean - half, Hi: mean + half, Confidence: t.Confidence(), N: n}
+}
+
+// interval is CellInterval over one cell's values; t is the pass's
 // critical-value lookup at opt.Confidence.
 func interval(values []float64, opt GateOptions, t *stats.TCritical) (stats.Interval, error) {
-	if len(values) >= 2 {
-		return t.MeanCI(values)
-	}
 	if len(values) == 0 {
 		return stats.Interval{}, fmt.Errorf("runstore: empty cell")
 	}
-	m := stats.Mean(values)
-	half := opt.Tolerance * math.Abs(m)
-	if half == 0 {
-		half = opt.Tolerance
+	var variance float64
+	if len(values) >= 2 {
+		variance = stats.Variance(values)
 	}
-	return stats.Interval{Mean: m, Lo: m - half, Hi: m + half, Confidence: opt.Confidence, N: len(values)}, nil
+	return CellInterval(len(values), stats.Mean(values), variance, opt.Tolerance, t), nil
 }
 
 // Intervals returns the comparison interval of every summary cell, keyed

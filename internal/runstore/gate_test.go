@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func summaryFor(t *testing.T, base map[string]float64, noise []float64) *Summary {
@@ -196,4 +198,29 @@ func BenchmarkGate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(cells, "cells/op")
+}
+
+// TestCellInterval pins the gate's interval rule: from two values on it
+// is stats.MeanCI's interval bit for bit, built from the sample's mean
+// and variance, and the warehouse's history and regressions queries,
+// which build one per cell, pay no allocation for it once the lookup has
+// met the sample size.
+func TestCellInterval(t *testing.T) {
+	tc := stats.NewTCritical(0.95)
+	xs := []float64{10.1, 10.47, 10.853, 11.2, 9.97, 10.33, 10.61, 10.05, 11.01, 10.4}
+	for n := 2; n <= len(xs); n++ {
+		want, err := stats.MeanCI(xs[:n], 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CellInterval(n, stats.Mean(xs[:n]), stats.Variance(xs[:n]), 0.05, &tc); got != want {
+			t.Errorf("n=%d: CellInterval = %+v, MeanCI = %+v", n, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		CellInterval(10, 5, 0.25, 0.05, &tc)
+		CellInterval(1, 5, 0, 0.05, &tc)
+	}); n != 0 {
+		t.Errorf("CellInterval allocates %v times per call pair, want 0", n)
+	}
 }

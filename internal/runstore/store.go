@@ -100,8 +100,8 @@ func ShardIndex(hash string, n int) int {
 type Info struct {
 	Records int // complete records in the file, including superseded ones
 	// Distinct counts the distinct (experiment, hash, replicate) keys. Only
-	// a pass that indexes the entries knows it: Inspect (InspectSource)
-	// counts it, a SourceReader's own Info leaves it zero.
+	// a pass that indexes the entries knows it: Inspect counts it, a
+	// SourceReader's own Info leaves it zero.
 	Distinct int
 	Torn     bool   // the file ends in a torn (crash-interrupted) tail
 	Detail   string // backend-specific shape, e.g. archive block/index stats
@@ -111,18 +111,15 @@ type Info struct {
 // it sniffs as, and reports its shape — the status probe behind
 // `perfeval inspect` and `perfeval shard-plan`. A torn or truncated tail
 // is detected and reported via Info.Torn, never silently repaired or
-// silently counted past; a corrupt interior record is an error. Journal
-// files go through the same streaming scan (and so the same framing and
-// torn-tail rule) that Open and every other reader use; the archive
-// reports richer Detail through its own Inspect hook.
+// silently counted past; a corrupt interior record is an error. Every
+// format is read through OpenSource, the reader every other tool uses,
+// whose Info supplies Detail; Inspect counts Distinct.
 func Inspect(path string) (Info, error) {
-	return formatOf(path).Inspect(path)
-}
-
-// InspectSource consumes r's Entries and returns the Info they leave
-// behind with Distinct counted — what every Format's Inspect reports for
-// a file it reads through a SourceReader.
-func InspectSource(r SourceReader) (Info, error) {
+	r, err := OpenSource(path)
+	if err != nil {
+		return Info{}, err
+	}
+	defer r.Close()
 	distinct := make(map[string]struct{})
 	for e, err := range r.Entries() {
 		if err != nil {

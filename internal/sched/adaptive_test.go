@@ -51,7 +51,7 @@ func TestAdaptiveEquivalence(t *testing.T) {
 	const reps = 3
 	fixedDir, adaptDir := t.TempDir(), t.TempDir()
 
-	fixed := New(Options{Workers: 1, JournalDir: fixedDir})
+	fixed := New(Options{Workers: 1, Open: journalDir(fixedDir)})
 	fixedRS, err := fixed.Execute(context.Background(), newExperiment(t, reps, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestAdaptiveEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adapt := New(Options{Workers: 1, JournalDir: adaptDir, Controller: ctrl})
+	adapt := New(Options{Workers: 1, Open: journalDir(adaptDir), Controller: ctrl})
 	adaptRS, err := adapt.Execute(context.Background(), newExperiment(t, reps, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestAdaptiveWarmStartKeepsBudget(t *testing.T) {
 		}
 		return ctrl
 	}
-	s1 := New(Options{Workers: 4, JournalDir: dir, Controller: newCtrl()})
+	s1 := New(Options{Workers: 4, Open: journalDir(dir), Controller: newCtrl()})
 	rs1, err := s1.Execute(context.Background(), mixedVariance(t, 40))
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestAdaptiveWarmStartKeepsBudget(t *testing.T) {
 	}
 	e2 := mixedVariance(t, 40)
 	e2.Run = counted
-	s2 := New(Options{Workers: 4, JournalDir: dir, Controller: newCtrl()})
+	s2 := New(Options{Workers: 4, Open: journalDir(dir), Controller: newCtrl()})
 	rs2, err := s2.Execute(context.Background(), e2)
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func BenchmarkSchedUninstrumented(b *testing.B) {
 
 // BenchmarkSchedJournal is the path the pair above cannot see: the same
 // 256 units persisted, two workers into a fresh journal per iteration
-// (Options.JournalDir, so opening and closing the file is in the number,
+// (Options.Open, so opening and closing the file is in the number,
 // as it is for a user). The journal has a batch side, so this measures
 // the committer: a handful of fsyncs per Execute instead of 256.
 func BenchmarkSchedJournal(b *testing.B) {
@@ -102,7 +102,7 @@ func BenchmarkSchedJournal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(Options{Workers: 2, JournalDir: filepath.Join(root, strconv.Itoa(i)), Metrics: obs.NewRegistry()})
+		s := New(Options{Workers: 2, Open: journalDir(filepath.Join(root, strconv.Itoa(i))), Metrics: obs.NewRegistry()})
 		if _, err := s.Execute(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}

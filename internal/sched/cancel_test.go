@@ -70,7 +70,7 @@ func testCancellationDrains(ctx context.Context, t *testing.T, pool string, canc
 	}
 
 	reg := obs.NewRegistry()
-	s := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir, Metrics: reg}))
+	s := New(withBudget(t, pool, reps, Options{Workers: 2, Open: journalDir(dir), Metrics: reg}))
 	_, err := s.Execute(ctx, newWideExperiment(t, cells, reps, counting))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -102,7 +102,7 @@ func testCancellationDrains(ctx context.Context, t *testing.T, pool string, canc
 	// Warm start: the resumed run — against a fresh controller, if any —
 	// replays exactly the journaled units, executes the rest, and matches
 	// a cold run byte for byte.
-	s2 := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir}))
+	s2 := New(withBudget(t, pool, reps, Options{Workers: 2, Open: journalDir(dir)}))
 	rs, err := s2.Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCancellationBeforeStartRunsNothing(t *testing.T) {
 		ran.Add(1)
 		return wideRunner(a, rep)
 	}
-	s := New(Options{Workers: 2, JournalDir: dir})
+	s := New(Options{Workers: 2, Open: journalDir(dir)})
 	if _, err := s.Execute(ctx, newWideExperiment(t, 4, 2, run)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

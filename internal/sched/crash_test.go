@@ -55,7 +55,7 @@ func TestCrashChild(t *testing.T) {
 		}
 		return deterministicRunner(a, rep)
 	}
-	s := New(Options{Workers: 1, JournalDir: dir})
+	s := New(Options{Workers: 1, Open: journalDir(dir)})
 	s.Execute(context.Background(), newExperiment(t, 3, run))
 	t.Fatal("child should have died mid-run")
 }
@@ -118,7 +118,7 @@ func TestChildProcessCrashResume(t *testing.T) {
 		mu.Unlock()
 		return deterministicRunner(a, rep)
 	}
-	s := New(Options{Workers: 4, JournalDir: dir})
+	s := New(Options{Workers: 4, Open: journalDir(dir)})
 	resumed, err := s.Execute(context.Background(), newExperiment(t, 3, counting))
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@
 // store — units already persisted are replayed from disk instead of
 // re-executed.
 //
-// How much is enough is policy, not mechanism. Options.Controller
-// (internal/adaptive) is asked at every batch boundary and stops a cell
+// How much is enough is policy, not mechanism. Options.Controller, an
+// adaptive.Controller, is asked at every batch boundary and stops a cell
 // when its sequential-analysis rule is met, so replication is spent where
 // variance demands it. Without one the budget is the degenerate policy:
 // every cell gets Design.Replicates, asked for in one batch, no cell has
@@ -43,6 +43,19 @@
 //     and the committer has exited. Workers are told to exit at that point
 //     and hold nothing; an attempt abandoned by Options.Timeout or by
 //     cancellation is never joined (see Options.Timeout).
+//  8. Cell keys. The pool names a cell to the Controller by
+//     runstore.CellKey(experiment, hash), so one controller can serve
+//     several experiments without state bleeding across them.
+//  9. Determinism. The pool asks the Controller for a cell's target
+//     (Target) only at batch boundaries — when every replicate it has
+//     asked of the cell has been observed — and the replicates of one
+//     cell always form the contiguous prefix 0..n-1. The controller
+//     decides from the observed values of the cell under decision (and
+//     its baseline) alone, so the replicate count per cell is the same
+//     whatever the worker count, the completion order, or how many
+//     replicates were replayed from a store. Every controller call of one Execute comes
+//     from one goroutine, but a controller may be shared by schedulers
+//     running in parallel, and its methods are safe for that.
 //
 // The scheduler implements harness.Executor, so it plugs into the
 // package-level harness.Execute, scoped to one run via
@@ -61,11 +74,11 @@
 //
 // Persist contract: the scheduler owns no durability itself; it
 // delegates to whatever runstore.Store it runs against (Options.Store,
-// or a per-experiment store opened from Options.JournalDir — the JSONL
-// journal by default, a shard of a sharded store under sharded
-// execution, or any backend via Options.OpenStore), and Append and
-// AppendBatch are durable before they return. A finished unit goes
-// through one persist stage:
+// or the per-experiment store Options.Open returns, opened once per
+// Execute and closed when it returns — which file that is, a journal, an
+// archive or one shard of a sharded store, is the opener's business, not
+// the scheduler's), and Append and AppendBatch are durable before they
+// return. A finished unit goes through one persist stage:
 //
 //   - A store with a batch side (runstore.BatchAppender: the journal,
 //     the archive, the shard store, the collector worker's remote store)

@@ -58,7 +58,7 @@ func testTimeoutAbandonment(t *testing.T, pool string) {
 		return deterministicRunner(a, rep)
 	}
 
-	s := New(withBudget(t, pool, reps, Options{Workers: 4, Timeout: 25 * time.Millisecond, JournalDir: dir}))
+	s := New(withBudget(t, pool, reps, Options{Workers: 4, Timeout: 25 * time.Millisecond, Open: journalDir(dir)}))
 	_, err := s.Execute(context.Background(), newExperiment(t, reps, blocking))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("want timeout error, got %v", err)
@@ -97,7 +97,7 @@ func testTimeoutAbandonment(t *testing.T, pool string) {
 	// A healthy warm-started re-run over the same journal must replay
 	// exactly the journaled fast units, execute the rest, and publish
 	// consistent stats — the abandoned attempts corrupted nothing.
-	s2 := New(withBudget(t, pool, reps, Options{Workers: 4, Timeout: time.Second, JournalDir: dir}))
+	s2 := New(withBudget(t, pool, reps, Options{Workers: 4, Timeout: time.Second, Open: journalDir(dir)}))
 	rs, err := s2.Execute(context.Background(), newExperiment(t, reps, nil))
 	if err != nil {
 		t.Fatal(err)

@@ -3,11 +3,13 @@ package sched
 import (
 	"bytes"
 	"context"
+	"errors"
 	"iter"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,7 +242,7 @@ func TestKillChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("child-process body for TestKilledRunLeavesDesignOrderPrefix")
 	}
-	s := New(Options{Workers: 1, JournalDir: dir})
+	s := New(Options{Workers: 1, Open: journalDir(dir)})
 	if _, err := s.Execute(context.Background(), newWideExperiment(t, killCells, killReps, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func TestKilledRunLeavesDesignOrderPrefix(t *testing.T) {
 			}
 			return resp, err
 		}
-		s := New(Options{Workers: 4, JournalDir: dir})
+		s := New(Options{Workers: 4, Open: journalDir(dir)})
 		if _, err := s.Execute(context.Background(), newWideExperiment(t, killCells, killReps, counting)); err != nil {
 			t.Fatal(err)
 		}
@@ -317,5 +319,83 @@ func TestKilledRunLeavesDesignOrderPrefix(t *testing.T) {
 				t.Fatalf("seed %d: unit %d ran %d time(s) on resume, want %d (journal held %d)", seed, i, got, want, len(recs))
 			}
 		}
+	}
+}
+
+// closeCounter is a journal that counts its Close calls.
+type closeCounter struct {
+	*runstore.Journal
+	closed *int
+}
+
+func (c closeCounter) Close() error {
+	*c.closed++
+	return c.Journal.Close()
+}
+
+// TestOpenOncePerExecute pins the one way the scheduler gets a store of
+// its own: Options.Open is called once per Execute, with the
+// experiment's name and before any unit runs, and the store it returns is
+// closed when Execute returns, failed or not.
+func TestOpenOncePerExecute(t *testing.T) {
+	dir := t.TempDir()
+	var opened []string
+	closed := 0
+	open := func(name string) (runstore.Store, error) {
+		opened = append(opened, name)
+		j, err := runstore.OpenDir(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		return closeCounter{j, &closed}, nil
+	}
+	e := newExperiment(t, 3, nil)
+	if _, err := New(Options{Workers: 2, Open: open}).Execute(context.Background(), e); err != nil {
+		t.Fatal(err)
+	}
+	if len(opened) != 1 || opened[0] != e.Name || closed != 1 {
+		t.Fatalf("after one Execute: opened %q, closed %d times; want [%q], 1", opened, closed, e.Name)
+	}
+
+	// A unit that fails for good fails the run; the store is closed all
+	// the same. Replicate 3 is new to the journal, so it runs.
+	failing := newExperiment(t, 4, func(a design.Assignment, rep int) (map[string]float64, error) {
+		if rep == 3 {
+			return nil, errors.New("unit failed")
+		}
+		return deterministicRunner(a, rep)
+	})
+	if _, err := New(Options{Workers: 2, Open: open}).Execute(context.Background(), failing); err == nil {
+		t.Fatal("a failing unit should fail the run")
+	}
+	if len(opened) != 2 || opened[1] != failing.Name || closed != 2 {
+		t.Fatalf("after a failed Execute: opened %q, closed %d times; want two opens, two closes", opened, closed)
+	}
+
+	// An Open error is the run's error, and no unit has run.
+	var ran atomic.Int64
+	counting := newExperiment(t, 2, func(a design.Assignment, rep int) (map[string]float64, error) {
+		ran.Add(1)
+		return deterministicRunner(a, rep)
+	})
+	noStore := func(string) (runstore.Store, error) { return nil, errors.New("no store today") }
+	if _, err := New(Options{Workers: 2, Open: noStore}).Execute(context.Background(), counting); err == nil || !strings.Contains(err.Error(), "no store today") {
+		t.Fatalf("Execute with a failing Open = %v, want its error", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d unit(s) ran although Open failed", n)
+	}
+
+	// Store and Open together are refused before either is used.
+	j, err := runstore.OpenDir(t.TempDir(), e.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, err := New(Options{Store: j, Open: open}).Execute(context.Background(), counting); err == nil {
+		t.Fatal("Store and Open together should be refused")
+	}
+	if len(opened) != 2 || ran.Load() != 0 {
+		t.Fatalf("a refused Execute opened %q and ran %d unit(s)", opened[2:], ran.Load())
 	}
 }

@@ -31,7 +31,7 @@ func TestCrashResume(t *testing.T) {
 		}
 		return deterministicRunner(a, rep)
 	}
-	s1 := New(Options{Workers: 2, JournalDir: dir})
+	s1 := New(Options{Workers: 2, Open: journalDir(dir)})
 	if _, err := s1.Execute(context.Background(), newExperiment(t, reps, crashing)); err == nil {
 		t.Fatal("pass 1 should fail")
 	}
@@ -78,7 +78,7 @@ func TestCrashResume(t *testing.T) {
 		mu.Unlock()
 		return deterministicRunner(a, rep)
 	}
-	s2 := New(Options{Workers: 4, JournalDir: dir})
+	s2 := New(Options{Workers: 4, Open: journalDir(dir)})
 	resumed, err := s2.Execute(context.Background(), newExperiment(t, reps, healthy))
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestCrashResume(t *testing.T) {
 	}
 
 	// Pass 3: nothing left to execute.
-	s3 := New(Options{Workers: 4, JournalDir: dir})
+	s3 := New(Options{Workers: 4, Open: journalDir(dir)})
 	if _, err := s3.Execute(context.Background(), newExperiment(t, reps, healthy)); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCrashResume(t *testing.T) {
 func TestResumeOverHoleRunsExactlyTheMissingUnit(t *testing.T) {
 	const cells, reps = 4, 3
 	coldDir := t.TempDir()
-	cold, err := New(Options{Workers: 1, JournalDir: coldDir}).Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
+	cold, err := New(Options{Workers: 1, Open: journalDir(coldDir)}).Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestResumeOverHoleRunsExactlyTheMissingUnit(t *testing.T) {
 				mu.Unlock()
 				return wideRunner(a, rep)
 			}
-			s := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir}))
+			s := New(withBudget(t, pool, reps, Options{Workers: 2, Open: journalDir(dir)}))
 			rs, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, counting))
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +194,7 @@ func TestResumeOverHoleRunsExactlyTheMissingUnit(t *testing.T) {
 func TestStoreBeyondBudgetIsNotReplayed(t *testing.T) {
 	const cells, stored, reps = 4, 3, 2
 	dir := t.TempDir()
-	if _, err := New(Options{Workers: 2, JournalDir: dir}).Execute(context.Background(), newWideExperiment(t, cells, stored, nil)); err != nil {
+	if _, err := New(Options{Workers: 2, Open: journalDir(dir)}).Execute(context.Background(), newWideExperiment(t, cells, stored, nil)); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := harness.Sequential{}.Execute(context.Background(), newWideExperiment(t, cells, reps, nil))
@@ -203,7 +203,7 @@ func TestStoreBeyondBudgetIsNotReplayed(t *testing.T) {
 	}
 	for _, pool := range pools {
 		t.Run(pool, func(t *testing.T) {
-			s := New(withBudget(t, pool, reps, Options{Workers: 2, JournalDir: dir}))
+			s := New(withBudget(t, pool, reps, Options{Workers: 2, Open: journalDir(dir)}))
 			rs, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, func(design.Assignment, int) (map[string]float64, error) {
 				return nil, errors.New("nothing should execute: the store holds more than the budget")
 			}))

@@ -8,11 +8,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/design"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/runstore"
-	"repro/internal/runstore/shardstore"
 )
 
 // Options configure a Scheduler.
@@ -42,35 +42,30 @@ type Options struct {
 	// stopping rule is satisfied, shows it every landed replicate, and
 	// schedules the cells it flags first. Nil is the fixed budget — every
 	// cell gets Design.Replicates, asked for in one batch — run by the
-	// same pool under the same rules (see the package comment). See the
-	// Controller interface; internal/adaptive implements it.
-	Controller Controller
+	// same pool under the same rules (see the package comment, which also
+	// states the cell-key and determinism contracts the pool keeps with
+	// it).
+	Controller *adaptive.Controller
 	// Store, when set, persists every completed unit and satisfies from
 	// records already present every unit the budget asks for — a unit
 	// runs only when the store holds no valid record of it, wherever in
 	// the cell the gap is. Any runstore.Store backend works: the
 	// single-file JSONL journal, the sharded directory store
-	// (internal/runstore/shardstore) or the archive
-	// (internal/runstore/archivestore). A
-	// store that is also a runstore.BatchAppender is committed to in
-	// batches, in completion order, by one goroutine per Execute; any
+	// (internal/runstore/shardstore), the archive
+	// (internal/runstore/archivestore) or the collector worker's remote
+	// store. A store that is also a runstore.BatchAppender is committed to
+	// in batches, in completion order, by one goroutine per Execute; any
 	// other store is appended to by the workers, record by record (see
 	// the package's persist contract). The caller keeps ownership (and
 	// must Close it).
 	Store runstore.Store
-	// JournalDir, when Store is nil, makes the scheduler open (and
-	// close) a per-experiment store under JournalDir for each Execute
-	// call: a plain journal at <JournalDir>/<experiment>.jsonl, or — with
-	// Shards > 0 — this process's shard of a sharded directory store.
-	JournalDir string
-	// OpenStore, when set alongside JournalDir, replaces the default
-	// per-experiment journal with another Store backend (e.g.
-	// archivestore.OpenDir for block-indexed archives). The scheduler's
-	// execution semantics — warm-start replay, per-unit journaling,
-	// deterministic ResultSet assembly — are identical across backends;
-	// only the file behind them changes. Incompatible with sharded
-	// execution, whose shard files are journals by construction.
-	OpenStore func(dir, experiment string) (runstore.Store, error)
+	// Open, when set, opens the store of one Execute: it is called once
+	// per Execute, with the experiment's name, before any unit runs, and
+	// the store it returns is closed when Execute returns — so one
+	// Scheduler can run several experiments, each against its own file.
+	// The repro package's RunConfig maps a journal directory, a backend
+	// and a shard to it. Setting both Store and Open is an error.
+	Open func(experiment string) (runstore.Store, error)
 	// Shards, when > 0, partitions the design's rows across Shards
 	// cooperating scheduler processes by assignment hash
 	// (runstore.ShardIndex): this scheduler executes only the rows owned
@@ -103,48 +98,6 @@ type Stats struct {
 	// rows x Design.Replicates. Equal to Units on fixed-budget runs; the
 	// budget report compares Units against it on adaptive ones.
 	FixedBudget int
-}
-
-// Controller decides, per design cell, how much replication is enough —
-// the sequential-analysis hook. The scheduler owns the mechanics (workers,
-// retries, replay, persistence, result assembly); the controller owns the
-// policy (stopping rule, budget envelope, priorities). Without one the
-// policy is the fixed budget: every cell gets Design.Replicates, asked
-// for in one batch. internal/adaptive provides the CI-targeted
-// implementation.
-//
-// Cells are identified by the opaque key runstore.CellKey(experiment,
-// hash), so one controller can serve several experiments without state
-// bleeding across them.
-//
-// Determinism contract: the scheduler only calls Target at batch
-// boundaries — when every replicate it has asked of the cell has been
-// observed — and replicates of one cell always form the contiguous
-// prefix 0..n-1. A controller whose decisions depend only on the
-// observed values of the cell under decision therefore yields the same
-// replicate count per cell regardless of worker count, completion order,
-// or how many of the replicates were replayed from a store. Every call
-// of one Execute comes from one goroutine, but implementations must be
-// safe for concurrent use: a controller may be shared by schedulers
-// running in parallel.
-type Controller interface {
-	// Observe ingests one completed replicate of a cell — live or
-	// replayed from the store — restricted to the experiment's declared
-	// responses.
-	Observe(cell string, replicate int, responses map[string]float64)
-	// Target returns the total number of replicates the cell should
-	// reach, given that observed have completed. A value <= observed
-	// stops the cell; a larger value asks for the difference as the next
-	// batch. The first call (observed is 0) must return at least 1 —
-	// every cell needs one measurement to say anything at all.
-	Target(cell string, observed int) int
-	// Priority reports whether the cell should be scheduled ahead of
-	// non-priority cells (e.g. a cell the regression gate flagged).
-	Priority(cell string) bool
-	// Explain renders a short human-readable account of the cell's
-	// state — achieved precision, applied target, stop reason — for
-	// budget reports.
-	Explain(cell string) string
 }
 
 // Scheduler executes experiments concurrently. It is safe for use from
@@ -223,9 +176,9 @@ type execution struct {
 	// ctrl is Options.Controller. Nil is the fixed budget — the
 	// degenerate policy "Design.Replicates, asked once, no priority,
 	// nothing to observe" — and is checked for rather than stood in for by
-	// a do-nothing Controller, so a fixed run pays nothing per unit for
+	// a do-nothing controller, so a fixed run pays nothing per unit for
 	// policy it does not have.
-	ctrl  Controller
+	ctrl  *adaptive.Controller
 	cells []cellState
 	stats Stats
 }
@@ -241,31 +194,24 @@ func (s *Scheduler) Execute(ctx context.Context, e *harness.Experiment) (*harnes
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
+	if s.opts.Store != nil && s.opts.Open != nil {
+		return nil, fmt.Errorf("sched: Options.Store and Options.Open are both set; give one store or one way to open it")
+	}
 	sharded := s.opts.Shards > 0
 	if sharded {
 		switch {
 		case s.opts.Shard < 0 || s.opts.Shard >= s.opts.Shards:
 			return nil, fmt.Errorf("sched: shard %d out of range [0,%d)", s.opts.Shard, s.opts.Shards)
-		case s.opts.Store == nil && s.opts.JournalDir == "":
-			return nil, fmt.Errorf("sched: sharded execution requires a store (Options.Store or JournalDir); without one the merge step has nothing to collect")
+		case s.opts.Store == nil && s.opts.Open == nil:
+			return nil, fmt.Errorf("sched: sharded execution requires a store (Options.Store or Options.Open); without one the merge step has nothing to collect")
 		case s.opts.Controller != nil:
 			return nil, fmt.Errorf("sched: sharded execution requires a fixed replication budget, not an adaptive Controller")
-		case s.opts.OpenStore != nil:
-			return nil, fmt.Errorf("sched: sharded execution uses journal shard files; it cannot combine with Options.OpenStore")
 		}
 	}
 	store := s.opts.Store
-	if store == nil && s.opts.JournalDir != "" {
+	if s.opts.Open != nil {
 		var err error
-		switch {
-		case sharded:
-			store, err = shardstore.OpenShard(s.opts.JournalDir, e.Name, s.opts.Shard, s.opts.Shards)
-		case s.opts.OpenStore != nil:
-			store, err = s.opts.OpenStore(s.opts.JournalDir, e.Name)
-		default:
-			store, err = runstore.OpenDir(s.opts.JournalDir, e.Name)
-		}
-		if err != nil {
+		if store, err = s.opts.Open(e.Name); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
 		defer store.Close()

@@ -13,9 +13,16 @@ import (
 
 	"repro/internal/design"
 	"repro/internal/harness"
+	"repro/internal/runstore"
 )
 
 var _ harness.Executor = (*Scheduler)(nil)
+
+// journalDir opens each experiment's journal, <dir>/<experiment>.jsonl,
+// the way the repro package's RunConfig does for a journal directory.
+func journalDir(dir string) func(string) (runstore.Store, error) {
+	return func(experiment string) (runstore.Store, error) { return runstore.OpenDir(dir, experiment) }
+}
 
 // newExperiment builds a deterministic 2^2 x reps experiment whose
 // response depends only on (assignment, replicate), so sequential and
@@ -183,7 +190,7 @@ func TestSchedulerWarmStartSkipsJournaledUnits(t *testing.T) {
 		return deterministicRunner(a, rep)
 	}
 
-	s1 := New(Options{Workers: 4, JournalDir: dir})
+	s1 := New(Options{Workers: 4, Open: journalDir(dir)})
 	rs1, err := s1.Execute(context.Background(), newExperiment(t, 3, counted))
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +204,7 @@ func TestSchedulerWarmStartSkipsJournaledUnits(t *testing.T) {
 
 	// Second run, fresh scheduler, same journal dir: everything replays.
 	calls.Store(0)
-	s2 := New(Options{Workers: 4, JournalDir: dir})
+	s2 := New(Options{Workers: 4, Open: journalDir(dir)})
 	rs2, err := s2.Execute(context.Background(), newExperiment(t, 3, counted))
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +223,7 @@ func TestSchedulerWarmStartSkipsJournaledUnits(t *testing.T) {
 func TestSchedulerReExecutesWhenJournalLacksResponse(t *testing.T) {
 	dir := t.TempDir()
 	e := newExperiment(t, 1, nil)
-	s := New(Options{Workers: 2, JournalDir: dir})
+	s := New(Options{Workers: 2, Open: journalDir(dir)})
 	if _, err := s.Execute(context.Background(), e); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +238,7 @@ func TestSchedulerReExecutesWhenJournalLacksResponse(t *testing.T) {
 		return resp, nil
 	})
 	e2.Responses = []string{"MIPS", "watts"}
-	s2 := New(Options{Workers: 2, JournalDir: dir})
+	s2 := New(Options{Workers: 2, Open: journalDir(dir)})
 	if _, err := s2.Execute(context.Background(), e2); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,14 @@ import (
 	"repro/internal/runstore/shardstore"
 )
 
+// shardDir opens this process's shard file of each experiment under dir,
+// the way the repro package's RunConfig does for a sharded run.
+func shardDir(dir string, shard, shards int) func(string) (runstore.Store, error) {
+	return func(experiment string) (runstore.Store, error) {
+		return shardstore.OpenShard(dir, experiment, shard, shards)
+	}
+}
+
 // newWideExperiment builds a deterministic one-factor design with enough
 // cells that every shard of a small partition owns some rows.
 func newWideExperiment(t *testing.T, cells, reps int, run harness.RunFunc) *harness.Experiment {
@@ -63,7 +71,7 @@ func TestShardedRunPartitionsDisjointly(t *testing.T) {
 			mu.Unlock()
 			return wideRunner(a, rep)
 		}
-		s := New(Options{Workers: 2, JournalDir: dir, Shards: shards, Shard: k})
+		s := New(Options{Workers: 2, Shards: shards, Shard: k, Open: shardDir(dir, k, shards)})
 		rs, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, run))
 		if err != nil {
 			t.Fatalf("shard %d: %v", k, err)
@@ -119,7 +127,7 @@ func TestShardedRunPartitionsDisjointly(t *testing.T) {
 	// single-process single-worker run (appends in design order, i.e.
 	// already canonical).
 	singleDir := t.TempDir()
-	s := New(Options{Workers: 1, JournalDir: singleDir})
+	s := New(Options{Workers: 1, Open: journalDir(singleDir)})
 	if _, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +193,12 @@ func TestShardedWarmStart(t *testing.T) {
 	const shards, cells, reps = 2, 6, 2
 	dir := t.TempDir()
 	for k := 0; k < shards; k++ {
-		s := New(Options{Workers: 2, JournalDir: dir, Shards: shards, Shard: k})
+		s := New(Options{Workers: 2, Shards: shards, Shard: k, Open: shardDir(dir, k, shards)})
 		if _, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := New(Options{Workers: 2, JournalDir: dir, Shards: shards, Shard: 0})
+	s := New(Options{Workers: 2, Shards: shards, Shard: 0, Open: shardDir(dir, 0, shards)})
 	if _, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, func(design.Assignment, int) (map[string]float64, error) {
 		return nil, fmt.Errorf("warm shard re-run should replay, not execute")
 	})); err != nil {
@@ -207,10 +215,10 @@ func TestShardedWarmStart(t *testing.T) {
 func TestShardOptionValidation(t *testing.T) {
 	dir := t.TempDir()
 	e := func() *harness.Experiment { return newWideExperiment(t, 4, 1, nil) }
-	if _, err := New(Options{Shards: 2, Shard: 2, JournalDir: dir}).Execute(context.Background(), e()); err == nil {
+	if _, err := New(Options{Shards: 2, Shard: 2, Open: shardDir(dir, 2, 2)}).Execute(context.Background(), e()); err == nil {
 		t.Error("shard index == shards should error")
 	}
-	if _, err := New(Options{Shards: 2, Shard: -1, JournalDir: dir}).Execute(context.Background(), e()); err == nil {
+	if _, err := New(Options{Shards: 2, Shard: -1, Open: shardDir(dir, -1, 2)}).Execute(context.Background(), e()); err == nil {
 		t.Error("negative shard index should error")
 	}
 	if _, err := New(Options{Shards: 2}).Execute(context.Background(), e()); err == nil {
@@ -220,7 +228,7 @@ func TestShardOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{Shards: 2, JournalDir: dir, Controller: ctrl}).Execute(context.Background(), e()); err == nil {
+	if _, err := New(Options{Shards: 2, Open: shardDir(dir, 0, 2), Controller: ctrl}).Execute(context.Background(), e()); err == nil {
 		t.Error("sharding with an adaptive controller should error")
 	}
 }

@@ -57,12 +57,17 @@ func (iv Interval) String() string {
 // degrees of freedom. It returns an error for samples with fewer than two
 // observations or a confidence outside (0, 1).
 func MeanCI(xs []float64, confidence float64) (Interval, error) {
-	// A sample too small is reported before a bad confidence, by t.MeanCI.
-	if len(xs) >= 2 && !(confidence > 0 && confidence < 1) { // negated so that NaN fails
+	if len(xs) < 2 {
+		return Interval{}, fmt.Errorf("stats: confidence interval needs at least 2 observations, got %d", len(xs))
+	}
+	if !(confidence > 0 && confidence < 1) { // negated so that NaN fails
 		return Interval{}, fmt.Errorf("stats: confidence must be in (0,1), got %g", confidence)
 	}
-	t := NewTCritical(confidence)
-	return t.MeanCI(xs)
+	m := Mean(xs)
+	se := StdErr(xs)
+	tc := NewTCritical(confidence)
+	t := tc.At(len(xs))
+	return Interval{Mean: m, Lo: m - t*se, Hi: m + t*se, Confidence: confidence, N: len(xs)}, nil
 }
 
 // TCritical is the two-sided Student-t critical value at one confidence
@@ -87,6 +92,9 @@ type tCritical struct {
 // be in (0, 1).
 func NewTCritical(confidence float64) TCritical { return TCritical{confidence: confidence} }
 
+// Confidence returns the confidence level c looks critical values up at.
+func (c *TCritical) Confidence() float64 { return c.confidence }
+
 // At returns the critical value for a sample of n >= 2 observations.
 func (c *TCritical) At(n int) float64 {
 	for _, k := range c.known {
@@ -98,23 +106,6 @@ func (c *TCritical) At(n int) float64 {
 	t := TQuantile(1-alpha/2, float64(n-1))
 	c.known = append(c.known, tCritical{n, t})
 	return t
-}
-
-// MeanCI is the package's MeanCI at c's confidence level.
-func (c *TCritical) MeanCI(xs []float64) (Interval, error) {
-	if len(xs) < 2 {
-		return Interval{}, fmt.Errorf("stats: confidence interval needs at least 2 observations, got %d", len(xs))
-	}
-	m := Mean(xs)
-	se := StdErr(xs)
-	t := c.At(len(xs))
-	return Interval{
-		Mean:       m,
-		Lo:         m - t*se,
-		Hi:         m + t*se,
-		Confidence: c.confidence,
-		N:          len(xs),
-	}, nil
 }
 
 // Verdict classifies the outcome of comparing two measured alternatives.

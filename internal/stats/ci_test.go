@@ -267,8 +267,7 @@ func TestRelHalfWidth(t *testing.T) {
 }
 
 // TestTCriticalSameBits: the lookup is TQuantile's value, not an
-// approximation of it — asked once or again, in any order of n — and its
-// MeanCI is the package's, field for field.
+// approximation of it — asked once or again, in any order of n.
 func TestTCriticalSameBits(t *testing.T) {
 	for _, confidence := range []float64{0.8, 0.95, 0.999} {
 		tc := NewTCritical(confidence)
@@ -276,14 +275,6 @@ func TestTCriticalSameBits(t *testing.T) {
 			alpha := 1 - confidence
 			if got, want := tc.At(n), TQuantile(1-alpha/2, float64(n-1)); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("confidence %g, n %d: At = %v, TQuantile = %v", confidence, n, got, want)
-			}
-		}
-		xs := []float64{8, 9, 11, 12, 12.5}
-		for n := 1; n <= len(xs); n++ {
-			got, gotErr := tc.MeanCI(xs[:n])
-			want, wantErr := MeanCI(xs[:n], confidence)
-			if got != want || (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Errorf("confidence %g, n %d: MeanCI = %+v, %v; package MeanCI = %+v, %v", confidence, n, got, gotErr, want, wantErr)
 			}
 		}
 	}

@@ -14,12 +14,11 @@ type ExecContext struct {
 	DB      *DB
 	Machine *hwsim.Machine
 	Clock   *hwsim.VirtualClock
-	Mode    hwsim.BuildMode
-	// Overheads are the Debug-build per-operator-class factors; zero
-	// value means hwsim.DefaultDebugOverheads.
-	Overheads hwsim.OverheadFactors
-	Buffers   *BufferManager
-	Profiler  *Profiler
+	// Mode is the build the costs are charged for; a Debug build pays
+	// hwsim.DefaultDebugOverheads per operator class.
+	Mode     hwsim.BuildMode
+	Buffers  *BufferManager
+	Profiler *Profiler
 }
 
 // NewContext builds a context with cost accounting disabled.
@@ -27,22 +26,11 @@ func NewContext(db *DB) *ExecContext { return &ExecContext{DB: db} }
 
 // NewSimContext builds a context that charges machine costs to clock.
 func NewSimContext(db *DB, m *hwsim.Machine, clock *hwsim.VirtualClock) *ExecContext {
-	return &ExecContext{
-		DB: db, Machine: m, Clock: clock,
-		Overheads: hwsim.DefaultDebugOverheads,
-		Buffers:   NewBufferManager(),
-	}
+	return &ExecContext{DB: db, Machine: m, Clock: clock, Buffers: NewBufferManager()}
 }
 
 // simulated reports whether cost accounting is active.
 func (ctx *ExecContext) simulated() bool { return ctx.Machine != nil && ctx.Clock != nil }
-
-func (ctx *ExecContext) overheads() hwsim.OverheadFactors {
-	if ctx.Overheads == (hwsim.OverheadFactors{}) {
-		return hwsim.DefaultDebugOverheads
-	}
-	return ctx.Overheads
-}
 
 // chargeCycles charges CPU cycles for op-class work, applying the build
 // mode's overhead factor.
@@ -50,7 +38,7 @@ func (ctx *ExecContext) chargeCycles(cycles float64, op hwsim.OpClass) {
 	if !ctx.simulated() || cycles <= 0 {
 		return
 	}
-	f := ctx.Mode.Factor(ctx.overheads(), op)
+	f := ctx.Mode.Factor(hwsim.DefaultDebugOverheads, op)
 	ctx.Clock.AdvanceCPU(cycles * ctx.Machine.CycleNs() * f)
 }
 

@@ -180,52 +180,30 @@ func (w *Warehouse) Query(req Request) (*Result, error) {
 	case KindRuns:
 		res.Runs = queryRuns(live, req)
 	case KindHistory:
-		res.History = queryHistory(live, req, w.intervals(req))
+		res.History = queryHistory(live, req, w.tCritical(req))
 	case KindTrends:
 		res.Trends = queryTrends(live, req)
 	case KindRegressions:
-		res.Regressions = queryRegressions(live, req, w.intervals(req))
+		res.Regressions = queryRegressions(live, req, w.tCritical(req))
 	}
 	w.met.queries.Inc()
 	w.met.querySeconds.Observe(time.Since(start).Seconds())
 	return res, nil
 }
 
-// intervals rebuilds cells' comparison intervals for one query,
-// mirroring the regression gate's rules term for term: a Student-t
-// interval when N >= 2 (the exact stats.MeanCI arithmetic, with the
-// standard error recovered from the stored variance), a relative
-// tolerance band for single-replicate cells. The t-quantile depends only
-// on (confidence, N), and the warehouse's cells share a handful of N, so
-// queries share one stats.TCritical — the gate's lookup — the
-// warehouse's slot for the last confidence asked.
-type intervals struct {
-	confidence, tolerance float64
-	t                     *stats.TCritical
-}
-
-// intervals returns req's interval builder on the warehouse's t-quantile
-// slot, replacing the slot's lookup when req names another confidence
-// than the query before it. Called under w.mu; req is filled, so its
+// tCritical returns the warehouse's t-quantile slot at req's confidence,
+// replacing the slot's lookup when req names another level than the
+// query before it. Queries rebuild each cell's comparison interval with
+// the regression gate's own function, runstore.CellInterval, from the
+// cell's stored N, mean and variance; the t-quantile depends only on
+// (confidence, N), and the warehouse's cells share a handful of N, so
+// queries share one lookup. Called under w.mu; req is filled, so its
 // confidence is a number in (0, 1) and equal levels compare equal.
-func (w *Warehouse) intervals(req Request) intervals {
-	if w.tConfidence != req.Confidence {
-		w.t, w.tConfidence = stats.NewTCritical(req.Confidence), req.Confidence
+func (w *Warehouse) tCritical(req Request) *stats.TCritical {
+	if w.t.Confidence() != req.Confidence {
+		w.t = stats.NewTCritical(req.Confidence)
 	}
-	return intervals{confidence: req.Confidence, tolerance: req.Tolerance, t: &w.t}
-}
-
-func (iv *intervals) of(c *Cell) stats.Interval {
-	if c.N >= 2 {
-		t := iv.t.At(c.N)
-		se := math.Sqrt(c.Variance) / math.Sqrt(float64(c.N))
-		return stats.Interval{Mean: c.Mean, Lo: c.Mean - t*se, Hi: c.Mean + t*se, Confidence: iv.confidence, N: c.N}
-	}
-	half := iv.tolerance * math.Abs(c.Mean)
-	if half == 0 {
-		half = iv.tolerance
-	}
-	return stats.Interval{Mean: c.Mean, Lo: c.Mean - half, Hi: c.Mean + half, Confidence: iv.confidence, N: c.N}
+	return &w.t
 }
 
 func queryRuns(live []heldRun, req Request) []RunInfo {
@@ -260,12 +238,12 @@ func queryRuns(live []heldRun, req Request) []RunInfo {
 	return tail(out, req.Limit)
 }
 
-func queryHistory(live []heldRun, req Request, iv intervals) []HistoryPoint {
+func queryHistory(live []heldRun, req Request, t *stats.TCritical) []HistoryPoint {
 	var out []HistoryPoint
 	for ri := range live {
 		r := &live[ri]
 		for c := range historyCells(r, req) {
-			ci := iv.of(c)
+			ci := runstore.CellInterval(c.N, c.Mean, c.Variance, req.Tolerance, t)
 			out = append(out, HistoryPoint{
 				Run:          r.Path,
 				ModTimeNS:    r.ModTimeNS,
@@ -412,7 +390,7 @@ func queryTrends(live []heldRun, req Request) []TrendLine {
 	return out
 }
 
-func queryRegressions(live []heldRun, req Request, iv intervals) []RegressionEntry {
+func queryRegressions(live []heldRun, req Request, t *stats.TCritical) []RegressionEntry {
 	type point struct {
 		run  *Run
 		cell *Cell
@@ -460,7 +438,9 @@ func queryRegressions(live []heldRun, req Request, iv intervals) []RegressionEnt
 		if s.base.cell == nil {
 			continue
 		}
-		bi, ci := iv.of(s.base.cell), iv.of(s.cur.cell)
+		b, c := s.base.cell, s.cur.cell
+		bi := runstore.CellInterval(b.N, b.Mean, b.Variance, req.Tolerance, t)
+		ci := runstore.CellInterval(c.N, c.Mean, c.Variance, req.Tolerance, t)
 		v, delta := runstore.CIShift(bi, ci)
 		if v != runstore.Regressed {
 			continue

@@ -44,13 +44,12 @@ type Warehouse struct {
 	met   *metrics
 	clock func() time.Time
 
-	// t is the Student-t critical-value lookup at tConfidence, the
-	// confidence of the last query that built intervals: one slot,
+	// t is the Student-t critical-value lookup at the confidence of the
+	// last query that built intervals (zero before the first): one slot,
 	// replaced when a query names another level, so queries at one level
 	// pay each t-quantile once and the slot stays a handful of values
 	// whatever levels are asked. Used under mu.
-	t           stats.TCritical
-	tConfidence float64
+	t stats.TCritical
 }
 
 // Open opens the warehouse over root (which must exist), loading the

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,6 +99,52 @@ func TestRunConfigScheduledJournaledRun(t *testing.T) {
 	}
 }
 
+// TestRunConfigStoreFiles pins what RunConfig's one store opener
+// writes: each configuration leaves exactly the one file it always wrote
+// under JournalDir, and a second Run over it replays every unit the
+// first executed.
+func TestRunConfigStoreFiles(t *testing.T) {
+	const stem = "workstation_performance_2_2" // t4's experiment, sanitized
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+		file string
+	}{
+		{"journal", RunConfig{Workers: 2}, stem + ".jsonl"},
+		{"archive", RunConfig{Workers: 2, Store: StoreArchive}, stem + ".arch"},
+		{"shard", RunConfig{Workers: 2, Shards: 2, Shard: 1}, stem + ".shard-001-of-002.jsonl"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.cfg.JournalDir = dir
+			cold, err := Run(context.Background(), "t4", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			if len(names) != 1 || names[0] != tc.file {
+				t.Fatalf("files under JournalDir = %q, want [%q]", names, tc.file)
+			}
+			executed, _ := cold.Metrics.Get("sched_units_executed_total")
+			if executed.Value == 0 {
+				t.Fatal("cold run executed nothing")
+			}
+			warm, err := Run(context.Background(), "t4", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertUnits(t, "warm", warm.Metrics, 0, executed.Value)
+		})
+	}
+}
+
 // assertUnits checks the scheduler counters of one Run's own metrics.
 func assertUnits(t *testing.T, run string, m *Metrics, executed, replayed float64) {
 	t.Helper()
@@ -147,6 +194,8 @@ func TestRunConfigValidation(t *testing.T) {
 		{Shards: 2, Shard: 0, JournalDir: "x", Adaptive: &AdaptiveConfig{}}, // sharding x adaptive
 		{Store: StoreArchive, JournalDir: "x", Shards: 2},                   // sharding x archive
 		{Adaptive: &AdaptiveConfig{Rel: -0.1}},                              // bad target
+		{Adaptive: &AdaptiveConfig{Rel: math.NaN()}},                        // not a target
+		{Adaptive: &AdaptiveConfig{Rel: math.Inf(1)}},                       // stops every cell at Min
 		{Adaptive: &AdaptiveConfig{Baseline: "absent-baseline-file.jsonl"}}, // unreadable baseline
 	} {
 		if _, err := Run(ctx, "t4", cfg); err == nil {

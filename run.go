@@ -14,6 +14,7 @@ import (
 	"repro/internal/paperexp"
 	"repro/internal/runstore"
 	"repro/internal/runstore/archivestore"
+	"repro/internal/runstore/shardstore"
 	"repro/internal/sched"
 )
 
@@ -107,38 +108,48 @@ func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
 		return nil, nil, nil
 	}
 	opts := sched.Options{
-		Workers:    cfg.Workers,
-		Retries:    cfg.Retries,
-		Timeout:    cfg.Timeout,
-		JournalDir: cfg.JournalDir,
-		Shards:     cfg.Shards,
-		Shard:      cfg.Shard,
-		Metrics:    obs.NewRegistry(),
+		Workers: cfg.Workers,
+		Retries: cfg.Retries,
+		Timeout: cfg.Timeout,
+		Shards:  cfg.Shards,
+		Shard:   cfg.Shard,
+		Metrics: obs.NewRegistry(),
 	}
 	if cfg.Workers < 0 {
 		return nil, nil, fmt.Errorf("repro: Workers = %d, need >= 0", cfg.Workers)
 	}
 	switch cfg.Store {
-	case "", StoreJournal:
-		// The JSONL journal is the default backend.
-	case StoreArchive:
-		if cfg.JournalDir == "" {
-			return nil, nil, fmt.Errorf("repro: Store %q requires JournalDir (the directory the per-experiment store files live in)", cfg.Store)
-		}
-		if cfg.Shards > 0 {
-			return nil, nil, fmt.Errorf("repro: Store %q cannot combine with sharded execution: shard files are journals; archive the merged result instead", cfg.Store)
-		}
-		opts.OpenStore = func(dir, experiment string) (runstore.Store, error) {
-			return archivestore.OpenDir(dir, experiment)
-		}
+	case "", StoreJournal, StoreArchive:
 	default:
 		return nil, nil, fmt.Errorf("repro: unknown store backend %q (want %q or %q)", cfg.Store, StoreJournal, StoreArchive)
 	}
-	if cfg.Store == StoreJournal && cfg.JournalDir == "" {
-		return nil, nil, fmt.Errorf("repro: Store %q requires JournalDir", cfg.Store)
+	if cfg.Store != "" && cfg.JournalDir == "" {
+		return nil, nil, fmt.Errorf("repro: Store %q requires JournalDir (the directory the per-experiment store files live in)", cfg.Store)
 	}
 	if cfg.Shards > 0 && cfg.JournalDir == "" {
 		return nil, nil, fmt.Errorf("repro: sharded execution requires JournalDir (shard files are the run's only output)")
+	}
+	if cfg.Store == StoreArchive && cfg.Shards > 0 {
+		return nil, nil, fmt.Errorf("repro: Store %q cannot combine with sharded execution: shard files are journals; archive the merged result instead", cfg.Store)
+	}
+	// The one place a directory, a backend and a shard become a file: each
+	// Execute opens <JournalDir>/<experiment>.jsonl, .arch, or this
+	// process's .shard-KKK-of-NNN.jsonl, and closes it when it returns.
+	if dir := cfg.JournalDir; dir != "" {
+		switch {
+		case cfg.Shards > 0:
+			opts.Open = func(experiment string) (runstore.Store, error) {
+				return shardstore.OpenShard(dir, experiment, cfg.Shard, cfg.Shards)
+			}
+		case cfg.Store == StoreArchive:
+			opts.Open = func(experiment string) (runstore.Store, error) {
+				return archivestore.OpenDir(dir, experiment)
+			}
+		default:
+			opts.Open = func(experiment string) (runstore.Store, error) {
+				return runstore.OpenDir(dir, experiment)
+			}
+		}
 	}
 	if cfg.Adaptive != nil {
 		if cfg.Shards > 0 {
