@@ -45,6 +45,8 @@ func TestPerfevalCommands(t *testing.T) {
 		{"-Dsched.workers=zero", "run", "t4"},
 		{"-Dsched.workers=0", "run", "t4"},
 		{"-Dsched.timeout=nonsense", "run", "t4"},
+		{"-Dsched.retries=-1", "run", "t4"},
+		{"-Dsched.timeout=-1s", "run", "t4"},
 		{"compact"},
 		{"compact", "a.jsonl", "b.jsonl"},
 		{"compact", "absent.jsonl"},

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/runstore"
+	"repro/internal/warehouse"
 )
 
 // GateOptions tune the regression gate: confidence level and relative
@@ -46,30 +47,29 @@ type DiffResult struct {
 // missing cell.
 func (d *DiffResult) Failed() bool { return d.Regressions > 0 || d.Missing > 0 }
 
-// Diff loads two store files (journals or archives), aggregates them
-// per (assignment, response), and applies the regression gate
-// (internal/runstore) experiment by experiment — the library form of
-// `perfeval diff`. Summaries aggregate whole record sets, so this is a
-// deliberate materialization site.
+// Diff summarizes two store files (journals or archives) per
+// (assignment, response) — each read once, by warehouse.Summarize, into
+// per-cell count, mean and variance, never into records — and applies
+// the regression gate (internal/runstore) experiment by experiment: the
+// library form of `perfeval diff`.
 func Diff(baseline, current string, opt GateOptions) (*DiffResult, error) {
-	baseRecs, err := runstore.LoadRecords(baseline)
+	baseSums, err := warehouse.Summarize(baseline)
 	if err != nil {
 		return nil, err
 	}
-	curRecs, err := runstore.LoadRecords(current)
+	curSums, err := warehouse.Summarize(current)
 	if err != nil {
 		return nil, err
 	}
-	baseSums := runstore.Summarize(baseRecs)
 	curByExp := map[string]*runstore.Summary{}
-	for _, s := range runstore.Summarize(curRecs) {
+	for _, s := range curSums {
 		curByExp[s.Experiment] = s
 	}
 	if len(baseSums) == 0 {
-		return nil, fmt.Errorf("baseline %s holds no records", baseline)
+		return nil, fmt.Errorf("baseline %s holds no measurements", baseline)
 	}
 	if len(curByExp) == 0 {
-		return nil, fmt.Errorf("current %s holds no records (crashed before the first append?)", current)
+		return nil, fmt.Errorf("current %s holds no measurements (crashed before the first append?)", current)
 	}
 	d := &DiffResult{}
 	for _, base := range baseSums {

@@ -140,7 +140,9 @@ func TestPrioritizeAndBaselineDrift(t *testing.T) {
 			Hash:       runstore.AssignmentHash(map[string]string{"f": "x"}),
 			Assignment: map[string]string{"f": "x"},
 			Response:   "ms",
-			Values:     []float64{10, 10.1, 9.9},
+			N:          3, // the replicates 10, 10.1 and 9.9
+			Mean:       10,
+			Variance:   0.01,
 		}},
 	}
 	c, err := New(Options{Rel: 0.10, Min: 3, Max: 20})

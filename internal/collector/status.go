@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/design"
 	"repro/internal/runstore"
+	"repro/internal/runstore/shardstore"
+	"repro/internal/warehouse"
 )
 
 // handleStatus reports the live control plane: registered workers and,
@@ -102,7 +104,10 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 
 // handleGate gates one experiment's collected records against the
 // server's configured baseline store and reports the verdicts — the
-// regression gate, live, while workers are still streaming.
+// regression gate, live, while workers are still streaming. Both sides
+// are summarized from their files by warehouse.Summarize: the baseline,
+// and the experiment's shard journals as they stand, so a batch already
+// written but not yet acknowledged may be counted.
 func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("experiment")
 	if name == "" {
@@ -120,34 +125,22 @@ func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("collector: experiment %q has no collected records", name))
 		return
 	}
-	baseRecs, err := runstore.LoadRecords(s.cfg.Baseline)
+	baseSums, err := warehouse.Summarize(s.cfg.Baseline)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("collector: baseline: %v", err))
 		return
 	}
-	var base *runstore.Summary
-	for _, sum := range runstore.Summarize(baseRecs) {
-		if sum.Experiment == name {
-			base = sum
-			break
-		}
-	}
+	base := experimentSummary(baseSums, name)
 	if base == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("collector: baseline %s holds no experiment %q", s.cfg.Baseline, name))
 		return
 	}
-	curRecs, err := runstore.Collect(e.store.Scan())
+	curSums, err := warehouse.Summarize(shardstore.Paths(s.cfg.Dir, name, len(e.shards))...)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	var cur *runstore.Summary
-	for _, sum := range runstore.Summarize(curRecs) {
-		if sum.Experiment == name {
-			cur = sum
-			break
-		}
-	}
+	cur := experimentSummary(curSums, name)
 	if cur == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("collector: experiment %q has no collected records yet", name))
 		return
@@ -171,4 +164,15 @@ func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.OK = resp.Regressed == 0
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// experimentSummary is the summary of the named experiment among sums, or
+// nil.
+func experimentSummary(sums []*runstore.Summary, name string) *runstore.Summary {
+	for _, sum := range sums {
+		if sum.Experiment == name {
+			return sum
+		}
+	}
+	return nil
 }

@@ -123,3 +123,30 @@ func BenchmarkJournalOpen(b *testing.B) {
 		j.Close()
 	}
 }
+
+// BenchmarkConvert rewrites the 10^5-record corpus between the journal
+// and the archive: every record is decoded on the way, from the
+// journal's read-ahead window or by the archive reader's Read, and
+// encoded into the other format.
+func BenchmarkConvert(b *testing.B) {
+	journal, arch := benchFiles(b)
+	for _, c := range []struct{ name, src, dst string }{
+		{"jsonl-arch", journal, "out.arch"},
+		{"arch-jsonl", arch, "out.jsonl"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dst := filepath.Join(b.TempDir(), c.dst)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ms, err := runstore.Merge([]string{c.src}, dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ms.Kept != benchRecords {
+					b.Fatalf("kept %d, want %d", ms.Kept, benchRecords)
+				}
+			}
+			b.ReportMetric(benchRecords, "records/op")
+		})
+	}
+}

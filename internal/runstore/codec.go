@@ -365,18 +365,10 @@ func (r *fileSource) Fields() iter.Seq2[*Fields, error] {
 	})
 }
 
-// raw returns the stored bytes of the record at ext. With ahead set they
-// come through the read-ahead window — for the one goroutine of a serial
-// write pass, and valid until its next call; otherwise from a positioned
-// read of their own, safe for concurrent use.
-func (r *fileSource) raw(ext Extent, ahead bool) ([]byte, error) {
-	if !ahead {
-		raw := make([]byte, ext.Len)
-		if _, err := r.f.ReadAt(raw, ext.Off); err != nil {
-			return nil, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
-		}
-		return raw, nil
-	}
+// raw returns the stored bytes of the record at ext through the
+// read-ahead window, the write pass's one way to read a journal source;
+// they are valid until the next call.
+func (r *fileSource) raw(ext Extent) ([]byte, error) {
 	if lo := ext.Off - r.aheadOff; lo >= 0 && lo+ext.Len <= int64(len(r.ahead)) {
 		return r.ahead[lo : lo+ext.Len], nil
 	}
@@ -414,12 +406,10 @@ func (r *fileSource) decodeRaw(raw []byte, ext Extent) (Record, error) {
 }
 
 // Read implements SourceReader with one positioned read of the record.
-// It is safe for concurrent use (the merge write pass decodes records
-// from several goroutines).
 func (r *fileSource) Read(ext Extent) (Record, error) {
-	raw, err := r.raw(ext, false)
-	if err != nil {
-		return Record{}, err
+	raw := make([]byte, ext.Len)
+	if _, err := r.f.ReadAt(raw, ext.Off); err != nil {
+		return Record{}, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
 	}
 	return r.decodeRaw(raw, ext)
 }

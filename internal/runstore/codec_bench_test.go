@@ -190,9 +190,12 @@ func BenchmarkJournalAppendConcurrent(b *testing.B) {
 
 // The Merge pair is the acceptance workload: two 5x10^4-record sources
 // folded into a destination of the same format. JSON pays a parse and a
-// marshal per record; binary pays neither.
+// marshal per record; binary pays neither. The Convert pair folds the
+// same sources into the other journal encoding, so the write pass copies
+// no frame: every winner is decoded from its source's read-ahead window
+// and encoded again.
 
-func benchMerge(b *testing.B, ext string, write func(tb testing.TB, path, experiment string, rows, reps int, pad string)) {
+func benchMerge(b *testing.B, ext, dstExt string, write func(tb testing.TB, path, experiment string, rows, reps int, pad string)) {
 	b.Helper()
 	dir := b.TempDir()
 	const rows, reps = 25_000, 2
@@ -201,7 +204,7 @@ func benchMerge(b *testing.B, ext string, write func(tb testing.TB, path, experi
 	s1 := filepath.Join(dir, "s1"+ext)
 	write(b, s0, "bench-a", rows, reps, pad)
 	write(b, s1, "bench-b", rows, reps, pad)
-	dst := filepath.Join(dir, "merged"+ext)
+	dst := filepath.Join(dir, "merged"+dstExt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,8 +219,13 @@ func benchMerge(b *testing.B, ext string, write func(tb testing.TB, path, experi
 	b.ReportMetric(float64(2*rows*reps), "records/op")
 }
 
-func BenchmarkMergeJSON(b *testing.B)   { benchMerge(b, ".jsonl", writeBulkJournal) }
-func BenchmarkMergeBinary(b *testing.B) { benchMerge(b, BinaryExt, writeBulkBinary) }
+func BenchmarkMergeJSON(b *testing.B)   { benchMerge(b, ".jsonl", ".jsonl", writeBulkJournal) }
+func BenchmarkMergeBinary(b *testing.B) { benchMerge(b, BinaryExt, BinaryExt, writeBulkBinary) }
+
+func BenchmarkConvert(b *testing.B) {
+	b.Run("jsonl-binj", func(b *testing.B) { benchMerge(b, ".jsonl", BinaryExt, writeBulkJournal) })
+	b.Run("binj-jsonl", func(b *testing.B) { benchMerge(b, BinaryExt, ".jsonl", writeBulkBinary) })
+}
 
 // TestBulkBinaryMatchesAppend pins the writeBulkBinary helper to the
 // writer of binary record files: the bytes it fabricates must be exactly

@@ -1,9 +1,10 @@
 // Package runstore persists experiment execution: the Store interface
 // the scheduler (internal/sched) executes against, its reference
 // implementation — Journal, an append-only JSONL run journal keyed by
-// (experiment, assignment-hash, replicate) — plus a baseline store, a
-// CI-shift regression gate, journal compaction, canonical-order merging,
-// and format-aware inspection. Sibling packages provide the scale-out
+// (experiment, assignment-hash, replicate) — plus a CI-shift regression
+// gate over per-cell aggregates (Summary: replicate count, mean, sample
+// variance, which warehouse.Summarize reads from a store file), journal
+// compaction, canonical-order merging, and format-aware inspection. Sibling packages provide the scale-out
 // backends behind the same interface: shardstore (a sharded directory of
 // journals for disjoint workers) and archivestore (a single-file
 // block-indexed archive for million-run warm starts, and the one writable
@@ -73,9 +74,11 @@
 // in file order), folds the lists in source order — last wins, a
 // Conflict is a disagreement with the winner at that moment — and keeps
 // each source's winners in the order they were read, Merge sorting a
-// list that is not already canonical. The write pass copies canonical
-// frames between files of one encoding and decodes and re-encodes
-// everything else, to the same bytes. An in-place Compact that would reproduce its file
+// list that is not already canonical. The write pass is serial: it
+// fetches one winner at a time, on the caller's goroutine, through its
+// source's read-ahead window, copies canonical frames between files of
+// one encoding and decodes and re-encodes everything else, to the same
+// bytes. An in-place Compact that would reproduce its file
 // leaves it untouched (docs/FORMAT.md §1 and §7).
 //
 // Durability contract: Append returns only after the record's bytes are

@@ -3,7 +3,6 @@ package runstore
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/design"
@@ -11,95 +10,35 @@ import (
 	"repro/internal/stats"
 )
 
-// Summary is the per-(assignment, response) aggregation of a run's
-// records — what the regression gate compares. A baseline is always a
-// store file, summarized when it is read. Rows are sorted by
-// (assignment, response) so a gate report's order is deterministic.
+// Summary is the per-(assignment, response) aggregation of one
+// experiment's records — what the regression gate compares. It holds
+// only what a confidence interval needs: per cell the replicate count,
+// mean and sample variance, which the warehouse's single-pass ingest
+// computes (warehouse.Summarize reads a store file into Summaries). Rows
+// are sorted by (assignment, response) so a gate report's order is
+// deterministic.
 type Summary struct {
 	Experiment string
 	Rows       []SummaryRow
 }
 
-// SummaryRow holds every replicate value of one response for one
-// factor-level assignment.
+// SummaryRow aggregates one response's replicate values for one
+// factor-level assignment. N is at least 1.
 type SummaryRow struct {
 	Hash       string
 	Assignment map[string]string
 	Response   string
-	Values     []float64
+	N          int
+	Mean       float64
+	// Variance is the unbiased sample variance (divisor N-1); 0 when
+	// N < 2.
+	Variance float64
 }
 
 // assignmentString renders an assignment in the repository's canonical
 // sorted "k=v k=v" form.
 func assignmentString(a map[string]string) string {
 	return design.Assignment(a).String()
-}
-
-func sortSummary(s *Summary) {
-	sort.Slice(s.Rows, func(i, j int) bool {
-		a, b := s.Rows[i], s.Rows[j]
-		if as, bs := assignmentString(a.Assignment), assignmentString(b.Assignment); as != bs {
-			return as < bs
-		}
-		return a.Response < b.Response
-	})
-}
-
-// Summarize groups journal records into one Summary per experiment,
-// sorted by experiment name. Replicate values appear in replicate order.
-func Summarize(recs []Record) []*Summary {
-	type cell struct {
-		assignment map[string]string
-		byRep      map[int]map[string]float64
-	}
-	experiments := map[string]map[string]*cell{} // experiment -> hash -> cell
-	for _, rec := range recs {
-		cells := experiments[rec.Experiment]
-		if cells == nil {
-			cells = map[string]*cell{}
-			experiments[rec.Experiment] = cells
-		}
-		c := cells[rec.Hash]
-		if c == nil {
-			c = &cell{assignment: rec.Assignment, byRep: map[int]map[string]float64{}}
-			cells[rec.Hash] = c
-		}
-		c.byRep[rec.Replicate] = rec.Responses
-	}
-	names := make([]string, 0, len(experiments))
-	for name := range experiments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*Summary, 0, len(names))
-	for _, name := range names {
-		s := &Summary{Experiment: name}
-		for hash, c := range experiments[name] {
-			reps := make([]int, 0, len(c.byRep))
-			for rep := range c.byRep {
-				reps = append(reps, rep)
-			}
-			sort.Ints(reps)
-			responses := map[string]bool{}
-			for _, rep := range reps {
-				for resp := range c.byRep[rep] {
-					responses[resp] = true
-				}
-			}
-			for resp := range responses {
-				row := SummaryRow{Hash: hash, Assignment: c.assignment, Response: resp}
-				for _, rep := range reps {
-					if v, ok := c.byRep[rep][resp]; ok {
-						row.Values = append(row.Values, v)
-					}
-				}
-				s.Rows = append(s.Rows, row)
-			}
-		}
-		sortSummary(s)
-		out = append(out, s)
-	}
-	return out
 }
 
 // Verdict classifies one (assignment, response) cell of a gate report.
@@ -197,19 +136,6 @@ func CellInterval(n int, mean, variance, tolerance float64, t *stats.TCritical) 
 	return stats.Interval{Mean: mean, Lo: mean - half, Hi: mean + half, Confidence: t.Confidence(), N: n}
 }
 
-// interval is CellInterval over one cell's values; t is the pass's
-// critical-value lookup at opt.Confidence.
-func interval(values []float64, opt GateOptions, t *stats.TCritical) (stats.Interval, error) {
-	if len(values) == 0 {
-		return stats.Interval{}, fmt.Errorf("runstore: empty cell")
-	}
-	var variance float64
-	if len(values) >= 2 {
-		variance = stats.Variance(values)
-	}
-	return CellInterval(len(values), stats.Mean(values), variance, opt.Tolerance, t), nil
-}
-
 // Intervals returns the comparison interval of every summary cell, keyed
 // hash -> response, built with the same rules Gate applies (Student-t CI
 // for replicated cells, a tolerance band for single-replicate ones).
@@ -222,16 +148,12 @@ func (s *Summary) Intervals(opt GateOptions) (map[string]map[string]stats.Interv
 	out := make(map[string]map[string]stats.Interval)
 	t := stats.NewTCritical(opt.Confidence)
 	for _, row := range s.Rows {
-		iv, err := interval(row.Values, opt, &t)
-		if err != nil {
-			return nil, fmt.Errorf("runstore: cell %s/%s: %w", assignmentString(row.Assignment), row.Response, err)
-		}
 		byResp := out[row.Hash]
 		if byResp == nil {
 			byResp = make(map[string]stats.Interval)
 			out[row.Hash] = byResp
 		}
-		byResp[row.Response] = iv
+		byResp[row.Response] = CellInterval(row.N, row.Mean, row.Variance, opt.Tolerance, &t)
 	}
 	return out, nil
 }
@@ -289,41 +211,21 @@ func Gate(baseline, current *Summary, opt GateOptions) (*GateReport, error) {
 	for _, base := range baseline.Rows {
 		k := key{base.Hash, base.Response}
 		seen[k] = true
-		f := Finding{Assignment: base.Assignment, Response: base.Response}
-		cur, ok := curIdx[k]
-		if !ok {
+		f := Finding{Assignment: base.Assignment, Response: base.Response, Base: CellInterval(base.N, base.Mean, base.Variance, opt.Tolerance, &t)}
+		if cur, ok := curIdx[k]; ok {
+			f.Cur = CellInterval(cur.N, cur.Mean, cur.Variance, opt.Tolerance, &t)
+			f.Verdict, f.DeltaPct = CIShift(f.Base, f.Cur)
+		} else {
 			f.Verdict = Missing
-			bi, err := interval(base.Values, opt, &t)
-			if err != nil {
-				return nil, fmt.Errorf("runstore: baseline cell %s/%s: %w", assignmentString(base.Assignment), base.Response, err)
-			}
-			f.Base = bi
-			report.Findings = append(report.Findings, f)
-			continue
 		}
-		bi, err := interval(base.Values, opt, &t)
-		if err != nil {
-			return nil, fmt.Errorf("runstore: baseline cell %s/%s: %w", assignmentString(base.Assignment), base.Response, err)
-		}
-		ci, err := interval(cur.Values, opt, &t)
-		if err != nil {
-			return nil, fmt.Errorf("runstore: current cell %s/%s: %w", assignmentString(cur.Assignment), cur.Response, err)
-		}
-		f.Base, f.Cur = bi, ci
-		f.Verdict, f.DeltaPct = CIShift(bi, ci)
 		report.Findings = append(report.Findings, f)
 	}
 	for _, cur := range current.Rows {
-		k := key{cur.Hash, cur.Response}
-		if seen[k] {
+		if seen[key{cur.Hash, cur.Response}] {
 			continue
 		}
-		ci, err := interval(cur.Values, opt, &t)
-		if err != nil {
-			return nil, fmt.Errorf("runstore: current cell %s/%s: %w", assignmentString(cur.Assignment), cur.Response, err)
-		}
 		report.Findings = append(report.Findings, Finding{
-			Assignment: cur.Assignment, Response: cur.Response, Cur: ci, Verdict: Added,
+			Assignment: cur.Assignment, Response: cur.Response, Cur: CellInterval(cur.N, cur.Mean, cur.Variance, opt.Tolerance, &t), Verdict: Added,
 		})
 	}
 	return report, nil

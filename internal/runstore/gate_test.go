@@ -9,52 +9,36 @@ import (
 	"repro/internal/stats"
 )
 
-func summaryFor(t *testing.T, base map[string]float64, noise []float64) *Summary {
-	t.Helper()
-	var recs []Record
-	row := 0
-	for _, name := range []string{"lo", "hi"} {
-		for repIdx, n := range noise {
-			recs = append(recs, rec("exp", row, repIdx, map[string]string{"f": name},
-				map[string]float64{"t": base[name] + n}))
-		}
-		row++
+// summaryRow aggregates one cell's values the way the warehouse's ingest
+// does for warehouse.Summarize: count, mean, unbiased variance.
+func summaryRow(a map[string]string, response string, values ...float64) SummaryRow {
+	row := SummaryRow{Hash: AssignmentHash(a), Assignment: a, Response: response, N: len(values), Mean: stats.Mean(values)}
+	if len(values) >= 2 {
+		row.Variance = stats.Variance(values)
 	}
-	sums := Summarize(recs)
-	if len(sums) != 1 {
-		t.Fatalf("summaries = %d, want 1", len(sums))
-	}
-	return sums[0]
+	return row
 }
 
-func TestSummarizeGroupsAndSorts(t *testing.T) {
-	a1 := map[string]string{"f": "lo"}
-	a2 := map[string]string{"f": "hi"}
-	recs := []Record{
-		rec("b-exp", 0, 1, a1, map[string]float64{"t": 11}),
-		rec("b-exp", 0, 0, a1, map[string]float64{"t": 10}),
-		rec("a-exp", 0, 0, a2, map[string]float64{"t": 5}),
+// summaryFor is experiment "exp" with cells f=hi and f=lo, response t, each
+// base[f] plus one replicate per noise value.
+func summaryFor(base map[string]float64, noise []float64) *Summary {
+	s := &Summary{Experiment: "exp"}
+	for _, name := range []string{"hi", "lo"} {
+		values := make([]float64, len(noise))
+		for i, n := range noise {
+			values[i] = base[name] + n
+		}
+		s.Rows = append(s.Rows, summaryRow(map[string]string{"f": name}, "t", values...))
 	}
-	sums := Summarize(recs)
-	if len(sums) != 2 || sums[0].Experiment != "a-exp" || sums[1].Experiment != "b-exp" {
-		t.Fatalf("summaries = %+v", sums)
-	}
-	rows := sums[1].Rows
-	if len(rows) != 1 || rows[0].Response != "t" {
-		t.Fatalf("rows = %+v", rows)
-	}
-	// Replicate order, not journal order.
-	if rows[0].Values[0] != 10 || rows[0].Values[1] != 11 {
-		t.Errorf("values = %v, want [10 11]", rows[0].Values)
-	}
+	return s
 }
 
 func TestGateVerdicts(t *testing.T) {
 	noise := []float64{-0.2, 0, 0.2}
-	baseline := summaryFor(t, map[string]float64{"lo": 10, "hi": 20}, noise)
+	baseline := summaryFor(map[string]float64{"lo": 10, "hi": 20}, noise)
 
 	// Same distribution: everything unchanged.
-	same := summaryFor(t, map[string]float64{"lo": 10.1, "hi": 19.9}, noise)
+	same := summaryFor(map[string]float64{"lo": 10.1, "hi": 19.9}, noise)
 	rep, err := Gate(baseline, same, GateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +48,7 @@ func TestGateVerdicts(t *testing.T) {
 	}
 
 	// "hi" cell 50% slower: regression; "lo" cell 50% faster: improvement.
-	shifted := summaryFor(t, map[string]float64{"lo": 5, "hi": 30}, noise)
+	shifted := summaryFor(map[string]float64{"lo": 5, "hi": 30}, noise)
 	rep, err = Gate(baseline, shifted, GateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -95,15 +79,15 @@ func TestGateVerdicts(t *testing.T) {
 
 func TestGateMissingAndAdded(t *testing.T) {
 	noise := []float64{-0.1, 0, 0.1}
-	baseline := summaryFor(t, map[string]float64{"lo": 10, "hi": 20}, noise)
-	var recs []Record
-	for repIdx, n := range noise {
-		recs = append(recs, rec("exp", 0, repIdx, map[string]string{"f": "lo"},
-			map[string]float64{"t": 10 + n}))
-		recs = append(recs, rec("exp", 1, repIdx, map[string]string{"f": "mid"},
-			map[string]float64{"t": 15 + n}))
+	baseline := summaryFor(map[string]float64{"lo": 10, "hi": 20}, noise)
+	lo, mid := make([]float64, len(noise)), make([]float64, len(noise))
+	for i, n := range noise {
+		lo[i], mid[i] = 10+n, 15+n
 	}
-	current := Summarize(recs)[0]
+	current := &Summary{Experiment: "exp", Rows: []SummaryRow{
+		summaryRow(map[string]string{"f": "lo"}, "t", lo...),
+		summaryRow(map[string]string{"f": "mid"}, "t", mid...),
+	}}
 	rep, err := Gate(baseline, current, GateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +103,7 @@ func TestGateMissingAndAdded(t *testing.T) {
 
 func TestGateSingleReplicateToleranceBand(t *testing.T) {
 	mk := func(v float64) *Summary {
-		return Summarize([]Record{
-			rec("exp", 0, 0, map[string]string{"f": "lo"}, map[string]float64{"t": v}),
-		})[0]
+		return &Summary{Experiment: "exp", Rows: []SummaryRow{summaryRow(map[string]string{"f": "lo"}, "t", v)}}
 	}
 	baseline := mk(100)
 	// Within the 5% default tolerance: unchanged.
@@ -143,7 +125,7 @@ func TestGateSingleReplicateToleranceBand(t *testing.T) {
 }
 
 func TestGateRejectsInvalidOptions(t *testing.T) {
-	s := summaryFor(t, map[string]float64{"lo": 10, "hi": 20}, []float64{-0.1, 0, 0.1})
+	s := summaryFor(map[string]float64{"lo": 10, "hi": 20}, []float64{-0.1, 0, 0.1})
 	for _, opt := range []GateOptions{
 		{Confidence: 95},   // percent instead of fraction
 		{Confidence: -0.5}, // negative
@@ -178,10 +160,7 @@ func BenchmarkGate(b *testing.B) {
 		for i := range s.Rows {
 			a := map[string]string{"cell": fmt.Sprint(i)}
 			v := float64(100+i%50) + shift
-			s.Rows[i] = SummaryRow{
-				Hash: AssignmentHash(a), Assignment: a, Response: "ms",
-				Values: []float64{v, v + 1, v - 1, v + 0.5, v - 0.5},
-			}
+			s.Rows[i] = summaryRow(a, "ms", v, v+1, v-1, v+0.5, v-0.5)
 		}
 		return s
 	}

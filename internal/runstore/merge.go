@@ -54,12 +54,16 @@ type MergeStats struct {
 // last-wins and the Conflicts are defined on, and each source's winners
 // kept in the order they were read (a list not already canonical is
 // sorted) — then the destination is written by k-way ordered iteration
-// over the per-source winner lists, one record at a time. A winner whose stored
-// frame is already what the destination's codec would write for it —
-// the ordinary case, a journal merged into a journal of the same
-// encoding — is copied from its source; any other (a hand-edited line,
-// an archive payload, the other encoding) is decoded and re-encoded. The
-// bytes written are the same either way.
+// over the per-source winner lists, one record at a time on the caller's
+// goroutine, each read through its source's read-ahead window. A winner
+// whose stored frame is already what the destination's codec would
+// write for it — the ordinary case, a journal merged into a journal of
+// the same encoding — is copied from its source; any other (a
+// hand-edited line, an archive payload, the other encoding) is decoded
+// and re-encoded. The bytes written are the same either way. (An ordered
+// pool that fetched winners on up to eight goroutines took 1.3 to 2.0
+// times as long as this pass on 2 CPUs — BenchmarkConvert's four
+// conversions, medians of ten alternated pairs — and is gone.)
 // Peak memory is the entry index — one entry per stored record,
 // superseded ones included until the fold drops them — never the record
 // set: merging two 10^5-record files does not buffer 2x10^5
@@ -148,13 +152,13 @@ func (s *mergeSource) copies(e SourceEntry, c *codec) bool {
 }
 
 // fetch reads winner e for a file written by codec c: its stored frame
-// if that is copied, the decoded record otherwise. ahead is fileSource.raw's.
-func (s *mergeSource) fetch(e SourceEntry, c *codec, ahead bool) (frame, error) {
+// if that is copied, the decoded record otherwise.
+func (s *mergeSource) fetch(e SourceEntry, c *codec) (frame, error) {
 	if s.fs == nil {
 		rec, err := s.r.Read(e.Ext)
 		return frame{rec: rec}, err
 	}
-	raw, err := s.fs.raw(e.Ext, ahead)
+	raw, err := s.fs.raw(e.Ext)
 	if err != nil || s.copies(e, c) {
 		return frame{raw: raw}, err
 	}
@@ -460,38 +464,27 @@ func (p *mergePlan) each(fn func(s *mergeSource, e SourceEntry) error) error {
 	}
 }
 
-// parallelMergeThreshold is the count of winners to decode below which
-// frames() stays serial: a handful of records never amortizes the pool
-// setup, and small merges dominate the test suite. A var, not a const,
-// so tests can force the parallel path on small inputs.
-var parallelMergeThreshold = 4096
-
 // frames is the plan's output for a file written by codec c (nil: some
 // other format, every frame a record): the k-way iteration, each winner
-// fetched as the frame to write. The cursor merge itself is inherently
-// serial (it is what defines the output order), and so is copying —
-// winners come through each source's read-ahead window. But a record
-// decode — a positioned read plus a JSON or binary parse — is not, so a
-// rewrite with many winners to decode runs the fetches on an ordered
-// worker pool and the consumer drains results in submission order.
-// Output order, and therefore output bytes, are identical on both paths.
+// fetched on the caller's goroutine as the frame to write — its stored
+// bytes through its source's read-ahead window when they are copied,
+// decoded from that window otherwise.
 func (p *mergePlan) frames(c *codec) iter.Seq2[frame, error] {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8 // decode parallelism saturates well before the I/O does
-	}
-	decodes := 0
-	for _, s := range p.sources {
-		for _, e := range s.winners {
-			if !s.copies(e, c) {
-				decodes++
+	return func(yield func(frame, error) bool) {
+		err := p.each(func(s *mergeSource, e SourceEntry) error {
+			f, ferr := s.fetch(e, c)
+			if ferr != nil {
+				return ferr
 			}
+			if !yield(f, nil) {
+				return errStop
+			}
+			return nil
+		})
+		if err != nil && err != errStop {
+			yield(frame{}, err)
 		}
 	}
-	if workers < 2 || decodes < parallelMergeThreshold {
-		return p.framesSerial(c)
-	}
-	return p.framesParallel(c, workers)
 }
 
 // records is the plan's output as decoded records — what a format other
@@ -510,98 +503,3 @@ func (p *mergePlan) records() iter.Seq2[Record, error] {
 // whose consumer stopped ranging. It never escapes the iterator that
 // returns it.
 var errStop = errors.New("runstore: iteration stopped")
-
-// framesSerial fetches one winner per step on the caller's goroutine.
-func (p *mergePlan) framesSerial(c *codec) iter.Seq2[frame, error] {
-	return func(yield func(frame, error) bool) {
-		err := p.each(func(s *mergeSource, e SourceEntry) error {
-			f, ferr := s.fetch(e, c, true)
-			if ferr != nil {
-				return ferr
-			}
-			if !yield(f, nil) {
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			yield(frame{}, err)
-		}
-	}
-}
-
-// fetchJob is one winner's fetch in flight on the merge worker pool.
-// out is buffered, so a worker never blocks delivering its result and
-// the pool drains cleanly however the consumer exits.
-type fetchJob struct {
-	s   *mergeSource
-	e   SourceEntry
-	out chan fetchResult
-}
-
-type fetchResult struct {
-	f   frame
-	err error
-}
-
-// framesParallel is frames() over a fetch pool: a feeder walks the
-// k-way cursor merge in output order, handing each winner to the
-// workers and — through a second channel carrying the same jobs in
-// submission order — to the consumer, which blocks on each job's own
-// result slot. Fetches overlap; delivery order does not change.
-//
-// Early exit (the consumer stops yielding, or a fetch fails) closes
-// done; the feeder sees it at its next send, closes the job channels,
-// and the deferred Wait holds the iterator until every worker has
-// retired — no goroutine outlives the range loop, which is what keeps
-// plan.Close safe to run right after it.
-func (p *mergePlan) framesParallel(c *codec, workers int) iter.Seq2[frame, error] {
-	return func(yield func(frame, error) bool) {
-		jobs := make(chan *fetchJob, workers)
-		order := make(chan *fetchJob, 2*workers)
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		defer wg.Wait()
-		defer close(done)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					f, err := j.s.fetch(j.e, c, false)
-					j.out <- fetchResult{f: f, err: err}
-				}
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(jobs)
-			defer close(order)
-			p.each(func(s *mergeSource, e SourceEntry) error {
-				j := &fetchJob{s: s, e: e, out: make(chan fetchResult, 1)}
-				select {
-				case order <- j:
-				case <-done:
-					return errStop
-				}
-				select {
-				case jobs <- j:
-				case <-done:
-					return errStop
-				}
-				return nil
-			})
-		}()
-		for j := range order {
-			res := <-j.out
-			if res.err != nil {
-				yield(frame{}, res.err)
-				return
-			}
-			if !yield(res.f, nil) {
-				return
-			}
-		}
-	}
-}

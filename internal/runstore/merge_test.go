@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -337,3 +338,54 @@ func TestMergeErrorPrecedence(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeScanEarlyBreak stops consuming the merged view after a
+// handful of records: the write pass stops with it, and Close, which
+// MergeScan defers, runs once the range loop is done with the readers.
+func TestMergeScanEarlyBreak(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.jsonl")
+	writeBulkJournal(t, src, "brk", 500, 2, "x")
+	n := 0
+	for _, err := range MergeScan([]string{src}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n++; n >= 7 {
+			break
+		}
+	}
+	if n != 7 {
+		t.Fatalf("consumed %d records, want 7", n)
+	}
+}
+
+// TestMergeReadError forces a read failure mid-stream (the reader is
+// closed underneath the write pass) and checks the error surfaces
+// through the sequence instead of a short, clean one.
+func TestMergeReadError(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.jsonl")
+	writeBulkJournal(t, src, "err", 500, 2, "x")
+	plan, _, err := planMerge([]string{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.sources[0].r.Close()
+	plan.sources[0].r = nopCloseReader{plan.sources[0].r} // keep plan.Close happy
+	var sawErr error
+	for _, err := range plan.records() {
+		if err != nil {
+			sawErr = err
+			break
+		}
+	}
+	if !errors.Is(sawErr, os.ErrClosed) {
+		t.Fatalf("expected a closed-file read error, got %v", sawErr)
+	}
+}
+
+// nopCloseReader suppresses double-Close on an already-closed reader.
+type nopCloseReader struct{ SourceReader }
+
+func (nopCloseReader) Close() error { return nil }

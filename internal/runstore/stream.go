@@ -78,10 +78,8 @@ type SourceReader interface {
 	// frames are Entries'.
 	Fields() iter.Seq2[*Fields, error]
 	// Read decodes the record at ext, which must have been yielded by
-	// Entries on this reader. Read must be safe for concurrent use —
-	// every implementation serves it with a stateless positioned read
-	// (ReadAt) — because the merge write pass decodes records on a
-	// worker pool.
+	// Entries on this reader. Read need not be safe for concurrent use:
+	// the merge write pass fetches its winners one at a time.
 	Read(ext Extent) (Record, error)
 	// Info reports the file's shape. Records/Torn are complete only
 	// after Entries has been fully consumed.
@@ -188,7 +186,7 @@ func ScanFile(path string) iter.Seq2[Record, error] {
 		plan.fold([]string{path})
 		s := plan.sources[0]
 		for _, e := range s.winners {
-			f, err := s.fetch(e, nil, true)
+			f, err := s.fetch(e, nil)
 			if err != nil {
 				yield(Record{}, err)
 				return

@@ -15,7 +15,11 @@
 //     builds no record (runstore.SourceReader.Fields);
 //     changed sources are read in parallel and indexed in catalog
 //     order. Sources that vanish stay in the index: the warehouse is
-//     the history, the store files are only its substrate.
+//     the history, the store files are only its substrate. Summarize
+//     runs the same ingest over named files with no index and hands the
+//     cells back as runstore.Summary values, which is what the
+//     regression gate compares: per-cell statistics have this one
+//     implementation.
 //   - The cell-history index (one checksummed internal/framelog file,
 //     warehouse.idx) persists one summary per run: per (experiment, cell,
 //     response) aggregates — replicate count, mean, unbiased sample

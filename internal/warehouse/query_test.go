@@ -298,49 +298,3 @@ func TestQueryMetrics(t *testing.T) {
 		t.Fatalf("query_seconds count = %d, want 3", hist["warehouse_query_seconds"])
 	}
 }
-
-// TestHistoryIntervalsMatchGate holds the warehouse to the regression
-// gate's interval rule bit for bit: for the same records, a history
-// point's interval, rebuilt from the index's stored (n, mean, variance),
-// equals runstore.Summary.Intervals' over the values, at N = 1 (the
-// tolerance band), 2 and 10 (Student-t).
-func TestHistoryIntervalsMatchGate(t *testing.T) {
-	root := t.TempDir()
-	var recs []runstore.Record
-	for _, n := range []int{1, 2, 10} {
-		cell := map[string]string{"n": fmt.Sprint(n)}
-		for rep := 0; rep < n; rep++ {
-			// Values no binary fraction spells, so a different summation
-			// order or formula would show in the last bits.
-			v := 10.1 + 0.37*float64(rep) + 0.013*float64(rep*rep%7)
-			recs = append(recs, mkRec("e", cell, rep, map[string]float64{"ms": v}))
-		}
-	}
-	writeJournal(t, filepath.Join(root, "r0.jsonl"), recs, baseTime)
-	w := refreshed(t, root)
-
-	sums := runstore.Summarize(recs)
-	if len(sums) != 1 {
-		t.Fatalf("%d summaries, want 1", len(sums))
-	}
-	gate, err := sums[0].Intervals(runstore.GateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, n := range []int{1, 2, 10} {
-		hash := runstore.AssignmentHash(map[string]string{"n": fmt.Sprint(n)})
-		res, err := w.Query(Request{Kind: KindHistory, Experiment: "e", Cell: hash, Response: "ms"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.History) != 1 {
-			t.Fatalf("N=%d: %d history points, want 1", n, len(res.History))
-		}
-		p, g := res.History[0], gate[hash]["ms"]
-		if p.N != n || g.N != n || !same(p.Mean, g.Mean) || !same(p.Lo, g.Lo) || !same(p.Hi, g.Hi) || !same(p.Confidence, g.Confidence) {
-			t.Errorf("N=%d: warehouse interval [%v, %v] mean %v conf %v n %d; gate's [%v, %v] mean %v conf %v n %d",
-				n, p.Lo, p.Hi, p.Mean, p.Confidence, p.N, g.Lo, g.Hi, g.Mean, g.Confidence, g.N)
-		}
-	}
-}

@@ -207,6 +207,42 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 	return rs, statErr
 }
 
+// Summarize reads the store files at paths — each once, through the
+// ingest Refresh runs, with no index — into one runstore.Summary per
+// experiment, sorted by experiment name, each one's rows by (assignment,
+// response): the per-cell replicate count, mean and unbiased variance the
+// regression gate compares. A cell's values are summed in the order its
+// distinct last-wins records were first appended. The paths must hold
+// disjoint cells — one file, or the shard files of one experiment — since
+// a cell two paths hold is summarized twice, not pooled.
+func Summarize(paths ...string) ([]*runstore.Summary, error) {
+	var cells []Cell
+	for _, path := range paths {
+		st, err := os.Stat(path)
+		if err != nil {
+			return nil, fmt.Errorf("warehouse: %w", err)
+		}
+		run, err := ingest("", path, st)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, run.Cells...)
+	}
+	slices.SortFunc(cells, func(a, b Cell) int { return compareCells(&a, &b) })
+	var out []*runstore.Summary
+	for _, c := range cells {
+		if len(out) == 0 || out[len(out)-1].Experiment != c.Experiment {
+			out = append(out, &runstore.Summary{Experiment: c.Experiment})
+		}
+		s := out[len(out)-1]
+		s.Rows = append(s.Rows, runstore.SummaryRow{
+			Hash: c.Hash, Assignment: c.Assignment, Response: c.Response,
+			N: c.N, Mean: c.Mean, Variance: c.Variance,
+		})
+	}
+	return out, nil
+}
+
 // ingest reads one source end to end — each frame once, through the
 // reader's Fields, building no record — into its run summary, ingest time
 // aside: per cell the replicate count, mean and unbiased variance over the

@@ -2,11 +2,13 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/runstore"
 )
@@ -182,6 +184,66 @@ func TestRunAdaptiveBudget(t *testing.T) {
 	}
 }
 
+// TestDiffRawJournalAsMerged: a Workers: 4 run appends units in the
+// order they finish, and Diff reads that raw journal and the journal
+// Merge canonicalizes it into to the same verdicts and the same report,
+// on either side of the gate.
+func TestDiffRawJournalAsMerged(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), "t4", RunConfig{Workers: 4, JournalDir: dir, Adaptive: &AdaptiveConfig{Min: 3, Max: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("journal files = %v (err %v)", files, err)
+	}
+	raw, merged := files[0], filepath.Join(t.TempDir(), "merged.jsonl")
+	if _, err := Merge(merged, raw); err != nil {
+		t.Fatal(err)
+	}
+	// A baseline in which one cell was a third faster: the run regresses there.
+	data, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base.jsonl")
+	if err := os.WriteFile(base, []byte(strings.ReplaceAll(string(data), `"MIPS":75`, `"MIPS":50`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	render := func(baseline, current string) string {
+		d, err := Diff(baseline, current, GateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range d.Entries {
+			b.WriteString(e.Report.String())
+		}
+		fmt.Fprintf(&b, "regressions %d, missing %d\n", d.Regressions, d.Missing)
+		return b.String()
+	}
+	if got, want := render(base, raw), render(base, merged); got != want || !strings.Contains(got, "regressions 1,") {
+		t.Errorf("raw journal as current:\n%s\nmerged journal as current:\n%s", got, want)
+	}
+	if got, want := render(raw, base), render(merged, base); got != want || !strings.Contains(got, "improved") {
+		t.Errorf("raw journal as baseline:\n%s\nmerged journal as baseline:\n%s", got, want)
+	}
+}
+
+// TestDiffRefusesUnmeasuredStore: a store whose records carry no
+// response has no cell to gate, and Diff says so instead of passing an
+// empty gate.
+func TestDiffRefusesUnmeasuredStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unmeasured.jsonl")
+	line := `{"experiment":"e","row":0,"replicate":0,"hash":"h","assignment":{"f":"x"},"responses":{}}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Diff(path, path, GateOptions{}); err == nil || !strings.Contains(err.Error(), "holds no measurements") {
+		t.Fatalf("Diff of a store without responses = %v, want a no-measurements error", err)
+	}
+}
+
 // TestRunConfigValidation covers library-level config validation —
 // the checks that back the CLI's flag errors.
 func TestRunConfigValidation(t *testing.T) {
@@ -201,6 +263,54 @@ func TestRunConfigValidation(t *testing.T) {
 		if _, err := Run(ctx, "t4", cfg); err == nil {
 			t.Errorf("Run with %+v should error", cfg)
 		}
+	}
+	// Out-of-range scheduler fields are refused before anything runs, not
+	// run as their defaults: no journal is written.
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+		want string
+	}{
+		{"workers", RunConfig{Workers: -1}, "Workers = -1"},
+		{"retries", RunConfig{Retries: -1}, "Retries = -1"},
+		{"timeout", RunConfig{Timeout: -time.Second}, "Timeout = -1s"},
+		{"shards", RunConfig{Shards: -2}, "Shards = -2"},
+		{"shard without shards", RunConfig{Shard: 3}, "Shard = 3"},
+		{"shard past shards", RunConfig{Shards: 2, Shard: 2}, "Shard = 2"},
+		{"negative shard", RunConfig{Shards: 2, Shard: -1}, "Shard = -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.cfg.JournalDir = dir
+			if _, err := Run(ctx, "t4", tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run with %+v = %v, want an error naming %q", tc.cfg, err, tc.want)
+			}
+			if files, _ := os.ReadDir(dir); len(files) != 0 {
+				t.Errorf("refused run wrote %d file(s)", len(files))
+			}
+		})
+	}
+}
+
+// TestWorkConfigValidation: Work refuses the scheduler fields it shares
+// with RunConfig when they are out of range, before it names a collector.
+func TestWorkConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  WorkConfig
+		want string
+	}{
+		{"workers", WorkConfig{Workers: -1}, "Workers = -1"},
+		{"retries", WorkConfig{Retries: -1}, "Retries = -1"},
+		{"timeout", WorkConfig{Timeout: -time.Second}, "Timeout = -1s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.URL = "http://127.0.0.1:1" // never dialled: the check comes first
+			tc.cfg.SpoolDir = t.TempDir()
+			if _, err := Work(context.Background(), "t4", tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Work with %+v = %v, want an error naming %q", tc.cfg, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/runstore/archivestore"
 	"repro/internal/runstore/shardstore"
 	"repro/internal/sched"
+	"repro/internal/warehouse"
 )
 
 // StoreKind selects the per-experiment store backend a journaled run
@@ -64,7 +65,8 @@ type AdaptiveConfig struct {
 // execution through the concurrent scheduler (internal/sched).
 type RunConfig struct {
 	// Workers bounds concurrently executing units; 0 resolves to
-	// GOMAXPROCS when the scheduler is engaged.
+	// GOMAXPROCS when the scheduler is engaged. Workers, Retries and
+	// Timeout below 0 are errors.
 	Workers int
 	// Retries is how many extra attempts a failed unit gets.
 	Retries int
@@ -79,10 +81,12 @@ type RunConfig struct {
 	Store StoreKind
 	// Shards, when > 0, partitions each experiment's design rows across
 	// Shards cooperating processes; this process executes shard Shard.
-	// Requires JournalDir and a fixed budget (no Adaptive).
+	// Requires JournalDir and a fixed budget (no Adaptive). Negative is
+	// an error.
 	Shards int
-	// Shard is this process's shard index in [0, Shards). Note the
-	// zero-value hazard inherent to a config struct: a worker whose
+	// Shard is this process's shard index in [0, Shards); any other
+	// value, a non-zero Shard without Shards included, is an error. Note
+	// the zero-value hazard inherent to a config struct: a worker whose
 	// generated config forgot to set Shard silently runs shard 0 and
 	// exits clean. Scripts fanning out workers must set Shard explicitly
 	// per worker and should cross-check coverage with a merged-journal
@@ -104,6 +108,15 @@ func (cfg RunConfig) concurrent() bool {
 // build assembles the executor the config describes: (nil, nil, nil)
 // for the sequential default, otherwise a configured scheduler.
 func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
+	if err := checkScheduler(cfg.Workers, cfg.Retries, cfg.Timeout); err != nil {
+		return nil, nil, err
+	}
+	if cfg.Shards < 0 {
+		return nil, nil, fmt.Errorf("repro: Shards = %d, need >= 0", cfg.Shards)
+	}
+	if cfg.Shard != 0 && (cfg.Shard < 0 || cfg.Shard >= cfg.Shards) {
+		return nil, nil, fmt.Errorf("repro: Shard = %d, need 0 <= Shard < Shards = %d", cfg.Shard, cfg.Shards)
+	}
 	if !cfg.concurrent() {
 		return nil, nil, nil
 	}
@@ -114,9 +127,6 @@ func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
 		Shards:  cfg.Shards,
 		Shard:   cfg.Shard,
 		Metrics: obs.NewRegistry(),
-	}
-	if cfg.Workers < 0 {
-		return nil, nil, fmt.Errorf("repro: Workers = %d, need >= 0", cfg.Workers)
 	}
 	switch cfg.Store {
 	case "", StoreJournal, StoreArchive:
@@ -165,6 +175,21 @@ func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
 	return s, s, nil
 }
 
+// checkScheduler refuses the scheduler fields RunConfig and WorkConfig
+// share when they are out of range — a negative worker count, retry count
+// or per-attempt timeout — rather than running them as their defaults.
+func checkScheduler(workers, retries int, timeout time.Duration) error {
+	switch {
+	case workers < 0:
+		return fmt.Errorf("repro: Workers = %d, need >= 0", workers)
+	case retries < 0:
+		return fmt.Errorf("repro: Retries = %d, need >= 0", retries)
+	case timeout < 0:
+		return fmt.Errorf("repro: Timeout = %v, need >= 0", timeout)
+	}
+	return nil
+}
+
 // controller builds the adaptive controller, arming baseline-drift
 // prioritization when a baseline store is named. The baseline file is
 // loaded and summarized once per AdaptiveConfig value, however many
@@ -176,12 +201,12 @@ func (a *AdaptiveConfig) controller() (*adaptive.Controller, error) {
 	}
 	if a.Baseline != "" {
 		a.baselineOnce.Do(func() {
-			recs, err := runstore.LoadRecords(a.Baseline)
+			sums, err := warehouse.Summarize(a.Baseline)
 			if err != nil {
 				a.baselineErr = fmt.Errorf("adaptive baseline: %w", err)
 				return
 			}
-			a.baselineSums = runstore.Summarize(recs)
+			a.baselineSums = sums
 		})
 		if a.baselineErr != nil {
 			return nil, a.baselineErr

@@ -206,6 +206,9 @@ type WorkOutcome struct {
 // server acknowledged warm-start the shard's next owner. Cancel ctx to
 // interrupt with the same contract.
 func Work(ctx context.Context, id string, cfg WorkConfig) (*WorkOutcome, error) {
+	if err := checkScheduler(cfg.Workers, cfg.Retries, cfg.Timeout); err != nil {
+		return nil, err
+	}
 	logger, err := buildLogger(cfg.LogLevel)
 	if err != nil {
 		return nil, err
