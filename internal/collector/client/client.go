@@ -10,7 +10,6 @@ import (
 	"io"
 	"log/slog"
 	"math/rand/v2"
-	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -155,10 +154,7 @@ func (c *Client) Snapshot(ctx context.Context, lease string) (map[string]runstor
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("collector client: snapshot: %s", serverError(httpResp))
 	}
-	decode := runstore.DecodeWire
-	if mediaType(httpResp.Header.Get("Content-Type")) == runstore.WireBinaryType {
-		decode = runstore.DecodeWireBinary
-	}
+	_, decode := runstore.NegotiateWire(httpResp.Header.Get("Content-Type"))
 	warm := make(map[string]runstore.Record)
 	if _, err := decode(httpResp.Body, func(rec runstore.Record) error {
 		warm[rec.Key()] = rec
@@ -468,17 +464,6 @@ func retryAfter(resp *http.Response) time.Duration {
 	base = min(base, retryAfterCap)
 	base = time.Duration(float64(base) * (0.8 + 0.4*rand.Float64()))
 	return max(base, retryAfterFloor)
-}
-
-// mediaType extracts the bare media type from a Content-Type header,
-// tolerating parameters and case. Empty or unparsable values return ""
-// — the caller's JSON default applies.
-func mediaType(header string) string {
-	mt, _, err := mime.ParseMediaType(header)
-	if err != nil {
-		return ""
-	}
-	return mt
 }
 
 // drain discards and closes a response body so connections are reused.

@@ -162,6 +162,57 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 }
 
+// TestSnapshotServesOnlyItsShard fills every shard of an experiment,
+// then checks that each lease's snapshot streams exactly its own shard's
+// records: the snapshot reads the leased shard's journal and nothing
+// else.
+func TestSnapshotServesOnlyItsShard(t *testing.T) {
+	const shards, perShard = 3, 2
+	_, c := startServer(t, func(cfg *collector.Config) { cfg.Shards = shards })
+	ctx := context.Background()
+	const exp = "snapshot exp"
+
+	grants := make([]*collector.AcquireResponse, shards)
+	want := make([]map[string]bool, shards)
+	for i := range grants {
+		g, err := c.Acquire(ctx, fmt.Sprintf("w%d", i), exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grants[g.Shard] = g
+	}
+	for k, g := range grants {
+		if g == nil {
+			t.Fatalf("no lease on shard %d", k)
+		}
+		want[k] = map[string]bool{}
+		var recs []runstore.Record
+		for rep := 0; rep < perShard; rep++ {
+			rec := recordForShard(t, exp, k, shards, rep)
+			norm, _ := runstore.NormalizeAppend(rec)
+			want[k][norm.Key()] = true
+			recs = append(recs, rec)
+		}
+		if err := c.Ingest(ctx, g.Lease, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, g := range grants {
+		warm, err := c.Snapshot(ctx, g.Lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(warm) != len(want[k]) {
+			t.Errorf("shard %d snapshot holds %d record(s), want %d", k, len(warm), len(want[k]))
+		}
+		for key := range warm {
+			if !want[k][key] {
+				t.Errorf("shard %d snapshot serves %s, which shard %d does not hold", k, key, k)
+			}
+		}
+	}
+}
+
 func TestLeaseExpiryHandsShardOverWarm(t *testing.T) {
 	clock := newFakeClock()
 	_, c := startServer(t, func(cfg *collector.Config) {

@@ -7,8 +7,8 @@
 //
 // The design keeps process/control logic and the data layer separate:
 // the collector owns leases, shard assignment, and backpressure;
-// everything durable is a plain sharded runstore journal
-// (internal/runstore/shardstore), so every existing tool — merge,
+// everything durable is one plain runstore journal per shard, at the
+// path internal/runstore/shardstore names, so every existing tool — merge,
 // compact, inspect, diff, archive — works on a collected run with no
 // collector-specific code. The wire format for records IS the journal's
 // line framing (runstore.EncodeWire/DecodeWire), so collected bytes and
@@ -23,7 +23,7 @@
 //	         new owner replays them instead of re-executing.
 //	ingest:  the worker streams completed records as NDJSON. Appends are
 //	         validated against the lease (right experiment, right shard)
-//	         and group-committed into the sharded store — a shard's
+//	         and group-committed into the shard's journal — a shard's
 //	         committer (internal/groupcommit.Loop) lands the first queued
 //	         batch plus whatever queued during its previous fsync, with
 //	         no timer and nothing to tune; per-experiment
@@ -37,7 +37,7 @@
 //	         workers drain away.
 //
 // Concurrency and durability contract: every handler is safe for
-// concurrent use (one mutex guards the control state; the stores carry
+// concurrent use (one mutex guards the control state; the journals carry
 // their own locking). A record acknowledged by ingest has been durably
 // appended (journal fsync) before the response is written. Delivery is
 // at-least-once — a worker that times out re-sends its batch — and the

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,5 +169,76 @@ func TestGateWhileWorkersStream(t *testing.T) {
 	}
 	if len(gate.Verdicts) != 4 || counts["REGRESSED"] != 1 || counts["improved"] != 1 || gate.OK {
 		t.Errorf("verdicts = %+v, want 4 with one REGRESSED and one improved", gate.Verdicts)
+	}
+}
+
+// TestGateReadsBaselineOnce pins that the daemon summarizes its baseline
+// when it starts: with the baseline file deleted under a running daemon,
+// /v1/status/gate still answers the report it gave before, and a daemon
+// whose baseline cannot be read does not start.
+func TestGateReadsBaselineOnce(t *testing.T) {
+	const exp, reps = "baseline once", 3
+	baseline := filepath.Join(t.TempDir(), "base.jsonl")
+	j, err := runstore.Open(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []runstore.Record
+	for seed := 0; seed < 2; seed++ {
+		for rep := 0; rep < reps; rep++ {
+			rec := testRecord(exp, seed, rep)
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			rec.Responses = map[string]float64{"ms": rec.Responses["ms"] * float64(1+seed)}
+			recs = append(recs, rec)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	hs, c := startServer(t, func(cfg *collector.Config) {
+		cfg.Shards = 1
+		cfg.Baseline = baseline
+	})
+	ctx := context.Background()
+	g, err := c.Acquire(ctx, "w", exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ingest(ctx, g.Lease, recs); err != nil {
+		t.Fatal(err)
+	}
+	gate := func() collector.GateResponse {
+		t.Helper()
+		resp, err := http.Get(hs.URL + collector.PathGate + "?experiment=" + urlQueryEscape(exp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out collector.GateResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("gate status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := gate()
+	if len(before.Verdicts) != 2 || before.Regressed != 1 {
+		t.Fatalf("gate = %+v, want 2 cells, one regressed", before)
+	}
+	if err := os.Remove(baseline); err != nil {
+		t.Fatal(err)
+	}
+	if after := gate(); after.Report != before.Report {
+		t.Errorf("gate after the baseline file went:\n%s\nbefore:\n%s", after.Report, before.Report)
+	}
+
+	_, err = collector.New(collector.Config{Dir: t.TempDir(), Baseline: baseline})
+	if err == nil || !strings.Contains(err.Error(), baseline) {
+		t.Errorf("New with a missing baseline = %v, want an error naming %s", err, baseline)
 	}
 }

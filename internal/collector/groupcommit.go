@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/groupcommit"
 	"repro/internal/runstore"
-	"repro/internal/runstore/shardstore"
 )
 
 // commitReq is one ingest batch waiting to become durable: the decoded
@@ -27,14 +26,14 @@ const commitQueue = 64
 // single goroutine running groupcommit.Loop over the shard's queue. It
 // takes the first queued ingest batch, adds whatever else queued while
 // the previous fsync was in flight, and lands it all with one
-// AppendBatch. Nothing waits on a clock: a lone batch is committed at
-// once, and concurrent ones share a sync exactly when the disk is the
-// bottleneck. Batches never reorder (one goroutine, one channel) and the
+// AppendBatch on the shard's journal. Nothing waits on a clock: a lone
+// batch is committed at once, and concurrent ones share a sync exactly
+// when the disk is the bottleneck. Batches never reorder (one goroutine, one channel) and the
 // reply is sent only after AppendBatch returns, so the 200 a worker sees
 // still means "durably stored".
 type committer struct {
 	ch      chan commitReq
-	store   *shardstore.Store
+	journal *runstore.Journal
 	met     *serverMetrics
 	stopped chan struct{} // closed when the goroutine drains and exits
 }
@@ -43,10 +42,10 @@ type committer struct {
 // batch already submitted is still committed before the goroutine
 // exits, which is what lets Server.Close promise that acknowledged
 // bytes are on disk.
-func newCommitter(store *shardstore.Store, met *serverMetrics) *committer {
+func newCommitter(journal *runstore.Journal, met *serverMetrics) *committer {
 	c := &committer{
 		ch:      make(chan commitReq, commitQueue),
-		store:   store,
+		journal: journal,
 		met:     met,
 		stopped: make(chan struct{}),
 	}
@@ -57,8 +56,8 @@ func newCommitter(store *shardstore.Store, met *serverMetrics) *committer {
 	return c
 }
 
-// land makes one gathered batch durable with a single AppendBatch (one
-// fsync per shard journal touched) and answers every waiter.
+// land makes one gathered batch durable with a single AppendBatch — one
+// fsync — and answers every waiter.
 func (c *committer) land(batch []commitReq) {
 	recs := batch[0].recs // a lone request's records go down as they are
 	if len(batch) > 1 {
@@ -71,7 +70,7 @@ func (c *committer) land(batch []commitReq) {
 			recs = append(recs, req.recs...)
 		}
 	}
-	err := c.store.AppendBatch(recs)
+	err := c.journal.AppendBatch(recs)
 	now := time.Now()
 	c.met.groupCommits.Inc()
 	c.met.fsyncCoalesced.Add(int64(len(batch) - 1))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 
 	"repro/internal/runstore"
@@ -80,7 +79,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	e.inflight += reserve
 	if e.committers[l.shard] == nil {
-		e.committers[l.shard] = newCommitter(e.store, s.met)
+		e.committers[l.shard] = newCommitter(e.journals[l.shard], s.met)
 	}
 	// Entering the submitter group under the lock pairs with Close,
 	// which flips closed first and then waits the group out — so a
@@ -111,10 +110,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	// Decode outside the control-state lock: the batch is validated and
 	// gathered first, then submitted to the shard's committer as one unit.
-	decode := runstore.DecodeWire
-	if wireMediaType(r.Header.Get("Content-Type")) == runstore.WireBinaryType {
-		decode = runstore.DecodeWireBinary
-	}
+	_, decode := runstore.NegotiateWire(r.Header.Get("Content-Type"))
 	body := &countingReader{r: r.Body}
 	var batch []runstore.Record
 	_, err := decode(body, func(rec runstore.Record) error {
@@ -166,18 +162,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResponse{Appended: n})
 }
 
-// wireMediaType extracts the bare media type from a Content-Type or
-// Accept header value, tolerating parameters and case per RFC 9110. An
-// empty or unparsable value returns "" — which callers treat as "use
-// the JSON default".
-func wireMediaType(header string) string {
-	mt, _, err := mime.ParseMediaType(header)
-	if err != nil {
-		return ""
-	}
-	return mt
-}
-
 // countingReader counts the bytes actually read from the request body —
 // what the ingest byte counter reports, as opposed to the declared
 // Content-Length the backpressure budget reserves.
@@ -215,8 +199,9 @@ func (f *storeFailure) Unwrap() error { return f.err }
 // earlier owners collected — in the wire framing. It is the warm-start
 // feed: the new owner indexes these records and replays them through
 // the scheduler's journal warm-start machinery instead of re-executing
-// them. The scan snapshots its key set at start (the runstore.Store
-// contract), so concurrent ingest on other shards never corrupts it.
+// them. It reads the shard's journal alone, whose scan snapshots its key
+// set at start (the runstore.Store contract), so an ingest landing
+// meanwhile never corrupts it.
 //
 // The response framing is negotiated by the Accept header — an exact
 // runstore.WireBinaryType selects binary frames, anything else NDJSON —
@@ -242,24 +227,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, msg)
 		return
 	}
-	store, shard, shards := l.exp.store, l.shard, len(l.exp.shards)
+	journal := l.exp.journals[l.shard]
 	s.mu.Unlock()
 
+	ctype, _ := runstore.NegotiateWire(r.Header.Get("Accept"))
 	encode := runstore.EncodeWire
-	ctype := runstore.WireJSONType
-	if wireMediaType(r.Header.Get("Accept")) == runstore.WireBinaryType {
+	if ctype == runstore.WireBinaryType {
 		encode = runstore.EncodeWireBinary
-		ctype = runstore.WireBinaryType
 	}
 	w.Header().Set("Content-Type", ctype)
-	for rec, err := range store.Scan() {
+	for rec, err := range journal.Scan() {
 		if err != nil {
 			// The header is out; all we can do is cut the stream so the
 			// truncation is visible to the client's wire decoder.
 			return
-		}
-		if runstore.ShardIndex(rec.Hash, shards) != shard {
-			continue
 		}
 		if err := encode(w, rec); err != nil {
 			return

@@ -1,7 +1,7 @@
 // Internal-package tests for ingest failure classification: a
 // server-side storage failure must answer a retryable 503, never the
 // terminal 400 a malformed stream earns. These reach into Server.exps
-// to break the store under a live lease, which the HTTP-level tests
+// to break a shard journal under a live lease, which the HTTP-level tests
 // cannot.
 package collector
 
@@ -18,7 +18,7 @@ import (
 	"repro/internal/runstore"
 )
 
-// TestIngestStoreFailureAnswers503 closes the experiment's store out
+// TestIngestStoreFailureAnswers503 closes the leased shard's journal out
 // from under a live lease — the in-process stand-in for a full disk —
 // and asserts the ingest answers 503 with a Retry-After hint.
 func TestIngestStoreFailureAnswers503(t *testing.T) {
@@ -43,7 +43,7 @@ func TestIngestStoreFailureAnswers503(t *testing.T) {
 		resp.Body.Close()
 
 		srv.mu.Lock()
-		srv.exps["e"].store.Close()
+		srv.exps["e"].journals[grant.Shard].Close()
 		srv.mu.Unlock()
 
 		rec := runstore.Record{

@@ -14,12 +14,14 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/runstore"
 	"repro/internal/runstore/shardstore"
+	"repro/internal/warehouse"
 )
 
 // Config configures a collector Server.
 type Config struct {
-	// Dir is the directory the collected per-experiment sharded stores
+	// Dir is the directory the collected per-experiment shard journals
 	// live in. Required.
 	Dir string
 	// Shards is the shard-pool size of every experiment — how many
@@ -46,7 +48,8 @@ type Config struct {
 	Token string
 	// Baseline, when set, names a baseline store file (journal or
 	// archive): the gate status endpoint compares collected records
-	// against it.
+	// against it. New summarizes it once, and fails when it cannot be
+	// read; later changes to the file are not seen.
 	Baseline string
 	// Clock is the server's time source; nil means time.Now. Tests
 	// drive lease expiry through it.
@@ -113,6 +116,8 @@ type Server struct {
 
 	query queryState // lazily-opened warehouse behind GET /v1/query
 
+	baseline []*runstore.Summary // Config.Baseline, summarized by New
+
 	mu      sync.Mutex
 	workers map[string]struct{}
 	exps    map[string]*experiment
@@ -121,11 +126,11 @@ type Server struct {
 	closing chan struct{} // closed with closed set: ends every held acquire
 }
 
-// experiment is one experiment's control state: its sharded store and
+// experiment is one experiment's control state: its shard journals and
 // the shard pool leases are granted from.
 type experiment struct {
 	name       string
-	store      *shardstore.Store
+	journals   []*runstore.Journal // shard K's file, shardstore.Path
 	shards     []shardState
 	leases     map[string]*lease
 	committers []*committer   // lazily started per shard; nil until first ingest
@@ -188,14 +193,22 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	var baseline []*runstore.Summary
+	if cfg.Baseline != "" {
+		var err error
+		if baseline, err = warehouse.Summarize(cfg.Baseline); err != nil {
+			return nil, fmt.Errorf("collector: baseline: %w", err)
+		}
+	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     cfg.Metrics,
-		met:     newServerMetrics(cfg.Metrics),
-		log:     cfg.Logger,
-		workers: make(map[string]struct{}),
-		exps:    make(map[string]*experiment),
-		closing: make(chan struct{}),
+		cfg:      cfg,
+		reg:      cfg.Metrics,
+		met:      newServerMetrics(cfg.Metrics),
+		log:      cfg.Logger,
+		baseline: baseline,
+		workers:  make(map[string]struct{}),
+		exps:     make(map[string]*experiment),
+		closing:  make(chan struct{}),
 	}
 	state, events, err := openStateLog(filepath.Join(cfg.Dir, StateFile))
 	if err != nil {
@@ -265,10 +278,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Close answers every held acquire (409, as if its wait had run out),
 // drains every experiment's group-commit engine — batches already
-// acknowledged (or about to be) are durable before their store closes —
-// then closes the stores and the control-state journal. In-flight
-// handlers racing Close fail their appends loudly (the journals are
-// closed), never silently.
+// acknowledged (or about to be) are durable before their journal closes
+// — then closes the shard journals and the control-state journal.
+// In-flight handlers racing Close fail their appends loudly (the
+// journals are closed), never silently.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -303,7 +316,7 @@ func (s *Server) Close() error {
 				<-c.stopped
 			}
 		}
-		if err := e.store.Close(); err != nil && first == nil {
+		if err := closeJournals(e.journals); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -325,23 +338,41 @@ func (s *Server) experimentLocked(name string) (*experiment, error) {
 	if s.closed {
 		return nil, fmt.Errorf("collector: server is closed")
 	}
-	st, err := shardstore.Open(s.cfg.Dir, name, s.cfg.Shards)
-	if err != nil {
-		return nil, err
+	journals := make([]*runstore.Journal, 0, s.cfg.Shards)
+	// Seed the counter from the reopened journals: after a restart the
+	// status view must not under-report records already durably
+	// collected. A genuinely new experiment opens empty, so this is 0.
+	var records int64
+	for _, path := range shardstore.Paths(s.cfg.Dir, name, s.cfg.Shards) {
+		j, err := runstore.Open(path)
+		if err != nil {
+			closeJournals(journals)
+			return nil, err
+		}
+		journals = append(journals, j)
+		records += int64(j.Len())
 	}
 	e := &experiment{
 		name:       name,
-		store:      st,
+		journals:   journals,
 		shards:     make([]shardState, s.cfg.Shards),
 		leases:     make(map[string]*lease),
 		committers: make([]*committer, s.cfg.Shards),
-		// Seed the counter from the reopened store: after a restart the
-		// status view must not under-report records already durably
-		// collected. A genuinely new experiment opens empty, so this is 0.
-		records: int64(st.Len()),
+		records:    records,
 	}
 	s.exps[name] = e
 	return e, nil
+}
+
+// closeJournals closes every journal, returning the first error.
+func closeJournals(journals []*runstore.Journal) error {
+	var first error
+	for _, j := range journals {
+		if err := j.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // sweepLocked enforces lease expiry lazily: every expired lease is

@@ -59,8 +59,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCells reports one experiment's per-cell replicate counts — the
-// live budget view — from a snapshot-at-start scan of its store, the
-// same streaming iteration contract every read-only consumer uses.
+// live budget view — from a snapshot-at-start scan of each shard
+// journal in shard order, the same streaming iteration contract every
+// read-only consumer uses.
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("experiment")
 	if name == "" {
@@ -81,18 +82,20 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	cells := map[string]*cell{}
 	records := 0
-	for rec, err := range e.store.Scan() {
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
+	for _, j := range e.journals {
+		for rec, err := range j.Scan() {
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			records++
+			c := cells[rec.Hash]
+			if c == nil {
+				c = &cell{assignment: design.Assignment(rec.Assignment).String(), hash: rec.Hash}
+				cells[rec.Hash] = c
+			}
+			c.reps++
 		}
-		records++
-		c := cells[rec.Hash]
-		if c == nil {
-			c = &cell{assignment: design.Assignment(rec.Assignment).String(), hash: rec.Hash}
-			cells[rec.Hash] = c
-		}
-		c.reps++
 	}
 	resp := CellsResponse{Experiment: name, Records: records}
 	for _, c := range cells {
@@ -105,9 +108,10 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 // handleGate gates one experiment's collected records against the
 // server's configured baseline store and reports the verdicts — the
 // regression gate, live, while workers are still streaming. Both sides
-// are summarized from their files by warehouse.Summarize: the baseline,
-// and the experiment's shard journals as they stand, so a batch already
-// written but not yet acknowledged may be counted.
+// are summarized from their files by warehouse.Summarize: the baseline
+// once, by New, and the experiment's shard journals as they stand at
+// each request, so a batch already written but not yet acknowledged may
+// be counted.
 func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("experiment")
 	if name == "" {
@@ -125,12 +129,7 @@ func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("collector: experiment %q has no collected records", name))
 		return
 	}
-	baseSums, err := warehouse.Summarize(s.cfg.Baseline)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("collector: baseline: %v", err))
-		return
-	}
-	base := experimentSummary(baseSums, name)
+	base := experimentSummary(s.baseline, name)
 	if base == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("collector: baseline %s holds no experiment %q", s.cfg.Baseline, name))
 		return

@@ -4,11 +4,12 @@
 // (experiment, assignment-hash, replicate) — plus a CI-shift regression
 // gate over per-cell aggregates (Summary: replicate count, mean, sample
 // variance, which warehouse.Summarize reads from a store file), journal
-// compaction, canonical-order merging, and format-aware inspection. Sibling packages provide the scale-out
-// backends behind the same interface: shardstore (a sharded directory of
-// journals for disjoint workers) and archivestore (a single-file
-// block-indexed archive for million-run warm starts, and the one writable
-// binary store: only Merge and Compact write a .binj).
+// compaction, canonical-order merging, and format-aware inspection.
+// archivestore, a sibling package, is the other backend behind the same
+// interface: a single-file block-indexed archive for million-run warm
+// starts, and the one writable binary store (only Merge and Compact write
+// a .binj). shardstore names where each shard journal of a sharded run
+// lives; every shard file is a Journal.
 //
 // The journal is the durability substrate of the scheduler: a unit of
 // work counts as completed only once the append covering it has

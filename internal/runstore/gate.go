@@ -35,12 +35,6 @@ type SummaryRow struct {
 	Variance float64
 }
 
-// assignmentString renders an assignment in the repository's canonical
-// sorted "k=v k=v" form.
-func assignmentString(a map[string]string) string {
-	return design.Assignment(a).String()
-}
-
 // Verdict classifies one (assignment, response) cell of a gate report.
 type Verdict int
 
@@ -259,7 +253,7 @@ func (r *GateReport) String() string {
 		if f.Verdict == Unchanged || f.Verdict == Regressed || f.Verdict == Improved {
 			delta = fmt.Sprintf("%+.1f", f.DeltaPct)
 		}
-		tab.Row(assignmentString(f.Assignment), f.Response, base, cur, delta, f.Verdict.String())
+		tab.Row(design.Assignment(f.Assignment).String(), f.Response, base, cur, delta, f.Verdict.String())
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "regression gate: %s (%d cells)\n", r.Experiment, len(r.Findings))

@@ -1,27 +1,16 @@
-// Package shardstore is the sharded directory backend of the runstore
-// API: one experiment's journal split across N shard files in a
-// directory, with appends fanned out by assignment hash and reads serving
-// the union. It exists for scale-out execution — N worker processes (or
-// machines over a shared filesystem) each own one shard via OpenShard and
-// write disjoint files with no cross-process coordination, then
-// runstore.Merge folds the shards back into a single canonical journal.
+// Package shardstore is where shard K of N lives: the file layout of one
+// experiment's journal split across N shard files in a directory, so that
+// N worker processes (or machines over a shared filesystem) can each
+// write one file with no cross-process coordination, and runstore.Merge
+// folds the shards back into a single canonical journal.
 //
-// Shard routing is runstore.ShardIndex over the record's assignment
-// hash, the same function the scheduler uses to partition design rows,
-// so a worker that executes only shard k's rows appends only to shard
-// k's file. Each shard file is an ordinary runstore journal (named as
-// docs/FORMAT.md specifies), and any tool that reads journals — diff,
-// compact, merge, Inspect — works on a shard file unchanged.
-//
-// Concurrency contract: a Store's methods are safe for concurrent use
-// within one process (each shard journal carries its own lock; routing
-// state is immutable after open). Across processes the contract is
-// ownership, not locking: exactly one process may open a given shard for
-// writing (OpenShard), and appends that route to an unowned shard fail
-// loudly rather than touch another worker's file.
-//
-// Durability contract: identical to the journal's, per shard — appends
-// are fsynced before returning, a crash tears at most the trailing line
-// of the owned shard file, and reopening that shard truncates the torn
-// tail. A crash in one worker never damages another worker's shard.
+// Routing is runstore.ShardIndex over a record's assignment hash — the
+// function the scheduler partitions design rows by and the collector
+// checks ingested records against — so a worker that executes only shard
+// K's rows writes only shard K's records. A shard file is an ordinary
+// runstore journal, opened with runstore.Open at Path and named as
+// docs/FORMAT.md specifies; any tool that reads journals — diff,
+// compact, merge, inspect — works on a shard file unchanged. Exactly one
+// process writes a given shard file: the scheduler's row partition and
+// the collector's shard leases are what keep the files disjoint.
 package shardstore

@@ -8,11 +8,11 @@ import (
 // Store is the persistence interface the scheduler (internal/sched)
 // executes against: lookup and warm-start reads, durable appends, and a
 // deterministic streaming view of every record. *Journal — the
-// single-file JSONL backend — is the reference implementation;
-// shardstore (a sharded directory of journals) is the scale-out one,
-// archivestore (a block-indexed single file) the million-run one, and the
-// collector worker's remote store the one that streams to a daemon; each
-// plugs in behind the same five methods without touching the scheduler.
+// single-file JSONL backend, one per shard file in a sharded run — is
+// the reference implementation; archivestore (a block-indexed single
+// file) is the million-run one, and the collector worker's remote store
+// the one that streams to a daemon; each plugs in behind the same five
+// methods without touching the scheduler.
 //
 // The scheduler treats a unit as complete only when the Append — or the
 // AppendBatch, for a store that is also a BatchAppender — covering it
@@ -82,8 +82,8 @@ var (
 )
 
 // ShardIndex maps an assignment hash to one of n shards. Every layer of
-// the sharded workflow — the scheduler's row partition, the shardstore's
-// append routing, and the shard-plan tooling — must agree on this
+// the sharded workflow — the scheduler's row partition, the collector's
+// ingest check, and the shard-plan tooling — must agree on this
 // function, or disjoint workers would write overlapping shards. The hash
 // string is re-hashed (FNV-1a) rather than parsed so any stable cell
 // identifier shards evenly, not just the 16-hex AssignmentHash form.

@@ -1,6 +1,6 @@
 // Package storetest is the cross-backend conformance suite for the
-// runstore.Store contract. Every backend — the JSONL journal, the
-// sharded directory store, the block-indexed archive — runs the same
+// runstore.Store contract. Every backend — the JSONL journal (also as a
+// shard file), the block-indexed archive — runs the same
 // assertions through Run, so the scheduler's assumptions (last-wins
 // views, contiguous replicate counting, durable appends, batch appends
 // that equal sequential ones, crash-recovery equivalence, concurrency
@@ -31,7 +31,7 @@ import (
 
 // Backend adapts one Store implementation to the conformance suite.
 type Backend struct {
-	// Name labels the subtests ("journal", "shardstore", "archivestore").
+	// Name labels the subtests ("journal", "shard journal", "archivestore").
 	Name string
 	// Open opens (creating on first call) the backend's store rooted at
 	// dir. Successive calls against the same dir must reopen the same

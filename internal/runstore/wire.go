@@ -1,6 +1,9 @@
 package runstore
 
-import "io"
+import (
+	"io"
+	"mime"
+)
 
 // The collector's ingest and snapshot streams carry records in exactly
 // the journal's line framing — one JSON object per '\n'-terminated line —
@@ -29,6 +32,19 @@ const (
 	// binary frames (docs/FORMAT.md).
 	WireBinaryType = "application/x-repro-binary"
 )
+
+// NegotiateWire names the framing a Content-Type or Accept header value
+// selects, and returns it with that framing's decoder: WireBinaryType
+// when the header's media type is that (parameters and case tolerated,
+// per RFC 9110), WireJSONType for anything else — an absent or
+// unparsable value included. The collector's ingest and snapshot
+// handlers and its worker client negotiate through it alone.
+func NegotiateWire(header string) (string, func(io.Reader, func(Record) error) (int, error)) {
+	if mt, _, err := mime.ParseMediaType(header); err == nil && mt == WireBinaryType {
+		return WireBinaryType, DecodeWireBinary
+	}
+	return WireJSONType, DecodeWire
+}
 
 // EncodeWire writes one record to w in the journal/wire line framing:
 // the record's canonical JSON marshaling followed by '\n', the exact

@@ -126,3 +126,33 @@ func TestEncodeWireRejectsInvalid(t *testing.T) {
 		t.Errorf("rejected record still wrote %d bytes", buf.Len())
 	}
 }
+
+// TestNegotiateWire pins the media-type rule both collector peers share:
+// only a binary media type, parameters and case aside, selects binary
+// frames; every other header value, none included, selects NDJSON.
+func TestNegotiateWire(t *testing.T) {
+	for header, want := range map[string]string{
+		"":                                      WireJSONType,
+		WireJSONType:                            WireJSONType,
+		"text/plain":                            WireJSONType,
+		"not a media type;;":                    WireJSONType,
+		WireBinaryType:                          WireBinaryType,
+		"Application/X-Repro-Binary; version=1": WireBinaryType,
+	} {
+		got, decode := NegotiateWire(header)
+		if got != want {
+			t.Errorf("NegotiateWire(%q) = %q, want %q", header, got, want)
+		}
+		var buf bytes.Buffer
+		encode := EncodeWire
+		if want == WireBinaryType {
+			encode = EncodeWireBinary
+		}
+		if err := encode(&buf, wireRecord(0)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := decode(&buf, func(Record) error { return nil }); n != 1 || err != nil {
+			t.Errorf("NegotiateWire(%q)'s decoder read %d record(s), %v", header, n, err)
+		}
+	}
+}

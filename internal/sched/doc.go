@@ -76,12 +76,12 @@
 // delegates to whatever runstore.Store it runs against (Options.Store,
 // or the per-experiment store Options.Open returns, opened once per
 // Execute and closed when it returns — which file that is, a journal, an
-// archive or one shard of a sharded store, is the opener's business, not
-// the scheduler's), and Append and AppendBatch are durable before they
-// return. A finished unit goes through one persist stage:
+// archive or one shard's journal of a sharded run, is the opener's
+// business, not the scheduler's), and Append and AppendBatch are durable
+// before they return. A finished unit goes through one persist stage:
 //
 //   - A store with a batch side (runstore.BatchAppender: the journal,
-//     the archive, the shard store, the collector worker's remote store)
+//     the archive, the collector worker's remote store)
 //     gets group commit. Workers hand each finished unit to one committer goroutine
 //     per Execute over a bounded FIFO (MaxBatch units, a constant sized
 //     for the collector worker's round trip, and never more than the

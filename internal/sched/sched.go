@@ -50,10 +50,9 @@ type Options struct {
 	// records already present every unit the budget asks for — a unit
 	// runs only when the store holds no valid record of it, wherever in
 	// the cell the gap is. Any runstore.Store backend works: the
-	// single-file JSONL journal, the sharded directory store
-	// (internal/runstore/shardstore), the archive
-	// (internal/runstore/archivestore) or the collector worker's remote
-	// store. A store that is also a runstore.BatchAppender is committed to
+	// single-file JSONL journal (in a sharded run, this shard's file), the
+	// archive (internal/runstore/archivestore) or the collector worker's
+	// remote store. A store that is also a runstore.BatchAppender is committed to
 	// in batches, in completion order, by one goroutine per Execute; any
 	// other store is appended to by the workers, record by record (see
 	// the package's persist contract). The caller keeps ownership (and

@@ -20,7 +20,7 @@ import (
 // the way the repro package's RunConfig does for a sharded run.
 func shardDir(dir string, shard, shards int) func(string) (runstore.Store, error) {
 	return func(experiment string) (runstore.Store, error) {
-		return shardstore.OpenShard(dir, experiment, shard, shards)
+		return runstore.Open(shardstore.Path(dir, experiment, shard, shards))
 	}
 }
 
@@ -120,6 +120,40 @@ func TestShardedRunPartitionsDisjointly(t *testing.T) {
 	for key, n := range seen {
 		if n != 1 {
 			t.Errorf("unit %s executed by %d shards", key, n)
+		}
+	}
+
+	// The row partition is the only routing: every record in shard file
+	// K routes to K, and shard K's run alone creates no other shard's
+	// file.
+	for k, path := range shardstore.Paths(dir, "sched wide", shards) {
+		recs, err := runstore.LoadRecords(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(executedBy[k]) {
+			t.Errorf("shard file %d holds %d records, shard %d executed %d", k, len(recs), k, len(executedBy[k]))
+		}
+		for _, rec := range recs {
+			if got := runstore.ShardIndex(rec.Hash, shards); got != k {
+				t.Errorf("record %s in shard file %d routes to shard %d", rec.Key(), k, got)
+			}
+		}
+		alone := t.TempDir()
+		s := New(Options{Workers: 2, Shards: shards, Shard: k, Open: shardDir(alone, k, shards)})
+		if _, err := s.Execute(context.Background(), newWideExperiment(t, cells, reps, nil)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := filepath.Base(shardstore.Path(alone, "sched wide", k, shards)); len(entries) != 1 || entries[0].Name() != want {
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			t.Errorf("shard %d alone wrote %q, want only %q", k, names, want)
 		}
 	}
 

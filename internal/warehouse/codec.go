@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/canonjson"
+	"repro/internal/design"
 )
 
 // The run document codec is the payload half of the index file: one
@@ -151,7 +152,7 @@ func (rp *replay) walkIdentity(c *canonjson.Cursor) (cell Cell) {
 			cell.Assignment[k] = string(c.Quoted(false))
 		}
 	}
-	cell.selector = assignmentString(cell.Assignment)
+	cell.selector = design.Assignment(cell.Assignment).String()
 	return cell
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/design"
 	"repro/internal/framelog"
 )
 
@@ -96,7 +97,7 @@ func withSelectors(cells []Cell) []Cell {
 		out := slices.Clone(cells)
 		for j := i; j < len(out); j++ {
 			if missing(&out[j]) {
-				out[j].selector = assignmentString(out[j].Assignment)
+				out[j].selector = design.Assignment(out[j].Assignment).String()
 			}
 		}
 		return out

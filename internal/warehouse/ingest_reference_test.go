@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/design"
 	"repro/internal/runstore"
 	"repro/internal/stats"
 )
@@ -119,7 +120,7 @@ func referenceIngest(root, rel string, st os.FileInfo) (Run, error) {
 			resps = append(resps, resp)
 		}
 		slices.Sort(resps)
-		assignment := assignmentString(c.assignment)
+		assignment := design.Assignment(c.assignment).String()
 		for _, resp := range resps {
 			vals := perCell[ci][resp]
 			out := Cell{

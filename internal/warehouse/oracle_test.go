@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/design"
 	"repro/internal/stats"
 )
 
@@ -54,7 +55,7 @@ func cellInterval(c Cell, confidence, tolerance float64) stats.Interval {
 // matchCell reports whether sel (an assignment hash or a canonical
 // assignment string) selects c.
 func matchCell(c Cell, sel string) bool {
-	return sel == c.Hash || sel == assignmentString(c.Assignment)
+	return sel == c.Hash || sel == design.Assignment(c.Assignment).String()
 }
 
 func referenceHistory(live []Run, req Request) []HistoryPoint {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/design"
 	"repro/internal/runstore"
 	"repro/internal/stats"
 )
@@ -69,13 +70,13 @@ func recomputeCells(t *testing.T, abs string) []Cell {
 		if a.Experiment != b.Experiment {
 			return a.Experiment < b.Experiment
 		}
-		if as, bs := assignmentString(a.Assignment), assignmentString(b.Assignment); as != bs {
+		if as, bs := design.Assignment(a.Assignment).String(), design.Assignment(b.Assignment).String(); as != bs {
 			return as < bs
 		}
 		return a.Response < b.Response
 	})
 	for i := range out {
-		out[i].selector = assignmentString(out[i].Assignment) // part of every cell the index holds
+		out[i].selector = design.Assignment(out[i].Assignment).String() // part of every cell the index holds
 	}
 	return out
 }

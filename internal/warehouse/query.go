@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/design"
 	"repro/internal/harness"
 	"repro/internal/runstore"
 	"repro/internal/stats"
@@ -507,7 +508,7 @@ func (res *Result) String() string {
 		fmt.Fprintf(&b, "regressions: %d\n", len(res.Regressions))
 		tab := harness.NewTable().Header("experiment", "assignment", "response", "base", "current", "delta%", "verdict")
 		for _, e := range res.Regressions {
-			tab.Row(e.Experiment, assignmentString(e.Assignment), e.Response,
+			tab.Row(e.Experiment, design.Assignment(e.Assignment).String(), e.Response,
 				fmt.Sprintf("%.4g ±%.2g", e.Base.Mean, e.Base.HalfWidth()),
 				fmt.Sprintf("%.4g ±%.2g", e.Cur.Mean, e.Cur.HalfWidth()),
 				fmt.Sprintf("%+.1f", e.DeltaPct), runstore.Regressed.String())

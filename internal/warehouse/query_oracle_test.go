@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/design"
 	"repro/internal/runstore"
 )
 
@@ -128,7 +129,7 @@ func TestQueryEqualsReferenceOverRandomIndexes(t *testing.T) {
 			}
 			slices.SortStableFunc(r.Cells, func(a, b Cell) int {
 				return cmp.Or(strings.Compare(a.Experiment, b.Experiment),
-					strings.Compare(assignmentString(a.Assignment), assignmentString(b.Assignment)),
+					strings.Compare(design.Assignment(a.Assignment).String(), design.Assignment(b.Assignment).String()),
 					strings.Compare(a.Response, b.Response))
 			})
 			return r

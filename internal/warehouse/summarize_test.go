@@ -58,25 +58,32 @@ func TestSummarizeGroupsAndSorts(t *testing.T) {
 // cell's values sit in the same order in both.
 func TestSummarizeShardsEqualMerged(t *testing.T) {
 	dir := t.TempDir()
-	st, err := shardstore.Open(dir, "e", 2)
-	if err != nil {
-		t.Fatal(err)
+	shards := shardstore.Paths(dir, "e", 2)
+	journals := make([]*runstore.Journal, len(shards))
+	for k, path := range shards {
+		j, err := runstore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals[k] = j
 	}
 	for cell := 0; cell < 12; cell++ {
 		a := map[string]string{"n": fmt.Sprint(cell)}
+		j := journals[runstore.ShardIndex(runstore.AssignmentHash(a), len(shards))]
 		for rep := 0; rep < 3; rep++ {
 			// Values no binary fraction spells, so a different summation
 			// order would show in the last bits.
 			v := 10.1 + 0.37*float64(cell) + 0.013*float64(rep*rep%7)
-			if err := st.Append(mkRec("e", a, rep, map[string]float64{"ms": v, "kb": v / 3})); err != nil {
+			if err := j.Append(mkRec("e", a, rep, map[string]float64{"ms": v, "kb": v / 3})); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	for _, j := range journals {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	shards := shardstore.Paths(dir, "e", 2)
 	merged := filepath.Join(dir, "merged.jsonl")
 	if _, err := runstore.Merge(shards, merged); err != nil {
 		t.Fatal(err)

@@ -357,7 +357,7 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 			byName[v.name] = append(byName[v.name], v.v)
 		}
 		slices.SortFunc(resps, func(a, b int) int { return strings.Compare(names[a], names[b]) })
-		selector := assignmentString(c.assignment) // once per design cell: sorted by here, matched by queries
+		selector := design.Assignment(c.assignment).String() // once per design cell: sorted by here, matched by queries
 		for _, n := range resps {
 			vals := byName[n]
 			byName[n] = vals[:0]
@@ -444,12 +444,6 @@ func formatName(rel string) string {
 	default:
 		return "journal"
 	}
-}
-
-// assignmentString renders an assignment in the repository's canonical
-// sorted "k=v k=v" form — the cell identity queries match against.
-func assignmentString(a map[string]string) string {
-	return design.Assignment(a).String()
 }
 
 // Runs returns the live (non-pruned) indexed runs, oldest first by

@@ -149,7 +149,7 @@ func (cfg RunConfig) build() (harness.Executor, *sched.Scheduler, error) {
 		switch {
 		case cfg.Shards > 0:
 			opts.Open = func(experiment string) (runstore.Store, error) {
-				return shardstore.OpenShard(dir, experiment, cfg.Shard, cfg.Shards)
+				return runstore.Open(shardstore.Path(dir, experiment, cfg.Shard, cfg.Shards))
 			}
 		case cfg.Store == StoreArchive:
 			opts.Open = func(experiment string) (runstore.Store, error) {

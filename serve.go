@@ -39,7 +39,9 @@ type ServeConfig struct {
 	// (backpressure; 429 + Retry-After beyond it). 0 means 8 MiB.
 	MaxInflight int64
 	// Baseline optionally names a baseline store file; it arms the
-	// GET /v1/status/gate endpoint with regression verdicts.
+	// GET /v1/status/gate endpoint with regression verdicts. The daemon
+	// summarizes it once, at start, and does not start when it cannot be
+	// read.
 	Baseline string
 	// Token, when non-empty, requires `Authorization: Bearer <Token>` on
 	// every data-plane endpoint (register, lease traffic, ingest,
