@@ -70,10 +70,15 @@ race:
 # others in flight poisons the log and cuts it back, interleavings that
 # one processor and four order differently and one run may miss. And the
 # scheduler's committer: a held AppendBatch with a backlog queued behind
-# it, landed in batches of at most sched.MaxBatch.
+# it, landed in batches of at most sched.MaxBatch. And the journal's
+# conformance subtests that scan and append at once, twenty times over:
+# the index is a slice of records that an append may grow or overwrite
+# under a scan that holds only its length (-run matches top-level names,
+# so the first line runs none of a conformance suite's subtests).
 .PHONY: race-cpu
 race-cpu:
 	$(GO) test -race -cpu 1,4 -count=20 -run 'Commit|Poison|Concurrent' ./internal/framelog ./internal/runstore/...
+	$(GO) test -race -cpu 1,4 -count=20 -run 'TestJournalConformance/(Concurrent|ScanDuringAppend|ScanEarlyBreak)' ./internal/runstore
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile|Entries|Section|Inspect' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore|GateWhileWorkersStream' ./internal/collector ./internal/collector/client
 	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest|Quer' ./internal/warehouse

@@ -241,4 +241,13 @@ func TestGateReadsBaselineOnce(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), baseline) {
 		t.Errorf("New with a missing baseline = %v, want an error naming %s", err, baseline)
 	}
+	// Bytes that hold no record are no baseline either: the daemon does
+	// not start, rather than answer every gate with 404.
+	if err := os.WriteFile(baseline, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = collector.New(collector.Config{Dir: t.TempDir(), Baseline: baseline})
+	if err == nil || !strings.Contains(err.Error(), baseline) {
+		t.Errorf("New with a garbage baseline = %v, want an error naming %s", err, baseline)
+	}
 }

@@ -155,17 +155,104 @@ func (c *codec) read(payload []byte) (Record, error) {
 	return rec, err
 }
 
-// visit adapts fn to a framelog scan: each payload is decoded and handed
-// over with its extent; one that does not decode is marked corrupt, for
-// framelog's recovery rule to judge.
+// visit adapts fn to a framelog scan: each payload is decoded as Read
+// decodes it (a missing hash derived) through one decoder for the scan,
+// and handed over with its extent; one that does not decode is marked
+// corrupt, for framelog's recovery rule to judge. The records it hands
+// over share strings and maps (decoder): they are read-only.
 func (c *codec) visit(fn func(Record, Extent) error) framelog.Visit {
+	d := &decoder{c: c, names: make(map[string]string)}
 	return func(payload []byte, off, n int64) error {
-		rec, err := c.decode(payload)
+		rec, err := d.decode(payload)
 		if err != nil {
 			return framelog.Corrupt(fmt.Errorf("corrupt %s at byte %d: %v", c.what, off, err))
 		}
 		return fn(rec, Extent{Off: off, Len: n})
 	}
+}
+
+// decoder is the record decode of one scan — a journal's open, a wire
+// stream — over records laid out the way their writers lay them out: the
+// replicates of a cell one after another, so that a record mostly
+// repeats the experiment, the hash and the assignment of the record
+// before it. It hands those on from the previous record when they are
+// byte for byte the same, and the names in a record (experiment, factor
+// and response names) from one table, so a record costs its responses
+// map and little else. The records it returns share maps and strings.
+type decoder struct {
+	c     *codec
+	f     Fields
+	prev  Record
+	names map[string]string
+}
+
+// decode is c.read of one payload. A payload the codec's walk does not
+// recognise is decoded the long way, and its record shares nothing with
+// the one before it.
+func (d *decoder) decode(payload []byte) (Record, error) {
+	f := &d.f
+	if !d.c.walk(payload, f, false) {
+		rec, err := d.c.read(payload)
+		if err == nil {
+			d.prev = rec
+		}
+		return rec, err
+	}
+	rec := Record{Experiment: d.prev.Experiment, Row: f.Row, Replicate: f.Replicate, Hash: d.prev.Hash, Assignment: d.prev.Assignment}
+	if string(f.Experiment) != rec.Experiment {
+		rec.Experiment = d.name(f.Experiment)
+	}
+	if string(f.Hash) != rec.Hash {
+		rec.Hash = string(f.Hash)
+	}
+	if pairs := f.Assignment(); !sameAssignment(pairs, rec.Assignment) {
+		rec.Assignment = d.assignment(pairs)
+	}
+	if responses := f.Responses(); responses != nil {
+		rec.Responses = make(map[string]float64, len(responses))
+		for _, r := range responses {
+			rec.Responses[d.name(r.Name)] = r.Value
+		}
+	}
+	d.prev = rec
+	return rec, nil
+}
+
+// name returns b as a string from the decoder's table of names.
+func (d *decoder) name(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.names[s] = s
+	return s
+}
+
+// assignment builds the map of pairs, its keys from the table of names.
+func (d *decoder) assignment(pairs []Pair) map[string]string {
+	if pairs == nil {
+		return nil
+	}
+	a := make(map[string]string, len(pairs))
+	for _, p := range pairs {
+		a[d.name(p.Key)] = string(p.Value)
+	}
+	return a
+}
+
+// sameAssignment reports whether a walk's pairs — keys strictly
+// ascending, so none repeats — are the members of a, a null map matching
+// only a nil one.
+func sameAssignment(pairs []Pair, a map[string]string) bool {
+	if (pairs == nil) != (a == nil) || len(pairs) != len(a) {
+		return false
+	}
+	for _, p := range pairs {
+		if v, ok := a[string(p.Key)]; !ok || v != string(p.Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // format is the codec's entry in the format registry.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/framelog"
@@ -18,7 +19,12 @@ import (
 //
 //  1. Open never panics, whatever the file holds; it either loads or
 //     returns an error.
-//  2. When Open succeeds, the journal stays writable: appending a fresh
+//  2. When Open succeeds, it serves what LoadRecords — the index pass
+//     and positioned reads, which share nothing with Open's decoder and
+//     index but the record grammar — reads from the file: the same
+//     records, record for record and in the same order (a missing hash
+//     derived, no map shared where the records differ, Key's identity).
+//  3. When Open succeeds, the journal stays writable: appending a fresh
 //     record and reopening must preserve every complete record Open
 //     served, with its values intact — the round-trip durability claim
 //     resume depends on.
@@ -33,6 +39,10 @@ func FuzzJournalParse(f *testing.F) {
 	f.Add([]byte("{}\n" + valid + "\n{}\n"))                     // minimal records interleaved
 	f.Add([]byte(`{"experiment":"e","replicate":-3,"hash":"h"}` + "\n"))
 	f.Add([]byte{0xff, 0xfe, '{', '}', '\n'})
+	f.Add([]byte(`{"experiment":"e","row":0,"replicate":0,"assignment":{"f":"x"},"responses":{"ms":1}}` + "\n"))
+	f.Add([]byte(valid + "\n" + strings.Replace(valid, `{"f":"x"}`, `{"f":"y"}`, 1) + "\n"))
+	f.Add([]byte(`{"experiment":"a/b","row":0,"replicate":0,"hash":"c","assignment":null,"responses":null}` + "\n" +
+		`{"experiment":"a","row":0,"replicate":0,"hash":"b/c","assignment":{},"responses":{}}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -45,6 +55,15 @@ func FuzzJournalParse(f *testing.F) {
 		recs, err := Collect(j.Scan())
 		if err != nil {
 			t.Fatalf("scan of reopened journal failed: %v", err)
+		}
+		if formatOf(path).Name == jsonCodec.name { // not bytes another reader sniffs as its own
+			want, err := LoadRecords(path)
+			if err != nil {
+				t.Fatalf("Open served %d record(s), LoadRecords failed: %v", len(recs), err)
+			}
+			if !reflect.DeepEqual(recs, want) {
+				t.Fatalf("Open serves\n%+v\nLoadRecords reads\n%+v", recs, want)
+			}
 		}
 		extra := Record{
 			Experiment: "fuzz-extra",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -98,12 +99,32 @@ func fnvAssignment(h uint64, a map[string]string) uint64 {
 
 // Journal is an append-only run store with an in-memory last-wins
 // index: one framelog file of JSON lines. Every method is safe for
-// concurrent use.
+// concurrent use. The records Lookup and Scan serve are read-only: the
+// replicates of one cell, as Open decodes them, share one assignment map.
 type Journal struct {
-	log   *framelog.Log
-	mu    sync.Mutex // guards recs and order; taken inside the log's lock
-	recs  map[string]Record
-	order []string // keys in file order, for deterministic Scan order
+	log  *framelog.Log
+	mu   sync.Mutex // guards recs and slot; taken inside the log's lock
+	recs []Record   // the distinct records, in first-appended order
+	slot map[key]int
+}
+
+// key is a journal's index key: Key(experiment, hash, replicate) as an
+// identity, without building its string. Names without a '/' are keyed
+// by their parts, which Key's string tells apart. A record whose
+// experiment or hash holds one is keyed by that string, so records whose
+// Key strings are equal stay one unit, as every reader of a file folds
+// them; such a key's experiment holds a '/', so it is never equal to a
+// key by parts.
+type key struct {
+	experiment, hash string
+	replicate        int
+}
+
+func keyOf(experiment, hash string, replicate int) key {
+	if strings.IndexByte(experiment, '/') >= 0 || strings.IndexByte(hash, '/') >= 0 {
+		return key{experiment: Key(experiment, hash, replicate)}
+	}
+	return key{experiment, hash, replicate}
 }
 
 // Open opens (creating if absent) the JSONL journal at path, loading
@@ -111,17 +132,54 @@ type Journal struct {
 // truncated; a corrupt line anywhere else is an error, because silently
 // skipping complete records would turn resume into silent re-execution
 // (the recovery rule is framelog's, shared by every log in the repo).
+// The replay collects the records in file order, and the index is built
+// over them once it is done.
 func Open(path string) (*Journal, error) {
-	j := &Journal{recs: make(map[string]Record)}
-	log, err := framelog.Open(path, jsonCodec.framing, jsonCodec.visit(func(rec Record, _ Extent) error {
-		j.index(rec)
+	j := &Journal{}
+	var size int64
+	if st, err := os.Stat(path); err == nil {
+		size = st.Size()
+	}
+	log, err := framelog.Open(path, jsonCodec.framing, jsonCodec.visit(func(rec Record, ext Extent) error {
+		if j.recs == nil {
+			// One experiment's lines are of a size, so the first says how
+			// many the file holds. Every line Append writes is longer than
+			// minLine, which bounds what a short first line can reserve.
+			j.recs = make([]Record, 0, size/max(ext.Len+1, minLine)+1)
+		}
+		j.recs = append(j.recs, rec)
 		return nil
 	}))
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
 	j.log = log
+	j.build()
 	return j, nil
+}
+
+// minLine is shorter than the line AppendJSON writes for any record: its
+// six fields' names and punctuation, a 16-digit hash and the newline.
+const minLine = 64
+
+// build indexes the records the replay read: one map, sized once, and
+// recs cut down in place to the distinct records in first-appended order,
+// each the last one stored under its key.
+func (j *Journal) build() {
+	j.slot = make(map[key]int, len(j.recs))
+	n := 0
+	for _, rec := range j.recs {
+		k := keyOf(rec.Experiment, rec.Hash, rec.Replicate)
+		if i, ok := j.slot[k]; ok {
+			j.recs[i] = rec
+			continue
+		}
+		j.slot[k] = n
+		j.recs[n] = rec
+		n++
+	}
+	clear(j.recs[n:])
+	j.recs = j.recs[:n]
 }
 
 // OpenDir opens the JSONL journal for one experiment under dir, creating
@@ -150,12 +208,16 @@ func SanitizeName(name string) string {
 	return b.String()
 }
 
+// index makes rec the record of its key: last wins, like a
+// log-structured store.
 func (j *Journal) index(rec Record) {
-	k := rec.Key()
-	if _, exists := j.recs[k]; !exists {
-		j.order = append(j.order, k)
+	k := keyOf(rec.Experiment, rec.Hash, rec.Replicate)
+	if i, ok := j.slot[k]; ok {
+		j.recs[i] = rec
+		return
 	}
-	j.recs[k] = rec // last record wins, like a log-structured store
+	j.slot[k] = len(j.recs)
+	j.recs = append(j.recs, rec)
 }
 
 // Path returns the journal's file path.
@@ -177,8 +239,11 @@ func (j *Journal) Len() int {
 func (j *Journal) Lookup(experiment, hash string, replicate int) (Record, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec, ok := j.recs[Key(experiment, hash, replicate)]
-	return rec, ok
+	i, ok := j.slot[keyOf(experiment, hash, replicate)]
+	if !ok {
+		return Record{}, false
+	}
+	return j.recs[i], true
 }
 
 // ReplicateCount returns how many contiguous replicates (0..n-1) of one
@@ -191,7 +256,7 @@ func (j *Journal) ReplicateCount(experiment, hash string) int {
 	defer j.mu.Unlock()
 	n := 0
 	for {
-		if _, ok := j.recs[Key(experiment, hash, n)]; !ok {
+		if _, ok := j.slot[keyOf(experiment, hash, n)]; !ok {
 			return n
 		}
 		n++
@@ -199,22 +264,23 @@ func (j *Journal) ReplicateCount(experiment, hash string) int {
 }
 
 // Scan implements Store: all distinct records in first-appended order,
-// one at a time. The key order is snapshotted when iteration starts, so
-// a concurrent Append neither blocks nor corrupts an in-flight scan;
-// keys appended after the snapshot are not yielded, while a superseding
-// append to a snapshotted key may surface in its latest form (records
-// are read at yield time — see the Store contract). The journal's
-// records live in its in-memory index, so Scan never fails — the error
-// slot exists for backends that read from disk mid-iteration.
+// one at a time. The key set is snapshotted when iteration starts — as
+// the number of distinct records, since a key keeps its slot and a new
+// one is appended after the last — so a concurrent Append neither blocks
+// nor corrupts an in-flight scan; keys appended after the snapshot are
+// not yielded, while a superseding append to a snapshotted key may
+// surface in its latest form (records are read at yield time — see the
+// Store contract). The journal's records live in its in-memory index, so
+// Scan never fails — the error slot exists for backends that read from
+// disk mid-iteration.
 func (j *Journal) Scan() iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		j.mu.Lock()
-		keys := make([]string, len(j.order))
-		copy(keys, j.order)
+		n := len(j.recs)
 		j.mu.Unlock()
-		for _, k := range keys {
+		for i := 0; i < n; i++ {
 			j.mu.Lock()
-			rec := j.recs[k]
+			rec := j.recs[i]
 			j.mu.Unlock()
 			metScanRecords.Inc()
 			if !yield(rec, nil) {
@@ -228,7 +294,8 @@ func (j *Journal) Scan() iter.Seq2[Record, error] {
 // fields (an empty Hash is computed from the Assignment). Every Store
 // backend funnels Append through it, so the set of records a store
 // accepts — named experiment, non-negative replicate, finite responses —
-// is identical across the journal, the shard store, and the archive.
+// is identical across the journal, the archive, and the worker's remote
+// store.
 func NormalizeAppend(rec Record) (Record, error) {
 	if rec.Experiment == "" {
 		return rec, fmt.Errorf("runstore: record needs an experiment name")

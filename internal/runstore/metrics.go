@@ -5,7 +5,8 @@ import "repro/internal/obs"
 // The journal layer has no configuration seam — Open takes only a path —
 // so its instruments live in the process-wide default registry. The
 // append series count what Journal writes — every JSONL journal, the
-// shard store's and the worker's spool included — and no archive append.
+// daemon's shard journals and the worker's spool included — and no
+// archive append.
 var (
 	metAppends = obs.Default().Counter("runstore_appends_total",
 		"Records appended across all journals in this process.")

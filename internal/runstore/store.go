@@ -38,6 +38,10 @@ import (
 //     read failure mid-iteration is yielded as the error, after which
 //     the sequence stops.
 //   - All methods must be safe for concurrent use.
+//
+// Contract notes for callers: the records Lookup and Scan serve are
+// read-only — their maps are the store's. The journal hands the
+// replicates of one cell one shared assignment map.
 type Store interface {
 	// Lookup returns the stored record for one unit, if present.
 	Lookup(experiment, hash string, replicate int) (Record, bool)
@@ -61,8 +65,8 @@ type Store interface {
 // implements it, and the scheduler's persist stage (internal/sched) then
 // commits finished units in batches instead of one by one; a store
 // without it is appended to record by record. Every shipped store — the
-// journal, the archive, the shard store, the collector worker's remote
-// store — implements it.
+// journal, the archive, the collector worker's remote store — implements
+// it.
 //
 // AppendBatch validates every record before it writes a byte, so a batch
 // holding one invalid record leaves nothing behind; it is durable before

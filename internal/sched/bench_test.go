@@ -9,6 +9,7 @@ import (
 	"repro/internal/design"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/runstore"
 )
 
 // benchExperiment is a 2^2 x 64 design with a runner doing a few
@@ -105,6 +106,38 @@ func BenchmarkSchedJournal(b *testing.B) {
 		s := New(Options{Workers: 2, Open: journalDir(filepath.Join(root, strconv.Itoa(i))), Metrics: obs.NewRegistry()})
 		if _, err := s.Execute(context.Background(), e); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResume is a resume: a fresh scheduler opens a finished
+// 3 000-unit journal (300 cells × 10 replicates, written by two workers)
+// and replays every unit, executing none — through a store that hides
+// AppendBatch, as a five-method decorator does. Opening the journal and
+// looking each unit up are most of its cost.
+func BenchmarkResume(b *testing.B) {
+	const cells, reps = 300, 10
+	dir := b.TempDir()
+	e := newWideExperiment(b, cells, reps, nil)
+	if _, err := New(Options{Workers: 2, Open: journalDir(dir)}).Execute(context.Background(), e); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := runstore.OpenDir(dir, e.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := New(Options{Workers: 2, Store: appendOnly{j}, Metrics: obs.NewRegistry()})
+		if _, err := s.Execute(context.Background(), e); err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if st := s.LastStats(); st.Executed != 0 || st.Replayed != cells*reps {
+			b.Fatalf("executed %d and replayed %d unit(s), want 0 and %d", st.Executed, st.Replayed, cells*reps)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func shardDir(dir string, shard, shards int) func(string) (runstore.Store, error
 
 // newWideExperiment builds a deterministic one-factor design with enough
 // cells that every shard of a small partition owns some rows.
-func newWideExperiment(t *testing.T, cells, reps int, run harness.RunFunc) *harness.Experiment {
+func newWideExperiment(t testing.TB, cells, reps int, run harness.RunFunc) *harness.Experiment {
 	t.Helper()
 	levels := make([]string, cells)
 	for i := range levels {

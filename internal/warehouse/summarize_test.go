@@ -2,8 +2,10 @@ package warehouse
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/runstore"
@@ -110,4 +112,52 @@ func dumpSummaries(sums []*runstore.Summary) string {
 		out += fmt.Sprintf("%s: %+v\n", s.Experiment, s.Rows)
 	}
 	return out
+}
+
+// TestSummarizeRefusesASourceWithoutARecord: a file with bytes in it but
+// no complete record — garbage, which reads as a journal whose only line
+// is a torn tail — is not a baseline, and the error names it, while an
+// empty file summarizes to nothing, as before.
+func TestSummarizeRefusesASourceWithoutARecord(t *testing.T) {
+	dir := t.TempDir()
+	garbage := filepath.Join(dir, "bad.arch")
+	if err := os.WriteFile(garbage, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Summarize(garbage); err == nil || !strings.Contains(err.Error(), garbage) {
+		t.Errorf("Summarize(garbage) = %v, want an error naming %s", err, garbage)
+	}
+	empty := filepath.Join(dir, "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if sums, err := Summarize(empty); err != nil || len(sums) != 0 {
+		t.Errorf("Summarize(empty) = %v, %v; want no summary and no error", sums, err)
+	}
+}
+
+// TestRefreshCataloguesATornOnlyJournal: a crashed run whose journal
+// holds a torn tail and nothing else is still a run to the catalog — of
+// no record — and does not fail the refresh of the runs beside it.
+func TestRefreshCataloguesATornOnlyJournal(t *testing.T) {
+	root := t.TempDir()
+	writeJournal(t, filepath.Join(root, "a.jsonl"), []runstore.Record{
+		mkRec("e", map[string]string{"f": "x"}, 0, map[string]float64{"ms": 1}),
+	}, baseTime)
+	if err := os.WriteFile(filepath.Join(root, "crashed.jsonl"), []byte(`{"experiment":"e","ro`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := openTest(t, root)
+	rs, err := w.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Candidates != 2 || rs.Ingested != 2 || rs.Records != 1 {
+		t.Fatalf("refresh = %+v, want both sources ingested, 1 record", rs)
+	}
+	for _, r := range w.Runs() {
+		if r.Path == "crashed.jsonl" && r.Records != 0 {
+			t.Errorf("crashed.jsonl catalogued with %d record(s), want 0", r.Records)
+		}
+	}
 }

@@ -214,7 +214,11 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 // regression gate compares. A cell's values are summed in the order its
 // distinct last-wins records were first appended. The paths must hold
 // disjoint cells — one file, or the shard files of one experiment — since
-// a cell two paths hold is summarized twice, not pooled.
+// a cell two paths hold is summarized twice, not pooled. A file that is
+// not empty but holds no complete record — bytes that no format reads as
+// a record, a torn tail alone — is an error naming it: summarized, it
+// would pass for a store with no experiment. An empty file summarizes
+// to nothing.
 func Summarize(paths ...string) ([]*runstore.Summary, error) {
 	var cells []Cell
 	for _, path := range paths {
@@ -225,6 +229,9 @@ func Summarize(paths ...string) ([]*runstore.Summary, error) {
 		run, err := ingest("", path, st)
 		if err != nil {
 			return nil, err
+		}
+		if run.Records == 0 && st.Size() > 0 {
+			return nil, fmt.Errorf("warehouse: %s holds no complete record (%d byte(s))", path, st.Size())
 		}
 		cells = append(cells, run.Cells...)
 	}

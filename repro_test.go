@@ -7,10 +7,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/design"
+	"repro/internal/harness"
+	"repro/internal/obs"
+	"repro/internal/paperexp"
 	"repro/internal/runstore"
+	"repro/internal/runstore/archivestore"
+	"repro/internal/sched"
 )
 
 func TestPublicAPI(t *testing.T) {
@@ -407,26 +414,85 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	}
 }
 
-// TestArchiveRunCommitsBatches: a concurrent run into the archive store
-// commits finished units in batches — fewer commits than units — and a
-// second run over the same directory replays every unit from the archive.
+// TestArchiveRunCommitsBatches: a run into the archive store commits
+// finished units in batches — fewer commits than units — and a second run
+// over the same directory replays every unit from the archive. The cold
+// run holds the archive's first commit open until the runner has been
+// called for the fourth unit: its one worker queued the three units
+// before it, so at least two of them wait behind the held commit and land
+// together, however the goroutines are scheduled.
 func TestArchiveRunCommitsBatches(t *testing.T) {
-	cfg := RunConfig{Workers: 2, JournalDir: t.TempDir(), Store: StoreArchive}
-	out, err := Run(context.Background(), "t4", cfg)
+	dir := t.TempDir()
+	store := &heldArchive{started: make(chan struct{}), release: make(chan struct{})}
+	reg := obs.NewRegistry()
+	s := sched.New(sched.Options{Workers: 1, Metrics: reg, Open: func(experiment string) (runstore.Store, error) {
+		a, err := archivestore.OpenDir(dir, experiment) // as RunConfig.build opens it for StoreArchive
+		store.Archive = a
+		return store, err
+	}})
+	called := make(chan struct{}, 4)
+	ctx := harness.WithExecutor(context.Background(), countingExecutor{s, called})
+	var cold *paperexp.Result
+	errc := make(chan error, 1)
+	go func() {
+		var err error
+		cold, err = paperexp.Run(ctx, "t4")
+		errc <- err
+	}()
+	for _, wait := range []chan struct{}{store.started, called, called, called, called} {
+		select {
+		case <-wait:
+		case err := <-errc:
+			t.Fatalf("t4 returned before its units queued behind the first commit: %v", err)
+		}
+	}
+	close(store.release)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	e := reg.Counter("sched_units_executed_total", "").Value()
+	c := reg.Counter("sched_commits_total", "").Value()
+	if e != 4 || c >= e {
+		t.Errorf("cold run: %d commit(s) for %d executed unit(s), want fewer commits than units", c, e)
+	}
+	warm, err := Run(context.Background(), "t4", RunConfig{Workers: 2, JournalDir: dir, Store: StoreArchive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := out.Metrics.Get("sched_units_executed_total")
-	c, _ := out.Metrics.Get("sched_commits_total")
-	if e.Value == 0 || c.Value >= e.Value {
-		t.Errorf("cold run: %v commit(s) for %v executed unit(s), want fewer commits than units", c.Value, e.Value)
-	}
-	warm, err := Run(context.Background(), "t4", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertUnits(t, "warm", warm.Metrics, 0, e.Value)
-	if warm.Result.Text != out.Result.Text {
+	assertUnits(t, "warm", warm.Metrics, 0, float64(e))
+	if warm.Result.Text != cold.Text {
 		t.Error("the warm run's artifact differs from the cold run's")
 	}
+}
+
+// heldArchive is the archive store whose first commit waits, once it has
+// started, until release is closed.
+type heldArchive struct {
+	*archivestore.Archive
+	started, release chan struct{}
+	once             sync.Once
+}
+
+func (h *heldArchive) AppendBatch(recs []runstore.Record) error {
+	h.once.Do(func() {
+		close(h.started)
+		<-h.release
+	})
+	return h.Archive.AppendBatch(recs)
+}
+
+// countingExecutor executes through s, sending on called each time a
+// unit's runner is called.
+type countingExecutor struct {
+	s      *sched.Scheduler
+	called chan<- struct{}
+}
+
+func (x countingExecutor) Execute(ctx context.Context, e *harness.Experiment) (*harness.ResultSet, error) {
+	counted := *e
+	counted.Run = func(a design.Assignment, rep int) (map[string]float64, error) {
+		x.called <- struct{}{}
+		return e.Run(a, rep)
+	}
+	return x.s.Execute(ctx, &counted)
 }
