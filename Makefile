@@ -63,8 +63,10 @@ race:
 # are the warehouse's Refresh, ingest and query tests: Refresh ingests
 # changed sources on up to GOMAXPROCS goroutines, the scratch an ingest
 # folds a source in passes between them through a sync.Pool, and queries
-# share the warehouse's t-quantile slot while refreshes and prunes replace
-# the runs under them.
+# share the warehouse's t-quantile slot and its one sorted live view while
+# refreshes and prunes replace the runs under them (a Put replaces the
+# view, never edits it); the tests that race queries against those changes
+# run ten times over.
 # And the commit tests, twenty times over: concurrent commits to one log
 # overlap their syncs and settle in write order, and a failed sync with
 # others in flight poisons the log and cuts it back, interleavings that
@@ -81,7 +83,8 @@ race-cpu:
 	$(GO) test -race -cpu 1,4 -count=20 -run 'TestJournalConformance/(Concurrent|ScanDuringAppend|ScanEarlyBreak)' ./internal/runstore
 	$(GO) test -race -cpu 1,4 -run 'Merge|Compact|ScanFile|Entries|Section|Inspect' ./internal/runstore/...
 	$(GO) test -race -cpu 1,4 -run 'HeldAcquire|OldWorkerNewDaemon|NewWorkerOldDaemon|SpoolAndCollectorDisagree|RemoteStore|GateWhileWorkersStream' ./internal/collector ./internal/collector/client
-	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest|Quer' ./internal/warehouse
+	$(GO) test -race -cpu 1,4 -run 'Refresh|Ingest|Quer|Prune|View' ./internal/warehouse
+	$(GO) test -race -cpu 1,4 -count=10 -run 'TestConcurrentQueriesAndIndexChanges|TestConcurrentQueryRefresh|TestQueryViewFollowsPut' ./internal/warehouse
 	$(GO) test -race -cpu 1,4 -run 'Backlog' ./internal/sched
 
 .PHONY: bench

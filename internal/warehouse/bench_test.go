@@ -207,14 +207,20 @@ func BenchmarkWarehouseReopen(b *testing.B) {
 // cells, which ingest sorted by selector, on the t-quantile lookup the
 // warehouse kept from the query before.
 func BenchmarkWarehouseQueryHistory(b *testing.B) {
+	benchQuery(b, benchHistory, func(res *Result) bool { return len(res.History) == benchRuns })
+}
+
+// benchQuery times one query kind over the refreshed fixture, between two
+// of which the index does not change.
+func benchQuery(b *testing.B, req Request, answered func(*Result) bool) {
 	w := benchRefreshed(b)
-	if res, err := w.Query(benchHistory); err != nil || len(res.History) != benchRuns {
-		b.Fatalf("history = %+v, %v", res, err)
+	if res, err := w.Query(req); err != nil || !answered(res) {
+		b.Fatalf("%s = %+v, %v", req.Kind, res, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Query(benchHistory); err != nil {
+		if _, err := w.Query(req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,17 +228,17 @@ func BenchmarkWarehouseQueryHistory(b *testing.B) {
 
 // BenchmarkWarehouseQueryRegressions lists every regressed cell.
 func BenchmarkWarehouseQueryRegressions(b *testing.B) {
-	w := benchRefreshed(b)
-	if res, err := w.Query(Request{Kind: KindRegressions}); err != nil || len(res.Regressions) == 0 {
-		b.Fatalf("regressions = %+v, %v", res, err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Query(Request{Kind: KindRegressions}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchQuery(b, Request{Kind: KindRegressions}, func(res *Result) bool { return len(res.Regressions) > 0 })
+}
+
+// BenchmarkWarehouseQueryTrends draws every (experiment, response) line.
+func BenchmarkWarehouseQueryTrends(b *testing.B) {
+	benchQuery(b, Request{Kind: KindTrends}, func(res *Result) bool { return len(res.Trends) == 2 })
+}
+
+// BenchmarkWarehouseQueryRuns lists every run.
+func BenchmarkWarehouseQueryRuns(b *testing.B) {
+	benchQuery(b, Request{Kind: KindRuns}, func(res *Result) bool { return len(res.Runs) == benchRuns })
 }
 
 // BenchmarkWarehouseQueryOneShot is the CLI's shape: open, refresh (every

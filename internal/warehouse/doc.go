@@ -39,22 +39,28 @@
 //     listings, per-cell history, per-experiment trend lines, and
 //     regression listings reusing the CI-shift rule of the runstore
 //     regression gate (disjoint intervals, higher mean = regressed).
-//     A history query naming its cell by selector binary-searches each
-//     run's cells, which ingest left sorted by (experiment, selector,
-//     response) and the index notes as seekable once per run; every
-//     other query is one pass over the live runs' cells. Either compares
+//     Every query reads the index's sorted live view — the runs that are
+//     not tombstones, oldest first, each with its seekable fact — which
+//     the index builds at the first read after a Put and shares,
+//     read-only, until the next Put replaces it. A history query naming
+//     its cell by selector binary-searches each run's cells, which ingest
+//     left sorted by (experiment, selector, response) and the index notes
+//     as seekable once per run; every other query is one pass over the
+//     view's cells. Either compares
 //     strings every cell already carries — its hash, and its selector,
 //     rendered at ingest or at replay and never by a query. The
 //     t-quantile is evaluated once per (confidence, replicate count):
 //     the warehouse keeps the lookup of the last confidence asked, and
-//     nothing else, between queries.
+//     the view, between queries.
 //     The same core backs repro.Query, `perfeval query`, and the
 //     collector daemon's GET /v1/query, so they cannot drift.
 //
 // Durability contract: the index file is a frame log in the
 // checksummed framing (docs/FORMAT.md §2, §5) — magic header,
-// length-prefixed CRC-32C frames, one fsync per Put, fail-stop after a
-// failed Put — so a crash leaves at most one torn trailing frame,
+// length-prefixed CRC-32C frames, one write and one fsync per Put however
+// many runs it lands (a Refresh lands the runs it has ingested together, a
+// Prune all its tombstones), fail-stop after a failed Put — so a crash
+// leaves the whole frames before it and at most one torn trailing frame,
 // truncated on the next open. Because length-prefixed framing cannot
 // resynchronize, a frame that fails its checksum ends the readable
 // region exactly like a torn tail — the entries it hid are re-ingested

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/framelog"
+	"repro/internal/obs"
 	"repro/internal/runstore"
 )
 
@@ -51,7 +52,7 @@ func FuzzWarehouseIndex(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e, err := openIndex(path)
+		e, err := openIndex(path, new(obs.Counter))
 		if err != nil {
 			return // rejected (foreign magic, corrupt frame); rejecting is fine, panicking is not
 		}
@@ -64,7 +65,7 @@ func FuzzWarehouseIndex(f *testing.F) {
 			t.Fatalf("close failed: %v", err)
 		}
 
-		e2, err := openIndex(path)
+		e2, err := openIndex(path, new(obs.Counter))
 		if err != nil {
 			t.Fatalf("index unreadable after put: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/design"
 	"repro/internal/framelog"
+	"repro/internal/obs"
 )
 
 // Run is one ingested store file's summary — the unit of history. Path
@@ -127,16 +129,21 @@ var indexFraming = framelog.Frames("warehouse index", IndexMagic, maxIndexFrame)
 
 // index is the warehouse's durable run index: an append-only framelog
 // file with the crash discipline every log in the repository shares —
-// one write plus one fsync per Put, torn trailing frame truncated on
-// open, corrupt interior frame an error, fail-stop after a failed Put —
-// under an in-memory last-wins view. Beside each run it keeps one fact
-// the file does not hold, whether the run is seekable, decided once when
-// the run enters the view. It is safe for concurrent use.
+// one write plus one fsync per Put, however many runs it lands, torn
+// trailing frame truncated on open, corrupt interior frame an error,
+// fail-stop after a failed Put — under an in-memory last-wins view.
+// Beside each run it keeps one fact the file does not hold, whether the
+// run is seekable, decided once when the run enters the view; and beside
+// the view, the sorted live view every query reads (live), built at the
+// first read after a Put and dropped by the next. It is safe for
+// concurrent use.
 type index struct {
 	mu       sync.Mutex
 	log      *framelog.Log
 	runs     map[string]Run  // last-wins by Run.Path
 	seekable map[string]bool // by Run.Path: seekable(runs[path].Cells)
+	view     []heldRun       // live's answer since the last Put; nil until built (make never returns nil)
+	commits  *obs.Counter    // warehouse_index_commits_total: one per Put that committed
 }
 
 // heldRun is one run of the index's view with the fact the index keeps
@@ -151,8 +158,8 @@ type heldRun struct {
 // frame or a foreign magic header is an error, because silently
 // dropping indexed history would let a stale index masquerade as a
 // fresh one.
-func openIndex(path string) (*index, error) {
-	x := &index{runs: make(map[string]Run), seekable: make(map[string]bool)}
+func openIndex(path string, commits *obs.Counter) (*index, error) {
+	x := &index{runs: make(map[string]Run), seekable: make(map[string]bool), commits: commits}
 	log, err := framelog.Open(path, indexFraming, collectRuns(x.runs, x.seekable))
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
@@ -216,62 +223,98 @@ func compareCells(a, b *Cell) int {
 }
 
 // Runs returns the last-wins view of every indexed run — tombstones
-// included — sorted by (ModTimeNS, Path).
+// included — sorted by (ModTimeNS, Path), in a slice of the caller's own.
 func (x *index) Runs() []Run {
-	held := x.held()
-	out := make([]Run, len(held))
-	for i := range held {
-		out[i] = held[i].Run
-	}
+	x.mu.Lock()
+	out := slices.Collect(maps.Values(x.runs))
+	x.mu.Unlock()
+	slices.SortFunc(out, func(a, b Run) int { return runOrder(&a, &b) })
 	return out
 }
 
-// held is Runs with the fact the index keeps about each run.
-func (x *index) held() []heldRun {
+// live returns the sorted live view: the runs that are not tombstones,
+// sorted by (ModTimeNS, Path), each with its seekable fact. It is built
+// at the first call after a Put and shared by every call until the next,
+// so it is read-only to everyone: a Put replaces it, and leaves a view
+// taken before as it was.
+func (x *index) live() []heldRun {
 	x.mu.Lock()
-	out := make([]heldRun, 0, len(x.runs))
-	for path, r := range x.runs {
-		out = append(out, heldRun{r, x.seekable[path]})
+	defer x.mu.Unlock()
+	if x.view == nil {
+		view := make([]heldRun, 0, len(x.runs))
+		for path, r := range x.runs {
+			if !r.Pruned {
+				view = append(view, heldRun{r, x.seekable[path]})
+			}
+		}
+		slices.SortFunc(view, func(a, b heldRun) int { return runOrder(&a.Run, &b.Run) })
+		x.view = view
 	}
-	x.mu.Unlock()
-	slices.SortFunc(out, func(a, b heldRun) int {
-		return cmp.Or(cmp.Compare(a.ModTimeNS, b.ModTimeNS), strings.Compare(a.Path, b.Path))
-	})
-	return out
+	return x.view
+}
+
+// runOrder is history's order: by source modification time, then path.
+func runOrder(a, b *Run) int {
+	return cmp.Or(cmp.Compare(a.ModTimeNS, b.ModTimeNS), strings.Compare(a.Path, b.Path))
 }
 
 // encodeIndexFrame frames one Run as its on-disk index bytes.
 func encodeIndexFrame(r Run) ([]byte, error) {
-	// Sized so an ordinary run's document is appended without regrowing.
-	frame := indexFraming.Reserve(make([]byte, 0, 256+192*len(r.Cells)))
-	frame, err := appendRun(frame, r)
+	return appendIndexFrame(make([]byte, 0, frameRoom(r)), r)
+}
+
+// frameRoom is a buffer size an ordinary run's frame is appended to
+// without regrowing.
+func frameRoom(r Run) int { return 256 + 192*len(r.Cells) }
+
+// appendIndexFrame appends one Run's frame to dst.
+func appendIndexFrame(dst []byte, r Run) ([]byte, error) {
+	start := len(dst)
+	frame, err := appendRun(indexFraming.Reserve(dst), r)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
-	return indexFraming.Seal(frame, 0), nil
+	return indexFraming.Seal(frame, start), nil
 }
 
-// Put durably inserts or replaces one run's summary, keyed by Path: one
-// frame appended with a single Write call followed by Sync, so a crash
-// leaves at most one torn frame. A cell that comes without its selector —
-// a run built by hand rather than by ingest — is held with it.
-func (x *index) Put(r Run) error {
-	if r.Path == "" {
-		return fmt.Errorf("warehouse: run needs a path")
+// Put durably inserts or replaces runs' summaries, keyed by Path: their
+// frames, in the order given, appended with a single Write call followed
+// by Sync — one commit however many runs — so a crash leaves the whole
+// frames before it and at most one torn frame. The view changes only once
+// the commit settled, and all at once. A cell that comes without its
+// selector — a run built by hand rather than by ingest — is held with it.
+// Put of no run commits nothing.
+func (x *index) Put(runs ...Run) error {
+	if len(runs) == 0 {
+		return nil
 	}
-	frame, err := encodeIndexFrame(r)
-	if err != nil {
-		return err
+	room := 0
+	for _, r := range runs {
+		room += frameRoom(r)
 	}
-	r.Cells = withSelectors(r.Cells)
-	seek := seekable(r.Cells)
+	frames, held := make([]byte, 0, room), make([]heldRun, len(runs))
+	for i, r := range runs {
+		if r.Path == "" {
+			return fmt.Errorf("warehouse: run needs a path")
+		}
+		var err error
+		if frames, err = appendIndexFrame(frames, r); err != nil {
+			return err
+		}
+		r.Cells = withSelectors(r.Cells)
+		held[i] = heldRun{r, seekable(r.Cells)}
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if err := x.log.Commit(frame, nil); err != nil {
+	if err := x.log.Commit(frames, nil); err != nil {
 		return err
 	}
-	x.runs[r.Path] = r
-	x.seekable[r.Path] = seek
+	x.commits.Inc()
+	for _, h := range held {
+		x.runs[h.Path] = h.Run
+		x.seekable[h.Path] = h.seekable
+	}
+	x.view = nil
 	return nil
 }
 

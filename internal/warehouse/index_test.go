@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/framelog"
+	"repro/internal/obs"
 )
 
 // encodeFrame builds one index frame, failing the test on an encoding
@@ -46,7 +47,7 @@ func sampleRun(path string, mod int64) Run {
 
 func TestFileEngineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
-	e, err := openIndex(path)
+	e, err := openIndex(path, new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFileEngineRoundTrip(t *testing.T) {
 		t.Fatalf("Put after Close = %v, want closed error", err)
 	}
 
-	e2, err := openIndex(path)
+	e2, err := openIndex(path, new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFileEngineRoundTrip(t *testing.T) {
 
 func TestFileEngineTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
-	e, err := openIndex(path)
+	e, err := openIndex(path, new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestFileEngineTornTail(t *testing.T) {
 			if err := os.WriteFile(path, append(append([]byte{}, intact...), tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			e, err := openIndex(path)
+			e, err := openIndex(path, new(obs.Counter))
 			if err != nil {
 				t.Fatalf("open with torn tail: %v", err)
 			}
@@ -173,7 +174,7 @@ func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 				if n, _, torn, err := InspectIndex(path); err != nil || n != 0 || !torn {
 					t.Fatalf("InspectIndex = (%d, torn=%v, %v), want (0, true, nil)", n, torn, err)
 				}
-				e, err := openIndex(path)
+				e, err := openIndex(path, new(obs.Counter))
 				if err != nil {
 					t.Fatalf("open of a crashed creation: %v", err)
 				}
@@ -189,7 +190,7 @@ func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 				}
 				return
 			}
-			if _, err := openIndex(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := openIndex(path, new(obs.Counter)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("openIndex = %v, want error containing %q", err, tc.want)
 			}
 			if _, _, _, err := InspectIndex(path); err == nil {
@@ -201,7 +202,7 @@ func TestFileEngineRejectsCorruptFrames(t *testing.T) {
 
 func TestInspectIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
-	e, err := openIndex(path)
+	e, err := openIndex(path, new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,11 +239,16 @@ func queryRuns(live []heldRun, req Request) []RunInfo {
 	return tail(out, req.Limit)
 }
 
+// queryHistory allocates its points at the first match, room for one per
+// run left, and nothing when nothing matches (a nil History).
 func queryHistory(live []heldRun, req Request, t *stats.TCritical) []HistoryPoint {
 	var out []HistoryPoint
 	for ri := range live {
 		r := &live[ri]
 		for c := range historyCells(r, req) {
+			if out == nil {
+				out = make([]HistoryPoint, 0, len(live)-ri)
+			}
 			ci := runstore.CellInterval(c.N, c.Mean, c.Variance, req.Tolerance, t)
 			out = append(out, HistoryPoint{
 				Run:          r.Path,

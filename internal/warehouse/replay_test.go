@@ -89,7 +89,7 @@ func TestReplayEqualsFrameByFrameUnmarshal(t *testing.T) {
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	x, err := openIndex(path)
+	x, err := openIndex(path, new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}

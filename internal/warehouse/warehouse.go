@@ -34,9 +34,11 @@ type Options struct {
 // stores. Open one with Open, keep it refreshed with Refresh, ask it
 // questions with Query, bound it with Prune, and Close it when done.
 // All methods are safe for concurrent use. Open replays the index file
-// and nothing more; Refresh reads each changed source once; a history
-// Query by selector seeks each run's cells in the order ingest sorted
-// them, and any other Query is one pass over the live runs' cells.
+// and nothing more; Refresh reads each changed source once; every Query
+// reads the index's sorted live view, which the index builds at the first
+// read after a change and keeps until the next; a history Query by
+// selector seeks each run's cells in the order ingest sorted them, and
+// any other Query is one pass over the live runs' cells.
 type Warehouse struct {
 	mu    sync.Mutex // serializes Refresh, Prune, and Query
 	root  string
@@ -77,7 +79,7 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	}
 	met := newMetrics(reg)
 	start := time.Now()
-	idx, err := openIndex(filepath.Join(root, IndexFile))
+	idx, err := openIndex(filepath.Join(root, IndexFile), met.indexCommits)
 	if err != nil {
 		return nil, err
 	}
@@ -116,10 +118,11 @@ type RefreshStats struct {
 //
 // Changed sources are read on GOMAXPROCS goroutines, but everything a
 // caller can observe happens in catalog order on the calling goroutine:
-// the clock is read and the run Put as each source's turn comes, the
-// first candidate that fails ends the refresh with every candidate before
-// it indexed and none after, and Refresh returns only once no ingest is
-// still running.
+// the clock is read as each source's turn comes, the runs whose turns
+// have come are indexed with one Put — one fsync — whenever the next
+// turn's ingest is still running and at the end, the first candidate that
+// fails ends the refresh with every candidate before it indexed and none
+// after, and Refresh returns only once no ingest is still running.
 func (w *Warehouse) Refresh() (RefreshStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -182,13 +185,43 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 			}
 		}()
 	}
+	// The runs whose turns came, not yet indexed: landed with one Put
+	// whenever the next turn's ingest is still running, before a failure
+	// is returned, and at the end.
+	var pending []Run
+	land := func() error {
+		if err := w.idx.Put(pending...); err != nil {
+			return err
+		}
+		for _, run := range pending {
+			rs.Ingested++
+			rs.Records += run.Records
+			w.met.ingestRuns.Inc()
+			w.met.ingestRecords.Add(int64(run.Records))
+		}
+		pending = pending[:0]
+		return nil
+	}
 	for _, t := range turns {
 		if t == nil {
 			rs.Unchanged++
 			continue
 		}
-		<-t.done
+		if refreshTurn != nil {
+			refreshTurn(t.done)
+		}
+		select {
+		case <-t.done:
+		default:
+			if err := land(); err != nil {
+				return rs, err
+			}
+			<-t.done
+		}
 		if t.err != nil {
+			if err := land(); err != nil {
+				return rs, err
+			}
 			return rs, t.err
 		}
 		run := t.run
@@ -196,16 +229,18 @@ func (w *Warehouse) Refresh() (RefreshStats, error) {
 		if prev, known := indexed[t.rel]; known && prev.Fingerprint == run.Fingerprint && !prev.Pruned {
 			run.IngestTimeNS = prev.IngestTimeNS // touched, not changed
 		}
-		if err := w.idx.Put(run); err != nil {
-			return rs, err
-		}
-		rs.Ingested++
-		rs.Records += run.Records
-		w.met.ingestRuns.Inc()
-		w.met.ingestRecords.Add(int64(run.Records))
+		pending = append(pending, run)
+	}
+	if err := land(); err != nil {
+		return rs, err
 	}
 	return rs, statErr
 }
+
+// refreshTurn, when set, is handed each changed source's done channel as
+// its turn comes, before Refresh looks whether its ingest is done: a
+// test's way to decide what Refresh finds (export_test.go).
+var refreshTurn func(done <-chan struct{})
 
 // Summarize reads the store files at paths — each once, through the
 // ingest Refresh runs, with no index — into one runstore.Summary per
@@ -460,12 +495,16 @@ func formatName(rel string) string {
 func (w *Warehouse) Runs() []Run {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return slices.DeleteFunc(w.idx.Runs(), func(r Run) bool { return r.Pruned })
+	live := w.liveRuns()
+	out := make([]Run, len(live))
+	for i := range live {
+		out[i] = live[i].Run
+	}
+	return out
 }
 
-func (w *Warehouse) liveRuns() []heldRun {
-	return slices.DeleteFunc(w.idx.held(), func(r heldRun) bool { return r.Pruned })
-}
+// liveRuns is the index's sorted live view, shared in place: read-only.
+func (w *Warehouse) liveRuns() []heldRun { return w.idx.live() }
 
 // Retention is the warehouse's pruning policy. Both knobs bound the
 // index; a run is pruned when either says so.
@@ -489,8 +528,8 @@ type PruneStats struct {
 // Prune applies a retention policy to the index: expired runs are
 // replaced by tombstones (their aggregates drop out of every query,
 // their identity and change-detection meta stay so a Refresh does not
-// resurrect them). Source files are never touched. Prune is idempotent
-// for a fixed policy and clock.
+// resurrect them), all with one Put. Source files are never touched.
+// Prune is idempotent for a fixed policy and clock.
 func (w *Warehouse) Prune(pol Retention) (PruneStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -511,12 +550,13 @@ func (w *Warehouse) Prune(pol Retention) (PruneStats, error) {
 			expired[r.Path] = true
 		}
 	}
+	var tombs []Run
 	for _, r := range live {
 		if !expired[r.Path] {
 			ps.Kept++
 			continue
 		}
-		tomb := Run{
+		tombs = append(tombs, Run{
 			Path:         r.Path,
 			Size:         r.Size,
 			ModTimeNS:    r.ModTimeNS,
@@ -525,11 +565,11 @@ func (w *Warehouse) Prune(pol Retention) (PruneStats, error) {
 			Format:       r.Format,
 			Records:      r.Records,
 			Pruned:       true,
-		}
-		if err := w.idx.Put(tomb); err != nil {
-			return ps, err
-		}
-		ps.Pruned++
+		})
 	}
+	if err := w.idx.Put(tombs...); err != nil {
+		return ps, err
+	}
+	ps.Pruned = len(tombs)
 	return ps, nil
 }
