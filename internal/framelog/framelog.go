@@ -565,6 +565,13 @@ func (l *Log) Torn() bool { return l.torn }
 // which is why no commit settles on another's sync: the commit whose
 // sync consumed the error fails, and with it every unsettled one.
 //
+// Only one writer overlaps commits: a store without a batch side, which
+// the scheduler's workers append to record by record (bench/'s timedStore
+// on its local-run workload is the one such store). Every other writer
+// has one commit in flight per log. Serialized commits cost that
+// workload about a quarter of its records per second on ext4 with two
+// workers, so the overlap stays while the workload takes that path.
+//
 // The first failure — of a Truncate, a Write, a Sync, or the open of a
 // second descriptor — is sticky: nothing settles after it, and every
 // unsettled commit and every later one returns that same error until the

@@ -314,24 +314,15 @@ func NormalizeAppend(rec Record) (Record, error) {
 	return rec, nil
 }
 
-// Append validates, persists, and indexes one record. Its encoding is
-// written with a single Write call followed by Sync, so a crash leaves at
-// most one torn record — exactly what Open recovers from. Concurrent
-// Appends overlap their syncs (framelog.Log.Commit), and each record is
-// indexed once it is settled, in file order. A failed Write or Sync
-// poisons the journal: every later Append or AppendBatch returns that
-// first error until the file is reopened.
+// Append validates, persists, and indexes one record: it is AppendBatch
+// of that one record, so a crash leaves at most that record torn, which
+// Open recovers from. Concurrent Appends overlap their syncs
+// (framelog.Log.Commit), and each record is indexed once it is settled,
+// in file order. A failed Write or Sync poisons the journal: every later
+// Append or AppendBatch returns that first error until the file is
+// reopened.
 func (j *Journal) Append(rec Record) error {
-	rec, err := NormalizeAppend(rec)
-	if err != nil {
-		return err
-	}
-	bufp := frameBufPool.Get().(*[]byte)
-	defer putFrameBuf(bufp)
-	if *bufp, err = jsonCodec.appendFrame(*bufp, rec); err != nil {
-		return err
-	}
-	return j.commit(*bufp, rec)
+	return j.AppendBatch([]Record{rec})
 }
 
 // EncodedBatch is a batch of records validated, canonicalised and
@@ -425,14 +416,14 @@ func (j *Journal) CommitBatch(b *EncodedBatch) error {
 	if len(b.recs) == 0 {
 		return nil
 	}
-	return j.commit(b.data, b.recs...)
+	return j.commit(b.data, b.recs)
 }
 
 // commit makes data, the encoding of recs, durable and counts and indexes
 // them once the log settles it — in file order, so the live last-wins
 // view is the one a reopen serves, and nothing from a failed commit is
 // ever served.
-func (j *Journal) commit(data []byte, recs ...Record) error {
+func (j *Journal) commit(data []byte, recs []Record) error {
 	n := int64(len(data))
 	return j.log.Commit(data, func() {
 		metAppends.Add(int64(len(recs)))

@@ -61,10 +61,19 @@ func testCancellationDrains(ctx context.Context, t *testing.T, pool string, canc
 	dir := t.TempDir()
 	const cells, reps = 16, 2
 	defer cancel()
+	// The 6th runner call cancels, and every later call waits until it
+	// has: a worker that counted the 6th call can lose its processor
+	// before it cancels, and the other worker would then run the rest of
+	// the design in the meantime.
 	var completed atomic.Int64
+	canceled := make(chan struct{})
 	counting := func(a design.Assignment, rep int) (map[string]float64, error) {
-		if completed.Add(1) == 6 {
+		switch n := completed.Add(1); {
+		case n == 6:
 			cancel() // cancel between units, mid-run
+			close(canceled)
+		case n > 6:
+			<-canceled
 		}
 		return wideRunner(a, rep)
 	}
@@ -78,8 +87,9 @@ func testCancellationDrains(ctx context.Context, t *testing.T, pool string, canc
 	waitGoroutines(t, base)
 
 	// The journal is valid: opens cleanly, no torn tail, holds every
-	// unit that completed before the drain finished and no more. With 2
-	// workers, at most the 2 in-flight units complete after the 6th —
+	// unit that completed before the drain finished and no more. No unit
+	// starts running after the 6th until the run is canceled, so at most
+	// the units the dispatcher had handed out by then complete after it —
 	// far fewer than the full design.
 	j, err := runstore.OpenDir(dir, "sched wide")
 	if err != nil {

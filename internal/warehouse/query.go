@@ -207,20 +207,31 @@ func (w *Warehouse) tCritical(req Request) *stats.TCritical {
 	return &w.t
 }
 
+// queryRuns allocates its listing at the first run it keeps, room for one
+// per run left, and one Experiments slice per run; the experiments of a
+// run are gathered in a scratch slice reused from run to run.
 func queryRuns(live []heldRun, req Request) []RunInfo {
 	var out []RunInfo
-	for _, r := range live {
-		exps := make(map[string]bool)
+	var exps []string
+	for ri := range live {
+		r := &live[ri]
+		exps = exps[:0]
 		cells := 0
-		for _, c := range r.Cells {
+		for ci := range r.Cells {
+			c := &r.Cells[ci]
 			if req.Experiment != "" && c.Experiment != req.Experiment {
 				continue
 			}
-			exps[c.Experiment] = true
+			if !slices.Contains(exps, c.Experiment) {
+				exps = append(exps, c.Experiment)
+			}
 			cells++
 		}
 		if req.Experiment != "" && cells == 0 {
 			continue
+		}
+		if out == nil {
+			out = make([]RunInfo, 0, len(live)-ri)
 		}
 		info := RunInfo{
 			Path:         r.Path,
@@ -230,10 +241,10 @@ func queryRuns(live []heldRun, req Request) []RunInfo {
 			ModTimeNS:    r.ModTimeNS,
 			IngestTimeNS: r.IngestTimeNS,
 		}
-		for e := range exps {
-			info.Experiments = append(info.Experiments, e)
+		if len(exps) > 0 {
+			info.Experiments = slices.Clone(exps)
+			slices.Sort(info.Experiments)
 		}
-		sort.Strings(info.Experiments)
 		out = append(out, info)
 	}
 	return tail(out, req.Limit)
@@ -340,17 +351,24 @@ func historyCells(r *heldRun, req Request) iter.Seq[*Cell] {
 // read: a test's window on whether a query seeks (export_test.go).
 var historyReads func(cells int)
 
+// queryTrends sums each run's cells per (experiment, response) line in a
+// scratch slice reused from run to run, and gives a line its points once,
+// at the first run on it, room for one per run left.
 func queryTrends(live []heldRun, req Request) []TrendLine {
 	type lineKey struct{ experiment, response string }
+	type agg struct {
+		lineKey
+		sum   float64
+		cells int
+	}
 	lines := make(map[lineKey]*TrendLine)
 	var order []lineKey
-	for _, r := range live {
-		type agg struct {
-			sum   float64
-			cells int
-		}
-		perLine := make(map[lineKey]*agg)
-		for _, c := range r.Cells {
+	var perLine []agg // the lines of one run, in the order its cells name them
+	for ri := range live {
+		r := &live[ri]
+		perLine = perLine[:0]
+		for ci := range r.Cells {
+			c := &r.Cells[ci]
 			if req.Experiment != "" && c.Experiment != req.Experiment {
 				continue
 			}
@@ -358,20 +376,22 @@ func queryTrends(live []heldRun, req Request) []TrendLine {
 				continue
 			}
 			k := lineKey{c.Experiment, c.Response}
-			a := perLine[k]
-			if a == nil {
-				a = &agg{}
-				perLine[k] = a
+			i := 0
+			for i < len(perLine) && perLine[i].lineKey != k {
+				i++
 			}
-			a.sum += c.Mean
-			a.cells++
+			if i == len(perLine) {
+				perLine = append(perLine, agg{lineKey: k})
+			}
+			perLine[i].sum += c.Mean
+			perLine[i].cells++
 		}
-		for k, a := range perLine {
-			l := lines[k]
+		for _, a := range perLine {
+			l := lines[a.lineKey]
 			if l == nil {
-				l = &TrendLine{Experiment: k.experiment, Response: k.response}
-				lines[k] = l
-				order = append(order, k)
+				l = &TrendLine{Experiment: a.experiment, Response: a.response, Points: make([]TrendPoint, 0, len(live)-ri)}
+				lines[a.lineKey] = l
+				order = append(order, a.lineKey)
 			}
 			l.Points = append(l.Points, TrendPoint{
 				Run:       r.Path,

@@ -121,25 +121,56 @@ func allocRun(i int) Run {
 // allocations at 25 runs and more at 50. Not parallel: allocations are
 // counted process-wide.
 func TestHistoryQueryAllocs(t *testing.T) {
-	allocs := func(runs int) float64 {
-		w := openTest(t, t.TempDir())
-		batch := make([]Run, runs)
-		for i := range batch {
-			batch[i] = allocRun(i)
-		}
-		if err := w.idx.Put(batch...); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := w.Query(benchHistory); err != nil || len(res.History) != runs {
-			t.Fatalf("history over %d runs = %+v, %v", runs, res, err)
-		}
-		return testing.AllocsPerRun(100, func() {
-			if _, err := w.Query(benchHistory); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if at25, at50 := allocs(25), allocs(50); at25 != at50 || at50 > 2 {
+	points := func(res *Result) int { return len(res.History) }
+	if at25, at50 := queryAllocs(t, 25, benchHistory, points), queryAllocs(t, 50, benchHistory, points); at25 != at50 || at50 > 2 {
 		t.Errorf("a history query allocates %v times over 25 runs and %v over 50, want the same and at most 2", at25, at50)
 	}
+}
+
+// TestRunsAndTrendsQueryAllocs holds the runs and trends listings to what
+// they answer with: a trends query allocates as much over 50 runs as over
+// 25, a runs query one Experiments slice more per run. Both built a map
+// per run before (71 and 32 allocations at 25 runs), and grew their
+// answers from empty. Not parallel: allocations are counted process-wide.
+func TestRunsAndTrendsQueryAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		req    Request
+		perRun float64
+		points func(*Result) int
+	}{
+		{Request{Kind: KindTrends}, 0, func(res *Result) int {
+			if len(res.Trends) != 2 { // allocRun's two responses
+				return 0
+			}
+			return len(res.Trends[0].Points)
+		}},
+		{Request{Kind: KindRuns}, 1, func(res *Result) int { return len(res.Runs) }},
+	} {
+		if at25, at50 := queryAllocs(t, 25, tc.req, tc.points), queryAllocs(t, 50, tc.req, tc.points); at50-at25 != 25*tc.perRun {
+			t.Errorf("a %s query allocates %v times over 25 runs and %v over 50, want %v more per run", tc.req.Kind, at25, at50, tc.perRun)
+		}
+	}
+}
+
+// queryAllocs counts the allocations of one req query over an index of
+// runs allocRuns. points says how many runs an answer covers: the first
+// must cover every one.
+func queryAllocs(t *testing.T, runs int, req Request, points func(*Result) int) float64 {
+	t.Helper()
+	w := openTest(t, t.TempDir())
+	batch := make([]Run, runs)
+	for i := range batch {
+		batch[i] = allocRun(i)
+	}
+	if err := w.idx.Put(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := w.Query(req); err != nil || points(res) != runs {
+		t.Fatalf("%s query over %d runs = %+v, %v", req.Kind, runs, res, err)
+	}
+	return testing.AllocsPerRun(100, func() {
+		if _, err := w.Query(req); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
