@@ -9,8 +9,8 @@ import (
 )
 
 // TestArchiveWorkflowEndToEnd drives the journal → archive → warm-start
-// pipeline through the CLI: a journaled run, conversion with
-// verification, inspection, and the acceptance property — a re-run
+// pipeline through the CLI: a journaled run, a merge into an archive
+// (read back record by record), inspection, and the acceptance property — a re-run
 // against the archive replays exactly the completed units, leaving the
 // archive byte-identical and reproducing the journal run's artifact.
 func TestArchiveWorkflowEndToEnd(t *testing.T) {
@@ -25,19 +25,19 @@ func TestArchiveWorkflowEndToEnd(t *testing.T) {
 		t.Fatalf("journals = %v (err %v), want exactly 1", journals, err)
 	}
 
-	// Convert; the .arch file must live under its own dir with the same
+	// Merge into an archive; the .arch file must live under its own dir with the same
 	// experiment-derived stem so -Dstore=archive finds it.
 	archDir := filepath.Join(dir, "archive")
 	stem := strings.TrimSuffix(filepath.Base(journals[0]), ".jsonl")
 	arch := filepath.Join(archDir, stem+".arch")
 	var out bytes.Buffer
-	if err := runW(&out, []string{"archive", arch, journals[0]}); err != nil {
-		t.Fatalf("archive: %v\n%s", err, out.String())
+	if err := runW(&out, []string{"merge", arch, journals[0]}); err != nil {
+		t.Fatalf("merge into an archive: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"archived 1 source(s)", "verified", "footer ok"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("archive output missing %q:\n%s", want, out.String())
-		}
+	want := "merged 1 source(s) into " + arch + ": kept 4 record(s), dropped 0 superseded, 0 conflict(s), verified 4 index lookup(s)\n" +
+		"archive v3: 4 record block(s), 1 index page(s), footer ok\n"
+	if out.String() != want {
+		t.Errorf("merge into an archive printed\n%s\nwant\n%s", out.String(), want)
 	}
 
 	// Inspect both artifacts: same record counts, archive shape reported.
@@ -107,7 +107,7 @@ func TestInspectReportsTruncatedArchive(t *testing.T) {
 	}
 	journals, _ := filepath.Glob(filepath.Join(journalDir, "*.jsonl"))
 	arch := filepath.Join(dir, "run.arch")
-	if err := runW(&out, []string{"archive", arch, journals[0]}); err != nil {
+	if err := runW(&out, []string{"merge", arch, journals[0]}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(arch)
@@ -131,9 +131,9 @@ func TestInspectReportsTruncatedArchive(t *testing.T) {
 	}
 }
 
-// TestArchiveReportsConflicts pins conflict handling on the conversion
-// path: divergent re-measurements of the same unit across sources are
-// reported exactly as `perfeval merge` reports them, and
+// TestArchiveReportsConflicts pins conflict handling on a merge into an
+// archive: divergent re-measurements of the same unit across sources are
+// reported as a merge into a journal reports them, and
 // -Dmerge.strict=true refuses to write the archive at all.
 func TestArchiveReportsConflicts(t *testing.T) {
 	dir := t.TempDir()
@@ -149,8 +149,8 @@ func TestArchiveReportsConflicts(t *testing.T) {
 	}
 	arch := filepath.Join(dir, "out.arch")
 	var out bytes.Buffer
-	if err := runW(&out, []string{"archive", arch, a, b}); err != nil {
-		t.Fatalf("non-strict archive should write despite conflicts: %v\n%s", err, out.String())
+	if err := runW(&out, []string{"merge", arch, a, b}); err != nil {
+		t.Fatalf("non-strict merge should write the archive despite conflicts: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"conflict: e/cafe/0", "1 conflict(s)"} {
 		if !strings.Contains(out.String(), want) {
@@ -159,8 +159,11 @@ func TestArchiveReportsConflicts(t *testing.T) {
 	}
 	strictOut := filepath.Join(dir, "strict.arch")
 	out.Reset()
-	if err := runW(&out, []string{"-Dmerge.strict=true", "archive", strictOut, a, b}); err == nil {
-		t.Fatal("strict archive of conflicting sources should fail")
+	if err := runW(&out, []string{"-Dmerge.strict=true", "merge", strictOut, a, b}); err == nil {
+		t.Fatal("strict merge of conflicting sources should fail")
+	}
+	if !strings.Contains(out.String(), "conflict: e/cafe/0") {
+		t.Errorf("strict merge did not report the conflict:\n%s", out.String())
 	}
 	if _, err := os.Stat(strictOut); !os.IsNotExist(err) {
 		t.Fatal("strict mode wrote the archive anyway")

@@ -10,9 +10,12 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro"
+	"repro/internal/design"
+	"repro/internal/tpch"
 )
 
 func list(_ context.Context, w io.Writer, _ *opts, _ []string) error {
@@ -159,58 +162,36 @@ func infoRow(tab *repro.Table, name string, info repro.Info) {
 	tab.Row(name, fmt.Sprintf("%d", info.Records), fmt.Sprintf("%d", info.Distinct), fmt.Sprintf("%v", info.Torn))
 }
 
-// printConflicts reports cross-source conflicts the way merge and
-// archive both do.
-func printConflicts(w io.Writer, cs []repro.Conflict) {
-	for _, c := range cs {
-		fmt.Fprintf(w, "conflict: %s: %s overrides %s\n", c.Key, c.Later, c.Earlier)
-	}
-}
-
-// merge folds shard journals into one canonical journal and reports
+// merge folds store files into one canonical store and reports
 // cross-source conflicts; with merge.strict=true conflicts fail the
-// command after the (last-wins) merge has still been written.
+// command before anything is written. An archive destination is read
+// back record by record before repro.Merge returns, so for an .arch one
+// the line also counts the lookups verified, and the archive's shape
+// follows it.
 func merge(_ context.Context, w io.Writer, o *opts, args []string) error {
 	out := args[0]
-	ms, err := repro.Merge(out, args[1:]...)
+	ms, err := repro.Merge(out, args[1:], o.mergeStrict)
+	for _, c := range ms.Conflicts {
+		fmt.Fprintf(w, "conflict: %s: %s overrides %s\n", c.Key, c.Later, c.Earlier)
+	}
 	if err != nil {
 		return err
 	}
-	printConflicts(w, ms.Conflicts)
 	fmt.Fprintf(w, "merged %d source(s) into %s: kept %d record(s), dropped %d superseded, %d conflict(s)",
 		ms.Sources, out, ms.Kept, ms.Superseded, len(ms.Conflicts))
 	if ms.TornSources > 0 {
 		fmt.Fprintf(w, ", torn tail dropped in %d source(s)", ms.TornSources)
 	}
-	fmt.Fprintln(w)
-	if o.mergeStrict && len(ms.Conflicts) > 0 {
-		return fmt.Errorf("%d conflicting record(s) across sources", len(ms.Conflicts))
+	if !strings.HasSuffix(out, repro.ArchiveExt) {
+		fmt.Fprintln(w)
+		return nil
 	}
-	return nil
-}
-
-// archive converts source journals (or merged shards, or archives) into
-// one finalized, read-back-verified block-indexed archive via
-// repro.Convert. Cross-source conflicts are reported exactly as merge
-// reports them; with merge.strict=true they abort the conversion before
-// anything is written.
-func archive(_ context.Context, w io.Writer, o *opts, args []string) error {
-	out := args[0]
-	cs, err := repro.Convert(out, args[1:], o.mergeStrict)
-	printConflicts(w, cs.Conflicts)
+	fmt.Fprintf(w, ", verified %d index lookup(s)\n", ms.Kept)
+	info, err := repro.Inspect(out)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "archived %d source(s) into %s: %d record(s), dropped %d superseded, verified %d index lookup(s)",
-		cs.Sources, out, cs.Kept, cs.Superseded, cs.Verified)
-	if cs.TornSources > 0 {
-		fmt.Fprintf(w, ", torn tail dropped in %d source(s)", cs.TornSources)
-	}
-	if len(cs.Conflicts) > 0 {
-		fmt.Fprintf(w, ", %d conflict(s)", len(cs.Conflicts))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, cs.Detail)
+	fmt.Fprintln(w, info.Detail)
 	return nil
 }
 
@@ -340,5 +321,145 @@ func compact(_ context.Context, w io.Writer, o *opts, args []string) error {
 		fmt.Fprint(w, ", torn tail removed")
 	}
 	fmt.Fprintln(w)
+	return nil
+}
+
+// letterFactors is the factor list of sign, fractional and analyze:
+// design.k two-level factors named A, B, C, ... in sign-table order, or
+// def of them when design.k is not given. The row holds k at 1 or more.
+func letterFactors(o *opts, def int) ([]design.Factor, error) {
+	k := def
+	if o.set["design.k"] {
+		k = o.designK
+	}
+	if k > 20 {
+		return nil, fmt.Errorf("design.k = %d, need <= 20", k)
+	}
+	fs := make([]design.Factor, k)
+	for i := range fs {
+		fs[i] = design.MustFactor(string(rune('A'+i)), "-1", "+1")
+	}
+	return fs, nil
+}
+
+// sign prints the full 2^k sign table.
+func sign(_ context.Context, w io.Writer, o *opts, _ []string) error {
+	fs, err := letterFactors(o, 2)
+	if err != nil {
+		return err
+	}
+	st, err := design.NewSignTable(fs)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, st.String())
+	return nil
+}
+
+// fractional prints the 2^(k-p) design design.generators define, its
+// resolution and its confoundings.
+func fractional(_ context.Context, w io.Writer, o *opts, _ []string) error {
+	fs, err := letterFactors(o, 4)
+	if err != nil {
+		return err
+	}
+	var gens []design.Generator
+	for _, s := range strings.Split(o.generators, ",") {
+		g, err := design.ParseGenerator(strings.TrimSpace(s))
+		if err != nil {
+			return err
+		}
+		gens = append(gens, g)
+	}
+	fr, err := design.NewFractional(fs, gens)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "2^(%d-%d) design, %d runs, resolution %d\n\n", len(fs), len(gens), fr.Table.Runs, fr.Resolution())
+	fmt.Fprint(w, fr.Table.Design().String())
+	fmt.Fprintf(w, "\nconfoundings:\n%s", fr.ConfoundingTable())
+	return nil
+}
+
+// analyze estimates the effects of a full 2^k design from
+// design.responses, one per run in sign-table order, and prints the
+// model and the allocation of variation.
+func analyze(_ context.Context, w io.Writer, o *opts, _ []string) error {
+	fs, err := letterFactors(o, 2)
+	if err != nil {
+		return err
+	}
+	st, err := design.NewSignTable(fs)
+	if err != nil {
+		return err
+	}
+	var y []float64
+	for i, s := range strings.Split(o.responses, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			return fmt.Errorf("response %d: %w", i+1, err)
+		}
+		y = append(y, v)
+	}
+	ef, err := design.EstimateEffects(st, y)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, ef.ModelString())
+	fmt.Fprint(w, ef.VariationTable())
+	return nil
+}
+
+// dbgen writes the TPC-H-like catalog under dbgen.out, one CSV per table
+// — every table, or the dbgen.tables subset — and a line per file. The
+// data is a function of (dbgen.sf, dbgen.seed) alone, every value
+// rendered in C locale: the repeatability principle applied to data
+// generation.
+func dbgen(_ context.Context, w io.Writer, o *opts, _ []string) error {
+	sf, seed := 0.1, int64(42)
+	if o.set["dbgen.sf"] {
+		sf = o.dbgenSF
+	}
+	if o.set["dbgen.seed"] {
+		seed = o.dbgenSeed
+	}
+	// A negative seed is the uint64 of the same bits.
+	db, err := tpch.Gen(sf, uint64(seed))
+	if err != nil {
+		return err
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, t := range strings.Split(o.dbgenTables, ",") {
+		if t = strings.TrimSpace(t); t == "" {
+			continue
+		}
+		if _, err := db.Table(t); err != nil {
+			unknown = append(unknown, strconv.Quote(t))
+		}
+		want[t] = true
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("dbgen.tables: unknown table(s) %s; tables: %s",
+			strings.Join(unknown, ", "), strings.Join(db.TableNames(), ","))
+	}
+	dir := cmp.Or(o.dbgenOut, ".")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, name := range db.TableNames() {
+		if len(want) > 0 && !want[name] {
+			continue
+		}
+		t, err := db.Table(name)
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(dir, name+".csv")
+		if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-10s %8d rows  %s\n", name, t.NumRows(), path)
+	}
 	return nil
 }

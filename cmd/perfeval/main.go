@@ -9,12 +9,15 @@
 //	perfeval metrics -Dcollector.url=URL [-Dmetrics.format=prometheus|json]
 //	perfeval shard-plan <id>|all -Dsched.shards=N [-Djournal.dir=DIR]
 //	perfeval merge <out.jsonl|out.arch> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
-//	perfeval archive <out.arch> <src.jsonl|src.arch>... [-Dmerge.strict=BOOL]
 //	perfeval inspect <file|dir>... [-Dinspect.strict=BOOL]
 //	perfeval query <dir> [-Dquery.kind=runs|history|trends|regressions] [-Dquery.experiment=NAME] [-Dquery.cell=HASH|SELECTOR] [-Dquery.response=NAME] [-Dquery.confidence=LEVEL] [-Dquery.tolerance=FRACTION] [-Dquery.limit=N] [-Dquery.keep=N] [-Dquery.maxage=DUR] [-Dquery.norefresh=BOOL] [-Dquery.format=table|json]
 //	perfeval diff <baseline.jsonl> <current.jsonl> [-Ddiff.confidence=LEVEL] [-Ddiff.tolerance=FRACTION]
 //	perfeval compact <journal.jsonl> [-Dcompact.out=PATH]
 //	perfeval suite
+//	perfeval sign [-Ddesign.k=K]
+//	perfeval fractional -Ddesign.generators=D=ABC,... [-Ddesign.k=K]
+//	perfeval analyze -Ddesign.responses=Y,... [-Ddesign.k=K]
+//	perfeval dbgen [-Ddbgen.sf=SF] [-Ddbgen.seed=N] [-Ddbgen.out=DIR] [-Ddbgen.tables=NAME,...]
 //
 // The command is a thin flag-parsing layer over the public repro
 // package: every -D property maps onto a repro.RunConfig field or a
@@ -55,9 +58,10 @@
 // the worker, merge, and verification commands for a given shard count,
 // plus the status of any shard files already present. merge folds shard
 // journals (last-wins, cross-source conflicts reported; with
-// -Dmerge.strict=true conflicts fail the command) into one journal in
-// canonical order — after `perfeval compact`, byte-identical to the
-// journal a single-process run of the same experiment produces.
+// -Dmerge.strict=true conflicts fail the command before anything is
+// written) into one journal in canonical order — after `perfeval
+// compact`, byte-identical to the journal a single-process run of the
+// same experiment produces.
 //
 // Collector mode replaces the shared-filesystem step of the sharded
 // workflow with a long-lived HTTP daemon: `perfeval serve` owns the
@@ -98,10 +102,10 @@
 // (internal/runstore/archivestore): same warm-start and durability
 // semantics, but reopening a finished run costs O(index), not a re-parse
 // of every record — the backend for million-run archives. `perfeval
-// archive out.arch src...` converts journals (or merged shards, or other
+// merge out.arch src...` converts journals (or merged shards, or other
 // archives — a read-only legacy version-1 or -2 one included, which is
-// how it is upgraded) into one verified archive; `perfeval inspect`
-// prints any
+// how it is upgraded) into one archive, reads every record back through
+// its index and prints the archive's shape; `perfeval inspect` prints any
 // store file's shape — record/distinct counts, archive block and index
 // page stats — and reports torn or truncated tails instead of silently
 // counting only the valid prefix (-Dinspect.strict=true turns a torn
@@ -145,6 +149,20 @@
 //
 // suite prints the repeatability instructions for the whole experiment
 // set.
+//
+// sign, fractional and analyze work on two-level designs over
+// -Ddesign.k factors named A, B, C, ... (default 2, 4 and 2, at most 20):
+// sign prints the full 2^k sign table; fractional prints the 2^(k-p)
+// design -Ddesign.generators defines (e.g. D=AB,E=AC,F=BC,G=ABC), its
+// resolution and its confoundings; analyze estimates the effects and the
+// allocation of variation from -Ddesign.responses, one response per run
+// in sign-table order (e.g. 15,25,45,75).
+//
+// dbgen writes the TPC-H-like catalog as CSV files, one per table, under
+// -Ddbgen.out (default .): every table, or the -Ddbgen.tables subset.
+// The data is a function of -Ddbgen.sf (default 0.1) and -Ddbgen.seed
+// (default 42) alone, every value rendered in C locale — the
+// repeatability principle applied to data generation.
 package main
 
 import (
@@ -225,6 +243,12 @@ type opts struct {
 
 	outDir, logLevel, metricsFormat, queryFormat, compactOut string
 	mergeStrict, inspectStrict                               bool
+
+	designK               int
+	generators, responses string
+	dbgenSF               float64
+	dbgenSeed             int64
+	dbgenOut, dbgenTables string
 }
 
 // A prop is one -Dkey=value property: its key, the metavar its usage
@@ -259,7 +283,7 @@ func commands(o *opts) []command {
 	}
 	url := prop{"collector.url", "URL", &o.work.URL, false}
 	logLevel := prop{"collector.log", "debug|info|quiet", &o.logLevel, false}
-	mergeStrict := prop{"merge.strict", "BOOL", &o.mergeStrict, false}
+	designK := prop{"design.k", "K", &o.designK, true}
 	return []command{
 		{name: "list", do: list},
 		{name: "run", args: "<id>|all...", do: runCmd, props: slices.Concat([]prop{
@@ -294,8 +318,9 @@ func commands(o *opts) []command {
 			{"metrics.format", "prometheus|json", &o.metricsFormat, false},
 		}},
 		{name: "shard-plan", args: "<id>|all", do: shardPlan, need: []prop{shards}, props: []prop{journal}},
-		{name: "merge", args: "<out.jsonl|out.arch> <src.jsonl|src.arch>...", do: merge, props: []prop{mergeStrict}},
-		{name: "archive", args: "<out.arch> <src.jsonl|src.arch>...", do: archive, props: []prop{mergeStrict}},
+		{name: "merge", args: "<out.jsonl|out.arch> <src.jsonl|src.arch>...", do: merge, props: []prop{
+			{"merge.strict", "BOOL", &o.mergeStrict, false},
+		}},
 		{name: "inspect", args: "<file|dir>...", do: inspect, props: []prop{
 			{"inspect.strict", "BOOL", &o.inspectStrict, false},
 		}},
@@ -320,6 +345,15 @@ func commands(o *opts) []command {
 			{"compact.out", "PATH", &o.compactOut, false},
 		}},
 		{name: "suite", do: suite},
+		{name: "sign", do: sign, props: []prop{designK}},
+		{name: "fractional", do: fractional, need: []prop{{"design.generators", "D=ABC,...", &o.generators, false}}, props: []prop{designK}},
+		{name: "analyze", do: analyze, need: []prop{{"design.responses", "Y,...", &o.responses, false}}, props: []prop{designK}},
+		{name: "dbgen", do: dbgen, props: []prop{
+			{"dbgen.sf", "SF", &o.dbgenSF, false},
+			{"dbgen.seed", "N", &o.dbgenSeed, false},
+			{"dbgen.out", "DIR", &o.dbgenOut, false},
+			{"dbgen.tables", "NAME,...", &o.dbgenTables, false},
+		}},
 	}
 }
 

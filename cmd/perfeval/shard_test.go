@@ -133,7 +133,8 @@ func TestShardedWorkflowEndToEnd(t *testing.T) {
 }
 
 // TestMergeStrictFailsOnConflict seeds two journals that disagree on one
-// unit: plain merge reports and succeeds, strict merge fails.
+// unit: plain merge reports and succeeds, strict merge fails and leaves
+// the destination as it found it — absent, or the earlier merge's bytes.
 func TestMergeStrictFailsOnConflict(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, ms float64) string {
@@ -149,16 +150,30 @@ func TestMergeStrictFailsOnConflict(t *testing.T) {
 	out := filepath.Join(dir, "out.jsonl")
 
 	var buf bytes.Buffer
+	if err := runW(&buf, []string{"-Dmerge.strict=true", "merge", out, a, b}); err == nil {
+		t.Fatal("strict merge should fail on the conflict")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("strict merge wrote %s anyway (stat: %v)", out, err)
+	}
+	buf.Reset()
 	if err := runW(&buf, []string{"merge", out, a, b}); err != nil {
 		t.Fatalf("non-strict merge should succeed: %v", err)
 	}
 	if !strings.Contains(buf.String(), "conflict: e/h/0") || !strings.Contains(buf.String(), "1 conflict(s)") {
 		t.Errorf("merge output should report the conflict:\n%s", buf.String())
 	}
+	before, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
-	err := runW(&buf, []string{"-Dmerge.strict=true", "merge", out, a, b})
+	err = runW(&buf, []string{"-Dmerge.strict=true", "merge", out, b, a})
 	if err == nil || !strings.Contains(err.Error(), "conflicting") {
 		t.Errorf("strict merge should fail on the conflict, got %v", err)
+	}
+	if after, _ := os.ReadFile(out); !bytes.Equal(before, after) {
+		t.Errorf("strict merge rewrote %s:\n%s\nwas\n%s", out, after, before)
 	}
 }
 

@@ -81,8 +81,8 @@ func bindArgs(t *testing.T, i int, args ...string) (*opts, command, error) {
 // usage, which names the keys it takes.
 func TestCommandTable(t *testing.T) {
 	table := commands(new(opts))
-	if len(table) != 13 {
-		t.Errorf("%d commands, want 13", len(table))
+	if len(table) != 16 {
+		t.Errorf("%d commands, want 16", len(table))
 	}
 	names := map[string]bool{}
 	rows := map[string]string{}
@@ -99,8 +99,8 @@ func TestCommandTable(t *testing.T) {
 			rows[p.key] = desc
 		}
 	}
-	if len(rows) != 42 {
-		t.Errorf("%d distinct keys, want 42", len(rows))
+	if len(rows) != 49 {
+		t.Errorf("%d distinct keys, want 49", len(rows))
 	}
 
 	for i, c := range table {
@@ -168,8 +168,27 @@ func TestUsageMatchesDoc(t *testing.T) {
 	}
 }
 
+// userDocs is what the user docs say, by path: README, docs/*.md and the
+// verify skill. CHANGES.md is history and is not read.
+func userDocs(t *testing.T) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]string{}
+	for _, path := range append(paths, "../../README.md", "../../.claude/skills/verify/SKILL.md") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[path] = string(data)
+	}
+	return docs
+}
+
 // TestDocsNameOnlyKnownProperties: every -Dkey the user docs name is a
-// row of some command. CHANGES.md is history and is not read.
+// row of some command.
 func TestDocsNameOnlyKnownProperties(t *testing.T) {
 	known := map[string]bool{"key": true} // the -Dkey=value syntax itself
 	for _, c := range commands(new(opts)) {
@@ -177,20 +196,29 @@ func TestDocsNameOnlyKnownProperties(t *testing.T) {
 			known[p.key] = true
 		}
 	}
-	docs, err := filepath.Glob("../../docs/*.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs = append(docs, "../../README.md", "../../.claude/skills/verify/SKILL.md")
 	re := regexp.MustCompile(`-D([A-Za-z][A-Za-z0-9_.]*)`)
-	for _, path := range docs {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range re.FindAllStringSubmatch(string(data), -1) {
+	for path, text := range userDocs(t) {
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
 			if key := strings.TrimRight(m[1], "."); !known[key] {
 				t.Errorf("%s names -D%s, which no command takes", path, key)
+			}
+		}
+	}
+}
+
+// TestDocsNameOnlyKnownCommands: every `perfeval <command>` the user docs
+// show, `go run ./cmd/perfeval <command>` included, is a row of the
+// table.
+func TestDocsNameOnlyKnownCommands(t *testing.T) {
+	known := map[string]bool{}
+	for _, c := range commands(new(opts)) {
+		known[c.name] = true
+	}
+	re := regexp.MustCompile(`\bperfeval ([a-z][-a-z]*)`)
+	for path, text := range userDocs(t) {
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			if !known[m[1]] {
+				t.Errorf("%s names perfeval %s, which is no command", path, m[1])
 			}
 		}
 	}
@@ -211,6 +239,10 @@ func FuzzPropertyArgs(f *testing.F) {
 		"-Dmerge.strict=\x00-Dout.dir=",
 		"-Dmalformed",
 		"run\x00t4\x00-D=x",
+		"-Ddesign.k=0\x00-Ddesign.generators=D=AB,E=AC",
+		"-Ddesign.k=21\x00-Ddesign.responses=1,NaN,+Inf,x",
+		"-Ddbgen.sf=-1\x00-Ddbgen.seed=-42\x00-Ddbgen.tables=region,\x00-Ddbgen.out=",
+		"-Ddbgen.seed=18446744073709551615",
 	} {
 		f.Add(seed)
 	}

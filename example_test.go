@@ -192,7 +192,7 @@ func ExampleMerge() {
 	}
 	merged := filepath.Join(dir, "merged.jsonl")
 	// The shard files are named after t4's harness experiment.
-	ms, err := repro.Merge(merged, repro.ShardPaths(shards, "workstation performance 2^2", 3)...)
+	ms, err := repro.Merge(merged, repro.ShardPaths(shards, "workstation performance 2^2", 3), false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -219,11 +219,12 @@ func ExampleMerge() {
 	// merged == single-worker journal: true
 }
 
-// Convert turns a finished run's journal into a block-indexed archive
-// and reads every record back through its index. A run over the
-// archive store then replays from it without changing a byte.
-func ExampleConvert() {
-	dir, err := os.MkdirTemp("", "convert")
+// Merge into an archive destination turns a finished run's journal into
+// a block-indexed archive and reads every record back through its index
+// before it returns. A run over the archive store then replays from it
+// without changing a byte.
+func ExampleMerge_archive() {
+	dir, err := os.MkdirTemp("", "archive")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,11 +235,15 @@ func ExampleConvert() {
 	journal := journalOf(dir)
 	archDir := filepath.Join(dir, "archive")
 	arch := filepath.Join(archDir, strings.TrimSuffix(filepath.Base(journal), ".jsonl")+repro.ArchiveExt)
-	cs, err := repro.Convert(arch, []string{journal}, true)
+	ms, err := repro.Merge(arch, []string{journal}, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Kept:%d Verified:%d\n", cs.Kept, cs.Verified)
+	info, err := repro.Inspect(arch)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("kept and read back %d record(s); %s\n", ms.Kept, info.Detail)
 
 	before, err := os.ReadFile(arch)
 	if err != nil {
@@ -255,7 +260,7 @@ func ExampleConvert() {
 	}
 	fmt.Println("archive unchanged:", bytes.Equal(before, after))
 	// Output:
-	// Kept:4 Verified:4
+	// kept and read back 4 record(s); archive v3: 4 record block(s), 1 index page(s), footer ok
 	// archive replay: executed 0, replayed 4
 	// archive unchanged: true
 }

@@ -1,7 +1,8 @@
 // Package soaktest is the collector's fault-injection harness: a
 // restartable in-process daemon pinned to a stable address, plus the
 // chaos injectors the soak test aims at it — daemon kill/restart cycles,
-// torn connections, and (via a tiny ingest budget) 429 storms. The soak
+// torn connections, and 429 storms (a tiny ingest budget, spent by a held
+// ingest). The soak
 // itself lives in this package's test files and asserts the hardening
 // contract end to end: whatever the fault schedule, the merged and
 // compacted collector store is byte-identical to a single-process run.
@@ -11,11 +12,13 @@
 package soaktest
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -117,6 +120,30 @@ func (d *Daemon) Restart(downFor time.Duration) error {
 	}
 	time.Sleep(downFor)
 	return d.Start()
+}
+
+// HoldIngest spends an experiment's whole ingest budget and keeps it
+// spent: it opens an ingest under lease that declares a body of declared
+// bytes, waits until the daemon has admitted it (the daemon asks for the
+// body with a 100 Continue only after it has reserved the declared
+// bytes), and sends part of one record. While it is held every other
+// ingest of the experiment is refused with 429 whenever declared
+// exceeds the daemon's budget. tear cuts the connection mid-record, so
+// no record of it lands and the reserve is released.
+func HoldIngest(addr, lease, token string, declared int) (tear func(), err error) {
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("soaktest: %w", err)
+	}
+	fmt.Fprintf(conn, "POST %s?lease=%s HTTP/1.1\r\nHost: soak\r\nAuthorization: Bearer %s\r\n"+
+		"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n", collector.PathIngest, lease, token, declared)
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil || !strings.HasPrefix(status, "HTTP/1.1 100 ") {
+		conn.Close()
+		return nil, fmt.Errorf("soaktest: held ingest not admitted: %q, %v", status, err)
+	}
+	io.WriteString(conn, `{"experiment":`)
+	return func() { conn.Close() }, nil
 }
 
 // TornConnections aims malformed and prematurely-severed HTTP traffic

@@ -1,7 +1,8 @@
 // The soak: one experiment collected by a worker fleet while every
 // fault the collector claims to survive is injected at once — workers
-// killed mid-stream, the daemon killed and restarted mid-ingest, torn
-// connections, and a 429 storm from a deliberately tiny ingest budget.
+// killed mid-stream, a 429 storm on a deliberately tiny ingest budget
+// that a held ingest keeps spent, the daemon killed and restarted
+// mid-ingest, and torn connections.
 // The acceptance bar is absolute: the merged, compacted collector store
 // must be byte-identical to an undisturbed single-process run.
 package soaktest
@@ -9,7 +10,9 @@ package soaktest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -215,6 +218,21 @@ func TestSoakChild(t *testing.T) {
 	t.Fatal("child should have died mid-stream")
 }
 
+// refusalSeen is the fleet's transport: it calls refused on every 429 a
+// worker receives, before the worker counts the backpressure wait.
+type refusalSeen struct {
+	http.RoundTripper
+	refused func()
+}
+
+func (r refusalSeen) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := r.RoundTripper.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+		r.refused()
+	}
+	return resp, err
+}
+
 // TestSoak runs the whole gauntlet. Default profile is the CI smoke;
 // `make soak` (SOAK_FULL=1) runs the long schedule. Both assert the
 // same contract: every injected fault is absorbed and the collected
@@ -230,7 +248,7 @@ func TestSoak(t *testing.T) {
 		Dir:         srvDir,
 		Shards:      shards,
 		LeaseTTL:    p.ttl,
-		MaxInflight: 256, // a few records deep: concurrent workers storm into 429s
+		MaxInflight: 256, // a few records deep: a held ingest spends it all
 		RetryAfter:  100 * time.Millisecond,
 		Token:       soakToken,
 		Metrics:     reg,
@@ -260,8 +278,77 @@ func TestSoak(t *testing.T) {
 		}
 	}
 
-	// Faults 2 and 3 — daemon kill/restart cycles and torn connections —
-	// run concurrently with the fleet until it finishes.
+	// Fault 2 — a 429 storm, forced: a held ingest under a shard lease
+	// spends the experiment's whole ingest budget before the fleet
+	// starts, so every ingest of the fleet is refused while it is held.
+	// It is held until the first daemon kill tears it mid-record (no
+	// record of it lands): the fleet is still being refused when the
+	// daemon goes dark, so its re-sends land in the dark window.
+	holder := client.New(d.URL(), nil)
+	holder.SetToken(soakToken)
+	held, err := holder.Acquire(context.Background(), "soak-holder", soakName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tear, err := HoldIngest(d.Addr(), held.Lease, soakToken, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tear()
+	storm := make(chan struct{})
+	var stormOnce sync.Once
+	fleetClient := &http.Client{Transport: refusalSeen{http.DefaultTransport, func() {
+		stormOnce.Do(func() { close(storm) })
+	}}}
+
+	// The fleet: every worker's runner is paced by unitDelay — slower than
+	// a round trip, so records stream nearly one by one — and collection
+	// stays in flight across every restart cycle, with the dark windows
+	// landing mid-ingest.
+	pacedRun := func(a design.Assignment, rep int) (map[string]float64, error) {
+		time.Sleep(p.unitDelay)
+		return soakRunner(a, rep)
+	}
+	fleetReg := obs.NewRegistry()
+	errs := make([]error, p.fleet)
+	var fleet sync.WaitGroup
+	for i := 0; i < p.fleet; i++ {
+		w, err := client.NewWorker(client.Options{
+			URL:         d.URL(),
+			Worker:      fmt.Sprintf("soak-%d", i),
+			Token:       soakToken,
+			Workers:     2,
+			SpoolDir:    t.TempDir(),
+			AcquireWait: 150 * time.Millisecond,
+			HTTPClient:  fleetClient,
+			Metrics:     fleetReg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.Add(1)
+		go func(i int) {
+			defer fleet.Done()
+			_, errs[i] = w.Execute(context.Background(), soakExperiment(t, p.reps, pacedRun))
+		}(i)
+	}
+	fleetDone := make(chan struct{})
+	go func() {
+		fleet.Wait()
+		close(fleetDone)
+	}()
+	select {
+	case <-storm:
+	case <-fleetDone: // no refusal ever came: the assertions below say so
+	}
+	if err := holder.Release(context.Background(), held.Lease, false); err != nil && !errors.Is(err, client.ErrLeaseLost) {
+		t.Fatalf("releasing the held lease: %v", err)
+	}
+
+	// Faults 3 and 4 — daemon kill/restart cycles and torn connections —
+	// run concurrently with the fleet until it finishes. They start once
+	// the storm has reached the fleet: a kill severs the held ingest and
+	// frees the budget.
 	chaosCtx, stopChaos := context.WithCancel(context.Background())
 	defer stopChaos()
 	var chaos sync.WaitGroup
@@ -289,38 +376,7 @@ func TestSoak(t *testing.T) {
 		defer chaos.Done()
 		torn = TornConnections(chaosCtx, d.Addr(), 20*time.Millisecond)
 	}()
-
-	// The fleet: every worker's runner is paced by unitDelay — slower than
-	// a round trip, so records stream nearly one by one — and collection
-	// stays in flight across every restart cycle, with the dark windows
-	// landing mid-ingest.
-	pacedRun := func(a design.Assignment, rep int) (map[string]float64, error) {
-		time.Sleep(p.unitDelay)
-		return soakRunner(a, rep)
-	}
-	fleetReg := obs.NewRegistry()
-	errs := make([]error, p.fleet)
-	var fleet sync.WaitGroup
-	for i := 0; i < p.fleet; i++ {
-		w, err := client.NewWorker(client.Options{
-			URL:         d.URL(),
-			Worker:      fmt.Sprintf("soak-%d", i),
-			Token:       soakToken,
-			Workers:     2,
-			SpoolDir:    t.TempDir(),
-			AcquireWait: 150 * time.Millisecond,
-			Metrics:     fleetReg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fleet.Add(1)
-		go func(i int) {
-			defer fleet.Done()
-			_, errs[i] = w.Execute(context.Background(), soakExperiment(t, p.reps, pacedRun))
-		}(i)
-	}
-	fleet.Wait()
+	<-fleetDone
 	stopChaos()
 	chaos.Wait()
 	if restartErr != nil {

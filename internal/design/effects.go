@@ -2,6 +2,7 @@ package design
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -22,8 +23,8 @@ type Effects struct {
 // response per run. For replicated responses, average them per run first
 // (or use EstimateEffectsReplicated).
 func EstimateEffects(st *SignTable, y []float64) (*Effects, error) {
-	if len(y) != st.Runs {
-		return nil, fmt.Errorf("design: %d responses for %d runs", len(y), st.Runs)
+	if err := checkResponses(st, y); err != nil {
+		return nil, err
 	}
 	if st.Runs != 1<<uint(st.K) {
 		return nil, fmt.Errorf("design: effect estimation over a fractional table estimates confounded sums; use Fractional.Estimate")
@@ -38,6 +39,22 @@ func EstimateEffects(st *SignTable, y []float64) (*Effects, error) {
 	}
 	ef.YMean = ef.Q[I]
 	return ef, nil
+}
+
+// checkResponses refuses a response vector that is not one finite value
+// per run of st: a single NaN or infinity would turn every effect and
+// every share of variation into NaN. Runs are numbered from 1, as the
+// sign table prints them.
+func checkResponses(st *SignTable, y []float64) error {
+	if len(y) != st.Runs {
+		return fmt.Errorf("design: %d responses for %d runs", len(y), st.Runs)
+	}
+	for r, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("design: run %d has a non-finite response %v", r+1, v)
+		}
+	}
+	return nil
 }
 
 // EstimateEffectsReplicated averages the replicate responses per run and

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,17 @@ func TestEstimateEffectsErrors(t *testing.T) {
 	}
 	if _, err := EstimateEffectsReplicated(st, [][]float64{{1}, {2}, {}, {4}}); err == nil {
 		t.Error("empty replicate group should error")
+	}
+	// A non-finite response is refused, naming its run (numbered from 1,
+	// as the sign table prints it), instead of turning every effect NaN.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := EstimateEffects(st, []float64{1, 2, 3, v})
+		if err == nil || !strings.Contains(err.Error(), "run 4") {
+			t.Errorf("response %v: err = %v, want it refused naming run 4", v, err)
+		}
+		if _, err := EstimateEffectsReplicated(st, [][]float64{{1}, {2, v}, {3}, {4}}); err == nil || !strings.Contains(err.Error(), "run 2") {
+			t.Errorf("replicate %v: err = %v, want it refused naming run 2", v, err)
+		}
 	}
 }
 

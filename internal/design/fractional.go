@@ -246,8 +246,8 @@ func (fr *Fractional) ConfoundingTable() string {
 // higher-order aliases.
 func (fr *Fractional) Estimate(y []float64) (map[Effect]float64, error) {
 	st := fr.Table
-	if len(y) != st.Runs {
-		return nil, fmt.Errorf("design: %d responses for %d runs", len(y), st.Runs)
+	if err := checkResponses(st, y); err != nil {
+		return nil, err
 	}
 	out := make(map[Effect]float64)
 	seen := make(map[Effect]bool)

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -229,6 +230,10 @@ func TestFractionalEstimateConfounded(t *testing.T) {
 	approx(t, est[MainEffect(3)], 5, 1e-9, "confounded D")
 	if _, err := fr.Estimate([]float64{1}); err == nil {
 		t.Error("short y should error")
+	}
+	y[5] = math.NaN()
+	if _, err := fr.Estimate(y); err == nil || !strings.Contains(err.Error(), "run 6") {
+		t.Errorf("NaN response: err = %v, want it refused naming run 6", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package paperexp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/design"
@@ -68,9 +69,16 @@ func RunT4(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ef, err := rs.Effects("MIPS")
-	if err != nil {
-		return nil, err
+	// A shard's result set lacks the rows other shards own, so it has no
+	// effects to estimate (its report says so), only its rows to store.
+	series := map[string][]float64{}
+	if !slices.ContainsFunc(rs.Rows, func(r harness.ResultRow) bool { return len(r.Reps) == 0 }) {
+		ef, err := rs.Effects("MIPS")
+		if err != nil {
+			return nil, err
+		}
+		series["q"] = []float64{ef.Q[design.I], ef.Q[design.MainEffect(0)], ef.Q[design.MainEffect(1)],
+			ef.Q[design.MainEffect(0).Mul(design.MainEffect(1))]}
 	}
 	st, err := design.NewSignTable(d.Factors)
 	if err != nil {
@@ -79,11 +87,8 @@ func RunT4(ctx context.Context) (*Result, error) {
 	text := "sign table:\n" + st.String() + "\n" + rs.Report()
 	return &Result{
 		ID: "t4", Title: "2^2 factorial design and the sign-table method", Slides: "70-78",
-		Text: text,
-		Series: map[string][]float64{
-			"q": {ef.Q[design.I], ef.Q[design.MainEffect(0)], ef.Q[design.MainEffect(1)],
-				ef.Q[design.MainEffect(0).Mul(design.MainEffect(1))]},
-		},
+		Text:   text,
+		Series: series,
 		Notes: "Interpreted as: the mean is 40 MIPS; the memory effect is 20; the cache " +
 			"effect is 10; their interaction accounts for 5.",
 	}, nil

@@ -376,7 +376,7 @@ func (a *Archive) AppendBatch(recs []runstore.Record) error {
 	case a.f == nil:
 		return fmt.Errorf("archivestore: archive %s is closed", a.path)
 	case a.log == nil:
-		return fmt.Errorf("archivestore: %s is a read-only version-%d archive: rewrite it as version %d to append to it (`perfeval archive NEW%s %s`, or repro.Convert)",
+		return fmt.Errorf("archivestore: %s is a read-only version-%d archive: rewrite it as version %d to append to it (`perfeval merge NEW%s %s`)",
 			a.path, a.version, latest, Ext, a.path)
 	}
 	l := a.fork(len(recs))

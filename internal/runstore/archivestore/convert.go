@@ -34,8 +34,7 @@ func init() {
 
 // Write atomically replaces dst with a finalized archive holding the
 // records of recs in sequence order, through framelog.AtomicWrite — the
-// bulk build path behind `perfeval archive` and archive-destination
-// merges. Its bytes are the ones a live Archive writes for the same
+// bulk build path behind archive-destination merges and compactions. Its bytes are the ones a live Archive writes for the same
 // records (Open, Append each, Close): the two share layout. The sequence
 // is consumed incrementally (one record encoded at a time, never a
 // materialized slice), and unlike Archive.Append it buffers and syncs

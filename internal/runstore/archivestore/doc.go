@@ -20,8 +20,8 @@
 // normative byte-level specification is docs/FORMAT.md.
 //
 // Every writer writes version 3: a live Archive, and Write — behind
-// Merge, Compact, `perfeval archive` and repro.Convert — which writes the
-// bytes an Archive appending the same records would. The legacy .archz
+// Merge and Compact, and so `perfeval merge` and repro.Merge — which
+// writes the bytes an Archive appending the same records would. The legacy .archz
 // name is a Merge and Compact destination only, for the same file.
 // Versions 1 and 2 (JSON, flate-compressed JSON and binary record blocks
 // in a framing of their own) are still read by every reader, through one

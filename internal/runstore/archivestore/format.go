@@ -27,7 +27,8 @@ const (
 	// ExtZ is the legacy archive extension. It once selected a smaller
 	// encoding, which is now the only one. Readers accept it; as a Merge
 	// or Compact destination it writes the same version-3 file, which the
-	// repository benchmark relies on. repro.Convert refuses it.
+	// repository benchmark relies on, and repro.Merge reads it back as it
+	// does an Ext destination.
 	ExtZ = ".archz"
 
 	latest = 3 // the version of Magic

@@ -184,7 +184,7 @@ func TestGoldenArchives(t *testing.T) {
 				t.Errorf("Archive.Scan = %+v, %v; want %+v", got, err, goldenServed())
 			}
 			if legacy {
-				if err := a.Append(rec("golden", 5, 0, 5)); err == nil || !strings.Contains(err.Error(), "perfeval archive") || !strings.Contains(err.Error(), "repro.Convert") {
+				if err := a.Append(rec("golden", 5, 0, 5)); err == nil || !strings.Contains(err.Error(), "perfeval merge NEW.arch "+path) {
 					t.Errorf("Append to a legacy archive = %v, want a refusal naming the upgrade", err)
 				}
 			}

@@ -19,11 +19,12 @@
 //     replication.
 //   - Open gives streaming read-only access to any store file — JSONL
 //     journal or block-indexed archive, dispatched by content sniffing —
-//     and Merge, Compact, Convert, Inspect, and Diff are the library
-//     forms of the corresponding perfeval subcommands.
+//     and Merge, Compact, Inspect, and Diff are the library forms of
+//     the corresponding perfeval subcommands; a Merge into an archive
+//     reads the archive back before it returns.
 //
 // Each workflow — a journaled warm start, adaptive replication, merging
-// shards, converting to an archive, gating with Diff, and a collector
+// shards, merging into an archive, gating with Diff, and a collector
 // fleet — has an Example in example_test.go whose output go test checks.
 //
 // The guarded API surface lives in api/repro.txt; `make check` fails

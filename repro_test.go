@@ -205,7 +205,7 @@ func TestDiffRawJournalAsMerged(t *testing.T) {
 		t.Fatalf("journal files = %v (err %v)", files, err)
 	}
 	raw, merged := files[0], filepath.Join(t.TempDir(), "merged.jsonl")
-	if _, err := Merge(merged, raw); err != nil {
+	if _, err := Merge(merged, []string{raw}, false); err != nil {
 		t.Fatal(err)
 	}
 	// A baseline in which one cell was a third faster: the run regresses there.
@@ -335,7 +335,7 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	src := files[0]
 
 	merged := filepath.Join(dir, "merged.jsonl")
-	ms, err := Merge(merged, src)
+	ms, err := Merge(merged, []string{src}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,10 +346,6 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// .archz is a legacy name that readers accept and Convert refuses.
-	if _, err := Convert(filepath.Join(dir, "baseline.archz"), []string{merged}, true); err == nil || !strings.Contains(err.Error(), "must end in .arch") {
-		t.Errorf("Convert to a .archz destination: %v, want it refused", err)
-	}
 	for _, name := range []string{"archive.v1.archz", "archive.v2.archz"} {
 		path := filepath.Join("testdata", "golden", name)
 		info, err := Inspect(path)
@@ -367,19 +363,22 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	}
 
 	arch := filepath.Join(dir, "baseline"+ArchiveExt)
-	cs, err := Convert(arch, []string{merged}, true)
+	as, err := Merge(arch, []string{merged}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Verified != ms.Kept || !strings.Contains(cs.Detail, "footer ok") {
-		t.Errorf("convert stats = %+v", cs)
+	if as.Kept != ms.Kept {
+		t.Errorf("merge into the archive kept %d record(s), the journal %d", as.Kept, ms.Kept)
 	}
 	info, err := Inspect(arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Distinct != ms.Kept || info.Torn {
+	if info.Distinct != ms.Kept || info.Torn || !strings.Contains(info.Detail, "footer ok") {
 		t.Errorf("inspect = %+v", info)
+	}
+	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), "InspectDir") {
+		t.Errorf("Inspect of a directory = %v, want an error naming InspectDir", err)
 	}
 
 	// The archive and the journal serve identical record sets through
@@ -411,6 +410,75 @@ func TestMergeCompactConvertInspect(t *testing.T) {
 	}
 	if d.Failed() {
 		t.Errorf("self-diff failed: %+v", d)
+	}
+}
+
+// conflicting writes two journals that disagree on one unit.
+func conflicting(t *testing.T) []string {
+	t.Helper()
+	dir := t.TempDir()
+	var srcs []string
+	for i, ms := range []int{1, 2} {
+		path := filepath.Join(dir, fmt.Sprintf("src%d.jsonl", i))
+		line := fmt.Sprintf(`{"experiment":"e","row":0,"replicate":0,"hash":"h","assignment":{"f":"x"},"responses":{"ms":%d}}`+"\n", ms)
+		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, path)
+	}
+	return srcs
+}
+
+// TestMergeStrictWritesNothing: a strict merge of conflicting sources
+// fails before it writes the destination, a journal or an archive, and
+// still reports the conflict.
+func TestMergeStrictWritesNothing(t *testing.T) {
+	srcs := conflicting(t)
+	for _, ext := range []string{".jsonl", ArchiveExt} {
+		dst := filepath.Join(t.TempDir(), "merged"+ext)
+		ms, err := Merge(dst, srcs, true)
+		if err == nil || len(ms.Conflicts) != 1 {
+			t.Errorf("strict merge into %s = %+v, %v; want the conflict reported and refused", ext, ms, err)
+		}
+		if _, err := os.Stat(dst); !os.IsNotExist(err) {
+			t.Errorf("strict merge wrote %s (stat: %v)", dst, err)
+		}
+	}
+}
+
+// TestMergeReadsArchiveBack: Merge reads an archive destination back
+// against the merged view of its sources, so an archive that does not
+// serve those records fails the merge — here one rewritten, between the
+// write and the read-back, with a response changed.
+func TestMergeReadsArchiveBack(t *testing.T) {
+	srcs := conflicting(t)
+	for _, ext := range []string{ArchiveExt, archivestore.ExtZ} {
+		dst := filepath.Join(t.TempDir(), "merged"+ext)
+		if _, err := Merge(dst, srcs, false); err != nil {
+			t.Fatalf("merge into %s: %v", ext, err)
+		}
+		archiveWritten = func(dst string) {
+			recs, err := runstore.Collect(runstore.ScanFile(dst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[0].Responses = map[string]float64{"ms": 3}
+			damaged := func(yield func(runstore.Record, error) bool) {
+				for _, rec := range recs {
+					if !yield(rec, nil) {
+						return
+					}
+				}
+			}
+			if err := archivestore.Write(dst, damaged, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Merge(dst, srcs, false)
+		archiveWritten = nil
+		if err == nil || !strings.Contains(err.Error(), "does not round-trip") {
+			t.Errorf("merge into a damaged %s = %v, want the read-back to refuse it", ext, err)
+		}
 	}
 }
 

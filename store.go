@@ -33,7 +33,7 @@ type Conflict = runstore.Conflict
 type CompactStats = runstore.CompactStats
 
 // ArchiveExt is the file extension of block-indexed archive files; a
-// Merge or Convert destination carrying it is written as an archive.
+// Merge destination carrying it is written as an archive and read back.
 const ArchiveExt = archivestore.Ext
 
 // Store is a read-only, format-sniffing view of one store file — a
@@ -71,34 +71,19 @@ func (s *Store) Scan() iter.Seq2[Record, error] {
 	return runstore.ScanFile(s.path)
 }
 
-// Inspect reports the shape of the store at path — record and distinct
-// counts, torn or truncated tails, backend-specific detail — without
-// opening it for writing. A directory is inspected as the warehouse
-// catalog would see it: every discovered store file contributes to the
-// aggregate counts, and Detail reports how many stores were found (use
-// InspectDir for the per-store breakdown).
+// Inspect reports the shape of the store file at path — record and
+// distinct counts, torn or truncated tails, backend-specific detail —
+// without opening it for writing. A directory is an error: InspectDir
+// reports each store the warehouse catalog discovers under one.
 func Inspect(path string) (Info, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return Info{}, fmt.Errorf("repro: %w", err)
 	}
-	if !st.IsDir() {
-		return runstore.Inspect(path)
+	if st.IsDir() {
+		return Info{}, fmt.Errorf("repro: %s is a directory; InspectDir reports the stores under it", path)
 	}
-	stores, err := InspectDir(path)
-	if err != nil {
-		return Info{}, err
-	}
-	var agg Info
-	for _, s := range stores {
-		agg.Records += s.Info.Records
-		agg.Distinct += s.Info.Distinct
-		if s.Info.Torn {
-			agg.Torn = true
-		}
-	}
-	agg.Detail = fmt.Sprintf("directory: %d store(s)", len(stores))
-	return agg, nil
+	return runstore.Inspect(path)
 }
 
 // StoreStatus is one discovered store in a directory inspection: its
@@ -137,8 +122,61 @@ func InspectDir(dir string) ([]StoreStatus, error) {
 // Sources are dispatched by content sniffing and the destination by
 // extension, so journals and archives mix freely. The merge streams —
 // peak memory holds an entry index, never the record set.
-func Merge(dst string, srcs ...string) (MergeStats, error) {
-	return runstore.Merge(srcs, dst)
+//
+// With strict set, cross-source conflicts fail the merge before anything
+// is written, whatever the destination: a divergent measurement masked
+// inside a long-lived baseline is the most expensive place to hide one.
+// The returned stats still carry the conflicts.
+//
+// An archive destination (ArchiveExt, or the legacy ".archz") is read
+// back before Merge returns: every record of a second streaming pass over
+// the merged view must be served, identical, by the archive's index — an
+// archive that cannot be read back is worse than none, because archives
+// are what long-lived baselines live in. Merge into an archive that
+// succeeds has so verified MergeStats.Kept lookups.
+func Merge(dst string, srcs []string, strict bool) (MergeStats, error) {
+	ms, err := runstore.MergeChecked(srcs, dst, strict)
+	if err != nil || !strings.HasSuffix(dst, ArchiveExt) && !strings.HasSuffix(dst, archivestore.ExtZ) {
+		return ms, err
+	}
+	if archiveWritten != nil {
+		archiveWritten(dst)
+	}
+	return ms, readBack(dst, srcs, ms.Kept)
+}
+
+// archiveWritten, when set, runs between the write of an archive
+// destination and its read-back; a test damages the file through it.
+var archiveWritten func(dst string)
+
+// readBack checks the archive at dst against the merged view of srcs it
+// was written from: kept records, none torn, each one served by the
+// index exactly as the merge yields it.
+func readBack(dst string, srcs []string, kept int) error {
+	a, err := archivestore.Open(dst)
+	if err != nil {
+		return fmt.Errorf("verifying %s: %w", dst, err)
+	}
+	defer a.Close()
+	if a.Torn() {
+		return fmt.Errorf("verifying %s: fresh archive reports a torn tail", dst)
+	}
+	if a.Len() != kept {
+		return fmt.Errorf("verifying %s: archive indexes %d record(s), merge produced %d", dst, a.Len(), kept)
+	}
+	for want, err := range runstore.MergeScan(srcs) {
+		if err != nil {
+			return fmt.Errorf("verifying %s: %w", dst, err)
+		}
+		got, ok := a.Lookup(want.Experiment, want.Hash, want.Replicate)
+		if !ok {
+			return fmt.Errorf("verifying %s: record %s missing from archive index", dst, want.Key())
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("verifying %s: record %s does not round-trip: %+v != %+v", dst, want.Key(), got, want)
+		}
+	}
+	return nil
 }
 
 // Compact rewrites the store file at src keeping only the last record
@@ -148,66 +186,6 @@ func Merge(dst string, srcs ...string) (MergeStats, error) {
 // at all (CompactStats.Unchanged).
 func Compact(src, dst string) (CompactStats, error) {
 	return runstore.Compact(src, dst)
-}
-
-// ConvertStats reports what one Convert did: the merge it performed,
-// plus the verification of the written archive.
-type ConvertStats struct {
-	MergeStats
-	// Verified is how many merged records were read back from the
-	// archive's index and matched the merge output exactly.
-	Verified int
-	// Detail is the finished archive's shape line (block and index page
-	// counts, footer state).
-	Detail string
-}
-
-// Convert merges the store files at srcs into a finalized block-indexed
-// archive at dst (which must end in ArchiveExt) and verifies the
-// artifact: every record of a second streaming pass over the merged
-// view must be served back, identical, by the archive's index — a
-// conversion that cannot be read back is worse than no conversion,
-// because archives are what long-lived baselines live in.
-//
-// With strict set, cross-source conflicts abort the conversion before
-// anything is written: a divergent measurement masked inside a
-// long-lived baseline is the most expensive place to hide one.
-func Convert(dst string, srcs []string, strict bool) (ConvertStats, error) {
-	var cs ConvertStats
-	if !strings.HasSuffix(dst, ArchiveExt) {
-		return cs, fmt.Errorf("archive destination %q must end in %s", dst, ArchiveExt)
-	}
-	ms, err := runstore.MergeChecked(srcs, dst, strict)
-	cs.MergeStats = ms
-	if err != nil {
-		return cs, err
-	}
-	a, err := archivestore.Open(dst)
-	if err != nil {
-		return cs, fmt.Errorf("verifying %s: %w", dst, err)
-	}
-	defer a.Close()
-	if a.Torn() {
-		return cs, fmt.Errorf("verifying %s: fresh archive reports a torn tail", dst)
-	}
-	if a.Len() != ms.Kept {
-		return cs, fmt.Errorf("verifying %s: archive indexes %d record(s), merge produced %d", dst, a.Len(), ms.Kept)
-	}
-	for want, err := range runstore.MergeScan(srcs) {
-		if err != nil {
-			return cs, fmt.Errorf("verifying %s: %w", dst, err)
-		}
-		got, ok := a.Lookup(want.Experiment, want.Hash, want.Replicate)
-		if !ok {
-			return cs, fmt.Errorf("verifying %s: record %s missing from archive index", dst, want.Key())
-		}
-		if !reflect.DeepEqual(got, want) {
-			return cs, fmt.Errorf("verifying %s: record %s does not round-trip: %+v != %+v", dst, want.Key(), got, want)
-		}
-		cs.Verified++
-	}
-	cs.Detail = a.Info().Detail
-	return cs, nil
 }
 
 // ShardPaths returns every shard file path of an experiment's sharded
