@@ -146,7 +146,10 @@ docs-check:
 # Info and canonical verdict included, over arbitrary bytes
 # (FuzzSectionedScan), and perfeval's property binder must never panic
 # and either fail or bind only the command's own keys, the same way
-# twice, over arbitrary argument vectors (FuzzPropertyArgs). `go test
+# twice, over arbitrary argument vectors (FuzzPropertyArgs), and the
+# cursor's number conversion, exact for a plain decimal of up to 19
+# digits, must give strconv.ParseFloat's value bits, consumed length and
+# failure over arbitrary bytes (FuzzNum). `go test
 # -fuzz` takes one target per invocation, so the fuzzers run back to
 # back. CI runs
 # this on every push; crank FUZZTIME locally for a deeper soak.
@@ -163,6 +166,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
 	$(GO) test -fuzz=FuzzSectionedScan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzPropertyArgs -fuzztime=$(FUZZTIME) -run=^$$ ./cmd/perfeval
+	$(GO) test -fuzz=FuzzNum -fuzztime=$(FUZZTIME) -run=^$$ ./internal/canonjson
 
 .PHONY: cover
 cover:

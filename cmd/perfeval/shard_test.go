@@ -13,7 +13,8 @@ import (
 // the CLI: two simulated shard workers (separate runW invocations over
 // one journal dir), merge, and the acceptance property — the merged
 // journal is byte-identical to a single-process run's journal, and
-// compact is a no-op on it.
+// compact is a no-op on it. A worker whose result set is partial says so,
+// and states no interpretation of effects it never estimated.
 func TestShardedWorkflowEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	shardDir := filepath.Join(dir, "shards")
@@ -32,6 +33,9 @@ func TestShardedWorkflowEndToEnd(t *testing.T) {
 		}
 		if strings.Contains(out.String(), "partial result set") {
 			partialReports++
+			if strings.Contains(out.String(), "Interpreted as") {
+				t.Errorf("worker %d interprets effects its partial result set never estimated:\n%s", k, out.String())
+			}
 		}
 		if strings.Contains(out.String(), "NaN") {
 			t.Errorf("worker %d artifact leaks NaN analysis:\n%s", k, out.String())

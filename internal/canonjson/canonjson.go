@@ -7,7 +7,10 @@
 // control characters) the append functions hand to json.Marshal, and a
 // document the cursor does not recognise is the caller's to hand to
 // json.Unmarshal — the cursor only ever says "canonical, and here is
-// what it holds" or "not for me".
+// what it holds" or "not for me". The cursor converts a number in the
+// pass that finds its end: a plain decimal of up to 19 digits exactly, by
+// integer arithmetic, anything else (an exponent, more digits) through
+// strconv.ParseFloat — the same float64 either way.
 package canonjson
 
 import (
@@ -15,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 )
@@ -337,31 +341,113 @@ func (c *Cursor) CanonInt() int {
 // Num consumes a JSON number literal — integer, optional fraction,
 // optional exponent — and converts it as json.Unmarshal would; one out
 // of float64's range is left for it to refuse.
+//
+// The pass that finds the literal's end also adds its digits, from the
+// first nonzero one on, into an integer mantissa. A positional literal
+// (no exponent) with at most 19 such digits and at most 19 after the
+// point is then converted exactly, without strconv: the mantissa over a
+// power of ten, rounded to nearest with ties to even — the float64
+// strconv.ParseFloat returns. Any other literal (an exponent, more
+// digits) goes to ParseFloat, on the extent the pass already found.
 func (c *Cursor) Num() float64 {
-	i := c.integer()
-	if i < len(c.b) && c.b[i] == '.' {
-		n := c.digits(i + 1)
-		if n == 0 {
-			c.bad = true
-		}
-		i += 1 + n
-	}
-	if i < len(c.b) && (c.b[i] == 'e' || c.b[i] == 'E') {
-		i++
-		if i < len(c.b) && (c.b[i] == '+' || c.b[i] == '-') {
-			i++
-		}
-		n := c.digits(i)
-		if n == 0 {
-			c.bad = true
-		}
-		i += n
-	}
 	if c.bad {
 		return 0
 	}
-	f, err := strconv.ParseFloat(string(c.b[:i]), 64)
-	return converted(c, i, f, err)
+	b := c.b
+	i := 0
+	negative := i < len(b) && b[i] == '-'
+	if negative {
+		i++
+	}
+	var mant uint64   // exact while sig <= 19: 10^19 - 1 < 2^64
+	sig, frac := 0, 0 // digits from the first nonzero one on; digits after the point
+	start := i
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if mant != 0 || b[i] != '0' {
+			mant = mant*10 + uint64(b[i]-'0')
+			sig++
+		}
+	}
+	if n := i - start; n == 0 || n > 1 && b[start] == '0' {
+		c.bad = true
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		start = i
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if mant != 0 || b[i] != '0' {
+				mant = mant*10 + uint64(b[i]-'0')
+				sig++
+			}
+		}
+		if frac = i - start; frac == 0 {
+			c.bad = true
+			return 0
+		}
+	}
+	exact := sig <= 19 && frac <= 19
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		exact = false
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start = i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		if i == start {
+			c.bad = true
+			return 0
+		}
+	}
+	if !exact {
+		f, err := strconv.ParseFloat(string(b[:i]), 64)
+		return converted(c, i, f, err)
+	}
+	c.b = b[i:]
+	var f float64
+	if mant < 1<<53 {
+		f = float64(mant) / pow10[frac] // both exact, so the one rounding is the quotient's
+	} else {
+		f = quotient(mant, uint64(pow10[frac]))
+	}
+	if negative {
+		f = -f
+	}
+	return f
+}
+
+// pow10 holds the powers of ten a positional literal divides by, each
+// exactly a float64 (and, up to 1e19, a uint64).
+var pow10 = [20]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// quotient returns the float64 nearest to n/d, ties to even, for n from
+// 2^53 and d a power of ten up to 1e19. n is shifted so that the 128-bit
+// quotient has 63 or 64 bits: its top 53 are the float's significand, the
+// bits below them and the remainder decide the rounding.
+func quotient(n, d uint64) float64 {
+	shift := 63 - bits.Len64(n) + bits.Len64(d) // n<<shift / d lies in [2^62, 2^64)
+	var hi, lo uint64
+	if shift < 64 {
+		hi, lo = n>>(64-shift), n<<shift
+	} else {
+		hi = n << (shift - 64)
+	}
+	q, r := bits.Div64(hi, lo, d)
+	drop := 11 - bits.LeadingZeros64(q) // bits below the significand: 11 or 10
+	sig, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || sig&1 == 1) {
+		sig++
+	}
+	exp := 52 + drop - shift // q>>drop times 2^(drop-shift), as a float64 exponent
+	if sig == 1<<53 {
+		sig >>= 1
+		exp++
+	}
+	return math.Float64frombits(uint64(exp+1023)<<52 | sig&(1<<52-1))
 }
 
 // Object consumes the start of a map value: null, which is a nil map

@@ -70,8 +70,10 @@ func RunT4(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	// A shard's result set lacks the rows other shards own, so it has no
-	// effects to estimate (its report says so), only its rows to store.
+	// effects to estimate (its report says so) and none to interpret, only
+	// its rows to store.
 	series := map[string][]float64{}
+	notes := ""
 	if !slices.ContainsFunc(rs.Rows, func(r harness.ResultRow) bool { return len(r.Reps) == 0 }) {
 		ef, err := rs.Effects("MIPS")
 		if err != nil {
@@ -79,6 +81,8 @@ func RunT4(ctx context.Context) (*Result, error) {
 		}
 		series["q"] = []float64{ef.Q[design.I], ef.Q[design.MainEffect(0)], ef.Q[design.MainEffect(1)],
 			ef.Q[design.MainEffect(0).Mul(design.MainEffect(1))]}
+		notes = "Interpreted as: the mean is 40 MIPS; the memory effect is 20; the cache " +
+			"effect is 10; their interaction accounts for 5."
 	}
 	st, err := design.NewSignTable(d.Factors)
 	if err != nil {
@@ -89,8 +93,7 @@ func RunT4(ctx context.Context) (*Result, error) {
 		ID: "t4", Title: "2^2 factorial design and the sign-table method", Slides: "70-78",
 		Text:   text,
 		Series: series,
-		Notes: "Interpreted as: the mean is 40 MIPS; the memory effect is 20; the cache " +
-			"effect is 10; their interaction accounts for 5.",
+		Notes:  notes,
 	}, nil
 }
 

@@ -113,32 +113,48 @@ func (n names) of(b []byte) string {
 // only ever replaced whole, never edited in place, so a value two runs
 // share cannot go stale. What an identity is built from is the bytes of
 // its span alone: no frame changes what a later frame decodes to, only
-// whether it allocates.
+// whether it allocates and how soon it finds a cell's identity.
 type replay struct {
-	// cells holds, by a cell's document span from {"experiment": through
-	// the end of its assignment value, a cell with that identity and no
-	// aggregates: what every cell spelled that way starts as.
-	cells map[string]Cell
+	// ids holds every identity entered, ids[0] standing for the start of a
+	// cell list; byKey finds one by its key.
+	ids   []entry
+	byKey map[string]int
 	names names
+	prev  int // the identity of the cell before, 0 at the start of a list
+	width int // how many cells the last canonical list held
+}
+
+// entry is one identity of the dictionary.
+type entry struct {
+	// key is the cell's document span from {"experiment": through the end
+	// of its assignment value, followed by the response key.
+	key string
+	// cell has that identity and no aggregates: what every cell spelled
+	// that way starts as.
+	cell Cell
+	// next is the identity that first followed this one, in any frame; 0
+	// until one has.
+	next int
 }
 
 func newReplay() *replay {
-	return &replay{cells: make(map[string]Cell), names: make(names)}
+	return &replay{ids: make([]entry, 1), byKey: make(map[string]int), names: make(names)}
 }
 
-// Literals the canonical pass asks about: a tombstone's flag, what starts
-// every cell of a canonical document and nothing else in one (a plain
-// string holds no quote), and what follows a cell's identity.
+// Literals the canonical pass asks about: a tombstone's flag, the comma
+// between cells, and what follows a cell's identity.
 var (
 	prunedTrue  = []byte(`,"pruned":true`)
 	comma       = []byte(`,`)
-	cellOpen    = []byte(`{"experiment":`)
 	responseKey = []byte(`,"response":`)
 )
 
 // walkIdentity walks the identity span of one cell — {"experiment":
 // through the end of the assignment value — into a cell of that identity.
 func (rp *replay) walkIdentity(c *canonjson.Cursor) (cell Cell) {
+	if identitySteps != nil {
+		identitySteps(true)
+	}
 	c.Lit(`{"experiment":`)
 	cell.Experiment = rp.names.of(c.Quoted(false))
 	c.Lit(`,"hash":`)
@@ -156,37 +172,80 @@ func (rp *replay) walkIdentity(c *canonjson.Cursor) (cell Cell) {
 	return cell
 }
 
+// spells consumes identity id's key and reports whether the input starts
+// with it.
+func (rp *replay) spells(c *canonjson.Cursor, id int) bool {
+	key, rest := rp.ids[id].key, c.Rest()
+	return len(rest) >= len(key) && string(rest[:len(key)]) == key && c.Accept(rest[:len(key)])
+}
+
 // identity consumes one cell's identity span and the response key after
 // it, and returns a cell of the identity the span spells. ok is false, and
 // the walk failed, when the input does not continue that way.
 //
-// The input up to its first response key is looked up before it is walked.
-// A span is entered only once the walk has accepted it, the walk reads
-// nothing beyond the span it accepts, and a complete value is prefix-free:
-// input that starts with an entered span and the response key is input the
-// walk would accept, consuming exactly that span and building exactly that
-// identity. So a hit needs no walk and builds nothing; anything else — a
-// new identity, an assignment with a factor named response, input that is
-// not canonical — is the walk's to judge, every check of it kept.
+// A key is entered only once the walk has accepted its span, the walk
+// reads nothing beyond the span it accepts, and a complete value is
+// prefix-free: input that starts with an entered key is input the walk
+// would accept, consuming exactly that span and building exactly that
+// identity. So the replay first tries the identities it predicts — the
+// cell before's, since the responses of one design cell are adjacent, and
+// the one that first followed it, since runs of one design list their
+// cells in one order — then the key the input spells up to its first
+// response key, and a hit on any of them needs no walk and builds nothing.
+// Anything else — a new identity, an assignment with a factor named
+// response, input that is not canonical — is the walk's to judge, every
+// check of it kept.
 func (rp *replay) identity(c *canonjson.Cursor) (cell Cell, ok bool) {
-	rest := c.Rest()
-	if end := bytes.Index(rest, responseKey); end >= 0 {
-		if cell, ok = rp.cells[string(rest[:end])]; ok && c.Accept(rest[:end+len(responseKey)]) {
-			return cell, true
+	prev := rp.prev
+	id := rp.ids[prev].next
+	switch {
+	case prev > 0 && rp.spells(c, prev):
+		return rp.ids[prev].cell, true
+	case id > 0 && rp.spells(c, id):
+	default:
+		if id, ok = rp.search(c); !ok {
+			return cell, false
+		}
+		if rp.ids[prev].next == 0 {
+			rp.ids[prev].next = id
 		}
 	}
-	cell = rp.walkIdentity(c)
+	rp.prev = id
+	return rp.ids[id].cell, true
+}
+
+// search finds the identity the input spells without a prediction: by the
+// key up to its first response key, or else by walking the span, entering
+// it when it is new.
+func (rp *replay) search(c *canonjson.Cursor) (id int, ok bool) {
+	if identitySteps != nil {
+		identitySteps(false)
+	}
+	rest := c.Rest()
+	if end := bytes.Index(rest, responseKey); end >= 0 {
+		if id, ok = rp.byKey[string(rest[:end+len(responseKey)])]; ok && c.Accept(rest[:end+len(responseKey)]) {
+			return id, true
+		}
+	}
+	cell := rp.walkIdentity(c)
 	if !c.Accept(responseKey) {
 		c.Fail()
-		return cell, false
+		return 0, false
 	}
-	span := rest[:len(rest)-len(c.Rest())-len(responseKey)]
-	if known, ok := rp.cells[string(span)]; ok {
-		return known, true // spelled with a response key inside: found by the walk's span
+	key := rest[:len(rest)-len(c.Rest())]
+	if id, ok = rp.byKey[string(key)]; ok {
+		return id, true // spelled with a response key inside: found by the walk's span
 	}
-	rp.cells[string(span)] = cell
-	return cell, true
+	id = len(rp.ids)
+	rp.ids = append(rp.ids, entry{key: string(key), cell: cell})
+	rp.byKey[rp.ids[id].key] = id
+	return id, true
 }
+
+// identitySteps, when set, is told of each identity span the replay
+// searches for (false) and each it walks (true): a test's window on
+// whether it predicts (export_test.go).
+var identitySteps func(walked bool)
 
 // decodeCanonicalRun parses doc if it is written the way appendRun writes
 // a run whose strings are all plain. It is deliberately narrow — ok is
@@ -214,7 +273,8 @@ func decodeCanonicalRun(doc []byte, rp *replay) (r Run, ok bool) {
 	r.Pruned = c.Accept(prunedTrue)
 	if c.Peek(',') {
 		c.Lit(`,"cells":[`)
-		r.Cells = make([]Cell, 0, bytes.Count(c.Rest(), cellOpen))
+		r.Cells = make([]Cell, 0, rp.width) // runs of one design hold as many cells
+		rp.prev = 0
 		for more := true; more; more = c.Accept(comma) {
 			cell, ok := rp.identity(&c)
 			if !ok {
@@ -231,6 +291,9 @@ func decodeCanonicalRun(doc []byte, rp *replay) (r Run, ok bool) {
 			r.Cells = append(r.Cells, cell)
 		}
 		c.Lit(`]`)
+		if rp.width = len(r.Cells); len(r.Cells) != cap(r.Cells) {
+			r.Cells = append(make([]Cell, 0, len(r.Cells)), r.Cells...) // no resident run keeps slack
+		}
 	}
 	c.Lit(`}`)
 	return r, c.Done()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,8 +170,8 @@ func TestIndexCodecSharesRepeats(t *testing.T) {
 	if p[3].Assignment != nil || p[4].Assignment != nil || q[4].Assignment == nil {
 		t.Errorf("nil and empty assignments are not told apart: %+v / %+v", p, q)
 	}
-	if len(rp.cells) != 7 {
-		t.Errorf("the replay holds %d identities, want 7", len(rp.cells))
+	if len(rp.byKey) != 7 {
+		t.Errorf("the replay holds %d identities, want 7", len(rp.byKey))
 	}
 	// A dictionary of its own shares nothing with the first.
 	doc, _ := appendRun(nil, first)
@@ -206,8 +207,19 @@ func FuzzIndexCodec(f *testing.F) {
 		}
 		add(doc)
 	}
+	// The golden identities listed in another order than the seed before:
+	// every prediction the replay makes from that order misses.
+	reordered := goldenRuns()[1]
+	reordered.Cells = slices.Clone(reordered.Cells)
+	slices.Reverse(reordered.Cells)
+	doc, err := json.Marshal(reordered)
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(doc)
 	valid := `{"path":"a.jsonl","size":1,"mod_time_ns":2,"ingest_time_ns":3,"fingerprint":4,"format":"journal","records":5,"cells":[{"experiment":"e","hash":"h","assignment":{"f":"x"},"response":"io","n":1,"mean":7,"variance":0},{"experiment":"e","hash":"h","assignment":{"f":"x"},"response":"ms","n":2,"mean":1.5,"variance":0.25}]}`
 	add([]byte(valid))
+	add([]byte(strings.Replace(strings.Replace(valid, `"mean":1.5`, `"mean":1234.5678901234567`, 1), `"variance":0.25`, `"variance":0.1234567890123456789`, 1)))
 	add([]byte(valid + " "))
 	add([]byte(strings.Replace(valid, `"records":5`, `"records":5,"pruned":true`, 1)))
 	add([]byte(strings.Replace(valid, `"records":5`, `"records":-0,"pruned":false,"unknown":[1,{"x":null}]`, 1)))

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -29,7 +30,8 @@ func sameMap(a, b map[string]string) bool {
 // json.Unmarshal makes of each frame on its own with the selectors filled
 // in. The frames are chosen so that a dictionary that confused two
 // identities, or carried anything over a frame it could not read, would
-// show.
+// show, and so that each canonical run's cells fill their slice exactly
+// whether the frame before held more cells or fewer.
 func TestReplayEqualsFrameByFrameUnmarshal(t *testing.T) {
 	t.Parallel()
 	cell := func(exp, hash, assignment, resp string) string {
@@ -104,6 +106,12 @@ func TestReplayEqualsFrameByFrameUnmarshal(t *testing.T) {
 		t.Errorf("readFrames diverges from frame-by-frame json.Unmarshal (%v):\n got %+v\nwant %+v", err, got, want)
 	}
 
+	for _, path := range []string{"r0.jsonl", "r1.jsonl", "r2.jsonl", "r3.jsonl", "r5.jsonl"} {
+		if cells := x.runs[path].Cells; len(cells) != cap(cells) {
+			t.Errorf("%s: %d cells in a slice of capacity %d", path, len(cells), cap(cells))
+		}
+	}
+
 	// Equal identities are one map across runs, unequal ones are not.
 	r1, r2, r3, r5 := x.runs["r1.jsonl"].Cells, x.runs["r2.jsonl"].Cells, x.runs["r3.jsonl"].Cells, x.runs["r5.jsonl"].Cells
 	for i := range r1 {
@@ -166,6 +174,56 @@ func TestHandBuiltRunIsFoundBySelectorAndHash(t *testing.T) {
 	check(w)
 	w.Close()
 	check(openTest(t, root))
+}
+
+// TestReplayPredictsIdentities pins what the replay's predictions save on
+// the benchmark's index of 25 runs of one design: the first frame walks
+// each of its 100 design cells' identities once, and every later frame
+// finds all its cells' identities by prediction — no search, no walk. It
+// also holds every replayed run's cells to exactly their length: a list
+// sized from the frame before is copied when it does not fit.
+func TestReplayPredictsIdentities(t *testing.T) {
+	root := benchFixture(t, benchRuns, benchReps)
+	w, err := Open(root, Options{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := w.Refresh(); err != nil || rs.Ingested != benchRuns {
+		t.Fatalf("Refresh = %+v, %v", rs, err)
+	}
+	w.Close()
+	data, err := os.ReadFile(filepath.Join(root, IndexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := countIdentitySteps(t)
+	runs := make(map[string]Run)
+	visit := collectRuns(runs, nil)
+	var first identityCounts
+	frames := 0
+	if _, _, err := indexFraming.ScanFile(bytes.NewReader(data), func(payload []byte, off, end int64) error {
+		err := visit(payload, off, end)
+		if frames++; frames == 1 {
+			first = *steps
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if frames != benchRuns || len(runs) != benchRuns {
+		t.Fatalf("%d frames, %d runs; want %d of each", frames, len(runs), benchRuns)
+	}
+	if first.walks != benchCells || steps.walks != benchCells {
+		t.Errorf("the first frame walked %d identities, all %d frames %d; want %d and %d", first.walks, frames, steps.walks, benchCells, benchCells)
+	}
+	if steps.searches != first.searches {
+		t.Errorf("frames after the first searched for %d identities, want none", steps.searches-first.searches)
+	}
+	for path, r := range runs {
+		if len(r.Cells) != benchCells*2 || len(r.Cells) != cap(r.Cells) {
+			t.Errorf("run %s holds %d cells in a slice of capacity %d; want %d in %d", path, len(r.Cells), cap(r.Cells), benchCells*2, benchCells*2)
+		}
+	}
 }
 
 // TestOpenAllocsPerCell holds Open to what a replay keeps: per run a path
