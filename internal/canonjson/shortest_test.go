@@ -20,7 +20,9 @@ import (
 // one Cursor.Num must read whole, as strconv.ParseFloat does, to the bit:
 // its exact conversion is taken by the plain decimals of up to 19 digits,
 // and rounds the ties among them — 2^53 + 1, 2^52 + 0.5 — to even, and
-// only those.
+// only those. Spellings repeat — 3 000 rounds of eight generators give
+// some 300 000, of which some 175 000 are distinct — and each distinct one
+// is checked once.
 func TestShortestAgreesWithAppendFloat(t *testing.T) {
 	t.Parallel()
 	n := 3_000
@@ -88,7 +90,12 @@ func TestShortestAgreesWithAppendFloat(t *testing.T) {
 		}
 	}
 	checked := 0
+	seen := make(map[string]bool, len(literals))
 	for _, lit := range literals {
+		if seen[lit] {
+			continue // both verdicts are functions of the literal alone
+		}
+		seen[lit] = true
 		v, err := strconv.ParseFloat(lit, 64)
 		c := NewCursor([]byte(lit))
 		if got := c.Num(); c.bad != (err != nil) || !c.bad && (len(c.Rest()) != 0 || math.Float64bits(got) != math.Float64bits(v)) {

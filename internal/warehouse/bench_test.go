@@ -110,9 +110,12 @@ func benchRefreshed(b *testing.B) *Warehouse {
 var benchHistory = Request{Kind: KindHistory, Experiment: "journey", Response: "ms", Cell: "cell=c00042"}
 
 // BenchmarkWarehouseColdRefresh ingests all 25 sources into an empty
-// index: the decode-once, sources-in-parallel path.
+// index: the decode-once, sources-in-parallel path. Beside ns/op it
+// reports ns/record, over the 25 000 records a refresh ingests.
 func BenchmarkWarehouseColdRefresh(b *testing.B) {
 	dir := benchFixture(b, benchRuns, benchReps)
+	b.ReportAllocs()
+	b.ResetTimer() // the fixture is no part of a refresh
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		if err := os.Remove(filepath.Join(dir, IndexFile)); err != nil && !os.IsNotExist(err) {
@@ -128,6 +131,13 @@ func BenchmarkWarehouseColdRefresh(b *testing.B) {
 		w.Close()
 		b.StartTimer()
 	}
+	reportPerRecord(b, benchRuns*benchCells*benchReps)
+}
+
+// reportPerRecord reports the measured time per record, records being
+// what one iteration reads.
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 // forEachFormat calls fn with one benchCells × reps source per at-rest
@@ -147,7 +157,8 @@ func forEachFormat(tb testing.TB, reps int, fn func(ext, root, rel string, st os
 
 // BenchmarkIngestPerFormat reads one 1 000-record source of each at-rest
 // format end to end — what a cold refresh pays per source before it
-// writes the index, and where a record built per frame would show first.
+// writes the index, and where a record built per frame would show first —
+// and reports ns/record beside ns/op.
 func BenchmarkIngestPerFormat(b *testing.B) {
 	forEachFormat(b, benchReps, func(ext, root, rel string, st os.FileInfo) {
 		b.Run(ext, func(b *testing.B) {
@@ -157,20 +168,22 @@ func BenchmarkIngestPerFormat(b *testing.B) {
 					b.Fatalf("ingest = %d record(s), %v", run.Records, err)
 				}
 			}
+			reportPerRecord(b, benchCells*benchReps)
 		})
 	})
 }
 
 // TestIngestAllocsPerRecord holds ingest to what it keeps: per cell a key,
 // an assignment, a selector and the aggregates, and per record nothing — a
-// record's slot and values go into a scratch pooled from source to source.
-// So what a source allocates does not grow with its records per cell: 100
-// cells measure 576 to 589 allocations by format at 10 replicates and 580
-// to 595 at 40. Ingest used to pay 2.9 allocations per record (a value
-// slice per slot, and per cell a map of response to a slice of values), and
-// 15 to 20 when it built a record per frame. Averaged over many runs
-// because under the race detector the pool drops a quarter of what it is
-// handed, and a fresh scratch grows with the source.
+// record's slot and values, and the tables a cell predicts its records
+// from, go into a scratch pooled from source to source. So what a source
+// allocates does not grow with its records per cell: 100 cells measure 568
+// to 580 allocations by format at 10 replicates and 572 to 586 at 40.
+// Ingest used to pay 2.9 allocations per record (a value slice per slot,
+// and per cell a map of response to a slice of values), and 15 to 20 when
+// it built a record per frame. Averaged over many runs because under the
+// race detector the pool drops a quarter of what it is handed, and a fresh
+// scratch grows with the source.
 func TestIngestAllocsPerRecord(t *testing.T) {
 	allocs := func(reps int) map[string]float64 {
 		per := make(map[string]float64)

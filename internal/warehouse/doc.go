@@ -12,7 +12,8 @@
 //     size and modification time are unchanged is never re-read, and a
 //     changed one is re-ingested whole (its run summary is replaced,
 //     last-wins) in one forward pass that walks every frame once and
-//     builds no record (runstore.SourceReader.Fields);
+//     builds no record (runstore.SourceReader.Fields), a record paying
+//     only for what differs from the record of its cell before it;
 //     changed sources are read in parallel and indexed in catalog
 //     order. Sources that vanish stay in the index: the warehouse is
 //     the history, the store files are only its substrate. Summarize

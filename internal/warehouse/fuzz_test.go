@@ -106,6 +106,21 @@ func FuzzIngest(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 1, 2, 0x1e, 14, 2, 1, 3, 0x3f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 2, 1, 2, 0x1e, 14})
 	f.Add([]byte{128, 0, 0, 3, 2, 0x8e, 0, 1, 2, 3, 1, 3, 2, 3, 0, 3, 0, 0, 0, 0x82, 9})
 	f.Add([]byte{0, 9, 4, 5, 6, 0xfe, 1, 4, 5, 6, 0xfe, 2, 0, 0, 0, 0, 0})
+	// One cell's replicates 0, 2 — just past its dense table — then 1 and 2
+	// again: after the first gap every new replicate of the cell, and the
+	// superseding one, goes through the slot map.
+	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 0, 0, 1, 2, 0x03, 4, 0, 1, 2, 0x13, 2, 0, 1, 2, 0x23, 4})
+	// Replicates 3, 2, 1, 0 of one cell, then 1 again: descending order never
+	// starts a dense table.
+	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 6, 0, 1, 2, 0x03, 4, 0, 1, 2, 0x03, 2, 0, 1, 2, 0x03, 0, 0, 1, 2, 0x13, 2})
+	// Replicates 0 and 1 of two interleaved cells, then a frame superseding
+	// replicate 0 of the first — a dense slot — with another value and
+	// assignment.
+	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 0, 1, 2, 6, 0x03, 0, 0, 1, 2, 0x03, 2, 1, 2, 6, 0x03, 2, 0, 1, 6, 0x23, 0})
+	// One cell's responses by record: {ms}, {io, ms, rows}, {ms, rows},
+	// {io}, {} and none — each position's name changes, and the list grows
+	// and shrinks, from one record to the next.
+	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 0, 0, 1, 2, 0x0f, 2, 0, 1, 2, 0x0b, 4, 0, 1, 2, 0x05, 6, 0, 1, 2, 0x01, 8, 0, 1, 2, 0x00, 10, 0, 1, 2, 0x0f, 12})
 	values := []float64{0, math.Copysign(0, -1), 1.5, -2.25, 1e15, 5e-324, 7, 0.1}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

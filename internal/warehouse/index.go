@@ -1,11 +1,9 @@
 package warehouse
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"maps"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -169,25 +167,22 @@ func openIndex(path string, commits *obs.Counter) (*index, error) {
 }
 
 // collectRuns is the index scan callback: it decodes each frame's Run
-// into runs, last frame per path winning, and, when seek is not nil,
-// whether the run is seekable into seek. The frames of one scan share one
-// replay dictionary, which lives as long as the callback does: it is gone
-// when the scan returns, and nothing of it is kept between queries but the
-// values the runs themselves hold.
+// into runs, last frame per path winning, and whether the run is seekable
+// into seek. The frames of one scan share one replay dictionary, which
+// lives as long as the callback does: it is gone when the scan returns,
+// and nothing of it is kept between queries but the values the runs
+// themselves hold.
 func collectRuns(runs map[string]Run, seek map[string]bool) framelog.Visit {
 	rp := newReplay()
 	return func(payload []byte, off, _ int64) error {
-		r, err := decodeRun(payload, rp)
+		h, err := decodeRun(payload, rp)
 		if err != nil {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: %v", off, err))
 		}
-		if r.Path == "" {
+		if h.Path == "" {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: run without a path", off))
 		}
-		runs[r.Path] = r
-		if seek != nil {
-			seek[r.Path] = seekable(r.Cells)
-		}
+		runs[h.Path], seek[h.Path] = h.Run, h.seekable
 		return nil
 	}
 }
@@ -220,6 +215,16 @@ func compareCells(a, b *Cell) int {
 		return c
 	}
 	return strings.Compare(a.Response, b.Response)
+}
+
+// compareDesignCells is compareCells on the fields that name the design
+// cell: the experiment, then the selector. compareCells does not call it:
+// a history query's seek calls compareCells for every probe.
+func compareDesignCells(a, b *Cell) int {
+	if c := strings.Compare(a.Experiment, b.Experiment); c != 0 {
+		return c
+	}
+	return strings.Compare(a.selector, b.selector)
 }
 
 // Runs returns the last-wins view of every indexed run — tombstones
@@ -324,42 +329,4 @@ func (x *index) Close() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.log.Close()
-}
-
-// Torn reports whether a torn trailing frame was truncated on open —
-// surfaced for tests and inspection tooling.
-func (x *index) Torn() bool { return x.log.Torn() }
-
-// readFrames decodes every frame of an index file image through the
-// scan Open uses, reporting the intact run view and whether a torn tail
-// follows it. InspectIndex reads through it, and the fuzz target drives
-// the decoder through it.
-func readFrames(data []byte) (map[string]Run, bool, error) {
-	runs := make(map[string]Run)
-	_, torn, err := indexFraming.ScanFile(bytes.NewReader(data), collectRuns(runs, nil))
-	if err != nil {
-		return nil, false, err
-	}
-	return runs, torn, nil
-}
-
-// InspectIndex reports the shape of an index file without opening it
-// for writing: run and tombstone counts and whether the tail was torn.
-// The index, golden, property and framelog poison tests read an index
-// file through it.
-func InspectIndex(path string) (runs, pruned int, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("warehouse: %w", err)
-	}
-	view, torn, err := readFrames(data)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("warehouse: %s: %w", path, err)
-	}
-	for _, r := range view {
-		if r.Pruned {
-			pruned++
-		}
-	}
-	return len(view), pruned, torn, nil
 }

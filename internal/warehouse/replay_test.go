@@ -136,6 +136,49 @@ func TestReplayEqualsFrameByFrameUnmarshal(t *testing.T) {
 	}
 }
 
+// TestReplayPredictsResponses holds the replay's response names and its
+// seekable verdicts to json.Unmarshal and seekable across runs that break
+// the predictions one replay makes from the runs before: one identity's
+// responses listed in another order, one identity's response renamed,
+// responses dropped and added, and identities that follow one another in
+// both orders — two of them naming one design cell under two hashes, and
+// one whose hash holds '='.
+func TestReplayPredictsResponses(t *testing.T) {
+	t.Parallel()
+	cell := func(hash, level, resp string) string {
+		return `{"experiment":"e","hash":"` + hash + `","assignment":{"f":"` + level + `"},"response":"` + resp + `","n":2,"mean":1.5,"variance":0.25}`
+	}
+	run := func(cells ...string) []byte {
+		return []byte(`{"path":"r.jsonl","size":1,"mod_time_ns":2,"ingest_time_ns":3,"fingerprint":4,"format":"journal","records":5,"cells":[` + strings.Join(cells, ",") + `]}`)
+	}
+	docs := [][]byte{
+		run(cell("hx", "x", "io"), cell("hx", "x", "ms"), cell("hy", "y", "io"), cell("hy", "y", "ms")),
+		run(cell("hx", "x", "ms"), cell("hx", "x", "io"), cell("hy", "y", "io"), cell("hy", "y", "ms")),   // hx's responses swapped
+		run(cell("hx", "x", "io"), cell("hx", "x", "rows"), cell("hy", "y", "io"), cell("hy", "y", "ms")), // hx's ms renamed
+		run(cell("hx", "x", "io"), cell("hx", "x", "ms"), cell("hy", "y", "io"), cell("hy", "y", "ms")),   // and back
+		run(cell("hx", "x", "ms"), cell("hy", "y", "io"), cell("hy", "y", "ms"), cell("hy", "y", "rows")), // one fewer, one more
+		run(cell("hy", "y", "io"), cell("hx", "x", "io")),                                                 // the identities the other way round
+		run(cell("hx", "x", "io"), cell("hy", "y", "io")),                                                 // and again the first way
+		run(cell("hx", "x", "io"), cell("hz", "x", "ms")),                                                 // one design cell, two hashes
+		run(cell("hx", "x", "ms"), cell("hz", "x", "io")),
+		run(cell("hx", "x", "io"), cell("h=", "y", "io")),
+		run(cell("hx", "x", "io"), cell("hx", "x", "ms"), cell("hy", "y", "io"), cell("hy", "y", "ms")),
+	}
+	rp := newReplay()
+	seekables := 0
+	for _, doc := range docs {
+		if _, canonical := decodeCanonicalRun(doc, newReplay()); !canonical {
+			t.Fatalf("%s does not take the canonical pass", doc)
+		}
+		if r, ok := checkRunDecodeAgainstStdlib(t, doc, rp); ok && seekable(r.Cells) {
+			seekables++
+		}
+	}
+	if seekables != 7 {
+		t.Errorf("%d of the runs are seekable, want 7", seekables)
+	}
+}
+
 // TestHandBuiltRunIsFoundBySelectorAndHash pins the other way into the
 // index: a Run built by hand and Put carries no selector, and is still
 // found by its assignment string and by its hash — before a reopen and
@@ -198,7 +241,7 @@ func TestReplayPredictsIdentities(t *testing.T) {
 	}
 	steps := countIdentitySteps(t)
 	runs := make(map[string]Run)
-	visit := collectRuns(runs, nil)
+	visit := collectRuns(runs, make(map[string]bool))
 	var first identityCounts
 	frames := 0
 	if _, _, err := indexFraming.ScanFile(bytes.NewReader(data), func(payload []byte, off, end int64) error {

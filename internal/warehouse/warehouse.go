@@ -87,9 +87,6 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	return &Warehouse{root: root, idx: idx, met: met, clock: clock}, nil
 }
 
-// Root returns the directory the warehouse catalogs.
-func (w *Warehouse) Root() string { return w.root }
-
 // Close releases the index file. Queries keep serving the in-memory
 // view; Refresh and Prune fail afterwards.
 func (w *Warehouse) Close() error { return w.idx.Close() }
@@ -301,6 +298,17 @@ func Summarize(paths ...string) ([]*runstore.Summary, error) {
 // source, so that a record allocates nothing, and per cell its key (which
 // the experiment and hash are cut from) and its assignment, whose canonical
 // string is the cell's selector.
+//
+// A record costs what differs from the record of its cell before it. Per
+// design cell the fold keeps (foldCell) the FNV-1a state of the cell's key,
+// so that a record's fingerprint folds only its "/<replicate>" and its
+// measurement; a dense table of the slots of replicates 0, 1, 2, … in the
+// order a scheduler writes them, so that a record finds or claims its slot
+// without a map; and the name each response position held last, which a
+// record's name at that position is compared with, byte for byte, before
+// it is taken. A record that breaks a prediction — a cell other than the
+// one before, a replicate past the dense table or out of order, another
+// response name — takes the general route: the cell, slot and name maps.
 func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
 	if err != nil {
@@ -308,16 +316,19 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	}
 	defer r.Close()
 	s := foldPool.Get().(*fold)
-	defer foldPool.Put(s)
+	defer func() {
+		clear(s.cells) // what the run holds of them is the run's
+		foldPool.Put(s)
+	}()
 	clear(s.slotAt) // keeps its buckets, as truncation keeps an array
-	s.slots, s.arena = s.slots[:0], s.arena[:0]
+	s.cells, s.slots, s.arena, s.tables = s.cells[:0], s.slots[:0], s.arena[:0], s.tables[:0]
 	var (
-		cells  []foldCell
 		cellAt = make(map[string]int) // cell key -> cells
 		ci     = -1                   // the frame's cell, which the next frame is most often in too
 		nameAt = make(map[string]int) // factor or response name -> names
 		names  []string               // a source's few, each allocated once
 		key    []byte
+		suffix [24]byte // '/' and a replicate's digits
 	)
 	name := func(b []byte) int {
 		n, ok := nameAt[string(b)]
@@ -331,26 +342,21 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 		if err != nil {
 			return Run{}, fmt.Errorf("warehouse: ingesting %s: %w", rel, err)
 		}
-		// runstore.CellKey, then runstore.Key: looking string(key) up allocates nothing.
-		key = append(append(append(key[:0], f.Experiment...), '/'), f.Hash...)
-		if ci < 0 || cells[ci].key != string(key) {
+		if ci < 0 || !s.cells[ci].spelled(f.Experiment, f.Hash) {
+			// runstore.CellKey: looking string(key) up allocates nothing.
+			key = append(append(append(key[:0], f.Experiment...), '/'), f.Hash...)
 			var ok bool
 			if ci, ok = cellAt[string(key)]; !ok {
-				ci = len(cells)
-				cells = append(cells, foldCell{key: string(key), first: len(s.slots)})
-				cellAt[cells[ci].key] = ci
+				ci = len(s.cells)
+				s.cells = append(s.cells, foldCell{key: string(key), first: len(s.slots), h: fnv1a(fnvOffset64, key)})
+				cellAt[s.cells[ci].key] = ci
 			}
 		}
-		i, seen := s.slotAt[[2]int{ci, f.Replicate}]
-		if !seen {
-			i = len(s.slots)
-			s.slots = append(s.slots, foldSlot{cell: ci})
-			s.slotAt[[2]int{ci, f.Replicate}] = i
-		}
-		key = strconv.AppendInt(append(key, '/'), int64(f.Replicate), 10)
+		c := &s.cells[ci]
+		i := s.slot(ci, f.Replicate)
 		sl := &s.slots[i]
-		sl.fp = keyedFingerprint(key, f.Fingerprint())
-		if c := &cells[ci]; c.first == i {
+		sl.fp = keyedFingerprint(c.h, strconv.AppendInt(append(suffix[:0], '/'), int64(f.Replicate), 10), f.Fingerprint())
+		if c.first == i {
 			c.experiment, c.hash = c.key[:len(f.Experiment)], c.key[len(f.Experiment)+1:]
 			c.assignment = nil
 			if a := f.Assignment(); a != nil {
@@ -361,11 +367,17 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 			}
 		}
 		sl.off, sl.n = len(s.arena), len(f.Responses())
-		for _, resp := range f.Responses() {
-			s.arena = append(s.arena, foldValue{name(resp.Name), resp.Value})
+		for k, resp := range f.Responses() {
+			if k == len(c.responses) {
+				c.responses = append(room(&s.tables, c.responses), name(resp.Name))
+			} else if names[c.responses[k]] != string(resp.Name) {
+				c.responses[k] = name(resp.Name)
+			}
+			s.arena = append(s.arena, foldValue{c.responses[k], resp.Value})
 		}
 	}
 
+	cells := s.cells
 	run := Run{
 		Path:      rel,
 		Size:      st.Size(),
@@ -422,14 +434,20 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	return run, nil
 }
 
-// fold is what ingest keeps per record, pooled from source to source. A
-// record's key is its cell's key, '/' and slash-free digits: (cell, replicate).
+// fold is what ingest keeps per record and per cell, pooled from source to
+// source. A record's key is its cell's key, '/' and slash-free digits:
+// (cell, replicate). Per cell it keeps the predictions a record of the cell
+// is checked against (foldCell): the FNV-1a state of the cell's key, the
+// dense replicate table, and the response names by position, the tables
+// cut from one arena.
 type (
 	fold struct {
-		slotAt map[[2]int]int // (cell, replicate) -> slots
+		cells  []foldCell
+		slotAt map[[2]int]int // (cell, replicate) -> slots, for replicates no dense table holds
 		slots  []foldSlot
 		arena  []foldValue
 		byCell []foldValue // the arena's live values, by cell
+		tables []int       // the arena the cells' dense and responses tables grow in (room)
 	}
 	foldSlot struct { // one distinct record, in first-appended order
 		cell   int    // index into cells
@@ -440,7 +458,14 @@ type (
 		key              string // runstore.CellKey
 		experiment, hash string // cut from key
 		assignment       map[string]string
-		first            int // the slot whose record names the assignment
+		first            int    // the slot whose record names the assignment
+		h                uint64 // FNV-1a over key: where every record's keyedFingerprint starts
+		// dense[r] is the slot of replicate r for r < len(dense): the cell's
+		// replicates as long as they came 0, 1, 2, …; the first that does not
+		// (spilled) goes to slotAt, and so does every later new one.
+		dense     []int
+		spilled   bool
+		responses []int // by response position, the name (into names) the last record had there
 	}
 	foldValue struct {
 		name int // into names
@@ -450,23 +475,75 @@ type (
 
 var foldPool = sync.Pool{New: func() any { return &fold{slotAt: make(map[[2]int]int)} }}
 
+// spelled reports whether experiment '/' hash is c's key, comparing in
+// place.
+func (c *foldCell) spelled(experiment, hash []byte) bool {
+	n := len(experiment)
+	return len(c.key) == n+1+len(hash) && c.key[n] == '/' && c.key[:n] == string(experiment) && c.key[n+1:] == string(hash)
+}
+
+// slot returns the slot of the record of cell ci with replicate rep,
+// claiming the next one when no earlier frame held the key. Every
+// replicate slotAt holds is at least len(dense) of its cell: it went there
+// because it was past the dense table, and the table stops growing once
+// one did.
+func (s *fold) slot(ci, rep int) int {
+	c := &s.cells[ci]
+	if uint(rep) < uint(len(c.dense)) {
+		return c.dense[rep]
+	}
+	i := len(s.slots)
+	if rep == len(c.dense) && !c.spilled {
+		c.dense = append(room(&s.tables, c.dense), i)
+	} else {
+		if j, seen := s.slotAt[[2]int{ci, rep}]; seen {
+			return j
+		}
+		s.slotAt[[2]int{ci, rep}] = i
+		c.spilled = true
+	}
+	s.slots = append(s.slots, foldSlot{cell: ci})
+	return i
+}
+
+// room returns t with room for one more element: t itself, or t moved to
+// a larger span cut from the end of *arena, so that many small tables grow
+// inside one backing array — for ingest, one reused from source to source.
+// What a move leaves behind is dead until the arena is truncated or
+// dropped. The span is reserved with slices.Grow: appending a make of it
+// allocates the make under the race detector.
+func room[T any](arena *[]T, t []T) []T {
+	if len(t) < cap(t) {
+		return t
+	}
+	n := max(2*len(t), 4)
+	a := slices.Grow(*arena, n)
+	at := len(a)
+	*arena = a[:at+n]
+	return append(a[at:at:at+n], t...)
+}
+
 // keyedFingerprint folds one record's identity and measurement into the
 // run fingerprint: FNV-1a over the bytes of its key (runstore.Key), then
 // over the eight bytes of m, its runstore.Fingerprint (assignment +
 // responses) — combined order-independently by the caller's XOR so equal
-// record sets fingerprint identically across formats and orders. The
-// value is persisted and compared on re-ingest: changing it would re-date
-// every indexed run (TestRecordFingerprintPinned, through the reference
-// ingest is held to).
-func keyedFingerprint(key []byte, m uint64) uint64 {
-	h := fnv1a(14695981039346656037, key) // from the FNV-1a offset basis
+// record sets fingerprint identically across formats and orders. h is the
+// FNV-1a state over the key's first bytes, its cell's key, and rest the
+// bytes that follow. The value is persisted and compared on re-ingest:
+// changing it would re-date every indexed run (TestRecordFingerprintPinned,
+// through the reference ingest is held to).
+func keyedFingerprint(h uint64, rest []byte, m uint64) uint64 {
+	h = fnv1a(h, rest)
 	for i := 0; i < 8; i++ {
 		h = (h ^ (m >> (8 * i) & 0xff)) * fnvPrime64
 	}
 	return h
 }
 
-const fnvPrime64 = 1099511628211
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // fnv1a folds the bytes of s into h.
 func fnv1a[S string | []byte](h uint64, s S) uint64 {
