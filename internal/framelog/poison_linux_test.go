@@ -171,7 +171,11 @@ func openIndex(t *testing.T, dir string) poisonable {
 			return err
 		},
 		served: func() int { return len(w.Runs()) },
-		stored: func() (int, error) { // runs on disk: every item is a source of its own
+		// Runs on disk: every item is a source of its own, one frame each. The
+		// framing's name only labels errors and its bound only caps a frame,
+		// so a count under them is the index's; that each frame decodes to a
+		// run, served says after a reopen, which replays the index.
+		stored: func() (int, error) {
 			f, err := os.Open(path)
 			if err != nil {
 				return 0, err
@@ -297,6 +301,9 @@ func TestFailedAppendPoisonsJournal(t *testing.T) {
 			}
 			if n, err := log.stored(); err != nil || n != acked+1 {
 				t.Fatalf("reopened file holds %d item(s) (err %v), want the %d acknowledged and the new one", n, err, acked)
+			}
+			if log.served != nil && log.served() != acked+1 {
+				t.Errorf("reopened log serves %d item(s), want the %d acknowledged and the new one", log.served(), acked)
 			}
 		})
 	}

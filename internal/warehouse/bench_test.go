@@ -2,8 +2,10 @@ package warehouse
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -171,6 +173,63 @@ func BenchmarkIngestPerFormat(b *testing.B) {
 			reportPerRecord(b, benchCells*benchReps)
 		})
 	})
+}
+
+// BenchmarkIngestReplicateOrder reads one 1 000-record journal whose
+// records come cell by cell, each cell's replicates either sorted, as a
+// merge or a one-worker scheduler writes them, or shuffled, as several
+// workers complete them. The fixture's sources are all merged, and so
+// sorted; this is the order a concurrent run's journal has.
+func BenchmarkIngestReplicateOrder(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, order := range []string{"sorted", "shuffled"} {
+		root := b.TempDir()
+		f, err := os.Create(filepath.Join(root, "run.jsonl"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := bufio.NewWriter(f)
+		for cell := 0; cell < benchCells; cell++ {
+			reps := make([]int, benchReps)
+			for rep := range reps {
+				reps[rep] = rep
+			}
+			if order == "shuffled" {
+				rng.Shuffle(len(reps), func(i, j int) { reps[i], reps[j] = reps[j], reps[i] })
+			}
+			for _, rep := range reps {
+				rec, err := runstore.NormalizeAppend(runstore.Record{
+					Experiment: "journey",
+					Row:        cell,
+					Replicate:  rep,
+					Assignment: map[string]string{"cell": fmt.Sprintf("c%05d", cell)},
+					Responses:  map[string]float64{"ms": 5 + float64(cell+rep), "io": float64(100 + rep)},
+				})
+				if err == nil {
+					err = runstore.EncodeWire(w, rec)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := errors.Join(w.Flush(), f.Close()); err != nil {
+			b.Fatal(err)
+		}
+		st, err := os.Stat(f.Name())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(order, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if run, err := ingest(root, "run.jsonl", st); err != nil || run.Records != benchCells*benchReps {
+					b.Fatalf("ingest = %d record(s), %v", run.Records, err)
+				}
+			}
+			reportPerRecord(b, benchCells*benchReps)
+		})
+	}
 }
 
 // TestIngestAllocsPerRecord holds ingest to what it keeps: per cell a key,

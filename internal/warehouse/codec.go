@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
-	"strings"
 
 	"repro/internal/canonjson"
 	"repro/internal/design"
@@ -76,20 +75,19 @@ func appendRun(dst []byte, r Run) ([]byte, error) {
 	return append(out, '}'), nil
 }
 
-// decodeRun parses one run document, and tells whether its cells are
-// seekable. A document in the canonical form is parsed in one pass, its
-// cells' identities shared through rp; any other goes to json.Unmarshal,
-// so what decodes, what it decodes to, and what each failure says are
-// encoding/json's. Either way every cell of the result carries its
-// selector.
-func decodeRun(doc []byte, rp *replay) (heldRun, error) {
-	if h, ok := decodeCanonicalRun(doc, rp); ok {
-		return h, nil
+// decodeRun parses one run document. A document in the canonical form is
+// parsed in one pass, its cells' identities shared through rp; any other
+// goes to json.Unmarshal, so what decodes, what it decodes to, and what
+// each failure says are encoding/json's. Either way every cell of the
+// result carries its selector.
+func decodeRun(doc []byte, rp *replay) (Run, error) {
+	if r, ok := decodeCanonicalRun(doc, rp); ok {
+		return r, nil
 	}
 	var r Run // from zero: the canonical pass may have half-filled one
 	err := json.Unmarshal(doc, &r)
 	r.Cells = withSelectors(r.Cells)
-	return heldRun{r, seekable(r.Cells)}, err
+	return r, err
 }
 
 // names holds each distinct string it is asked for once: the few names a
@@ -116,11 +114,6 @@ func (n names) of(b []byte) string {
 // share cannot go stale. What an identity is built from is the bytes of
 // its span alone: no frame changes what a later frame decodes to, only
 // whether it allocates and how soon it finds a cell's identity.
-//
-// Per identity it also keeps what the next cells of it are predicted to
-// be: the identity that first followed it, with how the two compare, and
-// the response names its adjacent cells had, by position. A prediction is
-// taken only once the input is seen to spell it, byte for byte.
 type replay struct {
 	// ids holds every identity entered, ids[0] standing for the start of a
 	// cell list; byKey finds one by its key.
@@ -128,10 +121,7 @@ type replay struct {
 	byKey map[string]int
 	names names
 	prev  int // the identity of the cell before, 0 at the start of a list
-	at    int // how many cells before it, adjacent, had identity prev
 	width int // how many cells the last canonical list held
-	// responses is the arena the identities' response tables grow in.
-	responses []string
 }
 
 // entry is one identity of the dictionary.
@@ -145,14 +135,6 @@ type entry struct {
 	// next is the identity that first followed this one, in any frame; 0
 	// until one has.
 	next int
-	// order is compareDesignCells of this identity's cell and next's.
-	order int
-	// responses[k] is the response name the last cell of this identity
-	// that was k-th of its adjacent cells had.
-	responses []string
-	// unseekable is set when the hash holds '=': no list holding the
-	// identity is seekable.
-	unseekable bool
 }
 
 func newReplay() *replay {
@@ -198,9 +180,8 @@ func (rp *replay) spells(c *canonjson.Cursor, id int) bool {
 }
 
 // identity consumes one cell's identity span and the response key after
-// it, and returns the identity the span spells, which it makes rp.prev.
-// ok is false, and the walk failed, when the input does not continue that
-// way.
+// it, and returns the identity the span spells. ok is false, and the walk
+// failed, when the input does not continue that way.
 //
 // A key is entered only once the walk has accepted its span, the walk
 // reads nothing beyond the span it accepts, and a complete value is
@@ -219,42 +200,18 @@ func (rp *replay) identity(c *canonjson.Cursor) (id int, ok bool) {
 	id = rp.ids[prev].next
 	switch {
 	case prev > 0 && rp.spells(c, prev):
-		rp.at++
 		return prev, true
 	case id > 0 && rp.spells(c, id):
 	default:
 		if id, ok = rp.search(c); !ok {
 			return 0, false
 		}
-		if p := &rp.ids[prev]; p.next == 0 {
-			p.next, p.order = id, compareDesignCells(&p.cell, &rp.ids[id].cell)
+		if rp.ids[prev].next == 0 {
+			rp.ids[prev].next = id
 		}
 	}
-	rp.prev, rp.at = id, 0
+	rp.prev = id
 	return id, true
-}
-
-// response consumes the response name of a cell of identity rp.prev and
-// returns it. The name the identity's cells at the same position had last
-// is the prediction: the responses of one design cell are listed in one
-// order in every run. It is taken when the input spells it, quoted — a
-// name the walk accepted holds no quote, and Quoted would stop at the
-// closing one and return it; anything else is Quoted's to judge.
-func (rp *replay) response(c *canonjson.Cursor) string {
-	e := &rp.ids[rp.prev]
-	if rp.at < len(e.responses) {
-		name, rest := e.responses[rp.at], c.Rest()
-		if len(rest) >= len(name)+2 && rest[0] == '"' && string(rest[1:1+len(name)]) == name && rest[1+len(name)] == '"' && c.Accept(rest[:len(name)+2]) {
-			return name
-		}
-	}
-	name := rp.names.of(c.Quoted(false))
-	if rp.at < len(e.responses) {
-		e.responses[rp.at] = name
-	} else if rp.at == len(e.responses) {
-		e.responses = append(room(&rp.responses, e.responses), name)
-	}
-	return name
 }
 
 // search finds the identity the input spells without a prediction: by the
@@ -280,32 +237,9 @@ func (rp *replay) search(c *canonjson.Cursor) (id int, ok bool) {
 		return id, true // spelled with a response key inside: found by the walk's span
 	}
 	id = len(rp.ids)
-	rp.ids = append(rp.ids, entry{key: string(key), cell: cell, unseekable: strings.IndexByte(cell.Hash, '=') >= 0})
+	rp.ids = append(rp.ids, entry{key: string(key), cell: cell})
 	rp.byKey[rp.ids[id].key] = id
 	return id, true
-}
-
-// inOrder reports whether the last of cells, of identity id, keeps them
-// seekable after the cell before it, of identity prev (0 when it is the
-// first): its hash holds no '=' and it does not sort before that cell. Of
-// two cells of one identity only the responses differ, and two identities
-// compare as they did the first time the second followed the first.
-func (rp *replay) inOrder(prev, id int, cells []Cell) bool {
-	if rp.ids[id].unseekable {
-		return false
-	}
-	var o int
-	switch p := &rp.ids[prev]; {
-	case prev == 0:
-		return true
-	case prev == id:
-	case p.next == id:
-		o = p.order
-	default:
-		o = compareDesignCells(&p.cell, &rp.ids[id].cell)
-	}
-	n := len(cells)
-	return o < 0 || o == 0 && cells[n-2].Response <= cells[n-1].Response
 }
 
 // identitySteps, when set, is told of each identity span the replay
@@ -319,15 +253,10 @@ var identitySteps func(walked bool)
 // accepts json.Unmarshal decodes to an equal run. Equal, not identical:
 // a cell's experiment, hash, assignment map and selector are rp's — the
 // ones every cell of this replay with the same identity holds, in this run
-// and in every other — and so are the response and format names.
-//
-// Each cell is decoded in its slot of the run's list, starting as a copy
-// of its identity's cell; its response name comes from rp's prediction
-// when the input spells that (response), and whether the list stays
-// seekable is decided cell by cell from the identity transitions the
-// replay tracks anyway (inOrder), with no second pass over the cells.
-func decodeCanonicalRun(doc []byte, rp *replay) (h heldRun, ok bool) {
-	r, seek := &h.Run, true
+// and in every other — and so are the response and format names. Each
+// cell is decoded in its slot of the run's list, which starts as a copy of
+// its identity's cell: one copy of the cell, not one out and one in.
+func decodeCanonicalRun(doc []byte, rp *replay) (r Run, ok bool) {
 	c := canonjson.NewCursor(doc)
 	c.Lit(`{"path":`)
 	r.Path = c.Str()
@@ -349,15 +278,13 @@ func decodeCanonicalRun(doc []byte, rp *replay) (h heldRun, ok bool) {
 		r.Cells = make([]Cell, 0, rp.width) // runs of one design hold as many cells
 		rp.prev = 0
 		for more := true; more; more = c.Accept(comma) {
-			prev := rp.prev
 			id, ok := rp.identity(&c)
 			if !ok {
-				return h, false
+				return r, false
 			}
 			r.Cells = append(r.Cells, rp.ids[id].cell)
 			cell := &r.Cells[len(r.Cells)-1]
-			cell.Response = rp.response(&c)
-			seek = seek && rp.inOrder(prev, id, r.Cells)
+			cell.Response = rp.names.of(c.Quoted(false))
 			c.Lit(`,"n":`)
 			cell.N = c.Int()
 			c.Lit(`,"mean":`)
@@ -372,6 +299,5 @@ func decodeCanonicalRun(doc []byte, rp *replay) (h heldRun, ok bool) {
 		}
 	}
 	c.Lit(`}`)
-	h.seekable = seek
-	return h, c.Done()
+	return r, c.Done()
 }

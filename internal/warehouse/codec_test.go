@@ -16,8 +16,7 @@ import (
 // checkRunDecodeAgainstStdlib holds decodeRun, replaying into rp, to
 // json.Unmarshal on one document: both fail, with one message, or return
 // deeply equal runs — nil and empty maps and slices told apart, every
-// cell's selector what its assignment renders to — and decodeRun's
-// seekable verdict is seekable's on the cells.
+// cell's selector what its assignment renders to.
 func checkRunDecodeAgainstStdlib(t *testing.T, doc []byte, rp *replay) (Run, bool) {
 	t.Helper()
 	var want Run
@@ -33,13 +32,10 @@ func checkRunDecodeAgainstStdlib(t *testing.T, doc []byte, rp *replay) (Run, boo
 		}
 		return Run{}, false
 	}
-	if !reflect.DeepEqual(got.Run, want) {
-		t.Fatalf("decodeRun(%q) = %#v, json.Unmarshal gives %#v", doc, got.Run, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decodeRun(%q) = %#v, json.Unmarshal gives %#v", doc, got, want)
 	}
-	if got.seekable != seekable(want.Cells) {
-		t.Fatalf("decodeRun(%q) says seekable %v, seekable says %v", doc, got.seekable, !got.seekable)
-	}
-	return got.Run, true
+	return got, true
 }
 
 // checkRunEncodeAgainstStdlib holds appendRun to json.Marshal on one
@@ -158,8 +154,8 @@ func TestIndexCodecSharesRepeats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, ok := decodeCanonicalRun(doc, rp)
-		if got[i] = h.Run; !ok || !reflect.DeepEqual(got[i], r) {
+		var ok bool
+		if got[i], ok = decodeCanonicalRun(doc, rp); !ok || !reflect.DeepEqual(got[i], r) {
 			t.Fatalf("decodeCanonicalRun = %+v, %v; want %+v", got[i], ok, r)
 		}
 	}

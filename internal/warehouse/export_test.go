@@ -51,7 +51,7 @@ func (x *index) Torn() bool { return x.log.Torn() }
 // the decoder through it.
 func readFrames(data []byte) (map[string]Run, bool, error) {
 	runs := make(map[string]Run)
-	_, torn, err := indexFraming.ScanFile(bytes.NewReader(data), collectRuns(runs, make(map[string]bool)))
+	_, torn, err := indexFraming.ScanFile(bytes.NewReader(data), collectRuns(runs, nil))
 	if err != nil {
 		return nil, false, err
 	}

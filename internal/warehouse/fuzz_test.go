@@ -106,16 +106,19 @@ func FuzzIngest(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 1, 2, 0x1e, 14, 2, 1, 3, 0x3f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 2, 1, 2, 0x1e, 14})
 	f.Add([]byte{128, 0, 0, 3, 2, 0x8e, 0, 1, 2, 3, 1, 3, 2, 3, 0, 3, 0, 0, 0, 0x82, 9})
 	f.Add([]byte{0, 9, 4, 5, 6, 0xfe, 1, 4, 5, 6, 0xfe, 2, 0, 0, 0, 0, 0})
-	// One cell's replicates 0, 2 — just past its dense table — then 1 and 2
-	// again: after the first gap every new replicate of the cell, and the
-	// superseding one, goes through the slot map.
+	// One cell's replicates 0, 2 — a hole at 1 in its table — then 1 and 2
+	// again: 1 fills the hole, and the superseding 2 finds its slot.
 	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 0, 0, 1, 2, 0x03, 4, 0, 1, 2, 0x13, 2, 0, 1, 2, 0x23, 4})
-	// Replicates 3, 2, 1, 0 of one cell, then 1 again: descending order never
-	// starts a dense table.
+	// One cell's replicates 0, then 65 — just past the table's reach, so the
+	// slot map takes it — then 60 and 100, which grow the table over 65,
+	// then 65 again: a hole the slot map holds.
+	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 0, 0, 1, 2, 0x03, 0x82, 0x01, 0, 1, 2, 0x03, 0x78, 0, 1, 2, 0x03, 0xc8, 0x01, 0, 1, 2, 0x13, 0x82, 0x01})
+	// Replicates 3, 2, 1, 0 of one cell, then 1 again: descending order
+	// sizes the table at the first record and fills it from the top.
 	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 6, 0, 1, 2, 0x03, 4, 0, 1, 2, 0x03, 2, 0, 1, 2, 0x03, 0, 0, 1, 2, 0x13, 2})
 	// Replicates 0 and 1 of two interleaved cells, then a frame superseding
-	// replicate 0 of the first — a dense slot — with another value and
-	// assignment.
+	// replicate 0 of the first — a slot of its table — with another value
+	// and assignment.
 	f.Add([]byte{0, 0, 0, 1, 2, 0x03, 0, 1, 2, 6, 0x03, 0, 0, 1, 2, 0x03, 2, 1, 2, 6, 0x03, 2, 0, 1, 6, 0x23, 0})
 	// One cell's responses by record: {ms}, {io, ms, rows}, {ms, rows},
 	// {io}, {} and none — each position's name changes, and the list grows

@@ -167,22 +167,25 @@ func openIndex(path string, commits *obs.Counter) (*index, error) {
 }
 
 // collectRuns is the index scan callback: it decodes each frame's Run
-// into runs, last frame per path winning, and whether the run is seekable
-// into seek. The frames of one scan share one replay dictionary, which
-// lives as long as the callback does: it is gone when the scan returns,
-// and nothing of it is kept between queries but the values the runs
-// themselves hold.
+// into runs, last frame per path winning, and, when seek is not nil,
+// whether the run is seekable into seek. The frames of one scan share one
+// replay dictionary, which lives as long as the callback does: it is gone
+// when the scan returns, and nothing of it is kept between queries but the
+// values the runs themselves hold.
 func collectRuns(runs map[string]Run, seek map[string]bool) framelog.Visit {
 	rp := newReplay()
 	return func(payload []byte, off, _ int64) error {
-		h, err := decodeRun(payload, rp)
+		r, err := decodeRun(payload, rp)
 		if err != nil {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: %v", off, err))
 		}
-		if h.Path == "" {
+		if r.Path == "" {
 			return framelog.Corrupt(fmt.Errorf("corrupt index frame at byte %d: run without a path", off))
 		}
-		runs[h.Path], seek[h.Path] = h.Run, h.seekable
+		runs[r.Path] = r
+		if seek != nil {
+			seek[r.Path] = seekable(r.Cells)
+		}
 		return nil
 	}
 }
@@ -215,16 +218,6 @@ func compareCells(a, b *Cell) int {
 		return c
 	}
 	return strings.Compare(a.Response, b.Response)
-}
-
-// compareDesignCells is compareCells on the fields that name the design
-// cell: the experiment, then the selector. compareCells does not call it:
-// a history query's seek calls compareCells for every probe.
-func compareDesignCells(a, b *Cell) int {
-	if c := strings.Compare(a.Experiment, b.Experiment); c != 0 {
-		return c
-	}
-	return strings.Compare(a.selector, b.selector)
 }
 
 // Runs returns the last-wins view of every indexed run — tombstones

@@ -136,14 +136,14 @@ func TestReplayEqualsFrameByFrameUnmarshal(t *testing.T) {
 	}
 }
 
-// TestReplayPredictsResponses holds the replay's response names and its
-// seekable verdicts to json.Unmarshal and seekable across runs that break
-// the predictions one replay makes from the runs before: one identity's
-// responses listed in another order, one identity's response renamed,
-// responses dropped and added, and identities that follow one another in
-// both orders — two of them naming one design cell under two hashes, and
-// one whose hash holds '='.
-func TestReplayPredictsResponses(t *testing.T) {
+// TestReplayVaryingResponses holds the replay to json.Unmarshal, and the
+// seekable verdict on what it decodes to the count the runs call for,
+// across runs whose responses and identities change from one run to the
+// next within one replay: one identity's responses listed in another
+// order, one identity's response renamed, responses dropped and added, and
+// identities that follow one another in both orders — two of them naming
+// one design cell under two hashes, and one whose hash holds '='.
+func TestReplayVaryingResponses(t *testing.T) {
 	t.Parallel()
 	cell := func(hash, level, resp string) string {
 		return `{"experiment":"e","hash":"` + hash + `","assignment":{"f":"` + level + `"},"response":"` + resp + `","n":2,"mean":1.5,"variance":0.25}`
@@ -241,7 +241,7 @@ func TestReplayPredictsIdentities(t *testing.T) {
 	}
 	steps := countIdentitySteps(t)
 	runs := make(map[string]Run)
-	visit := collectRuns(runs, make(map[string]bool))
+	visit := collectRuns(runs, nil)
 	var first identityCounts
 	frames := 0
 	if _, _, err := indexFraming.ScanFile(bytes.NewReader(data), func(payload []byte, off, end int64) error {

@@ -302,13 +302,13 @@ func Summarize(paths ...string) ([]*runstore.Summary, error) {
 // A record costs what differs from the record of its cell before it. Per
 // design cell the fold keeps (foldCell) the FNV-1a state of the cell's key,
 // so that a record's fingerprint folds only its "/<replicate>" and its
-// measurement; a dense table of the slots of replicates 0, 1, 2, … in the
-// order a scheduler writes them, so that a record finds or claims its slot
-// without a map; and the name each response position held last, which a
+// measurement; a table of its slots indexed by replicate, so that a record
+// finds or claims its slot without a map, in whatever order its cell's
+// replicates come; and the name each response position held last, which a
 // record's name at that position is compared with, byte for byte, before
 // it is taken. A record that breaks a prediction — a cell other than the
-// one before, a replicate past the dense table or out of order, another
-// response name — takes the general route: the cell, slot and name maps.
+// one before, another response name — takes the cell or name map, and a
+// replicate too far out for the table (slot) the slot map.
 func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
 	if err != nil {
@@ -436,18 +436,18 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 
 // fold is what ingest keeps per record and per cell, pooled from source to
 // source. A record's key is its cell's key, '/' and slash-free digits:
-// (cell, replicate). Per cell it keeps the predictions a record of the cell
-// is checked against (foldCell): the FNV-1a state of the cell's key, the
-// dense replicate table, and the response names by position, the tables
-// cut from one arena.
+// (cell, replicate). Per cell it keeps what a record of the cell starts
+// from (foldCell): the FNV-1a state of the cell's key, the replicate
+// table, and the response names by position, the tables cut from one
+// arena.
 type (
 	fold struct {
 		cells  []foldCell
-		slotAt map[[2]int]int // (cell, replicate) -> slots, for replicates no dense table holds
+		slotAt map[[2]int]int // (cell, replicate) -> slots, for replicates no cell's table holds
 		slots  []foldSlot
 		arena  []foldValue
 		byCell []foldValue // the arena's live values, by cell
-		tables []int       // the arena the cells' dense and responses tables grow in (room)
+		tables []int       // the arena the cells' replicate and response tables grow in (room)
 	}
 	foldSlot struct { // one distinct record, in first-appended order
 		cell   int    // index into cells
@@ -460,12 +460,8 @@ type (
 		assignment       map[string]string
 		first            int    // the slot whose record names the assignment
 		h                uint64 // FNV-1a over key: where every record's keyedFingerprint starts
-		// dense[r] is the slot of replicate r for r < len(dense): the cell's
-		// replicates as long as they came 0, 1, 2, …; the first that does not
-		// (spilled) goes to slotAt, and so does every later new one.
-		dense     []int
-		spilled   bool
-		responses []int // by response position, the name (into names) the last record had there
+		reps             []int  // reps[r] is the slot of replicate r, -1 until one came
+		responses        []int  // by response position, the name (into names) the last record had there
 	}
 	foldValue struct {
 		name int // into names
@@ -483,28 +479,40 @@ func (c *foldCell) spelled(experiment, hash []byte) bool {
 }
 
 // slot returns the slot of the record of cell ci with replicate rep,
-// claiming the next one when no earlier frame held the key. Every
-// replicate slotAt holds is at least len(dense) of its cell: it went there
-// because it was past the dense table, and the table stops growing once
-// one did.
+// claiming the next one when no earlier frame held the key. A new
+// replicate goes to the cell's table when it is less than repReach past
+// the table's end, so that the table grows by at most repReach entries per
+// slot it holds, and to slotAt otherwise — a negative replicate, or one far
+// out. A hole of the table may be a replicate slotAt took before the table
+// grew over it, so slotAt is asked before a replicate is claimed: a lookup
+// in an empty map, as it is unless a replicate went there, hashes nothing.
 func (s *fold) slot(ci, rep int) int {
 	c := &s.cells[ci]
-	if uint(rep) < uint(len(c.dense)) {
-		return c.dense[rep]
+	if uint(rep) < uint(len(c.reps)) && c.reps[rep] >= 0 {
+		return c.reps[rep]
+	}
+	if j, seen := s.slotAt[[2]int{ci, rep}]; seen {
+		return j
 	}
 	i := len(s.slots)
-	if rep == len(c.dense) && !c.spilled {
-		c.dense = append(room(&s.tables, c.dense), i)
-	} else {
-		if j, seen := s.slotAt[[2]int{ci, rep}]; seen {
-			return j
+	if rep >= 0 && rep < len(c.reps)+repReach {
+		for len(c.reps) <= rep {
+			c.reps = append(room(&s.tables, c.reps), -1)
 		}
+		c.reps[rep] = i
+	} else {
 		s.slotAt[[2]int{ci, rep}] = i
-		c.spilled = true
 	}
 	s.slots = append(s.slots, foldSlot{cell: ci})
 	return i
 }
+
+// repReach is how far past the end of a cell's replicate table a new
+// replicate may be and still go to the table: far enough for the
+// completion order of a scheduler's workers, which run a cell's replicates
+// side by side and land them out of order by about as many as there are
+// workers.
+const repReach = 64
 
 // room returns t with room for one more element: t itself, or t moved to
 // a larger span cut from the end of *arena, so that many small tables grow
@@ -512,7 +520,7 @@ func (s *fold) slot(ci, rep int) int {
 // What a move leaves behind is dead until the arena is truncated or
 // dropped. The span is reserved with slices.Grow: appending a make of it
 // allocates the make under the race detector.
-func room[T any](arena *[]T, t []T) []T {
+func room(arena *[]int, t []int) []int {
 	if len(t) < cap(t) {
 		return t
 	}
