@@ -275,17 +275,44 @@ func BenchmarkWarehouseReopen(b *testing.B) {
 }
 
 // BenchmarkWarehouseQueryHistory asks for one cell's history by its
-// assignment string: per run, a binary search of the experiment's block of
-// cells, which ingest sorted by selector, on the t-quantile lookup the
-// warehouse kept from the query before.
+// assignment string: per run, two compares that find the cell where the
+// run before had it in the experiment's block of cells, which ingest
+// sorted by selector, on the t-quantile lookup the warehouse kept from the
+// query before.
 func BenchmarkWarehouseQueryHistory(b *testing.B) {
-	benchQuery(b, benchHistory, func(res *Result) bool { return len(res.History) == benchRuns })
+	benchQuery(b, benchRefreshed(b), benchHistory, func(res *Result) bool { return len(res.History) == benchRuns })
 }
 
-// benchQuery times one query kind over the refreshed fixture, between two
-// of which the index does not change.
-func benchQuery(b *testing.B, req Request, answered func(*Result) bool) {
-	w := benchRefreshed(b)
+// BenchmarkWarehouseQueryHistoryShifted is BenchmarkWarehouseQueryHistory
+// over runs whose block is one design cell longer at the front than the
+// run before's, so the cell is never where the run before had it: every
+// run pays the compare that refuses that place, then the binary search.
+func BenchmarkWarehouseQueryHistoryShifted(b *testing.B) {
+	w := benchOpen(b, b.TempDir())
+	b.Cleanup(func() { w.Close() })
+	batch := make([]Run, benchRuns)
+	for i := range batch {
+		r := allocRun(i)
+		var front []Cell
+		for j := 0; j < i; j++ {
+			a := map[string]string{"cell": fmt.Sprintf("b%05d", j)}
+			for _, resp := range []string{"io", "ms"} {
+				front = append(front, Cell{Experiment: "journey", Hash: runstore.AssignmentHash(a), Assignment: a,
+					Response: resp, N: benchReps, Mean: 1, Variance: 1})
+			}
+		}
+		r.Cells = append(front, r.Cells...)
+		batch[i] = r
+	}
+	if err := w.idx.Put(batch...); err != nil {
+		b.Fatal(err)
+	}
+	benchQuery(b, w, benchHistory, func(res *Result) bool { return len(res.History) == benchRuns })
+}
+
+// benchQuery times one query kind over w, between two of which the index
+// does not change.
+func benchQuery(b *testing.B, w *Warehouse, req Request, answered func(*Result) bool) {
 	if res, err := w.Query(req); err != nil || !answered(res) {
 		b.Fatalf("%s = %+v, %v", req.Kind, res, err)
 	}
@@ -300,17 +327,17 @@ func benchQuery(b *testing.B, req Request, answered func(*Result) bool) {
 
 // BenchmarkWarehouseQueryRegressions lists every regressed cell.
 func BenchmarkWarehouseQueryRegressions(b *testing.B) {
-	benchQuery(b, Request{Kind: KindRegressions}, func(res *Result) bool { return len(res.Regressions) > 0 })
+	benchQuery(b, benchRefreshed(b), Request{Kind: KindRegressions}, func(res *Result) bool { return len(res.Regressions) > 0 })
 }
 
 // BenchmarkWarehouseQueryTrends draws every (experiment, response) line.
 func BenchmarkWarehouseQueryTrends(b *testing.B) {
-	benchQuery(b, Request{Kind: KindTrends}, func(res *Result) bool { return len(res.Trends) == 2 })
+	benchQuery(b, benchRefreshed(b), Request{Kind: KindTrends}, func(res *Result) bool { return len(res.Trends) == 2 })
 }
 
 // BenchmarkWarehouseQueryRuns lists every run.
 func BenchmarkWarehouseQueryRuns(b *testing.B) {
-	benchQuery(b, Request{Kind: KindRuns}, func(res *Result) bool { return len(res.Runs) == benchRuns })
+	benchQuery(b, benchRefreshed(b), Request{Kind: KindRuns}, func(res *Result) bool { return len(res.Runs) == benchRuns })
 }
 
 // BenchmarkWarehouseQueryOneShot is the CLI's shape: open, refresh (every

@@ -44,10 +44,12 @@
 //     not tombstones, oldest first, each with its seekable fact — which
 //     the index builds at the first read after a Put and shares,
 //     read-only, until the next Put replaces it. A history query naming
-//     its cell by selector binary-searches each run's cells, which ingest
-//     left sorted by (experiment, selector, response) and the index notes
-//     as seekable once per run; every other query is one pass over the
-//     view's cells. Either compares
+//     its cell by selector seeks each run's cells, which ingest left
+//     sorted by (experiment, selector, response) and the index notes as
+//     seekable once per run — two compares where the run before had the
+//     cell, a binary search otherwise — and a run listing counts such a
+//     run's cells by its experiment blocks' bounds; every other query is
+//     one pass over the view's cells. Either compares
 //     strings every cell already carries — its hash, and its selector,
 //     rendered at ingest or at replay and never by a query. The
 //     t-quantile is evaluated once per (confidence, replicate count):

@@ -2,27 +2,31 @@ package warehouse
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/design"
 	"repro/internal/stats"
 )
 
-// The reference implementation of the two query kinds this package
-// answers differently from how it first did: the passes Query ran when it
-// rendered every cell's assignment string and evaluated a t-quantile per
-// cell, kept word for word as the oracle Query is held to (oracle tests,
-// and the property test's interval check). Run listings and trend lines
-// are still answered the way they were. Nothing in the product calls
-// these.
+// The reference implementation of the three query kinds this package
+// answers differently from how it first did: the history and regression
+// passes Query ran when it rendered every cell's assignment string and
+// evaluated a t-quantile per cell, kept word for word, and the run
+// listing's walk over every cell — the oracle Query is held to (oracle
+// tests, and the property test's interval check). Trend lines are still
+// answered the way they were. Nothing in the product calls these.
 
-// referenceQuery answers a history or regressions request the old way.
+// referenceQuery answers a runs, history or regressions request the old
+// way.
 func referenceQuery(live []Run, req Request) (*Result, error) {
 	if err := req.fill(); err != nil {
 		return nil, err
 	}
 	res := &Result{Kind: req.Kind}
 	switch req.Kind {
+	case KindRuns:
+		res.Runs = referenceRuns(live, req)
 	case KindHistory:
 		res.History = referenceHistory(live, req)
 	case KindRegressions:
@@ -56,6 +60,39 @@ func cellInterval(c Cell, confidence, tolerance float64) stats.Interval {
 // assignment string) selects c.
 func matchCell(c Cell, sel string) bool {
 	return sel == c.Hash || sel == design.Assignment(c.Assignment).String()
+}
+
+// referenceRuns counts every run's cells, per experiment, by a walk over
+// all of them.
+func referenceRuns(live []Run, req Request) []RunInfo {
+	var out []RunInfo
+	for _, r := range live {
+		var exps []string
+		cells := 0
+		for _, c := range r.Cells {
+			if req.Experiment != "" && c.Experiment != req.Experiment {
+				continue
+			}
+			if !slices.Contains(exps, c.Experiment) {
+				exps = append(exps, c.Experiment)
+			}
+			cells++
+		}
+		if req.Experiment != "" && cells == 0 {
+			continue
+		}
+		slices.Sort(exps)
+		out = append(out, RunInfo{
+			Path:         r.Path,
+			Format:       r.Format,
+			Records:      r.Records,
+			Cells:        cells,
+			Experiments:  exps,
+			ModTimeNS:    r.ModTimeNS,
+			IngestTimeNS: r.IngestTimeNS,
+		})
+	}
+	return tail(out, req.Limit)
 }
 
 func referenceHistory(live []Run, req Request) []HistoryPoint {

@@ -165,9 +165,12 @@ type Result struct {
 
 // Query answers one Request from the index alone — no record block is
 // ever read. Runs are ordered oldest first by source modification time.
-// A history query naming its cell by selector seeks each run's cells,
-// which ingest left in selector order (Run.Cells); one naming it by hash,
-// and every other kind, is one pass over the live runs' cells.
+// Ingest leaves a run's cells in selector order (Run.Cells), and two kinds
+// use that order: a history query naming its cell by selector seeks each
+// run's cells, first where the run before had the cell, and a run listing
+// counts each experiment block of such a run by the block's bounds. A
+// history query naming its cell by hash, every other kind, and any run
+// not in that order are one pass over the cells.
 func (w *Warehouse) Query(req Request) (*Result, error) {
 	start := time.Now()
 	w.mu.Lock()
@@ -209,7 +212,9 @@ func (w *Warehouse) tCritical(req Request) *stats.TCritical {
 
 // queryRuns allocates its listing at the first run it keeps, room for one
 // per run left, and one Experiments slice per run; the experiments of a
-// run are gathered in a scratch slice reused from run to run.
+// run are gathered in a scratch slice reused from run to run. A seekable
+// run's cells are counted by its experiment blocks' bounds, any other
+// run's by a walk over them.
 func queryRuns(live []heldRun, req Request) []RunInfo {
 	var out []RunInfo
 	var exps []string
@@ -217,15 +222,19 @@ func queryRuns(live []heldRun, req Request) []RunInfo {
 		r := &live[ri]
 		exps = exps[:0]
 		cells := 0
-		for ci := range r.Cells {
-			c := &r.Cells[ci]
-			if req.Experiment != "" && c.Experiment != req.Experiment {
-				continue
+		if r.seekable {
+			cells, exps = countBlocks(r.Cells, req.Experiment, exps)
+		} else {
+			for ci := range r.Cells {
+				c := &r.Cells[ci]
+				if req.Experiment != "" && c.Experiment != req.Experiment {
+					continue
+				}
+				if !slices.Contains(exps, c.Experiment) {
+					exps = append(exps, c.Experiment)
+				}
+				cells++
 			}
-			if !slices.Contains(exps, c.Experiment) {
-				exps = append(exps, c.Experiment)
-			}
-			cells++
 		}
 		if req.Experiment != "" && cells == 0 {
 			continue
@@ -250,13 +259,36 @@ func queryRuns(live []heldRun, req Request) []RunInfo {
 	return tail(out, req.Limit)
 }
 
+// countBlocks counts the cells of a seekable run's experiment blocks —
+// only exp's when exp is not "" — by a binary search for each block's
+// end, and appends each block's experiment to exps, in the run's order,
+// which is sorted.
+func countBlocks(cells []Cell, exp string, exps []string) (int, []string) {
+	lo, n := 0, 0
+	if exp != "" {
+		lo = sort.Search(len(cells), func(j int) bool { return cells[j].Experiment >= exp })
+	}
+	for lo < len(cells) && (exp == "" || cells[lo].Experiment == exp) {
+		e := cells[lo].Experiment
+		end := lo + sort.Search(len(cells)-lo, func(j int) bool { return cells[lo+j].Experiment > e })
+		exps = append(exps, e)
+		n += end - lo
+		lo = end
+	}
+	return n, exps
+}
+
 // queryHistory allocates its points at the first match, room for one per
-// run left, and nothing when nothing matches (a nil History).
+// run left, and nothing when nothing matches (a nil History). Its seek
+// hints — where the seek of each of a run's first eight experiment blocks
+// landed in the run before — live in this call's frame and go when it
+// returns.
 func queryHistory(live []heldRun, req Request, t *stats.TCritical) []HistoryPoint {
 	var out []HistoryPoint
+	var hints [8]int
 	for ri := range live {
 		r := &live[ri]
-		for c := range historyCells(r, req) {
+		for c := range historyCells(r, req, hints[:]) {
 			if out == nil {
 				out = make([]HistoryPoint, 0, len(live)-ri)
 			}
@@ -283,11 +315,18 @@ func queryHistory(live []heldRun, req Request, t *stats.TCritical) []HistoryPoin
 
 // historyCells yields the cells of r a history request selects, in r's
 // order. On a seekable run, a Request.Cell containing '=' can name cells
-// only by selector (seekable), so it binary-searches for the request's
-// (experiment, selector) in the one experiment block the request names,
-// or in each block when it names none, and reads the span it finds;
-// otherwise it scans every cell.
-func historyCells(r *heldRun, req Request) iter.Seq[*Cell] {
+// only by selector (seekable), so it seeks the first cell at or after the
+// request's (experiment, selector) in the one experiment block the
+// request names, or in each block when it names none, and reads the span
+// it finds; otherwise it scans every cell. For the b-th block it seeks,
+// while b < len(hints), it first tries hints[b], where the seek landed in
+// the run before: consecutive runs of one design hold the cell at the same
+// place, and two compares tell whether that is the place a binary search
+// of the block would find — the cell there is at or after the probe, the
+// one before it is not. When either fails, it binary-searches the side of
+// that place the failing compare leaves, never more than the block. It
+// leaves in hints[b] where block b's seek landed in r.
+func historyCells(r *heldRun, req Request, hints []int) iter.Seq[*Cell] {
 	return func(yield func(*Cell) bool) {
 		cells, read := r.Cells, 0
 		if historyReads != nil {
@@ -313,7 +352,7 @@ func historyCells(r *heldRun, req Request) iter.Seq[*Cell] {
 			}
 			return
 		}
-		for lo := 0; lo < len(cells); {
+		for b, lo := 0, 0; lo < len(cells); b++ {
 			exp := req.Experiment
 			if exp == "" {
 				exp = cells[lo].Experiment
@@ -322,10 +361,27 @@ func historyCells(r *heldRun, req Request) iter.Seq[*Cell] {
 			// them: the probe sorts first among them, no response being
 			// below "".
 			probe := Cell{Experiment: exp, selector: req.Cell}
-			i := lo + sort.Search(len(cells)-lo, func(j int) bool {
+			atOrAfter := func(i int) bool {
 				read++
-				return compareCells(&cells[lo+j], &probe) >= 0
-			})
+				return compareCells(&cells[i], &probe) >= 0
+			}
+			// The seek lands in [from, to]: at the hint when both compares
+			// hold, else on the side of it the failing one leaves.
+			from, to := lo, len(cells)
+			if b < len(hints) && lo <= hints[b] && hints[b] <= len(cells) {
+				switch h := hints[b]; {
+				case h < len(cells) && !atOrAfter(h):
+					from = h + 1
+				case h > lo && atOrAfter(h-1):
+					to = h - 1
+				default:
+					from, to = h, h
+				}
+			}
+			i := from + sort.Search(to-from, func(j int) bool { return atOrAfter(from + j) })
+			if b < len(hints) {
+				hints[b] = i
+			}
 			for ; i < len(cells) && cells[i].Experiment == exp && cells[i].selector == req.Cell; i++ {
 				read++
 				if req.Response != "" && cells[i].Response != req.Response {

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,11 +22,17 @@ import (
 // cells answer to selectors: each kind that has a reference, under every
 // combination of experiment, response and cell filter (present, absent,
 // matching nothing), and — filters drawn at random — every limit that
-// cuts, one that does not, and an explicit confidence and tolerance.
+// cuts, one that does not, and an explicit confidence and tolerance. Run
+// listings take only the experiment filter and a limit.
 func oracleRequests(rng *rand.Rand, experiments, responses, selectors []string) []Request {
 	experiments = append([]string{"", "no-such-experiment"}, experiments...)
 	responses = append([]string{"", "no-such-response"}, responses...)
 	var reqs []Request
+	for _, exp := range experiments {
+		for _, limit := range []int{0, 1, 2, 1000} {
+			reqs = append(reqs, Request{Kind: KindRuns, Experiment: exp, Limit: limit})
+		}
+	}
 	for _, kind := range []string{KindHistory, KindRegressions} {
 		cells := append([]string{"no-such-cell"}, selectors...)
 		if kind != KindHistory { // which refuses to go without; TestQueryValidation covers that
@@ -304,7 +311,7 @@ func TestConcurrentQueriesAndIndexChanges(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	checkQueriesAgainstReference(t, w, slices.DeleteFunc(reqs, func(r Request) bool { return r.Kind == KindRuns || r.Kind == KindTrends }))
+	checkQueriesAgainstReference(t, w, slices.DeleteFunc(reqs, func(r Request) bool { return r.Kind == KindTrends }))
 	if res, err := w.Query(Request{Kind: KindHistory, Cell: hash}); err != nil || len(res.History) != 5 {
 		t.Fatalf("history after the last prune = %+v, %v; want the 5 kept runs", res, err)
 	}
@@ -356,5 +363,103 @@ func TestSelectorHistorySeeks(t *testing.T) {
 		if *reads >= total/4 {
 			t.Errorf("history %+v read %d of %d cells, want a seek", req, *reads, total)
 		}
+	}
+}
+
+// TestQueryHistorySeeksFromRunBefore fails when a selector history seeks
+// each run of one design from scratch rather than from where the run
+// before had the cell: after the first run, whose binary search may follow
+// the one compare that refuses the empty hint, a run costs at most two
+// compares and the span it reads.
+func TestQueryHistorySeeksFromRunBefore(t *testing.T) {
+	const runs = 20
+	w := openTest(t, t.TempDir())
+	batch := make([]Run, runs)
+	for i := range batch {
+		batch[i] = allocRun(i)
+	}
+	if err := w.idx.Put(batch...); err != nil {
+		t.Fatal(err)
+	}
+	cells := len(batch[0].Cells)
+	for _, r := range w.liveRuns() {
+		if !r.seekable || len(r.Cells) != cells {
+			t.Fatalf("run %s: seekable %v, %d cells; want seekable, %d", r.Path, r.seekable, len(r.Cells), cells)
+		}
+	}
+	const span = 2 // the cell's two responses, which the span reads whatever the response filter
+	first := 1 + bits.Len(uint(cells)) + span
+	for _, req := range []Request{
+		{Kind: KindHistory, Experiment: "journey", Cell: "cell=c00042"},
+		{Kind: KindHistory, Experiment: "journey", Cell: "cell=c00042", Response: "ms"},
+		{Kind: KindHistory, Experiment: "journey", Cell: "cell=c00000", Response: "io", Limit: 3},
+		{Kind: KindHistory, Experiment: "journey", Cell: fmt.Sprintf("cell=c%05d", benchCells-1)},
+	} {
+		reads := countHistoryReads(t)
+		checkQueriesAgainstReference(t, w, []Request{req})
+		if limit := first + (runs-1)*(2+span); *reads > limit {
+			t.Errorf("history %+v read %d cells over %d runs, want at most %d: one search, then two compares and the span a run", req, *reads, runs, limit)
+		}
+	}
+}
+
+// TestQueryHistoryHintsMissExactly puts runs into the index whose
+// experiment blocks grow, shrink and shift at the front from run to run —
+// a block absent from some runs, a design cell missing one response — so
+// that where the run before had the cell is as often wrong as right, with
+// runs that must be scanned between them: shuffled, or holding a hash that
+// is another cell's assignment string. Every history and run listing
+// answers like the reference.
+func TestQueryHistoryHintsMissExactly(t *testing.T) {
+	t.Parallel()
+	experiments := []string{"e0", "e1", "e2"}
+	responses := []string{"io", "ms"}
+	const levels = 8
+	var selectors []string
+	for l := 0; l < levels; l++ {
+		selectors = append(selectors, fmt.Sprintf("f=l%02d", l))
+	}
+	selectors = append(selectors, runstore.AssignmentHash(map[string]string{"f": "l03"}))
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := openTest(t, t.TempDir())
+		reqs := oracleRequests(rng, experiments, responses, selectors)
+		for i := 0; i < 16; i++ {
+			r := Run{Path: fmt.Sprintf("run-%02d.jsonl", i), ModTimeNS: int64(i), Format: "journal", Records: 1}
+			for _, exp := range experiments {
+				if rng.Intn(6) == 0 {
+					continue
+				}
+				// The block's front and back move by up to three levels.
+				for l := rng.Intn(4); l < levels-rng.Intn(4); l++ {
+					a := map[string]string{"f": fmt.Sprintf("l%02d", l)}
+					for _, resp := range responses {
+						if rng.Intn(8) == 0 {
+							continue
+						}
+						r.Cells = append(r.Cells, Cell{Experiment: exp, Hash: runstore.AssignmentHash(a), Assignment: a,
+							Response: resp, N: 1 + rng.Intn(3), Mean: float64(10*i + l), Variance: 1})
+					}
+				}
+			}
+			scanned := i%4 == 3 && len(r.Cells) > 1
+			if scanned {
+				if rng.Intn(2) == 0 {
+					rng.Shuffle(len(r.Cells), func(a, b int) { r.Cells[a], r.Cells[b] = r.Cells[b], r.Cells[a] })
+				} else {
+					r.Cells[rng.Intn(len(r.Cells))].Hash = selectors[rng.Intn(levels)]
+				}
+			}
+			if err := w.idx.Put(r); err != nil {
+				t.Fatal(err)
+			}
+			if !scanned && !w.idx.seekable[r.Path] {
+				t.Fatalf("run in ingest's order is held unseekable: %+v", r)
+			}
+			if i%5 == 4 {
+				checkQueriesAgainstReference(t, w, reqs)
+			}
+		}
+		checkQueriesAgainstReference(t, w, reqs)
 	}
 }

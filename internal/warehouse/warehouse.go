@@ -37,8 +37,10 @@ type Options struct {
 // and nothing more; Refresh reads each changed source once; every Query
 // reads the index's sorted live view, which the index builds at the first
 // read after a change and keeps until the next; a history Query by
-// selector seeks each run's cells in the order ingest sorted them, and
-// any other Query is one pass over the live runs' cells.
+// selector seeks each run's cells in the order ingest sorted them, from
+// where the run before had the cell, a runs Query counts them by the
+// bounds of that order's experiment blocks, and any other Query is one
+// pass over the live runs' cells.
 type Warehouse struct {
 	mu    sync.Mutex // serializes Refresh, Prune, and Query
 	root  string
