@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -162,6 +163,10 @@ func (fr Framing) Scan(r io.Reader, base int64, fn Visit) (keep int64, torn bool
 func (fr Framing) ScanFile(r io.Reader, fn Visit) (keep int64, torn bool, err error) {
 	br := getReader(r)
 	defer putReader(br)
+	return fr.scanFile(br, fn)
+}
+
+func (fr Framing) scanFile(br *bufio.Reader, fn Visit) (keep int64, torn bool, err error) {
 	head := make([]byte, len(fr.magic))
 	n, rerr := io.ReadFull(br, head)
 	if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
@@ -189,11 +194,10 @@ func (fr Framing) ScanFile(r io.Reader, fn Visit) (keep int64, torn bool, err er
 func (fr Framing) Sections(r io.ReaderAt, size int64, n int, floor int64) ([]int64, error) {
 	floor = max(floor, 1)
 	bounds := []int64{0}
-	if !fr.frames {
-		n = int(min(int64(n), size/floor))
-		var buf [4 << 10]byte
+	if n = int(min(int64(n), size/floor)); !fr.frames && n > 1 {
+		buf := make([]byte, 4<<10) // on the heap, read into through r: only when there is a cut to find
 		for k := 1; k < n; k++ {
-			cut, err := lineAfter(r, max(int64(k)*size/int64(n), bounds[len(bounds)-1]+floor), size, buf[:])
+			cut, err := lineAfter(r, max(int64(k)*size/int64(n), bounds[len(bounds)-1]+floor), size, buf)
 			if err != nil {
 				return nil, err
 			}
@@ -390,13 +394,27 @@ type Log struct {
 }
 
 // Open opens the log at path, creating it (and its directory) if
-// absent, and replays every intact record through replay. A torn tail
-// is truncated away, a decodable but unterminated final line is
-// terminated, and a new or restarted file gets its directory entry
-// synced, then its magic written and synced — the file is left ending
-// on a record boundary, and every Commit lands at its end (O_APPEND).
-// Errors name the path; a corruption error also names the byte offset.
+// absent, and replays every intact record through replay, on the
+// caller's goroutine: OpenSections with one section.
 func Open(path string, fr Framing, replay Visit) (*Log, error) {
+	return OpenSections(path, fr, 1, 0, func([]int64) []Visit { return []Visit{replay} })
+}
+
+// OpenSections opens the log at path, creating it (and its directory) if
+// absent, and replays every intact record. It reads the file in the
+// sections Sections cuts it into — up to n of at least floor bytes; a
+// Frames file, or one under two floors, is one — side by side, the first
+// on the caller's goroutine: visits receives their bounds and returns one
+// Visit per section, which sees that section's records in file order. A
+// Visit runs beside the other sections' and must share no state with
+// them. The recovery rule is the whole file's: a torn tail can only end
+// the last section, and the first error by offset is the file's. A torn
+// tail is truncated away, a decodable but unterminated final line is
+// terminated, and a new or restarted file gets its directory entry
+// synced, then its magic written and synced — the file is left ending on
+// a record boundary, and every Commit lands at its end (O_APPEND). Errors
+// name the path; a corruption error also names the byte offset.
+func OpenSections(path string, fr Framing, n int, floor int64, visits func(bounds []int64) []Visit) (*Log, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
@@ -405,7 +423,7 @@ func Open(path string, fr Framing, replay Visit) (*Log, error) {
 		return nil, err
 	}
 	l := newLog(path, f)
-	if err := l.restore(fr, replay); err != nil {
+	if err := l.restore(fr, n, floor, visits); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -435,8 +453,18 @@ func newLog(path string, f *os.File) *Log {
 	return l
 }
 
-func (l *Log) restore(fr Framing, replay Visit) error {
-	keep, torn, err := fr.ScanFile(l.f, replay)
+// restore replays the file in its sections and recovers it: the one
+// restore loop behind OpenSections, whatever the number of sections.
+func (l *Log) restore(fr Framing, sections int, floor int64, visits func(bounds []int64) []Visit) error {
+	st, err := l.f.Stat()
+	if err != nil {
+		return err
+	}
+	bounds, err := fr.Sections(l.f, st.Size(), sections, floor)
+	if err != nil {
+		return fmt.Errorf("%s: %w", l.path, err)
+	}
+	keep, torn, err := fr.scanSections(l.f, bounds, visits(bounds))
 	if err != nil {
 		return fmt.Errorf("%s: %w", l.path, err)
 	}
@@ -472,6 +500,56 @@ func (l *Log) restore(fr Framing, replay Visit) error {
 	l.end = keep + int64(n)
 	l.settled = l.end
 	return err
+}
+
+// scanSections scans the sections of r between bounds side by side,
+// section k through visits[k], the first on the caller's goroutine, and
+// returns what one scan of the whole file would: the last section reads
+// on to the file's end, as one pass would, and its keep and torn are the
+// file's; every other section ends on a terminated line, so it cannot end
+// torn; of the errors the sections meet, the first by offset is the
+// file's. The sections' readers are taken from the pool and put back on
+// the caller's goroutine, so the next scan there finds them all.
+func (fr Framing) scanSections(r io.ReaderAt, bounds []int64, visits []Visit) (keep int64, torn bool, err error) {
+	n := len(bounds) - 1
+	readers := make([]*bufio.Reader, n)
+	for k := range readers {
+		end := int64(math.MaxInt64)
+		if k+1 < n {
+			end = bounds[k+1]
+		}
+		readers[k] = getReader(io.NewSectionReader(r, bounds[k], end-bounds[k]))
+		defer putReader(readers[k])
+	}
+	errs := make([]error, n)
+	scan := func(k int) {
+		var secKeep int64
+		var secTorn bool
+		if k == 0 {
+			secKeep, secTorn, errs[k] = fr.scanFile(readers[k], visits[k])
+		} else {
+			secKeep, secTorn, errs[k] = fr.scan(readers[k], bounds[k], visits[k])
+		}
+		if k == n-1 {
+			keep, torn = secKeep, secTorn
+		}
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scan(k)
+		}()
+	}
+	scan(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, false, err
+		}
+	}
+	return keep, torn, nil
 }
 
 // dirSynced is a test hook: when set, SyncDir reports every directory it

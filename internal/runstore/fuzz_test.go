@@ -28,6 +28,9 @@ import (
 //     record and reopening must preserve every complete record Open
 //     served, with its values intact — the round-trip durability claim
 //     resume depends on.
+//  4. Opened in up to 2 and 4 sections of at least one byte, the file
+//     serves what it serves opened in one, or fails with the same error
+//     (checkSectionedOpen).
 func FuzzJournalParse(f *testing.F) {
 	valid := `{"experiment":"e","row":0,"replicate":0,"hash":"00000000000000aa","assignment":{"f":"x"},"responses":{"ms":1.5}}`
 	f.Add([]byte(""))
@@ -43,7 +46,17 @@ func FuzzJournalParse(f *testing.F) {
 	f.Add([]byte(valid + "\n" + strings.Replace(valid, `{"f":"x"}`, `{"f":"y"}`, 1) + "\n"))
 	f.Add([]byte(`{"experiment":"a/b","row":0,"replicate":0,"hash":"c","assignment":null,"responses":null}` + "\n" +
 		`{"experiment":"a","row":0,"replicate":0,"hash":"b/c","assignment":{},"responses":{}}` + "\n"))
+	// For the sectioned opens: a key written again past a cut, a cell's
+	// replicates on both sides of one, names with '/' in every section,
+	// and a line longer than the scan's 64 KiB reader buffer.
+	rep := func(r string) string { return strings.Replace(valid, `"replicate":0`, `"replicate":`+r, 1) }
+	f.Add([]byte(valid + "\n" + rep("1") + "\n" + strings.Replace(valid, "1.5", "2.5", 1) + "\n" + rep("2") + "\n"))
+	f.Add([]byte(valid + "\n" + rep("1") + "\n" + rep("2") + "\n" + rep("3") + "\n"))
+	slash := strings.Replace(valid, `"experiment":"e"`, `"experiment":"a/b"`, 1)
+	f.Add([]byte(slash + "\n" + strings.Replace(valid, `"00000000000000aa"`, `"b/00000000000000aa"`, 1) + "\n" + slash + "\n"))
+	f.Add([]byte(valid + "\n" + strings.Replace(valid, `{"f":"x"}`, `{"f":"`+strings.Repeat("x", 70<<10)+`"}`, 1) + "\n" + rep("1") + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSectionedOpen(t, filepath.Join(t.TempDir(), "sections.jsonl"), data, 1)
 		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -100,7 +100,8 @@ func fnvAssignment(h uint64, a map[string]string) uint64 {
 // Journal is an append-only run store with an in-memory last-wins
 // index: one framelog file of JSON lines. Every method is safe for
 // concurrent use. The records Lookup and Scan serve are read-only: the
-// replicates of one cell, as Open decodes them, share one assignment map.
+// replicates of one cell that one section of Open's replay decodes share
+// one assignment map.
 type Journal struct {
 	log  *framelog.Log
 	mu   sync.Mutex // guards recs and slot; taken inside the log's lock
@@ -132,28 +133,34 @@ func keyOf(experiment, hash string, replicate int) key {
 // truncated; a corrupt line anywhere else is an error, because silently
 // skipping complete records would turn resume into silent re-execution
 // (the recovery rule is framelog's, shared by every log in the repo).
-// The replay collects the records in file order, and the index is built
-// over them once it is done.
+// The replay reads the file in up to GOMAXPROCS sections of at least
+// sectionFloor bytes side by side, as Merge's index pass does, each
+// through a decoder of its own (codec.visit) into its own window of one
+// record slice; the windows are closed up in file order, and the index
+// is built over the records once the replay is done.
 func Open(path string) (*Journal, error) {
-	j := &Journal{}
-	var size int64
-	if st, err := os.Stat(path); err == nil {
-		size = st.Size()
-	}
-	log, err := framelog.Open(path, jsonCodec.framing, jsonCodec.visit(func(rec Record, ext Extent) error {
-		if j.recs == nil {
-			// One experiment's lines are of a size, so the first says how
-			// many the file holds. Every line Append writes is longer than
-			// minLine, which bounds what a short first line can reserve.
-			j.recs = make([]Record, 0, size/max(ext.Len+1, minLine)+1)
+	return openJournal(path, runtime.GOMAXPROCS(0), sectionFloor)
+}
+
+// openJournal is Open reading the file in up to n sections of at least
+// floor bytes.
+func openJournal(path string, n int, floor int64) (*Journal, error) {
+	var w *windows
+	log, err := framelog.OpenSections(path, jsonCodec.framing, n, floor, func(bounds []int64) []framelog.Visit {
+		w = &windows{bounds: bounds, win: make([][]Record, len(bounds)-1)}
+		visits := make([]framelog.Visit, len(w.win))
+		for k := range visits {
+			visits[k] = jsonCodec.visit(func(rec Record, ext Extent) error {
+				w.add(k, rec, ext)
+				return nil
+			})
 		}
-		j.recs = append(j.recs, rec)
-		return nil
-	}))
+		return visits
+	})
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	j.log = log
+	j := &Journal{log: log, recs: w.join()}
 	j.build()
 	return j, nil
 }
@@ -161,6 +168,68 @@ func Open(path string) (*Journal, error) {
 // minLine is shorter than the line AppendJSON writes for any record: its
 // six fields' names and punctuation, a 16-digit hash and the newline.
 const minLine = 64
+
+// windows is the one record slice a journal's sections replay into: each
+// section appends to a window of it, the slots its share of the file's
+// bytes is expected to hold, so no section's records are copied but to
+// close the windows up. A per-section slice joined at the end cost a
+// resume a garbage collection (see TestSectionedOpenAllocatesAsOneSection).
+type windows struct {
+	bounds []int64
+	once   sync.Once
+	all    []Record   // sized once, at the first record any section decodes
+	win    [][]Record // section k's records, in file order
+}
+
+// add appends rec, read at ext, to section k's window. Only section k's
+// visit calls it with k.
+func (w *windows) add(k int, rec Record, ext Extent) {
+	if w.win[k] == nil {
+		w.once.Do(func() {
+			// One experiment's lines are of a size, so the first line
+			// decoded says how many the file holds. Every line Append
+			// writes is longer than minLine, which bounds what a short
+			// line can reserve. Each window is sized from the file-wide
+			// estimate, so in sections a sixteenth more covers a section
+			// whose lines run shorter than the file's.
+			size := w.bounds[len(w.bounds)-1]
+			n := size/max(ext.Len+1, minLine) + 1
+			if len(w.win) > 1 {
+				n += n / 16
+			}
+			w.all = make([]Record, n)
+		})
+		w.win[k] = w.all[w.slot(k):w.slot(k):w.slot(k+1)]
+	}
+	// A window its section outgrows moves to an array of its own; join
+	// then copies every window once more.
+	w.win[k] = append(w.win[k], rec)
+}
+
+// slot is where section k's window starts: the share of all that the
+// sections before it hold of the file's bytes.
+func (w *windows) slot(k int) int {
+	return int(w.bounds[k] * int64(len(w.all)) / w.bounds[len(w.bounds)-1])
+}
+
+// join returns every section's records in file order, closed up in
+// place at the front of all — unless a section outgrew its window.
+func (w *windows) join() []Record {
+	if len(w.win) == 1 {
+		return w.win[0]
+	}
+	for k, win := range w.win {
+		if len(win) > w.slot(k+1)-w.slot(k) {
+			return slices.Concat(w.win...)
+		}
+	}
+	recs := w.all[:0]
+	for _, win := range w.win {
+		recs = append(recs, win...) // a window never starts before its place
+	}
+	clear(w.all[len(recs):])
+	return recs
+}
 
 // build indexes the records the replay read: one map, sized once, and
 // recs cut down in place to the distinct records in first-appended order,

@@ -316,14 +316,19 @@ func scanSources(srcs []string) (*mergePlan, error) {
 	return plan, nil
 }
 
-// sectionFloor is the least a section holds when the index pass cuts a
-// line-framed journal of its own for another core to read: below it a
-// section's hand-off and its reader cost more than the lines it scans.
-// On BenchmarkCollect at -cpu 2 (two 200 KiB shard journals merged, the
-// 400 KiB result compacted) floors of 16 and 64 KiB measured alike
-// (6.6–8.5 ms), 256 KiB, which reads each shard in one section, 8.1–10.3
-// ms; of the two equal ones the larger keeps small files whole. A var,
-// not a const, so tests can cut small files into many sections.
+// sectionFloor is the least a section holds when the index pass, or a
+// journal's Open, cuts a line-framed journal of its own for another core
+// to read: below it a section's hand-off and its reader cost more than
+// the lines it scans. Medians of five alternated runs at -cpu 2 on a
+// 2-vCPU Xeon, for floors of 16, 64 and 256 KiB:
+//
+//	BenchmarkCollect              5.28  4.72  5.64 ms
+//	BenchmarkJournalOpen          2.92  2.84  3.28 ms
+//	BenchmarkJournalOpenCompacted 2.85  2.81  3.47 ms
+//
+// (256 KiB reads each benchmark's journals in one section); 64 KiB is as
+// fast as 16 everywhere and keeps small files whole. A var, not a const,
+// so tests can cut small files into many sections.
 var sectionFloor int64 = 64 << 10
 
 // scan is the index pass's read half: it collects every source's entries,
