@@ -104,17 +104,17 @@ func (r *reader) walk(fn func(*runstore.Fields, runstore.Extent) bool) error {
 		records  [blockRecord + 1]int // record blocks by type; the total at 0
 		pages    []int64
 		inflated []byte // the document of a legacy compressed block
-		fields   runstore.Fields
+		fields   = runstore.NewFields()
 	)
 	finalized, dropped, err := r.blocks(func(typ byte, payload []byte, ext runstore.Extent) error {
 		switch {
 		case isRecord(r.version, typ):
-			if err := recordFields(typ, payload, &inflated, &fields); err != nil {
+			if err := recordFields(typ, payload, &inflated, fields); err != nil {
 				return fmt.Errorf("block at byte %d: %w", ext.Off, err)
 			}
 			records[0]++
 			records[typ]++
-			if !fn(&fields, ext) {
+			if !fn(fields, ext) {
 				return errStop
 			}
 		case typ == blockIndex:

@@ -153,7 +153,7 @@ func (d *binDecoder) str(what string) []byte {
 		d.fail(what, "")
 		return nil
 	}
-	s := d.b[:n:n]
+	s := d.b[:n] // a field of the payload: Fields.walked reads its offset off its capacity
 	d.b = d.b[n:]
 	return s
 }
@@ -191,19 +191,66 @@ func (d *binDecoder) count(what string) uint64 {
 // varints in the fewest bytes, keys strictly ascending in both maps (so f
 // is in the shape Fields promises), no NaN (whose bits a float64 need not
 // keep) — and, because nothing is appended without one, a hash.
+//
+// In a view a pass owns it first tries the spans of the last payload it
+// walked without error (cell): a payload that starts with the first, then
+// a replicate, then the second, has its experiment, hash, row and
+// assignment where the view holds them already — and their part of the
+// verdict — and only its replicate and responses are walked.
 func walkBinary(b []byte, f *Fields) (canonical bool, err error) {
 	d := &binDecoder{b: b}
-	f.Experiment = d.str("experiment")
-	f.Hash = d.str("hash")
-	replicate, row := d.varint("replicate"), d.varint("row")
-	f.Replicate, f.Row = int(replicate), int(row)
-	canonical = len(f.Hash) > 0 && int64(f.Replicate) == replicate && int64(f.Row) == row
-	// A key ascends if it sorts after the one before it (nil before the
-	// first: a string that was read never is).
-	ascends := func(prev, k []byte) bool { return prev == nil || bytes.Compare(prev, k) < 0 }
+	head, from, to := 0, 0, 0 // a full walk's spans: b[:head] and b[from:to]
+	hit, spans := false, false
+	var replicate int64
+	if first, second, known := f.cell.spans(binarySpans, false); known && bytes.HasPrefix(b, first) {
+		d.b = b[len(first):]
+		replicate = d.varint("replicate")
+		if hit = d.err == nil && bytes.HasPrefix(d.b, second); hit {
+			d.b = d.b[len(second):]
+			spans = f.cell.canonical
+		} else {
+			d = &binDecoder{b: b}
+		}
+	}
+	if !hit {
+		// The replicate's overlong bit is kept apart from the spans': their
+		// part of the verdict is the cell's, the replicate's the record's.
+		f.Experiment = d.str("experiment")
+		f.Hash = d.str("hash")
+		head = len(b) - len(d.b)
+		overlong := d.overlong
+		d.overlong = false
+		replicate = d.varint("replicate")
+		from = len(b) - len(d.b)
+		overlong, d.overlong = d.overlong, overlong
+		row := d.varint("row")
+		f.Row = int(row)
+		spans = len(f.Hash) > 0 && int64(f.Row) == row
+		if spans, err = d.assignment(f, spans); err != nil {
+			f.walked(b, false, false, binarySpans, false, 0, 0, 0)
+			return false, err
+		}
+		to = len(b) - len(d.b)
+		spans = spans && !d.overlong
+		d.overlong = overlong
+	}
+	f.Replicate = int(replicate)
+	canonical, err = d.responses(f)
+	f.walked(b, err == nil, hit, binarySpans, spans, head, from, to)
+	if err != nil {
+		return false, err
+	}
+	return spans && canonical && int64(f.Replicate) == replicate, nil
+}
 
+// ascends reports whether key k sorts after prev, the key before it (nil
+// before the first: a string that was read never is).
+func ascends(prev, k []byte) bool { return prev == nil || bytes.Compare(prev, k) < 0 }
+
+// assignment reads the assignment map into f; canonical is the verdict so
+// far, and stays true while the keys ascend.
+func (d *binDecoder) assignment(f *Fields, canonical bool) (bool, error) {
 	f.assignment.start(false)
-	f.responses.start(false)
 	switch marker := d.byte("assignment marker"); marker {
 	case binMapNil:
 	case binMapPresent:
@@ -220,7 +267,15 @@ func walkBinary(b []byte, f *Fields) (canonical bool, err error) {
 			return false, fmt.Errorf("runstore: corrupt binary record payload: bad assignment marker %d", marker)
 		}
 	}
+	return canonical, nil
+}
 
+// responses reads the responses map into f, then the payload's end: what
+// is left of the walk after the replicate. canonical: the names ascend, no
+// value is NaN and no varint since the replicate's was overlong.
+func (d *binDecoder) responses(f *Fields) (canonical bool, err error) {
+	canonical = true
+	f.responses.start(false)
 	switch marker := d.byte("responses marker"); marker {
 	case binMapNil:
 	case binMapPresent:
@@ -261,7 +316,8 @@ func walkBinary(b []byte, f *Fields) (canonical bool, err error) {
 // block, and the mirror of DecodeJSONFields: it fills f with the record
 // decodeBinaryRecord returns for payload, a missing hash derived,
 // building the record itself only for a payload walkBinary does not find
-// canonical. f points into payload afterwards.
+// canonical. f points into payload afterwards, or into its own copy of
+// the cell's identity (Fields).
 func DecodeBinaryFields(payload []byte, f *Fields) error { return binaryCodec.fields(payload, f) }
 
 // decodeBinaryRecord parses one binary record payload exactly as stored:

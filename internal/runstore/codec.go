@@ -161,7 +161,7 @@ func (c *codec) read(payload []byte) (Record, error) {
 // corrupt, for framelog's recovery rule to judge. The records it hands
 // over share strings and maps (decoder): they are read-only.
 func (c *codec) visit(fn func(Record, Extent) error) framelog.Visit {
-	d := &decoder{c: c, names: make(map[string]string)}
+	d := &decoder{c: c, f: NewFields(), names: make(map[string]string)}
 	return func(payload []byte, off, n int64) error {
 		rec, err := d.decode(payload)
 		if err != nil {
@@ -181,7 +181,7 @@ func (c *codec) visit(fn func(Record, Extent) error) framelog.Visit {
 // map and little else. The records it returns share maps and strings.
 type decoder struct {
 	c     *codec
-	f     Fields
+	f     *Fields // the scan's view: it predicts each payload's cell
 	prev  Record
 	names map[string]string
 }
@@ -190,7 +190,7 @@ type decoder struct {
 // recognise is decoded the long way, and its record shares nothing with
 // the one before it.
 func (d *decoder) decode(payload []byte) (Record, error) {
-	f := &d.f
+	f := d.f
 	if !d.c.walk(payload, f, false) {
 		rec, err := d.c.read(payload)
 		if err == nil {
@@ -402,7 +402,7 @@ func scanSource[T any](r *fileSource, item func(payload []byte, ext Extent) (T, 
 
 // Entries implements SourceReader with the codec's entry scan.
 func (r *fileSource) Entries() iter.Seq2[SourceEntry, error] {
-	f := new(Fields)
+	f := NewFields()
 	return scanSource(r, func(payload []byte, ext Extent) (SourceEntry, bool, error) {
 		e, err := r.c.entry(payload, f)
 		e.Ext = ext
@@ -429,7 +429,7 @@ func (r *fileSource) sections(n int) []int64 {
 // entries is the entry scan of the section from base to end, collected
 // in file order, and what the section's scan found, for finish.
 func (r *fileSource) entries(base, end int64) ([]SourceEntry, scanned, error) {
-	f := new(Fields)
+	f := NewFields()
 	var list []SourceEntry
 	s, err := r.scan(base, end, func(payload []byte, ext Extent) (bool, error) {
 		e, err := r.c.entry(payload, f)
@@ -446,7 +446,7 @@ func (r *fileSource) entries(base, end int64) ([]SourceEntry, scanned, error) {
 // view. No frame is judged canonical, so a Fields pass never licenses
 // Compact to leave the file alone.
 func (r *fileSource) Fields() iter.Seq2[*Fields, error] {
-	f := new(Fields)
+	f := NewFields()
 	return scanSource(r, func(payload []byte, _ Extent) (*Fields, bool, error) {
 		return f, false, r.c.fields(payload, f)
 	})

@@ -21,8 +21,9 @@ type CompactStats struct {
 //
 // Compact streams: the index pass is Merge's over one source — a
 // line-framed journal read in sections on up to GOMAXPROCS goroutines,
-// then folded to one lightweight entry per key, the winners in
-// first-appended order, which the rewrite is handed as they are — and the
+// a cell's identity read once per run of its replicates, then folded per
+// cell to one lightweight entry per key, the winners in first-appended
+// order, which the rewrite is handed as they are — and the
 // rewrite copies (or, where the stored frame is not what the
 // destination's codec would write, decodes and re-encodes) one record at
 // a time, so peak memory never holds the record set — run it on journals

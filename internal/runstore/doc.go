@@ -32,9 +32,11 @@
 // not written the way the codec writes it — is decoded the long way
 // (json.Unmarshal for JSON) and flattened into the same view, so what
 // decodes, to what, and with which error never depends on the
-// projection. A view points into the payload it was walked from and a
-// pass refills one view at every step: it is valid until the next step,
-// as a framelog.Visit payload is. A record identifies the
+// projection. A view points into the payload it was walked from — a
+// view a pass owns (NewFields), which predicts each payload's design cell
+// from the last one it recognised and walks a cell's identity once, into
+// its own copy of that identity — and a pass refills one view at every
+// step: it is valid until the next step, as a framelog.Visit payload is. A record identifies the
 // experiment by name, the design row by a stable hash of its factor-level
 // assignment (so journals survive design-row reordering), and the
 // replicate index. The normative file-format specification — record
@@ -69,11 +71,12 @@
 // encoding of every record they keep. Their index passes run on each
 // codec's entry scan (codec.entry, in either encoding), which reads a
 // stored payload's entry — and whether the payload is already canonical
-// — without building the record. The index pass reads on up to
+// — without building the record, and a cell's key once for the entries
+// of its replicates. The index pass reads on up to
 // GOMAXPROCS goroutines (sources side by side, a line-framed journal in
 // sections cut just past a newline, each into its own entry list, joined
-// in file order), folds the lists in source order — last wins, a
-// Conflict is a disagreement with the winner at that moment — and keeps
+// in file order), folds the lists in source order, per cell — last wins,
+// a Conflict is a disagreement with the winner at that moment — and keeps
 // each source's winners in the order they were read, Merge sorting a
 // list that is not already canonical. The write pass is serial: it
 // fetches one winner at a time, on the caller's goroutine, through its

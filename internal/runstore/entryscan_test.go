@@ -2,10 +2,12 @@ package runstore
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -37,19 +39,95 @@ func checkEntryScan(t *testing.T, c *codec, payload []byte) {
 	}
 }
 
+// checkPrediction holds a view's prediction of a payload's cell to a view
+// of its own: b walked after a on one view — by the entry scan and by the
+// field pass, a by either — gives b's entry and verdict, or b's fields, or
+// b's error, exactly as b walked on a fresh view does; and a decoder
+// (Open's) that decoded a decodes b to the record a fresh read gives.
+func checkPrediction(t *testing.T, c *codec, a, b []byte) {
+	t.Helper()
+	wantEntry, wantErr := c.entry(b, NewFields())
+	fresh := NewFields()
+	wantFieldsErr := c.fields(b, fresh)
+	sameErr := func(err, want error) bool {
+		return (err == nil) == (want == nil) && (err == nil || err.Error() == want.Error())
+	}
+	for _, first := range []struct {
+		name string
+		walk func(*Fields)
+	}{
+		{"entry", func(f *Fields) { c.entry(a, f) }},
+		{"fields", func(f *Fields) { c.fields(a, f) }},
+	} {
+		f := NewFields()
+		first.walk(f)
+		if got, err := c.entry(b, f); got != wantEntry || !sameErr(err, wantErr) {
+			t.Fatalf("%s entry(%q) after %s(%q) on one view\n got %+v, %v\nwant %+v, %v", c.name, b, first.name, a, got, err, wantEntry, wantErr)
+		}
+		f = NewFields()
+		first.walk(f)
+		err := c.fields(b, f)
+		if !sameErr(err, wantFieldsErr) {
+			t.Fatalf("%s fields(%q) after %s(%q) on one view: error %v, on a fresh view %v", c.name, b, first.name, a, err, wantFieldsErr)
+		}
+		if err == nil && !sameFields(f, fresh) {
+			t.Fatalf("%s fields(%q) after %s(%q) on one view hold\n %+v %q %+v\non a fresh view\n %+v %q %+v",
+				c.name, b, first.name, a, f.Record(), f.Assignment(), f.Entry(), fresh.Record(), fresh.Assignment(), fresh.Entry())
+		}
+	}
+	d := &decoder{c: c, f: NewFields(), names: make(map[string]string)}
+	d.decode(a)
+	rec, err := d.decode(b)
+	want, werr := c.read(b)
+	if !sameErr(err, werr) || err == nil && !sameRecord(rec, want) {
+		t.Fatalf("%s decoder: %q after %q decodes to %#v, %v; read alone, %#v, %v", c.name, b, a, rec, err, want, werr)
+	}
+}
+
+// sameFields reports whether two views hold the same record, member for
+// member and in the same order, and give the same fingerprint and entry.
+func sameFields(f, g *Fields) bool {
+	if f.Row != g.Row || f.Replicate != g.Replicate || !bytes.Equal(f.Experiment, g.Experiment) || !bytes.Equal(f.Hash, g.Hash) ||
+		f.Fingerprint() != g.Fingerprint() || f.Entry() != g.Entry() {
+		return false
+	}
+	fa, ga := f.Assignment(), g.Assignment()
+	if (fa == nil) != (ga == nil) || len(fa) != len(ga) {
+		return false
+	}
+	for i := range fa {
+		if !bytes.Equal(fa[i].Key, ga[i].Key) || !bytes.Equal(fa[i].Value, ga[i].Value) {
+			return false
+		}
+	}
+	fr, gr := f.Responses(), g.Responses()
+	if (fr == nil) != (gr == nil) || len(fr) != len(gr) {
+		return false
+	}
+	for i := range fr {
+		if !bytes.Equal(fr[i].Name, gr[i].Name) || math.Float64bits(fr[i].Value) != math.Float64bits(gr[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzEntryScan runs checkEntryScan on arbitrary bytes as a payload of
 // each codec: the verdict of its walk, and the fallback's
-// re-encode-and-compare. The seeds are FuzzJSONCodec's and
-// FuzzBinaryDecode's, plus each way a JSON document can decode to a
-// record and still not be the document AppendJSON writes for it.
+// re-encode-and-compare — for a and for b — and checkPrediction on the
+// pair. The seeds are FuzzJSONCodec's and FuzzBinaryDecode's, each paired
+// with itself, plus each way a JSON document can decode to a record and
+// still not be the document AppendJSON writes for it, and pairs that share
+// some of a cell's spans and not all of them.
 func FuzzEntryScan(f *testing.F) {
 	valid := `{"experiment":"e","row":0,"replicate":0,"hash":"00000000000000aa","assignment":{"f":"x"},"responses":{"ms":1.5}}`
-	f.Add([]byte(valid))
-	f.Add([]byte(`{"experiment":"e","row":12,"replicate":3,"hash":"h","assignment":null,"responses":{}}`))
-	f.Add([]byte(`{"experiment":"a<b","row":-1,"replicate":0,"hash":"","assignment":{"k":"v","k":"w"},"responses":{"a":-0,"b":1e21,"c":1e-7,"d":5e-324}}`))
-	f.Add([]byte(`{"experiment":"é","row":9007199254740993,"replicate":0,"hash":"h","assignment":{" ":"\n"},"responses":{"v":1.7976931348623157e+308}}`))
-	f.Add([]byte(`{"replicate":2,"experiment":"e","unknown":[1,{"x":null}]}`))
-	f.Add([]byte(valid + " "))
+	add := func(payload []byte) { f.Add(payload, payload) }
+	add([]byte(valid))
+	add([]byte(`{"experiment":"e","row":12,"replicate":3,"hash":"h","assignment":null,"responses":{}}`))
+	add([]byte(`{"experiment":"a<b","row":-1,"replicate":0,"hash":"","assignment":{"k":"v","k":"w"},"responses":{"a":-0,"b":1e21,"c":1e-7,"d":5e-324}}`))
+	add([]byte(`{"experiment":"é","row":9007199254740993,"replicate":0,"hash":"h","assignment":{" ":"\n"},"responses":{"v":1.7976931348623157e+308}}`))
+	add([]byte(`{"replicate":2,"experiment":"e","unknown":[1,{"x":null}]}`))
+	add([]byte(valid + " "))
 	for _, edit := range [][2]string{
 		{`"row":0`, `"row":-0`},
 		{`"replicate":0`, `"replicate":-0`},
@@ -71,24 +149,70 @@ func FuzzEntryScan(f *testing.F) {
 		{`{"ms":1.5}`, `{"ms":1.5,"io":2}`},
 		{`{"ms":1.5}`, `{"":1,"a":2}`},
 	} {
-		f.Add(bytes.Replace([]byte(valid), []byte(edit[0]), []byte(edit[1]), 1))
+		add(bytes.Replace([]byte(valid), []byte(edit[0]), []byte(edit[1]), 1))
 	}
 	bin := AppendBinary(nil, Record{
 		Experiment: "e", Hash: "00000000000000aa",
 		Assignment: map[string]string{"f": "x", "g": "y"},
 		Responses:  map[string]float64{"ms": 1.5},
 	})
-	f.Add(bin)
-	f.Add(bin[:len(bin)-3])
-	f.Add(AppendBinary(nil, Record{Experiment: "e"}))                                        // missing hash, nil maps
-	f.Add([]byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0})             // unsorted keys
-	f.Add([]byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'f', 1, 'x', 1, 'f', 1, 'y', 0})             // duplicate key
-	f.Add([]byte{0x81, 0, 'e', 1, 'h', 0, 0, 0, 0})                                          // overlong varint
-	f.Add([]byte{1, 'e', 1, 'h', 0, 0, 0, 1, 1, 1, 'v', 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})       // NaN response
-	f.Add([]byte{1, 'e', 1, 'h', 0, 0, 0, 1, 1, 1, 'v', 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3}) // trailing bytes
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkEntryScan(t, jsonCodec, data)
-		checkEntryScan(t, binaryCodec, data)
+	add(bin)
+	add(bin[:len(bin)-3])
+	add(AppendBinary(nil, Record{Experiment: "e"}))                                        // missing hash, nil maps
+	add([]byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0})             // unsorted keys
+	add([]byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'f', 1, 'x', 1, 'f', 1, 'y', 0})             // duplicate key
+	add([]byte{0x81, 0, 'e', 1, 'h', 0, 0, 0, 0})                                          // overlong varint
+	add([]byte{1, 'e', 1, 'h', 0, 0, 0, 1, 1, 1, 'v', 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})       // NaN response
+	add([]byte{1, 'e', 1, 'h', 0, 0, 0, 1, 1, 1, 'v', 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3}) // trailing bytes
+
+	// Pairs: a, then b on the same view.
+	edit := func(doc, from, to string) []byte { return bytes.Replace([]byte(doc), []byte(from), []byte(to), 1) }
+	rep1 := string(edit(valid, `"replicate":0`, `"replicate":1`))
+	for _, pair := range [][2][]byte{
+		{[]byte(valid), []byte(rep1)}, // the next replicate: a hit
+		{[]byte(valid), edit(rep1, `"hash":"00000000000000aa","assignment":{"f":"x"}`, `"hash":"00000000000000bb","assignment":{"f":"y"}`)}, // the head, not the middle
+		{[]byte(valid), edit(rep1, `"row":0`, `"row":1`)},                                     // only the row
+		{[]byte(valid), edit(rep1, `00000000000000aa`, `00000000000000ab`)},                   // one hash byte
+		{[]byte(valid), edit(rep1, `{"f":"x"}`, `null`)},                                      // a null assignment after a present one
+		{edit(valid, `{"f":"x"}`, `null`), edit(rep1, `{"f":"x"}`, `null`)},                   // and null twice
+		{[]byte(valid), edit(rep1, `"replicate":1`, `"replicate":-0`)},                        // a hit whose replicate is not canonical
+		{[]byte(valid), edit(rep1, `"replicate":1`, `"replicate":1.0`)},                       // nor an integer
+		{edit(valid, `1.5`, `1.50`), []byte(rep1)},                                            // hand-edited, then canonical
+		{edit(valid, `,"responses"`, ` ,"responses"`), []byte(rep1)},                          // unrecognised, then canonical
+		{edit(valid, `"e"`, `"<e>"`), edit(rep1, `"e"`, `"<e>"`)},                             // spans only a lenient walk accepts
+		{edit(valid, `{"f":"x"}`, `{"f":"x","g":"y"}`), edit(rep1, `{"f":"x"}`, `{"f":"x"}`)}, // a longer middle, then a shorter
+		{[]byte(valid), []byte(`{"experiment":"e","row":0,"replicate":`)},                     // the head and nothing more
+		{[]byte(valid), bin}, // another codec's payload
+	} {
+		f.Add(pair[0], pair[1])
+	}
+	binRep := func(rec Record, rep int) []byte {
+		rec.Replicate = rep
+		return AppendBinary(nil, rec)
+	}
+	cellRec := Record{Experiment: "e", Row: 3, Hash: "00000000000000aa", Assignment: map[string]string{"f": "x"}, Responses: map[string]float64{"ms": 1.5}}
+	other := cellRec
+	other.Row, other.Hash, other.Assignment = 4, "00000000000000bb", map[string]string{"f": "y"}
+	nullCell := cellRec
+	nullCell.Assignment = nil
+	descending := []byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0}
+	for _, pair := range [][2][]byte{
+		{binRep(cellRec, 0), binRep(cellRec, 1)},                                                               // the next replicate: a hit
+		{binRep(cellRec, 0), binRep(other, 1)},                                                                 // another cell
+		{binRep(cellRec, 0), binRep(nullCell, 1)},                                                              // a null assignment after a present one
+		{descending, append([]byte{1, 'e', 1, 'h', 2}, descending[5:]...)},                                     // spans that are not canonical, then a hit
+		{binRep(cellRec, 0), slices.Concat(binRep(cellRec, 0)[:19], []byte{0x80, 0}, binRep(cellRec, 0)[20:])}, // a hit's replicate overlong
+		{binRep(cellRec, 0), binRep(cellRec, 0)[:24]},                                                          // a hit cut short
+		{binRep(cellRec, 0), []byte(valid)},                                                                    // another codec's payload
+	} {
+		f.Add(pair[0], pair[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		for _, c := range []*codec{jsonCodec, binaryCodec} {
+			checkEntryScan(t, c, a)
+			checkEntryScan(t, c, b)
+			checkPrediction(t, c, a, b)
+		}
 	})
 }
 
@@ -190,6 +314,53 @@ func TestEntryScanAllocs(t *testing.T) {
 		}); n > 1 {
 			t.Errorf("%s entry scan of a canonical payload allocates %v times, want 1", c.name, n)
 		}
+	}
+}
+
+// TestIndexPassAllocsPerCell holds the index pass — Merge's and
+// Compact's — and Inspect to a key per design cell, not per record, over
+// a journal in the end-to-end benchmark's shape: 300 cells of 10
+// replicates, each cell's replicates one after another in the order two
+// workers finish them. A pass's view builds a cell's key once and every
+// entry of the cell shares it; the fold and Inspect index entries by cell
+// and replicate, and put a key together only for a Conflict. So a pass
+// costs about 0.1 allocations per record for the keys (one more per
+// section for a cell a cut splits) and a few dozen for itself, however
+// long the journal: the reader and a view per section, the entry lists,
+// the fold's maps and tables — 0.15 per record is the bound. A key per
+// record costs 1.1.
+func TestIndexPassAllocsPerCell(t *testing.T) {
+	const cells, reps = 300, 10
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	resumeJournal(t, path, cells, reps, true)
+	for name, pass := range map[string]func() error{
+		"index pass": func() error {
+			plan, ms, err := planMerge([]string{path})
+			if err == nil && ms.Kept != cells*reps {
+				err = fmt.Errorf("kept %d, want %d", ms.Kept, cells*reps)
+			}
+			if err == nil {
+				err = plan.Close()
+			}
+			return err
+		},
+		"Inspect": func() error {
+			info, err := Inspect(path)
+			if err == nil && info.Distinct != cells*reps {
+				err = fmt.Errorf("%d distinct, want %d", info.Distinct, cells*reps)
+			}
+			return err
+		},
+	} {
+		perRecord := testing.AllocsPerRun(5, func() {
+			if err := pass(); err != nil {
+				t.Fatal(err)
+			}
+		}) / (cells * reps)
+		if perRecord > 0.15 {
+			t.Errorf("%s allocates %.3f times per record, want at most 0.15: one key per cell", name, perRecord)
+		}
+		t.Logf("%s: %.3f allocations per record", name, perRecord)
 	}
 }
 

@@ -123,7 +123,9 @@ func FuzzJournalParse(f *testing.F) {
 //  1. decodeBinaryRecord never panics — it decodes or errors, whatever
 //     the payload bytes are — and, being a projection of walkBinary, it
 //     and the field pass agree with the decoder that was there before
-//     the walk (checkBinaryWalk).
+//     the walk (checkBinaryWalk). Every frame's payload walked after the
+//     frame before's on one view is walked as on a view of its own
+//     (checkPrediction).
 //  2. OpenSource, ScanFile and Inspect never panic on arbitrary frame
 //     data after the magic, never modify the file, and agree: the source's
 //     entry pass, ScanFile and Inspect fail together, and when they
@@ -160,6 +162,22 @@ func FuzzBinaryDecode(f *testing.F) {
 		f.Add(payload)
 		f.Add(binaryCodec.framing.Seal(append(binaryCodec.framing.Reserve(nil), payload...), 0))
 	}
+	// Frame pairs for the views' predictions: the next replicate of a cell,
+	// another cell, a null assignment after a present one, and spans that
+	// are not canonical.
+	cell := Record{Experiment: "e", Row: 2, Hash: "00000000000000aa", Assignment: map[string]string{"f": "x"}, Responses: map[string]float64{"ms": 1.5}}
+	next, other, null := cell, cell, cell
+	next.Replicate = 1
+	other.Hash, other.Row = "00000000000000ab", 3
+	null.Replicate, null.Assignment = 1, nil
+	for _, b := range []Record{next, other, null} {
+		f.Add(appendRecordFrame(appendRecordFrame(nil, cell), b))
+	}
+	descending := []byte{1, 'e', 1, 'h', 0, 0, 1, 2, 1, 'g', 1, 'x', 1, 'f', 1, 'y', 0}
+	frame := func(payload []byte) []byte {
+		return binaryCodec.framing.Seal(append(binaryCodec.framing.Reserve(nil), payload...), 0)
+	}
+	f.Add(append(frame(descending), frame(append([]byte{1, 'e', 1, 'h', 2}, descending[5:]...))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: the payload decoder is total, and the walk under it
 		// is the decoder it replaced.
@@ -167,6 +185,14 @@ func FuzzBinaryDecode(f *testing.F) {
 			checkBinaryWalk(t, data[framelog.FrameHeaderSize:])
 		}
 		checkBinaryWalk(t, data)
+		var prev []byte
+		binaryCodec.framing.Scan(bytes.NewReader(data), 0, func(payload []byte, _, _ int64) error {
+			if prev != nil {
+				checkPrediction(t, binaryCodec, prev, payload)
+			}
+			prev = bytes.Clone(payload)
+			return nil
+		})
 
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz.binj")
@@ -240,6 +266,8 @@ func FuzzBinaryDecode(f *testing.F) {
 //  4. The field pass agrees with DecodeJSON on every input
 //     (checkFieldsAgainstDecode): whatever walkJSON recognises is what the
 //     decoder decodes, and whatever it does not is flattened to the same.
+//  5. Every line of an input of several, walked after the line before on
+//     one view, is walked as on a view of its own (checkPrediction).
 func FuzzJSONCodec(f *testing.F) {
 	valid := `{"experiment":"e","row":0,"replicate":0,"hash":"00000000000000aa","assignment":{"f":"x"},"responses":{"ms":1.5}}`
 	f.Add([]byte(valid))
@@ -266,11 +294,28 @@ func FuzzJSONCodec(f *testing.F) {
 	} {
 		f.Add(bytes.Replace([]byte(valid), []byte(edit[0]), []byte(edit[1]), 1))
 	}
+	// Lines for the views' predictions: the next replicate, another row,
+	// another hash, a null assignment after a present one, and a
+	// hand-edited line before a canonical one.
+	rep1 := strings.Replace(valid, `"replicate":0`, `"replicate":1`, 1)
+	for _, next := range []string{
+		rep1,
+		strings.Replace(rep1, `"row":0`, `"row":1`, 1),
+		strings.Replace(rep1, `0aa"`, `0ab"`, 1),
+		strings.Replace(rep1, `{"f":"x"}`, `null`, 1),
+	} {
+		f.Add([]byte(valid + "\n" + next))
+	}
+	f.Add([]byte(strings.Replace(valid, `1.5`, `1.50`, 1) + "\n" + rep1 + "\n" + valid))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, ok := checkDecodeAgainstStdlib(t, data); ok {
 			checkEncodeAgainstStdlib(t, rec)
 		}
 		checkFieldsAgainstDecode(t, jsonCodec, data)
+		lines := bytes.Split(data, []byte("\n"))
+		for i := 1; i < len(lines); i++ {
+			checkPrediction(t, jsonCodec, lines[i-1], lines[i])
+		}
 		var bits [8]byte
 		copy(bits[:], data)
 		half := string(data[:len(data)/2])

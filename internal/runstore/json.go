@@ -61,7 +61,8 @@ func DecodeJSON(doc []byte) (Record, error) {
 // the payload of a journal line and of an archive record block: it fills
 // f with the record DecodeJSON returns for doc, a missing hash derived,
 // building the record itself only for a document walkJSON does not
-// recognise. f points into doc afterwards.
+// recognise. f points into doc afterwards, or into its own copy of the
+// cell's identity (Fields).
 func DecodeJSONFields(doc []byte, f *Fields) error { return jsonCodec.fields(doc, f) }
 
 // walkJSON is the JSON codec's one walk of the record grammar: it fills f
@@ -81,24 +82,44 @@ func DecodeJSONFields(doc []byte, f *Fields) error { return jsonCodec.fields(doc
 // canonjson.AppendFloat would write (canonjson.Shortest, which decides
 // an ordinary number without formatting it). That is the entry scan's
 // verdict.
+//
+// In a view a pass owns it first tries the spans of the last document it
+// recognised (cell): a document that starts with the first, then a
+// replicate, then the second, has its experiment, row, hash and
+// assignment where the view holds them already, and only its replicate
+// and responses are walked. The bytes are the ones the full walk would
+// read, so it reads them the same way.
 func walkJSON(doc []byte, f *Fields, canonical bool) (ok bool) {
 	c := canonjson.NewCursor(doc)
-	c.Lit(`{"experiment":`)
-	f.Experiment = c.Quoted(canonical)
-	c.Lit(`,"row":`)
-	f.Row = jsonInt(&c, canonical)
-	c.Lit(`,"replicate":`)
-	f.Replicate = jsonInt(&c, canonical)
-	c.Lit(`,"hash":`)
-	f.Hash = c.Quoted(canonical)
-	c.Lit(`,"assignment":`)
-	if f.assignment.start(c.Object()) {
-		for k := []byte(nil); c.Member(); {
-			k = c.NextKey(k, canonical)
-			f.assignment.add(Pair{k, c.Quoted(canonical)})
+	head, from, to := 0, 0, 0 // the spans of a full walk
+	hit := false
+	if first, second, known := f.cell.spans(jsonSpans, canonical); known && c.Accept(first) {
+		f.Replicate = jsonInt(&c, canonical)
+		if hit = c.Accept(second); !hit {
+			c = canonjson.NewCursor(doc)
 		}
 	}
-	c.Lit(`,"responses":`)
+	if !hit {
+		c.Lit(`{"experiment":`)
+		f.Experiment = c.Quoted(canonical)
+		c.Lit(`,"row":`)
+		f.Row = jsonInt(&c, canonical)
+		c.Lit(`,"replicate":`)
+		head = len(doc) - len(c.Rest())
+		f.Replicate = jsonInt(&c, canonical)
+		from = len(doc) - len(c.Rest())
+		c.Lit(`,"hash":`)
+		f.Hash = c.Quoted(canonical)
+		c.Lit(`,"assignment":`)
+		if f.assignment.start(c.Object()) {
+			for k := []byte(nil); c.Member(); {
+				k = c.NextKey(k, canonical)
+				f.assignment.add(Pair{k, c.Quoted(canonical)})
+			}
+		}
+		c.Lit(`,"responses":`)
+		to = len(doc) - len(c.Rest())
+	}
 	if f.responses.start(c.Object()) {
 		for k := []byte(nil); c.Member(); {
 			k = c.NextKey(k, canonical)
@@ -111,7 +132,9 @@ func walkJSON(doc []byte, f *Fields, canonical bool) (ok bool) {
 		}
 	}
 	c.Lit(`}`)
-	return c.Done() && len(f.Hash) > 0
+	ok = c.Done() && len(f.Hash) > 0
+	f.walked(doc, ok, hit, jsonSpans, canonical, head, from, to)
+	return ok
 }
 
 // jsonInt consumes an int field's literal; canonical refuses -0, which

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/reptable"
 )
 
 // Conflict is one key whose stored measurements disagree across merge
@@ -47,13 +49,16 @@ type MergeStats struct {
 // Merging a single source therefore canonicalizes a journal in place.
 //
 // Merge streams: an index pass reduces each source to lightweight
-// entries (key, canonical position, measurement fingerprint, extent) —
-// read on up to GOMAXPROCS goroutines at once, sources side by side and a
-// line-framed journal in sections cut just past a newline, joined in file
-// order; then the entry lists folded in source order, which is what
-// last-wins and the Conflicts are defined on, and each source's winners
-// kept in the order they were read (a list not already canonical is
-// sorted) — then the destination is written by k-way ordered iteration
+// entries (cell key, replicate, canonical position, measurement
+// fingerprint, extent) — read on up to GOMAXPROCS goroutines at once,
+// sources side by side and a line-framed journal in sections cut just
+// past a newline, joined in file order, each section through one view
+// that reads a cell's identity once and predicts each record's cell from
+// the record before (Fields), so the entries of a cell's replicates share
+// one key string; then the entry lists folded in source order, per cell,
+// which is what last-wins and the Conflicts are defined on, and each
+// source's winners kept in the order they were read (a list not already
+// canonical is sorted) — then the destination is written by k-way ordered iteration
 // over the per-source winner lists, one record at a time on the caller's
 // goroutine, each read through its source's read-ahead window. A winner
 // whose stored frame is already what the destination's codec would
@@ -229,25 +234,31 @@ func planMerge(srcs []string) (*mergePlan, MergeStats, error) {
 }
 
 // fold resolves last-wins over the entry lists the scan read, named srcs:
-// one pass in source order, then file order, through a map from key to
-// the entry holding it at that moment, sized from the entry count the
-// scan reports. A key met again in the same source is an ordinary
-// supersede — the later entry takes the earlier one's slot, so a source's
-// survivors keep its keys in first-appended order, the order Compact and
-// ScanFile serve. Met in a later source, the key's holder is marked dead
-// where it lies, and a measurement that disagrees with the holder's is a
-// Conflict: only cross-source disagreement means two workers measured the
-// same unit differently. The dead are then dropped from every list.
+// one pass in source order, then file order, through a keyIndex sized
+// from the scan's entry and cell counts — one map operation when the cell
+// changes, a replicate table lookup per entry. A key met again in the same
+// source is an ordinary supersede — the later entry takes the earlier
+// one's slot, so a source's survivors keep its keys in first-appended
+// order, the order Compact and ScanFile serve. Met in a later source, the
+// key's holder is marked dead where it lies, and a measurement that
+// disagrees with the holder's is a Conflict: only cross-source
+// disagreement means two workers measured the same unit differently. The
+// dead are then dropped from every list.
 func (p *mergePlan) fold(srcs []string) MergeStats {
 	ms := MergeStats{Sources: len(srcs)}
-	total := 0
+	total, cells := 0, 0
 	for _, s := range p.sources {
 		total += len(s.winners)
+		for i := range s.winners {
+			if i == 0 || s.winners[i].cell != s.winners[i-1].cell {
+				cells++ // a pass's entries share their cell's string: mostly a pointer compare
+			}
+		}
 		if s.r.Info().Torn {
 			ms.TornSources++
 		}
 	}
-	index := make(map[string]entryRef, total)
+	index := newKeyIndex(cells, total)
 	dead := make([][]bool, len(p.sources)) // per source, allocated at its first superseded entry
 	kill := func(at entryRef) {
 		if dead[at.src] == nil {
@@ -258,21 +269,21 @@ func (p *mergePlan) fold(srcs []string) MergeStats {
 	for i, s := range p.sources {
 		for pos := range s.winners {
 			e := &s.winners[pos]
-			k := e.Key()
 			here := entryRef{src: int32(i), pos: int32(pos)}
-			prev, seen := index[k]
+			slot, claimed := index.slot(e)
+			prev := index.holder[slot]
 			switch {
-			case !seen:
-				index[k] = here
+			case claimed:
+				index.holder[slot] = here
 			case prev.src == here.src:
 				s.winners[prev.pos] = *e
 				kill(here)
 			default:
 				if p.sources[prev.src].winners[prev.pos].Fp != e.Fp {
-					ms.Conflicts = append(ms.Conflicts, Conflict{Key: k, Earlier: srcs[prev.src], Later: srcs[i]})
+					ms.Conflicts = append(ms.Conflicts, Conflict{Key: e.Key(), Earlier: srcs[prev.src], Later: srcs[i]})
 				}
 				kill(prev)
-				index[k] = here
+				index.holder[slot] = here
 			}
 		}
 	}
@@ -289,9 +300,50 @@ func (p *mergePlan) fold(srcs []string) MergeStats {
 		}
 		clear(read[len(s.winners):])
 	}
-	ms.Kept = len(index)
-	ms.Superseded = total - len(index)
+	ms.Kept = len(index.holder)
+	ms.Superseded = total - ms.Kept
 	return ms
+}
+
+// keyIndex numbers the distinct keys of a sequence of entries — a slot
+// per key, in the order the keys are first met — through a
+// reptable.Table, as the warehouse's ingest fold does: one map operation,
+// from cell key to the cell's number, when an entry's cell is not the one
+// before's, then a replicate table lookup. holder is the fold's: per
+// slot, the entry holding the key.
+type keyIndex struct {
+	cellAt map[string]int // cell key -> its number in reps
+	reps   *reptable.Table
+	cell   string // the last entry's cell
+	at     int    // its number; -1 before the first entry
+	holder []entryRef
+}
+
+// newKeyIndex sizes a keyIndex for about cells cells and keys keys.
+func newKeyIndex(cells, keys int) *keyIndex {
+	return &keyIndex{
+		cellAt: make(map[string]int, cells),
+		reps:   reptable.New(cells, keys),
+		at:     -1,
+		holder: make([]entryRef, 0, keys),
+	}
+}
+
+// slot returns the slot of e's key, and whether it was claimed for e —
+// no entry before held the key.
+func (x *keyIndex) slot(e *SourceEntry) (slot int, claimed bool) {
+	if x.at < 0 || e.cell != x.cell {
+		at, ok := x.cellAt[e.cell]
+		if !ok {
+			at = x.reps.AddCell()
+			x.cellAt[e.cell] = at
+		}
+		x.at, x.cell = at, e.cell
+	}
+	if slot, claimed = x.reps.Slot(x.at, e.Replicate); claimed {
+		x.holder = append(x.holder, entryRef{})
+	}
+	return slot, claimed
 }
 
 // scanSources opens every source, in order, and reads the entries of

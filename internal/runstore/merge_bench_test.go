@@ -158,47 +158,76 @@ func BenchmarkCompactStreaming(b *testing.B) {
 }
 
 // BenchmarkCollect is the end-to-end benchmark's fleet-collect operation
-// at that workload's size and record shape (bench/: one factor, two
-// responses): Merge two 1 500-record shard journals into the canonical
-// journal, then Compact it in place. Every line is canonical, so the
-// index passes run on the entry scan, Merge copies every winner's frame,
-// and Compact finds nothing to rewrite.
-func BenchmarkCollect(b *testing.B) { benchCollect(b, 0) }
+// in its record shape (bench/: one factor, two responses): Merge two
+// 3 000-record shard journals' worth of cells into the canonical journal,
+// then Compact it in place. Every line is canonical, so the index passes
+// run on the entry scan, Merge copies every winner's frame, and Compact
+// finds nothing to rewrite. The shapes:
+//
+//   - reps=10: that workload's, 300 cells of 10 replicates, each cell's
+//     replicates one after another as the scheduler queues them;
+//   - reps=2: 1 500 cells of 2, half the records the first of their cell;
+//   - interleaved: reps=10's records, replicate-major, so no record's
+//     cell is the one before's — Merge's index pass predicts none of them
+//     (Compact's reads the merged journal, in canonical order).
+func BenchmarkCollect(b *testing.B) {
+	for _, shape := range []struct {
+		name        string
+		cells, reps int
+		interleaved bool
+	}{
+		{"reps=10", 300, 10, false},
+		{"reps=2", 1500, 2, false},
+		{"interleaved", 300, 10, true},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			benchCollect(b, writeShardJournals(b, b.TempDir(), shape.cells, shape.reps, 2, 0, shape.interleaved))
+		})
+	}
+}
 
-// BenchmarkCollectHandEdited is BenchmarkCollect with every tenth source
-// line hand-edited (a space no encoder writes): those lines take the
-// fallback — decoded and re-encoded in both passes of Merge — while
-// their neighbours are still copied. It prices the fallback beside the
-// fast path; the merged journal is canonical either way, so Compact
+// BenchmarkCollectHandEdited is BenchmarkCollect's reps=2 shape with every
+// tenth source line hand-edited (a space no encoder writes): those lines
+// take the fallback — decoded and re-encoded in both passes of Merge —
+// while their neighbours are still copied. It prices the fallback beside
+// the fast path; the merged journal is canonical either way, so Compact
 // still finds nothing to rewrite.
-func BenchmarkCollectHandEdited(b *testing.B) { benchCollect(b, 10) }
+func BenchmarkCollectHandEdited(b *testing.B) {
+	benchCollect(b, writeShardJournals(b, b.TempDir(), 1500, 2, 2, 10, false))
+}
 
-// writeShardJournals writes one run of cells x 2 records in the
+// writeShardJournals writes one run of cells x reps records in the
 // end-to-end benchmark's record shape (bench/: one factor, two responses)
 // as n canonical shard journals, cell c in shard c%n — what n workers'
-// spools hold — and returns their paths. editEvery > 0 makes every
+// spools hold — and returns their paths. A cell's replicates come one
+// after another, or, interleaved, replicate-major: every cell's first,
+// then every cell's second, and so on. editEvery > 0 makes every
 // editEvery-th line non-canonical.
-func writeShardJournals(b *testing.B, dir string, cells, n, editEvery int) []string {
+func writeShardJournals(b *testing.B, dir string, cells, reps, n, editEvery int, interleaved bool) []string {
 	b.Helper()
 	shards := make([]bytes.Buffer, n)
 	lines := 0
-	for cell := 0; cell < cells; cell++ {
+	write := func(cell, rep int) {
 		a := map[string]string{"cell": fmt.Sprintf("c%05d", cell)}
-		hash := AssignmentHash(a)
-		for rep := 0; rep < 2; rep++ {
-			line, err := json.Marshal(Record{
-				Experiment: "journey", Row: cell, Replicate: rep, Hash: hash,
-				Assignment: a,
-				Responses:  map[string]float64{"ms": 5 + float64(cell*2+rep)/1000, "io": float64(100 + cell%900)},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if lines++; editEvery > 0 && lines%editEvery == 0 {
-				line = bytes.Replace(line, []byte(`,"responses":`), []byte(`, "responses":`), 1)
-			}
-			shards[cell%n].Write(line)
-			shards[cell%n].WriteByte('\n')
+		line, err := json.Marshal(Record{
+			Experiment: "journey", Row: cell, Replicate: rep, Hash: AssignmentHash(a),
+			Assignment: a,
+			Responses:  map[string]float64{"ms": 5 + float64(cell*reps+rep)/1000, "io": float64(100 + cell%900)},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if lines++; editEvery > 0 && lines%editEvery == 0 {
+			line = bytes.Replace(line, []byte(`,"responses":`), []byte(`, "responses":`), 1)
+		}
+		shards[cell%n].Write(line)
+		shards[cell%n].WriteByte('\n')
+	}
+	for i := 0; i < cells*reps; i++ {
+		if interleaved {
+			write(i%cells, i/cells)
+		} else {
+			write(i/reps, i%reps)
 		}
 	}
 	srcs := make([]string, n)
@@ -211,12 +240,9 @@ func writeShardJournals(b *testing.B, dir string, cells, n, editEvery int) []str
 	return srcs
 }
 
-// benchCollect runs the collect operation; editEvery > 0 makes every
-// editEvery-th source line non-canonical.
-func benchCollect(b *testing.B, editEvery int) {
-	dir := b.TempDir()
-	srcs := writeShardJournals(b, dir, 1500, 2, editEvery)
-	dst := filepath.Join(dir, "canonical.jsonl")
+// benchCollect runs the collect operation over srcs, 3 000 records.
+func benchCollect(b *testing.B, srcs []string) {
+	dst := filepath.Join(filepath.Dir(srcs[0]), "canonical.jsonl")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,7 +269,7 @@ func BenchmarkMergeShards(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			srcs := writeShardJournals(b, dir, 12_000, n, 0)
+			srcs := writeShardJournals(b, dir, 12_000, 2, n, 0, false)
 			dst := filepath.Join(dir, "canonical.jsonl")
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -124,14 +124,14 @@ func Inspect(path string) (Info, error) {
 		return Info{}, err
 	}
 	defer r.Close()
-	distinct := make(map[string]struct{})
+	distinct := newKeyIndex(0, 0)
 	for e, err := range r.Entries() {
 		if err != nil {
 			return Info{}, err
 		}
-		distinct[e.Key()] = struct{}{}
+		distinct.slot(&e)
 	}
 	info := r.Info()
-	info.Distinct = len(distinct)
+	info.Distinct = len(distinct.holder)
 	return info, nil
 }

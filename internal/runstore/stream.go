@@ -3,7 +3,7 @@ package runstore
 import (
 	"iter"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Extent locates one record's encoded bytes inside a store file, in the
@@ -18,11 +18,14 @@ type Extent struct {
 // pass yields: enough to key, order canonically, and compare
 // measurements without retaining the record — which no reader builds
 // when its stored form is what the codec writes (codec.entry). It holds
-// one string, the key, built once when a reader makes the entry
-// (Fields.Entry, entryOf), and cuts the experiment and the hash from it:
-// an index pass keeps one entry per stored record.
+// one string, its cell's key (CellKey), and cuts the experiment and the
+// hash from it; a pass's view builds that string once per cell
+// (Fields.Entry), so the entries of a cell's replicates share it, and an
+// index pass keeps one entry per stored record and no string per record.
+// The record's own key is the cell's and the replicate: Key puts it
+// together for the caller that needs it as a string.
 type SourceEntry struct {
-	key       string // Key(experiment, hash, replicate)
+	cell      string // CellKey(experiment, hash)
 	Replicate int
 	Row       int
 	// Fp fingerprints the measurement (assignment + responses, Row
@@ -30,7 +33,7 @@ type SourceEntry struct {
 	// detectable without re-reading either record.
 	Fp  uint64
 	Ext Extent
-	exp uint32 // the experiment's length: key[:exp]
+	exp uint32 // the experiment's length: cell[:exp]
 	// canonical says the stored payload is byte for byte what its codec
 	// writes for the record it decodes to, so a rewrite into the same
 	// codec may copy the frame instead of re-making it. Only a journal
@@ -38,17 +41,16 @@ type SourceEntry struct {
 	canonical bool
 }
 
-// Key returns the entry's runstore lookup key.
-func (e SourceEntry) Key() string { return e.key }
+// Key returns the entry's runstore lookup key, built for the call. Two
+// entries have one key exactly when they have one cell and one
+// replicate: the replicate's digits hold no '/'.
+func (e SourceEntry) Key() string { return e.cell + "/" + strconv.Itoa(e.Replicate) }
 
 // Experiment returns the experiment of the entry's record.
-func (e SourceEntry) Experiment() string { return e.key[:e.exp] }
+func (e SourceEntry) Experiment() string { return e.cell[:e.exp] }
 
-// Hash returns the assignment hash of the entry's record: what lies
-// between the experiment and the replicate, which holds no '/'.
-func (e SourceEntry) Hash() string {
-	return e.key[e.exp+1 : strings.LastIndexByte(e.key, '/')]
-}
+// Hash returns the assignment hash of the entry's record.
+func (e SourceEntry) Hash() string { return e.cell[e.exp+1:] }
 
 // SourceReader is the streaming, random-access view of one store file
 // that Merge, Compact, LoadRecords, Inspect and the warehouse consume.
@@ -127,7 +129,7 @@ func fnvResponse[S string | []byte](h uint64, name S, v float64) uint64 {
 // entryOf builds the index entry for one decoded record.
 func entryOf(rec Record) SourceEntry {
 	return SourceEntry{
-		key:       rec.Key(),
+		cell:      CellKey(rec.Experiment, rec.Hash),
 		exp:       uint32(len(rec.Experiment)),
 		Replicate: rec.Replicate,
 		Row:       rec.Row,

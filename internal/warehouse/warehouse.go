@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/design"
 	"repro/internal/obs"
+	"repro/internal/reptable"
 	"repro/internal/runstore"
 	"repro/internal/stats"
 )
@@ -304,13 +305,13 @@ func Summarize(paths ...string) ([]*runstore.Summary, error) {
 // A record costs what differs from the record of its cell before it. Per
 // design cell the fold keeps (foldCell) the FNV-1a state of the cell's key,
 // so that a record's fingerprint folds only its "/<replicate>" and its
-// measurement; a table of its slots indexed by replicate, so that a record
-// finds or claims its slot without a map, in whatever order its cell's
-// replicates come; and the name each response position held last, which a
-// record's name at that position is compared with, byte for byte, before
-// it is taken. A record that breaks a prediction — a cell other than the
-// one before, another response name — takes the cell or name map, and a
-// replicate too far out for the table (slot) the slot map.
+// measurement; a table of its slots indexed by replicate (reptable), so
+// that a record finds or claims its slot without a map, in whatever order
+// its cell's replicates come; and the name each response position held
+// last, which a record's name at that position is compared with, byte for
+// byte, before it is taken. A record that breaks a prediction — a cell
+// other than the one before, another response name — takes the cell or
+// name map, and a replicate too far out for the table the table's far map.
 func ingest(root, rel string, st os.FileInfo) (Run, error) {
 	r, err := runstore.OpenSource(filepath.Join(root, filepath.FromSlash(rel)))
 	if err != nil {
@@ -322,7 +323,7 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 		clear(s.cells) // what the run holds of them is the run's
 		foldPool.Put(s)
 	}()
-	clear(s.slotAt) // keeps its buckets, as truncation keeps an array
+	s.reps.Reset()
 	s.cells, s.slots, s.arena, s.tables = s.cells[:0], s.slots[:0], s.arena[:0], s.tables[:0]
 	var (
 		cellAt = make(map[string]int) // cell key -> cells
@@ -349,13 +350,16 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 			key = append(append(append(key[:0], f.Experiment...), '/'), f.Hash...)
 			var ok bool
 			if ci, ok = cellAt[string(key)]; !ok {
-				ci = len(s.cells)
+				ci = s.reps.AddCell()
 				s.cells = append(s.cells, foldCell{key: string(key), first: len(s.slots), h: fnv1a(fnvOffset64, key)})
 				cellAt[s.cells[ci].key] = ci
 			}
 		}
 		c := &s.cells[ci]
-		i := s.slot(ci, f.Replicate)
+		i, claimed := s.reps.Slot(ci, f.Replicate)
+		if claimed {
+			s.slots = append(s.slots, foldSlot{cell: ci})
+		}
 		sl := &s.slots[i]
 		sl.fp = keyedFingerprint(c.h, strconv.AppendInt(append(suffix[:0], '/'), int64(f.Replicate), 10), f.Fingerprint())
 		if c.first == i {
@@ -371,7 +375,7 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 		sl.off, sl.n = len(s.arena), len(f.Responses())
 		for k, resp := range f.Responses() {
 			if k == len(c.responses) {
-				c.responses = append(room(&s.tables, c.responses), name(resp.Name))
+				c.responses = append(reptable.Room(&s.tables, c.responses, 4), name(resp.Name))
 			} else if names[c.responses[k]] != string(resp.Name) {
 				c.responses[k] = name(resp.Name)
 			}
@@ -439,17 +443,17 @@ func ingest(root, rel string, st os.FileInfo) (Run, error) {
 // fold is what ingest keeps per record and per cell, pooled from source to
 // source. A record's key is its cell's key, '/' and slash-free digits:
 // (cell, replicate). Per cell it keeps what a record of the cell starts
-// from (foldCell): the FNV-1a state of the cell's key, the replicate
-// table, and the response names by position, the tables cut from one
-// arena.
+// from (foldCell): the FNV-1a state of the cell's key and the response
+// names by position, the tables cut from one arena; and its replicate
+// table, in reps, which numbers the cells as cells does.
 type (
 	fold struct {
 		cells  []foldCell
-		slotAt map[[2]int]int // (cell, replicate) -> slots, for replicates no cell's table holds
+		reps   reptable.Table // (cell, replicate) -> slots
 		slots  []foldSlot
 		arena  []foldValue
 		byCell []foldValue // the arena's live values, by cell
-		tables []int       // the arena the cells' replicate and response tables grow in (room)
+		tables []int       // the arena the cells' response tables grow in (reptable.Room)
 	}
 	foldSlot struct { // one distinct record, in first-appended order
 		cell   int    // index into cells
@@ -462,7 +466,6 @@ type (
 		assignment       map[string]string
 		first            int    // the slot whose record names the assignment
 		h                uint64 // FNV-1a over key: where every record's keyedFingerprint starts
-		reps             []int  // reps[r] is the slot of replicate r, -1 until one came
 		responses        []int  // by response position, the name (into names) the last record had there
 	}
 	foldValue struct {
@@ -471,66 +474,13 @@ type (
 	}
 )
 
-var foldPool = sync.Pool{New: func() any { return &fold{slotAt: make(map[[2]int]int)} }}
+var foldPool = sync.Pool{New: func() any { return new(fold) }}
 
 // spelled reports whether experiment '/' hash is c's key, comparing in
 // place.
 func (c *foldCell) spelled(experiment, hash []byte) bool {
 	n := len(experiment)
 	return len(c.key) == n+1+len(hash) && c.key[n] == '/' && c.key[:n] == string(experiment) && c.key[n+1:] == string(hash)
-}
-
-// slot returns the slot of the record of cell ci with replicate rep,
-// claiming the next one when no earlier frame held the key. A new
-// replicate goes to the cell's table when it is less than repReach past
-// the table's end, so that the table grows by at most repReach entries per
-// slot it holds, and to slotAt otherwise — a negative replicate, or one far
-// out. A hole of the table may be a replicate slotAt took before the table
-// grew over it, so slotAt is asked before a replicate is claimed: a lookup
-// in an empty map, as it is unless a replicate went there, hashes nothing.
-func (s *fold) slot(ci, rep int) int {
-	c := &s.cells[ci]
-	if uint(rep) < uint(len(c.reps)) && c.reps[rep] >= 0 {
-		return c.reps[rep]
-	}
-	if j, seen := s.slotAt[[2]int{ci, rep}]; seen {
-		return j
-	}
-	i := len(s.slots)
-	if rep >= 0 && rep < len(c.reps)+repReach {
-		for len(c.reps) <= rep {
-			c.reps = append(room(&s.tables, c.reps), -1)
-		}
-		c.reps[rep] = i
-	} else {
-		s.slotAt[[2]int{ci, rep}] = i
-	}
-	s.slots = append(s.slots, foldSlot{cell: ci})
-	return i
-}
-
-// repReach is how far past the end of a cell's replicate table a new
-// replicate may be and still go to the table: far enough for the
-// completion order of a scheduler's workers, which run a cell's replicates
-// side by side and land them out of order by about as many as there are
-// workers.
-const repReach = 64
-
-// room returns t with room for one more element: t itself, or t moved to
-// a larger span cut from the end of *arena, so that many small tables grow
-// inside one backing array — for ingest, one reused from source to source.
-// What a move leaves behind is dead until the arena is truncated or
-// dropped. The span is reserved with slices.Grow: appending a make of it
-// allocates the make under the race detector.
-func room(arena *[]int, t []int) []int {
-	if len(t) < cap(t) {
-		return t
-	}
-	n := max(2*len(t), 4)
-	a := slices.Grow(*arena, n)
-	at := len(a)
-	*arena = a[:at+n]
-	return append(a[at:at:at+n], t...)
 }
 
 // keyedFingerprint folds one record's identity and measurement into the
